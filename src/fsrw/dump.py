@@ -153,7 +153,10 @@ def _parse_one(lines: list[str], pos: int, table: SymbolTable = None):
         if parts[0] == "sym":
             if len(parts) != 3:
                 raise DumpFormatError("bad sym line %r" % line)
-            sid = int(parts[1])
+            try:
+                sid = int(parts[1])
+            except ValueError:
+                raise DumpFormatError("bad sym line %r" % line)
             syms[sid] = unesc(parts[2])
         elif parts[0] == "t":
             if len(parts) != 5:
@@ -162,7 +165,10 @@ def _parse_one(lines: list[str], pos: int, table: SymbolTable = None):
         elif parts[0] == "f":
             if len(parts) != 2:
                 raise DumpFormatError("bad f line %r" % line)
-            f = int(parts[1])
+            try:
+                f = int(parts[1])
+            except ValueError:
+                raise DumpFormatError("bad f line %r" % line)
             if not (0 <= f < n):
                 raise DumpFormatError("final state %d out of range" % f)
             finals.add(f)

@@ -11,7 +11,6 @@ bit-for-bit equal.
 from __future__ import annotations
 
 import heapq
-import sys
 from typing import Iterable, Optional, Sequence
 
 EPS = -1  # epsilon on one side of a label; never a symbol table id
@@ -95,12 +94,6 @@ class SymbolTable:
         """What `?` ranges over inside the marker encoding: user glyphs
         plus the four bracket glyphs (they may coincide)."""
         return tuple(sorted(self._user | {2, 3, 4, 5}))
-
-    def flag0(self) -> int:
-        return 0
-
-    def flag1(self) -> int:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +362,6 @@ def option(m: Fst) -> Fst:
     return union(m, empty_string(m.table))
 
 
-def rational_combine(op: str, operands: Sequence[Fst]) -> Fst:
-    ops = {"union": union, "concat": concat, "star": star, "plus": plus,
-           "option": option}
-    if op not in ops:
-        raise FsmError("unknown rational op %r" % op)
-    return ops[op](*operands)
-
-
 # -- determinization / minimization -----------------------------------------
 
 
@@ -555,14 +540,6 @@ def containment(m: Fst) -> Fst:
     sig = sigma_star(m.table, m.table.all_ids())
     got = concat(sig, m, sig)
     return minimize(got) if not got.is_empty() else got
-
-
-def boolean_combine(op: str, operands: Sequence[Fst]) -> Fst:
-    ops = {"complement": complement, "difference": difference,
-           "intersection": intersection, "containment": containment}
-    if op not in ops:
-        raise FsmError("unknown boolean op %r" % op)
-    return ops[op](*operands)
 
 
 # -- relation operations -----------------------------------------------------
@@ -859,44 +836,79 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
             stack2.pop()
 
     glyph = m.table.glyph
-    results: list[tuple[int, ...]] = []
     if not cyclic:
-        memo: dict[int, list[tuple[int, ...]]] = {}
-
-        def collect(v):
-            got = memo.get(v)
-            if got is not None:
-                return got
-            acc = [()] if v in dfinals else []
-            for o, d in dadj[v]:
-                if d in live:
-                    acc.extend((o,) + tail for tail in collect(d))
-            memo[v] = acc
-            return acc
-
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old, len(dorder) * 2 + 100))
-        try:
-            results = collect(0)
-        finally:
-            sys.setrecursionlimit(old)
-        truncated = False
-    else:
-        # shortest-first enumeration, cut at `limit` distinct outputs
-        heap = [(0, (), 0)]
-        found: set[tuple[int, ...]] = set()
-        results = []
-        while heap and len(results) < limit:
-            length, prefix, v = heapq.heappop(heap)
-            if v in dfinals and prefix not in found:
-                found.add(prefix)
-                results.append(prefix)
-            for o, d in dadj[v]:
-                if d in live:
-                    heapq.heappush(heap, (length + 1, prefix + (o,), d))
-        truncated = True
+        return TransduceResult(_acyclic_outputs(dadj, rev, live, dfinals, glyph),
+                               False)
+    # shortest-first enumeration, cut at `limit` distinct outputs
+    heap = [(0, (), 0)]
+    found: set[tuple[int, ...]] = set()
+    results = []
+    while heap and len(results) < limit:
+        length, prefix, v = heapq.heappop(heap)
+        if v in dfinals and prefix not in found:
+            found.add(prefix)
+            results.append(prefix)
+        for o, d in dadj[v]:
+            if d in live:
+                heapq.heappush(heap, (length + 1, prefix + (o,), d))
     outputs = sorted(set(results))
-    return TransduceResult([tuple(glyph(o) for o in out) for out in outputs], truncated)
+    return TransduceResult([tuple(glyph(o) for o in out) for out in outputs], True)
+
+
+def _acyclic_outputs(dadj, rev, live, dfinals, glyph) -> list[tuple[str, ...]]:
+    """Every output of a live, acyclic output DFA rooted at state 0, as glyph
+    tuples sorted by symbol id, without recursion.  `rev` maps a state to
+    the sources of its incoming arcs.
+
+    Suffix lists are kept only at the states more than one arc enters
+    (merges), filled children first.  From state 0 and from each merge, the
+    states up to the next merges form a tree, walked depth first with one
+    shared path, so every other state is visited once and an output is
+    copied at most once per merge on its path.  A functional line's chain
+    of states is one such tree.  Arcs are in ascending label order and the
+    DFA is deterministic, so each list comes out sorted and without
+    repeats."""
+    merges = {v for v in live if len(rev.get(v, ())) > 1}
+    suffixes: dict[int, list[tuple[str, ...]]] = {}
+
+    def fill(u):
+        acc = []
+        path = []
+        todo = [(u, 0, None)]
+        while todo:
+            v, depth, g = todo.pop()
+            del path[depth:]
+            if g is not None:
+                path.append(g)
+                if v in merges:
+                    head = tuple(path)
+                    acc.extend([head + tail for tail in suffixes[v]])
+                    continue
+            if v in dfinals:
+                acc.append(tuple(path))
+            depth = len(path)
+            for o, d in reversed(dadj[v]):
+                if d in live:
+                    todo.append((d, depth, glyph(o)))
+        return acc
+
+    if merges:
+        # topological order (Kahn): a state is placed once all the arcs
+        # into it have been counted
+        order = [0]
+        left = {v: len(rev[v]) for v in merges}
+        for v in order:
+            for _, d in dadj[v]:
+                if d in live:
+                    k = left.get(d, 1) - 1
+                    if k:
+                        left[d] = k
+                    else:
+                        order.append(d)
+        for v in reversed(order):
+            if v in merges:
+                suffixes[v] = fill(v)
+    return fill(0)
 
 
 def lang_enum(m: Fst, max_len: int) -> set[str]:

@@ -280,7 +280,7 @@ def test_criterion_7b_complement_exactness():
         r = build_regex(random_regex(rng, "ab", 3), tb)
         c = complement(r)
         everything = sigma_star(tb, tb.all_ids())
-        if not intersection(r, c).is_empty:
+        if not intersection(r, c).is_empty():
             bad += 1
             continue
         if not equivalent(union(r, c), everything):

@@ -158,3 +158,15 @@ def test_bad_rules_fail_with_rc_1(tmp_path, monkeypatch, capsys):
                        ["compile", "-r", str(rules), "-o", "/tmp/x.fsm"])
     assert rc == 1
     assert "unknown operator" in err
+
+
+@pytest.mark.parametrize("body", ["fst 1 0\nsym x a\n", "fst 1 0\nf x\n"],
+                         ids=["sym", "f"])
+def test_malformed_machine_file_is_a_usage_error(tmp_path, monkeypatch,
+                                                 capsys, body):
+    machine = tmp_path / "m.fst"
+    machine.write_text(body)
+    rc, out, err = run(monkeypatch, capsys, ["apply", "-m", str(machine)],
+                       "a\n")
+    assert rc == 2
+    assert "error: bad" in err

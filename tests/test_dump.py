@@ -2,10 +2,13 @@
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from fsrw import (
     DumpFormatError,
+    Fst,
     SymbolTable,
     cross_product,
     dump_text,
@@ -108,7 +111,9 @@ def test_remap_interns_missing_glyphs():
     lambda t: t.replace("fst ", "fst x", 1),
     lambda t: t + "t 0 99 a a\n",
     lambda t: t.replace("sym 0 0", "sym 0 zero", 1),
+    lambda t: t.replace("sym 0 0", "sym zero 0", 1),
     lambda t: t + "f 99\n",
+    lambda t: t + "f x\n",
 ])
 def test_malformed_dumps_rejected(mangle):
     tb = SymbolTable("ab")
@@ -124,3 +129,26 @@ def test_epsilon_epsilon_arc_rejected():
     lines.insert(len(lines), "t 0 0 - -")
     with pytest.raises(DumpFormatError):
         load_text("\n".join(lines) + "\n")
+
+
+_WORDS = ["0", "1", "2", "-1", "x", "a", "-", "\\", "\\s", "1.5", "<1"]
+_lines = st.builds(
+    lambda head, rest: " ".join([head] + rest),
+    st.sampled_from(["fst", "cascade", "#tokens", "sym", "t", "f"]),
+    st.lists(st.sampled_from(_WORDS), max_size=4))
+_machine_texts = st.one_of(
+    st.text(max_size=40),
+    st.builds(lambda head, body: "\n".join([head] + body),
+              st.sampled_from(["", "fst 1 0", "fst 2 1", "cascade 1\nfst 1 0"]),
+              st.lists(_lines, max_size=8)),
+)
+
+
+@given(_machine_texts)
+@settings(max_examples=300, deadline=None)
+def test_any_text_loads_or_is_a_format_error(text):
+    try:
+        got = load_text(text)
+    except DumpFormatError:
+        return
+    assert isinstance(got, (Fst, list))

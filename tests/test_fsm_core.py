@@ -1,7 +1,12 @@
 """Core machine algebra: constructors, rational and boolean operations,
 composition, projection, transduction, enumeration."""
 
+import itertools
 import random
+import re
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,7 @@ from fsrw import (
     accepts,
     any_of,
     canonicalize,
+    compile_rules,
     complement,
     compose,
     concat,
@@ -42,6 +48,14 @@ from fsrw import (
 )
 
 from gen import build_regex, model_lang, random_regex
+
+RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
+
+AMBIGUOUS = """\
+#alphabet a e i o k t.
+macro(vowel, {a, e, i, 'o'}).
+replace([vowel, vowel] x vowel, [], []).
+"""
 
 
 @pytest.fixture
@@ -180,6 +194,77 @@ def test_transduce_cyclic_truncates(tb):
 def test_transduce_rejects_unknown_symbol(tb):
     with pytest.raises(FsmError):
         transduce(literal(tb, "a"), "z")
+
+
+@pytest.fixture(scope="module")
+def devoice():
+    return compile_rules((RULES_DIR / "devoice_final.fsr").read_text()).machine
+
+
+def _devoice_line(rng, n):
+    return "".join(rng.choice("abdpt#") for _ in range(n))
+
+
+def _traced_peak(m, line):
+    tracemalloc.start()
+    try:
+        transduce(m, line)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transduce_memory_grows_linearly(devoice):
+    rng = random.Random(11)
+    short = _traced_peak(devoice, _devoice_line(rng, 2500))
+    long = _traced_peak(devoice, _devoice_line(rng, 10_000))
+    assert long <= 6 * short
+
+
+def test_transduce_memory_follows_output_size():
+    # a^n -> {x^i y : i < n}: outputs of total length ~n^2/2 that share
+    # no suffix, so storing every state's suffix list would cost ~n^3/6
+    tb = SymbolTable("axy")
+    a, x, y = (tb.id_of(g) for g in "axy")
+    m = Fst(tb, 2, 0, frozenset([1]),
+            ((0, a, x, 0), (0, a, y, 1), (1, a, EPS, 1)), False)
+    assert transduce(m, "aaa").strings() == ["xxy", "xy", "y"]
+    short = _traced_peak(m, "a" * 150)
+    long = _traced_peak(m, "a" * 300)
+    assert long <= 5 * short
+
+
+def test_transduce_long_line_matches_reference(devoice):
+    line = _devoice_line(random.Random(12), 100_000)
+    want = re.sub(r"[bd](?=#)", lambda mo: {"b": "p", "d": "t"}[mo.group()],
+                  line)
+    res = transduce(devoice, line)
+    assert res.strings() == [want]
+    assert not res.truncated
+
+
+def test_transduce_ambiguous_long_line():
+    m = compile_rules(AMBIGUOUS).machine
+    rng = random.Random(13)
+    filler = ["".join(rng.choice("kt") for _ in range(3300)) for _ in range(4)]
+    pairs = ["ae", "io", "oa"]
+    line = filler[0] + "".join(p + f for p, f in zip(pairs, filler[1:]))
+    want = sorted(filler[0] + "".join(v + f for v, f in zip(vs, filler[1:]))
+                  for vs in itertools.product("aeio", repeat=3))
+    res = transduce(m, line)
+    assert len(res) == 64
+    assert sorted(res.strings()) == want
+    assert not res.truncated
+
+
+def test_transduce_leaves_recursion_limit_alone(devoice, monkeypatch):
+    def refuse(n):
+        raise AssertionError("transduce changed the recursion limit")
+
+    before = sys.getrecursionlimit()
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    transduce(devoice, _devoice_line(random.Random(14), 20_000))
+    assert sys.getrecursionlimit() == before
 
 
 def test_enumerate_pairs(tb):
