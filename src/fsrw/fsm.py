@@ -414,30 +414,40 @@ def determinize(m: Fst, pair_atomic: bool = False, state_cap: Optional[int] = No
 
 
 def _moore_minimize_dfa(n, initial, finals, arcs, table) -> Fst:
-    """Partition refinement on a (possibly partial) deterministic machine
-    whose labels are treated atomically."""
-    trans: list[dict[tuple[int, int], int]] = [dict() for _ in range(n)]
-    for s, i, o, d in arcs:
-        trans[s][(i, o)] = d
-    labels = sorted({(i, o) for _, i, o, _ in arcs})
-    cls = [1 if q in finals else 0 for q in range(n)]
+    """Moore partition refinement on a (possibly partial) deterministic
+    machine whose labels are treated atomically.
+
+    A state's signature is built only from the arcs it has: the labels it
+    can read, in label order, and the classes they lead to.  A missing arc
+    is told apart from an arc into any class, as a dense signature over
+    every label with -1 for a missing arc would, so the partition is the
+    same, at a cost of O(n + arcs) per round rather than O(n * labels).
+    Finality and the label set never change, so they form the first
+    partition, and each round only compares target classes.
+
+    Every state must be able to reach a final state, as in the subset
+    machine of a trimmed machine: a state with an arc into a dead state
+    and one without that arc would otherwise stay apart."""
+    labs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    dsts: list[list[int]] = [[] for _ in range(n)]
+    for s, i, o, d in sorted(arcs):
+        labs[s].append((i, o))
+        dsts[s].append(d)
+    first: dict[tuple, int] = {}
+    cls = [first.setdefault((q in finals, tuple(labs[q])), len(first))
+           for q in range(n)]
+    k = len(first)
     while True:
         sig_index: dict[tuple, int] = {}
-        new_cls = [0] * n
-        for q in range(n):
-            sig = (cls[q],) + tuple(
-                cls[trans[q][lab]] if lab in trans[q] else -1 for lab in labels)
-            k = sig_index.get(sig)
-            if k is None:
-                k = len(sig_index)
-                sig_index[sig] = k
-            new_cls[q] = k
-        if new_cls == cls:
+        cls = [sig_index.setdefault((cls[q], tuple([cls[d] for d in dsts[q]])),
+                                    len(sig_index))
+               for q in range(n)]
+        # a round only splits classes, so an unchanged count is a fixpoint
+        if len(sig_index) == k:
             break
-        cls = new_cls
+        k = len(sig_index)
     new_arcs = {(cls[s], i, o, cls[d]) for s, i, o, d in arcs}
     new_finals = {cls[f] for f in finals}
-    k = max(cls) + 1 if n else 1
     return _finish(table, k, cls[initial], new_finals, new_arcs)
 
 
@@ -473,25 +483,11 @@ def canonicalize(m: Fst) -> Fst:
 
 
 def complement(m: Fst) -> Fst:
-    """Full-alphabet complement: SIGMA* minus L(m), SIGMA the whole table."""
+    """Full-alphabet complement: SIGMA* minus L(m), SIGMA the whole table.
+    No sink state is added: `difference` reads a missing move of m's
+    subset machine as a move into a dead non-final state."""
     _require_recognizer(m, "complement")
-    table = m.table
-    alphabet = table.all_ids()
-    if m.is_empty():
-        return sigma_star(table, alphabet)
-    n, initial, finals, arcs = _subset_construct(m)
-    # complete over the full alphabet with a sink, then swap finals
-    sink = n
-    have: dict[int, set[int]] = {q: set() for q in range(n + 1)}
-    for s, i, _, _ in arcs:
-        have[s].add(i)
-    full = list(arcs)
-    for q in range(n + 1):
-        for a in alphabet:
-            if a not in have[q]:
-                full.append((q, a, a, sink))
-    new_finals = [q for q in range(n + 1) if q not in finals]
-    return _moore_minimize_dfa(n + 1, initial, new_finals, full, table)
+    return difference(sigma_star(m.table, m.table.all_ids()), m)
 
 
 def intersection(a: Fst, b: Fst) -> Fst:
@@ -529,9 +525,62 @@ def intersection(a: Fst, b: Fst) -> Fst:
 
 
 def difference(a: Fst, b: Fst) -> Fst:
+    """L(a) minus L(b), as one product of the subset machines of `a` and
+    `b`, built without completing or complementing `b`.
+
+    A move that `b`'s subset machine lacks goes to the dead state -1,
+    which never leaves and is never final; a product state is final when
+    `a`'s subset is final and `b`'s is not.  The product is deterministic,
+    so once the states that cannot reach a final one are dropped it goes
+    straight to Moore refinement, and the result is the canonical minimal
+    machine."""
     _require_recognizer(a, "difference")
     _require_recognizer(b, "difference")
-    return intersection(a, complement(b))
+    table = _check_tables(a, b)
+    na, _, finals_a, arcs_a = _subset_construct(a)
+    nb, _, finals_b, arcs_b = _subset_construct(b)
+    step_a: list[list[tuple[int, int]]] = [[] for _ in range(na)]
+    for s, i, _, d in arcs_a:
+        step_a[s].append((i, d))
+    step_b: list[dict[int, int]] = [{} for _ in range(nb)]
+    for s, i, _, d in arcs_b:
+        step_b[s][i] = d
+    start = (0, 0)
+    index = {start: 0}
+    order = [start]
+    arcs = []
+    finals = []
+    qi = 0
+    while qi < len(order):
+        pa, pb = order[qi]
+        src = qi
+        qi += 1
+        if pa in finals_a and pb not in finals_b:
+            finals.append(src)
+        moves = step_b[pb] if pb >= 0 else {}
+        for i, da in step_a[pa]:
+            key = (da, moves.get(i, -1))
+            to = index.get(key)
+            if to is None:
+                to = len(order)
+                index[key] = to
+                order.append(key)
+            arcs.append((src, i, i, to))
+    # keep only the states that can still reach a final one
+    into: list[list[int]] = [[] for _ in order]
+    for s, _, _, d in arcs:
+        into[d].append(s)
+    live = set(finals)
+    stack = list(finals)
+    while stack:
+        for s in into[stack.pop()]:
+            if s not in live:
+                live.add(s)
+                stack.append(s)
+    if 0 not in live:
+        return empty_lang(table)
+    arcs = [arc for arc in arcs if arc[3] in live]
+    return _moore_minimize_dfa(len(order), 0, finals, arcs, table)
 
 
 def containment(m: Fst) -> Fst:
@@ -661,16 +710,7 @@ def invert(m: Fst) -> Fst:
 
 
 def _to_ids(table, s) -> list[int]:
-    if isinstance(s, str):
-        glyphs = list(s)
-    else:
-        glyphs = list(s)
-    ids = []
-    for g in glyphs:
-        if g not in table:
-            raise FsmError("unknown symbol %r" % g)
-        ids.append(table.id_of(g))
-    return ids
+    return [table.id_of(g) for g in s]
 
 
 def accepts(m: Fst, s) -> bool:

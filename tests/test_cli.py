@@ -4,6 +4,7 @@ stdin is monkeypatched per test; stdout and exit codes carry the
 contract."""
 
 import io
+import re
 
 import pytest
 
@@ -134,6 +135,22 @@ def test_check_lm_concat_agrees(tmp_path, monkeypatch, capsys):
                         "--max-len", "12"])
     assert rc == 0
     assert "all agree" in out
+
+
+def test_check_reports_skipped_infinite_output_sets(tmp_path, monkeypatch,
+                                                   capsys):
+    # every input with an `a` has infinitely many outputs (b, bb, ...);
+    # only the a-free ones ("", "b", "bb", ...) can be compared
+    rules = tmp_path / "r.fsr"
+    rules.write_text("replace(a x b*, [], []).")
+    rc, out, err = run(monkeypatch, capsys,
+                       ["check", "-r", str(rules), "--samples", "40",
+                        "--max-len", "4"])
+    assert rc == 0
+    checked, skipped = map(int, re.fullmatch(
+        r"checked (\d+) inputs: all agree; "
+        r"skipped (\d+) with an infinite output set\n", out).groups())
+    assert checked == 3 and skipped == 16
 
 
 def test_check_needs_a_rule(tmp_path, monkeypatch, capsys):

@@ -47,7 +47,7 @@ from fsrw import (
     word,
 )
 
-from gen import build_regex, model_lang, random_regex
+from gen import build_regex, model_lang, random_arc_machine, random_regex
 
 RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
 
@@ -131,6 +131,57 @@ def test_boolean_ops_reject_transductions(tb):
         difference(t, literal(tb, "a"))
     with pytest.raises(FsmError):
         identity_lift(t)
+
+
+def _is_deterministic(m):
+    labels = [(s, i) for s, i, _, _ in m.arcs]
+    return len(labels) == len(set(labels))
+
+
+def test_difference_is_set_difference_and_canonical_minimal():
+    rng = random.Random(17)
+    tb = SymbolTable("ab")
+    shapes = {"nondeterministic": 0, "empty": 0, "superset": 0}
+    for k in range(200):
+        a = build_regex(random_regex(rng, "ab", 3), tb)
+        b = build_regex(random_regex(rng, "ab", 3), tb)
+        if k % 5 == 1:
+            b = union(a, b)  # b covers a: nothing is left
+        elif k % 5 == 2:
+            a = random_arc_machine(rng, tb, max_states=4, recognizer=True)
+        elif k % 10 == 3:
+            a = empty_lang(tb)
+        elif k % 10 == 8:
+            b = empty_lang(tb)
+        shapes["nondeterministic"] += not _is_deterministic(a)
+        shapes["empty"] += a.is_empty() or b.is_empty()
+        shapes["superset"] += k % 5 == 1
+        r = difference(a, b)
+        assert lang_enum(r, 4) == lang_enum(a, 4) - lang_enum(b, 4)
+        assert r.same_structure(minimize(r))
+        if k % 5 == 1:
+            assert r.is_empty()
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_complement_is_full_table_difference():
+    rng = random.Random(19)
+    tb = SymbolTable("ab")
+    everything = sigma_star(tb, tb.all_ids())
+    assert complement(empty_lang(tb)).same_structure(everything)
+    assert complement(everything).same_structure(empty_lang(tb))
+    glyphs = [tb.glyph(i) for i in tb.all_ids()]
+    full = {"".join(s) for n in range(3)
+            for s in itertools.product(glyphs, repeat=n)}
+    for k in range(60):
+        if k % 3 == 0:
+            m = random_arc_machine(rng, tb, max_states=4, recognizer=True)
+        else:
+            m = build_regex(random_regex(rng, "ab", 3), tb)
+        c = complement(m)
+        assert lang_enum(c, 2) == full - lang_enum(m, 2)
+        assert c.same_structure(minimize(c))
+        assert c.same_structure(difference(everything, m))
 
 
 def test_cross_product_pads_trailing_epsilon(tb):
