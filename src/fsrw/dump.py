@@ -14,13 +14,18 @@ tokenization would not reconstruct the user alphabet (multi-character glyphs,
 or user glyphs that collide with the six marker glyphs); loaders mark exactly
 those as the user alphabet.  A cascade file is `cascade <k>` followed by k
 single-machine sections sharing one symbol table.
+
+Both directions canonicalize: a machine is trimmed and renumbered before it
+is written and after it is read, so a loaded machine is in the form the
+machine algebra builds, and dumping it again gives the same bytes.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from .fsm import EPS, Fst, FsmError, SymbolTable, _is_recognizer
+from .fsm import (EPS, Fst, FsmError, SymbolTable, _finish, _is_recognizer,
+                  canonicalize)
 
 
 class DumpFormatError(FsmError):
@@ -83,6 +88,9 @@ def _needs_token_header(table: SymbolTable) -> bool:
 
 
 def _dump_one(m: Fst) -> list[str]:
+    # a machine built by hand with the Fst constructor may not be canonical;
+    # loading canonicalizes, so a dump must too to load back to its bytes
+    m = canonicalize(m)
     table = m.table
     lines = []
     if _needs_token_header(table):
@@ -225,9 +233,8 @@ def _parse_one(lines: list[str], pos: int, table: SymbolTable = None):
             raise DumpFormatError("epsilon:epsilon arcs are not stored")
         real_arcs.append((src, i, o, dst))
 
-    m = Fst(table, n, initial, frozenset(finals), tuple(sorted(real_arcs)),
-            _is_recognizer(real_arcs))
-    return m, pos
+    # trimmed and canonically numbered, like every machine the program builds
+    return _finish(table, n, initial, finals, real_arcs), pos
 
 
 def load_text(text: str):

@@ -379,9 +379,12 @@ def test_criterion_7g_determinism_across_hash_seeds():
         "m = replace(t, empty_string(tb), literal(tb, 'b'))\n"
         "import sys; sys.stdout.write(dump_text(m))\n"
     )
+    # the child does not see pytest's `pythonpath` setting
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     outs = []
     for seed in ("0", "31337"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

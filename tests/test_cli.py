@@ -88,6 +88,40 @@ def test_dump_normalizes(tmp_path, monkeypatch, capsys):
     assert out == machine.read_text()
 
 
+def machine_file(tmp_path, name, n, arcs, finals, glyphs, initial=0):
+    """A hand-written machine file: the six marker glyphs, then `glyphs`."""
+    syms = ["0", "1", "<1", "<2", "1>", "2>", *glyphs]
+    lines = ["fst %d %d" % (n, initial)]
+    lines += ["sym %d %s" % (k, g) for k, g in enumerate(syms)]
+    lines += ["t %d %d %s %s" % (s, d, g, g) for s, g, d in arcs]
+    lines += ["f %d" % f for f in finals]
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_dump_renumbers_a_hand_written_file(tmp_path, monkeypatch, capsys):
+    machine = machine_file(tmp_path, "m.fst", 2, [(1, "a", 0)], [0], "a",
+                           initial=1)
+    rc, out, err = run(monkeypatch, capsys, ["dump", "-m", str(machine)])
+    assert rc == 0
+    assert "fst 2 0\n" in out
+    assert out.endswith("t 0 1 a a\nf 1\n")
+
+
+def test_equiv_ignores_dead_states_of_a_loaded_file(tmp_path, monkeypatch,
+                                                    capsys):
+    # both accept exactly {a, b}; state 3 of the first reaches no final
+    # state, so minimizing the untrimmed file would keep it
+    m1 = machine_file(tmp_path, "one.fst", 4,
+                      [(0, "a", 1), (0, "b", 2), (1, "c", 3)], [1, 2], "abc")
+    m2 = machine_file(tmp_path, "two.fst", 2,
+                      [(0, "a", 1), (0, "b", 1)], [1], "ab")
+    rc, out, err = run(monkeypatch, capsys, ["equiv", str(m1), str(m2)])
+    assert rc == 0
+    assert out.strip() == "equivalent"
+
+
 def test_equiv_accepts_equal_rules(tmp_path, monkeypatch, capsys):
     m1 = compiled(tmp_path, "match_n(3, a).", "one.fsr")
     m2 = compiled(tmp_path, "[a, a, a].", "two.fsr")

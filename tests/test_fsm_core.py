@@ -39,6 +39,7 @@ from fsrw import (
     option,
     plus,
     project,
+    reduce_pairs,
     sigma_star,
     star,
     symbol_pair,
@@ -348,6 +349,19 @@ def test_determinize_requires_pair_atomic_for_transductions(tb):
     with pytest.raises(FsmError):
         determinize(t)
     assert determinize(t, pair_atomic=True) is not None
+
+
+def test_reduce_pairs_falls_back_past_the_state_cap(tb):
+    # the three paths share their first label a:b, so the subset machine
+    # (5 states) is smaller than m (7) but outgrows a cap of 2
+    m = union(cross_product(word(tb, "ab"), word(tb, "b")),
+              cross_product(word(tb, "ab"), word(tb, "bb")),
+              cross_product(word(tb, "aa"), word(tb, "b")))
+    assert reduce_pairs(m, state_cap=2) is m
+    reduced = reduce_pairs(m, state_cap=1000)
+    assert reduced is not m
+    assert reduced.n <= m.n
+    assert enumerate_pairs(reduced, 3) == enumerate_pairs(m, 3)
 
 
 def test_equivalent(tb):
