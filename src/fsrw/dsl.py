@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .capture import lm_concat as _lm_concat
+from .replace import compose_cascade
 from .replace import replace as _replace
 from .replace import replace_factors as _replace_factors
 from .fsm import (
@@ -35,7 +36,6 @@ from .fsm import (
     FsmError,
     SymbolTable,
     any_of,
-    canonicalize,
     complement,
     compose,
     concat,
@@ -716,7 +716,7 @@ class Compiler:
         self.kit = MarkerKit(table)
 
     def compile(self, node) -> Fst:
-        return canonicalize(self._c(node))
+        return self._c(node)
 
     def _c(self, node) -> Fst:
         t, kit = self.table, self.kit
@@ -811,19 +811,20 @@ class CompiledProgram:
     """A compiled rule file: the machine plus enough structure for the
     oracle checks and for cascaded application."""
 
-    def __init__(self, program, ast, table, machine, kind, pieces):
+    def __init__(self, program, ast, table, machine, kind, pieces,
+                 factors=None):
         self.program = program
         self.ast = ast
         self.table = table
         self.machine = machine
         self.kind = kind  # "replace" | "lm_concat" | "plain"
         self.pieces = pieces  # per kind: (t, left, right) or list of parts
+        self._factors = factors  # replace only: the cascade machine folds
 
     def factors(self) -> list[Fst]:
-        if self.kind != "replace":
+        if self._factors is None:
             raise RuleError("only a replace rule splits into cascade factors")
-        t, left, right = self.pieces
-        return _replace_factors(t, left, right)
+        return self._factors
 
 
 def compile_program(ast, table: SymbolTable) -> Fst:
@@ -832,25 +833,30 @@ def compile_program(ast, table: SymbolTable) -> Fst:
 
 
 def compile_rules(text: str) -> CompiledProgram:
-    """Front door: parse, expand, build the alphabet, compile."""
+    """Front door: parse, expand, build the alphabet, compile.  A top-level
+    replace or lm_concat rule is built from its pieces, each compiled once."""
     program = parse_program(text)
     env = macro_env(program)
     ast = expand_macros(program.main, env)
     glyphs = collect_user_glyphs(ast, list(program.alphabet))
     table = SymbolTable(glyphs)
     comp = Compiler(table)
-    machine = comp.compile(ast)
+    factors = None
     if isinstance(ast, Replace):
         pieces = (comp.compile(ast.target), comp.compile(ast.left),
                   comp.compile(ast.right))
+        factors = _replace_factors(*pieces)
+        machine = compose_cascade(factors)
         kind = "replace"
     elif isinstance(ast, LmConcat):
         pieces = [comp.compile(x) for x in ast.items]
+        machine = _lm_concat(pieces)
         kind = "lm_concat"
     else:
         pieces = None
+        machine = comp.compile(ast)
         kind = "plain"
-    return CompiledProgram(program, ast, table, machine, kind, pieces)
+    return CompiledProgram(program, ast, table, machine, kind, pieces, factors)
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,8 @@ def _explore(start, moves, cap=None):
     """Breadth-first search from `start`, numbering states in the order it
     discovers them.  `moves(key)` yields (in, out, next_key) in a fixed
     order.  Returns (keys, arcs): keys[k] is the key of state k and arcs
-    are (src, in, out, dst) over those numbers.  Returns None as soon as a
-    state numbered above `cap` is discovered."""
+    are (src, in, out, dst) over those numbers.  Returns None as soon as
+    more than `cap` states are discovered."""
     index = {start: 0}
     keys = [start]
     arcs = []
@@ -166,7 +166,7 @@ def _explore(start, moves, cap=None):
             to = index.get(nxt)
             if to is None:
                 to = len(keys)
-                if cap is not None and to > cap:
+                if cap is not None and to >= cap:
                     return None
                 index[nxt] = to
                 keys.append(nxt)

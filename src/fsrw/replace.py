@@ -175,11 +175,16 @@ def replace_factors(t: Fst, left: Fst, right: Fst, optimized: bool = False,
     ]
 
 
+def compose_cascade(machines: list[Fst]) -> Fst:
+    """Fold a cascade into one transducer, reducing after each composition."""
+    m = machines[0]
+    for f in machines[1:]:
+        m = reduce_pairs(compose(m, f))
+    return m
+
+
 def replace(t: Fst, left: Fst, right: Fst, optimized: bool = False,
             stack_safe: bool = True) -> Fst:
     """Compile the rule into a single transducer."""
-    factors = replace_factors(t, left, right, optimized, stack_safe)
-    m = factors[0]
-    for f in factors[1:]:
-        m = reduce_pairs(compose(m, f))
-    return m
+    return compose_cascade(replace_factors(t, left, right, optimized,
+                                           stack_safe))

@@ -1,0 +1,51 @@
+"""The benchmark's per-layer tracer still finds every name it patches.
+
+`bench/spans.py` swaps timing wrappers into the namespaces where the
+program looks its functions up (`fsrw.dsl._replace_factors`,
+`fsrw.cli.compose`, the `MarkerKit` methods, ...).  A refactor of `src/`
+that drops or renames one of those names would break
+`python3 bench/run.py --trace 1` without failing any other test."""
+
+from pathlib import Path
+
+import pytest
+
+import fsrw.cli
+import fsrw.dsl
+from fsrw.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+    return spans
+
+
+def test_tracer_installs_and_uninstalls(spans):
+    originals = (fsrw.cli.compose, fsrw.cli.reduce_pairs,
+                 fsrw.dsl._replace_factors, fsrw.dsl.Compiler.compile)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert fsrw.dsl._replace_factors is not originals[2]
+    finally:
+        tracer.uninstall()
+    assert (fsrw.cli.compose, fsrw.cli.reduce_pairs,
+            fsrw.dsl._replace_factors, fsrw.dsl.Compiler.compile) == originals
+
+
+def test_tracer_records_a_cascade_compile(spans, tmp_path):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rc = main(["compile", "-r", str(ROOT / "rules" / "abbrev.fsr"),
+                   "-o", str(tmp_path / "abbrev.fsm"), "--cascade"])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    metrics = spans.layer_metrics(tracer.spans, {})
+    for f in spans.FACTORS:
+        assert metrics["replace.factor.%s.arcs" % f] > 0

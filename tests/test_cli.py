@@ -3,12 +3,17 @@
 stdin is monkeypatched per test; stdout and exit codes carry the
 contract."""
 
+import importlib
 import io
 import re
+from pathlib import Path
 
 import pytest
 
+import fsrw.dsl
 from fsrw.cli import main
+
+RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
 
 
 TOPO = """\
@@ -150,6 +155,41 @@ def test_cascade_roundtrip(tmp_path, monkeypatch, capsys):
                        ["apply", "-m", str(out_path)], "aa\n")
     assert rc == 0
     assert out == "bb\n"
+
+
+def test_cascade_builds_the_factors_once(tmp_path, monkeypatch):
+    # the machine is composed from the very factors the cascade file holds
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # the package re-exports the function replace under the module's name
+    replace_module = importlib.import_module("fsrw.replace")
+    for module, name in ((fsrw.dsl, "_replace_factors"),
+                         (replace_module, "replace_factors")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    out_path = tmp_path / "abbrev.fsm"
+    rc = main(["compile", "-r", str(RULES_DIR / "abbrev.fsr"),
+               "-o", str(out_path), "--cascade"])
+    assert rc == 0
+    assert out_path.read_text().startswith("cascade 9\n")
+    assert len(calls) == 1
+
+
+def test_cascade_of_an_lm_concat_rule_fails(tmp_path, monkeypatch, capsys):
+    rules = tmp_path / "r.fsr"
+    rules.write_text(TOPO)
+    out_path = tmp_path / "r.fsm"
+    rc, out, err = run(monkeypatch, capsys,
+                       ["compile", "-r", str(rules), "-o", str(out_path),
+                        "--cascade"])
+    assert rc == 1
+    assert "only a replace rule" in err
+    assert not out_path.exists()
 
 
 def test_check_replace_agrees(tmp_path, monkeypatch, capsys):

@@ -353,11 +353,13 @@ def test_determinize_requires_pair_atomic_for_transductions(tb):
 
 def test_reduce_pairs_falls_back_past_the_state_cap(tb):
     # the three paths share their first label a:b, so the subset machine
-    # (5 states) is smaller than m (7) but outgrows a cap of 2
+    # (5 states) is smaller than m (7) but outgrows a cap of 2 or 4
     m = union(cross_product(word(tb, "ab"), word(tb, "b")),
               cross_product(word(tb, "ab"), word(tb, "bb")),
               cross_product(word(tb, "aa"), word(tb, "b")))
     assert reduce_pairs(m, state_cap=2) is m
+    assert reduce_pairs(m, state_cap=4) is m
+    assert reduce_pairs(m, state_cap=5) is not m
     reduced = reduce_pairs(m, state_cap=1000)
     assert reduced is not m
     assert reduced.n <= m.n

@@ -14,12 +14,14 @@ import hypothesis.strategies as st
 from fsrw import (
     FsmError,
     accepts,
+    compose_cascade,
     lang_enum,
     transduce,
 )
 from fsrw.dsl import (
     AnySym,
     Call,
+    Compiler,
     Complement,
     Compose,
     Contain,
@@ -293,6 +295,30 @@ def test_replace_program_end_to_end():
     assert cp.kind == "replace"
     assert outputs(cp, "aab") == {"abb"}
     assert len(cp.factors()) == 9
+    # the machine is the fold of the kept factors, which are not rebuilt
+    assert cp.factors() is cp.factors()
+    assert cp.machine.same_structure(compose_cascade(cp.factors()))
+
+
+@pytest.mark.parametrize("text", ["replace(a x b, c, d).",
+                                  "lm_concat([identity(a*), b x c]).",
+                                  ], ids=["replace", "lm_concat"])
+def test_top_level_pieces_compile_once(monkeypatch, text):
+    seen = []
+    build = Compiler._c
+
+    def counted(self, node):
+        seen.append(node)
+        return build(self, node)
+
+    monkeypatch.setattr(Compiler, "_c", counted)
+    cp = compile_rules(text)
+    rule = cp.ast
+    pieces = rule.items if isinstance(rule, LmConcat) else \
+        (rule.target, rule.left, rule.right)
+    assert len(pieces) == len(cp.pieces)
+    for piece in pieces:
+        assert seen.count(piece) == 1
 
 
 def test_lm_concat_program_end_to_end():
