@@ -197,6 +197,16 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer: %r" % text)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fsrw",
                                  description="finite-state rewriting toolkit")
@@ -213,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--machine", required=True)
     p.add_argument("--all", action="store_true",
                    help="print every output, tab separated")
-    p.add_argument("--limit", type=int, default=64,
+    p.add_argument("--limit", type=_positive_int, default=64,
                    help="output cap per input line (default 64)")
     p.add_argument("--on-empty", default="",
                    help="text to print when an input has no output")

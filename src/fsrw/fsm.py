@@ -11,6 +11,7 @@ bit-for-bit equal.
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 EPS = -1  # epsilon on one side of a label; never a symbol table id
@@ -107,7 +108,8 @@ class Fst:
     Use the module-level constructors and operations to build instances.
     """
 
-    __slots__ = ("table", "n", "initial", "finals", "arcs", "is_recognizer", "_adj")
+    __slots__ = ("table", "n", "initial", "finals", "arcs", "is_recognizer",
+                 "_adj", "_tables")
 
     def __init__(self, table, n, initial, finals, arcs, is_recognizer):
         self.table = table
@@ -117,6 +119,7 @@ class Fst:
         self.arcs = arcs
         self.is_recognizer = is_recognizer
         self._adj = None
+        self._tables = None
 
     def adjacency(self) -> list[list[tuple[int, int, int]]]:
         """Per-state arc lists [(in, out, dst), ...], computed once."""
@@ -126,6 +129,14 @@ class Fst:
                 adj[s].append((i, o, d))
             self._adj = adj
         return self._adj
+
+    def input_tables(self) -> "InputTables":
+        """The machine's left and right input subset tables, filled as
+        inputs are read and shared by every input until they hold more
+        than INPUT_TABLE_CAP entries."""
+        if self._tables is None:
+            self._tables = InputTables(self)
+        return self._tables
 
     def is_empty(self) -> bool:
         """True when the machine accepts nothing (trimmed form has no finals)."""
@@ -626,9 +637,209 @@ def invert(m: Fst) -> Fst:
 
 # -- queries ------------------------------------------------------------------
 
+# Once a machine's input tables hold more than this many entries (subsets
+# on either side plus cached steps), the next input starts them afresh, so
+# applying one machine to endless input runs in bounded memory.
+INPUT_TABLE_CAP = 1 << 13
+
 
 def _to_ids(table, s) -> list[int]:
     return [table.id_of(g) for g in s]
+
+
+class _SubsetTable:
+    """Subsets of a machine's states met while reading inputs in one
+    direction, numbered in the order they are met, and the moves between
+    them.  `succ[q]` maps a symbol to the states one arc reading it leads
+    to from q, and `eps[q]` lists those one input-epsilon arc leads to;
+    every subset is closed under `eps`.  Subset 0 is the closure of
+    `seeds`; a move to the empty subset is numbered -1."""
+
+    __slots__ = ("succ", "eps", "sets", "ids", "moves")
+
+    def __init__(self, succ, eps, seeds):
+        self.succ = succ
+        self.eps = eps
+        self.sets: list[frozenset] = []
+        self.ids: dict[frozenset, int] = {}
+        self.moves: list[dict[int, int]] = []
+        self._intern(seeds)
+
+    def _intern(self, states) -> int:
+        subset = frozenset(_reach(states, self.eps))
+        k = self.ids.get(subset)
+        if k is None:
+            k = self.ids[subset] = len(self.sets)
+            self.sets.append(subset)
+            self.moves.append({})
+        return k
+
+    def move(self, k: int, sym: int) -> int:
+        """The subset that reading `sym` leads to from subset k."""
+        to = self.moves[k].get(sym)
+        if to is None:
+            reached = set()
+            for q in self.sets[k]:
+                reached.update(self.succ[q].get(sym, ()))
+            to = self._intern(reached) if reached else -1
+            self.moves[k][sym] = to
+        return to
+
+    def walk(self, ids) -> Optional[list[int]]:
+        """Subset numbers after each prefix of `ids` (len(ids) + 1 of
+        them), or None once a prefix leads nowhere."""
+        moves = self.moves
+        k = 0
+        seen = [0]
+        for sym in ids:
+            to = moves[k].get(sym)
+            if to is None:
+                to = self.move(k, sym)
+            if to < 0:
+                return None
+            seen.append(to)
+            k = to
+        return seen
+
+
+class _Step:
+    """The trimmed lattice at one input position p, for a left subset
+    L[p], the symbol read there and a right subset R[p + 1].
+
+    `live` lists, sorted, the states of L[p] & R[p]: exactly those that lie
+    on an accepting path through position p.  `arcs` are the arcs between
+    live states, as (src, out, dst, same) over indices into `live`: an
+    input-epsilon arc stays at p (same is True), an arc reading the symbol
+    goes to position p + 1 (dst indexes that position's `live`).  `rid` is
+    R[p].  `out` is the output glyphs along the one path through p when
+    there is only one (each live state has one live arc and they chain),
+    else None."""
+
+    __slots__ = ("rid", "live", "arcs", "out")
+
+    def __init__(self, rid, live, arcs, out):
+        self.rid = rid
+        self.live = live
+        self.arcs = arcs
+        self.out = out
+
+
+def _chain_output(k: int, arcs, glyph) -> Optional[tuple[str, ...]]:
+    """The output of a step whose k live states form one path, else None.
+
+    Every live state has a live arc, so they form one path when there are
+    k arcs from k distinct states, k - 1 of which stay at the position and
+    enter k - 1 distinct states.  The one state none of them enters is
+    where the path comes in, and the one arc that leaves the position ends
+    it."""
+    nxt = {}
+    entered = []
+    for s, o, d, same in arcs:
+        nxt[s] = (o, d if same else None)
+        if same:
+            entered.append(d)
+    if not len(arcs) == len(nxt) == k or not len(entered) == len(set(entered)) == k - 1:
+        return None
+    (v,) = set(range(k)).difference(entered)
+    out = []
+    while v is not None:
+        o, v = nxt[v]
+        if o != EPS:
+            out.append(glyph(o))
+    return tuple(out)
+
+
+class InputTables:
+    """The two halves of a machine's bimachine (Schützenberger 1961; see
+    Roche & Schabes, *Finite-State Language Processing*, 1997), over its
+    input side, filled on demand.
+
+    The left table steps the states the machine can be in after a prefix
+    (subset 0: the initial state); the right table, over the reversed
+    arcs, steps backwards the states from which the rest of the input can
+    reach a final state (subset 0: the states that reach one over
+    input-epsilon arcs).  Both are closed under input-epsilon arcs.  On
+    top of them, `steps` caches the trimmed lattice of one position by
+    (L[p], symbol, R[p + 1]); the end of the input is the step
+    (L[n], EPS, -1), whose live final states have an arc to a single exit
+    state at position n + 1."""
+
+    __slots__ = ("finals", "adj", "glyph", "left", "right", "steps")
+
+    def __init__(self, m: Fst):
+        self.finals = m.finals
+        self.adj = m.adjacency()
+        self.glyph = m.table.glyph
+        fsucc = [{} for _ in range(m.n)]
+        bsucc = [{} for _ in range(m.n)]
+        feps = [[] for _ in range(m.n)]
+        beps = [[] for _ in range(m.n)]
+        for s, i, _, d in m.arcs:
+            if i == EPS:
+                feps[s].append(d)
+                beps[d].append(s)
+            else:
+                fsucc[s].setdefault(i, []).append(d)
+                bsucc[d].setdefault(i, []).append(s)
+        self.left = _SubsetTable(fsucc, feps, [m.initial])
+        self.right = _SubsetTable(bsucc, beps, m.finals)
+        self.steps: dict[tuple[int, int, int], _Step] = {}
+
+    def size(self) -> int:
+        return len(self.left.sets) + len(self.right.sets) + len(self.steps)
+
+    def _step(self, lid: int, sym: int, rnext: int) -> _Step:
+        left, right = self.left, self.right
+        if sym == EPS:  # the end of the input
+            rid = 0
+            ahead: dict[int, int] = {}
+        else:
+            rid = right.move(rnext, sym)
+            reached = left.sets[left.moves[lid][sym]] & right.sets[rnext]
+            ahead = {q: k for k, q in enumerate(sorted(reached))}
+        live = sorted(left.sets[lid] & right.sets[rid]) if rid >= 0 else []
+        here = {q: k for k, q in enumerate(live)}
+        arcs = []
+        for k, q in enumerate(live):
+            for i, o, d in self.adj[q]:
+                if i == EPS:
+                    if d in here:
+                        arcs.append((k, o, here[d], True))
+                elif i == sym and d in ahead:
+                    arcs.append((k, o, ahead[d], False))
+            if sym == EPS and q in self.finals:
+                arcs.append((k, EPS, 0, False))
+        st = _Step(rid, tuple(live), tuple(arcs),
+                   _chain_output(len(live), arcs, self.glyph))
+        self.steps[lid, sym, rnext] = st
+        return st
+
+    def trim(self, ids) -> Optional[list[_Step]]:
+        """The steps of the input's trimmed lattice, positions 0..n, or
+        None when no path accepts it: one walk forward through the left
+        table, then one backward through the steps."""
+        lids = self.left.walk(ids)
+        if lids is None:
+            return None
+        get = self.steps.get
+        last = lids[-1]
+        st = get((last, EPS, -1)) or self._step(last, EPS, -1)
+        if not st.live:  # then no position has a live state
+            return None
+        trail = [st]
+        rid = st.rid
+        for lid, sym in zip(reversed(lids[:-1]), reversed(ids)):
+            st = get((lid, sym, rid)) or self._step(lid, sym, rid)
+            trail.append(st)
+            rid = st.rid
+        trail.reverse()
+        return trail
+
+
+def _release_full_tables(m: Fst, tables: InputTables):
+    # the caller keeps its reference for the rest of its input
+    if tables.size() > INPUT_TABLE_CAP and m._tables is tables:
+        m._tables = None
 
 
 def accepts(m: Fst, s) -> bool:
@@ -636,18 +847,10 @@ def accepts(m: Fst, s) -> bool:
     or a sequence of glyphs."""
     _require_recognizer(m, "accepts")
     ids = _to_ids(m.table, s)
-    adj = m.adjacency()
-    current = {m.initial}
-    for sym in ids:
-        nxt = set()
-        for q in current:
-            for i, _, d in adj[q]:
-                if i == sym:
-                    nxt.add(d)
-        if not nxt:
-            return False
-        current = nxt
-    return bool(current & m.finals)
+    tables = m.input_tables()
+    lids = tables.left.walk(ids)
+    _release_full_tables(m, tables)
+    return lids is not None and not m.finals.isdisjoint(tables.left.sets[lids[-1]])
 
 
 class TransduceResult:
@@ -675,42 +878,34 @@ class TransduceResult:
 def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
     """All outputs for input `s`.  Infinite output sets (possible when the
     machine can loop emitting symbols while consuming nothing) are cut off
-    after `limit` outputs in shortest-first order."""
-    ids = _to_ids(m.table, s)
-    adj = m.adjacency()
-    npos = len(ids)
+    after `limit` outputs in shortest-first order.
 
-    # applied machine: states (q, position); arcs consume one input symbol
-    # or none; labels are the output side.  This loop and the output DFA's
-    # stay inline: ported onto `_explore` they made the apply benchmark's
-    # item_ms_p50 19-38 % worse (one generator per lattice state, and a
-    # pass regrouping the arc list into adjacency lists).
-    start = (m.initial, 0)
-    index = {start: 0}
-    order = [start]
-    out_arcs: list[list[tuple[int, int]]] = [[]]
-    finals = set()
-    qi = 0
-    while qi < len(order):
-        q, pos = order[qi]
-        src = qi
-        qi += 1
-        if pos == npos and q in m.finals:
-            finals.add(src)
-        for i, o, d in adj[q]:
-            if i == EPS:
-                key = (d, pos)
-            elif pos < npos and i == ids[pos]:
-                key = (d, pos + 1)
-            else:
-                continue
-            to = index.get(key)
-            if to is None:
-                to = len(order)
-                index[key] = to
-                order.append(key)
-                out_arcs.append([])
-            out_arcs[src].append((o, to))
+    The machine's input tables (`InputTables`) give the input's trimmed
+    lattice, position by position, from cached steps.  When each step is
+    one path, its outputs are joined directly; otherwise the lattice's
+    output automaton is determinized and enumerated."""
+    ids = _to_ids(m.table, s)
+    tables = m.input_tables()
+    trail = tables.trim(ids)
+    _release_full_tables(m, tables)
+    if trail is None:
+        return TransduceResult([], False)
+    outs = [st.out for st in trail]
+    if None not in outs:
+        return TransduceResult([tuple(chain.from_iterable(outs))], False)
+
+    # the lattice: the live states of position p are base[p] + k, and the
+    # exit after the end of the input is the last state
+    base = [0]
+    for st in trail:
+        base.append(base[-1] + len(st.live))
+    out_arcs: list[list[tuple[int, int]]] = [[] for _ in range(base[-1] + 1)]
+    for p, st in enumerate(trail):
+        here, ahead = base[p], base[p + 1]
+        for k, o, d, same in st.arcs:
+            out_arcs[here + k].append((o, (here if same else ahead) + d))
+    finals = {base[-1]}
+    start = trail[0].live.index(m.initial)
 
     # determinize the output automaton so each path is a distinct string
     def eclose(states):
@@ -724,7 +919,7 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
                     stack.append(d)
         return frozenset(seen)
 
-    dstart = eclose([0])
+    dstart = eclose([start])
     dindex = {dstart: 0}
     dorder = [dstart]
     dadj: list[list[tuple[int, int]]] = [[]]

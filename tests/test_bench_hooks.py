@@ -6,6 +6,7 @@ program looks its functions up (`fsrw.dsl._replace_factors`,
 that drops or renames one of those names would break
 `python3 bench/run.py --trace 1` without failing any other test."""
 
+import io
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,22 @@ def test_tracer_records_a_cascade_compile(spans, tmp_path):
     metrics = spans.layer_metrics(tracer.spans, {})
     for f in spans.FACTORS:
         assert metrics["replace.factor.%s.arcs" % f] > 0
+
+
+def test_tracer_records_apply_outputs(spans, tmp_path, monkeypatch, capsys):
+    machine = tmp_path / "devoice.fsm"
+    assert main(["compile", "-r", str(ROOT / "rules" / "devoice_final.fsr"),
+                 "-o", str(machine)]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO("bad#\nab#d\n#\n"))
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.item = "short:devoice_final:0"  # what the apply workload labels
+    try:
+        rc = main(["apply", "-m", str(machine)])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert capsys.readouterr().out == "bat#\nap#d\n#\n"
+    applied = [sp for sp in tracer.spans if sp.name == "fsm.transduce"]
+    assert [sp.extra for sp in applied] == [1, 1, 1]
+    assert spans.layer_metrics(tracer.spans, {})["fsm.transduce.outputs"] == 3

@@ -68,6 +68,25 @@ def test_apply_all_outputs_tab_joined(tmp_path, monkeypatch, capsys):
     assert out == "b\tc\n"
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_apply_rejects_a_limit_below_one(tmp_path, monkeypatch, capsys, limit):
+    # `a` has infinitely many outputs (b, bb, ...); a limit that keeps none
+    # of them would print the --on-empty text as if there were no output
+    machine = compiled(tmp_path, "replace(a x b*, [], []).")
+    with pytest.raises(SystemExit) as exc:
+        run(monkeypatch, capsys,
+            ["apply", "-m", str(machine), "--limit", limit, "--on-empty", "<NONE>"],
+            "a\n")
+    assert exc.value.code == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert "usage:" in got.err and "--limit" in got.err
+    rc, out, err = run(monkeypatch, capsys,
+                       ["apply", "-m", str(machine), "--limit", "1", "--all"],
+                       "a\n")
+    assert (rc, out) == (0, "\n")
+
+
 def test_apply_flags_unknown_symbols(tmp_path, monkeypatch, capsys):
     machine = compiled(tmp_path, "replace(a x b, [], []).")
     rc, out, err = run(monkeypatch, capsys,

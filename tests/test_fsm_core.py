@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from fsrw import fsm
 from fsrw import (
     EPS,
     Fst,
@@ -47,6 +48,7 @@ from fsrw import (
     union,
     word,
 )
+from fsrw.dump import dump_text
 
 from gen import build_regex, model_lang, random_arc_machine, random_regex
 
@@ -241,6 +243,11 @@ def test_transduce_cyclic_truncates(tb):
     assert len(res.outputs) == 5
     assert len(set(res.outputs)) == 5
     assert all("a" in "".join(o) or o == () for o in res.outputs)
+    # the five shortest of b* a b*, through the input-epsilon loop
+    assert res.strings() == ["a", "ab", "abb", "ba", "bab"]
+    res = transduce(t, "", limit=3)
+    assert res.truncated
+    assert res.strings() == ["", "b", "bb"]
 
 
 def test_transduce_rejects_unknown_symbol(tb):
@@ -317,6 +324,87 @@ def test_transduce_leaves_recursion_limit_alone(devoice, monkeypatch):
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     transduce(devoice, _devoice_line(random.Random(14), 20_000))
     assert sys.getrecursionlimit() == before
+
+
+def _with_input_epsilons(rng, m, k):
+    """`m` plus k random arcs that read nothing (any output, EPS too)."""
+    syms = list(m.table.user_ids())
+    arcs = set(m.arcs)
+    for _ in range(k):
+        arcs.add((rng.randrange(m.n), EPS, rng.choice(syms + [EPS]),
+                  rng.randrange(m.n)))
+    return Fst(m.table, m.n, 0, m.finals, tuple(sorted(arcs)), False)
+
+
+def test_transduce_matches_enumerate_pairs_on_random_machines(tb):
+    rng = random.Random(21)
+    inputs = [w for n in range(4) for w in itertools.product("ab", repeat=n)]
+    compared = 0
+    for _ in range(900):
+        m = _with_input_epsilons(rng, random_arc_machine(rng, tb),
+                                 rng.randint(0, 2))
+        try:
+            pairs = enumerate_pairs(m, 3)
+        except FsmError:  # an input-epsilon cycle
+            continue
+        for w in inputs:
+            want = sorted({out for inp, out in pairs if inp == w},
+                          key=lambda o: [tb.id_of(g) for g in o])
+            res = transduce(m, w)
+            assert (res.outputs, res.truncated) == (want, False), (m.arcs, w)
+        compared += 1
+    assert compared >= 500
+
+
+def _nth_from_last_is_a(tb, k):
+    """Identity on the strings over {a, b} whose k-th symbol from the end
+    is an a: a nondeterministic machine whose left subsets number 2^k."""
+    a, b = tb.id_of("a"), tb.id_of("b")
+    arcs = [(0, a, a, 0), (0, b, b, 0), (0, a, a, 1)]
+    arcs += [(q, s, s, q + 1) for q in range(1, k) for s in (a, b)]
+    return Fst(tb, k + 1, 0, frozenset([k]), tuple(sorted(arcs)), True)
+
+
+def test_input_tables_stay_under_their_cap(tb):
+    m = _nth_from_last_is_a(tb, 11)
+    rng = random.Random(22)
+    lines = set()
+    while len(lines) < 5000:
+        lines.add("".join(rng.choice("ab") for _ in range(rng.randint(11, 24))))
+    renewed = 0
+    tables = m.input_tables()
+    for line in sorted(lines):
+        want = [line] if line[-11] == "a" else []
+        assert transduce(m, line).strings() == want
+        assert accepts(m, line) == bool(want)
+        assert m.input_tables().size() <= fsm.INPUT_TABLE_CAP
+        renewed += m.input_tables() is not tables
+        tables = m.input_tables()
+    assert renewed >= 1  # the cap was reached and the tables started afresh
+
+
+def test_transduce_leaves_the_machine_unchanged(devoice):
+    m = Fst(devoice.table, devoice.n, devoice.initial, devoice.finals,
+            devoice.arcs, devoice.is_recognizer)
+    text = dump_text(m)
+    twin = Fst(m.table, m.n, m.initial, m.finals, m.arcs, m.is_recognizer)
+    rng = random.Random(23)
+    for n in (0, 1, 7, 500):
+        transduce(m, _devoice_line(rng, n))
+    assert m.input_tables().size() > 0
+    assert dump_text(m) == text
+    assert m.same_structure(twin) and twin.same_structure(m)
+
+
+# tracemalloc peak of one 10^4-symbol devoice_final line before the input
+# tables, when transduce built the whole (state, position) lattice and its
+# output automaton (Python 3.11; 14.35 MB and 14.46 MB for two lines)
+LATTICE_PEAK_10K = 14_300_000
+
+
+def test_transduce_long_line_memory_with_gc_on(devoice):
+    line = _devoice_line(random.Random(24), 100_000)
+    assert _traced_peak(devoice, line) < LATTICE_PEAK_10K
 
 
 def test_enumerate_pairs(tb):
