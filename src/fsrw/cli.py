@@ -158,10 +158,7 @@ def _random_inputs(glyphs, samples: int, max_len: int, seed: int):
 def cmd_check(args) -> int:
     comp = dsl.compile_rules(_read(args.rules))
     if comp.kind == "replace":
-        t, left, right = comp.pieces
-
-        def expected(toks):
-            return oracle.oracle_replace(t, left, right, toks)
+        expected = oracle.Oracle(*comp.pieces).replace
     elif comp.kind == "lm_concat":
         parts = comp.pieces
 
@@ -197,14 +194,20 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer: %r" % text)
-    return value
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError("must be a %s integer: %r" % (what, text))
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -240,8 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="compare a compiled rule with the oracle")
     p.add_argument("-r", "--rules", required=True)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--samples", type=_positive_int, default=200)
+    p.add_argument("--max-len", type=_non_negative_int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check)
 

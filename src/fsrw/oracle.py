@@ -1,10 +1,18 @@
 """Brute-force reference semantics for testing.
 
 Everything here recomputes behavior directly from definitions: string
-enumeration plus NFA walks over machine graphs.  Compiled machines are used
-only for membership (reading their arcs) and for listing the outputs of a
-user-level transduction via `transduce`; none of the composition algebra is
-reused.  Slow on purpose.
+enumeration plus NFA walks over machine graphs.  Compiled machines are read
+only through their arcs: membership is a subset walk over one side of them,
+and a transduction's outputs come from this module's own path walk
+(`_Walker.outputs`).  Nothing else from the library is reused, neither the
+composition algebra nor `transduce` nor the marker code, so the referee
+never runs the code it judges.
+
+The replace oracle is an object, `Oracle`, built once per rule: its walkers
+intern the subsets they meet and memoize the moves between them, and its
+scan results are kept across strings, keyed by the suffix still to read.
+`oracle_replace` answers through the `Oracle` of its previous call when it
+gets the same rule again.
 """
 
 from __future__ import annotations
@@ -12,75 +20,416 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .fsm import EPS, Fst, FsmError, transduce
+from .fsm import EPS, Fst, FsmError
+
+# Once an Oracle's input-keyed memo (suffixes, outputs and scan results)
+# holds more than this many entries, it is started afresh after the current
+# string, so checking endless input runs in bounded memory.
+ORACLE_MEMO_CAP = 1 << 16
+
+def _ids_of(table, s) -> list[int]:
+    return [table.id_of(g) for g in s]
 
 
-def _ids_of(table, s) -> tuple[int, ...]:
-    glyphs = list(s)
-    return tuple(table.id_of(g) for g in glyphs)
+def _mask(states) -> int:
+    out = 0
+    for q in states:
+        out |= 1 << q
+    return out
 
 
 class _Walker:
-    """NFA walk over one side of a machine's arcs, with epsilon closure on
-    that side.  side=1 walks the input labels, side=2 the output labels."""
+    """NFA walk over the input side of a machine's arcs.
 
-    def __init__(self, m: Fst, side: int = 1):
+    The subsets of states it meets are closed under input-epsilon arcs and
+    numbered in the order they are met, subset 0 being the start; the moves
+    between them are memoized, and a move to the empty subset is -1."""
+
+    def __init__(self, m: Fst):
         self.m = m
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(m.n)]
+        self.adj: list[list[tuple[int, int, int]]] = [[] for _ in range(m.n)]
+        self.succ: list[dict[int, list[int]]] = [{} for _ in range(m.n)]
         self.eps: list[list[int]] = [[] for _ in range(m.n)]
+        self.eps_back: list[list[int]] = [[] for _ in range(m.n)]
         for s, i, o, d in m.arcs:
-            lab = i if side == 1 else o
-            if lab == EPS:
+            self.adj[s].append((i, o, d))
+            if i == EPS:
                 self.eps[s].append(d)
+                self.eps_back[d].append(s)
             else:
-                self.adj[s].append((lab, d))
+                self.succ[s].setdefault(i, []).append(d)
+        self.sets: list[frozenset] = []
+        self.final: list[bool] = []
+        self.moves: list[dict[int, int]] = []
+        self.ids: dict[frozenset, int] = {}
+        self._intern([m.initial])
 
     def close(self, states) -> frozenset:
         seen = set(states)
-        stack = list(states)
+        stack = list(seen)
         while stack:
-            v = stack.pop()
-            for w in self.eps[v]:
+            for w in self.eps[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
         return frozenset(seen)
 
-    def start(self) -> frozenset:
-        return self.close([self.m.initial])
+    def _intern(self, states) -> int:
+        subset = self.close(states)
+        k = self.ids.get(subset)
+        if k is None:
+            k = self.ids[subset] = len(self.sets)
+            self.sets.append(subset)
+            self.final.append(not self.m.finals.isdisjoint(subset))
+            self.moves.append({})
+        return k
 
-    def step(self, states: frozenset, sym: int) -> frozenset:
-        nxt = set()
-        for q in states:
-            for lab, d in self.adj[q]:
-                if lab == sym:
-                    nxt.add(d)
-        return self.close(nxt)
-
-    def is_final(self, states: frozenset) -> bool:
-        return bool(set(states) & self.m.finals)
+    def move(self, k: int, sym: int) -> int:
+        """The subset that reading `sym` leads to from subset k."""
+        to = self.moves[k].get(sym)
+        if to is None:
+            reached = set()
+            for q in self.sets[k]:
+                reached.update(self.succ[q].get(sym, ()))
+            to = self._intern(reached) if reached else -1
+            self.moves[k][sym] = to
+        return to
 
     def accepts(self, ids: Sequence[int]) -> bool:
-        cur = self.start()
+        k = 0
         for sym in ids:
-            cur = self.step(cur, sym)
-            if not cur:
+            k = self.move(k, sym)
+            if k < 0:
                 return False
-        return self.is_final(cur)
+        return self.final[k]
 
     def match_ends(self, ids: Sequence[int], start: int) -> list[int]:
         """All q >= start with ids[start:q] accepted."""
-        out = []
-        cur = self.start()
-        if self.is_final(cur):
-            out.append(start)
+        out = [start] if self.final[0] else []
+        k = 0
         for pos in range(start, len(ids)):
-            cur = self.step(cur, ids[pos])
-            if not cur:
+            k = self.move(k, ids[pos])
+            if k < 0:
                 break
-            if self.is_final(cur):
+            if self.final[k]:
                 out.append(pos + 1)
         return out
+
+    def outputs(self, ids: Sequence[int]) -> list[tuple[int, ...]]:
+        """Every output of an accepting path that reads `ids` on the input
+        side, as id tuples.  Raises FsmError when there are infinitely many.
+
+        The walk keeps (state, output so far) pairs over the lattice's live
+        states, those on an accepting path.  Each arc writes at most one
+        symbol, so an output longer than the lattice has live states passed
+        some live state twice while writing: a cycle that writes something,
+        which makes the set infinite."""
+        walk = [0]
+        for sym in ids:
+            k = self.move(walk[-1], sym)
+            if k < 0:
+                return []
+            walk.append(k)
+        n = len(ids)
+        live: list[set[int]] = []  # filled from position n down, then reversed
+        for p in range(n, -1, -1):
+            here = self.sets[walk[p]]
+            if p == n:
+                seen = set(here & self.m.finals)
+            else:
+                ahead = live[-1]
+                seen = {q for q in here
+                        if not ahead.isdisjoint(self.succ[q].get(ids[p], ()))}
+            stack = list(seen)
+            while stack:
+                for w in self.eps_back[stack.pop()]:
+                    if w in here and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            live.append(seen)
+        live.reverse()
+        if self.m.initial not in live[0]:
+            return []
+        bound = sum(map(len, live))
+        confs = {(self.m.initial, ())}
+        for p in range(n + 1):
+            stack = list(confs)
+            while stack:
+                q, out = stack.pop()
+                for i, o, d in self.adj[q]:
+                    if i == EPS and d in live[p]:
+                        c = (d, out if o == EPS else out + (o,))
+                        if c not in confs:
+                            if len(c[1]) > bound:
+                                raise FsmError("oracle needs a transduction "
+                                               "with finite output sets")
+                            confs.add(c)
+                            stack.append(c)
+            if p == n:
+                break
+            sym, ahead = ids[p], live[p + 1]
+            confs = {(d, out if o == EPS else out + (o,))
+                     for q, out in confs for i, o, d in self.adj[q]
+                     if i == sym and d in ahead}
+        return sorted({out for q, out in confs if q in self.m.finals})
+
+
+class _LeftContext:
+    """The left context as a matcher of the output written so far.
+
+    The state is a bitmask of the context machine's states that some
+    nonempty suffix of the output reaches from its start; the context holds
+    when that set, or the start, holds a final state.  Each symbol is also
+    read from the start, so a match may begin anywhere.  `advance` is
+    memoized by (mask, symbol)."""
+
+    def __init__(self, m: Fst):
+        self.walker = _Walker(m)
+        self.start = _mask(self.walker.sets[0])
+        self.finals = _mask(m.finals)
+        self.steps: dict[tuple[int, int], int] = {}
+
+    def holds(self, mask: int) -> bool:
+        return bool((mask | self.start) & self.finals)
+
+    def advance(self, mask: int, sym: int) -> int:
+        got = self.steps.get((mask, sym))
+        if got is None:
+            src = mask | self.start
+            succ = self.walker.succ
+            reached = set()
+            for q in range(self.walker.m.n):
+                if src >> q & 1:
+                    reached.update(succ[q].get(sym, ()))
+            got = self.steps[mask, sym] = _mask(self.walker.close(reached))
+        return got
+
+    def advance_seq(self, mask: int, seq: Sequence[int]) -> int:
+        for sym in seq:
+            mask = self.advance(mask, sym)
+        return mask
+
+
+class Oracle:
+    """Reference semantics of obligatory leftmost-longest context rewriting
+    `replace(t, left, right)`, built once and queried with `replace(s)`.
+
+    The scan goes left to right.  At each position, if some nonempty prefix
+    of the rest lies in dom(t) with the right context holding after it, the
+    longest such prefix must be rewritten provided the left context holds on
+    the rewritten prefix produced so far; otherwise one symbol is copied.  An
+    empty-string match fires only where no nonempty match starts, never
+    immediately after a replaced region, and both contexts must hold.  The
+    left context reads the output tape (it may match across earlier
+    rewrites); the right context reads the untouched input tape.
+
+    What the scan does from position i depends only on the suffix still to
+    read, the left-context mask and whether the last step replaced, so its
+    results are memoized under that key for every string the oracle is
+    given.  Suffixes are interned right to left (suffix 0 is the empty one,
+    suffix k is the symbol head[k] followed by suffix tail[k], keyed by its
+    glyph and tail) and outputs the same way, so memory stays linear in the
+    input read.  Past ORACLE_MEMO_CAP entries the memo starts afresh after
+    the current string.
+
+    T's outputs on a span are an exact set; an infinite one raises FsmError
+    whatever `transduce_limit`, which is kept so that callers passing it go
+    on working."""
+
+    def __init__(self, t: Fst, left: Fst, right: Fst, transduce_limit: int = 64):
+        table = t.table
+        if left.table is not table or right.table is not table:
+            raise FsmError("oracle operands built against different symbol tables")
+        self.t, self.left_m, self.right_m = t, left, right
+        self.transduce_limit = transduce_limit
+        self.table = table
+        self.dom = _Walker(t)
+        self.right = _Walker(right)
+        self.left = _LeftContext(left)
+        self._eps_outputs: Optional[list[tuple[int, ...]]] = None
+        self._reset()
+
+    def _reset(self):
+        self.suffix_ids: dict[tuple[str, int], int] = {}
+        self.head: list[int] = [EPS]
+        self.tail: list[int] = [0]
+        self.right_ok: dict[int, bool] = {}
+        self.matches: dict[int, tuple[int, int]] = {}
+        self.spans: dict[int, list[tuple[int, ...]]] = {}
+        self.out_ids: dict[tuple[int, int], int] = {}
+        self.out_head: list[int] = [EPS]
+        self.out_tail: list[int] = [0]
+        self.memo: dict[tuple[int, int, bool], tuple[int, ...]] = {}
+
+    def size(self) -> int:
+        """Entries held for the inputs read so far."""
+        return len(self.head) + len(self.out_head) + len(self.memo)
+
+    def replace(self, s) -> set[str]:
+        """The outputs for input `s`, a str (one symbol per character) or a
+        sequence of glyphs."""
+        sid = 0
+        suffix_ids = self.suffix_ids
+        for g in reversed(s):
+            nxt = suffix_ids.get((g, sid))
+            if nxt is None:
+                sym = self.table.id_of(g)
+                nxt = suffix_ids[g, sid] = len(self.head)
+                self.head.append(sym)
+                self.tail.append(sid)
+            sid = nxt
+        top = (sid, 0, False)
+        outs = self.memo.get(top)
+        if outs is None:
+            outs = self._scan(top)
+        got = {self._string(o) for o in outs}
+        if self.size() > ORACLE_MEMO_CAP:
+            self._reset()
+        return got
+
+    # -- the scan ---------------------------------------------------------
+
+    def _scan(self, top) -> tuple[int, ...]:
+        """The outputs from scan state `top`, children first on an explicit
+        stack.  A child always has a shorter suffix, so there are no cycles."""
+        memo = self.memo
+        stack = [(top, None)]
+        while stack:
+            key, branches = stack.pop()
+            if key in memo:
+                continue
+            if branches is None:
+                branches = self._branches(key)
+                todo = [(nxt, None) for _, nxt in branches
+                        if nxt is not None and nxt not in memo]
+                if todo:
+                    stack.append((key, branches))
+                    stack.extend(todo)
+                    continue
+            got = set()
+            for written, nxt in branches:
+                for o in ((0,) if nxt is None else memo[nxt]):
+                    for sym in reversed(written):
+                        o = self._cons(sym, o)
+                    got.add(o)
+            memo[key] = tuple(got)
+        return memo[top]
+
+    def _branches(self, key):
+        """The ways the scan goes on from `key`, as (written, next key)
+        pairs; a next key of None ends the string."""
+        sid, mask, just_replaced = key
+        left = self.left
+        if sid:
+            length, after = self._match(sid)
+            sym = self.head[sid]
+            if length:
+                if left.holds(mask):
+                    return [(y, (after, left.advance_seq(mask, y), True))
+                            for y in self._span(sid, length)]
+            elif self._eps_may_fire(sid, mask, just_replaced):
+                return [(w, (self.tail[sid], left.advance_seq(mask, w), False))
+                        for w in (y + (sym,) for y in self._eps())]
+            return [((sym,), (self.tail[sid], left.advance(mask, sym), False))]
+        if self._eps_may_fire(sid, mask, just_replaced):
+            return [(y, None) for y in self._eps()]
+        return [((), None)]
+
+    def _eps_may_fire(self, sid: int, mask: int, just_replaced: bool) -> bool:
+        """Whether the empty string may be rewritten in front of suffix sid."""
+        return (not just_replaced and self.dom.final[0] and self._right_ok(sid)
+                and self.left.holds(mask))
+
+    # -- per-suffix facts -------------------------------------------------
+
+    def _right_ok(self, sid: int) -> bool:
+        """Whether the right context accepts some prefix of suffix sid."""
+        got = self.right_ok.get(sid)
+        if got is None:
+            walker, head, tail = self.right, self.head, self.tail
+            k, cur = 0, sid
+            got = walker.final[0]
+            while not got and cur:
+                k = walker.move(k, head[cur])
+                if k < 0:
+                    break
+                got = walker.final[k]
+                cur = tail[cur]
+            self.right_ok[sid] = got
+        return got
+
+    def _match(self, sid: int) -> tuple[int, int]:
+        """(length, after) of the longest nonempty prefix of suffix sid in
+        dom(t) with the right context holding on the suffix `after` that
+        follows it; (0, 0) when there is none."""
+        got = self.matches.get(sid)
+        if got is None:
+            got = (0, 0)
+            walker, head, tail = self.dom, self.head, self.tail
+            k, cur, length = 0, sid, 0
+            while cur:
+                k = walker.move(k, head[cur])
+                if k < 0:
+                    break
+                cur = tail[cur]
+                length += 1
+                if walker.final[k] and self._right_ok(cur):
+                    got = (length, cur)
+            self.matches[sid] = got
+        return got
+
+    def _span(self, sid: int, length: int) -> list[tuple[int, ...]]:
+        """T's outputs on the first `length` symbols of suffix sid."""
+        got = self.spans.get(sid)
+        if got is None:
+            span = []
+            cur = sid
+            for _ in range(length):
+                span.append(self.head[cur])
+                cur = self.tail[cur]
+            got = self.spans[sid] = self.dom.outputs(span)
+        return got
+
+    def _eps(self) -> list[tuple[int, ...]]:
+        """T's outputs on the empty string."""
+        if self._eps_outputs is None:
+            self._eps_outputs = self.dom.outputs(())
+        return self._eps_outputs
+
+    # -- outputs ----------------------------------------------------------
+
+    def _cons(self, sym: int, rest: int) -> int:
+        key = (sym, rest)
+        got = self.out_ids.get(key)
+        if got is None:
+            got = self.out_ids[key] = len(self.out_head)
+            self.out_head.append(sym)
+            self.out_tail.append(rest)
+        return got
+
+    def _string(self, o: int) -> str:
+        glyph = self.table.glyph
+        parts = []
+        while o:
+            parts.append(glyph(self.out_head[o]))
+            o = self.out_tail[o]
+        return "".join(parts)
+
+
+_last_oracle: Optional[Oracle] = None
+
+
+def oracle_replace(t: Fst, left: Fst, right: Fst, s, transduce_limit: int = 64) -> set[str]:
+    """`Oracle(t, left, right, transduce_limit).replace(s)`, reusing the
+    previous call's Oracle when it was built from the same three machine
+    objects and limit, so a caller checking one rule on many strings builds
+    it once."""
+    global _last_oracle
+    o = _last_oracle
+    if (o is None or o.transduce_limit != transduce_limit or o.t is not t
+            or o.left_m is not left or o.right_m is not right):
+        o = _last_oracle = Oracle(t, left, right, transduce_limit)
+    return o.replace(s)
 
 
 def oracle_language(m: Fst, max_len: int, alphabet: Optional[Sequence[str]] = None) -> set[str]:
@@ -91,152 +440,13 @@ def oracle_language(m: Fst, max_len: int, alphabet: Optional[Sequence[str]] = No
         glyphs = [table.glyph(i) for i in table.all_ids()]
     else:
         glyphs = list(alphabet)
-    walker = _Walker(m, side=1)
+    walker = _Walker(m)
     out: set[str] = set()
     for length in range(max_len + 1):
         for combo in itertools.product(glyphs, repeat=length):
             if walker.accepts(_ids_of(table, combo)):
                 out.add("".join(combo))
     return out
-
-
-def oracle_replace(t: Fst, left: Fst, right: Fst, s, transduce_limit: int = 64) -> set[str]:
-    """Reference semantics of obligatory leftmost-longest context rewriting.
-
-    Scans left to right.  At each position, if some nonempty prefix of the
-    rest lies in dom(t) with the right context holding after it, the longest
-    such prefix must be rewritten provided the left context holds on the
-    rewritten prefix produced so far; otherwise one symbol is copied.  An
-    empty-string match fires only where no nonempty match starts, never
-    immediately after a replaced region, and both contexts must hold.  The
-    left context reads the output tape (it may match across earlier
-    rewrites); the right context reads the untouched input tape.
-    """
-    table = t.table
-    if left.table is not table or right.table is not table:
-        raise FsmError("oracle operands built against different symbol tables")
-    ids = _ids_of(table, s)
-    n = len(ids)
-    glyph = table.glyph
-
-    dom = _Walker(t, side=1)
-    eps_in_dom = dom.accepts(())
-
-    rwalk = _Walker(right, side=1)
-    right_ok = [False] * (n + 1)
-    for q in range(n + 1):
-        right_ok[q] = bool(rwalk.match_ends(ids, q))
-
-    # left context as a suffix matcher over the growing output tape, kept as
-    # a bitmask frontier of states reachable from the initial state by some
-    # nonempty suffix of the output written so far
-    lw = _Walker(left, side=1)
-    lstart = lw.start()
-    lfinal_mask = 0
-    for q in left.finals:
-        lfinal_mask |= 1 << q
-    start_mask = 0
-    for q in lstart:
-        start_mask |= 1 << q
-    nstates = left.n
-    step_mask: dict[int, list[int]] = {}
-
-    def sym_steps(c: int) -> list[int]:
-        got = step_mask.get(c)
-        if got is None:
-            got = [0] * nstates
-            for q in range(nstates):
-                tgt = lw.step(frozenset([q]), c)
-                mm = 0
-                for v in tgt:
-                    mm |= 1 << v
-                got[q] = mm
-            step_mask[c] = got
-        return got
-
-    def advance(mask: int, c: int) -> int:
-        src = mask | start_mask
-        tab = sym_steps(c)
-        out = 0
-        q = 0
-        while src:
-            if src & 1:
-                out |= tab[q]
-            src >>= 1
-            q += 1
-        return out
-
-    def advance_seq(mask: int, seq: Sequence[int]) -> int:
-        for c in seq:
-            mask = advance(mask, c)
-        return mask
-
-    def left_ok(mask: int) -> bool:
-        return bool((mask | start_mask) & lfinal_mask)
-
-    match_ends_at: dict[int, list[int]] = {}
-
-    def candidates(i: int) -> list[int]:
-        got = match_ends_at.get(i)
-        if got is None:
-            got = [q for q in dom.match_ends(ids, i) if q > i and right_ok[q]]
-            match_ends_at[i] = got
-        return got
-
-    t_out_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-    def t_outputs(i: int, q: int) -> list[tuple[int, ...]]:
-        got = t_out_cache.get((i, q))
-        if got is None:
-            res = transduce(t, tuple(glyph(c) for c in ids[i:q]), limit=transduce_limit)
-            if res.truncated:
-                raise FsmError("oracle needs a transduction with finite output sets")
-            got = [tuple(table.id_of(g) for g in o) for o in res.outputs]
-            t_out_cache[(i, q)] = got
-        return got
-
-    memo: dict[tuple[int, int, bool], frozenset] = {}
-
-    def rec(i: int, mask: int, just_replaced: bool) -> frozenset:
-        key = (i, mask, just_replaced)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if i == n:
-            if not just_replaced and eps_in_dom and right_ok[n] and left_ok(mask):
-                res = frozenset(tuple(y) for y in t_outputs(n, n))
-            else:
-                res = frozenset([()])
-            memo[key] = res
-            return res
-        q_ends = candidates(i)
-        acc = set()
-        if q_ends:
-            qmax = max(q_ends)
-            if left_ok(mask):
-                for y in t_outputs(i, qmax):
-                    m2 = advance_seq(mask, y)
-                    for tail in rec(qmax, m2, True):
-                        acc.add(y + tail)
-            else:
-                m2 = advance(mask, ids[i])
-                for tail in rec(i + 1, m2, False):
-                    acc.add((ids[i],) + tail)
-        else:
-            if not just_replaced and eps_in_dom and right_ok[i] and left_ok(mask):
-                for y in t_outputs(i, i):
-                    m2 = advance_seq(mask, y + (ids[i],))
-                    for tail in rec(i + 1, m2, False):
-                        acc.add(y + (ids[i],) + tail)
-            else:
-                m2 = advance(mask, ids[i])
-                for tail in rec(i + 1, m2, False):
-                    acc.add((ids[i],) + tail)
-        res = frozenset(acc)
-        memo[key] = res
-        return res
-
-    return {"".join(glyph(c) for c in out) for out in rec(0, 0, False)}
 
 
 def oracle_lm_split(s, parts: Sequence[Fst]) -> Optional[list[int]]:
@@ -253,8 +463,8 @@ def oracle_lm_split(s, parts: Sequence[Fst]) -> Optional[list[int]]:
             raise FsmError("pieces built against different symbol tables")
     ids = _ids_of(table, s)
     n = len(ids)
-    walkers = [_Walker(p, side=1) for p in parts]
-    ends = [{i: w.match_ends(ids, i) for i in range(n + 1)} for w in walkers]
+    walkers = [_Walker(p) for p in parts]
+    ends = [[w.match_ends(ids, i) for i in range(n + 1)] for w in walkers]
     dead: set[tuple[int, int]] = set()
 
     def go(i: int, k: int) -> Optional[list[int]]:
@@ -262,7 +472,7 @@ def oracle_lm_split(s, parts: Sequence[Fst]) -> Optional[list[int]]:
             return [] if i == n else None
         if (i, k) in dead:
             return None
-        for q in sorted(ends[k][i], reverse=True):
+        for q in reversed(ends[k][i]):
             rest = go(q, k + 1)
             if rest is not None:
                 return [q] + rest
@@ -275,22 +485,17 @@ def oracle_lm_split(s, parts: Sequence[Fst]) -> Optional[list[int]]:
 def oracle_lm_concat(ts: Sequence[Fst], s, transduce_limit: int = 64) -> set[str]:
     """Outputs of greedy multi-piece transduction: split `s` per
     oracle_lm_split over the pieces' input languages, then run each piece's
-    transduction on its slice and concatenate all combinations."""
+    transduction on its slice and concatenate all combinations.  An
+    infinite output set on a slice raises FsmError whatever
+    `transduce_limit`."""
     cuts = oracle_lm_split(s, ts)
     if cuts is None:
         return set()
     table = ts[0].table
     ids = _ids_of(table, s)
     glyph = table.glyph
-    slices = []
-    prev = 0
-    for c in cuts:
-        slices.append(tuple(glyph(x) for x in ids[prev:c]))
-        prev = c
     per_piece = []
-    for t, sl in zip(ts, slices):
-        res = transduce(t, sl, limit=transduce_limit)
-        if res.truncated:
-            raise FsmError("oracle needs a transduction with finite output sets")
-        per_piece.append(["".join(o) for o in res.outputs])
+    for t, a, b in zip(ts, [0] + cuts, cuts):
+        per_piece.append(["".join(glyph(c) for c in o)
+                          for o in _Walker(t).outputs(ids[a:b])])
     return {"".join(combo) for combo in itertools.product(*per_piece)}

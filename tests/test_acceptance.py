@@ -166,12 +166,25 @@ def test_criterion_5_match_n_equivalence(tmp_path):
 # criterion 6 (and the machines criterion 8 reuses) ---------------------------
 
 
-def _small_t_rule(rng):
+def _t_rule(rng, low, high):
+    """A random replace rule whose minimized T has low..high states."""
     while True:
         table, t, left, right = random_replace_rule(rng)
         t = minimize(t, pair_atomic=True)
-        if t.n <= 3:
+        if low <= t.n <= high:
             return table, t, left, right
+
+
+def _oracle_mismatch(k, table, t, left, right, m):
+    """The first string up to length 8 on which machine m and the oracle
+    disagree, as (rule, string, machine outputs, oracle outputs)."""
+    rel = _relation(m, 8)
+    for s in all_strings("".join(table.user_glyphs()), 8):
+        want = oracle_replace(t, left, right, list(s))
+        got = rel.get(tuple(s), set())
+        if got != want:
+            return (k, s, sorted(got), sorted(want))
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -181,15 +194,9 @@ def replace_suite():
     t0 = time.monotonic()
     mismatch = None
     for k in range(200):
-        table, t, left, right = _small_t_rule(rng)
+        table, t, left, right = _t_rule(rng, 0, 3)
         m = replace(t, left, right)
-        rel = _relation(m, 8)
-        for s in all_strings("".join(table.user_glyphs()), 8):
-            want = oracle_replace(t, left, right, list(s))
-            got = rel.get(tuple(s), set())
-            if got != want:
-                mismatch = (k, s, sorted(got), sorted(want))
-                break
+        mismatch = _oracle_mismatch(k, table, t, left, right, m)
         entries.append((table, t, left, right, m))
         if mismatch:
             break
@@ -212,6 +219,17 @@ def _random_lm_instance(rng):
 
 def test_criterion_6_randomized_oracle_suite(replace_suite):
     entries, rep_elapsed, mismatch = replace_suite
+
+    # rules whose T has 4 or 5 states, checked the same way
+    t0 = time.monotonic()
+    rng = random.Random(20240818)
+    for k in range(100):
+        if mismatch:
+            break
+        table, t, left, right = _t_rule(rng, 4, 5)
+        mismatch = _oracle_mismatch("larger %d" % k, table, t, left, right,
+                                    replace(t, left, right))
+    larger_elapsed = time.monotonic() - t0
 
     t0 = time.monotonic()
     rng = random.Random(911)
@@ -236,10 +254,10 @@ def test_criterion_6_randomized_oracle_suite(replace_suite):
             break
     lm_elapsed = time.monotonic() - t0
 
-    total = rep_elapsed + lm_elapsed
+    total = rep_elapsed + larger_elapsed + lm_elapsed
     ok = mismatch is None and lm_mismatch is None and total < 300.0
-    detail = "200 replace rules %.1f s, 100 splits %.1f s" % (rep_elapsed,
-                                                              lm_elapsed)
+    detail = ("200 replace rules %.1f s, 100 with a 4-5 state T %.1f s, "
+              "100 splits %.1f s" % (rep_elapsed, larger_elapsed, lm_elapsed))
     if mismatch:
         detail = "replace mismatch %r" % (mismatch,)
     elif lm_mismatch:

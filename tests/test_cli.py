@@ -254,6 +254,38 @@ def test_check_needs_a_rule(tmp_path, monkeypatch, capsys):
     assert "check needs a replace or lm_concat rule" in err
 
 
+def test_check_long_inputs_end_with_a_result(monkeypatch, capsys):
+    # the oracle scans with an explicit stack, so inputs thousands of
+    # symbols long need no deeper recursion
+    rc, out, err = run(monkeypatch, capsys,
+                       ["check", "-r", str(RULES_DIR / "devoice_final.fsr"),
+                        "--samples", "3", "--max-len", "3000", "--seed", "1"])
+    assert rc == 0
+    assert out == "checked 3 inputs: all agree; skipped 0 with an infinite output set\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-5"),
+                                        ("--samples", "x"), ("--max-len", "-2"),
+                                        ("--max-len", "x")])
+def test_check_rejects_bad_counts(monkeypatch, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run(monkeypatch, capsys,
+            ["check", "-r", str(RULES_DIR / "devoice_final.fsr"), flag, value])
+    assert exc.value.code == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert "usage:" in got.err and flag in got.err
+
+
+def test_check_max_len_zero_checks_the_empty_input(monkeypatch, capsys):
+    rc, out, err = run(monkeypatch, capsys,
+                       ["check", "-r", str(RULES_DIR / "devoice_final.fsr"),
+                        "--samples", "5", "--max-len", "0"])
+    assert rc == 0
+    assert out == "checked 1 inputs: all agree; skipped 0 with an infinite output set\n"
+
+
 def test_missing_file_is_a_usage_error(monkeypatch, capsys):
     rc, out, err = run(monkeypatch, capsys,
                        ["compile", "-r", "/nonexistent.fsr", "-o", "/tmp/x"])

@@ -7,10 +7,15 @@ holds on the input ahead, copy one symbol when nothing fires, and allow an
 empty-string match only where no nonempty one starts and the previous step
 was not itself a replacement."""
 
+import ast
 import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
+import fsrw.oracle
 from fsrw import (
     FsmError,
     SymbolTable,
@@ -30,8 +35,18 @@ from fsrw import (
     union,
     word,
 )
+from fsrw.dsl import compile_rules
+from fsrw.oracle import ORACLE_MEMO_CAP, Oracle
 
-from gen import build_regex, random_regex
+from gen import (
+    all_strings,
+    build_regex,
+    random_context,
+    random_regex,
+    random_replace_rule,
+)
+
+RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
 
 
 @pytest.fixture
@@ -134,3 +149,102 @@ def test_lm_concat_applies_pieces_to_their_spans():
     p2 = cross_product(star(literal(tb, "a")), word(tb, "b"))
     assert oracle_lm_concat([p1, p2], list("aaa")) == {"b#b"}
     assert oracle_lm_concat([p1, p2], list("b")) == set()
+
+
+# ---------------------------------------------------------------------------
+# independence and reuse
+
+
+def test_oracle_imports_nothing_it_judges():
+    # the referee reads machines through their arcs only: from the library
+    # it takes the arc label for epsilon, the machine class and the error
+    tree = ast.parse(Path(fsrw.oracle.__file__).read_text(encoding="utf-8"))
+    from_fsm = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                assert node.module == "fsm", ast.dump(node)
+                from_fsm.update(a.name for a in node.names)
+            else:
+                assert not node.module.startswith("fsrw"), ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("fsrw") for a in node.names)
+    assert from_fsm == {"EPS", "Fst", "FsmError"}
+
+
+def _answer(query, s):
+    try:
+        return query(s)
+    except FsmError:
+        return "infinite"
+
+
+def _rules(seed, count):
+    rng = random.Random(seed)
+    return [random_replace_rule(rng) for _ in range(count)]
+
+
+def test_one_oracle_answers_like_a_fresh_one_per_string():
+    rng = random.Random(41)
+    for table, t, left, right in _rules(40, 60):
+        strings = [list(s) for s in all_strings(table.user_glyphs(), 5)]
+        rng.shuffle(strings)
+        shared = Oracle(t, left, right)
+        for s in strings:
+            assert _answer(shared.replace, s) == \
+                _answer(Oracle(t, left, right).replace, s), s
+
+
+def test_oracle_replace_never_reuses_another_rules_oracle():
+    rng = random.Random(42)
+    differed = 0
+    for table, t, left, right in _rules(43, 60):
+        other_left = random_context(rng, table)
+        for s in all_strings(table.user_glyphs(), 4):
+            first = _answer(lambda x: oracle_replace(t, left, right, x), s)
+            second = _answer(lambda x: oracle_replace(t, other_left, right, x), s)
+            assert second == _answer(Oracle(t, other_left, right).replace, s), s
+            differed += first != second
+    assert differed  # the two contexts do tell rules apart
+
+
+def _devoice():
+    comp = compile_rules((RULES_DIR / "devoice_final.fsr").read_text(encoding="utf-8"))
+    return comp.pieces
+
+
+def _devoice_ref(line):
+    return {re.sub(r"[bd](?=#)", lambda m: {"b": "p", "d": "t"}[m.group()], line)}
+
+
+def test_oracle_memo_stays_under_its_cap():
+    oracle = Oracle(*_devoice())
+    rng = random.Random(44)
+    lines = set()
+    while len(lines) < 5000:
+        lines.add("".join(rng.choice("abdpt#") for _ in range(rng.randint(10, 30))))
+    renewed = 0
+    for line in sorted(lines):
+        before = oracle.size()
+        assert oracle.replace(line) == _devoice_ref(line), line
+        assert oracle.size() <= ORACLE_MEMO_CAP
+        renewed += oracle.size() < before
+    assert renewed >= 1  # the cap was reached and the memo started afresh
+
+
+def test_oracle_scans_a_long_line_without_recursion():
+    limit = sys.getrecursionlimit()
+    rng = random.Random(45)
+    line = "".join(rng.choice("abdpt#") for _ in range(5000))
+    assert oracle_replace(*_devoice(), line) == _devoice_ref(line)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_unknown_symbol_leaves_the_oracle_usable(tb):
+    t = rule(tb, literal(tb, "a"), "b")
+    eps = empty_string(tb)
+    oracle = Oracle(t, eps, eps)
+    for _ in range(2):
+        with pytest.raises(FsmError):
+            oracle.replace("za")
+        assert oracle.replace("ca") == {"cb"}
