@@ -230,18 +230,16 @@ class Oracle:
     suffix k is the symbol head[k] followed by suffix tail[k], keyed by its
     glyph and tail) and outputs the same way, so memory stays linear in the
     input read.  Past ORACLE_MEMO_CAP entries the memo starts afresh after
-    the current string.
+    the current string, whether its scan ended or raised.
 
-    T's outputs on a span are an exact set; an infinite one raises FsmError
-    whatever `transduce_limit`, which is kept so that callers passing it go
-    on working."""
+    T's outputs on a span are an exact set; an infinite one raises
+    FsmError."""
 
-    def __init__(self, t: Fst, left: Fst, right: Fst, transduce_limit: int = 64):
+    def __init__(self, t: Fst, left: Fst, right: Fst):
         table = t.table
         if left.table is not table or right.table is not table:
             raise FsmError("oracle operands built against different symbol tables")
         self.t, self.left_m, self.right_m = t, left, right
-        self.transduce_limit = transduce_limit
         self.table = table
         self.dom = _Walker(t)
         self.right = _Walker(right)
@@ -268,24 +266,25 @@ class Oracle:
     def replace(self, s) -> set[str]:
         """The outputs for input `s`, a str (one symbol per character) or a
         sequence of glyphs."""
-        sid = 0
-        suffix_ids = self.suffix_ids
-        for g in reversed(s):
-            nxt = suffix_ids.get((g, sid))
-            if nxt is None:
-                sym = self.table.id_of(g)
-                nxt = suffix_ids[g, sid] = len(self.head)
-                self.head.append(sym)
-                self.tail.append(sid)
-            sid = nxt
-        top = (sid, 0, False)
-        outs = self.memo.get(top)
-        if outs is None:
-            outs = self._scan(top)
-        got = {self._string(o) for o in outs}
-        if self.size() > ORACLE_MEMO_CAP:
-            self._reset()
-        return got
+        try:
+            sid = 0
+            suffix_ids = self.suffix_ids
+            for g in reversed(s):
+                nxt = suffix_ids.get((g, sid))
+                if nxt is None:
+                    sym = self.table.id_of(g)
+                    nxt = suffix_ids[g, sid] = len(self.head)
+                    self.head.append(sym)
+                    self.tail.append(sid)
+                sid = nxt
+            top = (sid, 0, False)
+            outs = self.memo.get(top)
+            if outs is None:
+                outs = self._scan(top)
+            return {self._string(o) for o in outs}
+        finally:
+            if self.size() > ORACLE_MEMO_CAP:
+                self._reset()
 
     # -- the scan ---------------------------------------------------------
 
@@ -420,15 +419,15 @@ _last_oracle: Optional[Oracle] = None
 
 
 def oracle_replace(t: Fst, left: Fst, right: Fst, s, transduce_limit: int = 64) -> set[str]:
-    """`Oracle(t, left, right, transduce_limit).replace(s)`, reusing the
-    previous call's Oracle when it was built from the same three machine
-    objects and limit, so a caller checking one rule on many strings builds
-    it once."""
+    """`Oracle(t, left, right).replace(s)`, reusing the previous call's
+    Oracle when it was built from the same three machine objects, so a
+    caller checking one rule on many strings builds it once.
+    `transduce_limit` is accepted and ignored: span outputs are exact, and
+    an infinite set raises FsmError whatever its value."""
     global _last_oracle
     o = _last_oracle
-    if (o is None or o.transduce_limit != transduce_limit or o.t is not t
-            or o.left_m is not left or o.right_m is not right):
-        o = _last_oracle = Oracle(t, left, right, transduce_limit)
+    if o is None or o.t is not t or o.left_m is not left or o.right_m is not right:
+        o = _last_oracle = Oracle(t, left, right)
     return o.replace(s)
 
 
@@ -486,8 +485,8 @@ def oracle_lm_concat(ts: Sequence[Fst], s, transduce_limit: int = 64) -> set[str
     """Outputs of greedy multi-piece transduction: split `s` per
     oracle_lm_split over the pieces' input languages, then run each piece's
     transduction on its slice and concatenate all combinations.  An
-    infinite output set on a slice raises FsmError whatever
-    `transduce_limit`."""
+    infinite output set on a slice raises FsmError; `transduce_limit` is
+    accepted and ignored."""
     cuts = oracle_lm_split(s, ts)
     if cuts is None:
         return set()

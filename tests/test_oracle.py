@@ -232,6 +232,30 @@ def test_oracle_memo_stays_under_its_cap():
     assert renewed >= 1  # the cap was reached and the memo started afresh
 
 
+def test_oracle_memo_stays_under_its_cap_on_raising_inputs(tb):
+    # Each input interns its suffix before it raises: through an unknown
+    # glyph read last, or through an infinite output set on a span.
+    rng = random.Random(46)
+    unknown = Oracle(*_devoice())
+    infinite = Oracle(cross_product(literal(tb, "a"), star(literal(tb, "b"))),
+                      empty_string(tb), empty_string(tb))
+    cases = [(unknown, "z", "abdpt#"), (infinite, "a", "bcx")]
+    for oracle, first, rest in cases:
+        lines = set()
+        while len(lines) < 5000:
+            lines.add(first + "".join(rng.choice(rest) for _ in range(rng.randint(20, 40))))
+        renewed = 0
+        for line in sorted(lines):
+            before = oracle.size()
+            with pytest.raises(FsmError):
+                oracle.replace(line)
+            assert oracle.size() <= ORACLE_MEMO_CAP
+            renewed += oracle.size() < before
+        assert renewed >= 1  # the cap was reached and the memo started afresh
+    assert unknown.replace("bad#") == {"bat#"}
+    assert infinite.replace("cb") == {"cb"}
+
+
 def test_oracle_scans_a_long_line_without_recursion():
     limit = sys.getrecursionlimit()
     rng = random.Random(45)
