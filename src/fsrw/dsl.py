@@ -571,13 +571,26 @@ macro(priority_union(Q,R), {Q, ~domain(Q) o R}).
 macro(lenient_composition(R,C), priority_union(R o C, R)).
 """
 
-_BUILTINS_0 = {"sig", "xsig", "lb1", "lb2", "rb1", "rb2", "lb", "rb",
-               "b1", "b2", "brack", "non_markers", "true", "false"}
-_BUILTINS_1 = {"not", "$$", "non_markers", "intro", "xintro", "introx",
-               "xintrox", "coerce_to_boolean"}
-_BUILTINS_2 = {"ign", "xign", "ignx", "xignx", "ignx_1", "if_p_then_s",
-               "if_s_then_p", "p_iff_s", "l_iff_r", "match_n"}
-_BUILTINS_3 = {"if"}
+# Every builtin operator, keyed by (name, arity), with the MarkerKit
+# attribute that builds it; a zero-argument builtin is a kit property.
+# match_n/2 never reaches the compiler: expand_macros turns it into RepeatN.
+_BUILTINS = {
+    ("sig", 0): "sig", ("xsig", 0): "xsig", ("lb1", 0): "lb1",
+    ("lb2", 0): "lb2", ("rb1", 0): "rb1", ("rb2", 0): "rb2", ("lb", 0): "lb",
+    ("rb", 0): "rb", ("b1", 0): "b1", ("b2", 0): "b2", ("brack", 0): "brack",
+    ("non_markers", 0): "non_markers", ("true", 0): "true",
+    ("false", 0): "false",
+    ("not", 1): "not_", ("$$", 1): "contains",
+    ("non_markers", 1): "non_markers_of", ("intro", 1): "intro",
+    ("xintro", 1): "xintro", ("introx", 1): "introx",
+    ("xintrox", 1): "xintrox", ("coerce_to_boolean", 1): "coerce_to_boolean",
+    ("ign", 2): "ign", ("xign", 2): "xign", ("ignx", 2): "ignx",
+    ("xignx", 2): "xignx", ("ignx_1", 2): "ignx_1",
+    ("if_p_then_s", 2): "if_p_then_s", ("if_s_then_p", 2): "if_s_then_p",
+    ("p_iff_s", 2): "p_iff_s", ("l_iff_r", 2): "l_iff_r",
+    ("match_n", 2): "match_n",
+    ("if", 3): "if_then_else",
+}
 
 _EXPANSION_LIMIT = 200
 
@@ -589,13 +602,6 @@ def stdlib_macros() -> dict:
     for m in prog.macros:
         env[(m.name, len(m.params))] = m
     return env
-
-
-def _is_builtin(name: str, arity: int) -> bool:
-    return (arity == 0 and name in _BUILTINS_0) \
-        or (arity == 1 and name in _BUILTINS_1) \
-        or (arity == 2 and name in _BUILTINS_2) \
-        or (arity == 3 and name in _BUILTINS_3)
 
 
 def macro_env(program: RuleProgram) -> dict:
@@ -666,7 +672,7 @@ def expand_macros(node, env: dict, depth: int = 0):
             macro = env[key]
             body = _substitute(macro.body, dict(zip(macro.params, node.args)))
             return expand_macros(body, env, depth + 1)
-        if not _is_builtin(*key):
+        if key not in _BUILTINS:
             raise RuleError("unknown operator %s/%d" % key)
         if node.name == "match_n":
             count = node.args[0]
@@ -778,33 +784,10 @@ class Compiler:
         raise RuleError("cannot compile %r" % (node,))
 
     def _builtin(self, node: Call) -> Fst:
-        kit = self.kit
-        name, args = node.name, [self._c(a) for a in node.args]
-        if not args:
-            return {"sig": lambda: kit.sig, "xsig": lambda: kit.xsig,
-                    "lb1": lambda: kit.lb1, "lb2": lambda: kit.lb2,
-                    "rb1": lambda: kit.rb1, "rb2": lambda: kit.rb2,
-                    "lb": lambda: kit.lb, "rb": lambda: kit.rb,
-                    "b1": lambda: kit.b1, "b2": lambda: kit.b2,
-                    "brack": lambda: kit.brack,
-                    "non_markers": lambda: kit.non_markers,
-                    "true": lambda: kit.true, "false": lambda: kit.false,
-                    }[name]()
-        if len(args) == 1:
-            return {"not": kit.not_, "$$": kit.contains,
-                    "non_markers": kit.non_markers_of, "intro": kit.intro,
-                    "xintro": kit.xintro, "introx": kit.introx,
-                    "xintrox": kit.xintrox,
-                    "coerce_to_boolean": kit.coerce_to_boolean,
-                    }[name](args[0])
-        if len(args) == 2:
-            return {"ign": kit.ign, "xign": kit.xign, "ignx": kit.ignx,
-                    "xignx": kit.xignx, "ignx_1": kit.ignx_1,
-                    "if_p_then_s": kit.if_p_then_s,
-                    "if_s_then_p": kit.if_s_then_p, "p_iff_s": kit.p_iff_s,
-                    "l_iff_r": kit.l_iff_r,
-                    }[name](args[0], args[1])
-        return kit.if_then_else(args[0], args[1], args[2])
+        got = getattr(self.kit, _BUILTINS[node.name, len(node.args)])
+        if not node.args:
+            return got
+        return got(*[self._c(a) for a in node.args])
 
 
 class CompiledProgram:

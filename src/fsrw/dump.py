@@ -233,8 +233,15 @@ def _parse_one(lines: list[str], pos: int, table: SymbolTable = None):
             raise DumpFormatError("epsilon:epsilon arcs are not stored")
         real_arcs.append((src, i, o, dst))
 
+    # number densely just the states the file names, keeping their order
+    # (the canonical numbering breaks ties on it): the others have no arcs,
+    # so the trim would drop them anyway, and a huge declared count
+    # allocates nothing
+    named = sorted({initial, *finals, *(q for s, _, _, d in real_arcs for q in (s, d))})
+    dense = {q: k for k, q in enumerate(named)}
     # trimmed and canonically numbered, like every machine the program builds
-    return _finish(table, n, initial, finals, real_arcs), pos
+    return _finish(table, len(named), dense[initial], [dense[f] for f in finals],
+                   [(dense[s], i, o, dense[d]) for s, i, o, d in real_arcs]), pos
 
 
 def load_text(text: str):

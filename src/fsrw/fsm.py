@@ -495,7 +495,7 @@ def intersection(a: Fst, b: Fst) -> Fst:
     finals = [k for k, (pa, pb) in enumerate(keys)
               if pa in a.finals and pb in b.finals]
     got = _finish(a.table, len(keys), 0, finals, arcs)
-    return minimize(got) if not got.is_empty() else got
+    return minimize(got)
 
 
 def difference(a: Fst, b: Fst) -> Fst:
@@ -545,7 +545,7 @@ def containment(m: Fst) -> Fst:
     _require_recognizer(m, "containment")
     sig = sigma_star(m.table, m.table.all_ids())
     got = concat(sig, m, sig)
-    return minimize(got) if not got.is_empty() else got
+    return minimize(got)
 
 
 # -- relation operations -----------------------------------------------------
@@ -619,7 +619,7 @@ def project(m: Fst, side: str) -> Fst:
         sym = i if keep == 1 else o
         arcs.append((s, sym, sym, d))
     got = _finish(m.table, m.n, m.initial, m.finals, arcs)
-    return minimize(got) if not got.is_empty() else got
+    return minimize(got)
 
 
 def identity_lift(m: Fst) -> Fst:
@@ -883,7 +883,10 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
     The machine's input tables (`InputTables`) give the input's trimmed
     lattice, position by position, from cached steps.  When each step is
     one path, its outputs are joined directly; otherwise the lattice's
-    output automaton is determinized and enumerated."""
+    output automaton is determinized and enumerated.  Every lattice state
+    lies on an accepting path, so every state of that DFA reaches a final
+    one and nothing needs trimming; one Kahn pass orders the DFA and tells
+    whether it has a cycle, that is whether the output set is infinite."""
     ids = _to_ids(m.table, s)
     tables = m.input_tables()
     trail = tables.trim(ids)
@@ -895,98 +898,55 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
         return TransduceResult([tuple(chain.from_iterable(outs))], False)
 
     # the lattice: the live states of position p are base[p] + k, and the
-    # exit after the end of the input is the last state
+    # exit after the end of the input is the last state.  Its arcs are
+    # split into silent successors (output EPS) and writing arcs (o, d).
     base = [0]
     for st in trail:
         base.append(base[-1] + len(st.live))
-    out_arcs: list[list[tuple[int, int]]] = [[] for _ in range(base[-1] + 1)]
+    silent: list[list[int]] = [[] for _ in range(base[-1] + 1)]
+    writes: list[list[tuple[int, int]]] = [[] for _ in range(base[-1] + 1)]
     for p, st in enumerate(trail):
         here, ahead = base[p], base[p + 1]
         for k, o, d, same in st.arcs:
-            out_arcs[here + k].append((o, (here if same else ahead) + d))
-    finals = {base[-1]}
+            d += here if same else ahead
+            if o == EPS:
+                silent[here + k].append(d)
+            else:
+                writes[here + k].append((o, d))
     start = trail[0].live.index(m.initial)
 
     # determinize the output automaton so each path is a distinct string
-    def eclose(states):
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            v = stack.pop()
-            for o, d in out_arcs[v]:
-                if o == EPS and d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        return frozenset(seen)
-
-    dstart = eclose([start])
-    dindex = {dstart: 0}
-    dorder = [dstart]
-    dadj: list[list[tuple[int, int]]] = [[]]
-    dfinals = set()
-    qi = 0
-    while qi < len(dorder):
-        subset = dorder[qi]
-        src = qi
-        qi += 1
-        if subset & finals:
-            dfinals.add(src)
+    def moves(subset):
         by_sym: dict[int, set[int]] = {}
         for v in subset:
-            for o, d in out_arcs[v]:
-                if o != EPS:
-                    by_sym.setdefault(o, set()).add(d)
+            for o, d in writes[v]:
+                by_sym.setdefault(o, set()).add(d)
         for o in sorted(by_sym):
-            key = eclose(by_sym[o])
-            to = dindex.get(key)
-            if to is None:
-                to = len(dorder)
-                dindex[key] = to
-                dorder.append(key)
-                dadj.append([])
-            dadj[src].append((o, to))
-    if not dfinals:
-        return TransduceResult([], False)
+            yield o, o, frozenset(_reach(by_sym[o], silent))
 
-    # trim to states that can still reach a final
-    rev: list[list[int]] = [[] for _ in dadj]
-    for srcq, lst in enumerate(dadj):
+    keys, arcs = _explore(frozenset(_reach([start], silent)), moves)
+    dadj: list[list[tuple[int, int]]] = [[] for _ in keys]
+    for src, o, _, d in arcs:
+        dadj[src].append((o, d))
+    dfinals = {q for q, subset in enumerate(keys) if base[-1] in subset}
+
+    # one Kahn pass from state 0: every state is reachable from 0, so the
+    # DFA is acyclic iff no arc enters 0 and every state gets placed (a
+    # cycle through 0 can place 0 a second time)
+    indeg = [0] * len(dadj)
+    for lst in dadj:
         for _, d in lst:
-            rev[d].append(srcq)
-    live = _reach(dfinals, rev)
-    if 0 not in live:
-        return TransduceResult([], False)
-
-    # cycle check on the live part: any cycle means infinitely many outputs
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {}
-    cyclic = False
-    stack2 = [(0, iter([d for _, d in dadj[0] if d in live]))]
-    color[0] = GRAY
-    while stack2 and not cyclic:
-        v, it = stack2[-1]
-        advanced = False
-        for d in it:
-            c = color.get(d, WHITE)
-            if c == GRAY:
-                cyclic = True
-                break
-            if c == WHITE:
-                color[d] = GRAY
-                stack2.append((d, iter([x for _, x in dadj[d] if x in live])))
-                advanced = True
-                break
-        else:
-            color[v] = BLACK
-            stack2.pop()
-            continue
-        if not advanced and not cyclic:
-            color[v] = BLACK
-            stack2.pop()
-
+            indeg[d] += 1
+    left = indeg.copy()
+    order = [0]
+    for v in order:
+        for _, d in dadj[v]:
+            left[d] -= 1
+            if not left[d]:
+                order.append(d)
     glyph = m.table.glyph
-    if not cyclic:
-        return TransduceResult(_acyclic_outputs(dadj, rev, live, dfinals, glyph),
+    if not indeg[0] and len(order) == len(dadj):
+        return TransduceResult(_acyclic_outputs(dadj, order, indeg, dfinals, glyph),
                                False)
     # shortest-first enumeration, cut at `limit` distinct outputs
     heap = [(0, (), 0)]
@@ -998,26 +958,26 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
             found.add(prefix)
             results.append(prefix)
         for o, d in dadj[v]:
-            if d in live:
-                heapq.heappush(heap, (length + 1, prefix + (o,), d))
+            heapq.heappush(heap, (length + 1, prefix + (o,), d))
     outputs = sorted(set(results))
     return TransduceResult([tuple(glyph(o) for o in out) for out in outputs], True)
 
 
-def _acyclic_outputs(dadj, rev, live, dfinals, glyph) -> list[tuple[str, ...]]:
-    """Every output of a live, acyclic output DFA rooted at state 0, as glyph
-    tuples sorted by symbol id, without recursion.  `rev[v]` lists the
-    sources of the arcs into state v.
+def _acyclic_outputs(dadj, order, indeg, dfinals, glyph) -> list[tuple[str, ...]]:
+    """Every output of an acyclic output DFA rooted at state 0, as glyph
+    tuples sorted by symbol id, without recursion.  `order` is a
+    topological order of its states and `indeg[v]` counts the arcs into
+    state v.  No trim is needed: the DFA is built from a trimmed lattice,
+    so every state reaches a final one.
 
     Suffix lists are kept only at the states more than one arc enters
-    (merges), filled children first.  From state 0 and from each merge, the
-    states up to the next merges form a tree, walked depth first with one
-    shared path, so every other state is visited once and an output is
-    copied at most once per merge on its path.  A functional line's chain
-    of states is one such tree.  Arcs are in ascending label order and the
-    DFA is deterministic, so each list comes out sorted and without
-    repeats."""
-    merges = {v for v in live if len(rev[v]) > 1}
+    (merges), filled children first, in reversed `order`.  From state 0
+    and from each merge, the states up to the next merges form a tree,
+    walked depth first with one shared path, so every other state is
+    visited once and an output is copied at most once per merge on its
+    path.  A functional line's chain of states is one such tree.  Arcs
+    are in ascending label order and the DFA is deterministic, so each
+    list comes out sorted and without repeats."""
     suffixes: dict[int, list[tuple[str, ...]]] = {}
 
     def fill(u):
@@ -1029,7 +989,7 @@ def _acyclic_outputs(dadj, rev, live, dfinals, glyph) -> list[tuple[str, ...]]:
             del path[depth:]
             if g is not None:
                 path.append(g)
-                if v in merges:
+                if indeg[v] > 1:
                     head = tuple(path)
                     acc.extend([head + tail for tail in suffixes[v]])
                     continue
@@ -1037,26 +997,12 @@ def _acyclic_outputs(dadj, rev, live, dfinals, glyph) -> list[tuple[str, ...]]:
                 acc.append(tuple(path))
             depth = len(path)
             for o, d in reversed(dadj[v]):
-                if d in live:
-                    todo.append((d, depth, glyph(o)))
+                todo.append((d, depth, glyph(o)))
         return acc
 
-    if merges:
-        # topological order (Kahn): a state is placed once all the arcs
-        # into it have been counted
-        order = [0]
-        left = {v: len(rev[v]) for v in merges}
-        for v in order:
-            for _, d in dadj[v]:
-                if d in live:
-                    k = left.get(d, 1) - 1
-                    if k:
-                        left[d] = k
-                    else:
-                        order.append(d)
-        for v in reversed(order):
-            if v in merges:
-                suffixes[v] = fill(v)
+    for v in reversed(order):
+        if indeg[v] > 1:
+            suffixes[v] = fill(v)
     return fill(0)
 
 

@@ -418,12 +418,11 @@ class Oracle:
 _last_oracle: Optional[Oracle] = None
 
 
-def oracle_replace(t: Fst, left: Fst, right: Fst, s, transduce_limit: int = 64) -> set[str]:
+def oracle_replace(t: Fst, left: Fst, right: Fst, s) -> set[str]:
     """`Oracle(t, left, right).replace(s)`, reusing the previous call's
     Oracle when it was built from the same three machine objects, so a
-    caller checking one rule on many strings builds it once.
-    `transduce_limit` is accepted and ignored: span outputs are exact, and
-    an infinite set raises FsmError whatever its value."""
+    caller checking one rule on many strings builds it once.  Span
+    outputs are exact, and an infinite set raises FsmError."""
     global _last_oracle
     o = _last_oracle
     if o is None or o.t is not t or o.left_m is not left or o.right_m is not right:
@@ -481,12 +480,11 @@ def oracle_lm_split(s, parts: Sequence[Fst]) -> Optional[list[int]]:
     return go(0, 0)
 
 
-def oracle_lm_concat(ts: Sequence[Fst], s, transduce_limit: int = 64) -> set[str]:
+def oracle_lm_concat(ts: Sequence[Fst], s) -> set[str]:
     """Outputs of greedy multi-piece transduction: split `s` per
     oracle_lm_split over the pieces' input languages, then run each piece's
     transduction on its slice and concatenate all combinations.  An
-    infinite output set on a slice raises FsmError; `transduce_limit` is
-    accepted and ignored."""
+    infinite output set on a slice raises FsmError."""
     cuts = oracle_lm_split(s, ts)
     if cuts is None:
         return set()

@@ -133,6 +133,16 @@ def test_dump_renumbers_a_hand_written_file(tmp_path, monkeypatch, capsys):
     assert out.endswith("t 0 1 a a\nf 1\n")
 
 
+def test_dump_of_a_huge_declared_state_count_allocates_nothing(
+        tmp_path, monkeypatch, capsys):
+    huge, one = tmp_path / "huge.fst", tmp_path / "one.fst"
+    huge.write_text("fst 100000000 0\n")
+    one.write_text("fst 1 0\n")
+    rc, out, err = run(monkeypatch, capsys, ["dump", "-m", str(huge)])
+    assert rc == 0
+    assert out == run(monkeypatch, capsys, ["dump", "-m", str(one)])[1]
+
+
 def test_equiv_ignores_dead_states_of_a_loaded_file(tmp_path, monkeypatch,
                                                     capsys):
     # both accept exactly {a, b}; state 3 of the first reaches no final

@@ -49,6 +49,7 @@ from fsrw import (
     word,
 )
 from fsrw.dump import dump_text
+from fsrw.oracle import _Walker
 
 from gen import build_regex, model_lang, random_arc_machine, random_regex
 
@@ -354,6 +355,38 @@ def test_transduce_matches_enumerate_pairs_on_random_machines(tb):
             assert (res.outputs, res.truncated) == (want, False), (m.arcs, w)
         compared += 1
     assert compared >= 500
+
+
+def test_transduce_finds_a_cycle_through_the_start_state(tb):
+    # the output DFA loops back to its start state: ordering it from there
+    # must not place that state a second time
+    a, b = tb.id_of("a"), tb.id_of("b")
+    m = Fst(tb, 1, 0, frozenset([0]),
+            tuple(sorted([(0, EPS, b, 0), (0, a, a, 0), (0, b, b, 0)])), False)
+    res = transduce(m, "ab", limit=3)
+    assert res.outputs == [("a", "b"), ("a", "b", "b"), ("b", "a", "b")]
+    assert res.truncated
+
+
+def test_transduce_cycle_verdict_matches_the_oracle(tb):
+    rng = random.Random(23)
+    inputs = [w for n in range(4) for w in itertools.product("ab", repeat=n)]
+    infinite = 0
+    for _ in range(600):
+        m = _with_input_epsilons(rng, random_arc_machine(rng, tb, max_states=4),
+                                 rng.randint(0, 3))
+        walker = _Walker(m)
+        for w in inputs:
+            res = transduce(m, w, limit=8)
+            try:
+                want = sorted(walker.outputs([tb.id_of(g) for g in w]))
+            except FsmError:  # infinitely many outputs
+                infinite += 1
+                assert res.truncated and len(res.outputs) == 8, (m.arcs, w)
+                continue
+            assert not res.truncated, (m.arcs, w)
+            assert res.outputs == [tuple(map(tb.glyph, o)) for o in want], (m.arcs, w)
+    assert infinite >= 1000
 
 
 def _nth_from_last_is_a(tb, k):

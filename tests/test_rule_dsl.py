@@ -19,6 +19,7 @@ from fsrw import (
     transduce,
 )
 from fsrw.dsl import (
+    _BUILTINS,
     AnySym,
     Call,
     Compiler,
@@ -300,9 +301,22 @@ def test_replace_program_end_to_end():
     assert cp.machine.same_structure(compose_cascade(cp.factors()))
 
 
+def _builtin_call(name, arity):
+    args = ["2", "a"] if name == "match_n" else ["a"] * arity
+    return "%s(%s)" % (name, ", ".join(args))
+
+
+# every builtin operator, once each, inside a piece whose domain is never
+# empty
+_BUILTIN_PIECES = ["lm_concat([{%s, b x c}, c x b])." % _builtin_call(*key)
+                   for key in _BUILTINS]
+
+
 @pytest.mark.parametrize("text", ["replace(a x b, c, d).",
                                   "lm_concat([identity(a*), b x c]).",
-                                  ], ids=["replace", "lm_concat"])
+                                  *_BUILTIN_PIECES],
+                         ids=["replace", "lm_concat",
+                              *("%s/%d" % key for key in _BUILTINS)])
 def test_top_level_pieces_compile_once(monkeypatch, text):
     seen = []
     build = Compiler._c
