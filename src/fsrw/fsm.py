@@ -197,50 +197,54 @@ def _reach(starts, succ) -> set:
     return seen
 
 
-def _finish(table, n, initial, finals, arcs) -> Fst:
-    """Normalize raw construction output: drop epsilon-pair arcs by closure,
-    trim to useful states, renumber by BFS, sort arcs."""
-    arcs = set(arcs)
-    finals = set(finals)
+# `_finish`, `_subset_construct` and `_moore_minimize_dfa` keep their names:
+# bench/spans.py (PROFILED) reports them by matching cProfile entries by name.
 
-    # epsilon-pair closure: eps:eps arcs are construction glue only
-    eps = [[] for _ in range(n)]
+
+def _finish(table, n, initial, finals, arcs) -> Fst:
+    """Normalize raw construction output: drop epsilon-pair arcs by
+    closure, trim to useful states, renumber by BFS, sort arcs.
+
+    One pass splits the epsilon-pair arcs from the others into per-state
+    lists.  Only the states with an epsilon-pair arc are closed (a state
+    takes the arcs and the finality of every state in its closure); any
+    other state's closure is itself.  One backward reach over the raw arcs
+    finds the states that reach a final one: a raw path and a closed path
+    connect the same states.  The canonical BFS from the initial state then
+    keeps the forward-reachable ones, since a state on a path to a
+    co-reachable state is co-reachable itself.  It explores a state's arcs
+    without duplicates in (in, out, old dst) order, so ties on identical
+    labels break on the old dst id."""
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    eps: list[list[int]] = [[] for _ in range(n)]
+    into: list[list[int]] = [[] for _ in range(n)]
     for s, i, o, d in arcs:
         if i == EPS and o == EPS:
             eps[s].append(d)
-    if any(eps):
-        out = [[] for _ in range(n)]
-        for s, i, o, d in arcs:
-            if not (i == EPS and o == EPS):
-                out[s].append((i, o, d))
-        arcs = set()
-        closed_finals = set()
-        for q in range(n):
-            cl = _reach([q], eps)
-            if not finals.isdisjoint(cl):
-                closed_finals.add(q)
-            for c in cl:
-                arcs.update((q, i, o, d) for i, o, d in out[c])
-        finals = closed_finals
-
-    # trim: forward-reachable and co-reachable
-    fwd = [[] for _ in range(n)]
-    bwd = [[] for _ in range(n)]
-    for s, _, _, d in arcs:
-        fwd[s].append(d)
-        bwd[d].append(s)
-    useful = _reach([initial], fwd) & _reach(finals, bwd)
-    if initial not in useful:
+        else:
+            out[s].append((i, o, d))
+        into[d].append(s)
+    finals = set(finals)
+    live = _reach(finals, into)
+    if initial not in live:
         return Fst(table, 1, 0, frozenset(), (), True)
 
-    # canonical renumbering: BFS from the initial state, arcs explored in
-    # label order; ties on identical labels break on old dst id.  Only
-    # useful states are reachable over arcs into useful states.
-    out = [[] for _ in range(n)]
-    for s, i, o, d in sorted(arcs):
-        if d in useful:
-            out[s].append((i, o, d))
-    keys, new_arcs = _explore(initial, out.__getitem__)
+    # epsilon-pair closure: eps:eps arcs are construction glue only
+    closed = {}
+    for q in range(n):
+        if eps[q]:
+            cl = _reach([q], eps)
+            closed[q] = (not finals.isdisjoint(cl),
+                         [arc for c in cl for arc in out[c]])
+    for q, (final, arcs_q) in closed.items():
+        if final:
+            finals.add(q)
+        out[q] = arcs_q
+
+    def moves(q):
+        return sorted({arc for arc in out[q] if arc[2] in live})
+
+    keys, new_arcs = _explore(initial, moves)
     new_arcs.sort()
     new_finals = frozenset(k for k, q in enumerate(keys) if q in finals)
     return Fst(table, len(keys), 0, new_finals, tuple(new_arcs),
@@ -369,7 +373,10 @@ def _subset_construct(m: Fst, state_cap: Optional[int] = None):
     """Subset construction over atomic labels (in, out).  For recognizers
     the atoms are identity pairs, so this is ordinary determinization.
     One-sided epsilon labels are atoms too: there is no closure here.
-    Returns (dfa-ish parts) or None when state_cap is exceeded."""
+    Returns (n, initial, finals, arcs) of the subset machine: n states
+    numbered by `_explore` with initial state 0, the set of states whose
+    subset holds a final state, and the (src, in, out, dst) arcs, each
+    state's in label order.  Returns None when state_cap is exceeded."""
     adj = m.adjacency()
 
     def moves(subset):
@@ -400,7 +407,9 @@ def determinize(m: Fst, pair_atomic: bool = False) -> Fst:
 
 def _moore_minimize_dfa(n, initial, finals, arcs, table) -> Fst:
     """Moore partition refinement on a (possibly partial) deterministic
-    machine whose labels are treated atomically.
+    machine whose labels are treated atomically, numbered canonically.
+    `arcs` must list each state's arcs in label order, as `_explore` gives
+    them for the subset and product machines.
 
     A state's signature is built only from the arcs it has: the labels it
     can read, in label order, and the classes they lead to.  A missing arc
@@ -410,12 +419,19 @@ def _moore_minimize_dfa(n, initial, finals, arcs, table) -> Fst:
     Finality and the label set never change, so they form the first
     partition, and each round only compares target classes.
 
-    Every state must be able to reach a final state, as in the subset
-    machine of a trimmed machine: a state with an arc into a dead state
-    and one without that arc would otherwise stay apart."""
+    The quotient numbers itself: a BFS from the initial state's class
+    reads each class's arcs off one member, in label order.  It is
+    deterministic, so its arcs come out sorted, numbered as `_finish`
+    would number them, with no further normalization.
+
+    Every state should be able to reach a final state, as in the subset
+    machine of a trimmed machine; then the result is the minimal machine.
+    Otherwise (a machine built directly from its arcs, untrimmed) a state
+    with an arc into a dead state and one without that arc stay apart,
+    and `_finish` drops the dead classes from the quotient."""
     labs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     dsts: list[list[int]] = [[] for _ in range(n)]
-    for s, i, o, d in sorted(arcs):
+    for s, i, o, d in arcs:
         labs[s].append((i, o))
         dsts[s].append(d)
     first: dict[tuple, int] = {}
@@ -431,9 +447,23 @@ def _moore_minimize_dfa(n, initial, finals, arcs, table) -> Fst:
         if len(sig_index) == k:
             break
         k = len(sig_index)
-    new_arcs = {(cls[s], i, o, cls[d]) for s, i, o, d in arcs}
-    new_finals = {cls[f] for f in finals}
-    return _finish(table, k, cls[initial], new_finals, new_arcs)
+    member = [0] * k
+    for q, c in enumerate(cls):
+        member[c] = q
+
+    def moves(c):
+        q = member[c]
+        return [(i, o, cls[d]) for (i, o), d in zip(labs[q], dsts[q])]
+
+    keys, new_arcs = _explore(cls[initial], moves)
+    new_finals = frozenset(k for k, c in enumerate(keys) if member[c] in finals)
+    into: list[list[int]] = [[] for _ in keys]
+    for s, _, _, d in new_arcs:
+        into[d].append(s)
+    if len(_reach(new_finals, into)) < len(keys):
+        return _finish(table, len(keys), 0, new_finals, new_arcs)
+    return Fst(table, len(keys), 0, new_finals, tuple(new_arcs),
+               _is_recognizer(new_arcs))
 
 
 def minimize(m: Fst, pair_atomic: bool = False) -> Fst:
@@ -475,41 +505,18 @@ def complement(m: Fst) -> Fst:
     return difference(sigma_star(m.table, m.table.all_ids()), m)
 
 
-def intersection(a: Fst, b: Fst) -> Fst:
-    _require_recognizer(a, "intersection")
-    _require_recognizer(b, "intersection")
-    _check_tables(a, b)
-    adj_a = a.adjacency()
-    adj_b = b.adjacency()
+def _boolean_product(a: Fst, b: Fst, b_final: bool) -> Fst:
+    """The minimal machine of L(a) and L(b) (`b_final`) or of L(a) minus
+    L(b) (not `b_final`), as one product of the subset machines of `a`
+    and `b`, built without completing or complementing `b`.
 
-    def moves(key):
-        pa, pb = key
-        by_sym_b: dict[int, list[int]] = {}
-        for i, _, d in adj_b[pb]:
-            by_sym_b.setdefault(i, []).append(d)
-        for i, _, da in sorted(adj_a[pa]):
-            for db in by_sym_b.get(i, ()):
-                yield i, i, (da, db)
-
-    keys, arcs = _explore((a.initial, b.initial), moves)
-    finals = [k for k, (pa, pb) in enumerate(keys)
-              if pa in a.finals and pb in b.finals]
-    got = _finish(a.table, len(keys), 0, finals, arcs)
-    return minimize(got)
-
-
-def difference(a: Fst, b: Fst) -> Fst:
-    """L(a) minus L(b), as one product of the subset machines of `a` and
-    `b`, built without completing or complementing `b`.
-
-    A move that `b`'s subset machine lacks goes to the dead state -1,
-    which never leaves and is never final; a product state is final when
-    `a`'s subset is final and `b`'s is not.  The product is deterministic,
-    so once the states that cannot reach a final one are dropped it goes
-    straight to Moore refinement, and the result is the canonical minimal
-    machine."""
-    _require_recognizer(a, "difference")
-    _require_recognizer(b, "difference")
+    A product state is final when `a`'s subset is final and the finality
+    of `b`'s subset is `b_final`.  For a difference, a move that `b`'s
+    subset machine lacks goes to the dead state -1, which never leaves and
+    is never final; for an intersection such a move is not taken.  The
+    product is deterministic, so once the states that cannot reach a final
+    one are dropped it goes straight to Moore refinement, and the result is
+    the canonical minimal machine."""
     table = _check_tables(a, b)
     na, _, finals_a, arcs_a = _subset_construct(a)
     nb, _, finals_b, arcs_b = _subset_construct(b)
@@ -524,11 +531,13 @@ def difference(a: Fst, b: Fst) -> Fst:
         pa, pb = key
         step = step_b[pb] if pb >= 0 else {}
         for i, da in step_a[pa]:
-            yield i, i, (da, step.get(i, -1))
+            db = step.get(i, -1)
+            if db >= 0 or not b_final:
+                yield i, i, (da, db)
 
     keys, arcs = _explore((0, 0), moves)
-    finals = [k for k, (pa, pb) in enumerate(keys)
-              if pa in finals_a and pb not in finals_b]
+    finals = {k for k, (pa, pb) in enumerate(keys)
+              if pa in finals_a and (pb in finals_b) == b_final}
     # keep only the states that can still reach a final one
     into: list[list[int]] = [[] for _ in keys]
     for s, _, _, d in arcs:
@@ -538,6 +547,20 @@ def difference(a: Fst, b: Fst) -> Fst:
         return empty_lang(table)
     arcs = [arc for arc in arcs if arc[3] in live]
     return _moore_minimize_dfa(len(keys), 0, finals, arcs, table)
+
+
+def intersection(a: Fst, b: Fst) -> Fst:
+    """L(a) and L(b); see `_boolean_product`."""
+    _require_recognizer(a, "intersection")
+    _require_recognizer(b, "intersection")
+    return _boolean_product(a, b, True)
+
+
+def difference(a: Fst, b: Fst) -> Fst:
+    """L(a) minus L(b); see `_boolean_product`."""
+    _require_recognizer(a, "difference")
+    _require_recognizer(b, "difference")
+    return _boolean_product(a, b, False)
 
 
 def containment(m: Fst) -> Fst:

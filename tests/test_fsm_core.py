@@ -521,3 +521,194 @@ def test_mixed_tables_rejected():
     b = literal(SymbolTable("ab"), "b")
     with pytest.raises(FsmError):
         union(a, b)
+
+
+# -- the normalization kernels against the earlier ones -------------------------
+
+
+def _reference_finish(table, n, initial, finals, arcs):
+    """`fsm._finish` as it was before it closed only the states with an
+    epsilon-pair arc and sorted per state, kept verbatim as the reference."""
+    arcs = set(arcs)
+    finals = set(finals)
+
+    # epsilon-pair closure: eps:eps arcs are construction glue only
+    eps = [[] for _ in range(n)]
+    for s, i, o, d in arcs:
+        if i == EPS and o == EPS:
+            eps[s].append(d)
+    if any(eps):
+        out = [[] for _ in range(n)]
+        for s, i, o, d in arcs:
+            if not (i == EPS and o == EPS):
+                out[s].append((i, o, d))
+        arcs = set()
+        closed_finals = set()
+        for q in range(n):
+            cl = fsm._reach([q], eps)
+            if not finals.isdisjoint(cl):
+                closed_finals.add(q)
+            for c in cl:
+                arcs.update((q, i, o, d) for i, o, d in out[c])
+        finals = closed_finals
+
+    # trim: forward-reachable and co-reachable
+    fwd = [[] for _ in range(n)]
+    bwd = [[] for _ in range(n)]
+    for s, _, _, d in arcs:
+        fwd[s].append(d)
+        bwd[d].append(s)
+    useful = fsm._reach([initial], fwd) & fsm._reach(finals, bwd)
+    if initial not in useful:
+        return Fst(table, 1, 0, frozenset(), (), True)
+
+    # canonical renumbering: BFS from the initial state, arcs explored in
+    # label order; ties on identical labels break on old dst id.  Only
+    # useful states are reachable over arcs into useful states.
+    out = [[] for _ in range(n)]
+    for s, i, o, d in sorted(arcs):
+        if d in useful:
+            out[s].append((i, o, d))
+    keys, new_arcs = fsm._explore(initial, out.__getitem__)
+    new_arcs.sort()
+    new_finals = frozenset(k for k, q in enumerate(keys) if q in finals)
+    return Fst(table, len(keys), 0, new_finals, tuple(new_arcs),
+               fsm._is_recognizer(new_arcs))
+
+
+def _reference_moore(n, initial, finals, arcs, table):
+    """`fsm._moore_minimize_dfa` as it was before it numbered its own
+    quotient: the quotient went through `_finish`."""
+    labs = [[] for _ in range(n)]
+    dsts = [[] for _ in range(n)]
+    for s, i, o, d in sorted(arcs):
+        labs[s].append((i, o))
+        dsts[s].append(d)
+    first = {}
+    cls = [first.setdefault((q in finals, tuple(labs[q])), len(first))
+           for q in range(n)]
+    k = len(first)
+    while True:
+        sig_index = {}
+        cls = [sig_index.setdefault((cls[q], tuple([cls[d] for d in dsts[q]])),
+                                    len(sig_index))
+               for q in range(n)]
+        if len(sig_index) == k:
+            break
+        k = len(sig_index)
+    new_arcs = {(cls[s], i, o, cls[d]) for s, i, o, d in arcs}
+    new_finals = {cls[f] for f in finals}
+    return _reference_finish(table, k, cls[initial], new_finals, new_arcs)
+
+
+def _random_raw(rng, tb):
+    """Raw construction output: epsilon-pair arcs (cycles among them
+    included), one-sided epsilon labels, duplicate arcs, unreachable and
+    dead states, any initial state, possibly no finals."""
+    n = rng.randint(1, 7)
+    syms = list(tb.user_ids())
+    arcs = []
+    for _ in range(rng.randint(0, 3 * n)):
+        roll = rng.random()
+        if roll < 0.25:
+            i = o = EPS
+        elif roll < 0.6:
+            i = o = rng.choice(syms)
+        else:
+            i, o = rng.choice(syms + [EPS]), rng.choice(syms + [EPS])
+        arcs.append((rng.randrange(n), i, o, rng.randrange(n)))
+    if arcs and rng.random() < 0.3:
+        arcs += rng.choices(arcs, k=rng.randint(1, len(arcs)))
+    rng.shuffle(arcs)
+    finals = [q for q in range(n) if rng.random() < 0.3]
+    return n, rng.randrange(n), finals, arcs
+
+
+def _raw_shape(n, initial, finals, arcs):
+    eps = [[] for _ in range(n)]
+    fwd = [[] for _ in range(n)]
+    bwd = [[] for _ in range(n)]
+    for s, i, o, d in arcs:
+        if i == EPS and o == EPS:
+            eps[s].append(d)
+        fwd[s].append(d)
+        bwd[d].append(s)
+    return {
+        "eps_cycle": any(s in fsm._reach([d], eps)
+                         for s in range(n) for d in eps[s]),
+        "one_sided": any((i == EPS) != (o == EPS) for _, i, o, _ in arcs),
+        "duplicate": len(set(arcs)) < len(arcs),
+        "unreachable": len(fsm._reach([initial], fwd)) < n,
+        "dead": len(fsm._reach(finals, bwd)) < n,
+        "nonzero_initial": initial != 0,
+        "no_finals": not finals,
+    }
+
+
+def test_finish_matches_the_reference_kernel():
+    rng = random.Random(2026)
+    tb = SymbolTable("abc")
+    seen = dict.fromkeys(_raw_shape(1, 0, [], []), 0)
+    for _ in range(2500):
+        n, initial, finals, arcs = _random_raw(rng, tb)
+        for key, hit in _raw_shape(n, initial, finals, arcs).items():
+            seen[key] += hit
+        got = fsm._finish(tb, n, initial, finals, arcs)
+        want = _reference_finish(tb, n, initial, finals, arcs)
+        assert got.same_structure(want), (n, initial, finals, arcs)
+        assert got.is_recognizer == want.is_recognizer
+    assert min(seen.values()) >= 200, seen
+
+
+def test_moore_matches_the_reference_kernel():
+    # untrimmed machines given by their arcs have dead subset states, the
+    # one case where the quotient still needs a trim
+    rng = random.Random(2027)
+    tb = SymbolTable("abc")
+    dead = 0
+    for _ in range(1000):
+        m = random_arc_machine(rng, tb, max_states=rng.randint(1, 6),
+                               recognizer=rng.random() < 0.5)
+        built = fsm._subset_construct(m)
+        want = _reference_moore(*built, tb)
+        got = fsm._moore_minimize_dfa(*built, tb)
+        assert got.same_structure(want), m.arcs
+        assert got.is_recognizer == want.is_recognizer
+        assert reduce_pairs(m).same_structure(
+            want if want.n <= m.n else m)
+        dead += not m.same_structure(canonicalize(m))
+    assert dead >= 200
+
+
+def test_minimize_is_a_fixed_point():
+    # on trimmed machines, as every constructor builds them: Moore
+    # refinement needs every subset state to reach a final one
+    rng = random.Random(2028)
+    tb = SymbolTable("ab")
+    for k in range(400):
+        if k % 2:
+            m = canonicalize(random_arc_machine(rng, tb, max_states=5,
+                                                recognizer=True))
+        else:
+            m = build_regex(random_regex(rng, "ab", 3), tb)
+        mini = minimize(m)
+        assert canonicalize(mini).same_structure(mini)
+        assert minimize(mini).same_structure(mini)
+
+
+def test_intersection_and_difference_are_set_operations():
+    rng = random.Random(2029)
+    tb = SymbolTable("ab")
+    for k in range(300):
+        a = build_regex(random_regex(rng, "ab", 3), tb)
+        if k % 3:
+            b = build_regex(random_regex(rng, "ab", 3), tb)
+        else:
+            b = random_arc_machine(rng, tb, max_states=4, recognizer=True)
+        la, lb = lang_enum(a, 4), lang_enum(b, 4)
+        both, rest = intersection(a, b), difference(a, b)
+        assert lang_enum(both, 4) == la & lb
+        assert lang_enum(rest, 4) == la - lb
+        assert both.same_structure(minimize(both))
+        assert rest.same_structure(minimize(rest))
+        assert both.same_structure(intersection(b, a))
