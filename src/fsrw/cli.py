@@ -29,6 +29,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _UsageError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise _UsageError("%s is not UTF-8 text: %s" % (path, exc))
 
 
 class _UsageError(Exception):

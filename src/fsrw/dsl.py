@@ -11,7 +11,10 @@ Expressions: `[...]` sequence, `{...}` union, `[]` empty string, `{}` empty
 language, `?` any user symbol, postfix `*` `+` `^`(option), prefix `~`
 (complement) and `$` (containment), infix `:` (symbol pair), `x` (cross
 product), `-` (difference), `&` (intersection), `o` (composition);
-precedence in that order, all binary operators left-associative.  Bare
+precedence in that order, all binary operators left-associative; the
+tables `_POSTFIX`, `_PREFIX`, `_INFIX` and `_WRAPPERS` define each operator
+once for the parser, the compiler and the printer.  Builtin operators such
+as `$$(e)` or `sig()` are calls, listed in `_BUILTINS`.  Bare
 alphanumeric tokens are symbols, `'...'` quotes arbitrary glyphs (doubled
 `''` for a quote), integers are the corresponding digit-string symbols
 except where an operator takes a count.  `%` starts a comment.
@@ -23,9 +26,10 @@ repetition that recursion would otherwise provide.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .capture import lm_concat as _lm_concat
 from .replace import compose_cascade
@@ -68,107 +72,55 @@ class RuleError(FsmError):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str
+    kind: str  # "ident", "quoted", "int", "eof", or punctuation's own text
     text: str
     line: int
     col: int
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT = re.compile(r"[0-9]+")
-_PUNCT = {
-    "[": "lbracket", "]": "rbracket", "{": "lbrace", "}": "rbrace",
-    "(": "lparen", ")": "rparen", ",": "comma", ".": "dot",
-    "*": "star", "+": "plus", "^": "caret", "~": "tilde",
-    ":": "colon", "&": "amp", "-": "minus", "?": "qmark",
-}
+# One alternative per token class, tried in order.  A quote ends at a lone
+# "'" ("''" stands for a quote inside it); a character that no alternative
+# takes reaches `bad`.
+_TOKEN = re.compile(r"""
+    (?P<space>[ \t\r]+) | (?P<newline>\n) | (?P<comment>%[^\n]*)
+  | '(?P<quoted>(?:[^'\n]|'')*)'(?!')
+  | (?P<int>[0-9]+) | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<punct>\$\$|\#alphabet(?![A-Za-z0-9_])|[\[\]{}(),.*+^~:&?$-])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def tokenize(text: str) -> list[Token]:
     toks = []
-    i = 0
-    line, col = 1, 1
-
-    def err(msg):
-        raise RuleError("%s at line %d, column %d" % (msg, line, col))
-
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN.finditer(text):
+        kind, at = m.lastgroup, m.start()
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind in ("space", "comment"):
             continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == "#":
-            m = _IDENT.match(text, i + 1)
-            if m and m.group(0) == "alphabet":
-                toks.append(Token("directive", "alphabet", start_line, start_col))
-                col += m.end() - i
-                i = m.end()
-                continue
-            err("unexpected '#' (quote it to use it as a symbol)")
-        if ch == "$":
-            if text.startswith("$$", i):
-                toks.append(Token("dollar2", "$$", start_line, start_col))
-                i += 2
-                col += 2
+        col = at - line_start + 1
+        value = m.group(kind)
+        if kind == "bad":
+            if value == "'":
+                msg = "newline in quoted symbol" if "\n" in text[at:] \
+                    else "unterminated quoted symbol"
+            elif value == "#":
+                msg = "unexpected '#' (quote it to use it as a symbol)"
             else:
-                toks.append(Token("dollar", "$", start_line, start_col))
-                i += 1
-                col += 1
-            continue
-        if ch == "'":
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    err("unterminated quoted symbol")
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                if text[j] == "\n":
-                    err("newline in quoted symbol")
-                buf.append(text[j])
-                j += 1
-            if not buf:
-                err("empty quoted symbol")
-            toks.append(Token("quoted", "".join(buf), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        m = _INT.match(text, i)
-        if m:
-            toks.append(Token("int", m.group(0), start_line, start_col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            toks.append(Token("ident", m.group(0), start_line, start_col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        if ch in _PUNCT:
-            toks.append(Token(_PUNCT[ch], ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        err("unexpected character %r" % ch)
-    toks.append(Token("eof", "", line, col))
+                msg = "unexpected character %r" % value
+            raise RuleError("%s at line %d, column %d" % (msg, line, col))
+        if kind == "quoted":
+            if not value:
+                raise RuleError("empty quoted symbol at line %d, column %d"
+                                % (line, col))
+            value = value.replace("''", "'")
+        toks.append(Token(value if kind == "punct" else kind, value, line, col))
+    # the end of input sits where a trailing comment starts
+    end = m.start() if m and m.lastgroup == "comment" else len(text)
+    toks.append(Token("eof", "", line, end - line_start + 1))
     return toks
 
 
@@ -329,20 +281,37 @@ class RuleProgram:
     main: object
 
 
-_WRAPPERS = {"domain": Domain, "range": Range, "identity": Identity,
-             "inverse": Inverse}
+# Each operator of the calculus once: its text, its node class and the fsm
+# builder that compiles it.  Postfix binds tightest, then prefix, then each
+# infix operator by its own binding power; infix operators associate to the
+# left.  ':' pairs two symbols, not two machines, so it has no builder: the
+# compiler reads its sides itself.
+_BP_POSTFIX, _BP_PREFIX = 70, 60
+_POSTFIX = {"*": (Star, star), "+": (Plus, plus), "^": (Option, option)}
+_PREFIX = {"~": (Complement, complement), "$": (Contain, containment)}
+_INFIX = {":": (50, Pair, None), "x": (40, Cross, cross_product),
+          "-": (30, Diff, difference), "&": (30, Intersect, intersection),
+          "o": (20, Compose, compose)}
+_WRAPPERS = {"domain": (Domain, lambda m: project(m, "domain")),
+             "range": (Range, lambda m: project(m, "range")),
+             "identity": (Identity, identity_lift), "inverse": (Inverse, invert)}
 
-# binding powers; postfix binds tightest, composition loosest
-_BP_COMPOSE = 20
-_BP_DIFF = 30
-_BP_CROSS = 40
-_BP_PAIR = 50
-_BP_PREFIX = 60
-_BP_POSTFIX = 70
 
-_INFIX = {"colon": (_BP_PAIR, Pair), "minus": (_BP_DIFF, Diff),
-          "amp": (_BP_DIFF, Intersect)}
-_INFIX_IDENT = {"x": (_BP_CROSS, Cross), "o": (_BP_COMPOSE, Compose)}
+class _Op(NamedTuple):
+    fixity: str  # "postfix", "prefix", "infix" or "wrapper"
+    text: str
+    bp: int
+    build: Optional[Callable[..., Fst]]
+
+
+# node class -> its operator, for the compiler, the printer and the tree walk
+_OPS = {cls: _Op(fixity, text, bp, build)
+        for fixity, bp, table in (("postfix", _BP_POSTFIX, _POSTFIX),
+                                  ("prefix", _BP_PREFIX, _PREFIX),
+                                  ("wrapper", 0, _WRAPPERS))
+        for text, (cls, build) in table.items()}
+_OPS.update({cls: _Op("infix", text, bp, build)
+             for text, (bp, cls, build) in _INFIX.items()})
 
 
 class _Parser:
@@ -374,62 +343,49 @@ class _Parser:
         node = self.nud()
         while True:
             tok = self.peek()
-            if tok.kind in ("star", "plus", "caret"):
-                if _BP_POSTFIX < min_bp:
-                    break
+            # 'x' and 'o' are identifiers, every other operator punctuation
+            op = tok.text if tok.kind in ("ident", tok.text) else None
+            if op in _POSTFIX:
                 self.next()
-                cls = {"star": Star, "plus": Plus, "caret": Option}[tok.kind]
-                node = cls(node)
-                continue
-            if tok.kind in _INFIX:
-                bp, cls = _INFIX[tok.kind]
-                if bp < min_bp:
-                    break
+                node = _POSTFIX[op][0](node)
+            elif op in _INFIX and _INFIX[op][0] >= min_bp:
+                bp, cls, _ = _INFIX[op]
                 self.next()
                 node = cls(node, self.expr(bp + 1))
-                continue
-            if tok.kind == "ident" and tok.text in _INFIX_IDENT:
-                bp, cls = _INFIX_IDENT[tok.text]
-                if bp < min_bp:
-                    break
-                self.next()
-                node = cls(node, self.expr(bp + 1))
-                continue
-            break
-        return node
+            else:
+                return node
 
     def nud(self):
         tok = self.next()
-        if tok.kind == "ident":
-            if self.peek().kind == "lparen":
+        kind = tok.kind
+        if kind == "ident":
+            if self.peek().kind == "(":
                 return self.call(tok)
             return Literal(tok.text)
-        if tok.kind == "quoted":
+        if kind == "quoted":
             return Literal(tok.text)
-        if tok.kind == "int":
+        if kind == "int":
             return IntLit(int(tok.text))
-        if tok.kind == "minus" and self.peek().kind == "int":
+        if kind == "-" and self.peek().kind == "int":
             return IntLit(-int(self.next().text))
-        if tok.kind == "qmark":
+        if kind == "?":
             return AnySym()
-        if tok.kind == "lbracket":
-            items = self.items("rbracket")
+        if kind == "[":
+            items = self.items("]")
             return EmptyString() if not items else Seq(tuple(items))
-        if tok.kind == "lbrace":
-            items = self.items("rbrace")
+        if kind == "{":
+            items = self.items("}")
             return EmptyLang() if not items else Union(tuple(items))
-        if tok.kind == "lparen":
+        if kind == "(":
             node = self.expr(0)
-            self.expect("rparen")
+            self.expect(")")
             return node
-        if tok.kind == "tilde":
-            return Complement(self.expr(_BP_PREFIX))
-        if tok.kind == "dollar":
-            return Contain(self.expr(_BP_PREFIX))
-        if tok.kind == "dollar2":
-            self.expect("lparen")
+        if kind in _PREFIX:
+            return _PREFIX[kind][0](self.expr(_BP_PREFIX))
+        if kind == "$$":
+            self.expect("(")
             node = self.expr(0)
-            self.expect("rparen")
+            self.expect(")")
             return Call("$$", (node,))
         self.err("expected an expression, found %r" % (tok.text or tok.kind), tok)
 
@@ -443,12 +399,12 @@ class _Parser:
             tok = self.next()
             if tok.kind == closing:
                 return items
-            if tok.kind != "comma":
+            if tok.kind != ",":
                 self.err("expected ',' or %r" % closing, tok)
 
     def call(self, name_tok: Token):
-        self.expect("lparen")
-        args = self.items("rparen")
+        self.expect("(")
+        args = self.items(")")
         name = name_tok.text
         if name == "replace":
             if len(args) != 3:
@@ -463,7 +419,7 @@ class _Parser:
         if name in _WRAPPERS:
             if len(args) != 1:
                 self.err("%s takes one argument" % name, name_tok)
-            return _WRAPPERS[name](args[0])
+            return _WRAPPERS[name][0](args[0])
         return Call(name, tuple(args))
 
     # clauses ----------------------------------------------------------
@@ -474,9 +430,9 @@ class _Parser:
         main = None
         while self.peek().kind != "eof":
             tok = self.peek()
-            if tok.kind == "directive":
+            if tok.kind == "#alphabet":
                 self.next()
-                while self.peek().kind != "dot":
+                while self.peek().kind != ".":
                     g = self.next()
                     if g.kind not in ("ident", "quoted", "int"):
                         self.err("alphabet entries are symbols", g)
@@ -484,11 +440,11 @@ class _Parser:
                 self.next()
                 continue
             if tok.kind == "ident" and tok.text == "macro" \
-                    and self.toks[self.pos + 1].kind == "lparen":
+                    and self.toks[self.pos + 1].kind == "(":
                 macros.append(self.macro_clause())
                 continue
             node = self.expr(0)
-            self.expect("dot")
+            self.expect(".")
             if main is not None:
                 self.err("a program has exactly one main expression", tok)
             main = node
@@ -498,10 +454,10 @@ class _Parser:
 
     def macro_clause(self) -> MacroDef:
         self.next()
-        self.expect("lparen")
+        self.expect("(")
         head = self.expect("ident")
         params: list[str] = []
-        if self.peek().kind == "lparen":
+        if self.peek().kind == "(":
             self.next()
             while True:
                 p = self.expect("ident")
@@ -509,14 +465,14 @@ class _Parser:
                     self.err("duplicate parameter %r" % p.text, p)
                 params.append(p.text)
                 tok = self.next()
-                if tok.kind == "rparen":
+                if tok.kind == ")":
                     break
-                if tok.kind != "comma":
+                if tok.kind != ",":
                     self.err("expected ',' or ')' in parameter list", tok)
-        self.expect("comma")
+        self.expect(",")
         body = self.expr(0)
-        self.expect("rparen")
-        self.expect("dot")
+        self.expect(")")
+        self.expect(".")
         return MacroDef(head.text, tuple(params), self.bind_vars(body, set(params)))
 
     def bind_vars(self, node, params: set):
@@ -531,29 +487,40 @@ class _Parser:
 
 def _children_rebuilder(node):
     """Return (children, rebuild) for composite nodes, None for leaves."""
-    if isinstance(node, (Seq, Union, LmConcat)):
-        cls = type(node)
+    cls = type(node)
+    if cls in (Seq, Union, LmConcat):
         return list(node.items), lambda cs: cls(tuple(cs))
-    if isinstance(node, (Star, Plus, Option, Complement, Contain,
-                         Domain, Range, Identity, Inverse)):
-        cls = type(node)
-        return [node.item], lambda cs: cls(cs[0])
-    if isinstance(node, RepeatN):
+    op = _OPS.get(cls)
+    if op is not None:
+        children = [node.left, node.right] if op.fixity == "infix" else [node.item]
+        return children, lambda cs: cls(*cs)
+    if cls is RepeatN:
         return [node.item], lambda cs: RepeatN(cs[0], node.count)
-    if isinstance(node, (Diff, Intersect, Pair, Cross, Compose)):
-        cls = type(node)
-        return [node.left, node.right], lambda cs: cls(cs[0], cs[1])
-    if isinstance(node, Replace):
+    if cls is Replace:
         return [node.target, node.left, node.right], lambda cs: Replace(*cs)
-    if isinstance(node, Call):
+    if cls is Call:
         return list(node.args), lambda cs: Call(node.name, tuple(cs))
     return None
 
 
+def _front_door(fn):
+    """Report a rule too deeply nested for the interpreter's stack as a
+    RuleError rather than a RecursionError."""
+    @functools.wraps(fn)
+    def door(text: str):
+        try:
+            return fn(text)
+        except RecursionError:
+            raise RuleError("rule nested too deeply") from None
+    return door
+
+
+@_front_door
 def parse_program(text: str) -> RuleProgram:
     return _Parser(tokenize(text)).program()
 
 
+@_front_door
 def parse_expr(text: str):
     p = _Parser(tokenize(text))
     node = p.expr(0)
@@ -596,12 +563,8 @@ _EXPANSION_LIMIT = 200
 
 
 def stdlib_macros() -> dict:
-    env = {}
-    p = _Parser(tokenize(_STDLIB_SRC + "[].\n"))
-    prog = p.program()
-    for m in prog.macros:
-        env[(m.name, len(m.params))] = m
-    return env
+    prog = _Parser(tokenize(_STDLIB_SRC + "[].\n")).program()
+    return {(m.name, len(m.params)): m for m in prog.macros}
 
 
 def macro_env(program: RuleProgram) -> dict:
@@ -742,34 +705,13 @@ class Compiler:
             return concat(*[self._c(x) for x in node.items])
         if isinstance(node, Union):
             return union(*[self._c(x) for x in node.items])
-        if isinstance(node, Star):
-            return star(self._c(node.item))
-        if isinstance(node, Plus):
-            return plus(self._c(node.item))
-        if isinstance(node, Option):
-            return option(self._c(node.item))
-        if isinstance(node, Complement):
-            return complement(self._c(node.item))
-        if isinstance(node, Contain):
-            return containment(self._c(node.item))
-        if isinstance(node, Diff):
-            return difference(self._c(node.left), self._c(node.right))
-        if isinstance(node, Intersect):
-            return intersection(self._c(node.left), self._c(node.right))
         if isinstance(node, Pair):
             return symbol_pair(t, _as_symbol(node.left), _as_symbol(node.right))
-        if isinstance(node, Cross):
-            return cross_product(self._c(node.left), self._c(node.right))
-        if isinstance(node, Compose):
-            return compose(self._c(node.left), self._c(node.right))
-        if isinstance(node, Domain):
-            return project(self._c(node.item), "domain")
-        if isinstance(node, Range):
-            return project(self._c(node.item), "range")
-        if isinstance(node, Identity):
-            return identity_lift(self._c(node.item))
-        if isinstance(node, Inverse):
-            return invert(self._c(node.item))
+        op = _OPS.get(type(node))
+        if op is not None:
+            if op.fixity == "infix":
+                return op.build(self._c(node.left), self._c(node.right))
+            return op.build(self._c(node.item))
         if isinstance(node, RepeatN):
             return kit.match_n(node.count, self._c(node.item))
         if isinstance(node, Replace):
@@ -815,6 +757,7 @@ def compile_program(ast, table: SymbolTable) -> Fst:
     return Compiler(table).compile(ast)
 
 
+@_front_door
 def compile_rules(text: str) -> CompiledProgram:
     """Front door: parse, expand, build the alphabet, compile.  A top-level
     replace or lm_concat rule is built from its pieces, each compiled once."""
@@ -850,7 +793,7 @@ _BARE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
 def _glyph_src(g: str) -> str:
-    if _BARE.match(g) and g not in ("x", "o"):
+    if _BARE.match(g) and g not in _INFIX:
         return g
     return "'" + g.replace("'", "''") + "'"
 
@@ -875,25 +818,6 @@ def pretty_print(node, min_bp: int = 0) -> str:
         return "[" + ",".join(pretty_print(x) for x in node.items) + "]"
     if isinstance(node, Union):
         return "{" + ",".join(pretty_print(x) for x in node.items) + "}"
-    if isinstance(node, (Star, Plus, Option)):
-        mark = {"Star": "*", "Plus": "+", "Option": "^"}[type(node).__name__]
-        return wrap(pretty_print(node.item, _BP_POSTFIX + 1) + mark, _BP_POSTFIX)
-    if isinstance(node, Complement):
-        return wrap("~" + pretty_print(node.item, _BP_PREFIX), _BP_PREFIX)
-    if isinstance(node, Contain):
-        s = pretty_print(node.item, _BP_PREFIX)
-        if s.startswith("$"):
-            # keep '$' + '$...' from gluing into the '$$' token
-            s = " " + s
-        return wrap("$" + s, _BP_PREFIX)
-    if isinstance(node, (Diff, Intersect, Pair, Cross, Compose)):
-        bp, mark = {"Diff": (_BP_DIFF, " - "), "Intersect": (_BP_DIFF, " & "),
-                    "Pair": (_BP_PAIR, ":"), "Cross": (_BP_CROSS, " x "),
-                    "Compose": (_BP_COMPOSE, " o ")}[type(node).__name__]
-        s = pretty_print(node.left, bp) + mark + pretty_print(node.right, bp + 1)
-        return wrap(s, bp)
-    if isinstance(node, (Domain, Range, Identity, Inverse)):
-        return "%s(%s)" % (type(node).__name__.lower(), pretty_print(node.item))
     if isinstance(node, RepeatN):
         return "match_n(%d, %s)" % (node.count, pretty_print(node.item))
     if isinstance(node, Replace):
@@ -902,9 +826,22 @@ def pretty_print(node, min_bp: int = 0) -> str:
     if isinstance(node, LmConcat):
         return "lm_concat([" + ",".join(pretty_print(x) for x in node.items) + "])"
     if isinstance(node, Call):
-        if node.name == "$$":
-            return "$$(" + pretty_print(node.args[0]) + ")"
         if not node.args:
             return node.name + "()"
         return node.name + "(" + ", ".join(pretty_print(a) for a in node.args) + ")"
-    raise RuleError("cannot print %r" % (node,))
+    op = _OPS.get(type(node))
+    if op is None:
+        raise RuleError("cannot print %r" % (node,))
+    if op.fixity == "wrapper":
+        return "%s(%s)" % (op.text, pretty_print(node.item))
+    if op.fixity == "postfix":
+        return wrap(pretty_print(node.item, op.bp + 1) + op.text, op.bp)
+    if op.fixity == "prefix":
+        s = pretty_print(node.item, op.bp)
+        if op.text + s[:1] == "$$":
+            # keep '$' + '$...' from gluing into the '$$' token
+            s = " " + s
+        return wrap(op.text + s, op.bp)
+    mark = op.text if op.text == ":" else " %s " % op.text
+    return wrap(pretty_print(node.left, op.bp) + mark
+                + pretty_print(node.right, op.bp + 1), op.bp)

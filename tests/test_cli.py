@@ -5,7 +5,10 @@ contract."""
 
 import importlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -322,3 +325,44 @@ def test_malformed_machine_file_is_a_usage_error(tmp_path, monkeypatch,
                        "a\n")
     assert rc == 2
     assert "error: bad" in err
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "a" + ")" * 3000 + ".",
+    "~" * 3000 + "a.",
+    "macro(f(X), " + "~" * 150 + "X).\nf(f(f(f(a)))).\n",
+], ids=["parens", "prefix", "macro"])
+def test_deep_nesting_is_a_rule_error(tmp_path, text):
+    rules = tmp_path / "deep.fsr"
+    rules.write_text(text)
+    # a fresh interpreter, so the stack is the command line's own
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fsrw.cli", "compile", "-r", str(rules),
+         "-o", str(tmp_path / "deep.fst")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "nested too deeply" in proc.stderr
+
+
+def test_undecodable_rule_file_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    rules = tmp_path / "r.fsr"
+    rules.write_bytes(b"[a, \xff].")
+    rc, out, err = run(monkeypatch, capsys,
+                       ["compile", "-r", str(rules), "-o", str(tmp_path / "x")])
+    assert rc == 2
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("cmd", ["dump", "apply"])
+def test_undecodable_machine_file_is_a_usage_error(tmp_path, monkeypatch,
+                                                   capsys, cmd):
+    machine = tmp_path / "m.fst"
+    machine.write_bytes(b"fst 1 0\nsym \xff a\n")
+    rc, out, err = run(monkeypatch, capsys, [cmd, "-m", str(machine)], "a\n")
+    assert rc == 2
+    assert err.startswith("error: ") and "not UTF-8" in err

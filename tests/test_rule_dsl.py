@@ -6,6 +6,9 @@ expression ends the program, every clause ends with '.'.  Expressions use
 [] for sequence, {} for union, postfix * + ^, prefix ~ $ $$, infix : x o
 - &, and ? for any user symbol."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from hypothesis import given, settings
@@ -20,6 +23,10 @@ from fsrw import (
 )
 from fsrw.dsl import (
     _BUILTINS,
+    _INFIX,
+    _POSTFIX,
+    _PREFIX,
+    _WRAPPERS,
     AnySym,
     Call,
     Compiler,
@@ -52,6 +59,7 @@ from fsrw.dsl import (
     parse_expr,
     parse_program,
     pretty_print,
+    tokenize,
 )
 
 
@@ -80,9 +88,19 @@ def test_quoted_symbols_with_doubled_quotes():
     ("'abc.", "unterminated quoted symbol"),
     ("''.", "empty quoted symbol"),
     ("a | b.", "unexpected character '|'"),
+    ("a.\n  | b.", "unexpected character '|' at line 2, column 3"),
+    ("[a,\tb, |].", "unexpected character '|' at line 1, column 8"),
+    ("% note\n  a # b.", "unexpected '#' (quote it to use it as a symbol)"
+                         " at line 2, column 5"),
+    ("#alphabet1 a. a.", "unexpected '#' (quote it to use it as a symbol)"
+                         " at line 1, column 1"),
+    ("['ab\ncd'].", "newline in quoted symbol at line 1, column 2"),
+    ("'abc''", "unterminated quoted symbol at line 1, column 1"),
+    # a trailing comment leaves the end of input where the comment starts
+    ("a % c", "found 'eof' at line 1, column 3"),
 ])
 def test_lexer_errors(src, msg):
-    with pytest.raises(RuleError, match=msg):
+    with pytest.raises(RuleError, match=re.escape(msg)):
         compile_rules(src)
 
 
@@ -125,6 +143,16 @@ def test_program_needs_exactly_one_main():
         parse_program("macro(f, a).")
     with pytest.raises(RuleError, match="exactly one main expression"):
         parse_program("a. b.")
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_program, "(" * 3000 + "a" + ")" * 3000 + "."),
+    (parse_expr, "~" * 3000 + "a"),
+    (compile_rules, "macro(f(X), " + "~" * 150 + "X).\nf(f(f(f(a)))).\n"),
+], ids=["parens", "prefix", "macro"])
+def test_deep_nesting_is_a_rule_error(parse, text):
+    with pytest.raises(RuleError, match="nested too deeply"):
+        parse(text)
 
 
 def test_lm_concat_requires_a_bracketed_list():
@@ -413,3 +441,14 @@ def test_expand_macros_handles_nested_calls():
     """)
     ast = expand_macros(prog.main, macro_env(prog))
     assert ast == Seq((Union((Literal("a"), EmptyString())), Literal("a")))
+
+
+def test_readme_names_every_operator():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("Expression syntax")[1].split("\n\n")[1]
+    # the operator texts used in the first column's code spans
+    used = {tok.text for row in table.splitlines()[2:]
+            for span in re.findall(r"`([^`]+)`", row.split("|")[1])
+            for tok in tokenize(span) if tok.kind != "quoted"}
+    for text in [*_POSTFIX, *_PREFIX, *_INFIX, *_WRAPPERS, "$$"]:
+        assert text in used, text
