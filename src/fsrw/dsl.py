@@ -331,6 +331,13 @@ class _Parser:
         tok = tok or self.peek()
         raise RuleError("%s at line %d, column %d" % (msg, tok.line, tok.col))
 
+    def int_value(self, tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # past Python's integer string-conversion limit
+            self.err("integer literal of %d digits is too long" % len(tok.text),
+                     tok)
+
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
@@ -365,9 +372,9 @@ class _Parser:
         if kind == "quoted":
             return Literal(tok.text)
         if kind == "int":
-            return IntLit(int(tok.text))
+            return IntLit(self.int_value(tok))
         if kind == "-" and self.peek().kind == "int":
-            return IntLit(-int(self.next().text))
+            return IntLit(-self.int_value(self.next()))
         if kind == "?":
             return AnySym()
         if kind == "[":
@@ -651,12 +658,19 @@ def expand_macros(node, env: dict, depth: int = 0):
 # compilation
 
 
+def _int_glyph(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:  # past Python's integer string-conversion limit
+        raise RuleError("integer literal too long") from None
+
+
 def collect_user_glyphs(node, acc: list):
     if isinstance(node, Literal):
         if node.glyph not in acc:
             acc.append(node.glyph)
     elif isinstance(node, IntLit):
-        g = str(node.value)
+        g = _int_glyph(node.value)
         if g not in acc:
             acc.append(g)
     else:
@@ -672,7 +686,7 @@ def _as_symbol(node) -> Optional[str]:
     if isinstance(node, Literal):
         return node.glyph
     if isinstance(node, IntLit):
-        return str(node.value)
+        return _int_glyph(node.value)
     if isinstance(node, EmptyString):
         return None
     raise RuleError("':' pairs single symbols or [], not larger expressions"
@@ -698,7 +712,7 @@ class Compiler:
         if isinstance(node, IntLit):
             if node.value < 0:
                 raise RuleError("negative integers are only counts for match_n")
-            return literal(t, str(node.value))
+            return literal(t, _int_glyph(node.value))
         if isinstance(node, AnySym):
             return any_of(t, t.user_ids())
         if isinstance(node, Seq):
@@ -809,7 +823,7 @@ def pretty_print(node, min_bp: int = 0) -> str:
     if isinstance(node, Literal):
         return _glyph_src(node.glyph)
     if isinstance(node, IntLit):
-        return str(node.value)
+        return _int_glyph(node.value)
     if isinstance(node, AnySym):
         return "?"
     if isinstance(node, Var):

@@ -658,6 +658,15 @@ def invert(m: Fst) -> Fst:
     return _finish(m.table, m.n, m.initial, m.finals, arcs)
 
 
+def reverse(m: Fst) -> Fst:
+    """Every string (both sides of every pair) read backwards: the arcs
+    flipped, and a new initial state with epsilon-pair arcs to the old
+    finals."""
+    arcs = [(1 + d, i, o, 1 + s) for s, i, o, d in m.arcs]
+    arcs.extend((0, EPS, EPS, 1 + f) for f in m.finals)
+    return _finish(m.table, m.n + 1, 0, [1 + m.initial], arcs)
+
+
 # -- queries ------------------------------------------------------------------
 
 # Once a machine's input tables hold more than this many entries (subsets

@@ -11,14 +11,26 @@ All operators here stay inside the encoded universe (sequences of cells);
 `not_` and `contains` are relative to it.  `true`, `false` and the
 conditional work over the whole symbol table since they only carry
 emptiness.
+
+The replace factors filter markings with `mark_iff`, `guard_before` and
+`not_contains`.  Each is one scan over the cells, forwards or on the
+reversed tape as Mohri & Sproat mark right contexts (*An efficient
+compiler for weighted rewrite rules*, ACL 1996), and builds the same
+minimal machine as the nested complements it stands for: `l_iff_r`,
+`if_s_then_p` and `not_(contains(...))`, which stay as rule-language
+builtins.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from .fsm import (
     Fst,
     FsmError,
     SymbolTable,
+    _explore,
+    _finish,
     any_of,
     complement,
     compose,
@@ -29,8 +41,10 @@ from .fsm import (
     empty_string,
     intersection,
     literal,
+    minimize,
     plus,
     project,
+    reverse,
     sigma_star,
     star,
     symbol_pair,
@@ -231,6 +245,102 @@ class MarkerKit:
     def l_iff_r(self, l: Fst, r: Fst) -> Fst:
         """Positions after an l are exactly the positions before an r."""
         return self.p_iff_s(concat(self.xsig_star, l), concat(r, self.xsig_star))
+
+    # marker filters as one-direction scans --------------------------------
+
+    def _scan(self, pattern: Fst, cell: Optional[Fst], backward: bool,
+              allow) -> Fst:
+        """The minimal machine of the cell strings that one scan accepts.
+
+        The scan reads the tape cell by cell, forwards or (`backward`)
+        from its end, and runs the subset machine of `pattern` over the
+        symbols it reads.  At each cell boundary it asks `allow(final,
+        hit)` whether the next cell may come: `final` tells whether the
+        subset there holds a final state of `pattern`, and `hit` whether
+        the cell is in `cell`, a language of single cells (None: no cell
+        is).  The end of the tape counts as a cell that is not in `cell`.
+        A scan state is a subset at a boundary, or, halfway through a
+        cell, the subset and the symbols that may still complete the cell.
+        A backward scan accepts the reversed tapes, so it is reversed back
+        before `minimize`, which gives equal languages equal machines."""
+        t = self.table
+        adj: list[dict[int, list[int]]] = [{} for _ in range(pattern.n)]
+        for s, i, _, d in pattern.arcs:
+            adj[s].setdefault(i, []).append(d)
+        marked = set()
+        if cell is not None:
+            cadj = cell.adjacency()
+            marked = {(g, f) for g, _, mid in cadj[cell.initial]
+                      for f, _, d in cadj[mid] if d in cell.finals}
+        # every cell, in the order the scan reads its two symbols
+        pairs = ([(g, 0) for g in t.encoded_ids()]
+                 + [(b, 1) for b in t.bracket_ids()])
+        halves: dict[int, list[tuple[int, bool]]] = {}
+        for g, f in pairs:
+            x, y = (f, g) if backward else (g, f)
+            halves.setdefault(x, []).append((y, (g, f) in marked))
+        firsts = sorted(halves.items())
+
+        def step(subset, sym):
+            return frozenset([d for q in subset for d in adj[q].get(sym, ())])
+
+        def moves(key):
+            subset, seconds = key
+            if seconds is not None:
+                for y in seconds:
+                    yield y, y, (step(subset, y), None)
+                return
+            final = not pattern.finals.isdisjoint(subset)
+            for x, rest in firsts:
+                ok = tuple([y for y, hit in rest if allow(final, hit)])
+                if ok:
+                    yield x, x, (step(subset, x), ok)
+
+        keys, arcs = _explore((frozenset([pattern.initial]), None), moves)
+        finals = [k for k, (subset, seconds) in enumerate(keys)
+                  if seconds is None
+                  and allow(not pattern.finals.isdisjoint(subset), False)]
+        scan = _finish(t, len(keys), 0, finals, arcs)
+        return minimize(reverse(scan) if backward else scan)
+
+    @property
+    def _rev_xsig_star(self) -> Fst:
+        return self._const("rev_xsig_star", lambda: star(reverse(self.xsig)))
+
+    def mark_iff(self, cell: Fst, p: Fst) -> Fst:
+        """`l_iff_r(cell, p)`: the positions after a `cell` are exactly the
+        positions before a string of `p`.
+
+        The scan runs backwards, so that whether a `p` string starts at a
+        position is already known when the cell before it is read: the
+        subset machine of `rev(xsig)* rev(p)` is final exactly there.  The
+        next cell read must then be a `cell`, and only then; at the start
+        of the tape, where no cell comes before, it must not be final.
+        Read forwards, the same test would need a subset tracking every
+        open `p` match that some `cell` has promised."""
+        return self._scan(concat(self._rev_xsig_star, reverse(p)), cell, True,
+                          lambda final, hit: hit == final)
+
+    def guard_before(self, cell: Fst, a: Fst) -> Fst:
+        """`if_s_then_p(a, cell xsig*)`: every `cell` follows a prefix in
+        `a`.
+
+        The scan runs forwards, since the test is on prefixes: the subset
+        machine of `a` must be final wherever the next cell is a `cell`."""
+        return self._scan(a, cell, False, lambda final, hit: final or not hit)
+
+    def not_contains(self, k: Fst) -> Fst:
+        """`not_(contains(k))`: the cell strings with no factor in `k`.
+
+        The scan runs backwards over the subset machine of
+        `rev(xsig)* rev(k)` and drops every subset that holds a final
+        state, where a `k` string starts.  It runs backwards because that
+        subset machine can be far smaller than the forward one of
+        `xsig* k`, which tracks every `k` match still open: for the `k`
+        that `longest_match` builds on one 5-state T over three symbols,
+        the backward one has 655 subsets and the forward one over 200 000."""
+        return self._scan(concat(self._rev_xsig_star, reverse(k)), None, True,
+                          lambda final, hit: not final)
 
     # conditionals --------------------------------------------------------
 

@@ -42,7 +42,7 @@ def r_right(kit: MarkerKit, right: Fst) -> Fst:
     if right.accepts_epsilon():
         return concat(star(concat(ins, kit.sig)), ins)
     pattern = kit.xign(kit.non_markers_of(right), kit.rb2)
-    return compose(kit.intro(kit.rb2), kit.l_iff_r(kit.rb2, pattern))
+    return compose(kit.intro(kit.rb2), kit.mark_iff(kit.rb2, pattern))
 
 
 def f_phi(kit: MarkerKit, phi: Fst) -> Fst:
@@ -65,7 +65,7 @@ def f_phi(kit: MarkerKit, phi: Fst) -> Fst:
             concat(kit.xignx(nonempty, kit.b2), star(kit.lb2), kit.rb2))
     else:
         pattern = concat(kit.xignx(nm, kit.b2), option(kit.lb2), kit.rb2)
-    return compose(kit.intro(kit.lb2), kit.l_iff_r(kit.lb2, pattern))
+    return compose(kit.intro(kit.lb2), kit.mark_iff(kit.lb2, pattern))
 
 
 def left_to_right(kit: MarkerKit, phi: Fst) -> Fst:
@@ -103,7 +103,7 @@ def longest_match(kit: MarkerKit, phi: Fst, optimized: bool = False,
         inner = kit.contains(kit.rb1)
     overrun = intersection(kit.ignx(marked, kit.brack), inner)
     tail = concat(star(kit.lb), kit.rb) if stack_safe else kit.rb
-    kill = kit.not_(kit.contains(concat(kit.lb1, overrun, tail)))
+    kill = kit.not_contains(concat(kit.lb1, overrun, tail))
     return compose(kill, invert(kit.intro(kit.rb2)))
 
 
@@ -129,9 +129,7 @@ def l1(kit: MarkerKit, left: Fst, stack_safe: bool = True) -> Fst:
     wrongly rejects adjacent deletions."""
     lnm = kit.non_markers_of(left)
     ignore = kit.ign if stack_safe else kit.ignx
-    guard = kit.if_s_then_p(
-        ignore(concat(kit.xsig_star, lnm), kit.lb1),
-        concat(kit.lb1, kit.xsig_star))
+    guard = kit.guard_before(kit.lb1, ignore(concat(kit.xsig_star, lnm), kit.lb1))
     return compose(kit.ign(guard, kit.lb2), invert(kit.intro(kit.lb1)))
 
 
@@ -148,9 +146,8 @@ def l2(kit: MarkerKit, left: Fst, stack_safe: bool = True) -> Fst:
     string."""
     lnm = kit.non_markers_of(left)
     ignore = kit.ign if stack_safe else kit.ignx
-    guard = kit.if_s_then_p(
-        ignore(kit.not_(concat(kit.xsig_star, lnm)), kit.lb2),
-        concat(kit.lb2, kit.xsig_star))
+    guard = kit.guard_before(kit.lb2,
+                             ignore(kit.not_(concat(kit.xsig_star, lnm)), kit.lb2))
     return compose(guard, invert(kit.intro(kit.lb2)))
 
 

@@ -50,6 +50,7 @@ from gen import (
     all_strings,
     build_regex,
     random_arc_machine,
+    random_context,
     random_regex,
     random_replace_rule,
 )
@@ -175,6 +176,14 @@ def _t_rule(rng, low, high):
             return table, t, left, right
 
 
+def _arc_rule(rng):
+    """A random replace rule whose T is a random arc machine of up to five
+    states, not minimized first."""
+    table = SymbolTable("abc"[:rng.randint(1, 3)])
+    t = random_arc_machine(rng, table, max_states=5)
+    return table, t, random_context(rng, table), random_context(rng, table)
+
+
 def _oracle_mismatch(k, table, t, left, right, m):
     """The first string up to length 8 on which machine m and the oracle
     disagree, as (rule, string, machine outputs, oracle outputs)."""
@@ -229,6 +238,14 @@ def test_criterion_6_randomized_oracle_suite(replace_suite):
         table, t, left, right = _t_rule(rng, 4, 5)
         mismatch = _oracle_mismatch("larger %d" % k, table, t, left, right,
                                     replace(t, left, right))
+    # and rules whose T is a raw arc machine of up to five states
+    rng = random.Random(20261019)
+    for k in range(20):
+        if mismatch:
+            break
+        table, t, left, right = _arc_rule(rng)
+        mismatch = _oracle_mismatch("arc %d" % k, table, t, left, right,
+                                    replace(t, left, right))
     larger_elapsed = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -256,8 +273,9 @@ def test_criterion_6_randomized_oracle_suite(replace_suite):
 
     total = rep_elapsed + larger_elapsed + lm_elapsed
     ok = mismatch is None and lm_mismatch is None and total < 300.0
-    detail = ("200 replace rules %.1f s, 100 with a 4-5 state T %.1f s, "
-              "100 splits %.1f s" % (rep_elapsed, larger_elapsed, lm_elapsed))
+    detail = ("200 replace rules %.1f s, 100 with a 4-5 state T and 20 with "
+              "an arc T of up to 5 states %.1f s, 100 splits %.1f s"
+              % (rep_elapsed, larger_elapsed, lm_elapsed))
     if mismatch:
         detail = "replace mismatch %r" % (mismatch,)
     elif lm_mismatch:

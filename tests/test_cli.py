@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import fsrw.dsl
+from fsrw import SymbolTable
 from fsrw.cli import main
 
 RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
@@ -366,3 +367,23 @@ def test_undecodable_machine_file_is_a_usage_error(tmp_path, monkeypatch,
     rc, out, err = run(monkeypatch, capsys, [cmd, "-m", str(machine)], "a\n")
     assert rc == 2
     assert err.startswith("error: ") and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("text", ["[" + "1" * 5000 + "].",
+                                  "match_n(-" + "9" * 5000 + ", a)."],
+                         ids=["literal", "count"])
+def test_huge_integer_literal_is_a_rule_error(tmp_path, monkeypatch, capsys,
+                                              text):
+    # past Python's integer string-conversion limit (4300 digits)
+    rules = tmp_path / "r.fsr"
+    rules.write_text(text)
+    rc, out, err = run(monkeypatch, capsys,
+                       ["compile", "-r", str(rules), "-o", str(tmp_path / "x")])
+    assert rc == 1
+    assert err.startswith("error: ") and "too long" in err
+    assert "Traceback" not in err
+
+
+def test_integer_glyph_past_the_conversion_limit_is_a_rule_error():
+    with pytest.raises(fsrw.dsl.RuleError, match="too long"):
+        fsrw.dsl.Compiler(SymbolTable()).compile(fsrw.dsl.IntLit(10 ** 5000))

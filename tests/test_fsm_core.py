@@ -41,6 +41,7 @@ from fsrw import (
     plus,
     project,
     reduce_pairs,
+    reverse,
     sigma_star,
     star,
     symbol_pair,
@@ -220,6 +221,42 @@ def test_project_and_invert(tb):
     assert lang_enum(project(t, "domain"), 3) == {"ab"}
     assert lang_enum(project(t, "range"), 3) == {"b"}
     assert sorted(transduce(invert(t), "b").strings()) == ["ab"]
+
+
+def test_reverse_of_the_empty_machines(tb):
+    assert reverse(empty_lang(tb)).same_structure(empty_lang(tb))
+    assert reverse(empty_string(tb)).same_structure(empty_string(tb))
+
+
+def test_reverse_reads_each_string_backwards():
+    rng = random.Random(2030)
+    tb = SymbolTable("ab")
+    for k in range(300):
+        if k % 2:  # trimmed, so that `minimize` gives the minimal machine
+            m = canonicalize(random_arc_machine(rng, tb, max_states=4,
+                                                recognizer=True))
+            want = {s[::-1] for s in lang_enum(m, 5)}
+        else:
+            node = random_regex(rng, "ab", 3)
+            m = build_regex(node, tb)
+            want = {s[::-1] for s in model_lang(node, 5)}
+        r = reverse(m)
+        assert lang_enum(r, 5) == want
+        assert equivalent(reverse(r), m)
+        assert minimize(reverse(r)).same_structure(minimize(m))
+
+
+def test_reverse_reverses_both_sides_of_each_pair():
+    rng = random.Random(2031)
+    tb = SymbolTable("abc")
+    for k in range(200):
+        if k % 2:
+            m = random_arc_machine(rng, tb, max_states=4)
+        else:  # input-epsilon arcs, which lead once reversed
+            m = cross_product(build_regex(random_regex(rng, "ab", 2), tb),
+                              word(tb, rng.choice(["c", "cab", "bbc"])))
+        want = {(i[::-1], o[::-1]) for i, o in enumerate_pairs(m, 4)}
+        assert enumerate_pairs(reverse(m), 4) == want
 
 
 def test_identity_lift_round_trip(tb):

@@ -5,10 +5,16 @@ oracle_replace) before being frozen here.  The rule applies its target
 leftmost-longest, reads the left context on the output written so far and
 the right context on the input still ahead."""
 
+import random
+import time
+
 import pytest
 
 from fsrw import (
+    EPS,
+    Fst,
     FsmError,
+    Oracle,
     SymbolTable,
     concat,
     cross_product,
@@ -26,8 +32,6 @@ from fsrw import (
 )
 
 from gen import all_strings, random_replace_rule
-
-import random
 
 
 def tb():
@@ -228,3 +232,26 @@ def test_optimized_filter_gives_the_same_machine():
         plain = replace(target, eps, eps, optimized=False)
         fast = replace(target, eps, eps, optimized=True)
         assert equivalent(plain, fast)
+
+
+def test_five_state_arc_target_compiles_in_seconds():
+    # a left-context filter built from double complements once took over
+    # ten minutes on this T: its subset machine tracked every open match
+    t = SymbolTable("abc")
+    a, b, c = (t.id_of(g) for g in "abc")
+    arcs = [(0, b, EPS, 1), (1, b, c, 2), (2, a, c, 0), (2, b, a, 3),
+            (2, c, c, 1), (3, b, a, 0), (3, b, b, 4), (3, c, c, 0),
+            (4, a, c, 0), (4, b, c, 0), (4, c, c, 2)]
+    target = Fst(t, 5, 0, frozenset([0, 1, 3, 4]), tuple(sorted(arcs)), False)
+    left = union(word(t, "c"), word(t, "bc"))
+    right = word(t, "a")
+    t0 = time.monotonic()
+    m = replace(target, left, right)
+    assert time.monotonic() - t0 < 10.0
+    rel = machine_relation(m, 6)
+    oracle = Oracle(target, left, right)
+    inputs = all_strings("abc", 6)
+    assert len(inputs) == 1093
+    for s in inputs:
+        got = {"".join(o) for o in rel.get(tuple(s), set())}
+        assert got == oracle.replace(list(s)), s
