@@ -13,6 +13,8 @@ since no single calculus expression covers all lengths.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .fsm import (
     Fst,
     FsmError,
@@ -66,16 +68,18 @@ def mark_boundaries(kit: MarkerKit, domains: list[Fst]) -> Fst:
     return m
 
 
-def lm_concat(ts: list[Fst]) -> Fst:
+def lm_concat(ts: list[Fst], kit: Optional[MarkerKit] = None) -> Fst:
     """Compile the piece transductions into one machine from plain strings
-    to plain strings."""
+    to plain strings.  `kit` is the marker kit of the pieces' table, a
+    fresh one by default."""
     if not ts:
         raise FsmError("need at least one piece")
     table = ts[0].table
     for t in ts[1:]:
         if t.table is not table:
             raise FsmError("pieces built against different symbol tables")
-    kit = MarkerKit(table)
+    if kit is None:
+        kit = MarkerKit(table)
     domains = [project(t, "domain") for t in ts]
     for k, d in enumerate(domains):
         if d.is_empty():

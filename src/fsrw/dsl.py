@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .capture import lm_concat as _lm_concat
@@ -151,6 +152,8 @@ class AnySym:
 @dataclass(frozen=True)
 class IntLit:
     value: int
+    # (line, column) of the literal, for errors found after parsing
+    at: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -372,9 +375,9 @@ class _Parser:
         if kind == "quoted":
             return Literal(tok.text)
         if kind == "int":
-            return IntLit(self.int_value(tok))
+            return IntLit(self.int_value(tok), (tok.line, tok.col))
         if kind == "-" and self.peek().kind == "int":
-            return IntLit(-self.int_value(self.next()))
+            return IntLit(-self.int_value(self.next()), (tok.line, tok.col))
         if kind == "?":
             return AnySym()
         if kind == "[":
@@ -650,6 +653,10 @@ def expand_macros(node, env: dict, depth: int = 0):
                 raise RuleError("match_n needs a literal count")
             if count.value < 0:
                 raise RuleError("cannot repeat a pattern a negative number of times")
+            if count.value > sys.maxsize:  # no list can hold that many copies
+                where = " at line %d, column %d" % count.at if count.at else ""
+                raise RuleError("match_n count of %d digits is too large%s"
+                                % (len(_int_glyph(count.value)), where))
             return RepeatN(node.args[1], count.value)
     return node
 
@@ -730,9 +737,9 @@ class Compiler:
             return kit.match_n(node.count, self._c(node.item))
         if isinstance(node, Replace):
             return _replace(self._c(node.target), self._c(node.left),
-                                    self._c(node.right))
+                            self._c(node.right), kit=kit)
         if isinstance(node, LmConcat):
-            return _lm_concat([self._c(x) for x in node.items])
+            return _lm_concat([self._c(x) for x in node.items], kit=kit)
         if isinstance(node, Call):
             return self._builtin(node)
         if isinstance(node, Var):
@@ -755,10 +762,20 @@ class CompiledProgram:
         self.program = program
         self.ast = ast
         self.table = table
-        self.machine = machine
+        self._machine = machine  # None for replace until first asked for
         self.kind = kind  # "replace" | "lm_concat" | "plain"
         self.pieces = pieces  # per kind: (t, left, right) or list of parts
         self._factors = factors  # replace only: the cascade machine folds
+
+    @property
+    def machine(self) -> Fst:
+        """The program as one machine.  A top-level replace rule is kept as
+        its nine factors, folded by `compose_cascade` on first use and
+        then kept, so `fsrw compile --cascade`, which writes the factors,
+        never folds them."""
+        if self._machine is None:
+            self._machine = compose_cascade(self._factors)
+        return self._machine
 
     def factors(self) -> list[Fst]:
         if self._factors is None:
@@ -785,12 +802,12 @@ def compile_rules(text: str) -> CompiledProgram:
     if isinstance(ast, Replace):
         pieces = (comp.compile(ast.target), comp.compile(ast.left),
                   comp.compile(ast.right))
-        factors = _replace_factors(*pieces)
-        machine = compose_cascade(factors)
+        factors = _replace_factors(*pieces, kit=comp.kit)
+        machine = None
         kind = "replace"
     elif isinstance(ast, LmConcat):
         pieces = [comp.compile(x) for x in ast.items]
-        machine = _lm_concat(pieces)
+        machine = _lm_concat(pieces, kit=comp.kit)
         kind = "lm_concat"
     else:
         pieces = None

@@ -34,7 +34,10 @@ class SymbolTable:
     subset that `?` denotes at the expression level.
 
     Interning is single-writer: build the table (and the alphabet) before
-    compiling anything against it.
+    compiling anything against it.  `freeze()` closes the table once a
+    machine has captured its whole alphabet (the first `MarkerKit`
+    constant does): from then on a new glyph, or a new user glyph, raises
+    FsmError, while known glyphs still intern.
     """
 
     RESERVED = ("0", "1", "<1", "<2", "1>", "2>")
@@ -43,6 +46,7 @@ class SymbolTable:
         self._texts: list[str] = []
         self._ids: dict[str, int] = {}
         self._user: set[int] = set()
+        self._frozen = False
         for g in self.RESERVED:
             self.intern(g)
         for g in user_alphabet:
@@ -53,6 +57,9 @@ class SymbolTable:
             raise FsmError("symbol glyph must be a nonempty string")
         sid = self._ids.get(text)
         if sid is None:
+            if self._frozen:
+                raise FsmError("cannot add symbol %r: the symbol table is frozen"
+                               % text)
             sid = len(self._texts)
             self._texts.append(text)
             self._ids[text] = sid
@@ -60,8 +67,15 @@ class SymbolTable:
 
     def add_user(self, text: str) -> int:
         sid = self.intern(text)
-        self._user.add(sid)
+        if sid not in self._user:
+            if self._frozen:
+                raise FsmError("cannot add user symbol %r: the symbol table is"
+                               " frozen" % text)
+            self._user.add(sid)
         return sid
+
+    def freeze(self):
+        self._frozen = True
 
     def id_of(self, text: str) -> int:
         sid = self._ids.get(text)
@@ -369,6 +383,33 @@ def option(m: Fst) -> Fst:
 # -- determinization / minimization -----------------------------------------
 
 
+def _is_own_subset_machine(m: Fst) -> bool:
+    """Whether the subset machine of `m` is `m` itself: `m` is deterministic
+    over its (in, out) labels, and its states are numbered as `_explore`
+    numbers the subset machine, initial state 0 and then in the order a
+    breadth-first search meets them, reading each state's arcs in label
+    order, with every state met.
+
+    Arcs sorted by (src, in, out) with no label twice on one state are
+    that search's reading order, so one pass over them checks it all: each
+    (src, in, out) must exceed the one before, a state must be met before
+    its own arcs are read, and each destination must be a state met
+    already or the next one.  `_finish` and `_moore_minimize_dfa` number
+    their results this way, so a deterministic result of either passes."""
+    if m.initial != 0:
+        return False
+    met = 1
+    prev = (-1,)
+    for s, i, o, d in m.arcs:
+        label = (s, i, o)
+        if label <= prev or s >= met or d > met:
+            return False
+        if d == met:
+            met += 1
+        prev = label
+    return met == m.n
+
+
 def _subset_construct(m: Fst, state_cap: Optional[int] = None):
     """Subset construction over atomic labels (in, out).  For recognizers
     the atoms are identity pairs, so this is ordinary determinization.
@@ -376,7 +417,16 @@ def _subset_construct(m: Fst, state_cap: Optional[int] = None):
     Returns (n, initial, finals, arcs) of the subset machine: n states
     numbered by `_explore` with initial state 0, the set of states whose
     subset holds a final state, and the (src, in, out, dst) arcs, each
-    state's in label order.  Returns None when state_cap is exceeded."""
+    state's in label order.  Returns None when state_cap is exceeded.
+
+    Most machines built here are already their own subset machine, so
+    that case returns `m`'s own parts without building anything: see
+    `_is_own_subset_machine`."""
+    if _is_own_subset_machine(m):
+        # `_explore` counts the states found after the initial one
+        if state_cap is not None and m.n > max(state_cap, 1):
+            return None
+        return m.n, 0, m.finals, m.arcs
     adj = m.adjacency()
 
     def moves(subset):

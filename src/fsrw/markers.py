@@ -56,8 +56,12 @@ class MarkerKit:
     """Toolkit of encoded-string operators over one symbol table.
 
     Constant pieces (cells, sig, the intro family on cached cell sets) are
-    built once per kit; the table's user alphabet must be complete before
-    the first use.
+    built once per kit.  A compile makes one kit and every rule of the
+    program draws on it, so its rules share their marker constants; a
+    library call such as `replace(t, left, right)` makes its own.  The
+    table's user alphabet must be complete before the first constant is
+    built, which freezes the table: a glyph added later could not appear
+    in the constants already built, so interning one raises FsmError.
     """
 
     def __init__(self, table: SymbolTable):
@@ -74,6 +78,7 @@ class MarkerKit:
     def _const(self, name, build):
         got = self._cache.get(name)
         if got is None:
+            self.table.freeze()
             got = build()
             self._cache[name] = got
         return got

@@ -14,6 +14,8 @@ by an earlier replacement in the same pass.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .fsm import (
     Fst,
     FsmError,
@@ -152,12 +154,17 @@ def l2(kit: MarkerKit, left: Fst, stack_safe: bool = True) -> Fst:
 
 
 def replace_factors(t: Fst, left: Fst, right: Fst, optimized: bool = False,
-                    stack_safe: bool = True) -> list[Fst]:
-    """The nine factor transductions of the rule, in application order."""
+                    stack_safe: bool = True,
+                    kit: Optional[MarkerKit] = None) -> list[Fst]:
+    """The nine factor transductions of the rule, in application order.
+    `kit` is the marker kit of the rule's table; a compile passes its own,
+    so the rules of one program share their marker constants, and by
+    default the rule gets a fresh one."""
     for name, ctx in (("left", left), ("right", right)):
         if not ctx.is_recognizer:
             raise FsmError("%s context must be a recognizer" % name)
-    kit = MarkerKit(t.table)
+    if kit is None:
+        kit = MarkerKit(t.table)
     phi = project(t, "domain")
     return [
         kit.non_markers,
@@ -181,7 +188,7 @@ def compose_cascade(machines: list[Fst]) -> Fst:
 
 
 def replace(t: Fst, left: Fst, right: Fst, optimized: bool = False,
-            stack_safe: bool = True) -> Fst:
+            stack_safe: bool = True, kit: Optional[MarkerKit] = None) -> Fst:
     """Compile the rule into a single transducer."""
     return compose_cascade(replace_factors(t, left, right, optimized,
-                                           stack_safe))
+                                           stack_safe, kit))

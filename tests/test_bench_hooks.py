@@ -52,6 +52,18 @@ def test_tracer_records_a_cascade_compile(spans, tmp_path):
         assert metrics["replace.factor.%s.arcs" % f] > 0
 
 
+def test_tracer_counts_one_kit_per_compile(spans, tmp_path):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rc = main(["compile", "-r", str(ROOT / "bench" / "rules" / "cascade27.fsr"),
+                   "-o", str(tmp_path / "cascade27.fsm")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert spans.layer_metrics(tracer.spans, {})["markers.kits"] == 1
+
+
 def test_tracer_records_apply_outputs(spans, tmp_path, monkeypatch, capsys):
     machine = tmp_path / "devoice.fsm"
     assert main(["compile", "-r", str(ROOT / "rules" / "devoice_final.fsr"),

@@ -13,11 +13,13 @@ from pathlib import Path
 
 import pytest
 
+import fsrw.cli
 import fsrw.dsl
-from fsrw import SymbolTable
+from fsrw import MarkerKit, SymbolTable
 from fsrw.cli import main
 
 RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
+BENCH_RULES_DIR = RULES_DIR.parent / "bench" / "rules"
 
 
 TOPO = """\
@@ -213,6 +215,34 @@ def test_cascade_builds_the_factors_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_cascade_writes_the_factors_without_folding(tmp_path, monkeypatch):
+    folds = []
+    replace_module = importlib.import_module("fsrw.replace")
+    for module in (fsrw.dsl, fsrw.cli, replace_module):
+        monkeypatch.setattr(module, "compose_cascade",
+                            lambda ms: folds.append(ms))
+    rc = main(["compile", "-r", str(RULES_DIR / "abbrev.fsr"),
+               "-o", str(tmp_path / "abbrev.fsm"), "--cascade"])
+    assert rc == 0
+    assert folds == []
+
+
+def test_one_marker_kit_per_compile(tmp_path, monkeypatch):
+    # cascade27 joins four replace rules with 'o'; they share one kit
+    kits = []
+    init = MarkerKit.__init__
+
+    def counted(self, table):
+        kits.append(table)
+        init(self, table)
+
+    monkeypatch.setattr(MarkerKit, "__init__", counted)
+    rc = main(["compile", "-r", str(BENCH_RULES_DIR / "cascade27.fsr"),
+               "-o", str(tmp_path / "cascade27.fsm")])
+    assert rc == 0
+    assert len(kits) == 1
+
+
 def test_cascade_of_an_lm_concat_rule_fails(tmp_path, monkeypatch, capsys):
     rules = tmp_path / "r.fsr"
     rules.write_text(TOPO)
@@ -382,6 +412,24 @@ def test_huge_integer_literal_is_a_rule_error(tmp_path, monkeypatch, capsys,
     assert rc == 1
     assert err.startswith("error: ") and "too long" in err
     assert "Traceback" not in err
+
+
+def test_match_n_count_past_an_index_is_a_rule_error(tmp_path, monkeypatch,
+                                                   capsys):
+    rules = tmp_path / "r.fsr"
+    rules.write_text("match_n(100000000000000000000, a).")
+    rc, out, err = run(monkeypatch, capsys,
+                       ["compile", "-r", str(rules), "-o", str(tmp_path / "x")])
+    assert rc == 1
+    assert err.startswith("error: ") and "too large" in err
+    assert "line 1, column 9" in err
+    assert "Traceback" not in err
+
+
+def test_match_n_count_through_a_macro_keeps_its_position():
+    text = "macro(rep(N, X), match_n(N, X)).\n[b, rep(99999999999999999999, a)]."
+    with pytest.raises(fsrw.dsl.RuleError, match="line 2, column 9"):
+        fsrw.dsl.compile_rules(text)
 
 
 def test_integer_glyph_past_the_conversion_limit_is_a_rule_error():

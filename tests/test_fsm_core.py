@@ -49,7 +49,7 @@ from fsrw import (
     union,
     word,
 )
-from fsrw.dump import dump_text
+from fsrw.dump import dump_text, load_text
 from fsrw.oracle import _Walker
 
 from gen import build_regex, model_lang, random_arc_machine, random_regex
@@ -715,6 +715,74 @@ def test_moore_matches_the_reference_kernel():
             want if want.n <= m.n else m)
         dead += not m.same_structure(canonicalize(m))
     assert dead >= 200
+
+
+def _reference_subset(m):
+    """The full subset construction, as `fsm._subset_construct` ran it on
+    every input before deterministic input could skip it."""
+    adj = [[] for _ in range(m.n)]
+    for s, i, o, d in m.arcs:
+        adj[s].append((i, o, d))
+    start = frozenset([m.initial])
+    index = {start: 0}
+    subsets = [start]
+    arcs = []
+    for src, subset in enumerate(subsets):
+        by_label = {}
+        for q in subset:
+            for i, o, d in adj[q]:
+                by_label.setdefault((i, o), set()).add(d)
+        for i, o in sorted(by_label):
+            nxt = frozenset(by_label[i, o])
+            if nxt not in index:
+                index[nxt] = len(subsets)
+                subsets.append(nxt)
+            arcs.append((src, i, o, index[nxt]))
+    finals = {k for k, subset in enumerate(subsets) if subset & m.finals}
+    return len(subsets), 0, finals, arcs
+
+
+def _subset_inputs(rng, tb):
+    """Arc machines (untrimmed, numbered anyhow, deterministic or not) and
+    machines the library builds, several of them their own subset machine."""
+    def arc_machine():
+        return random_arc_machine(rng, tb, max_states=rng.randint(1, 4),
+                                  recognizer=rng.random() < 0.5)
+
+    def regex():
+        return build_regex(random_regex(rng, "ab", 3), tb)
+
+    makers = [
+        arc_machine,
+        lambda: minimize(regex()),
+        lambda: minimize(arc_machine(), pair_atomic=True),
+        lambda: compose(arc_machine(), arc_machine()),
+        lambda: literal(tb, rng.choice("ab")),
+        lambda: sigma_star(tb, rng.sample(tb.all_ids(), rng.randint(0, 3))),
+        lambda: load_text(dump_text(rng.choice([arc_machine, regex])())),
+    ]
+    for k in range(700):
+        yield makers[k % len(makers)]()
+
+
+def test_subset_construct_matches_the_full_construction():
+    rng = random.Random(2031)
+    tb = SymbolTable("ab")
+    seen = {"own": 0, "built": 0, "built_deterministic": 0}
+    for m in _subset_inputs(rng, tb):
+        want = _reference_subset(m)
+        own = fsm._is_own_subset_machine(m)
+        seen["own" if own else "built"] += 1
+        labels = {(s, i, o) for s, i, o, _ in m.arcs}
+        if not own and len(labels) == len(m.arcs):
+            seen["built_deterministic"] += 1
+        n, initial, finals, arcs = fsm._subset_construct(m)
+        assert (n, initial, set(finals), list(arcs)) == \
+            (want[0], want[1], want[2], want[3]), m
+        assert fsm._subset_construct(m, n) is not None
+        if n > 1:
+            assert fsm._subset_construct(m, n - 1) is None
+    assert min(seen.values()) >= 20, seen
 
 
 def test_minimize_is_a_fixed_point():

@@ -191,6 +191,21 @@ def test_l_iff_r(kit):
     _quantify(kit, m, ok)
 
 
+def test_first_constant_freezes_the_table():
+    table = SymbolTable("ab")
+    kit = MarkerKit(table)
+    literal(table, "c")  # interning is open until a constant is built
+    kit.sig
+    assert lang_enum(literal(table, "c"), 1) == {"c"}  # a known glyph
+    with pytest.raises(FsmError, match="frozen"):
+        literal(table, "d")
+    with pytest.raises(FsmError, match="frozen"):
+        table.add_user("c")  # known, but not yet a user glyph
+    assert "d" not in table
+    assert table.user_glyphs() == ("a", "b")
+    assert table.add_user("a") == table.id_of("a")
+
+
 def test_match_n(kit):
     a = literal(kit.table, "a")
     assert lang_enum(kit.match_n(3, a), 3) == {"aaa"}

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import fsrw.dsl
 from fsrw import (
     FsmError,
     accepts,
@@ -327,6 +328,21 @@ def test_replace_program_end_to_end():
     # the machine is the fold of the kept factors, which are not rebuilt
     assert cp.factors() is cp.factors()
     assert cp.machine.same_structure(compose_cascade(cp.factors()))
+
+
+def test_replace_machine_folds_its_factors_on_first_use(monkeypatch):
+    folds = []
+
+    def counted(factors):
+        folds.append(factors)
+        return compose_cascade(factors)
+
+    monkeypatch.setattr(fsrw.dsl, "compose_cascade", counted)
+    cp = compile_rules("replace(a x b, [], b).")
+    assert folds == []
+    machine = cp.machine
+    assert cp.machine is machine
+    assert folds == [cp.factors()]
 
 
 def _builtin_call(name, arity):
