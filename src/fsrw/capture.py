@@ -46,16 +46,14 @@ def greed_filters(kit: MarkerKit, domains: list[Fst]) -> list[Fst]:
     where, keeping pieces 1..i-1 exactly as marked, piece i could extend
     further (its boundary falls strictly inside a longer dom-instance) and
     the remaining pieces still parse with markers ignored.  A single piece
-    needs no killing, only its marker-ignoring closure."""
-    n = len(domains)
+    needs no filter."""
     images = [kit.non_markers_of(d) for d in domains]
-    if n == 1:
-        return [kit.ign(images[0], kit.lb1)]
-    ign_tail = [kit.ign(img, kit.lb1) for img in images]
+    # the marker-ignoring closures of pieces 2..n, the only ones a filter reads
+    ign_tail = [kit.ign(img, kit.lb1) for img in images[1:]]
     filters = []
     front: list[Fst] = []
-    for i in range(n - 1):
-        killer = concat(*front, kit.ignx_1(images[i], kit.lb1), *ign_tail[i + 1:])
+    for i in range(len(domains) - 1):
+        killer = concat(*front, kit.ignx_1(images[i], kit.lb1), *ign_tail[i:])
         filters.append(complement(killer))
         front.extend([images[i], kit.lb1])
     return filters

@@ -1,19 +1,32 @@
-"""Plain-text machine serialization.
+r"""Plain-text machine serialization.
 
-Single machine:
+One record per line, blank lines ignored, fields separated by whitespace
+(n = integer, g = glyph):
 
-    #tokens a b <1          (optional: the input-tokenizer glyphs)
-    fst <nstates> <initial>
-    sym <id> <glyph>        (every table symbol, in id order)
-    t <src> <dst> <in> <out>
-    f <state>
+    cascade <n>             (optional first line: n sections follow)
+    #tokens <g> ...         (optional: the input-tokenizer glyphs)
+    fst <n> <n>             (state count >= 1, initial state)
+    sym <n> <g>             (every table symbol, ids dense from 0)
+    t <n> <n> <g> <g>       (an arc: source, target, input, output)
+    f <n>                   (a final state)
 
-`-` on a label side means epsilon; glyphs are escaped so whitespace, bare
-`-` and backslashes survive.  The `#tokens` header appears when per-character
-tokenization would not reconstruct the user alphabet (multi-character glyphs,
-or user glyphs that collide with the six marker glyphs); loaders mark exactly
-those as the user alphabet.  A cascade file is `cascade <k>` followed by k
-single-machine sections sharing one symbol table.
+A section is an optional `#tokens` line, an `fst` line, then `sym`, `t` and
+`f` lines in any order.  Keywords are whole fields; `cascade`, `#tokens`
+and `fst` begin their line, and `fst` is followed by a space.  States lie
+below the `fst` count.  Ids 0..5 hold `SymbolTable.RESERVED` in order, no
+glyph repeats, every label glyph is in the table, and no arc is `- -`.
+
+`-` on a label is epsilon.  A glyph escapes `\\`, `\n`, `\t` and `\r` by
+name, space and the other control characters as `\xHH` (exactly two hex
+digits), and a bare `-` as `\x2d`; any other backslash is an error.
+
+`#tokens` appears when per-character tokenization would not reconstruct
+the user alphabet (multi-character glyphs, or user glyphs that collide
+with the marker glyphs) and lists the user glyphs, each in the table;
+without it every glyph past id 5 is a user glyph.  A cascade's sections
+share one table: a later section's `sym` lines repeat a prefix of the
+first section's, and its `#tokens` line, if any, lists the first
+section's user glyphs in id order.
 
 Both directions canonicalize: a machine is trimmed and renumbered before it
 is written and after it is read, so a loaded machine is in the form the
@@ -22,69 +35,45 @@ machine algebra builds, and dumping it again gives the same bytes.
 
 from __future__ import annotations
 
+import re
 from typing import Union
 
-from .fsm import (EPS, Fst, FsmError, SymbolTable, _finish, _is_recognizer,
-                  canonicalize)
+from .fsm import EPS, Fst, FsmError, SymbolTable, _finish, canonicalize
 
 
 class DumpFormatError(FsmError):
     """Malformed machine file."""
 
 
-_SIMPLE = {"\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+# the fields after each keyword: n = integer, s = token (`#tokens`: any glyphs)
+_FIELDS = {"cascade": "n", "fst": "nn", "sym": "ns", "t": "nnss", "f": "n"}
+
+_ESC = {chr(c): "\\x%02x" % c for c in range(0x21)}
+_ESC.update({"\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"})
+_ESC_RE = re.compile(r"[\x00-\x20\\]")
 _UNESC = {"\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+_UNESC_RE = re.compile(r"\\(x[0-9a-fA-F]{2}|.?)", re.S)
 
 
 def esc(glyph: str) -> str:
-    out = []
-    for ch in glyph:
-        if ch in _SIMPLE:
-            out.append(_SIMPLE[ch])
-        elif ch == " " or ord(ch) < 0x20:
-            out.append("\\x%02x" % ord(ch))
-        else:
-            out.append(ch)
-    s = "".join(out)
-    return "\\x2d" if s == "-" else s
+    return "\\x2d" if glyph == "-" else _ESC_RE.sub(lambda m: _ESC[m.group()], glyph)
+
+
+def _unesc_one(m) -> str:
+    e = m.group(1)
+    if e in _UNESC:
+        return _UNESC[e]
+    if len(e) == 3:
+        return chr(int(e[1:], 16))
+    if e == "":
+        raise DumpFormatError("dangling escape in %r" % m.string)
+    raise DumpFormatError("bad escape \\%s in %r" % (e, m.string))
 
 
 def unesc(text: str) -> str:
     if text == "":
         raise DumpFormatError("empty glyph")
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(text):
-            raise DumpFormatError("dangling escape in %r" % text)
-        nxt = text[i + 1]
-        if nxt in _UNESC:
-            out.append(_UNESC[nxt])
-            i += 2
-        elif nxt == "x":
-            if i + 4 > len(text):
-                raise DumpFormatError("bad \\x escape in %r" % text)
-            try:
-                out.append(chr(int(text[i + 2:i + 4], 16)))
-            except ValueError:
-                raise DumpFormatError("bad \\x escape in %r" % text)
-            i += 4
-        else:
-            raise DumpFormatError("unknown escape \\%s" % nxt)
-    return "".join(out)
-
-
-def _needs_token_header(table: SymbolTable) -> bool:
-    reserved = set(SymbolTable.RESERVED)
-    for g in table.user_glyphs():
-        if len(g) > 1 or g in reserved:
-            return True
-    return False
+    return _UNESC_RE.sub(_unesc_one, text)
 
 
 def _dump_one(m: Fst) -> list[str]:
@@ -92,18 +81,16 @@ def _dump_one(m: Fst) -> list[str]:
     # loading canonicalizes, so a dump must too to load back to its bytes
     m = canonicalize(m)
     table = m.table
+    names = [esc(table.glyph(sid)) for sid in table.all_ids()]
     lines = []
-    if _needs_token_header(table):
-        lines.append("#tokens " + " ".join(esc(g) for g in table.user_glyphs()))
+    if any(len(g) > 1 or g in SymbolTable.RESERVED for g in table.user_glyphs()):
+        lines.append("#tokens " + " ".join(names[sid] for sid in table.user_ids()))
     lines.append("fst %d %d" % (m.n, m.initial))
-    for sid in table.all_ids():
-        lines.append("sym %d %s" % (sid, esc(table.glyph(sid))))
-    for s, i, o, d in m.arcs:
-        li = "-" if i == EPS else esc(table.glyph(i))
-        lo = "-" if o == EPS else esc(table.glyph(o))
-        lines.append("t %d %d %s %s" % (s, d, li, lo))
-    for f in sorted(m.finals):
-        lines.append("f %d" % f)
+    lines.extend("sym %d %s" % sym for sym in enumerate(names))
+    label = dict(enumerate(names))
+    label[EPS] = "-"
+    lines.extend("t %d %d %s %s" % (s, d, label[i], label[o]) for s, i, o, d in m.arcs)
+    lines.extend("f %d" % f for f in sorted(m.finals))
     return lines
 
 
@@ -125,113 +112,94 @@ def dump_text(m: Union[Fst, list, tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fields(line: str, keyword: str) -> list:
+    """The fields after `keyword` on `line`, integers parsed, per `_FIELDS`."""
+    spec = _FIELDS[keyword]
+    parts = line.split()
+    if len(parts) != len(spec) + 1:
+        raise DumpFormatError("bad %s line %r" % (keyword, line))
+    try:
+        return [int(p) if c == "n" else p for c, p in zip(spec, parts[1:])]
+    except ValueError:
+        raise DumpFormatError("bad %s line %r" % (keyword, line)) from None
+
+
+def _is_header(line: str, keyword: str) -> bool:
+    return line.startswith(keyword) and line.split(None, 1)[0] == keyword
+
+
+def _fresh_table(glyphs: list[str], tokens) -> SymbolTable:
+    """The table a first section's `sym` lines and `#tokens` line declare."""
+    reserved = SymbolTable.RESERVED
+    if tuple(glyphs[:len(reserved)]) != reserved[:len(glyphs)]:
+        raise DumpFormatError("sym ids 0..%d must be %r" % (len(reserved) - 1, reserved))
+    if len(set(glyphs)) != len(glyphs):
+        raise DumpFormatError("duplicate glyph in sym lines")
+    table = SymbolTable()
+    for g in glyphs[len(reserved):]:
+        table.intern(g)
+    for g in glyphs[len(reserved):] if tokens is None else tokens:
+        if g not in table:
+            raise DumpFormatError("#tokens glyph %r not in symbol table" % g)
+        table.add_user(g)
+    return table
+
+
 def _parse_one(lines: list[str], pos: int, table: SymbolTable = None):
     """Parse one machine section starting at lines[pos].  Returns
     (Fst, next_pos).  A fresh table is built unless one is supplied, in
-    which case sym lines must agree with it."""
-    tokens_header = None
-    if pos < len(lines) and lines[pos].startswith("#tokens"):
-        parts = lines[pos].split()
-        tokens_header = [unesc(p) for p in parts[1:]]
+    which case the section's `sym` and `#tokens` lines must agree with it."""
+    tokens = None
+    if pos < len(lines) and _is_header(lines[pos], "#tokens"):
+        tokens = [unesc(p) for p in lines[pos].split()[1:]]
         pos += 1
     if pos >= len(lines) or not lines[pos].startswith("fst "):
         raise DumpFormatError("expected 'fst <nstates> <initial>' line")
-    parts = lines[pos].split()
-    if len(parts) != 3:
-        raise DumpFormatError("bad fst line %r" % lines[pos])
-    try:
-        n, initial = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise DumpFormatError("bad fst line %r" % lines[pos])
+    n, initial = _fields(lines[pos], "fst")
     if n < 1 or not (0 <= initial < n):
         raise DumpFormatError("bad state count or initial state")
     pos += 1
 
-    fresh = table is None
-    if fresh:
-        table = SymbolTable()
     syms: dict[int, str] = {}
-    arcs = []
-    finals = set()
+    arcs, finals = [], set()
     while pos < len(lines):
-        line = lines[pos]
-        if line.startswith("cascade") or line.startswith("fst ") or line.startswith("#tokens"):
-            break
-        parts = line.split()
-        if parts[0] == "sym":
-            if len(parts) != 3:
-                raise DumpFormatError("bad sym line %r" % line)
-            try:
-                sid = int(parts[1])
-            except ValueError:
-                raise DumpFormatError("bad sym line %r" % line)
-            syms[sid] = unesc(parts[2])
-        elif parts[0] == "t":
-            if len(parts) != 5:
-                raise DumpFormatError("bad t line %r" % line)
-            arcs.append(parts[1:])
-        elif parts[0] == "f":
-            if len(parts) != 2:
-                raise DumpFormatError("bad f line %r" % line)
-            try:
-                f = int(parts[1])
-            except ValueError:
-                raise DumpFormatError("bad f line %r" % line)
-            if not (0 <= f < n):
-                raise DumpFormatError("final state %d out of range" % f)
-            finals.add(f)
+        keyword = lines[pos].split(None, 1)[0]
+        if keyword == "sym":
+            sid, g = _fields(lines[pos], "sym")
+            syms[sid] = unesc(g)
+        elif keyword == "t":
+            arcs.append(_fields(lines[pos], "t"))
+        elif keyword == "f":
+            finals.update(_fields(lines[pos], "f"))
         else:
-            raise DumpFormatError("unrecognized line %r" % line)
+            break  # a header begins the next section; anything else is an error there
         pos += 1
 
-    expected = list(range(len(syms)))
-    if sorted(syms) != expected:
+    if set(syms) != set(range(len(syms))):
         raise DumpFormatError("sym ids must be dense from 0")
-    for sid in expected:
-        glyph = syms[sid]
-        if fresh:
-            if sid < len(SymbolTable.RESERVED):
-                if glyph != SymbolTable.RESERVED[sid]:
-                    raise DumpFormatError(
-                        "sym %d must be %r" % (sid, SymbolTable.RESERVED[sid]))
-            else:
-                got = table.intern(glyph)
-                if got != sid:
-                    raise DumpFormatError("duplicate glyph %r" % glyph)
-        else:
-            if sid >= len(table) or table.glyph(sid) != glyph:
-                raise DumpFormatError("cascade sections disagree on symbol %d" % sid)
-    if fresh:
-        if tokens_header is not None:
-            for g in tokens_header:
-                if g not in table:
-                    raise DumpFormatError("#tokens glyph %r not in symbol table" % g)
-                table.add_user(g)
-        else:
-            for sid in range(len(SymbolTable.RESERVED), len(table)):
-                table.add_user(table.glyph(sid))
+    glyphs = [syms[sid] for sid in range(len(syms))]
+    if table is None:
+        table = _fresh_table(glyphs, tokens)
+    elif glyphs != [table.glyph(sid) for sid in range(min(len(glyphs), len(table)))]:
+        raise DumpFormatError("cascade sections disagree on the symbol table")
+    elif tokens is not None and tuple(tokens) != table.user_glyphs():
+        raise DumpFormatError("cascade sections disagree on the #tokens glyphs")
+    if not all(0 <= f < n for f in finals):
+        raise DumpFormatError("final state out of range")
 
+    label = {"-": EPS}
+    for text in {x for arc in arcs for x in arc[2:]} - {"-"}:
+        g = unesc(text)
+        if g not in table:
+            raise DumpFormatError("label glyph %r not in symbol table" % g)
+        label[text] = table.id_of(g)
     real_arcs = []
-    for src_s, dst_s, li, lo in arcs:
-        try:
-            src, dst = int(src_s), int(dst_s)
-        except ValueError:
-            raise DumpFormatError("bad t line state ids")
+    for src, dst, li, lo in arcs:
         if not (0 <= src < n and 0 <= dst < n):
             raise DumpFormatError("t line state out of range")
-
-        def lab(x):
-            if x == "-":
-                return EPS
-            g = unesc(x)
-            if g not in table:
-                raise DumpFormatError("label glyph %r not in symbol table" % g)
-            return table.id_of(g)
-
-        i, o = lab(li), lab(lo)
-        if i == EPS and o == EPS:
+        if li == lo == "-":
             raise DumpFormatError("epsilon:epsilon arcs are not stored")
-        real_arcs.append((src, i, o, dst))
+        real_arcs.append((src, label[li], label[lo], dst))
 
     # number densely just the states the file names, keeping their order
     # (the canonical numbering breaks ties on it): the others have no arcs,
@@ -247,44 +215,34 @@ def _parse_one(lines: list[str], pos: int, table: SymbolTable = None):
 def load_text(text: str):
     """Parse a machine file.  Returns an Fst, or a list of Fst for a
     cascade file (sharing one table)."""
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DumpFormatError("empty machine file")
-    if lines[0].startswith("cascade"):
-        parts = lines[0].split()
-        if len(parts) != 2:
-            raise DumpFormatError("bad cascade line")
-        try:
-            k = int(parts[1])
-        except ValueError:
-            raise DumpFormatError("bad cascade line")
-        if k < 1:
-            raise DumpFormatError("cascade must have at least one machine")
-        pos = 1
-        ms = []
-        table = None
-        for _ in range(k):
-            m, pos = _parse_one(lines, pos, table)
-            table = m.table
-            ms.append(m)
+    if not _is_header(lines[0], "cascade"):
+        m, pos = _parse_one(lines, 0)
         if pos != len(lines):
-            raise DumpFormatError("trailing content after cascade sections")
-        return ms
-    m, pos = _parse_one(lines, 0)
+            raise DumpFormatError("trailing content after machine")
+        return m
+    k, = _fields(lines[0], "cascade")
+    if k < 1:
+        raise DumpFormatError("cascade must have at least one machine")
+    pos, ms, table = 1, [], None
+    for _ in range(k):
+        m, pos = _parse_one(lines, pos, table)
+        table = m.table
+        ms.append(m)
     if pos != len(lines):
-        raise DumpFormatError("trailing content after machine")
-    return m
+        raise DumpFormatError("trailing content after cascade sections")
+    return ms
 
 
 def remap(m: Fst, table: SymbolTable) -> Fst:
     """Rebuild `m` against another table, matching symbols by glyph and
-    interning any that are missing."""
+    interning any that are missing.  The result is canonically numbered."""
     if m.table is table:
         return m
-    mapping = {}
+    mapping = {EPS: EPS}
     for sid in m.table.all_ids():
         mapping[sid] = table.intern(m.table.glyph(sid))
-    arcs = tuple(sorted(
-        (s, mapping[i] if i != EPS else EPS, mapping[o] if o != EPS else EPS, d)
-        for s, i, o, d in m.arcs))
-    return Fst(table, m.n, m.initial, m.finals, arcs, _is_recognizer(arcs))
+    return _finish(table, m.n, m.initial, m.finals,
+                   [(s, mapping[i], mapping[o], d) for s, i, o, d in m.arcs])

@@ -35,9 +35,9 @@ class SymbolTable:
 
     Interning is single-writer: build the table (and the alphabet) before
     compiling anything against it.  `freeze()` closes the table once a
-    machine has captured its whole alphabet (the first `MarkerKit`
-    constant does): from then on a new glyph, or a new user glyph, raises
-    FsmError, while known glyphs still intern.
+    machine has captured its whole alphabet (`complement`, `containment`
+    and the first `MarkerKit` constant do): from then on a new glyph, or a
+    new user glyph, raises FsmError, while known glyphs still intern.
     """
 
     RESERVED = ("0", "1", "<1", "<2", "1>", "2>")
@@ -550,8 +550,10 @@ def canonicalize(m: Fst) -> Fst:
 def complement(m: Fst) -> Fst:
     """Full-alphabet complement: SIGMA* minus L(m), SIGMA the whole table.
     No sink state is added: `difference` reads a missing move of m's
-    subset machine as a move into a dead non-final state."""
+    subset machine as a move into a dead non-final state.  It captures the
+    whole alphabet, so it freezes the table (see `SymbolTable.freeze`)."""
     _require_recognizer(m, "complement")
+    m.table.freeze()
     return difference(sigma_star(m.table, m.table.all_ids()), m)
 
 
@@ -614,8 +616,10 @@ def difference(a: Fst, b: Fst) -> Fst:
 
 
 def containment(m: Fst) -> Fst:
-    """Strings with a substring in L(m), over the full table alphabet."""
+    """Strings with a substring in L(m), over the full table alphabet,
+    which freezes the table as `complement` does."""
     _require_recognizer(m, "containment")
+    m.table.freeze()
     sig = sigma_star(m.table, m.table.all_ids())
     got = concat(sig, m, sig)
     return minimize(got)

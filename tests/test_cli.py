@@ -149,6 +149,16 @@ def test_dump_of_a_huge_declared_state_count_allocates_nothing(
     assert out == run(monkeypatch, capsys, ["dump", "-m", str(one)])[1]
 
 
+@pytest.mark.parametrize("header", ["cascadeX 1", "#tokensX a"])
+def test_dump_of_a_malformed_header_is_a_usage_error(tmp_path, monkeypatch,
+                                                     capsys, header):
+    machine = machine_file(tmp_path, "m.fst", 2, [(0, "a", 1)], [1], "a")
+    machine.write_text(header + "\n" + machine.read_text())
+    rc, out, err = run(monkeypatch, capsys, ["dump", "-m", str(machine)])
+    assert rc == 2
+    assert err.startswith("error: ") and out == ""
+
+
 def test_equiv_ignores_dead_states_of_a_loaded_file(tmp_path, monkeypatch,
                                                     capsys):
     # both accept exactly {a, b}; state 3 of the first reaches no final

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import fsrw.dump
 from fsrw import (
     DumpFormatError,
     Fst,
@@ -69,6 +70,10 @@ def test_multi_char_and_awkward_glyphs():
     back = rt(m)
     assert_same_machine(m, back)
     assert lang_enum(back, 6) == {"<abbr> a\nb-\\0"}
+    # each section of a cascade repeats the #tokens line, and loads back
+    text = dump_text([m, m])
+    assert text.count("#tokens ") == 2
+    assert dump_text(load_text(text)) == text
 
 
 def test_cascade_round_trip():
@@ -114,12 +119,53 @@ def test_remap_interns_missing_glyphs():
     lambda t: t.replace("sym 0 0", "sym zero 0", 1),
     lambda t: t + "f 99\n",
     lambda t: t + "f x\n",
+    # escapes: dangling, unknown, short
+    lambda t: t.replace("t 0 1 a a", "t 0 1 a\\ a"),
+    lambda t: t.replace("t 0 1 a a", "t 0 1 \\q a"),
+    lambda t: t.replace("t 0 1 a a", "t 0 1 \\x4 a"),
+    # the symbol list: duplicate glyphs, ids that are not dense
+    lambda t: t.replace("sym 7 b", "sym 7 a"),
+    lambda t: t.replace("sym 7 b", "sym 7 0"),
+    lambda t: t.replace("sym 7 b", "sym 8 b"),
+    # a #tokens glyph not in the table, a state past n, no states at all
+    lambda t: "#tokens a zz\n" + t,
+    lambda t: t.replace("t 0 1 a a", "t 0 2 a a"),
+    lambda t: t.replace("fst 2 0", "fst 0 0"),
+    # cascade sections that disagree on the symbol table
+    lambda t: "cascade 2\n" + t + t.replace("sym 7 b", "sym 7 c"),
+    # keywords are whole fields, and \x takes exactly two hex digits
+    lambda t: "cascadeX 1\n" + t,
+    lambda t: "#tokensX a\n" + t,
+    lambda t: t.replace("sym 7 b", "sym 7 \\x+f"),
+    # a later section's #tokens lists exactly the table's user glyphs
+    lambda t: "cascade 2\n" + t + "#tokens zz\n" + t,
+    lambda t: "cascade 2\n" + t + "#tokens a\n" + t,
 ])
 def test_malformed_dumps_rejected(mangle):
     tb = SymbolTable("ab")
     text = dump_text(literal(tb, "a"))
     with pytest.raises(DumpFormatError):
         load_text(mangle(text))
+
+
+def test_remap_returns_a_canonical_machine():
+    ta, tb = SymbolTable("ab"), SymbolTable("ba")
+    moved = remap(union(word(tb, ["b", "a"]), word(tb, ["a"])), ta)
+    built = union(word(ta, ["b", "a"]), word(ta, ["a"]))
+    assert moved.same_structure(built)
+
+
+def test_hex_escape_spellings_load():
+    text = dump_text(literal(SymbolTable("ab"), "a"))
+    spelled = text.replace("sym 7 b", "sym 7 \\x62").replace("t 0 1 a a", "t 0 1 \\x61 a")
+    assert dump_text(load_text(spelled)) == text
+    assert fsrw.dump.unesc("\\x4A\\x4a") == "JJ"
+
+
+def test_docstring_names_every_keyword():
+    doc = fsrw.dump.__doc__
+    for keyword in [*fsrw.dump._FIELDS, "#tokens"]:
+        assert "\n    %s " % keyword in doc, keyword
 
 
 def test_epsilon_epsilon_arc_rejected():

@@ -127,6 +127,19 @@ def test_complement_covers_reserved_glyphs(tb):
     assert intersection(a, comp).is_empty()
 
 
+@pytest.mark.parametrize("op", [complement, containment])
+def test_full_alphabet_ops_freeze_the_table(op):
+    # the result ranges over every glyph of the table at the time of the
+    # call, so a glyph interned afterwards could never be in its language
+    tb = SymbolTable("ab")
+    m = op(literal(tb, "a"))
+    with pytest.raises(FsmError, match="frozen"):
+        literal(tb, "z")
+    assert "z" not in tb
+    assert accepts(m, "b") == (op is complement)
+    assert lang_enum(literal(tb, "b"), 1) == {"b"}  # known glyphs still intern
+
+
 def test_boolean_ops_reject_transductions(tb):
     t = symbol_pair(tb, "a", "b")
     for op in (complement, containment):
