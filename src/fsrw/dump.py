@@ -11,10 +11,15 @@ One record per line, blank lines ignored, fields separated by whitespace
     f <n>                   (a final state)
 
 A section is an optional `#tokens` line, an `fst` line, then `sym`, `t` and
-`f` lines in any order.  Keywords are whole fields; `cascade`, `#tokens`
-and `fst` begin their line, and `fst` is followed by a space.  States lie
-below the `fst` count.  Ids 0..5 hold `SymbolTable.RESERVED` in order, no
-glyph repeats, every label glyph is in the table, and no arc is `- -`.
+`f` lines in any order.  Every line's keyword is its first field, headers
+included.  States lie below the `fst` count.  Ids 0..5 hold
+`SymbolTable.RESERVED` in order, no glyph repeats, every label glyph is in
+the table, and no arc is `- -`.
+
+Lines break and fields split at ASCII separators only, each of which a
+glyph escapes: `\n`, `\r`, `\r\n`, `\v`, `\f` and `\x1c`..`\x1e` end a
+line, and those, tab, space and `\x1f` separate fields.  Unicode spaces
+and line separators such as `\xa0` and `\u2028` are glyph text.
 
 `-` on a label is epsilon.  A glyph escapes `\\`, `\n`, `\t` and `\r` by
 name, space and the other control characters as `\xHH` (exactly two hex
@@ -47,6 +52,10 @@ class DumpFormatError(FsmError):
 
 # the fields after each keyword: n = integer, s = token (`#tokens`: any glyphs)
 _FIELDS = {"cascade": "n", "fst": "nn", "sym": "ns", "t": "nnss", "f": "n"}
+
+# str.splitlines and str.split would also break at Unicode separators
+_LINE_RE = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
+_FIELD_RE = re.compile(r"[^\t-\r\x1c-\x20]+")
 
 _ESC = {chr(c): "\\x%02x" % c for c in range(0x21)}
 _ESC.update({"\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"})
@@ -112,20 +121,15 @@ def dump_text(m: Union[Fst, list, tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fields(line: str, keyword: str) -> list:
+def _fields(line: list[str], keyword: str) -> list:
     """The fields after `keyword` on `line`, integers parsed, per `_FIELDS`."""
     spec = _FIELDS[keyword]
-    parts = line.split()
-    if len(parts) != len(spec) + 1:
-        raise DumpFormatError("bad %s line %r" % (keyword, line))
+    if len(line) != len(spec) + 1:
+        raise DumpFormatError("bad %s line %r" % (keyword, " ".join(line)))
     try:
-        return [int(p) if c == "n" else p for c, p in zip(spec, parts[1:])]
+        return [int(p) if c == "n" else p for c, p in zip(spec, line[1:])]
     except ValueError:
-        raise DumpFormatError("bad %s line %r" % (keyword, line)) from None
-
-
-def _is_header(line: str, keyword: str) -> bool:
-    return line.startswith(keyword) and line.split(None, 1)[0] == keyword
+        raise DumpFormatError("bad %s line %r" % (keyword, " ".join(line))) from None
 
 
 def _fresh_table(glyphs: list[str], tokens) -> SymbolTable:
@@ -145,15 +149,16 @@ def _fresh_table(glyphs: list[str], tokens) -> SymbolTable:
     return table
 
 
-def _parse_one(lines: list[str], pos: int, table: SymbolTable = None):
-    """Parse one machine section starting at lines[pos].  Returns
-    (Fst, next_pos).  A fresh table is built unless one is supplied, in
-    which case the section's `sym` and `#tokens` lines must agree with it."""
+def _parse_one(lines: list[list[str]], pos: int, table: SymbolTable = None):
+    """Parse one machine section starting at lines[pos], each line a list
+    of fields.  Returns (Fst, next_pos).  A fresh table is built unless one
+    is supplied, in which case the section's `sym` and `#tokens` lines must
+    agree with it."""
     tokens = None
-    if pos < len(lines) and _is_header(lines[pos], "#tokens"):
-        tokens = [unesc(p) for p in lines[pos].split()[1:]]
+    if pos < len(lines) and lines[pos][0] == "#tokens":
+        tokens = [unesc(p) for p in lines[pos][1:]]
         pos += 1
-    if pos >= len(lines) or not lines[pos].startswith("fst "):
+    if pos >= len(lines) or lines[pos][0] != "fst":
         raise DumpFormatError("expected 'fst <nstates> <initial>' line")
     n, initial = _fields(lines[pos], "fst")
     if n < 1 or not (0 <= initial < n):
@@ -163,7 +168,7 @@ def _parse_one(lines: list[str], pos: int, table: SymbolTable = None):
     syms: dict[int, str] = {}
     arcs, finals = [], set()
     while pos < len(lines):
-        keyword = lines[pos].split(None, 1)[0]
+        keyword = lines[pos][0]
         if keyword == "sym":
             sid, g = _fields(lines[pos], "sym")
             syms[sid] = unesc(g)
@@ -215,10 +220,10 @@ def _parse_one(lines: list[str], pos: int, table: SymbolTable = None):
 def load_text(text: str):
     """Parse a machine file.  Returns an Fst, or a list of Fst for a
     cascade file (sharing one table)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [f for f in map(_FIELD_RE.findall, _LINE_RE.split(text)) if f]
     if not lines:
         raise DumpFormatError("empty machine file")
-    if not _is_header(lines[0], "cascade"):
+    if lines[0][0] != "cascade":
         m, pos = _parse_one(lines, 0)
         if pos != len(lines):
             raise DumpFormatError("trailing content after machine")

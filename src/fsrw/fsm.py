@@ -136,7 +136,8 @@ class Fst:
         self._tables = None
 
     def adjacency(self) -> list[list[tuple[int, int, int]]]:
-        """Per-state arc lists [(in, out, dst), ...], computed once."""
+        """Per-state arc lists [(in, out, dst), ...], computed once; each
+        list is sorted, since the arcs are."""
         if self._adj is None:
             adj = [[] for _ in range(self.n)]
             for s, i, o, d in self.arcs:
@@ -641,14 +642,14 @@ def cross_product(a: Fst, b: Fst) -> Fst:
     def moves(key):
         pa, pb, mode = key
         if mode == SYNC:
-            for i, _, da in sorted(adj_a[pa]):
-                for j, _, db in sorted(adj_b[pb]):
+            for i, _, da in adj_a[pa]:
+                for j, _, db in adj_b[pb]:
                     yield i, j, (da, db, SYNC)
         if mode in (SYNC, APAD) and pb in b.finals:
-            for i, _, da in sorted(adj_a[pa]):
+            for i, _, da in adj_a[pa]:
                 yield i, EPS, (da, pb, APAD)
         if mode in (SYNC, BPAD) and pa in a.finals:
-            for j, _, db in sorted(adj_b[pb]):
+            for j, _, db in adj_b[pb]:
                 yield EPS, j, (pa, db, BPAD)
 
     keys, arcs = _explore((a.initial, b.initial, SYNC), moves)
@@ -670,7 +671,7 @@ def compose(a: Fst, b: Fst) -> Fst:
         by_mid: dict[int, list[tuple[int, int]]] = {}
         for j, o2, db in adj_b[pb]:
             by_mid.setdefault(j, []).append((o2, db))
-        for i, o1, da in sorted(adj_a[pa]):
+        for i, o1, da in adj_a[pa]:
             if o1 == EPS:
                 if flt != 2:  # a-alone moves precede b-alone moves
                     yield i, EPS, (da, pb, 1)
@@ -727,6 +728,10 @@ def reverse(m: Fst) -> Fst:
 # on either side plus cached steps), the next input starts them afresh, so
 # applying one machine to endless input runs in bounded memory.
 INPUT_TABLE_CAP = 1 << 13
+
+# enumerate_pairs gives up with FsmError after walking this many arcs, so a
+# relation with very many short paths ends in an error, not a long hang.
+ENUMERATE_PATH_CAP = 2_000_000
 
 
 def _to_ids(table, s) -> list[int]:
@@ -1116,10 +1121,11 @@ def lang_enum(m: Fst, max_len: int) -> set[str]:
     return out
 
 
-def enumerate_pairs(m: Fst, max_input_len: int, path_cap: int = 2_000_000):
+def enumerate_pairs(m: Fst, max_input_len: int):
     """All (input, output) glyph-tuple pairs with input length bounded.
     Requires the relation to be finite per input on that bound (no
-    input-epsilon cycles); raises FsmError otherwise."""
+    input-epsilon cycles); raises FsmError otherwise, and also once the walk
+    takes more than ENUMERATE_PATH_CAP arcs."""
     glyph = m.table.glyph
     adj = m.adjacency()
     pairs: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
@@ -1141,7 +1147,7 @@ def enumerate_pairs(m: Fst, max_input_len: int, path_cap: int = 2_000_000):
             if i == EPS and key in on_stack:
                 raise FsmError("input-epsilon cycle: relation not finite per input")
             steps += 1
-            if steps > path_cap:
+            if steps > ENUMERATE_PATH_CAP:
                 raise FsmError("path cap exceeded while enumerating pairs")
             nins = ins if i == EPS else ins + (glyph(i),)
             nouts = outs if o == EPS else outs + (glyph(o),)

@@ -8,9 +8,10 @@ and a transduction's outputs come from this module's own path walk
 composition algebra nor `transduce` nor the marker code, so the referee
 never runs the code it judges.
 
-The replace oracle is an object, `Oracle`, built once per rule: its walkers
-intern the subsets they meet and memoize the moves between them, and its
-scan results are kept across strings, keyed by the suffix still to read.
+The replace oracle is an object, `Oracle`, built once per rule: its three
+walkers, over dom(T) and the two contexts, intern the subsets they meet and
+memoize the moves between them, and its scan results are kept across
+strings, keyed by the suffix still to read.
 `oracle_replace` answers through the `Oracle` of its previous call when it
 gets the same rule again.
 """
@@ -31,11 +32,17 @@ def _ids_of(table, s) -> list[int]:
     return [table.id_of(g) for g in s]
 
 
-def _mask(states) -> int:
-    out = 0
-    for q in states:
-        out |= 1 << q
-    return out
+def _close(states, succ, within=None) -> set[int]:
+    """`states` and every state reachable from them through the successor
+    lists `succ`, keeping to the set `within` when one is given."""
+    seen = set(states)
+    stack = list(seen)
+    while stack:
+        for w in succ[stack.pop()]:
+            if w not in seen and (within is None or w in within):
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 class _Walker:
@@ -43,10 +50,16 @@ class _Walker:
 
     The subsets of states it meets are closed under input-epsilon arcs and
     numbered in the order they are met, subset 0 being the start; the moves
-    between them are memoized, and a move to the empty subset is -1."""
+    between them are memoized, and a move to the empty subset is -1.
 
-    def __init__(self, m: Fst):
+    With `anywhere`, every subset also holds the start, so a match may begin
+    at any position: the walk is the subset machine of `?* m`, and a subset
+    is final when some suffix of what was read is accepted.  Its moves are
+    never -1."""
+
+    def __init__(self, m: Fst, anywhere: bool = False):
         self.m = m
+        self.restart = (m.initial,) if anywhere else ()
         self.adj: list[list[tuple[int, int, int]]] = [[] for _ in range(m.n)]
         self.succ: list[dict[int, list[int]]] = [{} for _ in range(m.n)]
         self.eps: list[list[int]] = [[] for _ in range(m.n)]
@@ -64,18 +77,8 @@ class _Walker:
         self.ids: dict[frozenset, int] = {}
         self._intern([m.initial])
 
-    def close(self, states) -> frozenset:
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            for w in self.eps[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen)
-
     def _intern(self, states) -> int:
-        subset = self.close(states)
+        subset = frozenset(_close(states, self.eps))
         k = self.ids.get(subset)
         if k is None:
             k = self.ids[subset] = len(self.sets)
@@ -88,32 +91,31 @@ class _Walker:
         """The subset that reading `sym` leads to from subset k."""
         to = self.moves[k].get(sym)
         if to is None:
-            reached = set()
+            reached = set(self.restart)
             for q in self.sets[k]:
                 reached.update(self.succ[q].get(sym, ()))
             to = self._intern(reached) if reached else -1
             self.moves[k][sym] = to
         return to
 
-    def accepts(self, ids: Sequence[int]) -> bool:
-        k = 0
-        for sym in ids:
+    def walk(self, syms, k: int = 0):
+        """The subset after each prefix of `syms` read from subset k, the
+        empty prefix first, up to the last prefix that reaches a state."""
+        yield k
+        for sym in syms:
             k = self.move(k, sym)
             if k < 0:
-                return False
-        return self.final[k]
+                return
+            yield k
+
+    def accepts(self, ids: Sequence[int]) -> bool:
+        walk = list(self.walk(ids))
+        return len(walk) > len(ids) and self.final[walk[-1]]
 
     def match_ends(self, ids: Sequence[int], start: int) -> list[int]:
         """All q >= start with ids[start:q] accepted."""
-        out = [start] if self.final[0] else []
-        k = 0
-        for pos in range(start, len(ids)):
-            k = self.move(k, ids[pos])
-            if k < 0:
-                break
-            if self.final[k]:
-                out.append(pos + 1)
-        return out
+        return [start + p for p, k in enumerate(self.walk(ids[start:]))
+                if self.final[k]]
 
     def outputs(self, ids: Sequence[int]) -> list[tuple[int, ...]]:
         """Every output of an accepting path that reads `ids` on the input
@@ -124,29 +126,20 @@ class _Walker:
         symbol, so an output longer than the lattice has live states passed
         some live state twice while writing: a cycle that writes something,
         which makes the set infinite."""
-        walk = [0]
-        for sym in ids:
-            k = self.move(walk[-1], sym)
-            if k < 0:
-                return []
-            walk.append(k)
+        walk = list(self.walk(ids))
         n = len(ids)
+        if len(walk) <= n:
+            return []
         live: list[set[int]] = []  # filled from position n down, then reversed
         for p in range(n, -1, -1):
             here = self.sets[walk[p]]
             if p == n:
-                seen = set(here & self.m.finals)
+                seen = here & self.m.finals
             else:
                 ahead = live[-1]
                 seen = {q for q in here
                         if not ahead.isdisjoint(self.succ[q].get(ids[p], ()))}
-            stack = list(seen)
-            while stack:
-                for w in self.eps_back[stack.pop()]:
-                    if w in here and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            live.append(seen)
+            live.append(_close(seen, self.eps_back, here))
         live.reverse()
         if self.m.initial not in live[0]:
             return []
@@ -174,42 +167,6 @@ class _Walker:
         return sorted({out for q, out in confs if q in self.m.finals})
 
 
-class _LeftContext:
-    """The left context as a matcher of the output written so far.
-
-    The state is a bitmask of the context machine's states that some
-    nonempty suffix of the output reaches from its start; the context holds
-    when that set, or the start, holds a final state.  Each symbol is also
-    read from the start, so a match may begin anywhere.  `advance` is
-    memoized by (mask, symbol)."""
-
-    def __init__(self, m: Fst):
-        self.walker = _Walker(m)
-        self.start = _mask(self.walker.sets[0])
-        self.finals = _mask(m.finals)
-        self.steps: dict[tuple[int, int], int] = {}
-
-    def holds(self, mask: int) -> bool:
-        return bool((mask | self.start) & self.finals)
-
-    def advance(self, mask: int, sym: int) -> int:
-        got = self.steps.get((mask, sym))
-        if got is None:
-            src = mask | self.start
-            succ = self.walker.succ
-            reached = set()
-            for q in range(self.walker.m.n):
-                if src >> q & 1:
-                    reached.update(succ[q].get(sym, ()))
-            got = self.steps[mask, sym] = _mask(self.walker.close(reached))
-        return got
-
-    def advance_seq(self, mask: int, seq: Sequence[int]) -> int:
-        for sym in seq:
-            mask = self.advance(mask, sym)
-        return mask
-
-
 class Oracle:
     """Reference semantics of obligatory leftmost-longest context rewriting
     `replace(t, left, right)`, built once and queried with `replace(s)`.
@@ -223,14 +180,17 @@ class Oracle:
     left context reads the output tape (it may match across earlier
     rewrites); the right context reads the untouched input tape.
 
-    What the scan does from position i depends only on the suffix still to
-    read, the left-context mask and whether the last step replaced, so its
-    results are memoized under that key for every string the oracle is
-    given.  Suffixes are interned right to left (suffix 0 is the empty one,
-    suffix k is the symbol head[k] followed by suffix tail[k], keyed by its
-    glyph and tail) and outputs the same way, so memory stays linear in the
-    input read.  Past ORACLE_MEMO_CAP entries the memo starts afresh after
-    the current string, whether its scan ended or raised.
+    The left context is a walker whose every subset also holds its start,
+    so after the output written so far it is final when some suffix of that
+    output lies in L(left).  What the scan does from position i depends only
+    on the suffix still to read, that walker's subset and whether the last
+    step replaced, so its results are memoized under that key for every
+    string the oracle is given.  Suffixes are interned right to left
+    (suffix 0 is the empty one, suffix k is the symbol head[k] followed by
+    suffix tail[k], keyed by its glyph and tail) and outputs the same way,
+    so memory stays linear in the input read.  Past ORACLE_MEMO_CAP entries
+    the memo starts afresh after the current string, whether its scan ended
+    or raised.
 
     T's outputs on a span are an exact set; an infinite one raises
     FsmError."""
@@ -243,7 +203,7 @@ class Oracle:
         self.table = table
         self.dom = _Walker(t)
         self.right = _Walker(right)
-        self.left = _LeftContext(left)
+        self.left = _Walker(left, anywhere=True)
         self._eps_outputs: Optional[list[tuple[int, ...]]] = None
         self._reset()
 
@@ -317,44 +277,48 @@ class Oracle:
     def _branches(self, key):
         """The ways the scan goes on from `key`, as (written, next key)
         pairs; a next key of None ends the string."""
-        sid, mask, just_replaced = key
-        left = self.left
+        sid, lk, just_replaced = key
         if sid:
             length, after = self._match(sid)
             sym = self.head[sid]
             if length:
-                if left.holds(mask):
-                    return [(y, (after, left.advance_seq(mask, y), True))
+                if self.left.final[lk]:
+                    return [(y, (after, self._write(lk, y), True))
                             for y in self._span(sid, length)]
-            elif self._eps_may_fire(sid, mask, just_replaced):
-                return [(w, (self.tail[sid], left.advance_seq(mask, w), False))
+            elif self._eps_may_fire(sid, lk, just_replaced):
+                return [(w, (self.tail[sid], self._write(lk, w), False))
                         for w in (y + (sym,) for y in self._eps())]
-            return [((sym,), (self.tail[sid], left.advance(mask, sym), False))]
-        if self._eps_may_fire(sid, mask, just_replaced):
+            return [((sym,), (self.tail[sid], self.left.move(lk, sym), False))]
+        if self._eps_may_fire(sid, lk, just_replaced):
             return [(y, None) for y in self._eps()]
         return [((), None)]
 
-    def _eps_may_fire(self, sid: int, mask: int, just_replaced: bool) -> bool:
+    def _write(self, lk: int, written) -> int:
+        """The left context's subset after `written` follows subset lk."""
+        *_, lk = self.left.walk(written, lk)
+        return lk
+
+    def _eps_may_fire(self, sid: int, lk: int, just_replaced: bool) -> bool:
         """Whether the empty string may be rewritten in front of suffix sid."""
         return (not just_replaced and self.dom.final[0] and self._right_ok(sid)
-                and self.left.holds(mask))
+                and self.left.final[lk])
 
     # -- per-suffix facts -------------------------------------------------
+
+    def _symbols(self, sid: int):
+        """The symbols of suffix sid, in order."""
+        head, tail = self.head, self.tail
+        while sid:
+            yield head[sid]
+            sid = tail[sid]
 
     def _right_ok(self, sid: int) -> bool:
         """Whether the right context accepts some prefix of suffix sid."""
         got = self.right_ok.get(sid)
         if got is None:
-            walker, head, tail = self.right, self.head, self.tail
-            k, cur = 0, sid
-            got = walker.final[0]
-            while not got and cur:
-                k = walker.move(k, head[cur])
-                if k < 0:
-                    break
-                got = walker.final[k]
-                cur = tail[cur]
-            self.right_ok[sid] = got
+            final = self.right.final
+            got = self.right_ok[sid] = any(
+                map(final.__getitem__, self.right.walk(self._symbols(sid))))
         return got
 
     def _match(self, sid: int) -> tuple[int, int]:
@@ -364,16 +328,13 @@ class Oracle:
         got = self.matches.get(sid)
         if got is None:
             got = (0, 0)
-            walker, head, tail = self.dom, self.head, self.tail
-            k, cur, length = 0, sid, 0
-            while cur:
-                k = walker.move(k, head[cur])
-                if k < 0:
-                    break
-                cur = tail[cur]
-                length += 1
-                if walker.final[k] and self._right_ok(cur):
-                    got = (length, cur)
+            final, tail, after = self.dom.final, self.tail, sid
+            walk = self.dom.walk(self._symbols(sid))
+            next(walk)  # the empty prefix
+            for length, k in enumerate(walk, 1):
+                after = tail[after]
+                if final[k] and self._right_ok(after):
+                    got = (length, after)
             self.matches[sid] = got
         return got
 
@@ -381,11 +342,7 @@ class Oracle:
         """T's outputs on the first `length` symbols of suffix sid."""
         got = self.spans.get(sid)
         if got is None:
-            span = []
-            cur = sid
-            for _ in range(length):
-                span.append(self.head[cur])
-                cur = self.tail[cur]
+            span = list(itertools.islice(self._symbols(sid), length))
             got = self.spans[sid] = self.dom.outputs(span)
         return got
 

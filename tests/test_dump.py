@@ -76,6 +76,14 @@ def test_multi_char_and_awkward_glyphs():
     assert dump_text(load_text(text)) == text
 
 
+@pytest.mark.parametrize("glyph", ["\xa0", "\x85", "\u2028", "\u2029", "\u3000"])
+def test_unicode_separator_glyphs_round_trip(glyph):
+    # written unescaped, so the loader must not split lines or fields there
+    m = word(SymbolTable(["a", glyph]), ["a", glyph])
+    assert_same_machine(m, rt(m))
+    assert dump_text(rt(m)) == dump_text(m)
+
+
 def test_cascade_round_trip():
     tb = SymbolTable("ab")
     parts = [star(symbol_pair(tb, "a", "b")), star(symbol_pair(tb, "b", "a"))]
@@ -146,6 +154,21 @@ def test_malformed_dumps_rejected(mangle):
     text = dump_text(literal(tb, "a"))
     with pytest.raises(DumpFormatError):
         load_text(mangle(text))
+
+
+@pytest.mark.parametrize("respell", [
+    lambda t: t.replace("fst ", "fst\t"),
+    lambda t: t.replace("fst ", " fst "),
+    lambda t: t.replace("#tokens ", "\t#tokens "),
+    lambda t: " cascade\t1\n" + t,
+])
+def test_header_lines_follow_the_field_rule(respell):
+    # a header's keyword is its first field, as on every other line
+    tb = SymbolTable(["ab", "c"])
+    text = dump_text(word(tb, ["ab", "c"]))
+    assert text.startswith("#tokens ")
+    got = load_text(respell(text))
+    assert dump_text(got if isinstance(got, Fst) else got[0]) == text
 
 
 def test_remap_returns_a_canonical_machine():

@@ -502,6 +502,14 @@ def test_enumerate_pairs_rejects_input_epsilon_cycle(tb):
         enumerate_pairs(t, 2)
 
 
+def test_enumerate_pairs_stops_at_its_path_cap(tb, monkeypatch):
+    m = star(union(literal(tb, "a"), literal(tb, "b")))
+    assert len(enumerate_pairs(m, 3)) == 15
+    monkeypatch.setattr(fsm, "ENUMERATE_PATH_CAP", 10)
+    with pytest.raises(FsmError, match="path cap exceeded"):
+        enumerate_pairs(m, 3)
+
+
 def test_determinize_minimize_preserve_language(tb):
     rng = random.Random(5)
     for _ in range(60):

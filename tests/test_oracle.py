@@ -17,6 +17,8 @@ import pytest
 
 import fsrw.oracle
 from fsrw import (
+    EPS,
+    Fst,
     FsmError,
     SymbolTable,
     concat,
@@ -36,11 +38,12 @@ from fsrw import (
     word,
 )
 from fsrw.dsl import compile_rules
-from fsrw.oracle import ORACLE_MEMO_CAP, Oracle
+from fsrw.oracle import ORACLE_MEMO_CAP, Oracle, _Walker
 
 from gen import (
     all_strings,
     build_regex,
+    random_arc_machine,
     random_context,
     random_regex,
     random_replace_rule,
@@ -149,6 +152,59 @@ def test_lm_concat_applies_pieces_to_their_spans():
     p2 = cross_product(star(literal(tb, "a")), word(tb, "b"))
     assert oracle_lm_concat([p1, p2], list("aaa")) == {"b#b"}
     assert oracle_lm_concat([p1, p2], list("b")) == set()
+
+
+# ---------------------------------------------------------------------------
+# the subset walker
+
+
+def _reads(m, w):
+    """Whether some path of m reads the ids w, by a search over (state,
+    position) pairs."""
+    seen, stack = set(), [(m.initial, 0)]
+    while stack:
+        q, p = stack.pop()
+        if (q, p) in seen:
+            continue
+        seen.add((q, p))
+        if p == len(w) and q in m.finals:
+            return True
+        for s, i, _, d in m.arcs:
+            if s == q and i == EPS:
+                stack.append((d, p))
+            elif s == q and p < len(w) and i == w[p]:
+                stack.append((d, p + 1))
+    return False
+
+
+def test_walker_from_anywhere_is_final_after_a_suffix_in_the_language():
+    rng = random.Random(47)
+    tb = SymbolTable("ab")
+    words = [tuple(map(tb.id_of, s)) for s in all_strings("ab", 5)]
+    for _ in range(240):
+        m = random_arc_machine(rng, tb, max_states=4, recognizer=True)
+        eps = {(rng.randrange(m.n), EPS, EPS, rng.randrange(m.n))
+               for _ in range(rng.randint(0, 2))}
+        m = Fst(tb, m.n, 0, m.finals, tuple(sorted(set(m.arcs) | eps)), True)
+        lang = {w for w in words if _reads(m, w)}
+        walker = _Walker(m, anywhere=True)
+        for w in words:
+            walk = list(walker.walk(w))
+            assert len(walk) == len(w) + 1, (m.arcs, w)
+            want = any(w[j:] in lang for j in range(len(w) + 1))
+            assert walker.final[walk[-1]] == want, (m.arcs, w)
+
+
+def test_match_ends_on_an_empty_and_a_dead_prefix():
+    tb = SymbolTable("ab")
+    ab = [tb.id_of(g) for g in "ab"]
+    maybe = _Walker(option(word(tb, "ab")))
+    assert maybe.match_ends(ab, 0) == [0, 2]
+    assert maybe.match_ends(ab, 2) == [2]  # nothing left to read
+    assert maybe.match_ends(ab, 1) == [1]  # b reaches no state
+    once = _Walker(word(tb, "ab"))
+    assert once.match_ends(ab, 2) == []
+    assert once.match_ends(ab, 1) == []
 
 
 # ---------------------------------------------------------------------------
