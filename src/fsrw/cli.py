@@ -229,7 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="print every output, tab separated")
     p.add_argument("--limit", type=_positive_int, default=64,
-                   help="output cap per input line (default 64)")
+                   help="keep the N shortest outputs of an infinite output "
+                        "set (default 64); a finite set is printed in full")
     p.add_argument("--on-empty", default="",
                    help="text to print when an input has no output")
     p.set_defaults(func=cmd_apply)

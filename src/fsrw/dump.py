@@ -1,7 +1,7 @@
 r"""Plain-text machine serialization.
 
 One record per line, blank lines ignored, fields separated by whitespace
-(n = integer, g = glyph):
+(n = integer in ASCII decimal digits, g = glyph):
 
     cascade <n>             (optional first line: n sections follow)
     #tokens <g> ...         (optional: the input-tokenizer glyphs)
@@ -121,13 +121,21 @@ def dump_text(m: Union[Fst, list, tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int(text: str) -> int:
+    """An integer field: ASCII decimal digits only, so no sign, no `_`
+    and no other script's digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _fields(line: list[str], keyword: str) -> list:
     """The fields after `keyword` on `line`, integers parsed, per `_FIELDS`."""
     spec = _FIELDS[keyword]
     if len(line) != len(spec) + 1:
         raise DumpFormatError("bad %s line %r" % (keyword, " ".join(line)))
     try:
-        return [int(p) if c == "n" else p for c, p in zip(spec, line[1:])]
+        return [_int(p) if c == "n" else p for c, p in zip(spec, line[1:])]
     except ValueError:
         raise DumpFormatError("bad %s line %r" % (keyword, " ".join(line))) from None
 

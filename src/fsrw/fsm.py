@@ -804,15 +804,19 @@ class _Step:
     goes to position p + 1 (dst indexes that position's `live`).  `rid` is
     R[p].  `out` is the output glyphs along the one path through p when
     there is only one (each live state has one live arc and they chain),
-    else None."""
+    else None.  `exit` is the state at position p + 1 that every arc
+    leaving p enters, when they all enter one, else -1: then every
+    accepting path crosses that state, and the line can be cut there."""
 
-    __slots__ = ("rid", "live", "arcs", "out")
+    __slots__ = ("rid", "live", "arcs", "out", "exit")
 
     def __init__(self, rid, live, arcs, out):
         self.rid = rid
         self.live = live
         self.arcs = arcs
         self.out = out
+        ends = {d for _, _, d, same in arcs if not same}
+        self.exit = ends.pop() if len(ends) == 1 else -1
 
 
 def _chain_output(k: int, arcs, glyph) -> Optional[tuple[str, ...]]:
@@ -853,9 +857,12 @@ class InputTables:
     top of them, `steps` caches the trimmed lattice of one position by
     (L[p], symbol, R[p + 1]); the end of the input is the step
     (L[n], EPS, -1), whose live final states have an arc to a single exit
-    state at position n + 1."""
+    state at position n + 1.  `segments` caches the outputs of a stretch
+    of steps between two cuts (see `segment`); `held` counts the outputs
+    it holds."""
 
-    __slots__ = ("finals", "adj", "glyph", "left", "right", "steps")
+    __slots__ = ("finals", "adj", "glyph", "left", "right", "steps",
+                 "segments", "held")
 
     def __init__(self, m: Fst):
         self.finals = m.finals
@@ -875,9 +882,11 @@ class InputTables:
         self.left = _SubsetTable(fsucc, feps, [m.initial])
         self.right = _SubsetTable(bsucc, beps, m.finals)
         self.steps: dict[tuple[int, int, int], _Step] = {}
+        self.segments: dict[tuple, Optional[_Segment]] = {}
+        self.held = 0
 
     def size(self) -> int:
-        return len(self.left.sets) + len(self.right.sets) + len(self.steps)
+        return len(self.left.sets) + len(self.right.sets) + len(self.steps) + self.held
 
     def _step(self, lid: int, sym: int, rnext: int) -> _Step:
         left, right = self.left, self.right
@@ -926,6 +935,24 @@ class InputTables:
         trail.reverse()
         return trail
 
+    def segment(self, trail, lo: int, hi: int, entry: int) -> Optional[_Segment]:
+        """The outputs of steps lo..hi - 1 of `trail`, from live state
+        `entry` of position lo to the exit of step hi - 1, or None when
+        there are infinitely many.  Cached by the entry and the steps
+        (each step stands for its key (L[p], symbol, R[p + 1]))."""
+        key = (entry, *trail[lo:hi])
+        try:
+            return self.segments[key]
+        except KeyError:
+            pass
+        dadj, dfinals, order, indeg = _output_dfa(trail, lo, hi, entry)
+        seg = None
+        if order is not None:
+            seg = _Segment(_acyclic_outputs(dadj, order, indeg, dfinals, self.glyph))
+        self.segments[key] = seg
+        self.held += len(seg.tuples) if seg else 1
+        return seg
+
 
 def _release_full_tables(m: Fst, tables: InputTables):
     # the caller keeps its reference for the rest of its input
@@ -944,26 +971,52 @@ def accepts(m: Fst, s) -> bool:
     return lids is not None and not m.finals.isdisjoint(tables.left.sets[lids[-1]])
 
 
+class _Segment:
+    """The finite output set of a stretch of a line's lattice: glyph tuples
+    sorted by symbol id, their joins in the same order, and whether no
+    output is a proper prefix of another.  In sorted order a prefix sorts
+    right before the outputs it starts, so neighbours tell."""
+
+    __slots__ = ("tuples", "strings", "prefix_free")
+
+    def __init__(self, tuples: list[tuple[str, ...]]):
+        self.tuples = tuples
+        self.strings = ["".join(t) for t in tuples]
+        self.prefix_free = all(b[:len(a)] != a for a, b in zip(tuples, tuples[1:]))
+
+
 class TransduceResult:
     """Outputs of applying a machine to one input string.
 
-    `outputs` holds glyph tuples sorted lexicographically by symbol id;
-    `strings()` joins them for display.  `truncated` is set when the output
-    set is infinite and only the first `limit` (shortest first) are kept.
+    `outputs` holds glyph tuples sorted lexicographically by symbol id; it
+    is built on first access.  `strings()` joins them for display, in the
+    same order, and `len()` counts them; neither builds the tuples.
+    `truncated` is set when the output set is infinite and only the first
+    `limit` (shortest first) are kept.
     """
 
-    def __init__(self, outputs, truncated):
-        self.outputs = outputs
+    __slots__ = ("_strings", "_outputs", "truncated")
+
+    def __init__(self, strings: list[str], truncated: bool, outputs):
+        # `outputs` is the list of glyph tuples or a function that makes it
+        self._strings = strings
+        self._outputs = outputs
         self.truncated = truncated
 
+    @property
+    def outputs(self) -> list[tuple[str, ...]]:
+        if callable(self._outputs):
+            self._outputs = self._outputs()
+        return self._outputs
+
     def strings(self) -> list[str]:
-        return ["".join(o) for o in self.outputs]
+        return list(self._strings)
 
     def __iter__(self):
-        return iter(self.strings())
+        return iter(self._strings)
 
     def __len__(self):
-        return len(self.outputs)
+        return len(self._strings)
 
 
 def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
@@ -973,38 +1026,112 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
 
     The machine's input tables (`InputTables`) give the input's trimmed
     lattice, position by position, from cached steps.  When each step is
-    one path, its outputs are joined directly; otherwise the lattice's
-    output automaton is determinized and enumerated.  Every lattice state
-    lies on an accepting path, so every state of that DFA reaches a final
-    one and nothing needs trimming; one Kahn pass orders the DFA and tells
-    whether it has a cycle, that is whether the output set is infinite."""
+    one path, its outputs are joined directly.  Otherwise the line is cut
+    after each step whose arcs all enter one state, which every accepting
+    path crosses, and the output set is the product of the output sets of
+    the stretches between cuts: a single-path stretch gives one text, and
+    any other gives a `_Segment` cached on the tables, built once from its
+    output DFA (`_output_dfa`).  When no stretch has an output that is a
+    proper prefix of another (the last one may, unless text follows it),
+    the product comes out sorted by symbol id and without repeats;
+    otherwise it is deduplicated and sorted.  When some stretch has
+    infinitely many outputs, the shortest are enumerated from the output
+    DFA of the whole line."""
     ids = _to_ids(m.table, s)
     tables = m.input_tables()
-    trail = tables.trim(ids)
-    _release_full_tables(m, tables)
-    if trail is None:
-        return TransduceResult([], False)
-    outs = [st.out for st in trail]
-    if None not in outs:
-        return TransduceResult([tuple(chain.from_iterable(outs))], False)
+    try:
+        trail = tables.trim(ids)
+        if trail is None:
+            return TransduceResult([], False, [])
+        outs = [st.out for st in trail]
+        if None not in outs:
+            out = tuple(chain.from_iterable(outs))
+            return TransduceResult(["".join(out)], False, [out])
+        return _segmented_outputs(tables, trail, trail[0].live.index(m.initial),
+                                  limit, m.table)
+    finally:
+        _release_full_tables(m, tables)
 
-    # the lattice: the live states of position p are base[p] + k, and the
-    # exit after the end of the input is the last state.  Its arcs are
-    # split into silent successors (output EPS) and writing arcs (o, d).
-    base = [0]
-    for st in trail:
-        base.append(base[-1] + len(st.live))
-    silent: list[list[int]] = [[] for _ in range(base[-1] + 1)]
-    writes: list[list[tuple[int, int]]] = [[] for _ in range(base[-1] + 1)]
+
+def _segmented_outputs(tables: InputTables, trail, start: int, limit: int,
+                       table: SymbolTable) -> TransduceResult:
+    """The outputs of a line with several accepting paths, whose trimmed
+    lattice is `trail` and starts in its live state `start`."""
+    parts = []  # (the single-path text before a stretch, its _Segment)
+    text: list[str] = []
+    lo, entry = 0, start
     for p, st in enumerate(trail):
-        here, ahead = base[p], base[p + 1]
+        if st.exit < 0:  # no cut after this step
+            continue
+        if p == lo and st.out is not None:
+            text.extend(st.out)
+        else:
+            seg = tables.segment(trail, lo, p + 1, entry)
+            if seg is None:
+                return _shortest_outputs(trail, start, limit, table.glyph)
+            parts.append((tuple(text), seg))
+            text = []
+        lo, entry = p + 1, st.exit
+    tail = tuple(text)
+
+    def product(pick, join):
+        # each part's text is joined to its stretch's outputs and the tail
+        # to the last, so the product takes one pass per stretch
+        lists = []
+        for pre, seg in parts:
+            pre = join(pre)
+            lists.append([pre + o for o in pick(seg)] if pre else pick(seg))
+        if tail:
+            end = join(tail)
+            lists[-1] = [o + end for o in lists[-1]]
+        acc = list(lists[0])  # never the cached list itself
+        for lst in lists[1:]:
+            acc = [a + o for a in acc for o in lst]
+        return acc
+
+    def tuples():
+        return product(lambda seg: seg.tuples, tuple)
+
+    segs = [seg for _, seg in parts]
+    if all(seg.prefix_free for seg in (segs if tail else segs[:-1])):
+        return TransduceResult(product(lambda seg: seg.strings, "".join), False, tuples)
+    id_of = table.id_of
+    outputs = sorted(set(tuples()), key=lambda o: [id_of(g) for g in o])
+    return TransduceResult(["".join(o) for o in outputs], False, outputs)
+
+
+def _output_dfa(trail, lo: int, hi: int, entry: int):
+    """The output DFA of steps lo..hi - 1 of a trimmed lattice, from live
+    state `entry` of position lo to the state every arc leaving step
+    hi - 1 enters.  Returns (dadj, dfinals, order, indeg): dadj[q] lists
+    (symbol, next state) in ascending symbol order, state 0 is the start,
+    `indeg` counts the arcs into each state, and `order` is a topological
+    order of the states, or None when the DFA has a cycle, that is when
+    the output set is infinite.
+
+    The lattice states of position p are base[p] + k, and the range's
+    exit is the last state.  Every lattice state lies on an accepting
+    path, so every DFA state reaches a final one and nothing needs
+    trimming."""
+    base = [0]
+    for st in trail[lo:hi]:
+        base.append(base[-1] + len(st.live))
+    last = base[-1]
+    # the arcs, split into silent successors (output EPS) and writing
+    # arcs (o, d)
+    silent: list[list[int]] = [[] for _ in range(last + 1)]
+    writes: list[list[tuple[int, int]]] = [[] for _ in range(last + 1)]
+    for p in range(lo, hi):
+        st = trail[p]
+        here = base[p - lo]
+        # every arc leaving the range enters its exit, numbered `last`
+        ahead = base[p - lo + 1] if p + 1 < hi else last - st.exit
         for k, o, d, same in st.arcs:
             d += here if same else ahead
             if o == EPS:
                 silent[here + k].append(d)
             else:
                 writes[here + k].append((o, d))
-    start = trail[0].live.index(m.initial)
 
     # determinize the output automaton so each path is a distinct string
     def moves(subset):
@@ -1015,11 +1142,11 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
         for o in sorted(by_sym):
             yield o, o, frozenset(_reach(by_sym[o], silent))
 
-    keys, arcs = _explore(frozenset(_reach([start], silent)), moves)
+    keys, arcs = _explore(frozenset(_reach([entry], silent)), moves)
     dadj: list[list[tuple[int, int]]] = [[] for _ in keys]
     for src, o, _, d in arcs:
         dadj[src].append((o, d))
-    dfinals = {q for q, subset in enumerate(keys) if base[-1] in subset}
+    dfinals = {q for q, subset in enumerate(keys) if last in subset}
 
     # one Kahn pass from state 0: every state is reachable from 0, so the
     # DFA is acyclic iff no arc enters 0 and every state gets placed (a
@@ -1035,11 +1162,16 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
             left[d] -= 1
             if not left[d]:
                 order.append(d)
-    glyph = m.table.glyph
-    if not indeg[0] and len(order) == len(dadj):
-        return TransduceResult(_acyclic_outputs(dadj, order, indeg, dfinals, glyph),
-                               False)
-    # shortest-first enumeration, cut at `limit` distinct outputs
+    if indeg[0] or len(order) != len(dadj):
+        order = None
+    return dadj, dfinals, order, indeg
+
+
+def _shortest_outputs(trail, start: int, limit: int, glyph) -> TransduceResult:
+    """The `limit` shortest outputs of a whole line whose output set is
+    infinite, found in its output DFA shortest first (ties in symbol-id
+    order) and returned sorted by symbol id."""
+    dadj, dfinals, _, _ = _output_dfa(trail, 0, len(trail), start)
     heap = [(0, (), 0)]
     found: set[tuple[int, ...]] = set()
     results = []
@@ -1050,8 +1182,8 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
             results.append(prefix)
         for o, d in dadj[v]:
             heapq.heappush(heap, (length + 1, prefix + (o,), d))
-    outputs = sorted(set(results))
-    return TransduceResult([tuple(glyph(o) for o in out) for out in outputs], True)
+    outputs = [tuple(glyph(o) for o in out) for out in sorted(set(results))]
+    return TransduceResult(["".join(o) for o in outputs], True, outputs)
 
 
 def _acyclic_outputs(dadj, order, indeg, dfinals, glyph) -> list[tuple[str, ...]]:

@@ -93,6 +93,18 @@ def test_apply_rejects_a_limit_below_one(tmp_path, monkeypatch, capsys, limit):
     assert (rc, out) == (0, "\n")
 
 
+def test_apply_limit_leaves_a_finite_output_set_whole(tmp_path, monkeypatch,
+                                                      capsys):
+    # two vowel pairs: 4 * 4 outputs, all printed although --limit is 1
+    machine = compiled(tmp_path, (BENCH_RULES_DIR / "ambiguous.fsr").read_text())
+    rc, out, err = run(monkeypatch, capsys,
+                       ["apply", "-m", str(machine), "--all", "--limit", "1"],
+                       "kaetio\n")
+    assert rc == 0
+    want = sorted("k%st%s" % (x, y) for x in "aeio" for y in "aeio")
+    assert out == "\t".join(want) + "\n"
+
+
 def test_apply_flags_unknown_symbols(tmp_path, monkeypatch, capsys):
     machine = compiled(tmp_path, "replace(a x b, [], []).")
     rc, out, err = run(monkeypatch, capsys,

@@ -148,6 +148,12 @@ def test_remap_interns_missing_glyphs():
     # a later section's #tokens lists exactly the table's user glyphs
     lambda t: "cascade 2\n" + t + "#tokens zz\n" + t,
     lambda t: "cascade 2\n" + t + "#tokens a\n" + t,
+    # integer fields take ASCII decimal digits only
+    lambda t: t + "f +1\n",
+    lambda t: t + "f 0_1\n",
+    lambda t: t + "f \u0661\n",
+    lambda t: t + "f \u16801\n",
+    lambda t: t.replace("fst 2 0", "fst \u0662 0"),
 ])
 def test_malformed_dumps_rejected(mangle):
     tb = SymbolTable("ab")

@@ -439,6 +439,123 @@ def test_transduce_cycle_verdict_matches_the_oracle(tb):
     assert infinite >= 1000
 
 
+def _walker_outputs(m, w):
+    """The oracle's outputs of `m` on the glyphs `w`, as glyph tuples
+    sorted by symbol id."""
+    tb = m.table
+    return [tuple(map(tb.glyph, o))
+            for o in sorted(_Walker(m).outputs([tb.id_of(g) for g in w]))]
+
+
+def _arc_machine(tb, n, finals, arcs):
+    """A machine given by arcs over glyphs (None for epsilon)."""
+    sid = {None: EPS, **{g: tb.id_of(g) for g in tb.user_glyphs()}}
+    return Fst(tb, n, 0, frozenset(finals),
+               tuple(sorted((s, sid[i], sid[o], d) for s, i, o, d in arcs)), False)
+
+
+def test_transduce_dedups_outputs_that_collide_across_a_cut():
+    # `a` writes {x, xy} and `b` writes {y, nothing, x}; both stretches end
+    # in one state, so the line is cut after each.  xy comes out twice, and
+    # with y before x in id order, the order is not the strings' order
+    tb = SymbolTable("abyx")
+    m = _arc_machine(tb, 4, [2], [(0, None, "x", 3), (3, "a", "y", 1), (0, "a", "x", 1),
+                                  (1, "b", "y", 2), (1, "b", None, 2), (1, "b", "x", 2)])
+    res = transduce(m, "ab")
+    assert len(m.input_tables().segments) == 2
+    assert res.strings() == ["x", "xy", "xyy", "xyx", "xx"]
+    assert res.outputs == _walker_outputs(m, "ab")
+    assert len(res) == 5 and not res.truncated
+
+
+def test_transduce_orders_multi_character_glyphs_by_id():
+    # ids zz < b < ab < a, the reverse of string order; ("ab",) and
+    # ("a", "b") are two outputs that print alike
+    tb = SymbolTable(["zz", "b", "ab", "a"])
+    m = _arc_machine(tb, 4, [2], [(0, "b", "zz", 1), (0, "b", "b", 1), (1, "b", "ab", 2),
+                                  (1, "b", "a", 3), (3, None, "b", 2)])
+    res = transduce(m, ["b", "b"])
+    want = [("zz", "ab"), ("zz", "a", "b"), ("b", "ab"), ("b", "a", "b")]
+    assert res.strings() == ["zzab", "zzab", "bab", "bab"]
+    assert res.outputs == want == _walker_outputs(m, ["b", "b"])
+    pairs = enumerate_pairs(m, 2)
+    assert sorted(out for inp, out in pairs if inp == ("b", "b")) == sorted(want)
+
+
+def test_transduce_cyclic_stretch_beside_finite_ones():
+    # {x, y} z* b {x, y} on aba: the middle stretch loops on z, so the
+    # line's outputs are the `limit` shortest, ties in id order
+    tb = SymbolTable("abxyz")
+    m = _arc_machine(tb, 4, [3], [(0, "a", "x", 1), (0, "a", "y", 1), (1, None, "z", 1),
+                                  (1, "b", "b", 2), (2, "a", "x", 3), (2, "a", "y", 3)])
+    with pytest.raises(FsmError):
+        _walker_outputs(m, "aba")
+    lang = [u + "z" * k + "b" + v for u in "xy" for v in "xy" for k in range(4)]
+    for limit in (1, 3, 5, 9):
+        res = transduce(m, "aba", limit=limit)
+        want = sorted(sorted(lang, key=lambda o: (len(o), o))[:limit])
+        assert res.truncated and len(res) == limit
+        assert res.strings() == want
+        assert res.outputs == [tuple(o) for o in want]
+
+
+def test_transduce_matches_the_oracle_on_concatenated_pieces(tb):
+    # concatenations of small nondeterministic pieces, some with
+    # input-epsilon arcs: lines cut into several multi-path stretches
+    rng = random.Random(24)
+    short = [w for n in range(4) for w in itertools.product("ab", repeat=n)]
+    infinite = several = 0
+    for _ in range(150):
+        m = concat(*(_with_input_epsilons(rng, random_arc_machine(rng, tb),
+                                          rng.randint(0, 1))
+                     for _ in range(rng.randint(2, 4))))
+        try:
+            pairs = enumerate_pairs(m, 3)
+        except FsmError:  # an input-epsilon cycle
+            pairs = None
+        lines = short + [tuple(rng.choice("ab") for _ in range(rng.randint(4, 8)))
+                         for _ in range(4)]
+        for w in lines:
+            res = transduce(m, w, limit=8)
+            try:
+                want = _walker_outputs(m, w)
+            except FsmError:  # infinitely many outputs
+                infinite += 1
+                assert res.truncated and len(res) == 8, (m.arcs, w)
+                continue
+            assert not res.truncated, (m.arcs, w)
+            assert res.outputs == want, (m.arcs, w)
+            assert res.strings() == ["".join(o) for o in want], (m.arcs, w)
+            if pairs is not None and len(w) <= 3:
+                assert sorted(out for inp, out in pairs if inp == w) == sorted(want)
+            several += len(want) > 1
+    assert infinite >= 50 and several >= 300
+
+
+def test_segment_cache_counts_toward_the_cap():
+    # one x written in place of any one symbol: n outputs, and no cut
+    # until the end, so each line caches one segment of its own
+    tb = SymbolTable("abx")
+    m = _arc_machine(tb, 2, [1], [(0, s, s, 0) for s in "ab"]
+                     + [(0, s, "x", 1) for s in "ab"] + [(1, s, s, 1) for s in "ab"])
+    rng = random.Random(25)
+    lines = set()
+    while len(lines) < 1500:
+        lines.add("".join(rng.choice("ab") for _ in range(rng.randint(10, 20))))
+    renewed = 0
+    tables = m.input_tables()
+    for line in sorted(lines):
+        want = sorted(line[:i] + "x" + line[i + 1:] for i in range(len(line)))
+        assert transduce(m, line).strings() == want
+        size = m.input_tables().size()
+        assert size <= fsm.INPUT_TABLE_CAP
+        renewed += m.input_tables() is not tables
+        tables = m.input_tables()
+        # nearly everything the tables hold is segment outputs
+        assert size - tables.held < 50
+    assert renewed >= 2  # the cap was reached and the tables started afresh
+
+
 def _nth_from_last_is_a(tb, k):
     """Identity on the strings over {a, b} whose k-th symbol from the end
     is an a: a nondeterministic machine whose left subsets number 2^k."""
