@@ -44,6 +44,7 @@ from .fsm import (
     minimize,
     plus,
     project,
+    reduce_pairs,
     reverse,
     sigma_star,
     star,
@@ -55,13 +56,14 @@ from .fsm import (
 class MarkerKit:
     """Toolkit of encoded-string operators over one symbol table.
 
-    Constant pieces (cells, sig, the intro family on cached cell sets) are
-    built once per kit.  A compile makes one kit and every rule of the
-    program draws on it, so its rules share their marker constants; a
-    library call such as `replace(t, left, right)` makes its own.  The
-    table's user alphabet must be complete before the first constant is
-    built, which freezes the table: a glyph added later could not appear
-    in the constants already built, so interning one raises FsmError.
+    Constant pieces (cells, sig, the intro family and the `ignx_1` wedge on
+    cached cell sets) are built and reduced once per kit.  A compile makes
+    one kit and every rule of the program draws on it, so its rules share
+    their marker constants; a library call such as `replace(t, left,
+    right)` makes its own.  The table's user alphabet must be complete
+    before the first constant is built, which freezes the table: a glyph
+    added later could not appear in the constants already built, so
+    interning one raises FsmError.
     """
 
     def __init__(self, table: SymbolTable):
@@ -76,10 +78,16 @@ class MarkerKit:
         return concat(literal(t, g), literal(t, f))
 
     def _const(self, name, build):
+        """The kit's constant `name`, built and reduced on first use.  The
+        closures that build constants (`star` of a `union`, say) copy arcs
+        onto every final state, so unreduced they grow with the square of
+        the alphabet; every factor and composition of a compile would pay
+        for it."""
         got = self._cache.get(name)
         if got is None:
             self.table.freeze()
             got = build()
+            got = minimize(got) if got.is_recognizer else reduce_pairs(got)
             self._cache[name] = got
         return got
 
@@ -227,11 +235,13 @@ class MarkerKit:
         """Strings of e1 with at least one e2 string wedged in, none of
         them at the very end.  Unlike the intro family this works at the
         raw symbol level, so e2 need not be whole cells."""
-        t = self.table
-        anysym = any_of(t, t.all_ids())
-        wedge = concat(plus(concat(star(anysym),
-                                   cross_product(empty_string(t), e2))),
-                       plus(anysym))
+        def build():
+            t = self.table
+            anysym = any_of(t, t.all_ids())
+            return concat(plus(concat(star(anysym),
+                                      cross_product(empty_string(t), e2))),
+                          plus(anysym))
+        wedge = self._intro_cached("wedge", e2, build)
         return project(compose(e1, wedge), "range")
 
     # implication tests on factorizations ---------------------------------

@@ -14,14 +14,25 @@ from fsrw import (
     MarkerKit,
     SymbolTable,
     accepts,
+    any_of,
     compose,
     concat,
     cross_product,
+    difference,
+    empty_lang,
     empty_string,
+    equivalent,
     lang_enum,
     literal,
+    minimize,
+    plus,
     project,
+    reduce_pairs,
+    reverse,
+    sigma_star,
     star,
+    symbol_pair,
+    union,
     word,
 )
 
@@ -216,7 +227,6 @@ def test_match_n(kit):
 
 def test_coerce_to_boolean(kit):
     tb = kit.table
-    from fsrw import equivalent
     # anything nonempty collapses to true, emptiness to false
     assert equivalent(kit.coerce_to_boolean(literal(tb, "a")), kit.true)
     some = compose(
@@ -239,3 +249,84 @@ def test_if_then_else(kit):
     e = kit.non_markers_of(literal(tb, "b"))
     assert lang_enum(kit.if_then_else(yes, t, e), 4) == {"a0"}
     assert lang_enum(kit.if_then_else(kit.false, t, e), 4) == {"b0"}
+
+
+BRACKET_SETS = ("lb1", "lb2", "rb1", "rb2", "lb", "rb", "b1", "b2", "brack")
+
+
+def build_every_constant(kit):
+    """Touch every constant of the kit, the intro family and the wedge of
+    `ignx_1` on each bracket set included; returns the kit's cache."""
+    for name in BRACKET_SETS + ("sig", "xsig", "xsig_star", "non_markers",
+                                "_rev_xsig_star", "true", "false"):
+        getattr(kit, name)
+    nothing = empty_lang(kit.table)
+    for name in BRACKET_SETS:
+        s = getattr(kit, name)
+        for kind in ("intro", "xintro", "introx", "xintrox"):
+            getattr(kit, kind)(s)
+        kit.ignx_1(nothing, s)
+    return kit._cache
+
+
+def unreduced_formulas(table):
+    """Each kit constant as the formula it stands for, built from the fsm
+    constructors with nothing reduced, keyed as the kit caches it."""
+    t = table
+    eps = empty_string(t)
+    f = {}
+    for name, glyph in zip(BRACKET_SETS[:4], SymbolTable.RESERVED[2:]):
+        f[name] = concat(literal(t, glyph), literal(t, "1"))
+    for name, (x, y) in (("lb", ("lb1", "lb2")), ("rb", ("rb1", "rb2")),
+                         ("b1", ("lb1", "rb1")), ("b2", ("lb2", "rb2"))):
+        f[name] = union(f[x], f[y])
+    f["brack"] = union(f["lb1"], f["lb2"], f["rb1"], f["rb2"])
+    f["sig"] = concat(any_of(t, t.encoded_ids()), literal(t, "0"))
+    f["xsig"] = union(f["sig"], f["brack"])
+    f["xsig_star"] = star(f["xsig"])
+    f["rev_xsig_star"] = star(reverse(f["xsig"]))
+    f["non_markers"] = star(union(*[
+        concat(literal(t, g), symbol_pair(t, None, "0"))
+        for g in t.user_glyphs()]))
+    f["true"] = sigma_star(t, t.all_ids())
+    f["false"] = empty_lang(t)
+    anysym = any_of(t, t.all_ids())
+    for name in BRACKET_SETS:
+        s = f[name]
+        keep = difference(f["xsig"], s)
+        intro = star(union(keep, cross_product(eps, s)))
+        f["intro", name] = intro
+        f["xintro", name] = union(eps, concat(keep, intro))
+        f["introx", name] = union(eps, concat(intro, keep))
+        f["xintrox", name] = union(eps, keep, concat(keep, intro, keep))
+        f["wedge", name] = concat(plus(concat(star(anysym), cross_product(eps, s))),
+                                  plus(anysym))
+    return f
+
+
+def reduced(m):
+    return minimize(m) if m.is_recognizer else reduce_pairs(m)
+
+
+def test_every_constant_is_built_reduced(kit):
+    for name, m in build_every_constant(kit).items():
+        assert m.same_structure(reduced(m)), name
+
+
+def test_every_constant_keeps_its_formula(kit):
+    cache = build_every_constant(kit)
+    formulas = unreduced_formulas(kit.table)
+    assert set(cache) == set(formulas)
+    for name, m in cache.items():
+        assert equivalent(m, formulas[name]), name
+
+
+def test_constants_grow_linearly_with_the_alphabet():
+    # arcs per constant on "ab" plus 0, 50 and 100 extra user symbols: the
+    # second 50 symbols may add no more arcs than the first 50 did
+    def arcs(extra):
+        kit = MarkerKit(SymbolTable(["a", "b"] + ["x%d" % k for k in range(extra)]))
+        return [len(m.arcs) for m in (kit.non_markers, kit.xsig_star,
+                                      kit.intro(kit.lb2))]
+    for k, (n0, n50, n100) in enumerate(zip(arcs(0), arcs(50), arcs(100))):
+        assert n100 - n50 <= n50 - n0, k
