@@ -28,6 +28,7 @@ from .fsm import (
     reduce_pairs,
 )
 from .markers import MarkerKit
+from .replace import compose_cascade
 
 
 def boundaries(kit: MarkerKit, domains: list[Fst]) -> Fst:
@@ -60,10 +61,8 @@ def greed_filters(kit: MarkerKit, domains: list[Fst]) -> list[Fst]:
 
 
 def mark_boundaries(kit: MarkerKit, domains: list[Fst]) -> Fst:
-    m = boundaries(kit, domains)
-    for flt in greed_filters(kit, domains):
-        m = reduce_pairs(compose(m, flt))
-    return m
+    return compose_cascade([boundaries(kit, domains),
+                            *greed_filters(kit, domains)])
 
 
 def lm_concat(ts: list[Fst], kit: Optional[MarkerKit] = None) -> Fst:

@@ -457,10 +457,15 @@ def determinize(m: Fst, pair_atomic: bool = False) -> Fst:
 
 
 def _moore_minimize_dfa(n, initial, finals, arcs, table) -> Fst:
-    """Moore partition refinement on a (possibly partial) deterministic
-    machine whose labels are treated atomically, numbered canonically.
-    `arcs` must list each state's arcs in label order, as `_explore` gives
-    them for the subset and product machines.
+    """The minimal machine of a (possibly partial) deterministic machine
+    whose labels are treated atomically, numbered canonically.  `arcs`
+    must list each state's arcs in label order, as `_explore` gives them
+    for the subset and product machines.
+
+    It first drops the arcs into the states that cannot reach a final one,
+    found by one backward reach, so the quotient is minimal whether or not
+    the input was trimmed: a dead state is left with no arcs and no
+    finality, a class of its own that the quotient never enters.
 
     A state's signature is built only from the arcs it has: the labels it
     can read, in label order, and the classes they lead to.  A missing arc
@@ -473,18 +478,19 @@ def _moore_minimize_dfa(n, initial, finals, arcs, table) -> Fst:
     The quotient numbers itself: a BFS from the initial state's class
     reads each class's arcs off one member, in label order.  It is
     deterministic, so its arcs come out sorted, numbered as `_finish`
-    would number them, with no further normalization.
-
-    Every state should be able to reach a final state, as in the subset
-    machine of a trimmed machine; then the result is the minimal machine.
-    Otherwise (a machine built directly from its arcs, untrimmed) a state
-    with an arc into a dead state and one without that arc stay apart,
-    and `_finish` drops the dead classes from the quotient."""
+    would number them, with no further normalization."""
+    into: list[list[int]] = [[] for _ in range(n)]
+    for s, _, _, d in arcs:
+        into[d].append(s)
+    live = _reach(finals, into)
+    if initial not in live:
+        return empty_lang(table)
     labs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     dsts: list[list[int]] = [[] for _ in range(n)]
     for s, i, o, d in arcs:
-        labs[s].append((i, o))
-        dsts[s].append(d)
+        if d in live:
+            labs[s].append((i, o))
+            dsts[s].append(d)
     first: dict[tuple, int] = {}
     cls = [first.setdefault((q in finals, tuple(labs[q])), len(first))
            for q in range(n)]
@@ -508,11 +514,6 @@ def _moore_minimize_dfa(n, initial, finals, arcs, table) -> Fst:
 
     keys, new_arcs = _explore(cls[initial], moves)
     new_finals = frozenset(k for k, c in enumerate(keys) if member[c] in finals)
-    into: list[list[int]] = [[] for _ in keys]
-    for s, _, _, d in new_arcs:
-        into[d].append(s)
-    if len(_reach(new_finals, into)) < len(keys):
-        return _finish(table, len(keys), 0, new_finals, new_arcs)
     return Fst(table, len(keys), 0, new_finals, tuple(new_arcs),
                _is_recognizer(new_arcs))
 
@@ -521,8 +522,6 @@ def minimize(m: Fst, pair_atomic: bool = False) -> Fst:
     """Determinize then merge equivalent states.  Canonical minimal result."""
     if not m.is_recognizer and not pair_atomic:
         raise FsmError("minimize of a transduction needs pair_atomic mode")
-    if m.is_empty():
-        return empty_lang(m.table)
     n, initial, finals, arcs = _subset_construct(m)
     return _moore_minimize_dfa(n, initial, finals, arcs, m.table)
 
@@ -567,9 +566,9 @@ def _boolean_product(a: Fst, b: Fst, b_final: bool) -> Fst:
     of `b`'s subset is `b_final`.  For a difference, a move that `b`'s
     subset machine lacks goes to the dead state -1, which never leaves and
     is never final; for an intersection such a move is not taken.  The
-    product is deterministic, so once the states that cannot reach a final
-    one are dropped it goes straight to Moore refinement, and the result is
-    the canonical minimal machine."""
+    product is deterministic, so it goes straight to Moore refinement,
+    which drops its dead states, and the result is the canonical minimal
+    machine."""
     table = _check_tables(a, b)
     na, _, finals_a, arcs_a = _subset_construct(a)
     nb, _, finals_b, arcs_b = _subset_construct(b)
@@ -591,14 +590,6 @@ def _boolean_product(a: Fst, b: Fst, b_final: bool) -> Fst:
     keys, arcs = _explore((0, 0), moves)
     finals = {k for k, (pa, pb) in enumerate(keys)
               if pa in finals_a and (pb in finals_b) == b_final}
-    # keep only the states that can still reach a final one
-    into: list[list[int]] = [[] for _ in keys]
-    for s, _, _, d in arcs:
-        into[d].append(s)
-    live = _reach(finals, into)
-    if 0 not in live:
-        return empty_lang(table)
-    arcs = [arc for arc in arcs if arc[3] in live]
     return _moore_minimize_dfa(len(keys), 0, finals, arcs, table)
 
 
@@ -1170,19 +1161,18 @@ def _output_dfa(trail, lo: int, hi: int, entry: int):
 def _shortest_outputs(trail, start: int, limit: int, glyph) -> TransduceResult:
     """The `limit` shortest outputs of a whole line whose output set is
     infinite, found in its output DFA shortest first (ties in symbol-id
-    order) and returned sorted by symbol id."""
+    order) and returned sorted by symbol id.  The DFA is deterministic, so
+    each path spells a distinct output."""
     dadj, dfinals, _, _ = _output_dfa(trail, 0, len(trail), start)
     heap = [(0, (), 0)]
-    found: set[tuple[int, ...]] = set()
     results = []
     while heap and len(results) < limit:
         length, prefix, v = heapq.heappop(heap)
-        if v in dfinals and prefix not in found:
-            found.add(prefix)
+        if v in dfinals:
             results.append(prefix)
         for o, d in dadj[v]:
             heapq.heappush(heap, (length + 1, prefix + (o,), d))
-    outputs = [tuple(glyph(o) for o in out) for out in sorted(set(results))]
+    outputs = [tuple(glyph(o) for o in out) for out in sorted(results)]
     return TransduceResult(["".join(o) for o in outputs], True, outputs)
 
 

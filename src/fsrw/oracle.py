@@ -387,14 +387,11 @@ def oracle_replace(t: Fst, left: Fst, right: Fst, s) -> set[str]:
     return o.replace(s)
 
 
-def oracle_language(m: Fst, max_len: int, alphabet: Optional[Sequence[str]] = None) -> set[str]:
+def oracle_language(m: Fst, max_len: int) -> set[str]:
     """Accepted strings up to max_len symbols, by trying every string over
-    `alphabet` (default: the whole symbol table)."""
+    the whole symbol table."""
     table = m.table
-    if alphabet is None:
-        glyphs = [table.glyph(i) for i in table.all_ids()]
-    else:
-        glyphs = list(alphabet)
+    glyphs = [table.glyph(i) for i in table.all_ids()]
     walker = _Walker(m)
     out: set[str] = set()
     for length in range(max_len + 1):

@@ -38,8 +38,10 @@ from .markers import MarkerKit
 def r_right(kit: MarkerKit, right: Fst) -> Fst:
     """Insert an rb2 cell exactly before every position followed by a
     Right string.  When the empty string is in Right every position
-    qualifies, and marking each one directly is both simpler and cheaper
-    than the general marker-placement filter."""
+    qualifies, and each one is marked directly.  That branch is required:
+    under the general filter `mark_iff` the start of the tape is followed
+    by a Right string too, and as no rb2 cell can stand before it, the
+    filter would accept nothing."""
     ins = cross_product(empty_string(kit.table), kit.rb2)
     if right.accepts_epsilon():
         return concat(star(concat(ins, kit.sig)), ins)

@@ -836,17 +836,22 @@ def test_finish_matches_the_reference_kernel():
 
 
 def test_moore_matches_the_reference_kernel():
-    # untrimmed machines given by their arcs have dead subset states, the
-    # one case where the quotient still needs a trim
+    # untrimmed machines given by their arcs have dead subset states; the
+    # reference kernel runs without the arcs into them
     rng = random.Random(2027)
     tb = SymbolTable("abc")
     dead = 0
     for _ in range(1000):
         m = random_arc_machine(rng, tb, max_states=rng.randint(1, 6),
                                recognizer=rng.random() < 0.5)
-        built = fsm._subset_construct(m)
-        want = _reference_moore(*built, tb)
-        got = fsm._moore_minimize_dfa(*built, tb)
+        n, initial, finals, arcs = fsm._subset_construct(m)
+        into = [[] for _ in range(n)]
+        for s, _, _, d in arcs:
+            into[d].append(s)
+        live = fsm._reach(finals, into)
+        want = _reference_moore(n, initial, finals,
+                                [arc for arc in arcs if arc[3] in live], tb)
+        got = fsm._moore_minimize_dfa(n, initial, finals, arcs, tb)
         assert got.same_structure(want), m.arcs
         assert got.is_recognizer == want.is_recognizer
         assert reduce_pairs(m).same_structure(
@@ -924,19 +929,31 @@ def test_subset_construct_matches_the_full_construction():
 
 
 def test_minimize_is_a_fixed_point():
-    # on trimmed machines, as every constructor builds them: Moore
-    # refinement needs every subset state to reach a final one
+    # arc machines are taken untrimmed, as given, and regexes as the
+    # constructors build them
     rng = random.Random(2028)
     tb = SymbolTable("ab")
     for k in range(400):
         if k % 2:
-            m = canonicalize(random_arc_machine(rng, tb, max_states=5,
-                                                recognizer=True))
+            m = random_arc_machine(rng, tb, max_states=5, recognizer=True)
         else:
             m = build_regex(random_regex(rng, "ab", 3), tb)
         mini = minimize(m)
         assert canonicalize(mini).same_structure(mini)
         assert minimize(mini).same_structure(mini)
+
+
+def test_minimize_trims_dead_subset_states():
+    # an untrimmed arc machine for b*: states 3 and 4 cannot reach a
+    # final state, so its subset machine has dead states
+    tb = SymbolTable("ab")
+    a, b = (tb.id_of(g) for g in "ab")
+    arcs = [(0, b, 0), (0, b, 2), (0, b, 3), (1, a, 0), (1, a, 2), (1, a, 4),
+            (1, b, 1), (2, b, 0), (3, b, 4), (4, a, 3)]
+    m = Fst(tb, 5, 0, frozenset([0, 2]),
+            tuple(sorted((s, i, i, d) for s, i, d in arcs)), True)
+    assert minimize(m).n == 1
+    assert equivalent(m, star(literal(tb, "b")))
 
 
 def test_intersection_and_difference_are_set_operations():
