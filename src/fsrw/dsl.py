@@ -569,9 +569,6 @@ _BUILTINS = {
     ("if", 3): "if_then_else",
 }
 
-_EXPANSION_LIMIT = 200
-
-
 def stdlib_macros() -> dict:
     prog = _Parser(tokenize(_STDLIB_SRC + "[].\n")).program()
     return {(m.name, len(m.params)): m for m in prog.macros}
@@ -630,21 +627,19 @@ def _substitute(node, binding: dict):
     return make([_substitute(c, binding) for c in children])
 
 
-def expand_macros(node, env: dict, depth: int = 0):
-    if depth > _EXPANSION_LIMIT:
-        raise RuleError("macro expansion too deep (runaway nesting?)")
+def expand_macros(node, env: dict):
     got = _children_rebuilder(node)
     if got is not None:
         children, make = got
-        node = make([expand_macros(c, env, depth) for c in children])
+        node = make([expand_macros(c, env) for c in children])
     if isinstance(node, Literal) and (node.glyph, 0) in env:
-        return expand_macros(env[(node.glyph, 0)].body, env, depth + 1)
+        return expand_macros(env[(node.glyph, 0)].body, env)
     if isinstance(node, Call):
         key = (node.name, len(node.args))
         if key in env:
             macro = env[key]
             body = _substitute(macro.body, dict(zip(macro.params, node.args)))
-            return expand_macros(body, env, depth + 1)
+            return expand_macros(body, env)
         if key not in _BUILTINS:
             raise RuleError("unknown operator %s/%d" % key)
         if node.name == "match_n":

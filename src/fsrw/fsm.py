@@ -526,13 +526,18 @@ def minimize(m: Fst, pair_atomic: bool = False) -> Fst:
     return _moore_minimize_dfa(n, initial, finals, arcs, m.table)
 
 
-def reduce_pairs(m: Fst, state_cap: int = 40000) -> Fst:
+# reduce_pairs returns its input unchanged once the subset machine it
+# builds would have more than this many states.
+REDUCE_STATE_CAP = 40000
+
+
+def reduce_pairs(m: Fst) -> Fst:
     """Best-effort size reduction preserving the pair-sequence language
     (hence the relation).  Falls back to the input if determinization
-    blows past state_cap."""
+    blows past REDUCE_STATE_CAP."""
     if m.is_empty():
         return empty_lang(m.table)
-    built = _subset_construct(m, state_cap)
+    built = _subset_construct(m, REDUCE_STATE_CAP)
     if built is None:
         return m
     reduced = _moore_minimize_dfa(*built, m.table)
@@ -797,9 +802,13 @@ class _Step:
     there is only one (each live state has one live arc and they chain),
     else None.  `exit` is the state at position p + 1 that every arc
     leaving p enters, when they all enter one, else -1: then every
-    accepting path crosses that state, and the line can be cut there."""
+    accepting path crosses that state, and the line can be cut there.
+    `endless` is set when some cycle of input-epsilon arcs writes a
+    symbol: its states lie on accepting paths, so the line then has
+    infinitely many outputs, and a cycle never spans positions, so a
+    line with no endless step has finitely many."""
 
-    __slots__ = ("rid", "live", "arcs", "out", "exit")
+    __slots__ = ("rid", "live", "arcs", "out", "exit", "endless")
 
     def __init__(self, rid, live, arcs, out):
         self.rid = rid
@@ -808,6 +817,14 @@ class _Step:
         self.out = out
         ends = {d for _, _, d, same in arcs if not same}
         self.exit = ends.pop() if len(ends) == 1 else -1
+        succ: list[list[int]] = [[] for _ in live]
+        writing = []
+        for s, o, d, same in arcs:
+            if same:
+                succ[s].append(d)
+                if o != EPS:
+                    writing.append((s, d))
+        self.endless = any(s in _reach([d], succ) for s, d in writing)
 
 
 def _chain_output(k: int, arcs, glyph) -> Optional[tuple[str, ...]]:
@@ -873,7 +890,7 @@ class InputTables:
         self.left = _SubsetTable(fsucc, feps, [m.initial])
         self.right = _SubsetTable(bsucc, beps, m.finals)
         self.steps: dict[tuple[int, int, int], _Step] = {}
-        self.segments: dict[tuple, Optional[_Segment]] = {}
+        self.segments: dict[tuple, _Segment] = {}
         self.held = 0
 
     def size(self) -> int:
@@ -926,22 +943,17 @@ class InputTables:
         trail.reverse()
         return trail
 
-    def segment(self, trail, lo: int, hi: int, entry: int) -> Optional[_Segment]:
-        """The outputs of steps lo..hi - 1 of `trail`, from live state
-        `entry` of position lo to the exit of step hi - 1, or None when
-        there are infinitely many.  Cached by the entry and the steps
-        (each step stands for its key (L[p], symbol, R[p + 1]))."""
+    def segment(self, trail, lo: int, hi: int, entry: int) -> _Segment:
+        """The outputs of steps lo..hi - 1 of `trail`, none of them
+        endless, from live state `entry` of position lo to the exit of
+        step hi - 1.  Cached by the entry and the steps (each step stands
+        for its key (L[p], symbol, R[p + 1]))."""
         key = (entry, *trail[lo:hi])
-        try:
-            return self.segments[key]
-        except KeyError:
-            pass
-        dadj, dfinals, order, indeg = _output_dfa(trail, lo, hi, entry)
-        seg = None
-        if order is not None:
-            seg = _Segment(_acyclic_outputs(dadj, order, indeg, dfinals, self.glyph))
-        self.segments[key] = seg
-        self.held += len(seg.tuples) if seg else 1
+        seg = self.segments.get(key)
+        if seg is None:
+            seg = _Segment(_acyclic_outputs(*_output_dfa(trail, lo, hi, entry), self.glyph))
+            self.segments[key] = seg
+            self.held += len(seg.tuples)
         return seg
 
 
@@ -1025,9 +1037,9 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
     output DFA (`_output_dfa`).  When no stretch has an output that is a
     proper prefix of another (the last one may, unless text follows it),
     the product comes out sorted by symbol id and without repeats;
-    otherwise it is deduplicated and sorted.  When some stretch has
-    infinitely many outputs, the shortest are enumerated from the output
-    DFA of the whole line."""
+    otherwise it is deduplicated and sorted.  When some step is endless
+    (`_Step.endless`), the output set is infinite and the shortest are
+    enumerated from the output DFA of the whole line."""
     ids = _to_ids(m.table, s)
     tables = m.input_tables()
     try:
@@ -1038,16 +1050,19 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
         if None not in outs:
             out = tuple(chain.from_iterable(outs))
             return TransduceResult(["".join(out)], False, [out])
-        return _segmented_outputs(tables, trail, trail[0].live.index(m.initial),
-                                  limit, m.table)
+        start = trail[0].live.index(m.initial)
+        if any(st.endless for st in trail):
+            return _shortest_outputs(trail, start, limit, m.table.glyph)
+        return _segmented_outputs(tables, trail, start, m.table)
     finally:
         _release_full_tables(m, tables)
 
 
-def _segmented_outputs(tables: InputTables, trail, start: int, limit: int,
+def _segmented_outputs(tables: InputTables, trail, start: int,
                        table: SymbolTable) -> TransduceResult:
-    """The outputs of a line with several accepting paths, whose trimmed
-    lattice is `trail` and starts in its live state `start`."""
+    """The finitely many outputs of a line with several accepting paths,
+    whose trimmed lattice is `trail` and starts in its live state
+    `start`."""
     parts = []  # (the single-path text before a stretch, its _Segment)
     text: list[str] = []
     lo, entry = 0, start
@@ -1057,10 +1072,7 @@ def _segmented_outputs(tables: InputTables, trail, start: int, limit: int,
         if p == lo and st.out is not None:
             text.extend(st.out)
         else:
-            seg = tables.segment(trail, lo, p + 1, entry)
-            if seg is None:
-                return _shortest_outputs(trail, start, limit, table.glyph)
-            parts.append((tuple(text), seg))
+            parts.append((tuple(text), tables.segment(trail, lo, p + 1, entry)))
             text = []
         lo, entry = p + 1, st.exit
     tail = tuple(text)
@@ -1094,11 +1106,10 @@ def _segmented_outputs(tables: InputTables, trail, start: int, limit: int,
 def _output_dfa(trail, lo: int, hi: int, entry: int):
     """The output DFA of steps lo..hi - 1 of a trimmed lattice, from live
     state `entry` of position lo to the state every arc leaving step
-    hi - 1 enters.  Returns (dadj, dfinals, order, indeg): dadj[q] lists
-    (symbol, next state) in ascending symbol order, state 0 is the start,
-    `indeg` counts the arcs into each state, and `order` is a topological
-    order of the states, or None when the DFA has a cycle, that is when
-    the output set is infinite.
+    hi - 1 enters.  Returns (dadj, dfinals): dadj[q] lists (symbol, next
+    state) in ascending symbol order, state 0 is the start, and `dfinals`
+    holds the final states.  The DFA has a cycle iff some step of the
+    range is endless.
 
     The lattice states of position p are base[p] + k, and the range's
     exit is the last state.  Every lattice state lies on an accepting
@@ -1138,24 +1149,7 @@ def _output_dfa(trail, lo: int, hi: int, entry: int):
     for src, o, _, d in arcs:
         dadj[src].append((o, d))
     dfinals = {q for q, subset in enumerate(keys) if last in subset}
-
-    # one Kahn pass from state 0: every state is reachable from 0, so the
-    # DFA is acyclic iff no arc enters 0 and every state gets placed (a
-    # cycle through 0 can place 0 a second time)
-    indeg = [0] * len(dadj)
-    for lst in dadj:
-        for _, d in lst:
-            indeg[d] += 1
-    left = indeg.copy()
-    order = [0]
-    for v in order:
-        for _, d in dadj[v]:
-            left[d] -= 1
-            if not left[d]:
-                order.append(d)
-    if indeg[0] or len(order) != len(dadj):
-        order = None
-    return dadj, dfinals, order, indeg
+    return dadj, dfinals
 
 
 def _shortest_outputs(trail, start: int, limit: int, glyph) -> TransduceResult:
@@ -1163,7 +1157,7 @@ def _shortest_outputs(trail, start: int, limit: int, glyph) -> TransduceResult:
     infinite, found in its output DFA shortest first (ties in symbol-id
     order) and returned sorted by symbol id.  The DFA is deterministic, so
     each path spells a distinct output."""
-    dadj, dfinals, _, _ = _output_dfa(trail, 0, len(trail), start)
+    dadj, dfinals = _output_dfa(trail, 0, len(trail), start)
     heap = [(0, (), 0)]
     results = []
     while heap and len(results) < limit:
@@ -1176,47 +1170,28 @@ def _shortest_outputs(trail, start: int, limit: int, glyph) -> TransduceResult:
     return TransduceResult(["".join(o) for o in outputs], True, outputs)
 
 
-def _acyclic_outputs(dadj, order, indeg, dfinals, glyph) -> list[tuple[str, ...]]:
+def _acyclic_outputs(dadj, dfinals, glyph) -> list[tuple[str, ...]]:
     """Every output of an acyclic output DFA rooted at state 0, as glyph
-    tuples sorted by symbol id, without recursion.  `order` is a
-    topological order of its states and `indeg[v]` counts the arcs into
-    state v.  No trim is needed: the DFA is built from a trimmed lattice,
-    so every state reaches a final one.
-
-    Suffix lists are kept only at the states more than one arc enters
-    (merges), filled children first, in reversed `order`.  From state 0
-    and from each merge, the states up to the next merges form a tree,
-    walked depth first with one shared path, so every other state is
-    visited once and an output is copied at most once per merge on its
-    path.  A functional line's chain of states is one such tree.  Arcs
-    are in ascending label order and the DFA is deterministic, so each
-    list comes out sorted and without repeats."""
-    suffixes: dict[int, list[tuple[str, ...]]] = {}
-
-    def fill(u):
-        acc = []
-        path = []
-        todo = [(u, 0, None)]
-        while todo:
-            v, depth, g = todo.pop()
-            del path[depth:]
-            if g is not None:
-                path.append(g)
-                if indeg[v] > 1:
-                    head = tuple(path)
-                    acc.extend([head + tail for tail in suffixes[v]])
-                    continue
-            if v in dfinals:
-                acc.append(tuple(path))
-            depth = len(path)
-            for o, d in reversed(dadj[v]):
-                todo.append((d, depth, glyph(o)))
-        return acc
-
-    for v in reversed(order):
-        if indeg[v] > 1:
-            suffixes[v] = fill(v)
-    return fill(0)
+    tuples sorted by symbol id: one depth-first walk with one shared path,
+    without recursion.  Arcs are in ascending label order and the DFA is
+    deterministic, so the walk visits the trie of the outputs once, in
+    order and without repeats.  The DFA is built from a trimmed lattice,
+    so every state reaches a final one and each trie node is a prefix of
+    some output: the walk costs no more than the outputs' total length."""
+    outputs = []
+    path: list[str] = []
+    todo = [(0, 0, None)]
+    while todo:
+        v, depth, g = todo.pop()
+        del path[depth:]
+        if g is not None:
+            path.append(g)
+        if v in dfinals:
+            outputs.append(tuple(path))
+        depth = len(path)
+        for o, d in reversed(dadj[v]):
+            todo.append((d, depth, glyph(o)))
+    return outputs
 
 
 def lang_enum(m: Fst, max_len: int) -> set[str]:

@@ -384,7 +384,9 @@ def test_malformed_machine_file_is_a_usage_error(tmp_path, monkeypatch,
     "(" * 3000 + "a" + ")" * 3000 + ".",
     "~" * 3000 + "a.",
     "macro(f(X), " + "~" * 150 + "X).\nf(f(f(f(a)))).\n",
-], ids=["parens", "prefix", "macro"])
+    "macro(m0, a).\n" + "".join("macro(m%d, m%d).\n" % (k, k - 1)
+                                for k in range(1, 5001)) + "m5000.\n",
+], ids=["parens", "prefix", "macro", "macro-chain"])
 def test_deep_nesting_is_a_rule_error(tmp_path, text):
     rules = tmp_path / "deep.fsr"
     rules.write_text(text)

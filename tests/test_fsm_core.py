@@ -408,8 +408,8 @@ def test_transduce_matches_enumerate_pairs_on_random_machines(tb):
 
 
 def test_transduce_finds_a_cycle_through_the_start_state(tb):
-    # the output DFA loops back to its start state: ordering it from there
-    # must not place that state a second time
+    # the start state writes b on an input-epsilon loop, so the output DFA
+    # loops back to its start state
     a, b = tb.id_of("a"), tb.id_of("b")
     m = Fst(tb, 1, 0, frozenset([0]),
             tuple(sorted([(0, EPS, b, 0), (0, a, a, 0), (0, b, b, 0)])), False)
@@ -532,6 +532,60 @@ def test_transduce_matches_the_oracle_on_concatenated_pieces(tb):
     assert infinite >= 50 and several >= 300
 
 
+def test_silent_cycle_beside_writing_arcs_is_finite():
+    # 1 and 2 loop on eps:eps, and 2 writes y leaving the loop: no cycle
+    # writes, so every line has finitely many outputs
+    tb = SymbolTable("abxy")
+    m = _arc_machine(tb, 4, [3], [(0, "a", "x", 1), (0, "a", "y", 1), (1, None, None, 2),
+                                  (2, None, None, 1), (2, None, "y", 3), (1, "b", "b", 3)])
+    for w, want in (("a", ["xy", "yy"]), ("ab", ["xb", "yb"])):
+        res = transduce(m, w, limit=1)
+        assert not res.truncated and res.strings() == want
+        assert res.outputs == _walker_outputs(m, w)
+    assert not any(st.endless for st in m.input_tables().steps.values())
+
+
+def test_writing_cycle_behind_a_silent_arc_is_endless():
+    # 2 and 4 loop writing z, entered from 1 by an eps:eps arc
+    tb = SymbolTable("abxyz")
+    m = _arc_machine(tb, 5, [3], [(0, "a", "x", 1), (0, "a", "y", 1), (1, None, None, 2),
+                                  (2, None, "z", 4), (4, None, None, 2), (2, "b", "b", 3)])
+    with pytest.raises(FsmError):
+        _walker_outputs(m, "ab")
+    for limit in (1, 3, 64):
+        res = transduce(m, "ab", limit=limit)
+        assert res.truncated and len(res) == len(res.outputs) == limit
+    assert transduce(m, "ab", limit=3).strings() == ["xb", "xzb", "yb"]
+    assert [st.endless for st in m.input_tables().trim([tb.id_of("a"), tb.id_of("b")])] \
+        == [False, True, False]
+
+
+def test_endless_matches_a_brute_force_cycle_search(tb):
+    # a step is endless iff a writing input-epsilon arc s -> d has d = s
+    # or a path of input-epsilon arcs from d back to s, found here by
+    # closing the reachability relation until it stops growing
+    rng = random.Random(26)
+    inputs = [w for n in range(4) for w in itertools.product("ab", repeat=n)]
+    endless = 0
+    for _ in range(400):
+        m = _with_input_epsilons(rng, random_arc_machine(rng, tb, max_states=4),
+                                 rng.randint(0, 4))
+        for w in inputs:
+            transduce(m, w, limit=3)
+        for st in m.input_tables().steps.values():
+            reach = {(s, d) for s, _, d, same in st.arcs if same}
+            while True:
+                more = reach | {(s, e) for s, d in reach for d2, e in reach if d == d2}
+                if more == reach:
+                    break
+                reach = more
+            want = any(same and o != EPS and (d, s) in reach | {(s, s)}
+                       for s, o, d, same in st.arcs)
+            assert st.endless == want, st.arcs
+            endless += want
+    assert endless >= 50
+
+
 def test_segment_cache_counts_toward_the_cap():
     # one x written in place of any one symbol: n outputs, and no cut
     # until the end, so each line caches one segment of its own
@@ -647,16 +701,16 @@ def test_determinize_requires_pair_atomic_for_transductions(tb):
     assert determinize(t, pair_atomic=True) is not None
 
 
-def test_reduce_pairs_falls_back_past_the_state_cap(tb):
+def test_reduce_pairs_falls_back_past_the_state_cap(tb, monkeypatch):
     # the three paths share their first label a:b, so the subset machine
     # (5 states) is smaller than m (7) but outgrows a cap of 2 or 4
     m = union(cross_product(word(tb, "ab"), word(tb, "b")),
               cross_product(word(tb, "ab"), word(tb, "bb")),
               cross_product(word(tb, "aa"), word(tb, "b")))
-    assert reduce_pairs(m, state_cap=2) is m
-    assert reduce_pairs(m, state_cap=4) is m
-    assert reduce_pairs(m, state_cap=5) is not m
-    reduced = reduce_pairs(m, state_cap=1000)
+    for cap, falls_back in ((2, True), (4, True), (5, False), (1000, False)):
+        monkeypatch.setattr(fsm, "REDUCE_STATE_CAP", cap)
+        assert (reduce_pairs(m) is m) == falls_back, cap
+    reduced = reduce_pairs(m)
     assert reduced is not m
     assert reduced.n <= m.n
     assert enumerate_pairs(reduced, 3) == enumerate_pairs(m, 3)

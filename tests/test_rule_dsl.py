@@ -156,6 +156,19 @@ def test_deep_nesting_is_a_rule_error(parse, text):
         parse(text)
 
 
+def _macro_chain(depth):
+    """m_depth expands through depth macros down to the literal a."""
+    lines = ["macro(m0, a)."] + ["macro(m%d, m%d)." % (k, k - 1)
+                                  for k in range(1, depth + 1)]
+    return "\n".join(lines + ["m%d.\n" % depth])
+
+
+def test_long_macro_chain_compiles():
+    # no expansion budget: macro_env already rejects recursive macros
+    m = compile_rules(_macro_chain(400)).machine
+    assert lang_enum(m, 2) == {"a"}
+
+
 def test_lm_concat_requires_a_bracketed_list():
     with pytest.raises(RuleError, match="bracketed list"):
         parse_expr("lm_concat(a)")
