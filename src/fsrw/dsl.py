@@ -19,14 +19,15 @@ alphanumeric tokens are symbols, `'...'` quotes arbitrary glyphs (doubled
 `''` for a quote), integers are the corresponding digit-string symbols
 except where an operator takes a count.  `%` starts a comment.
 
-Macro parameters are referenced by name inside the body; anything else is a
-symbol.  Macros cannot be recursive; `match_n(N, E)` covers the counted
-repetition that recursion would otherwise provide.
+In a macro body a parameter's name, bare or quoted, is the argument, even
+where a zero-argument macro has that name.  Macros cannot be recursive;
+`match_n(N, E)` covers the counted repetition recursion would provide.
 """
 
 from __future__ import annotations
 
 import functools
+import graphlib
 import re
 import sys
 from dataclasses import dataclass, field
@@ -40,6 +41,7 @@ from .fsm import (
     Fst,
     FsmError,
     SymbolTable,
+    _reach,
     any_of,
     complement,
     compose,
@@ -154,11 +156,6 @@ class IntLit:
     value: int
     # (line, column) of the literal, for errors found after parsing
     at: Optional[tuple] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
 
 
 @dataclass(frozen=True)
@@ -483,16 +480,7 @@ class _Parser:
         body = self.expr(0)
         self.expect(")")
         self.expect(".")
-        return MacroDef(head.text, tuple(params), self.bind_vars(body, set(params)))
-
-    def bind_vars(self, node, params: set):
-        rebuild = _children_rebuilder(node)
-        if rebuild is None:
-            if isinstance(node, Literal) and node.glyph in params:
-                return Var(node.glyph)
-            return node
-        children, make = rebuild
-        return make([self.bind_vars(c, params) for c in children])
+        return MacroDef(head.text, tuple(params), body)
 
 
 def _children_rebuilder(node):
@@ -511,6 +499,18 @@ def _children_rebuilder(node):
     if cls is Call:
         return list(node.args), lambda cs: Call(node.name, tuple(cs))
     return None
+
+
+def _nodes(node):
+    """Every node under `node` in pre-order, children left to right, so the
+    leaves come in source order; iterative, so any depth is walked."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        got = _children_rebuilder(node)
+        if got is not None:
+            stack.extend(reversed(got[0]))
 
 
 def _front_door(fn):
@@ -575,51 +575,39 @@ def stdlib_macros() -> dict:
 
 
 def macro_env(program: RuleProgram) -> dict:
-    env = stdlib_macros()
-    seen = set()
+    """The macros a program may call by (name, arity), in definition order:
+    the predefined ones it does not redefine, then its own.  No macro may
+    reach itself through the calls in its body (a symbol naming one of its
+    parameters is not a call); the error names the first that does."""
+    own = {}
     for m in program.macros:
         key = (m.name, len(m.params))
-        if key in seen:
+        if own.setdefault(key, m) is not m:
             raise RuleError("duplicate macro %s/%d" % key)
-        seen.add(key)
-        env[key] = m
+    env = {key: m for key, m in stdlib_macros().items() if key not in own}
+    env.update(own)
 
-    # a macro may not reach itself through other macros
-    def calls_of(node, acc):
-        if isinstance(node, Call) and (node.name, len(node.args)) in env:
-            acc.add((node.name, len(node.args)))
-        elif isinstance(node, Literal) and (node.glyph, 0) in env:
-            acc.add((node.glyph, 0))
-        got = _children_rebuilder(node)
-        if got is not None:
-            for c in got[0]:
-                calls_of(c, acc)
-        return acc
+    def calls(m):
+        for n in _nodes(m.body):
+            if isinstance(n, Call):
+                yield n.name, len(n.args)
+            elif isinstance(n, Literal) and n.glyph not in m.params:
+                yield n.glyph, 0
 
-    graph = {key: calls_of(m.body, set()) for key, m in env.items()}
-    state: dict = {}
-
-    def visit(key):
-        if state.get(key) == 2:
-            return
-        if state.get(key) == 1:
-            raise RuleError("recursive macro %s/%d" % key)
-        state[key] = 1
-        for nxt in graph.get(key, ()):
-            visit(nxt)
-        state[key] = 2
-
-    for key in graph:
-        visit(key)
+    graph = {key: [k for k in calls(m) if k in env] for key, m in env.items()}
+    try:  # linear; only a recursive program pays one reach per macro
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError:
+        key = next(key for key in graph if key in _reach(graph[key], graph))
+        raise RuleError("recursive macro %s/%d" % key) from None
     return env
 
 
 def _substitute(node, binding: dict):
-    if isinstance(node, Var):
-        try:
-            return binding[node.name]
-        except KeyError:
-            raise RuleError("unbound macro parameter %r" % node.name)
+    """A macro body with each symbol naming a parameter, bare or quoted,
+    replaced by its (already expanded) argument from `binding`."""
+    if isinstance(node, Literal):
+        return binding.get(node.glyph, node)
     got = _children_rebuilder(node)
     if got is None:
         return node
@@ -628,6 +616,8 @@ def _substitute(node, binding: dict):
 
 
 def expand_macros(node, env: dict):
+    """`node` with each macro call replaced by its body, bottom up: arguments
+    first, then the body they are substituted into; `match_n` -> `RepeatN`."""
     got = _children_rebuilder(node)
     if got is not None:
         children, make = got
@@ -668,18 +658,13 @@ def _int_glyph(value: int) -> str:
 
 
 def collect_user_glyphs(node, acc: list):
-    if isinstance(node, Literal):
-        if node.glyph not in acc:
-            acc.append(node.glyph)
-    elif isinstance(node, IntLit):
-        g = _int_glyph(node.value)
-        if g not in acc:
-            acc.append(g)
-    else:
-        got = _children_rebuilder(node)
-        if got is not None:
-            for c in got[0]:
-                collect_user_glyphs(c, acc)
+    """Append to `acc` each symbol of `node` not yet in it, in source order:
+    the order fixes the symbol ids, and so every byte of a dump."""
+    for n in _nodes(node):
+        if isinstance(n, (Literal, IntLit)):
+            g = _as_symbol(n)
+            if g not in acc:
+                acc.append(g)
     return acc
 
 
@@ -737,8 +722,6 @@ class Compiler:
             return _lm_concat([self._c(x) for x in node.items], kit=kit)
         if isinstance(node, Call):
             return self._builtin(node)
-        if isinstance(node, Var):
-            raise RuleError("internal error: unexpanded parameter %r" % node.name)
         raise RuleError("cannot compile %r" % (node,))
 
     def _builtin(self, node: Call) -> Fst:
@@ -838,8 +821,6 @@ def pretty_print(node, min_bp: int = 0) -> str:
         return _int_glyph(node.value)
     if isinstance(node, AnySym):
         return "?"
-    if isinstance(node, Var):
-        return node.name
     if isinstance(node, Seq):
         return "[" + ",".join(pretty_print(x) for x in node.items) + "]"
     if isinstance(node, Union):
@@ -852,8 +833,6 @@ def pretty_print(node, min_bp: int = 0) -> str:
     if isinstance(node, LmConcat):
         return "lm_concat([" + ",".join(pretty_print(x) for x in node.items) + "])"
     if isinstance(node, Call):
-        if not node.args:
-            return node.name + "()"
         return node.name + "(" + ", ".join(pretty_print(a) for a in node.args) + ")"
     op = _OPS.get(type(node))
     if op is None:

@@ -1,9 +1,13 @@
-"""Every name a module of `src/fsrw` imports is used in that module.
+"""Every name a module of `src/fsrw` imports is used in that module, and
+every private module-level name is used somewhere in the package.
 
 A name listed in the module's `__all__` counts as used (the package
 re-exports it), and so does an import whose line is marked
 `# noqa: F401` (`cli.py` keeps `compose` and `reduce_pairs` for the
-benchmark's tracer to patch)."""
+benchmark's tracer to patch).  A private name (`_x`: a function, class or
+assignment at module level) counts as used when some statement other than
+its own definition names it: as a plain name, as an attribute, or in a
+`from ... import`."""
 
 import ast
 from pathlib import Path
@@ -48,3 +52,63 @@ def test_an_unused_import_is_reported():
               "    return x\n")
     assert unused_imports(source) == ["os (line 2)"]
     assert unused_imports("import re\n") == ["re (line 1)"]
+
+
+def _private_definitions(stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def _references(stmt) -> set[str]:
+    refs = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """`module: name (line n)` for each private module-level name that no
+    statement of any module in `sources` names, apart from its own."""
+    stmts = [(module, stmt) for module, source in sources.items()
+             for stmt in ast.parse(source).body]
+    refs = [_references(stmt) for _, stmt in stmts]
+    return sorted("%s: %s (line %d)" % (module, name, stmt.lineno)
+                  for k, (module, stmt) in enumerate(stmts)
+                  for name in _private_definitions(stmt)
+                  if not any(name in r for j, r in enumerate(refs) if j != k))
+
+
+def test_every_private_name_is_used():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_names(sources) == []
+
+
+def test_a_dead_private_name_is_reported():
+    sources = {
+        "a.py": ("def _alone(n):\n"
+                 "    return _alone(n - 1) if n else 0\n"
+                 "def _called():\n    pass\n"
+                 "_LIMIT = 3\n_Unused: int = 4\n"
+                 "class _Kept:\n    pass\n"
+                 "def _via_attribute():\n    pass\n"
+                 "def f():\n    return _called() + _LIMIT\n"
+                 "__all__ = ['f']\n"),
+        "b.py": ("from .a import _Kept\n"
+                 "import a\n"
+                 "g = a._via_attribute\n"),
+    }
+    assert dead_private_names(sources) == [
+        "a.py: _Unused (line 6)", "a.py: _alone (line 1)"]

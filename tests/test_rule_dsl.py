@@ -6,7 +6,10 @@ expression ends the program, every clause ends with '.'.  Expressions use
 [] for sequence, {} for union, postfix * + ^, prefix ~ $ $$, infix : x o
 - &, and ? for any user symbol."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -228,6 +231,45 @@ def test_recursive_macro_is_rejected():
         compile_rules("macro(f, [f]). f.")
     with pytest.raises(RuleError, match="recursive macro"):
         compile_rules("macro(g(e), h(e)). macro(h(e), g(e)). g(a).")
+
+
+def test_a_parameter_is_not_a_call():
+    # w's parameter v names the macro v, which calls w: no cycle
+    cp = compile_rules("macro(v, w(b)). macro(w(v), [v, v]). v.")
+    assert lang_enum(cp.machine, 3) == {"bb"}
+
+
+@pytest.mark.parametrize("name", ["v", "'v'"], ids=["bare", "quoted"])
+def test_a_parameter_shadows_a_zero_arg_macro(name):
+    cp = compile_rules("macro(v, b). macro(f(v), [%s, a]). f(c)." % name)
+    assert lang_enum(cp.machine, 3) == {"ca"}
+
+
+_CYCLES_AFTER_X = "macro(x, [a1, b1]). macro(a1, a1). macro(b1, b1). x."
+
+
+def test_recursion_error_names_the_first_recursive_macro():
+    with pytest.raises(RuleError, match="recursive macro a1/0"):
+        compile_rules(_CYCLES_AFTER_X)
+    # reached first from x, but defined after the cycle g -> h -> g
+    with pytest.raises(RuleError, match="recursive macro g/0"):
+        compile_rules("macro(x, h). macro(g, h). macro(h, [g, x2]). "
+                      "macro(x2, x2). x.")
+
+
+def test_recursion_error_is_the_same_on_every_hash_seed():
+    # string hashing orders sets differently per seed; the error must not
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    script = ("from fsrw.dsl import RuleError, compile_rules\n"
+              "try:\n    compile_rules(%r)\n"
+              "except RuleError as e:\n    print(e)\n" % _CYCLES_AFTER_X)
+    for seed in range(8):
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed)),
+            timeout=60)
+        assert (seed, proc.stdout) == (seed, "recursive macro a1/0\n")
 
 
 def test_unknown_operator_is_rejected():
