@@ -484,7 +484,7 @@ class _Parser:
 
 
 def _children_rebuilder(node):
-    """Return (children, rebuild) for composite nodes, None for leaves."""
+    """(children, rebuild); a leaf has no children and rebuilds to itself."""
     cls = type(node)
     if cls in (Seq, Union, LmConcat):
         return list(node.items), lambda cs: cls(tuple(cs))
@@ -498,7 +498,7 @@ def _children_rebuilder(node):
         return [node.target, node.left, node.right], lambda cs: Replace(*cs)
     if cls is Call:
         return list(node.args), lambda cs: Call(node.name, tuple(cs))
-    return None
+    return [], lambda cs: node
 
 
 def _nodes(node):
@@ -508,9 +508,7 @@ def _nodes(node):
     while stack:
         node = stack.pop()
         yield node
-        got = _children_rebuilder(node)
-        if got is not None:
-            stack.extend(reversed(got[0]))
+        stack.extend(reversed(_children_rebuilder(node)[0]))
 
 
 def _front_door(fn):
@@ -603,47 +601,42 @@ def macro_env(program: RuleProgram) -> dict:
     return env
 
 
-def _substitute(node, binding: dict):
-    """A macro body with each symbol naming a parameter, bare or quoted,
-    replaced by its (already expanded) argument from `binding`."""
-    if isinstance(node, Literal):
-        return binding.get(node.glyph, node)
-    got = _children_rebuilder(node)
-    if got is None:
-        return node
-    children, make = got
-    return make([_substitute(c, binding) for c in children])
-
-
 def expand_macros(node, env: dict):
-    """`node` with each macro call replaced by its body, bottom up: arguments
-    first, then the body they are substituted into; `match_n` -> `RepeatN`."""
-    got = _children_rebuilder(node)
-    if got is not None:
-        children, make = got
-        node = make([expand_macros(c, env) for c in children])
-    if isinstance(node, Literal) and (node.glyph, 0) in env:
-        return expand_macros(env[(node.glyph, 0)].body, env)
-    if isinstance(node, Call):
-        key = (node.name, len(node.args))
-        if key in env:
-            macro = env[key]
-            body = _substitute(macro.body, dict(zip(macro.params, node.args)))
-            return expand_macros(body, env)
+    """`node` with each macro call replaced by its body and `match_n` by
+    `RepeatN`, in one walk.  A call's arguments are expanded first; its
+    body is then walked with its own parameters bound to them, and a
+    symbol naming a parameter, bare or quoted, becomes the expanded
+    argument itself, shared and not walked again."""
+    def walk(node, binding: dict):
+        if isinstance(node, Literal):
+            if node.glyph in binding or (node.glyph, 0) not in env:
+                return binding.get(node.glyph, node)
+            key, args = (node.glyph, 0), ()
+        elif isinstance(node, Call):
+            args = tuple(walk(a, binding) for a in node.args)
+            key = (node.name, len(args))
+        else:
+            children, make = _children_rebuilder(node)
+            return make([walk(c, binding) for c in children])
+        macro = env.get(key)
+        if macro is not None:
+            return walk(macro.body, dict(zip(macro.params, args)))
         if key not in _BUILTINS:
             raise RuleError("unknown operator %s/%d" % key)
-        if node.name == "match_n":
-            count = node.args[0]
-            if not isinstance(count, IntLit):
-                raise RuleError("match_n needs a literal count")
-            if count.value < 0:
-                raise RuleError("cannot repeat a pattern a negative number of times")
-            if count.value > sys.maxsize:  # no list can hold that many copies
-                where = " at line %d, column %d" % count.at if count.at else ""
-                raise RuleError("match_n count of %d digits is too large%s"
-                                % (len(_int_glyph(count.value)), where))
-            return RepeatN(node.args[1], count.value)
-    return node
+        if node.name != "match_n":
+            return Call(node.name, args)
+        count = args[0]
+        if not isinstance(count, IntLit):
+            raise RuleError("match_n needs a literal count")
+        if count.value < 0:
+            raise RuleError("cannot repeat a pattern a negative number of times")
+        if count.value > sys.maxsize:  # no list can hold that many copies
+            where = " at line %d, column %d" % count.at if count.at else ""
+            raise RuleError("match_n count of %d digits is too large%s"
+                            % (len(_int_glyph(count.value)), where))
+        return RepeatN(args[1], count.value)
+
+    return walk(node, {})
 
 
 # ---------------------------------------------------------------------------

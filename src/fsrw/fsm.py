@@ -1195,27 +1195,12 @@ def _acyclic_outputs(dadj, dfinals, glyph) -> list[tuple[str, ...]]:
 
 
 def lang_enum(m: Fst, max_len: int) -> set[str]:
-    """Accepted strings of a recognizer up to max_len symbols, by walking
-    the machine (joined glyph form)."""
+    """Accepted strings of a recognizer up to max_len symbols (joined glyph
+    form): the inputs of `enumerate_pairs`, so the walk shares its
+    ENUMERATE_PATH_CAP and raises FsmError past it.  A recognizer has no
+    input-epsilon arcs, so no epsilon-cycle error can arise."""
     _require_recognizer(m, "lang_enum")
-    glyph = m.table.glyph
-    adj = m.adjacency()
-    out: set[str] = set()
-    seen = set()
-    stack = [(m.initial, ())]
-    while stack:
-        q, prefix = stack.pop()
-        if q in m.finals:
-            out.add("".join(glyph(x) for x in prefix))
-        if len(prefix) == max_len:
-            continue
-        key = (q, prefix)
-        if key in seen:
-            continue
-        seen.add(key)
-        for i, _, d in adj[q]:
-            stack.append((d, prefix + (i,)))
-    return out
+    return {"".join(ins) for ins, _ in enumerate_pairs(m, max_len)}
 
 
 def enumerate_pairs(m: Fst, max_input_len: int):

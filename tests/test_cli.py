@@ -383,7 +383,7 @@ def test_malformed_machine_file_is_a_usage_error(tmp_path, monkeypatch,
 @pytest.mark.parametrize("text", [
     "(" * 3000 + "a" + ")" * 3000 + ".",
     "~" * 3000 + "a.",
-    "macro(f(X), " + "~" * 150 + "X).\nf(f(f(f(a)))).\n",
+    "macro(f(X), " + "~" * 150 + "X).\n" + "f(" * 10 + "a" + ")" * 10 + ".\n",
     "macro(m0, a).\n" + "".join("macro(m%d, m%d).\n" % (k, k - 1)
                                 for k in range(1, 5001)) + "m5000.\n",
 ], ids=["parens", "prefix", "macro", "macro-chain"])

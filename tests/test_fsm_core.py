@@ -681,6 +681,15 @@ def test_enumerate_pairs_stops_at_its_path_cap(tb, monkeypatch):
         enumerate_pairs(m, 3)
 
 
+def test_lang_enum_shares_the_path_cap(tb, monkeypatch):
+    # lang_enum lists the inputs of enumerate_pairs
+    m = star(union(literal(tb, "a"), literal(tb, "b")))
+    assert len(lang_enum(m, 3)) == 15
+    monkeypatch.setattr(fsm, "ENUMERATE_PATH_CAP", 10)
+    with pytest.raises(FsmError, match="path cap exceeded"):
+        lang_enum(m, 3)
+
+
 def test_determinize_minimize_preserve_language(tb):
     rng = random.Random(5)
     for _ in range(60):

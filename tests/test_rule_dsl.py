@@ -152,11 +152,19 @@ def test_program_needs_exactly_one_main():
 @pytest.mark.parametrize("parse,text", [
     (parse_program, "(" * 3000 + "a" + ")" * 3000 + "."),
     (parse_expr, "~" * 3000 + "a"),
-    (compile_rules, "macro(f(X), " + "~" * 150 + "X).\nf(f(f(f(a)))).\n"),
+    (compile_rules, "macro(f(X), " + "~" * 150 + "X).\n"
+     + "f(" * 10 + "a" + ")" * 10 + ".\n"),
 ], ids=["parens", "prefix", "macro"])
 def test_deep_nesting_is_a_rule_error(parse, text):
     with pytest.raises(RuleError, match="nested too deeply"):
         parse(text)
+
+
+def test_nested_calls_expand_each_argument_once():
+    # 600 complements: expansion never walks an argument again, so only
+    # the compiler's own recursion bounds the depth
+    cp = compile_rules("macro(f(X), " + "~" * 150 + "X).\nf(f(f(f(a)))).\n")
+    assert lang_enum(cp.machine, 2) == {"a"}
 
 
 def _macro_chain(depth):
@@ -512,6 +520,19 @@ def test_expand_macros_handles_nested_calls():
     """)
     ast = expand_macros(prog.main, macro_env(prog))
     assert ast == Seq((Union((Literal("a"), EmptyString())), Literal("a")))
+
+
+def test_an_argument_used_twice_is_one_shared_node():
+    prog = parse_program("macro(dup(X), [X,X]). dup(dup(a)).")
+    ast = expand_macros(prog.main, macro_env(prog))
+    assert ast == Seq((Seq((Literal("a"),) * 2),) * 2)
+    assert ast.items[0] is ast.items[1]
+
+
+def test_a_callee_sees_only_its_own_parameters():
+    # g's X is a free symbol, not f's parameter
+    cp = compile_rules("macro(f(X), g(X)). macro(g(Y), [Y, X]). f(a).")
+    assert lang_enum(cp.machine, 3) == {"aX"}
 
 
 def test_readme_names_every_operator():
