@@ -502,13 +502,16 @@ def _children_rebuilder(node):
 
 
 def _nodes(node):
-    """Every node under `node` in pre-order, children left to right, so the
-    leaves come in source order; iterative, so any depth is walked."""
-    stack = [node]
+    """Each distinct node under `node` once, where it first comes in
+    pre-order with children left to right, so the leaves come in source
+    order; iterative, so any depth is walked."""
+    stack, seen = [node], set()
     while stack:
         node = stack.pop()
-        yield node
-        stack.extend(reversed(_children_rebuilder(node)[0]))
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            stack.extend(reversed(_children_rebuilder(node)[0]))
 
 
 def _front_door(fn):
@@ -606,7 +609,11 @@ def expand_macros(node, env: dict):
     `RepeatN`, in one walk.  A call's arguments are expanded first; its
     body is then walked with its own parameters bound to them, and a
     symbol naming a parameter, bare or quoted, becomes the expanded
-    argument itself, shared and not walked again."""
+    argument itself, shared and not walked again.  A zero-argument macro
+    is the same wherever it is called, so it too is expanded once, into
+    `shared`, and every call shares that node."""
+    shared = {}
+
     def walk(node, binding: dict):
         if isinstance(node, Literal):
             if node.glyph in binding or (node.glyph, 0) not in env:
@@ -620,7 +627,11 @@ def expand_macros(node, env: dict):
             return make([walk(c, binding) for c in children])
         macro = env.get(key)
         if macro is not None:
-            return walk(macro.body, dict(zip(macro.params, args)))
+            if args:
+                return walk(macro.body, dict(zip(macro.params, args)))
+            if key not in shared:
+                shared[key] = walk(macro.body, {})
+            return shared[key]
         if key not in _BUILTINS:
             raise RuleError("unknown operator %s/%d" % key)
         if node.name != "match_n":
@@ -653,10 +664,12 @@ def _int_glyph(value: int) -> str:
 def collect_user_glyphs(node, acc: list):
     """Append to `acc` each symbol of `node` not yet in it, in source order:
     the order fixes the symbol ids, and so every byte of a dump."""
+    known = set(acc)
     for n in _nodes(node):
         if isinstance(n, (Literal, IntLit)):
             g = _as_symbol(n)
-            if g not in acc:
+            if g not in known:
+                known.add(g)
                 acc.append(g)
     return acc
 
@@ -666,6 +679,8 @@ def _as_symbol(node) -> Optional[str]:
     if isinstance(node, Literal):
         return node.glyph
     if isinstance(node, IntLit):
+        if node.value < 0:
+            raise RuleError("negative integers are only counts for match_n")
         return _int_glyph(node.value)
     if isinstance(node, EmptyString):
         return None
@@ -674,54 +689,56 @@ def _as_symbol(node) -> Optional[str]:
 
 
 class Compiler:
+    """Builds each distinct node of the expanded DAG once, for the life of
+    the compiler; every use of a shared node gets the same machine."""
+
     def __init__(self, table: SymbolTable):
         self.table = table
         self.kit = MarkerKit(table)
+        self._built = {}  # id(node) -> (node, Fst); the node keeps its id
 
     def compile(self, node) -> Fst:
         return self._c(node)
 
     def _c(self, node) -> Fst:
+        # memoized inline, not by a wrapper: one frame per nesting level
+        if id(node) in self._built:
+            return self._built[id(node)][1]
         t, kit = self.table, self.kit
-        if isinstance(node, EmptyString):
-            return empty_string(t)
-        if isinstance(node, EmptyLang):
-            return empty_lang(t)
-        if isinstance(node, Literal):
-            return literal(t, node.glyph)
-        if isinstance(node, IntLit):
-            if node.value < 0:
-                raise RuleError("negative integers are only counts for match_n")
-            return literal(t, _int_glyph(node.value))
-        if isinstance(node, AnySym):
-            return any_of(t, t.user_ids())
-        if isinstance(node, Seq):
-            return concat(*[self._c(x) for x in node.items])
-        if isinstance(node, Union):
-            return union(*[self._c(x) for x in node.items])
-        if isinstance(node, Pair):
-            return symbol_pair(t, _as_symbol(node.left), _as_symbol(node.right))
         op = _OPS.get(type(node))
-        if op is not None:
-            if op.fixity == "infix":
-                return op.build(self._c(node.left), self._c(node.right))
-            return op.build(self._c(node.item))
-        if isinstance(node, RepeatN):
-            return kit.match_n(node.count, self._c(node.item))
-        if isinstance(node, Replace):
-            return _replace(self._c(node.target), self._c(node.left),
-                            self._c(node.right), kit=kit)
-        if isinstance(node, LmConcat):
-            return _lm_concat([self._c(x) for x in node.items], kit=kit)
-        if isinstance(node, Call):
-            return self._builtin(node)
-        raise RuleError("cannot compile %r" % (node,))
-
-    def _builtin(self, node: Call) -> Fst:
-        got = getattr(self.kit, _BUILTINS[node.name, len(node.args)])
-        if not node.args:
-            return got
-        return got(*[self._c(a) for a in node.args])
+        if isinstance(node, EmptyString):
+            fst = empty_string(t)
+        elif isinstance(node, EmptyLang):
+            fst = empty_lang(t)
+        elif isinstance(node, (Literal, IntLit)):
+            fst = literal(t, _as_symbol(node))
+        elif isinstance(node, AnySym):
+            fst = any_of(t, t.user_ids())
+        elif isinstance(node, Seq):
+            fst = concat(*[self._c(x) for x in node.items])
+        elif isinstance(node, Union):
+            fst = union(*[self._c(x) for x in node.items])
+        elif isinstance(node, Pair):
+            fst = symbol_pair(t, _as_symbol(node.left), _as_symbol(node.right))
+        elif op is not None and op.fixity == "infix":
+            fst = op.build(self._c(node.left), self._c(node.right))
+        elif op is not None:
+            fst = op.build(self._c(node.item))
+        elif isinstance(node, RepeatN):
+            fst = kit.match_n(node.count, self._c(node.item))
+        elif isinstance(node, Replace):
+            fst = _replace(self._c(node.target), self._c(node.left),
+                           self._c(node.right), kit=kit)
+        elif isinstance(node, LmConcat):
+            fst = _lm_concat([self._c(x) for x in node.items], kit=kit)
+        elif isinstance(node, Call):
+            fst = getattr(kit, _BUILTINS[node.name, len(node.args)])
+            if node.args:
+                fst = fst(*[self._c(a) for a in node.args])
+        else:
+            raise RuleError("cannot compile %r" % (node,))
+        self._built[id(node)] = (node, fst)
+        return fst
 
 
 class CompiledProgram:

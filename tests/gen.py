@@ -153,6 +153,78 @@ def random_replace_rule(rng: random.Random):
         random_context(rng, table)
 
 
+# ---------------------------------------------------------------------------
+# random macro programs
+
+
+def random_macro_program(rng: random.Random) -> str:
+    """A rule program over a, b and c with up to four macros of zero, one
+    or two parameters, each parameter used zero to three times in its
+    body, calls nested in bodies and arguments, and an occasional replace
+    or lm_concat.  A macro calls only the macros defined before it, so no
+    program is recursive; some fail to compile, for example when a pair
+    side is bound to a larger expression."""
+    macros = []  # (name, params), in definition order
+
+    def expr(uses: list, depth: int) -> str:
+        roll = rng.random()
+        if depth <= 0 or roll < 0.25:
+            if uses and rng.random() < 0.6:
+                return uses.pop()
+            return rng.choice(["a", "b", "c", "[]", "1"])
+        if roll < 0.5 and macros:
+            name, params = rng.choice(macros)
+            if not params:
+                return rng.choice([name, name + "()"])
+            return "%s(%s)" % (name, ", ".join(expr(uses, depth - 1)
+                                               for _ in params))
+        op = rng.choice(["seq", "seq", "union", "union", "*", "^", "x",
+                         ":", "-", "~", "o", "identity", "match_n",
+                         "replace", "lm_concat"])
+        if op in ("seq", "union", "lm_concat"):
+            items = ", ".join(expr(uses, depth - 1)
+                              for _ in range(rng.randint(1, 3)))
+            return {"seq": "[%s]", "union": "{%s}",
+                    "lm_concat": "lm_concat([%s])"}[op] % items
+        if op in ("*", "^"):
+            return "(%s)%s" % (expr(uses, depth - 1), op)
+        if op == "~":
+            return "~(%s)" % expr(uses, depth - 1)
+        if op == ":":  # a side may be a parameter bound to anything
+            return "%s:%s" % (expr(uses, 0), expr(uses, 0))
+        if op in ("x", "-", "o"):
+            return "(%s) %s (%s)" % (expr(uses, depth - 1), op,
+                                     expr(uses, depth - 1))
+        if op == "identity":
+            return "identity(%s)" % expr(uses, depth - 1)
+        if op == "match_n":
+            return "match_n(%d, %s)" % (rng.randint(0, 2),
+                                        expr(uses, depth - 1))
+        return "replace(%s x %s, %s, %s)" % tuple(
+            expr(uses, 1) for _ in range(4))
+
+    def body(params) -> str:
+        uses = [p for p in params for _ in range(rng.randint(0, 3))]
+        rng.shuffle(uses)
+        text = expr(uses, 2)
+        if uses:  # the uses the random expression left out
+            text = "[%s]" % ", ".join([text] + uses)
+        return text
+
+    lines = ["#alphabet a b c."]
+    for k in range(rng.randint(1, 4)):
+        params = ("X", "Y")[:rng.randint(0, 2)]
+        head = "m%d(%s)" % (k, ", ".join(params)) if params else "m%d" % k
+        lines.append("macro(%s, %s)." % (head, body(params)))
+        macros.append(("m%d" % k, params))
+    name, params = macros[-1]  # the main expression calls the last macro
+    args = ", ".join(expr([], 2) for _ in params)
+    call = "%s(%s)" % (name, args) if params else name
+    lines.append((call if rng.random() < 0.3
+                  else "[%s, %s]" % (expr([], 2), call)) + ".")
+    return "\n".join(lines) + "\n"
+
+
 def all_strings(glyphs, max_len: int):
     out = [()]
     frontier = [()]

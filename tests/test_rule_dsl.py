@@ -7,6 +7,7 @@ expression ends the program, every clause ends with '.'.  Expressions use
 - &, and ? for any user symbol."""
 
 import os
+import random
 import re
 import subprocess
 import sys
@@ -65,6 +66,9 @@ from fsrw.dsl import (
     pretty_print,
     tokenize,
 )
+from fsrw.dump import dump_text
+
+from gen import random_macro_program
 
 
 def outputs(cp, syms):
@@ -306,8 +310,9 @@ def test_match_n_normalization():
 
 
 def test_negative_int_is_only_a_count():
-    with pytest.raises(RuleError, match="only counts for match_n"):
-        compile_rules("[-3].")
+    for text in ("[-3].", "[-3:a].", "[a:-3]."):
+        with pytest.raises(RuleError, match="only counts for match_n"):
+            compile_rules(text)
 
 
 def test_stdlib_priority_union():
@@ -527,6 +532,48 @@ def test_an_argument_used_twice_is_one_shared_node():
     ast = expand_macros(prog.main, macro_env(prog))
     assert ast == Seq((Seq((Literal("a"),) * 2),) * 2)
     assert ast.items[0] is ast.items[1]
+    # a zero-argument macro is the same at every call, bare or with ()
+    prog = parse_program("macro(aa, [a,a]). [aa, aa()].")
+    ast = expand_macros(prog.main, macro_env(prog))
+    assert ast == Seq((Seq((Literal("a"),) * 2),) * 2)
+    assert ast.items[0] is ast.items[1]
+
+
+def test_a_shared_node_is_built_once(monkeypatch):
+    calls = []
+    for name in ("concat", "_replace"):
+        def counted(*args, _build=getattr(fsrw.dsl, name), _name=name, **kw):
+            calls.append(_name)
+            return _build(*args, **kw)
+        monkeypatch.setattr(fsrw.dsl, name, counted)
+    # 12 distinct sequences, 4 095 as a tree
+    compile_rules("macro(dup(X), [X,X]).\n" + "dup(" * 12 + "a" + ")" * 12
+                  + ".\n")
+    assert calls == ["concat"] * 12
+    calls.clear()
+    compile_rules("#alphabet a b c. macro(f(X), [X,X,X,X]).\n"
+                  "f(replace(a x b, c, [])).")
+    assert calls == ["_replace", "concat"]
+
+
+def _outcome(text):
+    try:
+        return dump_text(compile_rules(text).machine)
+    except FsmError as e:
+        return type(e), str(e)
+
+
+def test_a_shared_expansion_compiles_like_its_copy():
+    # the printed expansion writes a shared node out at every use, so the
+    # copy compiles as a tree: sharing must not move a byte or an error
+    rng = random.Random(20261019)
+    for _ in range(200):
+        text = random_macro_program(rng)
+        prog = parse_program(text)
+        ast = expand_macros(prog.main, macro_env(prog))
+        copy = "#alphabet %s.\n%s.\n" % (" ".join(prog.alphabet),
+                                          pretty_print(ast))
+        assert _outcome(copy) == _outcome(text), text
 
 
 def test_a_callee_sees_only_its_own_parameters():
