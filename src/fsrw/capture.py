@@ -21,9 +21,6 @@ from .fsm import (
     complement,
     compose,
     concat,
-    cross_product,
-    empty_string,
-    invert,
     project,
     reduce_pairs,
 )
@@ -34,7 +31,7 @@ from .replace import compose_cascade
 def boundaries(kit: MarkerKit, domains: list[Fst]) -> Fst:
     """Encode a string in D1...Dn, inserting an lb1 cell after every piece
     (the last one included).  Nondeterministic over all valid splits."""
-    ins = cross_product(empty_string(kit.table), kit.lb1)
+    ins = kit.cross(None, kit.lb1)
     parts = []
     for d in domains:
         parts.append(compose(d, kit.non_markers))
@@ -81,9 +78,9 @@ def lm_concat(ts: list[Fst], kit: Optional[MarkerKit] = None) -> Fst:
     for k, d in enumerate(domains):
         if d.is_empty():
             raise FsmError("piece %d has an empty domain" % (k + 1))
-    eat = cross_product(kit.lb1, empty_string(table))
+    eat = kit.cross(kit.lb1, None)
     parts = []
     for t in ts:
-        parts.append(compose(invert(kit.non_markers), t))
+        parts.append(compose(kit.decoder, t))
         parts.append(eat)
     return reduce_pairs(compose(mark_boundaries(kit, domains), concat(*parts)))

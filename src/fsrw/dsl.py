@@ -27,7 +27,6 @@ where a zero-argument macro has that name.  Macros cannot be recursive;
 from __future__ import annotations
 
 import functools
-import graphlib
 import re
 import sys
 from dataclasses import dataclass, field
@@ -41,7 +40,6 @@ from .fsm import (
     Fst,
     FsmError,
     SymbolTable,
-    _reach,
     any_of,
     complement,
     compose,
@@ -575,6 +573,50 @@ def stdlib_macros() -> dict:
     return {(m.name, len(m.params)): m for m in prog.macros}
 
 
+def _on_cycles(graph: dict) -> set:
+    """The keys of `graph` (key -> successor keys) that lie on a cycle: in
+    a strongly connected component of two or more keys, or calling
+    themselves.  Tarjan's algorithm on an explicit stack, so it is linear
+    and walks any depth."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    cyclic: set = set()
+
+    def enter(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        return v, iter(graph[v])
+
+    for root in graph:
+        if root in index:
+            continue
+        work = [enter(root)]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if w not in index:
+                    work.append(enter(w))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        component.append(stack.pop())
+                    on_stack.difference_update(component)
+                    if len(component) > 1 or v in graph[v]:
+                        cyclic.update(component)
+    return cyclic
+
+
 def macro_env(program: RuleProgram) -> dict:
     """The macros a program may call by (name, arity), in definition order:
     the predefined ones it does not redefine, then its own.  No macro may
@@ -596,11 +638,10 @@ def macro_env(program: RuleProgram) -> dict:
                 yield n.glyph, 0
 
     graph = {key: [k for k in calls(m) if k in env] for key, m in env.items()}
-    try:  # linear; only a recursive program pays one reach per macro
-        graphlib.TopologicalSorter(graph).prepare()
-    except graphlib.CycleError:
-        key = next(key for key in graph if key in _reach(graph[key], graph))
-        raise RuleError("recursive macro %s/%d" % key) from None
+    cyclic = _on_cycles(graph)
+    for key in graph:
+        if key in cyclic:
+            raise RuleError("recursive macro %s/%d" % key)
     return env
 
 

@@ -12,6 +12,11 @@ All operators here stay inside the encoded universe (sequences of cells);
 conditional work over the whole symbol table since they only carry
 emptiness.
 
+The constant pieces depend only on the table's shape, its size and its
+user ids, so each is built and reduced once per alphabet shape per
+process, in a cache bounded by SHAPE_CACHE_CAP arcs, and every kit over a
+table of that shape wraps the same arcs on its own table.
+
 The replace factors filter markings with `mark_iff`, `guard_before` and
 `not_contains`.  Each is one scan over the cells, forwards or on the
 reversed tape as Mohri & Sproat mark right contexts (*An efficient
@@ -40,6 +45,7 @@ from .fsm import (
     empty_lang,
     empty_string,
     intersection,
+    invert,
     literal,
     minimize,
     plus,
@@ -53,22 +59,53 @@ from .fsm import (
 )
 
 
+# Marker constants by table shape and name, as the parts of an Fst: (n,
+# initial, finals, arcs, is_recognizer).  Once they hold more than this
+# many arcs, the next constant built starts them afresh, so compiling
+# against endless new alphabets runs in bounded memory.
+SHAPE_CACHE_CAP = 1 << 16
+_shape_cache: dict = {}
+_shape_cache_arcs = 0
+
+
+def _shape_const(key, build) -> tuple:
+    """The parts of the constant `key`, a (shape, name) pair; on a miss
+    `build()` makes it, and it is reduced and stored."""
+    global _shape_cache_arcs
+    parts = _shape_cache.get(key)
+    if parts is None:
+        m = build()
+        m = minimize(m) if m.is_recognizer else reduce_pairs(m)
+        parts = (m.n, m.initial, m.finals, m.arcs, m.is_recognizer)
+        if _shape_cache_arcs > SHAPE_CACHE_CAP:
+            _shape_cache.clear()
+            _shape_cache_arcs = 0
+        _shape_cache[key] = parts
+        _shape_cache_arcs += len(m.arcs)
+    return parts
+
+
 class MarkerKit:
     """Toolkit of encoded-string operators over one symbol table.
 
-    Constant pieces (cells, sig, the intro family and the `ignx_1` wedge on
-    cached cell sets) are built and reduced once per kit.  A compile makes
-    one kit and every rule of the program draws on it, so its rules share
-    their marker constants; a library call such as `replace(t, left,
-    right)` makes its own.  The table's user alphabet must be complete
-    before the first constant is built, which freezes the table: a glyph
-    added later could not appear in the constants already built, so
-    interning one raises FsmError.
+    Constant pieces (cells, sig, the intro family, the `ignx_1` wedge on
+    cached cell sets and the rule-independent composites the replace
+    factors and `lm_concat` share) are built and reduced once per table
+    *shape* per process, up to SHAPE_CACHE_CAP arcs.  A constant depends
+    only on the table's size and its user ids, so a table of the same
+    shape, whatever its glyphs, takes the cached arcs on its own table.  A
+    compile makes one kit and every rule of the program draws on it; a
+    library call such as `replace(t, left, right)` makes its own, which
+    finds the constants of an earlier table of its shape.  The table's user
+    alphabet must be complete before the first constant is built, which
+    freezes the table: a glyph added later could not appear in the
+    constants already built, so interning one raises FsmError.
     """
 
     def __init__(self, table: SymbolTable):
         self.table = table
         self._cache: dict = {}
+        self._shape = None
 
     # cells ------------------------------------------------------------
 
@@ -78,16 +115,19 @@ class MarkerKit:
         return concat(literal(t, g), literal(t, f))
 
     def _const(self, name, build):
-        """The kit's constant `name`, built and reduced on first use.  The
+        """The kit's constant `name`, built and reduced on first use by a
+        table of this shape, then wrapped on this kit's table.  The
         closures that build constants (`star` of a `union`, say) copy arcs
         onto every final state, so unreduced they grow with the square of
         the alphabet; every factor and composition of a compile would pay
         for it."""
         got = self._cache.get(name)
         if got is None:
-            self.table.freeze()
-            got = build()
-            got = minimize(got) if got.is_recognizer else reduce_pairs(got)
+            t = self.table
+            if self._shape is None:
+                t.freeze()
+                self._shape = (len(t), t.user_ids())
+            got = Fst(t, *_shape_const((self._shape, name), build))
             self._cache[name] = got
         return got
 
@@ -153,7 +193,8 @@ class MarkerKit:
 
     def contains(self, e: Fst) -> Fst:
         """Cell strings with a factor in L(e)."""
-        return concat(self.xsig_star, e, self.xsig_star)
+        return self._on_brackets(
+            "contains", lambda: concat(self.xsig_star, e, self.xsig_star), e)
 
     # encoding ----------------------------------------------------------
 
@@ -171,6 +212,12 @@ class MarkerKit:
             return star(union(*cells))
         return self._const("non_markers", build)
 
+    @property
+    def decoder(self) -> Fst:
+        """The encoder inverted: each ordinary cell of a user symbol
+        becomes that symbol."""
+        return self._const("decoder", lambda: invert(self.non_markers))
+
     def non_markers_of(self, e: Fst) -> Fst:
         """Image of a plain-alphabet language under the encoding."""
         return project(compose(e, self.non_markers), "range")
@@ -183,11 +230,22 @@ class MarkerKit:
                 return name
         return None
 
-    def _intro_cached(self, kind: str, s: Fst, build):
-        key = self._s_key(s)
-        if key is None:
+    def _on_brackets(self, kind: str, build, *sets: Fst) -> Fst:
+        """`build()`, kept as the constant `(kind, *names)` when every one
+        of `sets` is a cached bracket set (None standing for the empty
+        string), else built afresh."""
+        keys = tuple("empty" if s is None else self._s_key(s) for s in sets)
+        if None in keys:
             return build()
-        return self._const((kind, key), build)
+        return self._const((kind,) + keys, build)
+
+    def cross(self, a: Optional[Fst], b: Optional[Fst]) -> Fst:
+        """`cross_product(a, b)`, None standing for the empty string: with
+        a None side it inserts or deletes the strings of the other."""
+        def build():
+            eps = empty_string(self.table)
+            return cross_product(eps if a is None else a, eps if b is None else b)
+        return self._on_brackets("cross", build, a, b)
 
     def intro(self, s: Fst) -> Fst:
         """Insert cells from `s` anywhere, pass other cells through."""
@@ -195,21 +253,26 @@ class MarkerKit:
             keep = difference(self.xsig, s)
             ins = cross_product(empty_string(self.table), s)
             return star(union(keep, ins))
-        return self._intro_cached("intro", s, build)
+        return self._on_brackets("intro", build, s)
+
+    def strip(self, s: Fst) -> Fst:
+        """Delete cells from `s` anywhere, pass other cells through: intro
+        inverted."""
+        return self._on_brackets("strip", lambda: invert(self.intro(s)), s)
 
     def xintro(self, s: Fst) -> Fst:
         """Like intro, but never inserting at the start."""
         def build():
             keep = difference(self.xsig, s)
             return union(empty_string(self.table), concat(keep, self.intro(s)))
-        return self._intro_cached("xintro", s, build)
+        return self._on_brackets("xintro", build, s)
 
     def introx(self, s: Fst) -> Fst:
         """Like intro, but never inserting at the end."""
         def build():
             keep = difference(self.xsig, s)
             return union(empty_string(self.table), concat(self.intro(s), keep))
-        return self._intro_cached("introx", s, build)
+        return self._on_brackets("introx", build, s)
 
     def xintrox(self, s: Fst) -> Fst:
         """Like intro, but inserting neither at the start nor at the end."""
@@ -217,7 +280,7 @@ class MarkerKit:
             keep = difference(self.xsig, s)
             return union(empty_string(self.table), keep,
                          concat(keep, self.intro(s), keep))
-        return self._intro_cached("xintrox", s, build)
+        return self._on_brackets("xintrox", build, s)
 
     def ign(self, e: Fst, s: Fst) -> Fst:
         return project(compose(e, self.intro(s)), "range")
@@ -241,7 +304,7 @@ class MarkerKit:
             return concat(plus(concat(star(anysym),
                                       cross_product(empty_string(t), e2))),
                           plus(anysym))
-        wedge = self._intro_cached("wedge", e2, build)
+        wedge = self._on_brackets("wedge", build, e2)
         return project(compose(e1, wedge), "range")
 
     # implication tests on factorizations ---------------------------------
@@ -317,6 +380,12 @@ class MarkerKit:
                   and allow(not pattern.finals.isdisjoint(subset), False)]
         scan = _finish(t, len(keys), 0, finals, arcs)
         return minimize(reverse(scan) if backward else scan)
+
+    @property
+    def stacked_rb(self) -> Fst:
+        """Left brackets stacked at one position, then a right bracket:
+        what follows the end of an occurrence at a marked position."""
+        return self._const("stacked_rb", lambda: concat(star(self.lb), self.rb))
 
     @property
     def _rev_xsig_star(self) -> Fst:

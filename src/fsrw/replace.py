@@ -21,7 +21,6 @@ from .fsm import (
     FsmError,
     compose,
     concat,
-    cross_product,
     difference,
     empty_string,
     intersection,
@@ -43,7 +42,7 @@ def r_right(kit: MarkerKit, right: Fst) -> Fst:
     filter `mark_iff` the start of the tape is followed by a Right string
     too, and as no rb2 cell can stand before it, the filter would accept
     nothing."""
-    ins = cross_product(empty_string(kit.table), kit.rb2)
+    ins = kit.cross(None, kit.rb2)
     if right.accepts_epsilon():
         return concat(star(concat(ins, kit.sig)), ins)
     pattern = kit.xign(right, kit.rb2)
@@ -78,9 +77,9 @@ def left_to_right(kit: MarkerKit, phi: Fst) -> Fst:
     lb1 ... rb1, deleting lb2 cells inside a chosen region (they have done
     their job); everything between regions passes through unchanged.  A
     region's content is phi, dom(T) encoded into cells."""
-    content = compose(kit.ign(phi, kit.b2), invert(kit.intro(kit.lb2)))
-    region = concat(cross_product(kit.lb2, kit.lb1), content,
-                    cross_product(kit.rb2, kit.rb1))
+    content = compose(kit.ign(phi, kit.b2), kit.strip(kit.lb2))
+    region = concat(kit.cross(kit.lb2, kit.lb1), content,
+                    kit.cross(kit.rb2, kit.rb1))
     return concat(star(concat(kit.xsig_star, region)), kit.xsig_star)
 
 
@@ -107,18 +106,17 @@ def longest_match(kit: MarkerKit, phi: Fst, optimized: bool = False,
     else:
         inner = kit.contains(kit.rb1)
     overrun = intersection(kit.ignx(phi, kit.brack), inner)
-    tail = concat(star(kit.lb), kit.rb) if stack_safe else kit.rb
+    tail = kit.stacked_rb if stack_safe else kit.rb
     kill = kit.not_contains(concat(kit.lb1, overrun, tail))
-    return compose(kill, invert(kit.intro(kit.rb2)))
+    return compose(kill, kit.strip(kit.rb2))
 
 
 def aux_replace(kit: MarkerKit, t: Fst) -> Fst:
     """Apply T inside each selected region: strip the flags, transduce,
     re-flag, and drop the closing rb1.  Ordinary cells and leftover lb2
     cells outside regions pass through."""
-    inner = compose(compose(invert(kit.non_markers), t), kit.non_markers)
-    region = concat(kit.lb1, inner,
-                    cross_product(kit.rb1, empty_string(kit.table)))
+    inner = compose(compose(kit.decoder, t), kit.non_markers)
+    region = concat(kit.lb1, inner, kit.cross(kit.rb1, None))
     return star(union(kit.sig, kit.lb2, region))
 
 
@@ -134,7 +132,7 @@ def l1(kit: MarkerKit, left: Fst, stack_safe: bool = True) -> Fst:
     wrongly rejects adjacent deletions."""
     ignore = kit.ign if stack_safe else kit.ignx
     guard = kit.guard_before(kit.lb1, ignore(concat(kit.xsig_star, left), kit.lb1))
-    return compose(kit.ign(guard, kit.lb2), invert(kit.intro(kit.lb1)))
+    return compose(kit.ign(guard, kit.lb2), kit.strip(kit.lb1))
 
 
 def l2(kit: MarkerKit, left: Fst, stack_safe: bool = True) -> Fst:
@@ -151,7 +149,7 @@ def l2(kit: MarkerKit, left: Fst, stack_safe: bool = True) -> Fst:
     ignore = kit.ign if stack_safe else kit.ignx
     guard = kit.guard_before(kit.lb2,
                              ignore(kit.not_(concat(kit.xsig_star, left)), kit.lb2))
-    return compose(guard, invert(kit.intro(kit.lb2)))
+    return compose(guard, kit.strip(kit.lb2))
 
 
 def replace_factors(t: Fst, left: Fst, right: Fst, optimized: bool = False,

@@ -5,10 +5,13 @@ a marker.  Markerhood is carried by the flag, so a bracket glyph with flag
 "0" is ordinary text.  Expected values below are spelled as flat glyph
 sequences with the flags written out."""
 
+import collections
 import itertools
+import random
 
 import pytest
 
+import fsrw.markers as markers
 from fsrw import (
     FsmError,
     MarkerKit,
@@ -24,10 +27,12 @@ from fsrw import (
     equivalent,
     lang_enum,
     literal,
+    lm_concat,
     minimize,
     plus,
     project,
     reduce_pairs,
+    replace,
     reverse,
     sigma_star,
     star,
@@ -35,6 +40,8 @@ from fsrw import (
     union,
     word,
 )
+from fsrw.dump import dump_text
+from gen import random_context, random_replace_rule, random_target
 
 
 @pytest.fixture
@@ -330,3 +337,116 @@ def test_constants_grow_linearly_with_the_alphabet():
                                       kit.intro(kit.lb2))]
     for k, (n0, n50, n100) in enumerate(zip(arcs(0), arcs(50), arcs(100))):
         assert n100 - n50 <= n50 - n0, k
+
+
+# ---------------------------------------------------------------------------
+# constants shared by table shape
+
+
+@pytest.fixture
+def shape_cache(monkeypatch):
+    """An empty shape cache for the test; the process's own is put back
+    after it."""
+    monkeypatch.setattr(markers, "_shape_cache", {})
+    monkeypatch.setattr(markers, "_shape_cache_arcs", 0)
+    return monkeypatch
+
+
+def random_marker_machine(rng):
+    """A builder for a random replace rule or lm_concat instance over a
+    one- to three-symbol table, as the randomized suites draw them."""
+    if rng.random() < 0.7:
+        _, t, left, right = random_replace_rule(rng)
+        return lambda: replace(t, left, right)
+    table = SymbolTable("abc"[:rng.randint(1, 3)])
+    pieces = [random_target(rng, table) for _ in range(rng.randint(1, 3))]
+    return lambda: lm_concat(pieces)
+
+
+def build_or_error(build):
+    try:
+        return build()
+    except FsmError as e:  # an lm_concat piece with an empty domain
+        return str(e)
+
+
+def test_a_warm_shape_cache_builds_the_same_machines(shape_cache):
+    warm_cache = {}
+    rng = random.Random(22)
+    for k in range(100):
+        build = random_marker_machine(rng)
+        shape_cache.setattr(markers, "_shape_cache", warm_cache)
+        warm = build_or_error(build)
+        shape_cache.setattr(markers, "_shape_cache", {})
+        cold = build_or_error(build)
+        if isinstance(cold, str):
+            assert warm == cold, k
+        else:
+            assert warm.same_structure(cold), k
+
+
+def test_tables_of_one_shape_share_constants_under_their_own_glyphs(shape_cache):
+    abc, xyz = MarkerKit(SymbolTable("abc")), MarkerKit(SymbolTable("xyz"))
+    for name in ("sig", "non_markers", "xsig_star", "true"):
+        m, n = getattr(abc, name), getattr(xyz, name)
+        assert m.arcs is n.arcs, name  # taken from the cache, not rebuilt
+        assert (m.table, n.table) == (abc.table, xyz.table)
+    for kit, glyph in ((abc, "a"), (xyz, "x")):
+        text = dump_text(kit.non_markers)
+        assert "sym 6 %s\n" % glyph in text and "t 0 1 %s %s\n" % (glyph, glyph) in text
+    assert abc.intro(abc.lb2).arcs is xyz.intro(xyz.lb2).arcs
+    assert accepts(xyz.sig, ["z", "0"]) and not accepts(xyz.sig, ["0", "0"])
+
+
+@pytest.mark.parametrize("glyph", ["<1", "0"])
+def test_a_reserved_user_glyph_makes_another_shape(shape_cache, glyph):
+    plain, odd = SymbolTable("ab"), SymbolTable(["a", glyph])
+    odd.intern("b")  # the same size, but b is no user glyph here
+    assert len(plain) == len(odd)
+    pk, ok = MarkerKit(plain), MarkerKit(odd)
+    assert not pk.non_markers.same_structure(ok.non_markers)
+    assert pk._shape != ok._shape
+    assert accepts(project(ok.non_markers, "domain"), [glyph])
+    assert not accepts(project(pk.non_markers, "domain"), [glyph])
+
+
+def count_builds(monkeypatch):
+    """Count, per (shape, name), the calls of the builders that
+    `_shape_const` is given."""
+    builds = collections.Counter()
+    shape_const = markers._shape_const
+
+    def counting(key, build):
+        def counted():
+            builds[key] += 1
+            return build()
+        return shape_const(key, counted)
+    monkeypatch.setattr(markers, "_shape_const", counting)
+    return builds
+
+
+def fresh_rule(rng, glyphs):
+    table = SymbolTable(glyphs)
+    return replace(random_target(rng, table), random_context(rng, table),
+                   random_context(rng, table))
+
+
+def test_each_constant_is_built_once_per_shape(shape_cache):
+    builds = count_builds(shape_cache)
+    rng = random.Random(5)
+    for k in range(48):  # a fresh table each time, of three shapes
+        fresh_rule(rng, rng.sample("defghij", 1 + k % 3))
+    assert len({shape for shape, _ in builds}) == 3
+    assert set(builds.values()) == {1}
+
+
+def test_the_shape_cache_starts_afresh_past_its_cap(shape_cache):
+    shape_cache.setattr(markers, "SHAPE_CACHE_CAP", 200)
+    builds = count_builds(shape_cache)
+    rng = random.Random(5)
+    for _ in range(4):
+        fresh_rule(rng, "ab")
+    held = [len(parts[3]) for parts in markers._shape_cache.values()]
+    assert sum(held) == markers._shape_cache_arcs
+    assert sum(held) <= 200 + max(held)
+    assert max(builds.values()) > 1  # renewed, so built again

@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,7 @@ from fsrw.dsl import (
     Seq,
     Star,
     Union,
+    _on_cycles,
     compile_rules,
     expand_macros,
     macro_env,
@@ -67,6 +69,7 @@ from fsrw.dsl import (
     tokenize,
 )
 from fsrw.dump import dump_text
+from fsrw.fsm import _reach
 
 from gen import random_macro_program
 
@@ -282,6 +285,28 @@ def test_recursion_error_is_the_same_on_every_hash_seed():
             env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed)),
             timeout=60)
         assert (seed, proc.stdout) == (seed, "recursive macro a1/0\n")
+
+
+def test_a_long_chain_into_a_cycle_is_named_in_linear_time():
+    # every macro of the chain reaches the cycle c -> c, none lies on it
+    n = 20_000
+    text = ("macro(m0, c).\n"
+            + "".join("macro(m%d, m%d).\n" % (k, k - 1) for k in range(1, n + 1))
+            + "macro(c, [c]).\nm%d.\n" % n)
+    start = time.perf_counter()
+    with pytest.raises(RuleError, match="recursive macro c/0"):
+        compile_rules(text)
+    assert time.perf_counter() - start < 5
+
+
+def test_on_cycles_agrees_with_reachability():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        graph = {k: rng.sample(range(n), rng.randint(0, min(n, 3)))
+                 for k in range(n)}
+        assert _on_cycles(graph) == {k for k in graph
+                                     if k in _reach(graph[k], graph)}, graph
 
 
 def test_unknown_operator_is_rejected():
