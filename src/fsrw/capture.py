@@ -13,8 +13,6 @@ since no single calculus expression covers all lengths.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .fsm import (
     Fst,
     FsmError,
@@ -62,18 +60,17 @@ def mark_boundaries(kit: MarkerKit, domains: list[Fst]) -> Fst:
                             *greed_filters(kit, domains)])
 
 
-def lm_concat(ts: list[Fst], kit: Optional[MarkerKit] = None) -> Fst:
+def lm_concat(ts: list[Fst]) -> Fst:
     """Compile the piece transductions into one machine from plain strings
-    to plain strings.  `kit` is the marker kit of the pieces' table, a
-    fresh one by default."""
+    to plain strings, with a marker kit of its own, which draws the
+    constants from the cache of the table's shape."""
     if not ts:
         raise FsmError("need at least one piece")
     table = ts[0].table
     for t in ts[1:]:
         if t.table is not table:
             raise FsmError("pieces built against different symbol tables")
-    if kit is None:
-        kit = MarkerKit(table)
+    kit = MarkerKit(table)
     domains = [project(t, "domain") for t in ts]
     for k, d in enumerate(domains):
         if d.is_empty():

@@ -14,10 +14,12 @@ product), `-` (difference), `&` (intersection), `o` (composition);
 precedence in that order, all binary operators left-associative; the
 tables `_POSTFIX`, `_PREFIX`, `_INFIX` and `_WRAPPERS` define each operator
 once for the parser, the compiler and the printer.  Builtin operators such
-as `$$(e)` or `sig()` are calls, listed in `_BUILTINS`.  Bare
-alphanumeric tokens are symbols, `'...'` quotes arbitrary glyphs (doubled
-`''` for a quote), integers are the corresponding digit-string symbols
-except where an operator takes a count.  `%` starts a comment.
+as `$$(e)` or `sig()` are calls, listed in `_BUILTINS`; the paper's
+filters (`if_p_then_s`, `l_iff_r`, `if`, ...) are predefined macros over
+them, in `_STDLIB_SRC`.  Bare alphanumeric tokens are symbols, `'...'`
+quotes arbitrary glyphs (doubled `''` for a quote), integers are the
+corresponding digit-string symbols except where an operator takes a
+count.  `%` starts a comment.
 
 In a macro body a parameter's name, bare or quoted, is the argument, even
 where a zero-argument macro has that name.  Macros cannot be recursive;
@@ -30,6 +32,7 @@ import functools
 import re
 import sys
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
 
 from .capture import lm_concat as _lm_concat
@@ -542,14 +545,29 @@ def parse_expr(text: str):
 # macro expansion
 
 
+# The predefined macros: the paper's filters and its two operators on
+# relations, written in the calculus itself.  They are closed: a call in
+# one of their bodies names a builtin or another predefined macro, never a
+# macro of the program, so a program may redefine any name without
+# changing what they mean.
 _STDLIB_SRC = """
 macro(priority_union(Q,R), {Q, ~domain(Q) o R}).
 macro(lenient_composition(R,C), priority_union(R o C, R)).
+% every prefix in L1 is followed by a suffix in L2
+macro(if_p_then_s(L1,L2), not([L1, not(L2)])).
+% every suffix in L2 is preceded by a prefix in L1
+macro(if_s_then_p(L1,L2), not([not(L1), L2])).
+macro(p_iff_s(L1,L2), if_p_then_s(L1,L2) & if_s_then_p(L1,L2)).
+% the positions after an L are exactly the positions before an R
+macro(l_iff_r(L,R), p_iff_s([xsig()*, L], [R, xsig()*])).
+% true() when E denotes anything at all, else false()
+macro(coerce_to_boolean(E), range(E o (true() x true()))).
+macro(if(C,T,E), {coerce_to_boolean(C) o T, ~coerce_to_boolean(C) o E}).
 """
 
 # Every builtin operator, keyed by (name, arity), with the MarkerKit
 # attribute that builds it; a zero-argument builtin is a kit property.
-# match_n/2 never reaches the compiler: expand_macros turns it into RepeatN.
+# match_n/2 is no builtin: expand_macros turns it into RepeatN.
 _BUILTINS = {
     ("sig", 0): "sig", ("xsig", 0): "xsig", ("lb1", 0): "lb1",
     ("lb2", 0): "lb2", ("rb1", 0): "rb1", ("rb2", 0): "rb2", ("lb", 0): "lb",
@@ -559,18 +577,17 @@ _BUILTINS = {
     ("not", 1): "not_", ("$$", 1): "contains",
     ("non_markers", 1): "non_markers_of", ("intro", 1): "intro",
     ("xintro", 1): "xintro", ("introx", 1): "introx",
-    ("xintrox", 1): "xintrox", ("coerce_to_boolean", 1): "coerce_to_boolean",
+    ("xintrox", 1): "xintrox",
     ("ign", 2): "ign", ("xign", 2): "xign", ("ignx", 2): "ignx",
     ("xignx", 2): "xignx", ("ignx_1", 2): "ignx_1",
-    ("if_p_then_s", 2): "if_p_then_s", ("if_s_then_p", 2): "if_s_then_p",
-    ("p_iff_s", 2): "p_iff_s", ("l_iff_r", 2): "l_iff_r",
-    ("match_n", 2): "match_n",
-    ("if", 3): "if_then_else",
 }
 
-def stdlib_macros() -> dict:
+
+@functools.cache
+def stdlib_macros() -> MappingProxyType:
+    """The predefined macros by (name, arity), parsed once per process."""
     prog = _Parser(tokenize(_STDLIB_SRC + "[].\n")).program()
-    return {(m.name, len(m.params)): m for m in prog.macros}
+    return MappingProxyType({(m.name, len(m.params)): m for m in prog.macros})
 
 
 def _on_cycles(graph: dict) -> set:
@@ -619,9 +636,11 @@ def _on_cycles(graph: dict) -> set:
 
 def macro_env(program: RuleProgram) -> dict:
     """The macros a program may call by (name, arity), in definition order:
-    the predefined ones it does not redefine, then its own.  No macro may
-    reach itself through the calls in its body (a symbol naming one of its
-    parameters is not a call); the error names the first that does."""
+    the predefined ones it does not redefine, then its own.  None of its
+    own may reach itself through the calls in its body (a symbol naming
+    one of its parameters is not a call); the error names the first that
+    does.  A predefined macro calls no macro of the program, so no cycle
+    runs through one."""
     own = {}
     for m in program.macros:
         key = (m.name, len(m.params))
@@ -637,7 +656,7 @@ def macro_env(program: RuleProgram) -> dict:
             elif isinstance(n, Literal) and n.glyph not in m.params:
                 yield n.glyph, 0
 
-    graph = {key: [k for k in calls(m) if k in env] for key, m in env.items()}
+    graph = {key: [k for k in calls(m) if k in own] for key, m in own.items()}
     cyclic = _on_cycles(graph)
     for key in graph:
         if key in cyclic:
@@ -650,30 +669,36 @@ def expand_macros(node, env: dict):
     `RepeatN`, in one walk.  A call's arguments are expanded first; its
     body is then walked with its own parameters bound to them, and a
     symbol naming a parameter, bare or quoted, becomes the expanded
-    argument itself, shared and not walked again.  A zero-argument macro
-    is the same wherever it is called, so it too is expanded once, into
-    `shared`, and every call shares that node."""
+    argument itself, shared and not walked again.  A call resolves in
+    `env`, except in the body of a predefined macro, where it resolves
+    among the predefined macros and the builtins only.  A macro called
+    with the same argument nodes gives the same expansion, so each such
+    call, a zero-argument one included, is expanded once, into `shared`,
+    and every call shares that node; `shared` keeps the arguments, so
+    their ids stay theirs."""
+    stdlib = stdlib_macros()
     shared = {}
 
-    def walk(node, binding: dict):
+    def walk(node, binding: dict, scope):
         if isinstance(node, Literal):
-            if node.glyph in binding or (node.glyph, 0) not in env:
+            if node.glyph in binding or (node.glyph, 0) not in scope:
                 return binding.get(node.glyph, node)
             key, args = (node.glyph, 0), ()
         elif isinstance(node, Call):
-            args = tuple(walk(a, binding) for a in node.args)
+            args = tuple(walk(a, binding, scope) for a in node.args)
             key = (node.name, len(args))
         else:
             children, make = _children_rebuilder(node)
-            return make([walk(c, binding) for c in children])
-        macro = env.get(key)
+            return make([walk(c, binding, scope) for c in children])
+        macro = scope.get(key)
         if macro is not None:
-            if args:
-                return walk(macro.body, dict(zip(macro.params, args)))
-            if key not in shared:
-                shared[key] = walk(macro.body, {})
-            return shared[key]
-        if key not in _BUILTINS:
+            call = (id(macro),) + tuple(map(id, args))
+            if call not in shared:
+                inner = stdlib if stdlib.get(key) is macro else scope
+                shared[call] = args, walk(macro.body,
+                                          dict(zip(macro.params, args)), inner)
+            return shared[call][1]
+        if key not in _BUILTINS and key != ("match_n", 2):
             raise RuleError("unknown operator %s/%d" % key)
         if node.name != "match_n":
             return Call(node.name, args)
@@ -688,7 +713,7 @@ def expand_macros(node, env: dict):
                             % (len(_int_glyph(count.value)), where))
         return RepeatN(args[1], count.value)
 
-    return walk(node, {})
+    return walk(node, {}, env)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +770,7 @@ class Compiler:
         # memoized inline, not by a wrapper: one frame per nesting level
         if id(node) in self._built:
             return self._built[id(node)][1]
-        t, kit = self.table, self.kit
+        t = self.table
         op = _OPS.get(type(node))
         if isinstance(node, EmptyString):
             fst = empty_string(t)
@@ -766,14 +791,15 @@ class Compiler:
         elif op is not None:
             fst = op.build(self._c(node.item))
         elif isinstance(node, RepeatN):
-            fst = kit.match_n(node.count, self._c(node.item))
+            item = self._c(node.item)
+            fst = concat(*[item] * node.count) if node.count else empty_string(t)
         elif isinstance(node, Replace):
             fst = _replace(self._c(node.target), self._c(node.left),
-                           self._c(node.right), kit=kit)
+                           self._c(node.right))
         elif isinstance(node, LmConcat):
-            fst = _lm_concat([self._c(x) for x in node.items], kit=kit)
+            fst = _lm_concat([self._c(x) for x in node.items])
         elif isinstance(node, Call):
-            fst = getattr(kit, _BUILTINS[node.name, len(node.args)])
+            fst = getattr(self.kit, _BUILTINS[node.name, len(node.args)])
             if node.args:
                 fst = fst(*[self._c(a) for a in node.args])
         else:
@@ -831,12 +857,12 @@ def compile_rules(text: str) -> CompiledProgram:
     if isinstance(ast, Replace):
         pieces = (comp.compile(ast.target), comp.compile(ast.left),
                   comp.compile(ast.right))
-        factors = _replace_factors(*pieces, kit=comp.kit)
+        factors = _replace_factors(*pieces)
         machine = None
         kind = "replace"
     elif isinstance(ast, LmConcat):
         pieces = [comp.compile(x) for x in ast.items]
-        machine = _lm_concat(pieces, kit=comp.kit)
+        machine = _lm_concat(pieces)
         kind = "lm_concat"
     else:
         pieces = None

@@ -8,9 +8,8 @@ included) ordinary text.  Markerhood is positional, so user strings may
 contain the bracket glyphs, "0" and "1" as plain symbols.
 
 All operators here stay inside the encoded universe (sequences of cells);
-`not_` and `contains` are relative to it.  `true`, `false` and the
-conditional work over the whole symbol table since they only carry
-emptiness.
+`not_` and `contains` are relative to it.  `true` and `false` work over
+the whole symbol table since they only carry emptiness.
 
 The constant pieces depend only on the table's shape, its size and its
 user ids, so each is built and reduced once per alphabet shape per
@@ -21,8 +20,10 @@ The replace factors filter markings with `mark_iff`, `guard_before` and
 `not_contains`.  Each is one scan over the cells, forwards or on the
 reversed tape as Mohri & Sproat mark right contexts (*An efficient
 compiler for weighted rewrite rules*, ACL 1996), and builds the same
-minimal machine as the nested complements it stands for: `l_iff_r`,
-`if_s_then_p` and `not_(contains(...))`, which stay as rule-language
+minimal machine as the nested complements it stands for: the paper's
+`l_iff_r`, `if_s_then_p` and `not(contains(...))`.  Those formulas, with
+`if_p_then_s`, `p_iff_s`, `coerce_to_boolean` and `if`, are predefined
+macros of the rule language (`fsrw.dsl`), written over this kit's
 builtins.
 """
 
@@ -32,19 +33,16 @@ from typing import Optional
 
 from .fsm import (
     Fst,
-    FsmError,
     SymbolTable,
     _explore,
     _finish,
     any_of,
-    complement,
     compose,
     concat,
     cross_product,
     difference,
     empty_lang,
     empty_string,
-    intersection,
     invert,
     literal,
     minimize,
@@ -86,20 +84,21 @@ def _shape_const(key, build) -> tuple:
 
 
 class MarkerKit:
-    """Toolkit of encoded-string operators over one symbol table.
+    """Toolkit of encoded-string operators over one symbol table: what the
+    replace factors, `lm_concat` and the rule language's builtins call.
 
     Constant pieces (cells, sig, the intro family, the `ignx_1` wedge on
     cached cell sets and the rule-independent composites the replace
     factors and `lm_concat` share) are built and reduced once per table
     *shape* per process, up to SHAPE_CACHE_CAP arcs.  A constant depends
     only on the table's size and its user ids, so a table of the same
-    shape, whatever its glyphs, takes the cached arcs on its own table.  A
-    compile makes one kit and every rule of the program draws on it; a
-    library call such as `replace(t, left, right)` makes its own, which
-    finds the constants of an earlier table of its shape.  The table's user
-    alphabet must be complete before the first constant is built, which
-    freezes the table: a glyph added later could not appear in the
-    constants already built, so interning one raises FsmError.
+    shape, whatever its glyphs, takes the cached arcs on its own table.
+    Each `replace`, `replace_factors` and `lm_concat` call makes its own
+    kit, which finds the constants of every earlier table of its shape.
+    The table's user alphabet must be complete before the first constant
+    is built, which freezes the table: a glyph added later could not
+    appear in the constants already built, so interning one raises
+    FsmError.
     """
 
     def __init__(self, table: SymbolTable):
@@ -307,23 +306,6 @@ class MarkerKit:
         wedge = self._on_brackets("wedge", build, e2)
         return project(compose(e1, wedge), "range")
 
-    # implication tests on factorizations ---------------------------------
-
-    def if_p_then_s(self, l1: Fst, l2: Fst) -> Fst:
-        """Every prefix in l1 is followed by a suffix in l2."""
-        return self.not_(concat(l1, self.not_(l2)))
-
-    def if_s_then_p(self, l1: Fst, l2: Fst) -> Fst:
-        """Every suffix in l2 is preceded by a prefix in l1."""
-        return self.not_(concat(self.not_(l1), l2))
-
-    def p_iff_s(self, l1: Fst, l2: Fst) -> Fst:
-        return intersection(self.if_p_then_s(l1, l2), self.if_s_then_p(l1, l2))
-
-    def l_iff_r(self, l: Fst, r: Fst) -> Fst:
-        """Positions after an l are exactly the positions before an r."""
-        return self.p_iff_s(concat(self.xsig_star, l), concat(r, self.xsig_star))
-
     # marker filters as one-direction scans --------------------------------
 
     def _scan(self, pattern: Fst, cell: Optional[Fst], backward: bool,
@@ -426,7 +408,7 @@ class MarkerKit:
         return self._scan(concat(self._rev_xsig_star, reverse(k)), None, True,
                           lambda final, hit: not final)
 
-    # conditionals --------------------------------------------------------
+    # the whole symbol table ----------------------------------------------
 
     @property
     def true(self) -> Fst:
@@ -435,21 +417,3 @@ class MarkerKit:
     @property
     def false(self) -> Fst:
         return self._const("false", lambda: empty_lang(self.table))
-
-    def coerce_to_boolean(self, e: Fst) -> Fst:
-        """`true` when e denotes anything at all, else `false`."""
-        everything = cross_product(self.true, self.true)
-        return project(compose(e, everything), "range")
-
-    def if_then_else(self, c: Fst, t: Fst, e: Fst) -> Fst:
-        cond = self.coerce_to_boolean(c)
-        return union(compose(cond, t), compose(complement(cond), e))
-
-    # counted repetition ---------------------------------------------------
-
-    def match_n(self, n: int, e: Fst) -> Fst:
-        if n < 0:
-            raise FsmError("cannot repeat a pattern a negative number of times")
-        if n == 0:
-            return empty_string(self.table)
-        return concat(*([e] * n))

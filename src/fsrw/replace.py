@@ -14,8 +14,6 @@ by an earlier replacement in the same pass.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .fsm import (
     Fst,
     FsmError,
@@ -153,20 +151,17 @@ def l2(kit: MarkerKit, left: Fst, stack_safe: bool = True) -> Fst:
 
 
 def replace_factors(t: Fst, left: Fst, right: Fst, optimized: bool = False,
-                    stack_safe: bool = True,
-                    kit: Optional[MarkerKit] = None) -> list[Fst]:
-    """The nine factor transductions of the rule, in application order.
-    `kit` is the marker kit of the rule's table; a compile passes its own,
-    so the rules of one program share their marker constants, and by
-    default the rule gets a fresh one.  dom(T), Left and Right are each
-    encoded into cells once, for all the factors that read them; the
-    encoding maps each string to one string, so an encoded language holds
-    the empty string exactly when the plain one does."""
+                    stack_safe: bool = True) -> list[Fst]:
+    """The nine factor transductions of the rule, in application order,
+    built with a marker kit of its own, which draws the constants from the
+    cache of the table's shape.  dom(T), Left and Right are each encoded
+    into cells once, for all the factors that read them; the encoding maps
+    each string to one string, so an encoded language holds the empty
+    string exactly when the plain one does."""
     for name, ctx in (("left", left), ("right", right)):
         if not ctx.is_recognizer:
             raise FsmError("%s context must be a recognizer" % name)
-    if kit is None:
-        kit = MarkerKit(t.table)
+    kit = MarkerKit(t.table)
     phi, left, right = (kit.non_markers_of(e)
                         for e in (project(t, "domain"), left, right))
     return [
@@ -191,7 +186,7 @@ def compose_cascade(machines: list[Fst]) -> Fst:
 
 
 def replace(t: Fst, left: Fst, right: Fst, optimized: bool = False,
-            stack_safe: bool = True, kit: Optional[MarkerKit] = None) -> Fst:
+            stack_safe: bool = True) -> Fst:
     """Compile the rule into a single transducer."""
     return compose_cascade(replace_factors(t, left, right, optimized,
-                                           stack_safe, kit))
+                                           stack_safe))

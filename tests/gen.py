@@ -1,8 +1,14 @@
 """Random machines, rules, and model languages shared by the randomized
-suites.  Everything takes an explicit random.Random so runs are repeatable."""
+suites.  Everything takes an explicit random.Random so runs are repeatable.
+Also two helpers for the marker suites: rule text compiled over given
+machines, and a count of the marker constants a run builds."""
 
+import collections
 import random
 
+import fsrw.markers as markers
+from fsrw.dsl import (Compiler, Literal, _nodes, expand_macros, parse_expr,
+                      stdlib_macros)
 from fsrw import (
     EPS,
     Fst,
@@ -157,13 +163,23 @@ def random_replace_rule(rng: random.Random):
 # random macro programs
 
 
+# The predefined macros by name and parameters, and programs' definitions
+# of names that their bodies call.
+PREDEFINED = [(m.name, m.params) for m in stdlib_macros().values()]
+REDEFINITIONS = [("not", "X", "X"), ("not", "X", "if_p_then_s(X, X)"),
+                 ("xsig", "", "a"), ("true", "", "[]"),
+                 ("priority_union", "XY", "Y")]
+
+
 def random_macro_program(rng: random.Random) -> str:
     """A rule program over a, b and c with up to four macros of zero, one
     or two parameters, each parameter used zero to three times in its
-    body, calls nested in bodies and arguments, and an occasional replace
-    or lm_concat.  A macro calls only the macros defined before it, so no
-    program is recursive; some fail to compile, for example when a pair
-    side is bound to a larger expression."""
+    body, calls nested in bodies and arguments, calls of the predefined
+    macros, and an occasional replace or lm_concat.  One program in three
+    first redefines a name that a predefined macro calls, and may call its
+    own definition too.  A macro calls only the macros defined before it,
+    so no program is recursive; some fail to compile, for example when a
+    pair side is bound to a larger expression."""
     macros = []  # (name, params), in definition order
 
     def expr(uses: list, depth: int) -> str:
@@ -172,8 +188,9 @@ def random_macro_program(rng: random.Random) -> str:
             if uses and rng.random() < 0.6:
                 return uses.pop()
             return rng.choice(["a", "b", "c", "[]", "1"])
-        if roll < 0.5 and macros:
-            name, params = rng.choice(macros)
+        if roll < 0.6:
+            name, params = rng.choice(macros if roll < 0.5 and macros
+                                      else PREDEFINED)
             if not params:
                 return rng.choice([name, name + "()"])
             return "%s(%s)" % (name, ", ".join(expr(uses, depth - 1)
@@ -212,6 +229,11 @@ def random_macro_program(rng: random.Random) -> str:
         return text
 
     lines = ["#alphabet a b c."]
+    if rng.random() < 1 / 3:
+        name, params, text = rng.choice(REDEFINITIONS)
+        head = "%s(%s)" % (name, ", ".join(params)) if params else name
+        lines.append("macro(%s, %s)." % (head, text))
+        macros.append((name, params))
     for k in range(rng.randint(1, 4)):
         params = ("X", "Y")[:rng.randint(0, 2)]
         head = "m%d(%s)" % (k, ", ".join(params)) if params else "m%d" % k
@@ -232,3 +254,34 @@ def all_strings(glyphs, max_len: int):
         frontier = [s + (g,) for s in frontier for g in glyphs]
         out.extend(frontier)
     return out
+
+
+# ---------------------------------------------------------------------------
+# marker helpers
+
+
+def formula(table, text: str, **machines) -> Fst:
+    """The rule expression `text`, the predefined macros and builtins in
+    reach, compiled over `table`, where each symbol named in `machines`
+    stands for that machine: `formula(t, "l_iff_r(C, P)", C=cell, P=p)`."""
+    ast = expand_macros(parse_expr(text), stdlib_macros())
+    comp = Compiler(table)
+    for node in _nodes(ast):
+        if isinstance(node, Literal) and node.glyph in machines:
+            comp._built[id(node)] = (node, machines[node.glyph])
+    return comp.compile(ast)
+
+
+def count_builds(monkeypatch) -> collections.Counter:
+    """Count, per (shape, name), the calls of the builders that
+    `_shape_const` is given."""
+    builds = collections.Counter()
+    shape_const = markers._shape_const
+
+    def counting(key, build):
+        def counted():
+            builds[key] += 1
+            return build()
+        return shape_const(key, counted)
+    monkeypatch.setattr(markers, "_shape_const", counting)
+    return builds

@@ -13,6 +13,7 @@ import pytest
 
 import fsrw.cli
 import fsrw.dsl
+from fsrw import MarkerKit
 from fsrw.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,7 +53,17 @@ def test_tracer_records_a_cascade_compile(spans, tmp_path):
         assert metrics["replace.factor.%s.arcs" % f] > 0
 
 
-def test_tracer_counts_one_kit_per_compile(spans, tmp_path):
+def test_tracer_counts_every_kit(spans, tmp_path, monkeypatch):
+    # counted under the tracer's own wrapper: cascade27 makes a kit per
+    # replace rule, and the compiler one for the builtins
+    kits = []
+    init = MarkerKit.__init__
+
+    def counted(self, table):
+        kits.append(table)
+        init(self, table)
+
+    monkeypatch.setattr(MarkerKit, "__init__", counted)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -61,7 +72,7 @@ def test_tracer_counts_one_kit_per_compile(spans, tmp_path):
     finally:
         tracer.uninstall()
     assert rc == 0
-    assert spans.layer_metrics(tracer.spans, {})["markers.kits"] == 1
+    assert spans.layer_metrics(tracer.spans, {})["markers.kits"] == len(kits) == 5
 
 
 def test_tracer_records_apply_outputs(spans, tmp_path, monkeypatch, capsys):

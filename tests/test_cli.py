@@ -15,8 +15,10 @@ import pytest
 
 import fsrw.cli
 import fsrw.dsl
-from fsrw import MarkerKit, SymbolTable
+import fsrw.markers
+from fsrw import SymbolTable
 from fsrw.cli import main
+from gen import count_builds
 
 RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
 BENCH_RULES_DIR = RULES_DIR.parent / "bench" / "rules"
@@ -249,20 +251,17 @@ def test_cascade_writes_the_factors_without_folding(tmp_path, monkeypatch):
     assert folds == []
 
 
-def test_one_marker_kit_per_compile(tmp_path, monkeypatch):
-    # cascade27 joins four replace rules with 'o'; they share one kit
-    kits = []
-    init = MarkerKit.__init__
-
-    def counted(self, table):
-        kits.append(table)
-        init(self, table)
-
-    monkeypatch.setattr(MarkerKit, "__init__", counted)
+def test_a_compile_builds_each_marker_constant_once(tmp_path, monkeypatch):
+    # cascade27 joins four replace rules with 'o', each with a kit of its
+    # own; against an empty shape cache the first builds every constant
+    # and the others find it there
+    monkeypatch.setattr(fsrw.markers, "_shape_cache", {})
+    monkeypatch.setattr(fsrw.markers, "_shape_cache_arcs", 0)
+    builds = count_builds(monkeypatch)
     rc = main(["compile", "-r", str(BENCH_RULES_DIR / "cascade27.fsr"),
                "-o", str(tmp_path / "cascade27.fsm")])
     assert rc == 0
-    assert len(kits) == 1
+    assert builds and set(builds.values()) == {1}
 
 
 def test_cascade_of_an_lm_concat_rule_fails(tmp_path, monkeypatch, capsys):

@@ -2,7 +2,8 @@
 they replace.
 
 `mark_iff`, `guard_before` and `not_contains` must build the very machine
-that `l_iff_r`, `if_s_then_p` and `not_(contains(...))` build: both sides
+that the paper's formulas `l_iff_r`, `if_s_then_p` and `not($$(...))`
+build, compiled from the rule language's predefined macros: both sides
 are canonical minimal machines, so equal languages give equal structure.
 The inputs are the ones the replace factors pass, recorded while compiling
 seeded random rules."""
@@ -17,7 +18,6 @@ from fsrw import (
     MarkerKit,
     SymbolTable,
     accepts,
-    concat,
     empty_lang,
     empty_string,
     literal,
@@ -28,9 +28,23 @@ from fsrw import (
     union,
 )
 
-from gen import random_replace_rule
+from gen import formula, random_replace_rule
 
 replace_module = importlib.import_module("fsrw.replace")
+
+
+def l_iff_r(cell, p):
+    return formula(cell.table, "l_iff_r(C, P)", C=cell, P=p)
+
+
+def if_s_then_p(a, cell):
+    """`if_s_then_p(a, [cell, xsig()*])`: the formula `guard_before` stands
+    for."""
+    return formula(a.table, "if_s_then_p(A, [C, xsig()*])", A=a, C=cell)
+
+
+def not_contains(k):
+    return formula(k.table, "not($$(K))", K=k)
 
 
 class RecordingKit(MarkerKit):
@@ -40,18 +54,17 @@ class RecordingKit(MarkerKit):
 
     def mark_iff(self, cell, p):
         got = super().mark_iff(cell, p)
-        self.calls.append(("mark_iff", got, self.l_iff_r(cell, p), p))
+        self.calls.append(("mark_iff", got, l_iff_r(cell, p), p))
         return got
 
     def guard_before(self, cell, a):
         got = super().guard_before(cell, a)
-        want = self.if_s_then_p(a, concat(cell, self.xsig_star))
-        self.calls.append(("guard_before", got, want, a))
+        self.calls.append(("guard_before", got, if_s_then_p(a, cell), a))
         return got
 
     def not_contains(self, k):
         got = super().not_contains(k)
-        self.calls.append(("not_contains", got, self.not_(self.contains(k)), k))
+        self.calls.append(("not_contains", got, not_contains(k), k))
         return got
 
 
@@ -94,8 +107,7 @@ def test_not_contains_edge_cases(kit):
     # an empty K excludes nothing, a K holding [] excludes everything
     for k in (empty_lang(kit.table), empty_string(kit.table),
               star(kit.lb1), union(kit.rb2, empty_string(kit.table))):
-        want = kit.not_(kit.contains(k))
-        assert kit.not_contains(k).same_structure(want)
+        assert kit.not_contains(k).same_structure(not_contains(k))
     assert kit.not_contains(empty_lang(kit.table)).same_structure(
         minimize(kit.xsig_star))
     assert kit.not_contains(empty_string(kit.table)).is_empty()
@@ -106,9 +118,8 @@ def test_mark_iff_and_guard_before_edge_cases(kit):
     a = kit.non_markers_of(literal(t, "a"))
     for p in (empty_lang(t), empty_string(t), a, star(a), kit.xsig_star):
         for cell in (kit.lb2, kit.rb2, kit.lb):
-            assert kit.mark_iff(cell, p).same_structure(kit.l_iff_r(cell, p))
-            want = kit.if_s_then_p(p, concat(cell, kit.xsig_star))
-            assert kit.guard_before(cell, p).same_structure(want)
+            assert kit.mark_iff(cell, p).same_structure(l_iff_r(cell, p))
+            assert kit.guard_before(cell, p).same_structure(if_s_then_p(p, cell))
 
 
 def test_mark_iff_reads_bracket_glyphs_as_text(kit):

@@ -5,7 +5,6 @@ a marker.  Markerhood is carried by the flag, so a bracket glyph with flag
 "0" is ordinary text.  Expected values below are spelled as flat glyph
 sequences with the flags written out."""
 
-import collections
 import itertools
 import random
 
@@ -20,6 +19,7 @@ from fsrw import (
     any_of,
     compose,
     concat,
+    compile_rules,
     cross_product,
     difference,
     empty_lang,
@@ -34,6 +34,7 @@ from fsrw import (
     reduce_pairs,
     replace,
     reverse,
+    RuleError,
     sigma_star,
     star,
     symbol_pair,
@@ -41,7 +42,7 @@ from fsrw import (
     word,
 )
 from fsrw.dump import dump_text
-from gen import random_context, random_replace_rule, random_target
+from gen import count_builds, random_context, random_replace_rule, random_target
 
 
 @pytest.fixture
@@ -169,11 +170,18 @@ def _quantify(kit, machine, pred, max_cells=3):
             assert ("".join(s) in lang) == pred(list(combo)), combo
 
 
+def rule(text):
+    """The machine of a rule expression over the symbols a and b."""
+    return compile_rules("#alphabet a b. %s." % text).machine
+
+
+A_THEN = "[xsig()*, non_markers(a)]"
+THEN_B = "[non_markers(b), xsig()*]"
+
+
 def test_if_p_then_s(kit):
     # every prefix ending in an 'a' cell must continue with a 'b' cell
-    a = kit.non_markers_of(literal(kit.table, "a"))
-    b = kit.non_markers_of(literal(kit.table, "b"))
-    m = kit.if_p_then_s(concat(kit.xsig_star, a), concat(b, kit.xsig_star))
+    m = rule("if_p_then_s(%s, %s)" % (A_THEN, THEN_B))
 
     def ok(combo):
         return all(i + 1 < len(combo) and combo[i + 1] == "b"
@@ -183,9 +191,7 @@ def test_if_p_then_s(kit):
 
 def test_if_s_then_p(kit):
     # every suffix starting with a 'b' cell must come right after 'a'
-    a = kit.non_markers_of(literal(kit.table, "a"))
-    b = kit.non_markers_of(literal(kit.table, "b"))
-    m = kit.if_s_then_p(concat(kit.xsig_star, a), concat(b, kit.xsig_star))
+    m = rule("if_s_then_p(%s, %s)" % (A_THEN, THEN_B))
 
     def ok(combo):
         return all(i > 0 and combo[i - 1] == "a"
@@ -195,9 +201,7 @@ def test_if_s_then_p(kit):
 
 def test_l_iff_r(kit):
     # an 'a' cell exactly where a 'b' cell follows
-    a = kit.non_markers_of(literal(kit.table, "a"))
-    b = kit.non_markers_of(literal(kit.table, "b"))
-    m = kit.l_iff_r(a, b)
+    m = rule("l_iff_r(non_markers(a), non_markers(b))")
 
     def ok(combo):
         for i in range(len(combo) + 1):
@@ -224,23 +228,20 @@ def test_first_constant_freezes_the_table():
     assert table.add_user("a") == table.id_of("a")
 
 
-def test_match_n(kit):
-    a = literal(kit.table, "a")
-    assert lang_enum(kit.match_n(3, a), 3) == {"aaa"}
-    assert lang_enum(kit.match_n(0, a), 3) == {""}
-    with pytest.raises(FsmError):
-        kit.match_n(-1, a)
+def test_match_n():
+    assert lang_enum(rule("match_n(3, a)"), 3) == {"aaa"}
+    assert lang_enum(rule("match_n(2, {a, b})"), 3) == {"aa", "ab", "ba", "bb"}
+    assert lang_enum(rule("match_n(0, a)"), 3) == {""}
+    with pytest.raises(RuleError, match="negative number of times"):
+        rule("match_n(-1, a)")
 
 
-def test_coerce_to_boolean(kit):
-    tb = kit.table
+def test_coerce_to_boolean():
     # anything nonempty collapses to true, emptiness to false
-    assert equivalent(kit.coerce_to_boolean(literal(tb, "a")), kit.true)
-    some = compose(
-        cross_product(literal(tb, "a"), empty_string(tb)),
-        cross_product(empty_string(tb), literal(tb, "b")))
-    assert equivalent(kit.coerce_to_boolean(some), kit.true)
-    assert lang_enum(kit.coerce_to_boolean(kit.false), 2) == set()
+    true = dump_text(rule("true()"))
+    assert dump_text(rule("coerce_to_boolean(a)")) == true
+    assert dump_text(rule("coerce_to_boolean((a x []) o ([] x b))")) == true
+    assert lang_enum(rule("coerce_to_boolean(false())"), 2) == set()
 
 
 def test_true_false(kit):
@@ -249,13 +250,10 @@ def test_true_false(kit):
     assert lang_enum(kit.false, 3) == set()
 
 
-def test_if_then_else(kit):
-    tb = kit.table
-    yes = literal(tb, "a")
-    t = kit.non_markers_of(literal(tb, "a"))
-    e = kit.non_markers_of(literal(tb, "b"))
-    assert lang_enum(kit.if_then_else(yes, t, e), 4) == {"a0"}
-    assert lang_enum(kit.if_then_else(kit.false, t, e), 4) == {"b0"}
+def test_if_then_else():
+    assert lang_enum(rule("if(a, non_markers(a), non_markers(b))"), 4) == {"a0"}
+    assert lang_enum(rule("if(false(), non_markers(a), non_markers(b))"),
+                     4) == {"b0"}
 
 
 BRACKET_SETS = ("lb1", "lb2", "rb1", "rb2", "lb", "rb", "b1", "b2", "brack")
@@ -408,21 +406,6 @@ def test_a_reserved_user_glyph_makes_another_shape(shape_cache, glyph):
     assert pk._shape != ok._shape
     assert accepts(project(ok.non_markers, "domain"), [glyph])
     assert not accepts(project(pk.non_markers, "domain"), [glyph])
-
-
-def count_builds(monkeypatch):
-    """Count, per (shape, name), the calls of the builders that
-    `_shape_const` is given."""
-    builds = collections.Counter()
-    shape_const = markers._shape_const
-
-    def counting(key, build):
-        def counted():
-            builds[key] += 1
-            return build()
-        return shape_const(key, counted)
-    monkeypatch.setattr(markers, "_shape_const", counting)
-    return builds
 
 
 def fresh_rule(rng, glyphs):

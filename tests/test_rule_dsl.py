@@ -6,6 +6,7 @@ expression ends the program, every clause ends with '.'.  Expressions use
 [] for sequence, {} for union, postfix * + ^, prefix ~ $ $$, infix : x o
 - &, and ? for any user symbol."""
 
+import inspect
 import os
 import random
 import re
@@ -22,6 +23,7 @@ import hypothesis.strategies as st
 import fsrw.dsl
 from fsrw import (
     FsmError,
+    MarkerKit,
     accepts,
     compose_cascade,
     lang_enum,
@@ -66,6 +68,7 @@ from fsrw.dsl import (
     parse_expr,
     parse_program,
     pretty_print,
+    stdlib_macros,
     tokenize,
 )
 from fsrw.dump import dump_text
@@ -358,6 +361,54 @@ def test_stdlib_lenient_composition():
     assert outputs(cp, "a") == {"c"}
 
 
+# calls of the predefined macros on arguments that use no name below
+_FORMULA_CALLS = [
+    "%s([sig()*, non_markers(a)], [non_markers(b), sig()*])" % name
+    for name in ("if_p_then_s", "if_s_then_p", "p_iff_s", "l_iff_r")] + [
+    "coerce_to_boolean(a x b)", "if(a, non_markers(b), lb1())",
+    "if({}, non_markers(b), lb1())", "lenient_composition(a x b, b x c)"]
+
+
+@pytest.mark.parametrize("redefinition", [
+    "macro(not(X), X).", "macro(not(X), if_p_then_s(X, X)).",
+    "macro(xsig, a).", "macro(true, []).", "macro(true, b)."])
+def test_predefined_macros_ignore_the_programs_macros(redefinition):
+    # a predefined body calls builtins and predefined macros only, so a
+    # program may take any name it calls
+    for call in _FORMULA_CALLS:
+        text = "#alphabet a b c.\n%s.\n" % call
+        plain = dump_text(compile_rules(text).machine)
+        redefined = compile_rules(redefinition + "\n" + text)
+        assert dump_text(redefined.machine) == plain, call
+
+
+def test_a_redefinition_may_call_the_predefined_macro_that_uses_its_name():
+    # not/1 calls if_p_then_s, whose own not is the builtin: no recursion
+    cp = compile_rules("macro(not(X), if_p_then_s(X, X)). not(sig()).")
+    want = compile_rules("if_p_then_s(sig(), sig()).")
+    assert dump_text(cp.machine) == dump_text(want.machine)
+
+
+def test_lenient_composition_keeps_the_predefined_priority_union():
+    # the program's priority_union answers its own calls, never the one
+    # in lenient_composition's body
+    text = """
+        #alphabet a b c.
+        macro(priority_union(Q,R), R).
+        %s.
+    """
+    assert outputs(compile_rules(text % "lenient_composition(a x b, b x c)"),
+                   "a") == {"c"}
+    assert outputs(compile_rules(text % "lenient_composition(a x b, c x c)"),
+                   "a") == {"b"}
+    assert outputs(compile_rules(text % "priority_union(a x b, a x c)"),
+                   "a") == {"c"}
+    # so a priority_union calling lenient_composition is no cycle
+    cp = compile_rules("macro(priority_union(Q,R), lenient_composition(Q, R)).\n"
+                       "priority_union(a x b, c x c).")
+    assert outputs(cp, "a") == {"b"}
+
+
 # alphabet collection -------------------------------------------------------
 
 
@@ -443,17 +494,18 @@ def _builtin_call(name, arity):
     return "%s(%s)" % (name, ", ".join(args))
 
 
-# every builtin operator, once each, inside a piece whose domain is never
-# empty
-_BUILTIN_PIECES = ["lm_concat([{%s, b x c}, c x b])." % _builtin_call(*key)
-                   for key in _BUILTINS]
+# every builtin operator, match_n and every predefined macro, once each,
+# inside a piece whose domain is never empty
+_CALLABLE = [*_BUILTINS, ("match_n", 2), *stdlib_macros()]
+_CALL_PIECES = ["lm_concat([{%s, b x c}, c x b])." % _builtin_call(*key)
+                for key in _CALLABLE]
 
 
 @pytest.mark.parametrize("text", ["replace(a x b, c, d).",
                                   "lm_concat([identity(a*), b x c]).",
-                                  *_BUILTIN_PIECES],
+                                  *_CALL_PIECES],
                          ids=["replace", "lm_concat",
-                              *("%s/%d" % key for key in _BUILTINS)])
+                              *("%s/%d" % key for key in _CALLABLE)])
 def test_top_level_pieces_compile_once(monkeypatch, text):
     seen = []
     build = Compiler._c
@@ -470,6 +522,18 @@ def test_top_level_pieces_compile_once(monkeypatch, text):
     assert len(pieces) == len(cp.pieces)
     for piece in pieces:
         assert seen.count(piece) == 1
+
+
+def test_every_builtin_is_a_kit_operator_of_its_arity():
+    for (name, arity), attr in _BUILTINS.items():
+        member = inspect.getattr_static(MarkerKit, attr)
+        if arity == 0:
+            assert isinstance(member, property), name
+        else:
+            params = list(inspect.signature(member).parameters)[1:]
+            assert len(params) == arity, name
+    assert not set(_BUILTINS) & set(stdlib_macros())
+    assert ("match_n", 2) not in set(_BUILTINS) | set(stdlib_macros())
 
 
 def test_lm_concat_program_end_to_end():
@@ -562,6 +626,16 @@ def test_an_argument_used_twice_is_one_shared_node():
     ast = expand_macros(prog.main, macro_env(prog))
     assert ast == Seq((Seq((Literal("a"),) * 2),) * 2)
     assert ast.items[0] is ast.items[1]
+    # and so is a call repeated on the same argument nodes: if's body
+    # calls coerce_to_boolean(C) twice
+    prog = parse_program("if(a, b, c).")
+    ast = expand_macros(prog.main, macro_env(prog))
+    then, other = ast.items
+    assert then.left is other.left.item
+    # but two calls on equal arguments written apart are two nodes
+    prog = parse_program("macro(f(X), [X]). [f(a), f(a)].")
+    ast = expand_macros(prog.main, macro_env(prog))
+    assert ast.items[0] == ast.items[1] and ast.items[0] is not ast.items[1]
 
 
 def test_a_shared_node_is_built_once(monkeypatch):
