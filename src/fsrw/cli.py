@@ -68,13 +68,12 @@ def _tokenizer(table):
     single = all(len(g) == 1 for g in glyphs)
     known = set(glyphs)
 
-    def split(line: str) -> list:
-        if single:
-            toks = list(line)
-            for ch in toks:
-                if ch not in known:
-                    raise FsmError("unknown symbol %r" % ch)
-            return toks
+    def split(line: str):
+        if single:  # the line itself is its glyph sequence
+            if known.issuperset(line):
+                return line
+            raise FsmError("unknown symbol %r"
+                           % next(ch for ch in line if ch not in known))
         toks = []
         i = 0
         while i < len(line):
@@ -101,8 +100,9 @@ def cmd_apply(args) -> int:
         except FsmError as exc:
             out.write("*** %s\n" % exc)
             continue
-        res = transduce(m, toks, limit=args.limit)
-        outputs = sorted(res.strings())
+        outputs = transduce(m, toks, limit=args.limit).strings()
+        if len(outputs) > 1:
+            outputs.sort()
         if not outputs:
             out.write(args.on_empty + "\n")
         elif args.all:

@@ -756,11 +756,13 @@ def _as_symbol(node) -> Optional[str]:
 
 class Compiler:
     """Builds each distinct node of the expanded DAG once, for the life of
-    the compiler; every use of a shared node gets the same machine."""
+    the compiler; every use of a shared node gets the same machine.  The
+    builtins' `MarkerKit` is made at the first builtin call, so a program
+    that calls none makes no kit."""
 
     def __init__(self, table: SymbolTable):
         self.table = table
-        self.kit = MarkerKit(table)
+        self._kit = None
         self._built = {}  # id(node) -> (node, Fst); the node keeps its id
 
     def compile(self, node) -> Fst:
@@ -799,7 +801,9 @@ class Compiler:
         elif isinstance(node, LmConcat):
             fst = _lm_concat([self._c(x) for x in node.items])
         elif isinstance(node, Call):
-            fst = getattr(self.kit, _BUILTINS[node.name, len(node.args)])
+            if self._kit is None:
+                self._kit = MarkerKit(t)
+            fst = getattr(self._kit, _BUILTINS[node.name, len(node.args)])
             if node.args:
                 fst = fst(*[self._c(a) for a in node.args])
         else:

@@ -731,7 +731,11 @@ ENUMERATE_PATH_CAP = 2_000_000
 
 
 def _to_ids(table, s) -> list[int]:
-    return [table.id_of(g) for g in s]
+    # one dict lookup per glyph; the error is `SymbolTable.id_of`'s
+    try:
+        return list(map(table._ids.__getitem__, s))
+    except KeyError as exc:
+        raise FsmError("unknown symbol %r" % exc.args[0]) from None
 
 
 class _SubsetTable:
@@ -800,21 +804,24 @@ class _Step:
     goes to position p + 1 (dst indexes that position's `live`).  `rid` is
     R[p].  `out` is the output glyphs along the one path through p when
     there is only one (each live state has one live arc and they chain),
-    else None.  `exit` is the state at position p + 1 that every arc
-    leaving p enters, when they all enter one, else -1: then every
-    accepting path crosses that state, and the line can be cut there.
+    else None, and `text` is their join, made once when the step is
+    cached, so a single-path line is one join of its steps' texts.
+    `exit` is the state at position p + 1 that every arc leaving p
+    enters, when they all enter one, else -1: then every accepting path
+    crosses that state, and the line can be cut there.
     `endless` is set when some cycle of input-epsilon arcs writes a
     symbol: its states lie on accepting paths, so the line then has
     infinitely many outputs, and a cycle never spans positions, so a
     line with no endless step has finitely many."""
 
-    __slots__ = ("rid", "live", "arcs", "out", "exit", "endless")
+    __slots__ = ("rid", "live", "arcs", "out", "text", "exit", "endless")
 
     def __init__(self, rid, live, arcs, out):
         self.rid = rid
         self.live = live
         self.arcs = arcs
         self.out = out
+        self.text = None if out is None else "".join(out)
         ends = {d for _, _, d, same in arcs if not same}
         self.exit = ends.pop() if len(ends) == 1 else -1
         succ: list[list[int]] = [[] for _ in live]
@@ -925,22 +932,24 @@ class InputTables:
     def trim(self, ids) -> Optional[list[_Step]]:
         """The steps of the input's trimmed lattice, positions 0..n, or
         None when no path accepts it: one walk forward through the left
-        table, then one backward through the steps."""
+        table, then one backward through the steps, by index, filling a
+        trail made at its full length (the end step stands in until each
+        position is filled)."""
         lids = self.left.walk(ids)
         if lids is None:
             return None
         get = self.steps.get
-        last = lids[-1]
-        st = get((last, EPS, -1)) or self._step(last, EPS, -1)
+        n = len(ids)
+        st = get((lids[n], EPS, -1)) or self._step(lids[n], EPS, -1)
         if not st.live:  # then no position has a live state
             return None
-        trail = [st]
+        trail = [st] * (n + 1)
         rid = st.rid
-        for lid, sym in zip(reversed(lids[:-1]), reversed(ids)):
-            st = get((lid, sym, rid)) or self._step(lid, sym, rid)
-            trail.append(st)
+        for p in range(n - 1, -1, -1):
+            key = (lids[p], ids[p], rid)
+            st = get(key) or self._step(*key)
+            trail[p] = st
             rid = st.rid
-        trail.reverse()
         return trail
 
     def segment(self, trail, lo: int, hi: int, entry: int) -> _Segment:
@@ -992,10 +1001,12 @@ class TransduceResult:
     """Outputs of applying a machine to one input string.
 
     `outputs` holds glyph tuples sorted lexicographically by symbol id; it
-    is built on first access.  `strings()` joins them for display, in the
-    same order, and `len()` counts them; neither builds the tuples.
-    `truncated` is set when the output set is infinite and only the first
-    `limit` (shortest first) are kept.
+    is built on first access, once, and later accesses return the same
+    list.  `strings()` gives their joins for display, in the same order,
+    as a new list on every call (the caller may sort it), and `len()`
+    counts them; neither builds the tuples.  `truncated` is set when the
+    output set is infinite and only the first `limit` (shortest first) are
+    kept.
     """
 
     __slots__ = ("_strings", "_outputs", "truncated")
@@ -1029,12 +1040,14 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
 
     The machine's input tables (`InputTables`) give the input's trimmed
     lattice, position by position, from cached steps.  When each step is
-    one path, its outputs are joined directly.  Otherwise the line is cut
-    after each step whose arcs all enter one state, which every accepting
-    path crosses, and the output set is the product of the output sets of
-    the stretches between cuts: a single-path stretch gives one text, and
-    any other gives a `_Segment` cached on the tables, built once from its
-    output DFA (`_output_dfa`).  When no stretch has an output that is a
+    one path, the output is one join of the steps' cached texts
+    (`_Step.text`), and its glyph tuple is built only if `outputs` is
+    read.  Otherwise the line is cut after each step whose arcs all enter
+    one state, which every accepting path crosses, and the output set is
+    the product of the output sets of the stretches between cuts: a
+    single-path stretch gives its steps' texts, and any other gives a
+    `_Segment` cached on the tables, built once from its output DFA
+    (`_output_dfa`).  When no stretch has an output that is a
     proper prefix of another (the last one may, unless text follows it),
     the product comes out sorted by symbol id and without repeats;
     otherwise it is deduplicated and sorted.  When some step is endless
@@ -1046,10 +1059,10 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
         trail = tables.trim(ids)
         if trail is None:
             return TransduceResult([], False, [])
-        outs = [st.out for st in trail]
-        if None not in outs:
-            out = tuple(chain.from_iterable(outs))
-            return TransduceResult(["".join(out)], False, [out])
+        texts = [st.text for st in trail]
+        if None not in texts:
+            return TransduceResult(["".join(texts)], False,
+                                   lambda: [_glyphs_of(trail)])
         start = trail[0].live.index(m.initial)
         if any(st.endless for st in trail):
             return _shortest_outputs(trail, start, limit, m.table.glyph)
@@ -1063,19 +1076,19 @@ def _segmented_outputs(tables: InputTables, trail, start: int,
     """The finitely many outputs of a line with several accepting paths,
     whose trimmed lattice is `trail` and starts in its live state
     `start`."""
-    parts = []  # (the single-path text before a stretch, its _Segment)
-    text: list[str] = []
+    parts = []  # (the single-path steps before a stretch, its _Segment)
+    run: list[_Step] = []
     lo, entry = 0, start
     for p, st in enumerate(trail):
         if st.exit < 0:  # no cut after this step
             continue
         if p == lo and st.out is not None:
-            text.extend(st.out)
+            run.append(st)
         else:
-            parts.append((tuple(text), tables.segment(trail, lo, p + 1, entry)))
-            text = []
+            parts.append((run, tables.segment(trail, lo, p + 1, entry)))
+            run = []
         lo, entry = p + 1, st.exit
-    tail = tuple(text)
+    tail = run
 
     def product(pick, join):
         # each part's text is joined to its stretch's outputs and the tail
@@ -1084,23 +1097,31 @@ def _segmented_outputs(tables: InputTables, trail, start: int,
         for pre, seg in parts:
             pre = join(pre)
             lists.append([pre + o for o in pick(seg)] if pre else pick(seg))
-        if tail:
-            end = join(tail)
+        end = join(tail)
+        if end:
             lists[-1] = [o + end for o in lists[-1]]
         acc = list(lists[0])  # never the cached list itself
         for lst in lists[1:]:
             acc = [a + o for a in acc for o in lst]
         return acc
 
+    def joined(steps):
+        return "".join([st.text for st in steps])
+
     def tuples():
-        return product(lambda seg: seg.tuples, tuple)
+        return product(lambda seg: seg.tuples, _glyphs_of)
 
     segs = [seg for _, seg in parts]
-    if all(seg.prefix_free for seg in (segs if tail else segs[:-1])):
-        return TransduceResult(product(lambda seg: seg.strings, "".join), False, tuples)
+    if all(seg.prefix_free for seg in (segs if joined(tail) else segs[:-1])):
+        return TransduceResult(product(lambda seg: seg.strings, joined), False, tuples)
     id_of = table.id_of
     outputs = sorted(set(tuples()), key=lambda o: [id_of(g) for g in o])
     return TransduceResult(["".join(o) for o in outputs], False, outputs)
+
+
+def _glyphs_of(steps) -> tuple[str, ...]:
+    """The output glyphs along single-path steps, in order."""
+    return tuple(chain.from_iterable(st.out for st in steps))
 
 
 def _output_dfa(trail, lo: int, hi: int, entry: int):

@@ -21,7 +21,6 @@ from fsrw import (
     option,
     plus,
     star,
-    symbol_pair,
     union,
     word,
 )

@@ -20,7 +20,6 @@ from fsrw import (
     compose,
     concat,
     cross_product,
-    difference,
     empty_string,
     enumerate_pairs,
     equivalent,

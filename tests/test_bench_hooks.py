@@ -55,7 +55,7 @@ def test_tracer_records_a_cascade_compile(spans, tmp_path):
 
 def test_tracer_counts_every_kit(spans, tmp_path, monkeypatch):
     # counted under the tracer's own wrapper: cascade27 makes a kit per
-    # replace rule, and the compiler one for the builtins
+    # replace rule, and calls no builtin, so the compiler makes none
     kits = []
     init = MarkerKit.__init__
 
@@ -72,7 +72,7 @@ def test_tracer_counts_every_kit(spans, tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     assert rc == 0
-    assert spans.layer_metrics(tracer.spans, {})["markers.kits"] == len(kits) == 5
+    assert spans.layer_metrics(tracer.spans, {})["markers.kits"] == len(kits) == 4
 
 
 def test_tracer_records_apply_outputs(spans, tmp_path, monkeypatch, capsys):

@@ -108,11 +108,17 @@ def test_apply_limit_leaves_a_finite_output_set_whole(tmp_path, monkeypatch,
 
 
 def test_apply_flags_unknown_symbols(tmp_path, monkeypatch, capsys):
-    machine = compiled(tmp_path, "replace(a x b, [], []).")
-    rc, out, err = run(monkeypatch, capsys,
-                       ["apply", "-m", str(machine)], "az\na\n")
-    assert rc == 0
-    assert out == "*** unknown symbol 'z'\nb\n"
+    # the first unknown character is named, with one character per glyph
+    # and with a `#tokens` machine
+    single = compiled(tmp_path, "replace(a x b, [], []).")
+    multi = compiled(tmp_path, "identity({ab, a, b}*).", name="multi.fsr")
+    assert multi.read_text().startswith("#tokens")
+    for machine, line, output in [(single, "a", "b"), (multi, "ab", "ab")]:
+        rc, out, err = run(monkeypatch, capsys, ["apply", "-m", str(machine)],
+                           "az\nazqa\nqz\n%s\n" % line)
+        assert rc == 0
+        assert out == ("*** unknown symbol 'z'\n" * 2
+                       + "*** unknown symbol 'q'\n%s\n" % output)
 
 
 def test_apply_tokenizes_multi_char_glyphs_greedily(tmp_path, monkeypatch,

@@ -11,7 +11,6 @@ from fsrw import (
     DumpFormatError,
     Fst,
     SymbolTable,
-    cross_product,
     dump_text,
     equivalent,
     lang_enum,

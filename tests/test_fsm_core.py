@@ -284,6 +284,10 @@ def test_transduce_multiple_outputs(tb):
     res = transduce(star(t), "aa")
     assert sorted(res.strings()) == ["aa", "ab", "ba", "bb"]
     assert not res.truncated
+    # `fsrw apply` sorts what `strings()` returns in place
+    res.strings().sort(reverse=True)
+    assert res.strings() == list(res) == ["aa", "ab", "ba", "bb"]
+    assert res.strings() is not res.strings()
 
 
 def test_transduce_cyclic_truncates(tb):
@@ -302,8 +306,37 @@ def test_transduce_cyclic_truncates(tb):
 
 
 def test_transduce_rejects_unknown_symbol(tb):
-    with pytest.raises(FsmError):
-        transduce(literal(tb, "a"), "z")
+    # transduce and accepts name the first unknown glyph in the words of
+    # `SymbolTable.id_of`
+    m = literal(tb, "a")
+    for line, first in [("z", "z"), ("azy", "z"), (["a", "zz", "y"], "zz"),
+                        (["a", 5], 5)]:
+        with pytest.raises(FsmError) as want:
+            tb.id_of(first)
+        assert str(want.value) == "unknown symbol %r" % first
+        for query in (transduce, accepts):
+            with pytest.raises(FsmError) as got:
+                query(m, line)
+            assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("rule, lines", [
+    ("devoice_final.fsr", ["", "#", "bad#", "ab#d", "dbd#bb#t", "bbbb"]),
+    ("abbrev.fsr", [[], ["<abbr>", "non-deterministic", " ", "finite", " ",
+                         "automaton", "</abbr>"],
+                    ["finite", "<abbr>", "finite", "</abbr>", " "],
+                    ["<abbr>", "<abbr>", "non-deterministic", " ", "finite",
+                     " ", "automaton", "</abbr>", "N"]]),
+])
+def test_a_single_path_line_builds_its_glyph_tuple_once_on_demand(rule, lines):
+    m = compile_rules((RULES_DIR / rule).read_text()).machine
+    for line in lines:
+        res = transduce(m, line)
+        assert callable(res._outputs)  # not built by transduce
+        outputs = res.outputs
+        assert outputs is res.outputs
+        assert outputs == _walker_outputs(m, line) and len(outputs) == 1
+        assert res.strings() == ["".join(outputs[0])]
 
 
 @pytest.fixture(scope="module")

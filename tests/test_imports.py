@@ -1,5 +1,6 @@
-"""Every name a module of `src/fsrw` imports is used in that module, and
-every private module-level name is used somewhere in the package.
+"""Every name a module of `src/fsrw` or of `tests` imports is used in
+that module, and every private module-level name is used somewhere in the
+package.
 
 A name listed in the module's `__all__` counts as used (the package
 re-exports it), and so does an import whose line is marked
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fsrw"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fsrw"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,7 +40,8 @@ def unused_imports(source: str) -> list[str]:
                   for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

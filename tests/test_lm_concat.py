@@ -14,7 +14,6 @@ from fsrw import (
     cross_product,
     empty_string,
     identity_lift,
-    lang_enum,
     literal,
     lm_concat,
     MarkerKit,

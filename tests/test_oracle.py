@@ -33,7 +33,6 @@ from fsrw import (
     option,
     sigma_star,
     star,
-    symbol_pair,
     union,
     word,
 )
