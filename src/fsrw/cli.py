@@ -145,6 +145,8 @@ def cmd_equiv(args) -> int:
 
 
 def _random_inputs(glyphs, samples: int, max_len: int, seed: int):
+    if not glyphs:  # the empty string is the only input
+        return [()]
     rng = random.Random(seed)
     seen = []
     got = set()
@@ -169,13 +171,9 @@ def cmd_check(args) -> int:
     else:
         print("error: check needs a replace or lm_concat rule", file=sys.stderr)
         return 2
-    glyphs = list(comp.table.user_glyphs())
-    if not glyphs:
-        glyphs = [""]
-    inputs = _random_inputs(glyphs, args.samples, args.max_len, args.seed)
+    inputs = _random_inputs(comp.table.user_glyphs(), args.samples, args.max_len, args.seed)
     checked = skipped = 0
     for toks in inputs:
-        toks = [g for g in toks if g]
         res = transduce(comp.machine, toks, limit=256)
         if res.truncated:
             skipped += 1
@@ -258,10 +256,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except dump.DumpFormatError as exc:
+    except (_UsageError, dump.DumpFormatError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except FsmError as exc:

@@ -11,7 +11,7 @@ bit-for-bit equal.
 from __future__ import annotations
 
 import heapq
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Optional, Sequence
 
 EPS = -1  # epsilon on one side of a label; never a symbol table id
@@ -1044,15 +1044,12 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
     (`_Step.text`), and its glyph tuple is built only if `outputs` is
     read.  Otherwise the line is cut after each step whose arcs all enter
     one state, which every accepting path crosses, and the output set is
-    the product of the output sets of the stretches between cuts: a
-    single-path stretch gives its steps' texts, and any other gives a
+    one product of per-stretch output lists (`_segmented_outputs`): a run
+    of single-path stretches gives its text, and any other stretch a
     `_Segment` cached on the tables, built once from its output DFA
-    (`_output_dfa`).  When no stretch has an output that is a
-    proper prefix of another (the last one may, unless text follows it),
-    the product comes out sorted by symbol id and without repeats;
-    otherwise it is deduplicated and sorted.  When some step is endless
-    (`_Step.endless`), the output set is infinite and the shortest are
-    enumerated from the output DFA of the whole line."""
+    (`_output_dfa`).  When some step is endless (`_Step.endless`), the
+    output set is infinite and the shortest are enumerated from the
+    output DFA of the whole line."""
     ids = _to_ids(m.table, s)
     tables = m.input_tables()
     try:
@@ -1074,48 +1071,40 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
 def _segmented_outputs(tables: InputTables, trail, start: int,
                        table: SymbolTable) -> TransduceResult:
     """The finitely many outputs of a line with several accepting paths,
-    whose trimmed lattice is `trail` and starts in its live state
-    `start`."""
-    parts = []  # (the single-path steps before a stretch, its _Segment)
-    run: list[_Step] = []
+    whose trimmed lattice is `trail` and starts in its live state `start`:
+    the product of one output list per stretch between cuts.
+
+    A stretch is single-path when its first step is (that step has one
+    arc leaving it, so the line is cut after it).  A run of single-path
+    stretches makes one list, its one output; any other stretch's list is
+    its cached `_Segment`.  A list whose one output is empty is left out.
+    When every list but the last is prefix-free, two outputs first differ
+    inside one list's entries, so the product is in symbol-id order
+    without repeats; otherwise it is deduplicated and sorted by ids."""
+    segs = []
     lo, entry = 0, start
+    last = len(trail) - 1
     for p, st in enumerate(trail):
         if st.exit < 0:  # no cut after this step
             continue
-        if p == lo and st.out is not None:
-            run.append(st)
+        if trail[lo].out is None:
+            seg = tables.segment(trail, lo, p + 1, entry)
+        elif p < last and trail[p + 1].out is not None:
+            continue  # the next single-path step joins this run
         else:
-            parts.append((run, tables.segment(trail, lo, p + 1, entry)))
-            run = []
+            seg = _Segment([_glyphs_of(trail[lo:p + 1])])
+        if seg.tuples != [()]:
+            segs.append(seg)
         lo, entry = p + 1, st.exit
-    tail = run
 
-    def product(pick, join):
-        # each part's text is joined to its stretch's outputs and the tail
-        # to the last, so the product takes one pass per stretch
-        lists = []
-        for pre, seg in parts:
-            pre = join(pre)
-            lists.append([pre + o for o in pick(seg)] if pre else pick(seg))
-        end = join(tail)
-        if end:
-            lists[-1] = [o + end for o in lists[-1]]
-        acc = list(lists[0])  # never the cached list itself
-        for lst in lists[1:]:
-            acc = [a + o for a in acc for o in lst]
-        return acc
+    def glyph_tuples():
+        return [tuple(chain.from_iterable(t)) for t in product(*[seg.tuples for seg in segs])]
 
-    def joined(steps):
-        return "".join([st.text for st in steps])
-
-    def tuples():
-        return product(lambda seg: seg.tuples, _glyphs_of)
-
-    segs = [seg for _, seg in parts]
-    if all(seg.prefix_free for seg in (segs if joined(tail) else segs[:-1])):
-        return TransduceResult(product(lambda seg: seg.strings, joined), False, tuples)
+    if all(seg.prefix_free for seg in segs[:-1]):
+        strings = map("".join, product(*[seg.strings for seg in segs]))
+        return TransduceResult(list(strings), False, glyph_tuples)
     id_of = table.id_of
-    outputs = sorted(set(tuples()), key=lambda o: [id_of(g) for g in o])
+    outputs = sorted(set(glyph_tuples()), key=lambda o: [id_of(g) for g in o])
     return TransduceResult(["".join(o) for o in outputs], False, outputs)
 
 

@@ -349,12 +349,16 @@ def test_check_rejects_bad_counts(monkeypatch, capsys, flag, value):
     assert "usage:" in got.err and flag in got.err
 
 
-def test_check_max_len_zero_checks_the_empty_input(monkeypatch, capsys):
-    rc, out, err = run(monkeypatch, capsys,
-                       ["check", "-r", str(RULES_DIR / "devoice_final.fsr"),
-                        "--samples", "5", "--max-len", "0"])
-    assert rc == 0
-    assert out == "checked 1 inputs: all agree; skipped 0 with an infinite output set\n"
+def test_check_max_len_zero_checks_the_empty_input(tmp_path, monkeypatch, capsys):
+    # a rule with no user symbols has the empty string as its only input,
+    # whatever --max-len says
+    (tmp_path / "none.fsr").write_text("replace([]:[], [], []).")
+    (tmp_path / "empty.fsr").write_text("replace({}, [], []).")
+    for argv in (["-r", str(RULES_DIR / "devoice_final.fsr"), "--samples", "5", "--max-len", "0"],
+                 ["-r", str(tmp_path / "none.fsr")], ["-r", str(tmp_path / "empty.fsr")]):
+        rc, out, err = run(monkeypatch, capsys, ["check", *argv])
+        assert rc == 0
+        assert out == "checked 1 inputs: all agree; skipped 0 with an infinite output set\n"
 
 
 def test_missing_file_is_a_usage_error(monkeypatch, capsys):

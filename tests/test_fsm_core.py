@@ -499,6 +499,20 @@ def test_transduce_dedups_outputs_that_collide_across_a_cut():
     assert res.strings() == ["x", "xy", "xyy", "xyx", "xx"]
     assert res.outputs == _walker_outputs(m, "ab")
     assert len(res) == 5 and not res.truncated
+    # the same {x, xy} on `a`, then one path: z on `b`, nothing on `c`.
+    # Text after a list that is not prefix-free breaks the product's
+    # order (xz, xyz, with y before z), so the outputs are sorted; a
+    # stretch that writes nothing is left out, so the product stays
+    # ordered and builds no glyph tuple until asked
+    tb = SymbolTable("abyxzc")
+    m = _arc_machine(tb, 4, [2], [(0, None, "x", 3), (3, "a", "y", 1), (0, "a", "x", 1),
+                                  (1, "b", "z", 2), (1, "c", None, 2), (2, "c", None, 2)])
+    for line, want, ordered in (("ab", ["xyz", "xz"], False), ("ac", ["x", "xy"], True),
+                                ("acc", ["x", "xy"], True)):
+        res = transduce(m, line)
+        assert callable(res._outputs) == ordered, line
+        assert res.strings() == want, line
+        assert res.outputs == _walker_outputs(m, line), line
 
 
 def test_transduce_orders_multi_character_glyphs_by_id():

@@ -4,11 +4,12 @@ package.
 
 A name listed in the module's `__all__` counts as used (the package
 re-exports it), and so does an import whose line is marked
-`# noqa: F401` (`cli.py` keeps `compose` and `reduce_pairs` for the
-benchmark's tracer to patch).  A private name (`_x`: a function, class or
-assignment at module level) counts as used when some statement other than
-its own definition names it: as a plain name, as an attribute, or in a
-`from ... import`."""
+`# noqa: F401`, but only when the benchmark's tracer (`bench/spans.py`)
+patches that name on that module (`cli.py` keeps `compose` and
+`reduce_pairs` for it), so a stale mark fails.  A private name (`_x`: a
+function, class or assignment at module level) counts as used when some
+statement other than its own definition names it: as a plain name, as an
+attribute, or in a `from ... import`."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,11 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "fsrw"
+SPANS = TESTS.parent / "bench" / "spans.py"
+
+
+def _marked(node, lines) -> bool:
+    return any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,7 +33,7 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
-            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            if _marked(node, lines):
                 continue
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -40,10 +46,43 @@ def unused_imports(source: str) -> list[str]:
                   for name, line in imported.items() if name not in used)
 
 
+def exempt_imports(source: str) -> list[str]:
+    """The names imported on lines marked `# noqa: F401`."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    return sorted(alias.asname or alias.name
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and _marked(node, lines)
+                  for alias in node.names)
+
+
+def patched_names(source: str) -> set[tuple[str, str]]:
+    """(module, name) for each `patch(fsrw.<module>, "name", ...)` call in
+    the tracer's source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "patch" and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)):
+            owner = ast.unparse(node.args[0])
+            if owner.startswith("fsrw."):
+                found.add((owner[len("fsrw."):], node.args[1].value))
+    return found
+
+
+def stale_exemptions(source: str, module: str, spans: str) -> list[str]:
+    """The names `source` (module `fsrw.<module>`) marks `# noqa: F401`
+    that the tracer's source `spans` does not patch on that module."""
+    patched = patched_names(spans)
+    return [name for name in exempt_imports(source) if (module, name) not in patched]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
+    source = path.read_text(encoding="utf-8")
+    assert unused_imports(source) == []
+    assert stale_exemptions(source, path.stem, SPANS.read_text(encoding="utf-8")) == []
 
 
 def test_an_unused_import_is_reported():
@@ -55,6 +94,23 @@ def test_an_unused_import_is_reported():
               "    return x\n")
     assert unused_imports(source) == ["os (line 2)"]
     assert unused_imports("import re\n") == ["re (line 1)"]
+
+
+def test_a_stale_noqa_import_is_reported():
+    # only names the tracer patches on the module may keep the mark
+    source = ("from .fsm import compose, reduce_pairs  # noqa: F401  patched\n"
+              "from .fsm import (minimize,  # noqa: F401\n"
+              "                  union)\n")
+    spans = ("import fsrw.cli\n"
+             "tracer.patch(fsrw.cli, 'compose', 'cli.fold')\n"
+             "tracer.patch(fsrw.cli, 'minimize', 'cli.min')\n"
+             "tracer.patch(fsrw.fsm, 'union', 'fsm.union')\n"
+             "tracer.patch(kit, 'reduce_pairs', 'markers.reduce_pairs')\n")
+    assert exempt_imports(source) == ["compose", "minimize", "reduce_pairs", "union"]
+    assert patched_names(spans) == {("cli", "compose"), ("cli", "minimize"), ("fsm", "union")}
+    assert stale_exemptions(source, "cli", spans) == ["reduce_pairs", "union"]
+    assert stale_exemptions(source, "cli", SPANS.read_text(encoding="utf-8")) == [
+        "minimize", "union"]
 
 
 def _private_definitions(stmt) -> list[str]:
