@@ -14,7 +14,13 @@ the whole symbol table since they only carry emptiness.
 The constant pieces depend only on the table's shape, its size and its
 user ids, so each is built and reduced once per alphabet shape per
 process, in a cache bounded by SHAPE_CACHE_CAP arcs, and every kit over a
-table of that shape wraps the same arcs on its own table.
+table of that shape wraps the same arcs on its own table.  The operations
+on machines that the filters are made of (`non_markers_of`, `not_`, the
+`ign` family, `ignx_1`, `mark_iff`, `guard_before`, `not_contains`) are
+memoized in the same cache, keyed by the shape, the operation and the
+parts of each machine argument: each filter reads only one of dom(T),
+Left or Right, so the rules that share a context or a domain over one
+alphabet shape share its filters.
 
 The replace factors filter markings with `mark_iff`, `guard_before` and
 `not_contains`.  Each is one scan over the cells, forwards or on the
@@ -57,30 +63,47 @@ from .fsm import (
 )
 
 
-# Marker constants by table shape and name, as the parts of an Fst: (n,
-# initial, finals, arcs, is_recognizer).  Once they hold more than this
-# many arcs, the next constant built starts them afresh, so compiling
-# against endless new alphabets runs in bounded memory.
+# Marker machines by table shape, as the parts of an Fst: (n, initial,
+# finals, arcs, is_recognizer).  A constant's key is (shape, name); a
+# memoized operation's is (shape, op, the parts of each machine argument).
+# An entry counts the arcs of its machine and of the arguments its key
+# holds.  The cache never holds more than SHAPE_CACHE_CAP arcs: an entry
+# that would pass the cap starts it afresh, and one that passes the cap on
+# its own is not stored, so compiling against endless new alphabets or
+# arguments runs in bounded memory.  Each shape in the keys is one tuple,
+# `_shapes` holding it, since a shape holds every user id of its table.
 SHAPE_CACHE_CAP = 1 << 16
 _shape_cache: dict = {}
 _shape_cache_arcs = 0
+_shapes: dict = {}
+
+
+def _shape_stored(key, build, held: int = 0) -> tuple:
+    """The parts of the machine stored under `key`; on a miss `build()`
+    makes it and it is stored, counted with the `held` arcs of its key."""
+    global _shape_cache_arcs
+    parts = _shape_cache.get(key)
+    if parts is None:
+        m = build()
+        parts = (m.n, m.initial, m.finals, m.arcs, m.is_recognizer)
+        size = len(m.arcs) + held
+        if size <= SHAPE_CACHE_CAP:
+            if _shape_cache_arcs + size > SHAPE_CACHE_CAP:
+                _shape_cache.clear()
+                _shapes.clear()
+                _shape_cache_arcs = 0
+            _shape_cache[key] = parts
+            _shape_cache_arcs += size
+    return parts
 
 
 def _shape_const(key, build) -> tuple:
     """The parts of the constant `key`, a (shape, name) pair; on a miss
     `build()` makes it, and it is reduced and stored."""
-    global _shape_cache_arcs
-    parts = _shape_cache.get(key)
-    if parts is None:
+    def reduced():
         m = build()
-        m = minimize(m) if m.is_recognizer else reduce_pairs(m)
-        parts = (m.n, m.initial, m.finals, m.arcs, m.is_recognizer)
-        if _shape_cache_arcs > SHAPE_CACHE_CAP:
-            _shape_cache.clear()
-            _shape_cache_arcs = 0
-        _shape_cache[key] = parts
-        _shape_cache_arcs += len(m.arcs)
-    return parts
+        return minimize(m) if m.is_recognizer else reduce_pairs(m)
+    return _shape_stored(key, reduced)
 
 
 class MarkerKit:
@@ -93,12 +116,18 @@ class MarkerKit:
     *shape* per process, up to SHAPE_CACHE_CAP arcs.  A constant depends
     only on the table's size and its user ids, so a table of the same
     shape, whatever its glyphs, takes the cached arcs on its own table.
-    Each `replace`, `replace_factors` and `lm_concat` call makes its own
-    kit, which finds the constants of every earlier table of its shape.
+    The operations on machine arguments listed in the module docstring
+    are memoized in the same cache and under the same cap, keyed by the
+    shape, the operation and each argument's (n, initial, finals, arcs,
+    is_recognizer); the bracket-set constants they use (`intro(s)`, the
+    `ignx_1` wedge) are looked up first and keyed as arguments.  Each
+    `replace`, `replace_factors` and `lm_concat` call makes its own kit,
+    which finds the constants and operations of every earlier table of
+    its shape.
     The table's user alphabet must be complete before the first constant
-    is built, which freezes the table: a glyph added later could not
-    appear in the constants already built, so interning one raises
-    FsmError.
+    or memoized operation is built, which freezes the table: a glyph
+    added later could not appear in the machines already built, so
+    interning one raises FsmError.
     """
 
     def __init__(self, table: SymbolTable):
@@ -122,13 +151,34 @@ class MarkerKit:
         for it."""
         got = self._cache.get(name)
         if got is None:
-            t = self.table
-            if self._shape is None:
-                t.freeze()
-                self._shape = (len(t), t.user_ids())
-            got = Fst(t, *_shape_const((self._shape, name), build))
+            got = Fst(self.table, *_shape_const((self._shape_key(), name), build))
             self._cache[name] = got
         return got
+
+    def _shape_key(self):
+        """The table's shape, its size and user ids; the table is frozen
+        from here on."""
+        if self._shape is None:
+            t = self.table
+            t.freeze()
+            shape = (len(t), t.user_ids())
+            self._shape = _shapes.setdefault(shape, shape)
+        return self._shape
+
+    def _memo(self, op: str, build, *args: Fst) -> Fst:
+        """`build()`, the operation `op` on the machines `args`, built once
+        per table shape and argument parts, then wrapped on this kit's
+        table.  Unlike a constant it is stored as built: every operation
+        memoized this way already returns a minimal machine.  A machine on
+        another table is left to `build`, which refuses it or reads it as
+        it always has."""
+        t = self.table
+        if any(a.table is not t for a in args):
+            return build()
+        parts = tuple((a.n, a.initial, a.finals, tuple(a.arcs), a.is_recognizer)
+                      for a in args)
+        held = sum(len(p[3]) for p in parts)
+        return Fst(t, *_shape_stored((self._shape_key(), op) + parts, build, held))
 
     @property
     def lb1(self) -> Fst:
@@ -188,7 +238,7 @@ class MarkerKit:
 
     def not_(self, e: Fst) -> Fst:
         """Cell strings outside L(e)."""
-        return difference(self.xsig_star, e)
+        return self._memo("not", lambda: difference(self.xsig_star, e), e)
 
     def contains(self, e: Fst) -> Fst:
         """Cell strings with a factor in L(e)."""
@@ -219,7 +269,9 @@ class MarkerKit:
 
     def non_markers_of(self, e: Fst) -> Fst:
         """Image of a plain-alphabet language under the encoding."""
-        return project(compose(e, self.non_markers), "range")
+        return self._memo(
+            "non_markers_of",
+            lambda: project(compose(e, self.non_markers), "range"), e)
 
     # marker introduction and ignoring -----------------------------------
 
@@ -281,17 +333,23 @@ class MarkerKit:
                          concat(keep, self.intro(s), keep))
         return self._on_brackets("xintrox", build, s)
 
+    def _image(self, op: str, e: Fst, inserter: Fst) -> Fst:
+        """The strings `inserter` makes of L(e), memoized on `e` and the
+        inserter, which the caller looks up first."""
+        return self._memo(
+            op, lambda: project(compose(e, inserter), "range"), e, inserter)
+
     def ign(self, e: Fst, s: Fst) -> Fst:
-        return project(compose(e, self.intro(s)), "range")
+        return self._image("ign", e, self.intro(s))
 
     def xign(self, e: Fst, s: Fst) -> Fst:
-        return project(compose(e, self.xintro(s)), "range")
+        return self._image("xign", e, self.xintro(s))
 
     def ignx(self, e: Fst, s: Fst) -> Fst:
-        return project(compose(e, self.introx(s)), "range")
+        return self._image("ignx", e, self.introx(s))
 
     def xignx(self, e: Fst, s: Fst) -> Fst:
-        return project(compose(e, self.xintrox(s)), "range")
+        return self._image("xignx", e, self.xintrox(s))
 
     def ignx_1(self, e1: Fst, e2: Fst) -> Fst:
         """Strings of e1 with at least one e2 string wedged in, none of
@@ -303,8 +361,7 @@ class MarkerKit:
             return concat(plus(concat(star(anysym),
                                       cross_product(empty_string(t), e2))),
                           plus(anysym))
-        wedge = self._on_brackets("wedge", build, e2)
-        return project(compose(e1, wedge), "range")
+        return self._image("ignx_1", e1, self._on_brackets("wedge", build, e2))
 
     # marker filters as one-direction scans --------------------------------
 
@@ -384,8 +441,11 @@ class MarkerKit:
         of the tape, where no cell comes before, it must not be final.
         Read forwards, the same test would need a subset tracking every
         open `p` match that some `cell` has promised."""
-        return self._scan(concat(self._rev_xsig_star, reverse(p)), cell, True,
-                          lambda final, hit: hit == final)
+        return self._memo(
+            "mark_iff",
+            lambda: self._scan(concat(self._rev_xsig_star, reverse(p)), cell,
+                               True, lambda final, hit: hit == final),
+            cell, p)
 
     def guard_before(self, cell: Fst, a: Fst) -> Fst:
         """`if_s_then_p(a, cell xsig*)`: every `cell` follows a prefix in
@@ -393,7 +453,11 @@ class MarkerKit:
 
         The scan runs forwards, since the test is on prefixes: the subset
         machine of `a` must be final wherever the next cell is a `cell`."""
-        return self._scan(a, cell, False, lambda final, hit: final or not hit)
+        return self._memo(
+            "guard_before",
+            lambda: self._scan(a, cell, False,
+                               lambda final, hit: final or not hit),
+            cell, a)
 
     def not_contains(self, k: Fst) -> Fst:
         """`not_(contains(k))`: the cell strings with no factor in `k`.
@@ -405,8 +469,11 @@ class MarkerKit:
         `xsig* k`, which tracks every `k` match still open: for the `k`
         that `longest_match` builds on one 5-state T over three symbols,
         the backward one has 655 subsets and the forward one over 200 000."""
-        return self._scan(concat(self._rev_xsig_star, reverse(k)), None, True,
-                          lambda final, hit: not final)
+        return self._memo(
+            "not_contains",
+            lambda: self._scan(concat(self._rev_xsig_star, reverse(k)), None,
+                               True, lambda final, hit: not final),
+            k)
 
     # the whole symbol table ----------------------------------------------
 

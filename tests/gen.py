@@ -284,3 +284,22 @@ def count_builds(monkeypatch) -> collections.Counter:
         return shape_const(key, counted)
     monkeypatch.setattr(markers, "_shape_const", counting)
     return builds
+
+
+def count_memo(monkeypatch) -> tuple[collections.Counter, collections.Counter]:
+    """Count the memoized kit operations: the lookups per operation name
+    and the builds per key, (shape, op, *argument parts)."""
+    lookups, builds = collections.Counter(), collections.Counter()
+    shape_stored = markers._shape_stored
+
+    def counting(key, build, held=0):
+        if len(key) == 2:  # a constant, (shape, name)
+            return shape_stored(key, build, held)
+        lookups[key[1]] += 1
+
+        def counted():
+            builds[key] += 1
+            return build()
+        return shape_stored(key, counted, held)
+    monkeypatch.setattr(markers, "_shape_stored", counting)
+    return lookups, builds

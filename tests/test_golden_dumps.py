@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import fsrw.markers as markers
 from fsrw.cli import main
 from fsrw.dump import dump_text, load_text
 from fsrw.replace import compose_cascade, replace
@@ -99,6 +100,26 @@ def test_cascade_file_folds_to_the_plain_machine(tmp_path, path):
     factors = load_text(_compile_bytes(tmp_path, path, True).decode("utf-8"))
     folded = dump_text(compose_cascade(factors)).encode("utf-8")
     assert folded == _compile_bytes(tmp_path, path, False)
+
+
+def test_every_rule_file_dumps_the_same_bytes_cold_and_warm(tmp_path, monkeypatch):
+    """The shape cache holds the marker constants and the memoized kit
+    operations; a compile that finds them all (warm) writes the bytes of
+    one that starts from an empty cache (cold)."""
+    runs = ([(RULES_DIR, name, cascade) for name, cascade in sorted(GOLDEN)]
+            + [(BENCH_RULES_DIR, name, cascade)
+               for name, cascade in sorted(BENCH_GOLDEN)])
+    cold = {}
+    for folder, name, cascade in runs:
+        monkeypatch.setattr(markers, "_shape_cache", {})
+        monkeypatch.setattr(markers, "_shape_cache_arcs", 0)
+        cold[folder, name, cascade] = _compile_bytes(
+            tmp_path, folder / (name + ".fsr"), cascade)
+    # one cache for the rest: each file after the others before it, then
+    # again after itself
+    for folder, name, cascade in runs + runs:
+        warm = _compile_bytes(tmp_path, folder / (name + ".fsr"), cascade)
+        assert warm == cold[folder, name, cascade], (name, cascade)
 
 
 def test_random_replace_rule_dumps_are_byte_identical():

@@ -7,6 +7,7 @@ sequences with the flags written out."""
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +43,10 @@ from fsrw import (
     word,
 )
 from fsrw.dump import dump_text
-from gen import count_builds, random_context, random_replace_rule, random_target
+from gen import (count_builds, count_memo, random_context, random_replace_rule,
+                 random_target)
+
+BENCH_RULES = Path(__file__).resolve().parent.parent / "bench" / "rules"
 
 
 @pytest.fixture
@@ -347,6 +351,7 @@ def shape_cache(monkeypatch):
     after it."""
     monkeypatch.setattr(markers, "_shape_cache", {})
     monkeypatch.setattr(markers, "_shape_cache_arcs", 0)
+    monkeypatch.setattr(markers, "_shapes", {})
     return monkeypatch
 
 
@@ -369,18 +374,22 @@ def build_or_error(build):
 
 
 def test_a_warm_shape_cache_builds_the_same_machines(shape_cache):
-    warm_cache = {}
+    lookups, builds = count_memo(shape_cache)
+    warm_cache, warm_hits = {}, 0
     rng = random.Random(22)
     for k in range(100):
         build = random_marker_machine(rng)
         shape_cache.setattr(markers, "_shape_cache", warm_cache)
+        before = lookups.total() - builds.total()
         warm = build_or_error(build)
+        warm_hits += lookups.total() - builds.total() - before
         shape_cache.setattr(markers, "_shape_cache", {})
         cold = build_or_error(build)
         if isinstance(cold, str):
             assert warm == cold, k
         else:
             assert warm.same_structure(cold), k
+    assert warm_hits > 0  # the warm machines took memoized operations
 
 
 def test_tables_of_one_shape_share_constants_under_their_own_glyphs(shape_cache):
@@ -423,13 +432,92 @@ def test_each_constant_is_built_once_per_shape(shape_cache):
     assert set(builds.values()) == {1}
 
 
+def entry_arcs(key, parts):
+    """The arcs a shape-cache entry counts: its machine's, and those of the
+    machine arguments in a memoized operation's key."""
+    return len(parts[3]) + sum(len(arg[3]) for arg in key[2:])
+
+
 def test_the_shape_cache_starts_afresh_past_its_cap(shape_cache):
     shape_cache.setattr(markers, "SHAPE_CACHE_CAP", 200)
     builds = count_builds(shape_cache)
+    _, memo_builds = count_memo(shape_cache)
     rng = random.Random(5)
     for _ in range(4):
         fresh_rule(rng, "ab")
-    held = [len(parts[3]) for parts in markers._shape_cache.values()]
-    assert sum(held) == markers._shape_cache_arcs
-    assert sum(held) <= 200 + max(held)
+    cache = markers._shape_cache
+    held = sum(entry_arcs(key, parts) for key, parts in cache.items())
+    assert held == markers._shape_cache_arcs <= 200
+    assert any(len(key) > 2 for key in cache)  # memo entries share the cache
     assert max(builds.values()) > 1  # renewed, so built again
+    assert max(memo_builds.values()) > 1  # the memo entries too
+
+
+def test_fresh_tables_of_one_shape_key_the_cache_with_one_tuple(shape_cache):
+    # a shape holds every user id, so one copy per entry would outweigh
+    # the arcs the cache counts
+    glyphs = ["x%d" % k for k in range(50)]
+    for k in range(3):
+        kit = MarkerKit(SymbolTable(glyphs))
+        kit.non_markers_of(literal(kit.table, glyphs[k]))
+    assert len(markers._shape_cache) == 4  # non_markers and three images
+    assert len({id(key[0]) for key in markers._shape_cache}) == 1
+
+
+def test_an_oversize_result_is_returned_unstored(shape_cache):
+    kit = MarkerKit(SymbolTable("ab"))
+    e = kit.non_markers_of(word(kit.table, "ab" * 20))
+    intro = kit.intro(kit.lb1)
+    held = dict(markers._shape_cache), markers._shape_cache_arcs
+    # room for a small entry, not for this one
+    shape_cache.setattr(markers, "SHAPE_CACHE_CAP", held[1] + 50)
+    _, builds = count_memo(shape_cache)
+    for _ in range(2):
+        got = kit.ign(e, kit.lb1)
+        assert got.same_structure(project(compose(e, intro), "range"))
+        assert (markers._shape_cache, markers._shape_cache_arcs) == held
+    assert len(got.arcs) + len(e.arcs) + len(intro.arcs) > markers.SHAPE_CACHE_CAP
+    assert sum(builds.values()) == 2  # built each time, never stored
+    kit.ign(kit.non_markers_of(word(kit.table, "a")), kit.lb1)
+    assert markers._shape_cache_arcs > held[1]  # a small one is stored
+
+
+def test_a_cascade_builds_the_operations_on_a_shared_context_once(shape_cache):
+    # cascade27's first three rules share the left context [], its last
+    # has `vowel`: the guards of l1 and l2 are built for two contexts only
+    lookups, builds = count_memo(shape_cache)
+    compile_rules((BENCH_RULES / "cascade27.fsr").read_text())
+    assert set(builds.values()) == {1}
+    guards = [key for key in builds if key[1] == "guard_before"]
+    assert (lookups["guard_before"], len(guards)) == (8, 4)
+    assert (lookups["not"], sum(key[1] == "not" for key in builds)) == (4, 2)
+
+
+def test_a_context_on_another_table_is_refused_though_memoized(shape_cache):
+    mine, other = SymbolTable("ab"), SymbolTable("ab")
+    t = cross_product(literal(mine, "a"), literal(mine, "b"))
+    replace(t, empty_string(mine), empty_string(mine))  # [] encoded, memoized
+    with pytest.raises(FsmError, match="different symbol tables"):
+        replace(t, empty_string(other), empty_string(mine))
+
+
+def test_the_builtins_repeat_exactly_from_the_memo(shape_cache):
+    program = ("#alphabet a b.\n"
+               "{ign(non_markers([a, b*]), lb1), ign(non_markers([a, b*]), lb1)}"
+               " & not(non_markers(b)) & not(non_markers(b)).")
+    with pytest.MonkeyPatch.context() as unmemoized:
+        unmemoized.setattr(MarkerKit, "_memo",
+                           lambda self, op, build, *args: build())
+        expected = dump_text(compile_rules(program).machine)
+    lookups, builds = count_memo(shape_cache)
+    cold = dump_text(compile_rules(program).machine)
+    assert lookups.total() > builds.total()  # the second calls hit
+    warm = dump_text(compile_rules(program).machine)
+    assert cold == warm == expected
+
+    def machine(glyphs):
+        return compile_rules("#alphabet %s %s c.\n ign(non_markers([%s, %s]), lb1)."
+                             % (tuple(glyphs) * 2)).machine
+    m, n = machine("ab"), machine("xy")
+    assert m.arcs is n.arcs  # taken from the memo, not rebuilt
+    assert "t 0 1 x x\n" in dump_text(n) and "x" not in dump_text(m)
