@@ -11,16 +11,17 @@ All operators here stay inside the encoded universe (sequences of cells);
 `not_` and `contains` are relative to it.  `true` and `false` work over
 the whole symbol table since they only carry emptiness.
 
-The constant pieces depend only on the table's shape, its size and its
-user ids, so each is built and reduced once per alphabet shape per
-process, in a cache bounded by SHAPE_CACHE_CAP arcs, and every kit over a
-table of that shape wraps the same arcs on its own table.  The operations
-on machines that the filters are made of (`non_markers_of`, `not_`, the
-`ign` family, `ignx_1`, `mark_iff`, `guard_before`, `not_contains`) are
-memoized in the same cache, keyed by the shape, the operation and the
-parts of each machine argument: each filter reads only one of dom(T),
-Left or Right, so the rules that share a context or a domain over one
-alphabet shape share its filters.
+Every machine the kit makes depends only on the table's shape, its size
+and its user ids, and on the machines it is given, so each is built once
+per alphabet shape per process and stored, reduced, in one cache bounded
+by SHAPE_CACHE_CAP arcs, keyed by the shape, the operation and the parts
+of each machine argument; every kit over a table of that shape wraps the
+same arcs on its own table.  That covers the constants, the operations on
+bracket sets (the intro family, `cross`, the `ignx_1` wedge) and those
+the filters are made of (`non_markers_of`, `not_`, the `ign` family,
+`ignx_1`, the scans): each filter reads only one of dom(T), Left or
+Right, so the rules that share a context or a domain over one alphabet
+shape share its filters.
 
 The replace factors filter markings with `mark_iff`, `guard_before` and
 `not_contains`.  Each is one scan over the cells, forwards or on the
@@ -64,27 +65,32 @@ from .fsm import (
 
 
 # Marker machines by table shape, as the parts of an Fst: (n, initial,
-# finals, arcs, is_recognizer).  A constant's key is (shape, name); a
-# memoized operation's is (shape, op, the parts of each machine argument).
-# An entry counts the arcs of its machine and of the arguments its key
-# holds.  The cache never holds more than SHAPE_CACHE_CAP arcs: an entry
-# that would pass the cap starts it afresh, and one that passes the cap on
-# its own is not stored, so compiling against endless new alphabets or
-# arguments runs in bounded memory.  Each shape in the keys is one tuple,
-# `_shapes` holding it, since a shape holds every user id of its table.
+# finals, arcs, is_recognizer), under the key (shape, op, the parts of each
+# machine argument); a constant has no argument.  An entry counts the arcs
+# of its machine and of the arguments its key holds.  The cache never holds
+# more than SHAPE_CACHE_CAP arcs: an entry that would pass the cap starts it
+# afresh, and one that passes the cap on its own is not stored, so
+# compiling against endless new alphabets or arguments runs in bounded
+# memory.  Each shape in the keys is one tuple, `_shapes` holding it, since
+# a shape holds every user id of its table.
 SHAPE_CACHE_CAP = 1 << 16
 _shape_cache: dict = {}
 _shape_cache_arcs = 0
 _shapes: dict = {}
 
 
-def _shape_stored(key, build, held: int = 0) -> tuple:
+def _reduced(m: Fst) -> Fst:
+    return minimize(m) if m.is_recognizer else reduce_pairs(m)
+
+
+def _stored(key, build, held: int) -> tuple:
     """The parts of the machine stored under `key`; on a miss `build()`
-    makes it and it is stored, counted with the `held` arcs of its key."""
+    makes it, and it is reduced and stored, counted with the `held` arcs of
+    its key."""
     global _shape_cache_arcs
     parts = _shape_cache.get(key)
     if parts is None:
-        m = build()
+        m = _reduced(build())
         parts = (m.n, m.initial, m.finals, m.arcs, m.is_recognizer)
         size = len(m.arcs) + held
         if size <= SHAPE_CACHE_CAP:
@@ -97,37 +103,25 @@ def _shape_stored(key, build, held: int = 0) -> tuple:
     return parts
 
 
-def _shape_const(key, build) -> tuple:
-    """The parts of the constant `key`, a (shape, name) pair; on a miss
-    `build()` makes it, and it is reduced and stored."""
-    def reduced():
-        m = build()
-        return minimize(m) if m.is_recognizer else reduce_pairs(m)
-    return _shape_stored(key, reduced)
-
-
 class MarkerKit:
     """Toolkit of encoded-string operators over one symbol table: what the
     replace factors, `lm_concat` and the rule language's builtins call.
 
-    Constant pieces (cells, sig, the intro family, the `ignx_1` wedge on
-    cached cell sets and the rule-independent composites the replace
-    factors and `lm_concat` share) are built and reduced once per table
-    *shape* per process, up to SHAPE_CACHE_CAP arcs.  A constant depends
-    only on the table's size and its user ids, so a table of the same
-    shape, whatever its glyphs, takes the cached arcs on its own table.
-    The operations on machine arguments listed in the module docstring
-    are memoized in the same cache and under the same cap, keyed by the
-    shape, the operation and each argument's (n, initial, finals, arcs,
-    is_recognizer); the bracket-set constants they use (`intro(s)`, the
-    `ignx_1` wedge) are looked up first and keyed as arguments.  Each
+    Every machine the kit makes, constant or not, goes through `_memo`:
+    it is built once per table *shape* per process, reduced (a recognizer
+    to its minimal machine, a transduction by `reduce_pairs`) and stored
+    in the process-wide cache, up to SHAPE_CACHE_CAP arcs, under the shape,
+    the operation and each machine argument's (n, initial, finals, arcs,
+    is_recognizer).  A machine depends only on those and on the table's
+    size and user ids, so a table of the same shape, whatever its glyphs,
+    takes the cached arcs on its own table.  The kit itself keeps the
+    constants, the operations with no argument, once wrapped.  Each
     `replace`, `replace_factors` and `lm_concat` call makes its own kit,
-    which finds the constants and operations of every earlier table of
-    its shape.
-    The table's user alphabet must be complete before the first constant
-    or memoized operation is built, which freezes the table: a glyph
-    added later could not appear in the machines already built, so
-    interning one raises FsmError.
+    which finds the machines of every earlier table of its shape.
+    The table's user alphabet must be complete before the first machine
+    is built, which freezes the table: a glyph added later could not
+    appear in the machines already built, so interning one raises
+    FsmError.
     """
 
     def __init__(self, table: SymbolTable):
@@ -142,19 +136,6 @@ class MarkerKit:
         g, f = t.glyph(glyph_id), t.glyph(flag_id)
         return concat(literal(t, g), literal(t, f))
 
-    def _const(self, name, build):
-        """The kit's constant `name`, built and reduced on first use by a
-        table of this shape, then wrapped on this kit's table.  The
-        closures that build constants (`star` of a `union`, say) copy arcs
-        onto every final state, so unreduced they grow with the square of
-        the alphabet; every factor and composition of a compile would pay
-        for it."""
-        got = self._cache.get(name)
-        if got is None:
-            got = Fst(self.table, *_shape_const((self._shape_key(), name), build))
-            self._cache[name] = got
-        return got
-
     def _shape_key(self):
         """The table's shape, its size and user ids; the table is frozen
         from here on."""
@@ -166,55 +147,63 @@ class MarkerKit:
         return self._shape
 
     def _memo(self, op: str, build, *args: Fst) -> Fst:
-        """`build()`, the operation `op` on the machines `args`, built once
-        per table shape and argument parts, then wrapped on this kit's
-        table.  Unlike a constant it is stored as built: every operation
-        memoized this way already returns a minimal machine.  A machine on
-        another table is left to `build`, which refuses it or reads it as
-        it always has."""
+        """`build()`, the operation `op` on the machines `args`, built and
+        reduced once per table shape and argument parts, then wrapped on
+        this kit's table; a constant (no `args`) is kept by the kit too.
+        The closures that build constants (`star` of a `union`, say) copy
+        arcs onto every final state, so unreduced they grow with the square
+        of the alphabet, and every factor and composition of a compile
+        would pay for it.  A machine on another table is left to `build`,
+        which refuses it or reads it as it always has."""
         t = self.table
+        if not args:
+            got = self._cache.get(op)
+            if got is None:
+                got = Fst(t, *_stored((self._shape_key(), op), build, 0))
+                self._cache[op] = got
+            return got
         if any(a.table is not t for a in args):
-            return build()
+            return _reduced(build())
         parts = tuple((a.n, a.initial, a.finals, tuple(a.arcs), a.is_recognizer)
                       for a in args)
         held = sum(len(p[3]) for p in parts)
-        return Fst(t, *_shape_stored((self._shape_key(), op) + parts, build, held))
+        return Fst(t, *_stored((self._shape_key(), op) + parts, build, held))
 
     @property
     def lb1(self) -> Fst:
-        return self._const("lb1", lambda: self._cell(self.table.bracket_ids()[0], 1))
+        return self._memo("lb1", lambda: self._cell(self.table.bracket_ids()[0], 1))
 
     @property
     def lb2(self) -> Fst:
-        return self._const("lb2", lambda: self._cell(self.table.bracket_ids()[1], 1))
+        return self._memo("lb2", lambda: self._cell(self.table.bracket_ids()[1], 1))
 
     @property
     def rb1(self) -> Fst:
-        return self._const("rb1", lambda: self._cell(self.table.bracket_ids()[2], 1))
+        return self._memo("rb1", lambda: self._cell(self.table.bracket_ids()[2], 1))
 
     @property
     def rb2(self) -> Fst:
-        return self._const("rb2", lambda: self._cell(self.table.bracket_ids()[3], 1))
+        return self._memo("rb2", lambda: self._cell(self.table.bracket_ids()[3], 1))
 
     @property
     def lb(self) -> Fst:
-        return self._const("lb", lambda: union(self.lb1, self.lb2))
+        return self._memo("lb", lambda: union(self.lb1, self.lb2))
 
     @property
     def rb(self) -> Fst:
-        return self._const("rb", lambda: union(self.rb1, self.rb2))
+        return self._memo("rb", lambda: union(self.rb1, self.rb2))
 
     @property
     def b1(self) -> Fst:
-        return self._const("b1", lambda: union(self.lb1, self.rb1))
+        return self._memo("b1", lambda: union(self.lb1, self.rb1))
 
     @property
     def b2(self) -> Fst:
-        return self._const("b2", lambda: union(self.lb2, self.rb2))
+        return self._memo("b2", lambda: union(self.lb2, self.rb2))
 
     @property
     def brack(self) -> Fst:
-        return self._const("brack", lambda: union(self.lb1, self.lb2, self.rb1, self.rb2))
+        return self._memo("brack", lambda: union(self.lb1, self.lb2, self.rb1, self.rb2))
 
     @property
     def sig(self) -> Fst:
@@ -223,16 +212,16 @@ class MarkerKit:
             t = self.table
             flag = literal(t, t.glyph(0))
             return concat(any_of(t, t.encoded_ids()), flag)
-        return self._const("sig", build)
+        return self._memo("sig", build)
 
     @property
     def xsig(self) -> Fst:
         """One cell of either kind."""
-        return self._const("xsig", lambda: union(self.sig, self.brack))
+        return self._memo("xsig", lambda: union(self.sig, self.brack))
 
     @property
     def xsig_star(self) -> Fst:
-        return self._const("xsig_star", lambda: star(self.xsig))
+        return self._memo("xsig_star", lambda: star(self.xsig))
 
     # relative boolean pieces -------------------------------------------
 
@@ -242,7 +231,7 @@ class MarkerKit:
 
     def contains(self, e: Fst) -> Fst:
         """Cell strings with a factor in L(e)."""
-        return self._on_brackets(
+        return self._memo(
             "contains", lambda: concat(self.xsig_star, e, self.xsig_star), e)
 
     # encoding ----------------------------------------------------------
@@ -259,13 +248,13 @@ class MarkerKit:
             if not cells:
                 return empty_string(t)
             return star(union(*cells))
-        return self._const("non_markers", build)
+        return self._memo("non_markers", build)
 
     @property
     def decoder(self) -> Fst:
         """The encoder inverted: each ordinary cell of a user symbol
         becomes that symbol."""
-        return self._const("decoder", lambda: invert(self.non_markers))
+        return self._memo("decoder", lambda: invert(self.non_markers))
 
     def non_markers_of(self, e: Fst) -> Fst:
         """Image of a plain-alphabet language under the encoding."""
@@ -275,28 +264,12 @@ class MarkerKit:
 
     # marker introduction and ignoring -----------------------------------
 
-    def _s_key(self, s: Fst):
-        for name in ("lb1", "lb2", "rb1", "rb2", "lb", "rb", "b1", "b2", "brack"):
-            if self._cache.get(name) is s:
-                return name
-        return None
-
-    def _on_brackets(self, kind: str, build, *sets: Fst) -> Fst:
-        """`build()`, kept as the constant `(kind, *names)` when every one
-        of `sets` is a cached bracket set (None standing for the empty
-        string), else built afresh."""
-        keys = tuple("empty" if s is None else self._s_key(s) for s in sets)
-        if None in keys:
-            return build()
-        return self._const((kind,) + keys, build)
-
     def cross(self, a: Optional[Fst], b: Optional[Fst]) -> Fst:
         """`cross_product(a, b)`, None standing for the empty string: with
         a None side it inserts or deletes the strings of the other."""
-        def build():
-            eps = empty_string(self.table)
-            return cross_product(eps if a is None else a, eps if b is None else b)
-        return self._on_brackets("cross", build, a, b)
+        eps = empty_string(self.table)
+        a, b = eps if a is None else a, eps if b is None else b
+        return self._memo("cross", lambda: cross_product(a, b), a, b)
 
     def intro(self, s: Fst) -> Fst:
         """Insert cells from `s` anywhere, pass other cells through."""
@@ -304,26 +277,26 @@ class MarkerKit:
             keep = difference(self.xsig, s)
             ins = cross_product(empty_string(self.table), s)
             return star(union(keep, ins))
-        return self._on_brackets("intro", build, s)
+        return self._memo("intro", build, s)
 
     def strip(self, s: Fst) -> Fst:
         """Delete cells from `s` anywhere, pass other cells through: intro
         inverted."""
-        return self._on_brackets("strip", lambda: invert(self.intro(s)), s)
+        return self._memo("strip", lambda: invert(self.intro(s)), s)
 
     def xintro(self, s: Fst) -> Fst:
         """Like intro, but never inserting at the start."""
         def build():
             keep = difference(self.xsig, s)
             return union(empty_string(self.table), concat(keep, self.intro(s)))
-        return self._on_brackets("xintro", build, s)
+        return self._memo("xintro", build, s)
 
     def introx(self, s: Fst) -> Fst:
         """Like intro, but never inserting at the end."""
         def build():
             keep = difference(self.xsig, s)
             return union(empty_string(self.table), concat(self.intro(s), keep))
-        return self._on_brackets("introx", build, s)
+        return self._memo("introx", build, s)
 
     def xintrox(self, s: Fst) -> Fst:
         """Like intro, but inserting neither at the start nor at the end."""
@@ -331,7 +304,7 @@ class MarkerKit:
             keep = difference(self.xsig, s)
             return union(empty_string(self.table), keep,
                          concat(keep, self.intro(s), keep))
-        return self._on_brackets("xintrox", build, s)
+        return self._memo("xintrox", build, s)
 
     def _image(self, op: str, e: Fst, inserter: Fst) -> Fst:
         """The strings `inserter` makes of L(e), memoized on `e` and the
@@ -361,13 +334,13 @@ class MarkerKit:
             return concat(plus(concat(star(anysym),
                                       cross_product(empty_string(t), e2))),
                           plus(anysym))
-        return self._image("ignx_1", e1, self._on_brackets("wedge", build, e2))
+        return self._image("ignx_1", e1, self._memo("wedge", build, e2))
 
     # marker filters as one-direction scans --------------------------------
 
     def _scan(self, pattern: Fst, cell: Optional[Fst], backward: bool,
               allow) -> Fst:
-        """The minimal machine of the cell strings that one scan accepts.
+        """A machine of the cell strings that one scan accepts.
 
         The scan reads the tape cell by cell, forwards or (`backward`)
         from its end, and runs the subset machine of `pattern` over the
@@ -378,8 +351,8 @@ class MarkerKit:
         is).  The end of the tape counts as a cell that is not in `cell`.
         A scan state is a subset at a boundary, or, halfway through a
         cell, the subset and the symbols that may still complete the cell.
-        A backward scan accepts the reversed tapes, so it is reversed back
-        before `minimize`, which gives equal languages equal machines."""
+        A backward scan accepts the reversed tapes, so it is reversed back;
+        `_memo` minimizes it, which gives equal languages equal machines."""
         t = self.table
         adj: list[dict[int, list[int]]] = [{} for _ in range(pattern.n)]
         for s, i, _, d in pattern.arcs:
@@ -418,17 +391,17 @@ class MarkerKit:
                   if seconds is None
                   and allow(not pattern.finals.isdisjoint(subset), False)]
         scan = _finish(t, len(keys), 0, finals, arcs)
-        return minimize(reverse(scan) if backward else scan)
+        return reverse(scan) if backward else scan
 
     @property
     def stacked_rb(self) -> Fst:
         """Left brackets stacked at one position, then a right bracket:
         what follows the end of an occurrence at a marked position."""
-        return self._const("stacked_rb", lambda: concat(star(self.lb), self.rb))
+        return self._memo("stacked_rb", lambda: concat(star(self.lb), self.rb))
 
     @property
     def _rev_xsig_star(self) -> Fst:
-        return self._const("rev_xsig_star", lambda: star(reverse(self.xsig)))
+        return self._memo("rev_xsig_star", lambda: star(reverse(self.xsig)))
 
     def mark_iff(self, cell: Fst, p: Fst) -> Fst:
         """`l_iff_r(cell, p)`: the positions after a `cell` are exactly the
@@ -479,8 +452,8 @@ class MarkerKit:
 
     @property
     def true(self) -> Fst:
-        return self._const("true", lambda: sigma_star(self.table, self.table.all_ids()))
+        return self._memo("true", lambda: sigma_star(self.table, self.table.all_ids()))
 
     @property
     def false(self) -> Fst:
-        return self._const("false", lambda: empty_lang(self.table))
+        return self._memo("false", lambda: empty_lang(self.table))

@@ -1,7 +1,7 @@
 """Random machines, rules, and model languages shared by the randomized
 suites.  Everything takes an explicit random.Random so runs are repeatable.
 Also two helpers for the marker suites: rule text compiled over given
-machines, and a count of the marker constants a run builds."""
+machines, and a count of the marker machines a run looks up and builds."""
 
 import collections
 import random
@@ -271,35 +271,19 @@ def formula(table, text: str, **machines) -> Fst:
     return comp.compile(ast)
 
 
-def count_builds(monkeypatch) -> collections.Counter:
-    """Count, per (shape, name), the calls of the builders that
-    `_shape_const` is given."""
-    builds = collections.Counter()
-    shape_const = markers._shape_const
-
-    def counting(key, build):
-        def counted():
-            builds[key] += 1
-            return build()
-        return shape_const(key, counted)
-    monkeypatch.setattr(markers, "_shape_const", counting)
-    return builds
-
-
 def count_memo(monkeypatch) -> tuple[collections.Counter, collections.Counter]:
-    """Count the memoized kit operations: the lookups per operation name
-    and the builds per key, (shape, op, *argument parts)."""
+    """Count what the marker kits ask their one store for: the lookups per
+    operation name and the builds per key, (shape, op, *argument parts),
+    which for a constant is (shape, name)."""
     lookups, builds = collections.Counter(), collections.Counter()
-    shape_stored = markers._shape_stored
+    stored = markers._stored
 
-    def counting(key, build, held=0):
-        if len(key) == 2:  # a constant, (shape, name)
-            return shape_stored(key, build, held)
+    def counting(key, build, held):
         lookups[key[1]] += 1
 
         def counted():
             builds[key] += 1
             return build()
-        return shape_stored(key, counted, held)
-    monkeypatch.setattr(markers, "_shape_stored", counting)
+        return stored(key, counted, held)
+    monkeypatch.setattr(markers, "_stored", counting)
     return lookups, builds

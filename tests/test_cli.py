@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import fsrw.dsl
 import fsrw.markers
 from fsrw import SymbolTable
 from fsrw.cli import main
-from gen import count_builds
+from gen import count_memo
 
 RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
 BENCH_RULES_DIR = RULES_DIR.parent / "bench" / "rules"
@@ -260,14 +261,15 @@ def test_cascade_writes_the_factors_without_folding(tmp_path, monkeypatch):
 def test_a_compile_builds_each_marker_constant_once(tmp_path, monkeypatch):
     # cascade27 joins four replace rules with 'o', each with a kit of its
     # own; against an empty shape cache the first builds every constant
-    # and the others find it there
+    # and the others find it there, as they find every other kit machine
     monkeypatch.setattr(fsrw.markers, "_shape_cache", {})
     monkeypatch.setattr(fsrw.markers, "_shape_cache_arcs", 0)
-    builds = count_builds(monkeypatch)
+    _, builds = count_memo(monkeypatch)
     rc = main(["compile", "-r", str(BENCH_RULES_DIR / "cascade27.fsr"),
                "-o", str(tmp_path / "cascade27.fsm")])
     assert rc == 0
-    assert builds and set(builds.values()) == {1}
+    assert any(len(key) == 2 for key in builds)  # (shape, name): a constant
+    assert set(builds.values()) == {1}
 
 
 def test_cascade_of_an_lm_concat_rule_fails(tmp_path, monkeypatch, capsys):
@@ -457,6 +459,32 @@ def test_match_n_count_past_an_index_is_a_rule_error(tmp_path, monkeypatch,
     assert err.startswith("error: ") and "too large" in err
     assert "line 1, column 9" in err
     assert "Traceback" not in err
+
+
+def test_a_match_n_past_the_repeat_bound_fails_before_building(
+        tmp_path, monkeypatch, capsys):
+    # 400 000 copies of a 2-state item: the copies would be laid out before
+    # any later check, so nothing may be concatenated
+    def refuse(*machines):
+        raise AssertionError("concat called on %d machines" % len(machines))
+    monkeypatch.setattr(fsrw.dsl, "concat", refuse)
+    rules = tmp_path / "r.fsr"
+    rules.write_text("match_n(400000, a).")
+    started = time.perf_counter()
+    rc, out, err = run(monkeypatch, capsys,
+                       ["compile", "-r", str(rules), "-o", str(tmp_path / "x")])
+    assert time.perf_counter() - started < 1
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "400000 times" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_the_repeat_bound_is_a_count_times_the_item_states():
+    cap = fsrw.dsl.REPEAT_STATES_CAP
+    fsrw.dsl.compile_rules("match_n(%d, a)." % (cap // 2))  # 2 states a copy
+    with pytest.raises(fsrw.dsl.RuleError, match="3-state pattern"):
+        fsrw.dsl.compile_rules("match_n(%d, [a, b])." % (cap // 3 + 1))
 
 
 def test_match_n_count_through_a_macro_keeps_its_position():

@@ -7,11 +7,12 @@ re-exports it), and so does an import whose line is marked
 `# noqa: F401`, but only when the benchmark's tracer (`bench/spans.py`)
 patches that name on that module (`cli.py` keeps `compose` and
 `reduce_pairs` for it), so a stale mark fails.  A private name (`_x`: a
-function, class or assignment at module level) counts as used when some
-statement other than its own definition names it: as a plain name, as an
-attribute, or in a `from ... import`."""
+function, class or assignment at module level, or a method of a class)
+counts as used when something outside its own definition names it: as a
+plain name, as an attribute, or in a `from ... import`."""
 
 import ast
+import collections
 from pathlib import Path
 
 import pytest
@@ -113,40 +114,47 @@ def test_a_stale_noqa_import_is_reported():
         "minimize", "union"]
 
 
-def _private_definitions(stmt) -> list[str]:
+def _private_definitions(stmt) -> list[tuple[str, ast.AST]]:
+    """(name, node) for each private name `stmt` defines at module level,
+    and for each private method of a class it defines: the node is the
+    definition whose own references do not count as uses."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        names = [stmt.name]
+        found = [(stmt.name, stmt)]
     elif isinstance(stmt, ast.Assign):
-        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        found = [(t.id, stmt) for t in stmt.targets if isinstance(t, ast.Name)]
     elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-        names = [stmt.target.id]
+        found = [(stmt.target.id, stmt)]
     else:
-        names = []
-    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+        found = []
+    if isinstance(stmt, ast.ClassDef):
+        found += [(node.name, node) for node in stmt.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(name, node) for name, node in found
+            if name.startswith("_") and not name.endswith("__")]
 
 
-def _references(stmt) -> set[str]:
-    refs = set()
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            refs.update(alias.name for alias in node.names)
+def _references(node) -> collections.Counter:
+    refs = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
     return refs
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """`module: name (line n)` for each private module-level name that no
-    statement of any module in `sources` names, apart from its own."""
-    stmts = [(module, stmt) for module, source in sources.items()
-             for stmt in ast.parse(source).body]
-    refs = [_references(stmt) for _, stmt in stmts]
-    return sorted("%s: %s (line %d)" % (module, name, stmt.lineno)
-                  for k, (module, stmt) in enumerate(stmts)
-                  for name in _private_definitions(stmt)
-                  if not any(name in r for j, r in enumerate(refs) if j != k))
+    """`module: name (line n)` for each private module-level name, and each
+    private method, that nothing in `sources` names outside its own
+    definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    refs = sum((_references(tree) for tree in trees.values()), collections.Counter())
+    return sorted("%s: %s (line %d)" % (module, name, node.lineno)
+                  for module, tree in trees.items() for stmt in tree.body
+                  for name, node in _private_definitions(stmt)
+                  if refs[name] == _references(node)[name])
 
 
 def test_every_private_name_is_used():
@@ -171,3 +179,28 @@ def test_a_dead_private_name_is_reported():
     }
     assert dead_private_names(sources) == [
         "a.py: _Unused (line 6)", "a.py: _alone (line 1)"]
+
+
+def test_a_dead_private_method_is_reported():
+    # a method counts as used when something outside its own body names
+    # it: another method, another class or another module
+    sources = {
+        "a.py": ("class Kit:\n"
+                 "    def __init__(self):\n"
+                 "        self._cache = {}\n"
+                 "    def _leftover(self, s):\n"
+                 "        return self._leftover(s) if s else self._cache\n"
+                 "    def _called(self):\n        pass\n"
+                 "    @property\n"
+                 "    def _prop(self):\n"
+                 "        return self._called()\n"
+                 "    def _elsewhere(self):\n        pass\n"
+                 "    def public(self):\n"
+                 "        return self._prop\n"
+                 "    def _unused(self):\n        pass\n"),
+        "b.py": ("from .a import Kit\n"
+                 "def f(kit):\n"
+                 "    return kit._elsewhere()\n"),
+    }
+    assert dead_private_names(sources) == [
+        "a.py: _leftover (line 4)", "a.py: _unused (line 15)"]

@@ -5,6 +5,7 @@ a marker.  Markerhood is carried by the flag, so a bracket glyph with flag
 "0" is ordinary text.  Expected values below are spelled as flat glyph
 sequences with the flags written out."""
 
+import inspect
 import itertools
 import random
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 import fsrw.markers as markers
 from fsrw import (
     FsmError,
+    Fst,
     MarkerKit,
     SymbolTable,
     accepts,
@@ -26,6 +28,7 @@ from fsrw import (
     empty_lang,
     empty_string,
     equivalent,
+    invert,
     lang_enum,
     literal,
     lm_concat,
@@ -43,8 +46,8 @@ from fsrw import (
     word,
 )
 from fsrw.dump import dump_text
-from gen import (count_builds, count_memo, random_context, random_replace_rule,
-                 random_target)
+from gen import (build_regex, count_memo, random_context, random_regex,
+                 random_replace_rule, random_target)
 
 BENCH_RULES = Path(__file__).resolve().parent.parent / "bench" / "rules"
 
@@ -261,21 +264,41 @@ def test_if_then_else():
 
 
 BRACKET_SETS = ("lb1", "lb2", "rb1", "rb2", "lb", "rb", "b1", "b2", "brack")
+# the named constants, keyed as `unreduced_formulas` keys them (and the
+# store too), each with the kit attribute that makes it
+NAMED = {name: name for name in BRACKET_SETS + (
+    "sig", "xsig", "xsig_star", "non_markers", "decoder", "stacked_rb",
+    "true", "false")}
+NAMED["rev_xsig_star"] = "_rev_xsig_star"
+
+
+def parts_of(m):
+    return (m.n, m.initial, m.finals, tuple(m.arcs), m.is_recognizer)
+
+
+def store_key(kit, name):
+    """The store's key of the constant keyed `name` by `unreduced_formulas`:
+    a named one, or (op, bracket set) for an operation on a bracket set."""
+    if isinstance(name, str):
+        return kit._shape_key(), name
+    op, s = name
+    return kit._shape_key(), op, parts_of(getattr(kit, NAMED[s]))
 
 
 def build_every_constant(kit):
-    """Touch every constant of the kit, the intro family and the wedge of
-    `ignx_1` on each bracket set included; returns the kit's cache."""
-    for name in BRACKET_SETS + ("sig", "xsig", "xsig_star", "non_markers",
-                                "_rev_xsig_star", "true", "false"):
-        getattr(kit, name)
+    """Every constant of the kit, keyed as `unreduced_formulas` keys it:
+    the named ones, and the intro family and the wedge of `ignx_1` on each
+    bracket set.  A wedge is read from the store, where `ignx_1` leaves it,
+    so the store must have room for the lot."""
+    got = {name: getattr(kit, attr) for name, attr in NAMED.items()}
     nothing = empty_lang(kit.table)
     for name in BRACKET_SETS:
-        s = getattr(kit, name)
-        for kind in ("intro", "xintro", "introx", "xintrox"):
-            getattr(kit, kind)(s)
-        kit.ignx_1(nothing, s)
-    return kit._cache
+        for op in ("intro", "xintro", "introx", "xintrox"):
+            got[op, name] = getattr(kit, op)(got[name])
+        kit.ignx_1(nothing, got[name])
+        got["wedge", name] = Fst(kit.table, *markers._shape_cache[
+            store_key(kit, ("wedge", name))])
+    return got
 
 
 def unreduced_formulas(table):
@@ -294,9 +317,11 @@ def unreduced_formulas(table):
     f["xsig"] = union(f["sig"], f["brack"])
     f["xsig_star"] = star(f["xsig"])
     f["rev_xsig_star"] = star(reverse(f["xsig"]))
+    f["stacked_rb"] = concat(star(f["lb"]), f["rb"])
     f["non_markers"] = star(union(*[
         concat(literal(t, g), symbol_pair(t, None, "0"))
         for g in t.user_glyphs()]))
+    f["decoder"] = invert(f["non_markers"])
     f["true"] = sigma_star(t, t.all_ids())
     f["false"] = empty_lang(t)
     anysym = any_of(t, t.all_ids())
@@ -317,17 +342,86 @@ def reduced(m):
     return minimize(m) if m.is_recognizer else reduce_pairs(m)
 
 
-def test_every_constant_is_built_reduced(kit):
-    for name, m in build_every_constant(kit).items():
-        assert m.same_structure(reduced(m)), name
+def kit_methods():
+    """The kit's public methods, each with its number of arguments."""
+    return sorted((name, len(inspect.signature(f).parameters) - 1)
+                  for name, f in vars(MarkerKit).items()
+                  if inspect.isfunction(f) and not name.startswith("_"))
 
 
-def test_every_constant_keeps_its_formula(kit):
+def every_method_call(kit, rng, rounds):
+    """`rounds` calls of each public kit method, on random cell languages:
+    the nine bracket sets and the encodings of random regexes; each
+    `non_markers_of` gets a random regex itself."""
+    def regex():
+        return build_regex(random_regex(rng, "ab"), kit.table)
+    pool = [getattr(kit, s) for s in BRACKET_SETS]
+    pool += [kit.non_markers_of(regex()) for _ in range(6)]
+    calls = []
+    for _ in range(rounds):
+        for name, arity in kit_methods():
+            args = ([regex()] if name == "non_markers_of"
+                    else [rng.choice(pool) for _ in range(arity)])
+            calls.append((name, args))
+    return calls
+
+
+def test_every_constant_is_built_reduced(shape_cache):
+    # the constants and every public method's results, each a fixed point
+    # of the reduction, whether built (cold) or taken from the store (warm)
+    table = SymbolTable("ab")
+    calls = every_method_call(MarkerKit(table), random.Random(27), 3)
+    assert {name for name, _ in calls} >= {"cross", "intro", "ignx_1", "not_contains"}
+    shape_cache.setattr(markers, "_shape_cache", {})
+    shape_cache.setattr(markers, "_shape_cache_arcs", 0)
+    _, builds = count_memo(shape_cache)
+    built = []
+    for warmth in ("cold", "warm"):
+        kit = MarkerKit(table)
+        for name, m in build_every_constant(kit).items():
+            assert m.same_structure(reduced(m)), (warmth, name)
+        for k, (name, args) in enumerate(calls):
+            m = getattr(kit, name)(*args)
+            assert m.same_structure(reduced(m)), (warmth, k, name)
+        built.append(builds.total())
+    assert built[0] == built[1]  # the warm pass built nothing
+
+
+def test_every_constant_keeps_its_formula(shape_cache):
+    kit = MarkerKit(SymbolTable("ab"))
     cache = build_every_constant(kit)
     formulas = unreduced_formulas(kit.table)
     assert set(cache) == set(formulas)
+    # the touch, on an empty store, stored those constants and the ignx_1
+    # images it asked for, nothing else
+    images = {(kit._shape_key(), "ignx_1", parts_of(empty_lang(kit.table)),
+               parts_of(cache["wedge", s])) for s in BRACKET_SETS}
+    assert set(markers._shape_cache) == {store_key(kit, name)
+                                         for name in cache} | images
     for name, m in cache.items():
         assert equivalent(m, formulas[name]), name
+
+
+@pytest.mark.parametrize("builtin", ["$$", "intro", "xintro", "introx", "xintrox"])
+def test_a_builtin_on_a_set_of_its_own_is_built_reduced(shape_cache, builtin):
+    # on a set that is no bracket constant these were once built afresh
+    # and left unreduced; the store reduces them as it reduces the rest
+    m = compile_rules("#alphabet a b.\n%s(non_markers(a))." % builtin).machine
+    t = m.table
+    f = unreduced_formulas(t)
+    eps, s = empty_string(t), project(compose(literal(t, "a"), f["non_markers"]),
+                                      "range")
+    keep = difference(f["xsig"], s)
+    intro = star(union(keep, cross_product(eps, s)))
+    expected = {"$$": concat(f["xsig_star"], s, f["xsig_star"]),
+                "intro": intro,
+                "xintro": union(eps, concat(keep, intro)),
+                "introx": union(eps, concat(intro, keep)),
+                "xintrox": union(eps, keep, concat(keep, intro, keep))}[builtin]
+    assert m.same_structure(reduced(expected))
+    assert equivalent(m, expected)
+    if builtin == "intro":  # 6 states and 22 arcs when left unreduced
+        assert (m.n, len(m.arcs)) == (4, 10)
 
 
 def test_constants_grow_linearly_with_the_alphabet():
@@ -424,12 +518,12 @@ def fresh_rule(rng, glyphs):
 
 
 def test_each_constant_is_built_once_per_shape(shape_cache):
-    builds = count_builds(shape_cache)
+    _, builds = count_memo(shape_cache)
     rng = random.Random(5)
     for k in range(48):  # a fresh table each time, of three shapes
         fresh_rule(rng, rng.sample("defghij", 1 + k % 3))
-    assert len({shape for shape, _ in builds}) == 3
-    assert set(builds.values()) == {1}
+    assert len({key[0] for key in builds}) == 3
+    assert set(builds.values()) == {1}  # the constants, and the rest too
 
 
 def entry_arcs(key, parts):
@@ -440,8 +534,7 @@ def entry_arcs(key, parts):
 
 def test_the_shape_cache_starts_afresh_past_its_cap(shape_cache):
     shape_cache.setattr(markers, "SHAPE_CACHE_CAP", 200)
-    builds = count_builds(shape_cache)
-    _, memo_builds = count_memo(shape_cache)
+    _, builds = count_memo(shape_cache)
     rng = random.Random(5)
     for _ in range(4):
         fresh_rule(rng, "ab")
@@ -449,8 +542,9 @@ def test_the_shape_cache_starts_afresh_past_its_cap(shape_cache):
     held = sum(entry_arcs(key, parts) for key, parts in cache.items())
     assert held == markers._shape_cache_arcs <= 200
     assert any(len(key) > 2 for key in cache)  # memo entries share the cache
-    assert max(builds.values()) > 1  # renewed, so built again
-    assert max(memo_builds.values()) > 1  # the memo entries too
+    # renewed, so built again: the constants, (shape, name), and the rest
+    assert max(n for key, n in builds.items() if len(key) == 2) > 1
+    assert max(n for key, n in builds.items() if len(key) > 2) > 1
 
 
 def test_fresh_tables_of_one_shape_key_the_cache_with_one_tuple(shape_cache):
