@@ -21,7 +21,11 @@ bracket sets (the intro family, `cross`, the `ignx_1` wedge) and those
 the filters are made of (`non_markers_of`, `not_`, the `ign` family,
 `ignx_1`, the scans): each filter reads only one of dom(T), Left or
 Right, so the rules that share a context or a domain over one alphabet
-shape share its filters.
+shape share its filters.  The same cache keeps seven of the nine replace
+factors (`fsrw.replace.replace_factors`), each keyed by the one machine
+it reads and kept as built, not reduced, so that a rule that repeats an
+encoded domain, context or target over one shape, in one process, takes
+the factors built for it.
 
 The replace factors filter markings with `mark_iff`, `guard_before` and
 `not_contains`.  Each is one scan over the cells, forwards or on the
@@ -64,10 +68,11 @@ from .fsm import (
 )
 
 
-# Marker machines by table shape, as the parts of an Fst: (n, initial,
-# finals, arcs, is_recognizer), under the key (shape, op, the parts of each
-# machine argument); a constant has no argument.  An entry counts the arcs
-# of its machine and of the arguments its key holds.  The cache never holds
+# Marker machines and replace factors by table shape, as the parts of an
+# Fst: (n, initial, finals, arcs, is_recognizer), under the key (shape, op,
+# the parts of each machine argument); a constant has no argument.  An
+# entry counts the arcs of its machine and of the arguments its key holds;
+# the factors, kept unreduced, are the largest.  The cache never holds
 # more than SHAPE_CACHE_CAP arcs: an entry that would pass the cap starts it
 # afresh, and one that passes the cap on its own is not stored, so
 # compiling against endless new alphabets or arguments runs in bounded
@@ -85,12 +90,12 @@ def _reduced(m: Fst) -> Fst:
 
 def _stored(key, build, held: int) -> tuple:
     """The parts of the machine stored under `key`; on a miss `build()`
-    makes it, and it is reduced and stored, counted with the `held` arcs of
+    makes it, and it is stored as built, counted with the `held` arcs of
     its key."""
     global _shape_cache_arcs
     parts = _shape_cache.get(key)
     if parts is None:
-        m = _reduced(build())
+        m = build()
         parts = (m.n, m.initial, m.finals, m.arcs, m.is_recognizer)
         size = len(m.arcs) + held
         if size <= SHAPE_CACHE_CAP:
@@ -114,7 +119,10 @@ class MarkerKit:
     the operation and each machine argument's (n, initial, finals, arcs,
     is_recognizer).  A machine depends only on those and on the table's
     size and user ids, so a table of the same shape, whatever its glyphs,
-    takes the cached arcs on its own table.  The kit itself keeps the
+    takes the cached arcs on its own table.  `replace_factors` stores seven
+    of its factors through the same path (`_kept`), as built, so a rule
+    that repeats an encoded domain, context or target over one shape
+    takes them from the cache too.  The kit itself keeps the
     constants, the operations with no argument, once wrapped.  Each
     `replace`, `replace_factors` and `lm_concat` call makes its own kit,
     which finds the machines of every earlier table of its shape.
@@ -148,22 +156,32 @@ class MarkerKit:
 
     def _memo(self, op: str, build, *args: Fst) -> Fst:
         """`build()`, the operation `op` on the machines `args`, built and
-        reduced once per table shape and argument parts, then wrapped on
-        this kit's table; a constant (no `args`) is kept by the kit too.
-        The closures that build constants (`star` of a `union`, say) copy
-        arcs onto every final state, so unreduced they grow with the square
-        of the alphabet, and every factor and composition of a compile
-        would pay for it.  A machine on another table is left to `build`,
-        which refuses it or reads it as it always has."""
+        reduced once per table shape and argument parts, in the one store
+        that also keeps seven replace factors, as built (`_kept`); a
+        constant (no `args`) is kept by the kit too.  The closures that
+        build constants (`star` of a `union`, say) copy arcs onto every
+        final state, so unreduced they grow with the square of the
+        alphabet, and every factor and composition of a compile would pay
+        for it."""
+        if args:
+            return self._kept(op, lambda: _reduced(build()), *args)
+        got = self._cache.get(op)
+        if got is None:
+            got = Fst(self.table, *_stored((self._shape_key(), op),
+                                           lambda: _reduced(build()), 0))
+            self._cache[op] = got
+        return got
+
+    def _kept(self, op: str, build, *args: Fst) -> Fst:
+        """`build()`, the operation `op` on the machines `args`, built once
+        per table shape and argument parts and stored as it is built, then
+        wrapped on this kit's table: the kit's operations come here through
+        `_memo`, reduced, and the replace factors directly.  A machine on
+        another table is left to `build`, which refuses it or reads it as
+        it always has."""
         t = self.table
-        if not args:
-            got = self._cache.get(op)
-            if got is None:
-                got = Fst(t, *_stored((self._shape_key(), op), build, 0))
-                self._cache[op] = got
-            return got
         if any(a.table is not t for a in args):
-            return _reduced(build())
+            return build()
         parts = tuple((a.n, a.initial, a.finals, tuple(a.arcs), a.is_recognizer)
                       for a in args)
         held = sum(len(p[3]) for p in parts)

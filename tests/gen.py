@@ -272,9 +272,12 @@ def formula(table, text: str, **machines) -> Fst:
 
 
 def count_memo(monkeypatch) -> tuple[collections.Counter, collections.Counter]:
-    """Count what the marker kits ask their one store for: the lookups per
-    operation name and the builds per key, (shape, op, *argument parts),
-    which for a constant is (shape, name)."""
+    """Count what the marker kits and the replace factors ask their one
+    store for: the lookups per operation name and the builds per key,
+    (shape, op, *argument parts), which for a constant is (shape, name).
+    A factor's op is its name and the flags it reads: "l1 1" is `l1` with
+    stack_safe, "longest_match 0 1" `longest_match` unoptimized and
+    stack_safe."""
     lookups, builds = collections.Counter(), collections.Counter()
     stored = markers._stored
 

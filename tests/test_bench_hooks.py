@@ -13,6 +13,7 @@ import pytest
 
 import fsrw.cli
 import fsrw.dsl
+import fsrw.markers
 from fsrw import MarkerKit
 from fsrw.cli import main
 
@@ -39,7 +40,11 @@ def test_tracer_installs_and_uninstalls(spans):
             fsrw.dsl._replace_factors, fsrw.dsl.Compiler.compile) == originals
 
 
-def test_tracer_records_a_cascade_compile(spans, tmp_path):
+def test_tracer_records_a_cascade_compile(spans, tmp_path, monkeypatch):
+    # from an empty store: a factor stored by an earlier compile is not
+    # built again, so it records no span
+    monkeypatch.setattr(fsrw.markers, "_shape_cache", {})
+    monkeypatch.setattr(fsrw.markers, "_shape_cache_arcs", 0)
     tracer = spans.Tracer()
     tracer.install()
     try:

@@ -37,6 +37,7 @@ from fsrw import (
     project,
     reduce_pairs,
     replace,
+    replace_factors,
     reverse,
     RuleError,
     sigma_star,
@@ -532,19 +533,39 @@ def entry_arcs(key, parts):
     return len(parts[3]) + sum(len(arg[3]) for arg in key[2:])
 
 
+# the ops of the seven replace factors the store keeps, at the default
+# flags (optimized=False, stack_safe=True)
+FACTOR_OPS = ("r_right", "f_phi", "left_to_right", "longest_match 0 1",
+              "aux_replace", "l1 1", "l2 1")
+
+
 def test_the_shape_cache_starts_afresh_past_its_cap(shape_cache):
-    shape_cache.setattr(markers, "SHAPE_CACHE_CAP", 200)
-    _, builds = count_memo(shape_cache)
+    # four rules compiled twice over: the factors they store help fill the
+    # store, and past the cap it starts afresh and they are built again
+    shape_cache.setattr(markers, "SHAPE_CACHE_CAP", 800)
+    lookups, builds = count_memo(shape_cache)
     rng = random.Random(5)
+    rules = []
     for _ in range(4):
-        fresh_rule(rng, "ab")
-    cache = markers._shape_cache
-    held = sum(entry_arcs(key, parts) for key, parts in cache.items())
-    assert held == markers._shape_cache_arcs <= 200
+        table = SymbolTable("ab")
+        rules.append((random_target(rng, table), random_context(rng, table),
+                      random_context(rng, table)))
+    stored = set()
+    for rule in rules * 2:
+        replace(*rule)
+        cache = markers._shape_cache
+        held = sum(entry_arcs(key, parts) for key, parts in cache.items())
+        assert held == markers._shape_cache_arcs <= 800
+        stored |= {key[1] for key in cache if key[1] in FACTOR_OPS}
+    assert stored == set(FACTOR_OPS)  # each was held after some rule
     assert any(len(key) > 2 for key in cache)  # memo entries share the cache
-    # renewed, so built again: the constants, (shape, name), and the rest
+    # renewed, so built again: the constants, (shape, name), the rest, and
+    # each factor
     assert max(n for key, n in builds.items() if len(key) == 2) > 1
     assert max(n for key, n in builds.items() if len(key) > 2) > 1
+    for op in FACTOR_OPS:
+        assert lookups[op] == 8, op
+        assert max(n for key, n in builds.items() if key[1] == op) > 1, op
 
 
 def test_fresh_tables_of_one_shape_key_the_cache_with_one_tuple(shape_cache):
@@ -578,13 +599,19 @@ def test_an_oversize_result_is_returned_unstored(shape_cache):
 
 def test_a_cascade_builds_the_operations_on_a_shared_context_once(shape_cache):
     # cascade27's first three rules share the left context [], its last
-    # has `vowel`: the guards of l1 and l2 are built for two contexts only
+    # has `vowel`: l1 and l2 are built for two contexts only.  The second
+    # and third rules find both factors stored and ask for no guard at
+    # all, so each guard_before is asked for once, when its factor is
+    # built: 2 contexts x 2 factors, and the `not` of l2 once per context
     lookups, builds = count_memo(shape_cache)
     compile_rules((BENCH_RULES / "cascade27.fsr").read_text())
     assert set(builds.values()) == {1}
+    for factor in ("l1 1", "l2 1"):
+        built = sum(key[1] == factor for key in builds)
+        assert (lookups[factor], built) == (4, 2), factor
     guards = [key for key in builds if key[1] == "guard_before"]
-    assert (lookups["guard_before"], len(guards)) == (8, 4)
-    assert (lookups["not"], sum(key[1] == "not" for key in builds)) == (4, 2)
+    assert (lookups["guard_before"], len(guards)) == (4, 4)
+    assert (lookups["not"], sum(key[1] == "not" for key in builds)) == (2, 2)
 
 
 def test_a_context_on_another_table_is_refused_though_memoized(shape_cache):
@@ -593,6 +620,60 @@ def test_a_context_on_another_table_is_refused_though_memoized(shape_cache):
     replace(t, empty_string(mine), empty_string(mine))  # [] encoded, memoized
     with pytest.raises(FsmError, match="different symbol tables"):
         replace(t, empty_string(other), empty_string(mine))
+
+
+FLAG_PAIRS = list(itertools.product((False, True), (True, False)))
+
+
+def test_a_warm_store_gives_each_flag_pair_its_own_factors(shape_cache):
+    # each rule's factors under the four (optimized, stack_safe) pairs, all
+    # stored in one store and then taken from it, are the factors a cold
+    # build of the same pair makes, though the pairs build different ones
+    rng = random.Random(28)
+    differ = set()
+    for k in range(12):
+        _, t, left, right = random_replace_rule(rng)
+        shape_cache.setattr(markers, "_shape_cache", {})
+        shape_cache.setattr(markers, "_shape_cache_arcs", 0)
+        for flags in FLAG_PAIRS:
+            replace_factors(t, left, right, *flags)
+        warm = [replace_factors(t, left, right, *flags) for flags in FLAG_PAIRS]
+        cold = []
+        for flags in FLAG_PAIRS:
+            shape_cache.setattr(markers, "_shape_cache", {})
+            shape_cache.setattr(markers, "_shape_cache_arcs", 0)
+            cold.append(replace_factors(t, left, right, *flags))
+        for flags, ws, cs in zip(FLAG_PAIRS, warm, cold):
+            for i, (w, c) in enumerate(zip(ws, cs)):
+                assert w.same_structure(c), (k, flags, i)
+        differ |= {i for i in range(9)
+                   if any(not cold[0][i].same_structure(c[i]) for c in cold)}
+    assert differ == {4, 6, 7}  # longest_match, l1 and l2 read the flags
+
+
+def test_rules_that_share_a_domain_or_a_target_build_its_factors_once(shape_cache):
+    lookups, builds = count_memo(shape_cache)
+
+    def built(op):
+        return sorted(n for key, n in builds.items() if key[1] == op)
+
+    # a -> b and a -> [] share dom(T) only: each phi factor is built once
+    ab = SymbolTable("ab")
+    a, b = literal(ab, "a"), literal(ab, "b")
+    replace_factors(cross_product(a, b), empty_string(ab), b)
+    replace_factors(cross_product(a, empty_string(ab)), b, a)
+    for op in ("f_phi", "left_to_right", "longest_match 0 1"):
+        assert (lookups[op], built(op)) == (2, [1]), op
+    for op in ("r_right", "aux_replace", "l1 1", "l2 1"):
+        assert (lookups[op], built(op)) == (2, [1, 1]), op
+
+    # x -> y over a table of the same shape is the first rule's T: its
+    # aux_replace, built for a -> b, is found, though contexts differ
+    xy = SymbolTable("xy")
+    x, y = literal(xy, "x"), literal(xy, "y")
+    replace_factors(cross_product(x, y), x, x)
+    assert (lookups["aux_replace"], built("aux_replace")) == (3, [1, 1])
+    assert (lookups["l1 1"], built("l1 1")) == (3, [1, 1, 1])
 
 
 def test_the_builtins_repeat_exactly_from_the_memo(shape_cache):
