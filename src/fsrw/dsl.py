@@ -829,9 +829,7 @@ class CompiledProgram:
     """A compiled rule file: the machine plus enough structure for the
     oracle checks and for cascaded application."""
 
-    def __init__(self, program, ast, table, machine, kind, pieces,
-                 factors=None):
-        self.program = program
+    def __init__(self, ast, table, machine, kind, pieces, factors=None):
         self.ast = ast
         self.table = table
         self._machine = machine  # None for replace until first asked for
@@ -885,7 +883,7 @@ def compile_rules(text: str) -> CompiledProgram:
         pieces = None
         machine = comp.compile(ast)
         kind = "plain"
-    return CompiledProgram(program, ast, table, machine, kind, pieces, factors)
+    return CompiledProgram(ast, table, machine, kind, pieces, factors)
 
 
 # ---------------------------------------------------------------------------

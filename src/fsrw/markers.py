@@ -12,20 +12,34 @@ All operators here stay inside the encoded universe (sequences of cells);
 the whole symbol table since they only carry emptiness.
 
 Every machine the kit makes depends only on the table's shape, its size
-and its user ids, and on the machines it is given, so each is built once
-per alphabet shape per process and stored, reduced, in one cache bounded
-by SHAPE_CACHE_CAP arcs, keyed by the shape, the operation and the parts
-of each machine argument; every kit over a table of that shape wraps the
-same arcs on its own table.  That covers the constants, the operations on
-bracket sets (the intro family, `cross`, the `ignx_1` wedge) and those
-the filters are made of (`non_markers_of`, `not_`, the `ign` family,
-`ignx_1`, the scans): each filter reads only one of dom(T), Left or
-Right, so the rules that share a context or a domain over one alphabet
-shape share its filters.  The same cache keeps seven of the nine replace
-factors (`fsrw.replace.replace_factors`), each keyed by the one machine
-it reads and kept as built, not reduced, so that a rule that repeats an
-encoded domain, context or target over one shape, in one process, takes
-the factors built for it.
+and its user ids, and on the machines it is called with, so each is built
+once per alphabet shape per process and kept in one store, `_shape_cache`,
+through one entry point, `MarkerKit._keep`.  Its key is (shape, op, the
+parts (n, initial, finals, arcs, is_recognizer) of each machine argument);
+a constant has no argument, and the kit that asked for it keeps it too.
+Every kit over a table of that shape wraps the same arcs on its own table;
+a machine argument on another table is refused with FsmError.  Each
+operation is named once, by the method that defines it (`_op`), and what
+it builds is reduced before it is stored: a recognizer to its minimal
+machine, a transduction by `reduce_pairs`.  Unreduced, the closures the
+constants are built with (`star` of a `union`, say) copy arcs onto every
+final state and grow with the square of the alphabet, and every factor and
+composition of a compile would pay for it.  The filters (`non_markers_of`,
+`not_`, the `ign` family, `ignx_1`, the scans) each read only one of
+dom(T), Left or Right, so the rules that share a context or a domain over
+one alphabet shape share its filters.  The same store keeps seven of the
+nine replace factors (`fsrw.replace.replace_factors`), each keyed by its
+name, the flags it reads and the one machine it reads, and kept as built,
+not reduced, so that a rule that repeats an encoded domain, context or
+target over one shape, in one process, takes the factors built for it.
+
+The store never holds more than SHAPE_CACHE_CAP arcs, counting each
+entry's machine and the machine arguments in its key; the factors, kept
+unreduced, are the largest entries.  An entry that would pass the cap
+starts the store afresh, and one that passes it on its own is returned
+unstored, so compiling against endless new alphabets or arguments runs in
+bounded memory.  Each shape in the keys is one tuple, `_shapes` holding
+it, since a shape holds every user id of its table.
 
 The replace factors filter markings with `mark_iff`, `guard_before` and
 `not_contains`.  Each is one scan over the cells, forwards or on the
@@ -40,13 +54,16 @@ builtins.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from .fsm import (
+    FsmError,
     Fst,
     SymbolTable,
     _explore,
     _finish,
+    _require_recognizer,
     any_of,
     compose,
     concat,
@@ -68,16 +85,7 @@ from .fsm import (
 )
 
 
-# Marker machines and replace factors by table shape, as the parts of an
-# Fst: (n, initial, finals, arcs, is_recognizer), under the key (shape, op,
-# the parts of each machine argument); a constant has no argument.  An
-# entry counts the arcs of its machine and of the arguments its key holds;
-# the factors, kept unreduced, are the largest.  The cache never holds
-# more than SHAPE_CACHE_CAP arcs: an entry that would pass the cap starts it
-# afresh, and one that passes the cap on its own is not stored, so
-# compiling against endless new alphabets or arguments runs in bounded
-# memory.  Each shape in the keys is one tuple, `_shapes` holding it, since
-# a shape holds every user id of its table.
+# The store: entry parts by key, the arcs it holds, and one tuple per shape.
 SHAPE_CACHE_CAP = 1 << 16
 _shape_cache: dict = {}
 _shape_cache_arcs = 0
@@ -108,41 +116,40 @@ def _stored(key, build, held: int) -> tuple:
     return parts
 
 
+def _op(method):
+    """A kit operation, kept in the store under the method's own name
+    (`not_` is "not", `_wedge` "wedge") and the machines it is called
+    with, its result reduced."""
+    op = method.__name__.strip("_")
+
+    @functools.wraps(method)
+    def kept(self, *args):
+        return self._keep(op, lambda: _reduced(method(self, *args)), *args)
+    return kept
+
+
+def _constant(method):
+    """A kit operation with no argument, read as a property."""
+    return property(_op(method))
+
+
 class MarkerKit:
     """Toolkit of encoded-string operators over one symbol table: what the
     replace factors, `lm_concat` and the rule language's builtins call.
 
-    Every machine the kit makes, constant or not, goes through `_memo`:
-    it is built once per table *shape* per process, reduced (a recognizer
-    to its minimal machine, a transduction by `reduce_pairs`) and stored
-    in the process-wide cache, up to SHAPE_CACHE_CAP arcs, under the shape,
-    the operation and each machine argument's (n, initial, finals, arcs,
-    is_recognizer).  A machine depends only on those and on the table's
-    size and user ids, so a table of the same shape, whatever its glyphs,
-    takes the cached arcs on its own table.  `replace_factors` stores seven
-    of its factors through the same path (`_kept`), as built, so a rule
-    that repeats an encoded domain, context or target over one shape
-    takes them from the cache too.  The kit itself keeps the
-    constants, the operations with no argument, once wrapped.  Each
-    `replace`, `replace_factors` and `lm_concat` call makes its own kit,
-    which finds the machines of every earlier table of its shape.
-    The table's user alphabet must be complete before the first machine
-    is built, which freezes the table: a glyph added later could not
-    appear in the machines already built, so interning one raises
-    FsmError.
+    Every machine it makes comes from the store the module docstring
+    describes, through `_keep`.  Each `replace`, `replace_factors` and
+    `lm_concat` call makes its own kit, which finds the machines of every
+    earlier table of its shape.  The table's user alphabet must be
+    complete before the first machine is built, which freezes the table:
+    a glyph added later could not appear in the machines already built, so
+    interning one raises FsmError.
     """
 
     def __init__(self, table: SymbolTable):
         self.table = table
         self._cache: dict = {}
         self._shape = None
-
-    # cells ------------------------------------------------------------
-
-    def _cell(self, glyph_id: int, flag_id: int) -> Fst:
-        t = self.table
-        g, f = t.glyph(glyph_id), t.glyph(flag_id)
-        return concat(literal(t, g), literal(t, f))
 
     def _shape_key(self):
         """The table's shape, its size and user ids; the table is frozen
@@ -154,131 +161,116 @@ class MarkerKit:
             self._shape = _shapes.setdefault(shape, shape)
         return self._shape
 
-    def _memo(self, op: str, build, *args: Fst) -> Fst:
-        """`build()`, the operation `op` on the machines `args`, built and
-        reduced once per table shape and argument parts, in the one store
-        that also keeps seven replace factors, as built (`_kept`); a
-        constant (no `args`) is kept by the kit too.  The closures that
-        build constants (`star` of a `union`, say) copy arcs onto every
-        final state, so unreduced they grow with the square of the
-        alphabet, and every factor and composition of a compile would pay
-        for it."""
-        if args:
-            return self._kept(op, lambda: _reduced(build()), *args)
+    def _keep(self, op: str, build, *args: Fst) -> Fst:
+        """The machine `build()` makes, the operation `op` on the machines
+        `args`, taken from the store or built and stored as `build`
+        returns it, then wrapped on this kit's table.  A constant (no
+        `args`) is kept by the kit as well, under its op."""
         got = self._cache.get(op)
         if got is None:
-            got = Fst(self.table, *_stored((self._shape_key(), op),
-                                           lambda: _reduced(build()), 0))
-            self._cache[op] = got
+            t = self.table
+            if any(a.table is not t for a in args):
+                raise FsmError("machines built against different symbol tables")
+            parts = tuple((a.n, a.initial, a.finals, tuple(a.arcs), a.is_recognizer)
+                          for a in args)
+            got = Fst(t, *_stored((self._shape_key(), op) + parts, build,
+                                  sum(len(p[3]) for p in parts)))
+            if not args:
+                self._cache[op] = got
         return got
 
-    def _kept(self, op: str, build, *args: Fst) -> Fst:
-        """`build()`, the operation `op` on the machines `args`, built once
-        per table shape and argument parts and stored as it is built, then
-        wrapped on this kit's table: the kit's operations come here through
-        `_memo`, reduced, and the replace factors directly.  A machine on
-        another table is left to `build`, which refuses it or reads it as
-        it always has."""
+    # cells ------------------------------------------------------------
+
+    def _cell(self, glyph_id: int, flag_id: int) -> Fst:
         t = self.table
-        if any(a.table is not t for a in args):
-            return build()
-        parts = tuple((a.n, a.initial, a.finals, tuple(a.arcs), a.is_recognizer)
-                      for a in args)
-        held = sum(len(p[3]) for p in parts)
-        return Fst(t, *_stored((self._shape_key(), op) + parts, build, held))
+        g, f = t.glyph(glyph_id), t.glyph(flag_id)
+        return concat(literal(t, g), literal(t, f))
 
-    @property
+    @_constant
     def lb1(self) -> Fst:
-        return self._memo("lb1", lambda: self._cell(self.table.bracket_ids()[0], 1))
+        return self._cell(self.table.bracket_ids()[0], 1)
 
-    @property
+    @_constant
     def lb2(self) -> Fst:
-        return self._memo("lb2", lambda: self._cell(self.table.bracket_ids()[1], 1))
+        return self._cell(self.table.bracket_ids()[1], 1)
 
-    @property
+    @_constant
     def rb1(self) -> Fst:
-        return self._memo("rb1", lambda: self._cell(self.table.bracket_ids()[2], 1))
+        return self._cell(self.table.bracket_ids()[2], 1)
 
-    @property
+    @_constant
     def rb2(self) -> Fst:
-        return self._memo("rb2", lambda: self._cell(self.table.bracket_ids()[3], 1))
+        return self._cell(self.table.bracket_ids()[3], 1)
 
-    @property
+    @_constant
     def lb(self) -> Fst:
-        return self._memo("lb", lambda: union(self.lb1, self.lb2))
+        return union(self.lb1, self.lb2)
 
-    @property
+    @_constant
     def rb(self) -> Fst:
-        return self._memo("rb", lambda: union(self.rb1, self.rb2))
+        return union(self.rb1, self.rb2)
 
-    @property
+    @_constant
     def b1(self) -> Fst:
-        return self._memo("b1", lambda: union(self.lb1, self.rb1))
+        return union(self.lb1, self.rb1)
 
-    @property
+    @_constant
     def b2(self) -> Fst:
-        return self._memo("b2", lambda: union(self.lb2, self.rb2))
+        return union(self.lb2, self.rb2)
 
-    @property
+    @_constant
     def brack(self) -> Fst:
-        return self._memo("brack", lambda: union(self.lb1, self.lb2, self.rb1, self.rb2))
+        return union(self.lb1, self.lb2, self.rb1, self.rb2)
 
-    @property
+    @_constant
     def sig(self) -> Fst:
         """One ordinary cell: any encodable glyph with flag 0."""
-        def build():
-            t = self.table
-            flag = literal(t, t.glyph(0))
-            return concat(any_of(t, t.encoded_ids()), flag)
-        return self._memo("sig", build)
+        t = self.table
+        return concat(any_of(t, t.encoded_ids()), literal(t, t.glyph(0)))
 
-    @property
+    @_constant
     def xsig(self) -> Fst:
         """One cell of either kind."""
-        return self._memo("xsig", lambda: union(self.sig, self.brack))
+        return union(self.sig, self.brack)
 
-    @property
+    @_constant
     def xsig_star(self) -> Fst:
-        return self._memo("xsig_star", lambda: star(self.xsig))
+        return star(self.xsig)
 
     # relative boolean pieces -------------------------------------------
 
+    @_op
     def not_(self, e: Fst) -> Fst:
         """Cell strings outside L(e)."""
-        return self._memo("not", lambda: difference(self.xsig_star, e), e)
+        return difference(self.xsig_star, e)
 
+    @_op
     def contains(self, e: Fst) -> Fst:
         """Cell strings with a factor in L(e)."""
-        return self._memo(
-            "contains", lambda: concat(self.xsig_star, e, self.xsig_star), e)
+        return concat(self.xsig_star, e, self.xsig_star)
 
     # encoding ----------------------------------------------------------
 
-    @property
+    @_constant
     def non_markers(self) -> Fst:
         """The encoder: each plain user symbol becomes its ordinary cell.
         Its domain is exactly the user-alphabet strings."""
-        def build():
-            t = self.table
-            flag = t.glyph(0)
-            cells = [concat(literal(t, t.glyph(c)), symbol_pair(t, None, flag))
-                     for c in t.user_ids()]
-            if not cells:
-                return empty_string(t)
-            return star(union(*cells))
-        return self._memo("non_markers", build)
+        t = self.table
+        flag = t.glyph(0)
+        cells = [concat(literal(t, t.glyph(c)), symbol_pair(t, None, flag))
+                 for c in t.user_ids()]
+        return star(union(*cells)) if cells else empty_string(t)
 
-    @property
+    @_constant
     def decoder(self) -> Fst:
         """The encoder inverted: each ordinary cell of a user symbol
         becomes that symbol."""
-        return self._memo("decoder", lambda: invert(self.non_markers))
+        return invert(self.non_markers)
 
+    @_op
     def non_markers_of(self, e: Fst) -> Fst:
         """Image of a plain-alphabet language under the encoding."""
-        return self._memo(
-            "non_markers_of",
-            lambda: project(compose(e, self.non_markers), "range"), e)
+        return project(compose(e, self.non_markers), "range")
 
     # marker introduction and ignoring -----------------------------------
 
@@ -286,73 +278,72 @@ class MarkerKit:
         """`cross_product(a, b)`, None standing for the empty string: with
         a None side it inserts or deletes the strings of the other."""
         eps = empty_string(self.table)
-        a, b = eps if a is None else a, eps if b is None else b
-        return self._memo("cross", lambda: cross_product(a, b), a, b)
+        return self._cross(eps if a is None else a, eps if b is None else b)
 
+    @_op
+    def _cross(self, a: Fst, b: Fst) -> Fst:
+        return cross_product(a, b)
+
+    @_op
     def intro(self, s: Fst) -> Fst:
         """Insert cells from `s` anywhere, pass other cells through."""
-        def build():
-            keep = difference(self.xsig, s)
-            ins = cross_product(empty_string(self.table), s)
-            return star(union(keep, ins))
-        return self._memo("intro", build, s)
+        keep = difference(self.xsig, s)
+        return star(union(keep, cross_product(empty_string(self.table), s)))
 
+    @_op
     def strip(self, s: Fst) -> Fst:
         """Delete cells from `s` anywhere, pass other cells through: intro
         inverted."""
-        return self._memo("strip", lambda: invert(self.intro(s)), s)
+        return invert(self.intro(s))
 
+    @_op
     def xintro(self, s: Fst) -> Fst:
         """Like intro, but never inserting at the start."""
-        def build():
-            keep = difference(self.xsig, s)
-            return union(empty_string(self.table), concat(keep, self.intro(s)))
-        return self._memo("xintro", build, s)
+        keep = difference(self.xsig, s)
+        return union(empty_string(self.table), concat(keep, self.intro(s)))
 
+    @_op
     def introx(self, s: Fst) -> Fst:
         """Like intro, but never inserting at the end."""
-        def build():
-            keep = difference(self.xsig, s)
-            return union(empty_string(self.table), concat(self.intro(s), keep))
-        return self._memo("introx", build, s)
+        keep = difference(self.xsig, s)
+        return union(empty_string(self.table), concat(self.intro(s), keep))
 
+    @_op
     def xintrox(self, s: Fst) -> Fst:
         """Like intro, but inserting neither at the start nor at the end."""
-        def build():
-            keep = difference(self.xsig, s)
-            return union(empty_string(self.table), keep,
-                         concat(keep, self.intro(s), keep))
-        return self._memo("xintrox", build, s)
+        keep = difference(self.xsig, s)
+        return union(empty_string(self.table), keep,
+                     concat(keep, self.intro(s), keep))
 
-    def _image(self, op: str, e: Fst, inserter: Fst) -> Fst:
-        """The strings `inserter` makes of L(e), memoized on `e` and the
-        inserter, which the caller looks up first."""
-        return self._memo(
-            op, lambda: project(compose(e, inserter), "range"), e, inserter)
-
+    @_op
     def ign(self, e: Fst, s: Fst) -> Fst:
-        return self._image("ign", e, self.intro(s))
+        return project(compose(e, self.intro(s)), "range")
 
+    @_op
     def xign(self, e: Fst, s: Fst) -> Fst:
-        return self._image("xign", e, self.xintro(s))
+        return project(compose(e, self.xintro(s)), "range")
 
+    @_op
     def ignx(self, e: Fst, s: Fst) -> Fst:
-        return self._image("ignx", e, self.introx(s))
+        return project(compose(e, self.introx(s)), "range")
 
+    @_op
     def xignx(self, e: Fst, s: Fst) -> Fst:
-        return self._image("xignx", e, self.xintrox(s))
+        return project(compose(e, self.xintrox(s)), "range")
 
+    @_op
     def ignx_1(self, e1: Fst, e2: Fst) -> Fst:
         """Strings of e1 with at least one e2 string wedged in, none of
         them at the very end.  Unlike the intro family this works at the
         raw symbol level, so e2 need not be whole cells."""
-        def build():
-            t = self.table
-            anysym = any_of(t, t.all_ids())
-            return concat(plus(concat(star(anysym),
-                                      cross_product(empty_string(t), e2))),
-                          plus(anysym))
-        return self._image("ignx_1", e1, self._memo("wedge", build, e2))
+        return project(compose(e1, self._wedge(e2)), "range")
+
+    @_op
+    def _wedge(self, s: Fst) -> Fst:
+        t = self.table
+        anysym = any_of(t, t.all_ids())
+        return concat(plus(concat(star(anysym), cross_product(empty_string(t), s))),
+                      plus(anysym))
 
     # marker filters as one-direction scans --------------------------------
 
@@ -370,7 +361,12 @@ class MarkerKit:
         A scan state is a subset at a boundary, or, halfway through a
         cell, the subset and the symbols that may still complete the cell.
         A backward scan accepts the reversed tapes, so it is reversed back;
-        `_memo` minimizes it, which gives equal languages equal machines."""
+        the operation that called it (`_op`) minimizes it, which gives
+        equal languages equal machines.  `pattern` and `cell` must be
+        recognizers."""
+        _require_recognizer(pattern, "a scan")
+        if cell is not None:
+            _require_recognizer(cell, "a scan")
         t = self.table
         adj: list[dict[int, list[int]]] = [{} for _ in range(pattern.n)]
         for s, i, _, d in pattern.arcs:
@@ -411,16 +407,17 @@ class MarkerKit:
         scan = _finish(t, len(keys), 0, finals, arcs)
         return reverse(scan) if backward else scan
 
-    @property
+    @_constant
     def stacked_rb(self) -> Fst:
         """Left brackets stacked at one position, then a right bracket:
         what follows the end of an occurrence at a marked position."""
-        return self._memo("stacked_rb", lambda: concat(star(self.lb), self.rb))
+        return concat(star(self.lb), self.rb)
 
-    @property
+    @_constant
     def _rev_xsig_star(self) -> Fst:
-        return self._memo("rev_xsig_star", lambda: star(reverse(self.xsig)))
+        return star(reverse(self.xsig))
 
+    @_op
     def mark_iff(self, cell: Fst, p: Fst) -> Fst:
         """`l_iff_r(cell, p)`: the positions after a `cell` are exactly the
         positions before a string of `p`.
@@ -432,24 +429,19 @@ class MarkerKit:
         of the tape, where no cell comes before, it must not be final.
         Read forwards, the same test would need a subset tracking every
         open `p` match that some `cell` has promised."""
-        return self._memo(
-            "mark_iff",
-            lambda: self._scan(concat(self._rev_xsig_star, reverse(p)), cell,
-                               True, lambda final, hit: hit == final),
-            cell, p)
+        return self._scan(concat(self._rev_xsig_star, reverse(p)), cell, True,
+                          lambda final, hit: hit == final)
 
+    @_op
     def guard_before(self, cell: Fst, a: Fst) -> Fst:
         """`if_s_then_p(a, cell xsig*)`: every `cell` follows a prefix in
         `a`.
 
         The scan runs forwards, since the test is on prefixes: the subset
         machine of `a` must be final wherever the next cell is a `cell`."""
-        return self._memo(
-            "guard_before",
-            lambda: self._scan(a, cell, False,
-                               lambda final, hit: final or not hit),
-            cell, a)
+        return self._scan(a, cell, False, lambda final, hit: final or not hit)
 
+    @_op
     def not_contains(self, k: Fst) -> Fst:
         """`not_(contains(k))`: the cell strings with no factor in `k`.
 
@@ -460,18 +452,15 @@ class MarkerKit:
         `xsig* k`, which tracks every `k` match still open: for the `k`
         that `longest_match` builds on one 5-state T over three symbols,
         the backward one has 655 subsets and the forward one over 200 000."""
-        return self._memo(
-            "not_contains",
-            lambda: self._scan(concat(self._rev_xsig_star, reverse(k)), None,
-                               True, lambda final, hit: not final),
-            k)
+        return self._scan(concat(self._rev_xsig_star, reverse(k)), None, True,
+                          lambda final, hit: not final)
 
     # the whole symbol table ----------------------------------------------
 
-    @property
+    @_constant
     def true(self) -> Fst:
-        return self._memo("true", lambda: sigma_star(self.table, self.table.all_ids()))
+        return sigma_star(self.table, self.table.all_ids())
 
-    @property
+    @_constant
     def false(self) -> Fst:
-        return self._memo("false", lambda: empty_lang(self.table))
+        return empty_lang(self.table)

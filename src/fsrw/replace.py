@@ -159,10 +159,10 @@ def replace_factors(t: Fst, left: Fst, right: Fst, optimized: bool = False,
     the empty string exactly when the plain one does.
 
     Factors 2 to 8 each read one machine: the encoded Right, phi (dom(T)
-    encoded), the encoded Left, or T.  The kit's one store keeps them, as
-    built and not reduced, so they are the machines a cold build makes,
-    keyed by the table's shape, the factor with the flags it reads, and
-    that machine.  A rule takes them from the store when it repeats an
+    encoded), the encoded Left, or T.  The marker store (`fsrw.markers`)
+    keeps them as built, not reduced, so they are the machines a cold
+    build makes, keyed by the factor with the flags it reads and that
+    machine.  A rule takes them from the store when it repeats an
     encoded domain, context or target of an earlier rule over a table of
     the same shape in the same process.  Of the 240 rules in the verify
     benchmark's first five batches at seed 1, 72 % repeat a domain, 74 %
@@ -178,14 +178,14 @@ def replace_factors(t: Fst, left: Fst, right: Fst, optimized: bool = False,
                         for e in (project(t, "domain"), left, right))
     return [
         kit.non_markers,
-        kit._kept("r_right", lambda: r_right(kit, right), right),
-        kit._kept("f_phi", lambda: f_phi(kit, phi), phi),
-        kit._kept("left_to_right", lambda: left_to_right(kit, phi), phi),
-        kit._kept("longest_match %d %d" % (optimized, stack_safe),
+        kit._keep("r_right", lambda: r_right(kit, right), right),
+        kit._keep("f_phi", lambda: f_phi(kit, phi), phi),
+        kit._keep("left_to_right", lambda: left_to_right(kit, phi), phi),
+        kit._keep("longest_match %d %d" % (optimized, stack_safe),
                   lambda: longest_match(kit, phi, optimized, stack_safe), phi),
-        kit._kept("aux_replace", lambda: aux_replace(kit, t), t),
-        kit._kept("l1 %d" % stack_safe, lambda: l1(kit, left, stack_safe), left),
-        kit._kept("l2 %d" % stack_safe, lambda: l2(kit, left, stack_safe), left),
+        kit._keep("aux_replace", lambda: aux_replace(kit, t), t),
+        kit._keep("l1 %d" % stack_safe, lambda: l1(kit, left, stack_safe), left),
+        kit._keep("l2 %d" % stack_safe, lambda: l2(kit, left, stack_safe), left),
         invert(kit.non_markers),
     ]
 

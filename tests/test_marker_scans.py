@@ -16,6 +16,7 @@ import pytest
 import fsrw.markers as markers
 from fsrw import (
     EPS,
+    FsmError,
     MarkerKit,
     SymbolTable,
     accepts,
@@ -135,3 +136,17 @@ def test_mark_iff_reads_bracket_glyphs_as_text(kit):
     assert accepts(m, ["<2", "0", "<2", "1", "a", "0"])
     assert not accepts(m, ["<2", "0", "a", "0"])
     assert not accepts(m, ["<2", "1", "b", "0"])
+
+
+def test_the_scans_refuse_a_transduction(kit):
+    # like `not_`, which is a difference: a scan reads a language of cell
+    # strings, not the input side of a transduction
+    t = kit.cross(kit.sig, kit.lb1)
+    for scan in (lambda: kit.guard_before(kit.lb1, t),
+                 lambda: kit.guard_before(t, kit.xsig_star),
+                 lambda: kit.mark_iff(kit.lb1, t),
+                 lambda: kit.mark_iff(t, kit.sig),
+                 lambda: kit.not_contains(t),
+                 lambda: kit.not_(t)):
+        with pytest.raises(FsmError, match="of a transduction is undefined"):
+            scan()

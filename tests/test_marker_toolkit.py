@@ -396,7 +396,7 @@ def test_every_constant_keeps_its_formula(shape_cache):
     # the touch, on an empty store, stored those constants and the ignx_1
     # images it asked for, nothing else
     images = {(kit._shape_key(), "ignx_1", parts_of(empty_lang(kit.table)),
-               parts_of(cache["wedge", s])) for s in BRACKET_SETS}
+               parts_of(cache[s])) for s in BRACKET_SETS}
     assert set(markers._shape_cache) == {store_key(kit, name)
                                          for name in cache} | images
     for name, m in cache.items():
@@ -622,6 +622,34 @@ def test_a_context_on_another_table_is_refused_though_memoized(shape_cache):
         replace(t, empty_string(other), empty_string(mine))
 
 
+def test_a_machine_on_another_table_is_refused_by_every_method(shape_cache):
+    # each argument in turn from a table of the same shape: the store
+    # refuses it before any lookup or build, so nothing is stored
+    mine, other = MarkerKit(SymbolTable("ab")), MarkerKit(SymbolTable("ab"))
+    for name, arity in kit_methods():
+        def machine(kit):
+            return literal(kit.table, "a") if name == "non_markers_of" else kit.lb1
+        for k in range(arity):
+            args = [machine(other if i == k else mine) for i in range(arity)]
+            held = dict(markers._shape_cache)
+            with pytest.raises(FsmError, match="different symbol tables"):
+                getattr(mine, name)(*args)
+            assert markers._shape_cache == held, (name, k)
+
+
+@pytest.mark.parametrize("op", ["ign", "xign", "ignx", "xignx", "ignx_1"])
+def test_a_stored_image_is_one_lookup(shape_cache, op):
+    # keyed by the set itself, not by the inserter built from it
+    kit = MarkerKit(SymbolTable("ab"))
+    e = kit.non_markers_of(word(kit.table, "ab"))
+    first = getattr(kit, op)(e, kit.lb1)
+    kit = MarkerKit(SymbolTable("xy"))
+    e, s = kit.non_markers_of(word(kit.table, "xy")), kit.lb1
+    lookups, builds = count_memo(shape_cache)
+    assert getattr(kit, op)(e, s).arcs is first.arcs
+    assert (dict(lookups), builds.total()) == ({op: 1}, 0)
+
+
 FLAG_PAIRS = list(itertools.product((False, True), (True, False)))
 
 
@@ -681,7 +709,7 @@ def test_the_builtins_repeat_exactly_from_the_memo(shape_cache):
                "{ign(non_markers([a, b*]), lb1), ign(non_markers([a, b*]), lb1)}"
                " & not(non_markers(b)) & not(non_markers(b)).")
     with pytest.MonkeyPatch.context() as unmemoized:
-        unmemoized.setattr(MarkerKit, "_memo",
+        unmemoized.setattr(MarkerKit, "_keep",
                            lambda self, op, build, *args: build())
         expected = dump_text(compile_rules(program).machine)
     lookups, builds = count_memo(shape_cache)
