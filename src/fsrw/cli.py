@@ -7,7 +7,9 @@
     fsrw check -r rules.fsr [--samples N] [--max-len N] [--seed N]
 
 Exit codes: 0 success, 1 compile or check failure, 2 unusable input
-(missing file, malformed machine file, unsupported rule shape).
+(missing file, malformed machine file, unsupported rule shape: `check`
+on a rule that is neither a replace nor an lm_concat rule, `compile
+--cascade` on one that is not a replace rule).
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ def _load_machine(path: str) -> Fst:
 
 def cmd_compile(args) -> int:
     comp = dsl.compile_rules(_read(args.rules))
+    if args.cascade and comp.kind != "replace":
+        raise _UsageError("only a replace rule splits into cascade factors")
     text = dump.dump_text(comp.factors() if args.cascade else comp.machine)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -36,7 +36,6 @@ from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
 
 from .capture import lm_concat as _lm_concat
-from .replace import compose_cascade
 from .replace import replace as _replace
 from .replace import replace_factors as _replace_factors
 from .fsm import (
@@ -827,29 +826,43 @@ class Compiler:
 
 class CompiledProgram:
     """A compiled rule file: the machine plus enough structure for the
-    oracle checks and for cascaded application."""
+    oracle checks and for cascaded application.
 
-    def __init__(self, ast, table, machine, kind, pieces, factors=None):
+    `kind` is "replace", "lm_concat" or "plain", after the top node of the
+    expanded tree `ast`; `pieces` are the compiled target, left and right
+    of a replace rule, the compiled parts of an lm_concat rule, or None.
+    One `Compiler` builds the pieces and, except for a replace rule, the
+    machine, when the program is made.  A replace rule's machine is folded
+    by `replace.replace` on first use, and its nine factors are built by
+    `replace_factors` when `factors()` is first called; each is kept once
+    built, so `fsrw compile --cascade` never folds.  A context that is not
+    a recognizer raises its `FsmError` when the machine or the factors are
+    first asked for, not when the program is made."""
+
+    def __init__(self, ast, table: SymbolTable):
         self.ast = ast
         self.table = table
-        self._machine = machine  # None for replace until first asked for
-        self.kind = kind  # "replace" | "lm_concat" | "plain"
-        self.pieces = pieces  # per kind: (t, left, right) or list of parts
-        self._factors = factors  # replace only: the cascade machine folds
+        comp = Compiler(table)
+        self.kind = "replace" if isinstance(ast, Replace) else \
+            "lm_concat" if isinstance(ast, LmConcat) else "plain"
+        self.pieces = None if self.kind == "plain" else \
+            [comp.compile(x) for x in _children_rebuilder(ast)[0]]
+        self._machine = None if self.kind == "replace" else comp.compile(ast)
+        self._factors = None
 
     @property
     def machine(self) -> Fst:
-        """The program as one machine.  A top-level replace rule is kept as
-        its nine factors, folded by `compose_cascade` on first use and
-        then kept, so `fsrw compile --cascade`, which writes the factors,
-        never folds them."""
+        """The program as one machine."""
         if self._machine is None:
-            self._machine = compose_cascade(self._factors)
+            self._machine = _replace(*self.pieces)
         return self._machine
 
     def factors(self) -> list[Fst]:
-        if self._factors is None:
+        """A replace rule's nine cascade factors, in application order."""
+        if self.kind != "replace":
             raise RuleError("only a replace rule splits into cascade factors")
+        if self._factors is None:
+            self._factors = _replace_factors(*self.pieces)
         return self._factors
 
 
@@ -860,30 +873,13 @@ def compile_program(ast, table: SymbolTable) -> Fst:
 
 @_front_door
 def compile_rules(text: str) -> CompiledProgram:
-    """Front door: parse, expand, build the alphabet, compile.  A top-level
-    replace or lm_concat rule is built from its pieces, each compiled once."""
+    """Front door: parse, expand, build the alphabet, compile."""
     program = parse_program(text)
     env = macro_env(program)
     ast = expand_macros(program.main, env)
     glyphs = collect_user_glyphs(ast, list(program.alphabet))
     table = SymbolTable(glyphs)
-    comp = Compiler(table)
-    factors = None
-    if isinstance(ast, Replace):
-        pieces = (comp.compile(ast.target), comp.compile(ast.left),
-                  comp.compile(ast.right))
-        factors = _replace_factors(*pieces)
-        machine = None
-        kind = "replace"
-    elif isinstance(ast, LmConcat):
-        pieces = [comp.compile(x) for x in ast.items]
-        machine = _lm_concat(pieces)
-        kind = "lm_concat"
-    else:
-        pieces = None
-        machine = comp.compile(ast)
-        kind = "plain"
-    return CompiledProgram(ast, table, machine, kind, pieces, factors)
+    return CompiledProgram(ast, table)
 
 
 # ---------------------------------------------------------------------------

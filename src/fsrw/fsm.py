@@ -956,13 +956,16 @@ class InputTables:
         """The outputs of steps lo..hi - 1 of `trail`, none of them
         endless, from live state `entry` of position lo to the exit of
         step hi - 1.  Cached by the entry and the steps (each step stands
-        for its key (L[p], symbol, R[p + 1]))."""
+        for its key (L[p], symbol, R[p + 1])), unless the stretch reads
+        every symbol of the line (the last step, at the end of the input,
+        reads none): only the same line again would find it."""
         key = (entry, *trail[lo:hi])
         seg = self.segments.get(key)
         if seg is None:
             seg = _Segment(_acyclic_outputs(*_output_dfa(trail, lo, hi, entry), self.glyph))
-            self.segments[key] = seg
-            self.held += len(seg.tuples)
+            if lo > 0 or hi < len(trail) - 1:
+                self.segments[key] = seg
+                self.held += len(seg.tuples)
         return seg
 
 

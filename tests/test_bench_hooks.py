@@ -58,6 +58,22 @@ def test_tracer_records_a_cascade_compile(spans, tmp_path, monkeypatch):
         assert metrics["replace.factor.%s.arcs" % f] > 0
 
 
+def test_tracer_records_a_top_level_fold(spans, tmp_path):
+    # a top-level replace rule folds through replace.replace, as a nested
+    # one does, so each step of its cascade is counted
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rc = main(["compile", "-r", str(ROOT / "rules" / "abbrev.fsr"),
+                   "-o", str(tmp_path / "abbrev.fsm")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    metrics = spans.layer_metrics(tracer.spans, {})
+    for k in range(1, 9):
+        assert metrics["replace.step.%d.arcs_composed" % k] > 0
+
+
 def test_tracer_counts_every_kit(spans, tmp_path, monkeypatch):
     # counted under the tracer's own wrapper: cascade27 makes a kit per
     # replace rule, and calls no builtin, so the compiler makes none

@@ -633,28 +633,59 @@ def test_endless_matches_a_brute_force_cycle_search(tb):
     assert endless >= 50
 
 
-def test_segment_cache_counts_toward_the_cap():
-    # one x written in place of any one symbol: n outputs, and no cut
-    # until the end, so each line caches one segment of its own
-    tb = SymbolTable("abx")
-    m = _arc_machine(tb, 2, [1], [(0, s, s, 0) for s in "ab"]
-                     + [(0, s, "x", 1) for s in "ab"] + [(1, s, s, 1) for s in "ab"])
-    rng = random.Random(25)
-    lines = set()
-    while len(lines) < 1500:
-        lines.add("".join(rng.choice("ab") for _ in range(rng.randint(10, 20))))
+def _x_in_each_block(tb, separator):
+    """x written in place of any one symbol of each block over {a, b};
+    `separator`, if any, closes a block and starts the next."""
+    arcs = [(0, s, s, 0) for s in "ab"] + [(0, s, "x", 1) for s in "ab"] \
+        + [(1, s, s, 1) for s in "ab"]
+    if separator:
+        arcs.append((1, separator, separator, 0))
+    return _arc_machine(tb, 2, [1], arcs)
+
+
+def _one_x_each(block):
+    return [block[:i] + "x" + block[i + 1:] for i in range(len(block))]
+
+
+def _tables_renewed(m, lines, want):
+    """Apply `m` to `lines` against `want`; how often the tables started
+    afresh.  They stay under the cap, and segment outputs are nearly all
+    they hold."""
     renewed = 0
     tables = m.input_tables()
-    for line in sorted(lines):
-        want = sorted(line[:i] + "x" + line[i + 1:] for i in range(len(line)))
-        assert transduce(m, line).strings() == want
+    for line in lines:
+        assert transduce(m, line).strings() == want(line)
         size = m.input_tables().size()
         assert size <= fsm.INPUT_TABLE_CAP
         renewed += m.input_tables() is not tables
         tables = m.input_tables()
-        # nearly everything the tables hold is segment outputs
         assert size - tables.held < 50
-    assert renewed >= 2  # the cap was reached and the tables started afresh
+    return renewed
+
+
+def test_segment_cache_counts_toward_the_cap():
+    # one block, n outputs and no cut before its last symbol: a stretch
+    # that reads the whole line, which only the same line could find, so
+    # nothing is kept and the tables are never renewed
+    m = _x_in_each_block(SymbolTable("abx"), None)
+    rng = random.Random(25)
+    lines = set()
+    while len(lines) < 1500:
+        lines.add("".join(rng.choice("ab") for _ in range(rng.randint(10, 20))))
+    assert _tables_renewed(m, sorted(lines), lambda line: sorted(_one_x_each(line))) == 0
+    assert m.input_tables().held == 0 and not m.input_tables().segments
+    # c closes each block's one x: the line is cut after every block, and
+    # each block's outputs are kept and count toward the cap
+    m = _x_in_each_block(SymbolTable("abcx"), "c")
+    lines = set()
+    while len(lines) < 1500:
+        lines.add("c".join("".join(rng.choice("ab") for _ in range(rng.randint(6, 12)))
+                           for _ in range(rng.randint(2, 3))))
+
+    def want(line):
+        return sorted("c".join(p) for p in itertools.product(*map(_one_x_each, line.split("c"))))
+
+    assert _tables_renewed(m, sorted(lines), want) >= 2
 
 
 def _nth_from_last_is_a(tb, k):
