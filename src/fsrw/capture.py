@@ -4,26 +4,32 @@ A sequence of transductions T1..Tn applied to one string: the string is
 split into n pieces, piece i drawn from dom(Ti), with earlier pieces taking
 the longest span that still lets the rest parse; each piece is then
 rewritten by its own transduction.  The split is marked with lb1 cells,
-wrong splits are filtered out, and the pieces are transduced while the
-markers are consumed.
+wrong splits are removed from the marked language by difference, and the
+pieces are transduced while the markers are consumed.
 
-The filter set is generated per n (one filter for each piece but the last),
-since no single calculus expression covers all lengths.
+The killers that name the wrong splits are generated per n (one for each
+piece but the last), since no single calculus expression covers all
+lengths.  Where Kaplan & Kay compose the marking transducer B with the
+complement of each killer K, this takes range(B) minus every K and
+composes B with that once: restricting B's output to Sigma* - K is the
+same as restricting it to range(B) - K, and composing with an identity
+recognizer keeps B's alignment, so the pair language is the same, and no
+killer is complemented over the full table.
 """
 
 from __future__ import annotations
 
+from .fsm import complement  # noqa: F401  patched by bench/spans.py
 from .fsm import (
     Fst,
     FsmError,
-    complement,
     compose,
     concat,
+    difference,
     project,
     reduce_pairs,
 )
 from .markers import MarkerKit
-from .replace import compose_cascade
 
 
 def boundaries(kit: MarkerKit, domains: list[Fst]) -> Fst:
@@ -38,26 +44,39 @@ def boundaries(kit: MarkerKit, domains: list[Fst]) -> Fst:
 
 
 def greed_filters(kit: MarkerKit, domains: list[Fst]) -> list[Fst]:
-    """One filter per piece except the last.  Filter i kills any marking
+    """One killer per piece except the last: killer i holds every marking
     where, keeping pieces 1..i-1 exactly as marked, piece i could extend
     further (its boundary falls strictly inside a longer dom-instance) and
     the remaining pieces still parse with markers ignored.  A single piece
-    needs no filter."""
+    needs none.  The killers are recognizers over the marked alphabet; the
+    filters of Kaplan & Kay are their complements."""
     images = [kit.non_markers_of(d) for d in domains]
     # the marker-ignoring closures of pieces 2..n, the only ones a filter reads
     ign_tail = [kit.ign(img, kit.lb1) for img in images[1:]]
-    filters = []
+    killers = []
     front: list[Fst] = []
     for i in range(len(domains) - 1):
         killer = concat(*front, kit.ignx_1(images[i], kit.lb1), *ign_tail[i:])
-        filters.append(complement(killer))
+        killers.append(killer)
         front.extend([images[i], kit.lb1])
-    return filters
+    return killers
 
 
 def mark_boundaries(kit: MarkerKit, domains: list[Fst]) -> Fst:
-    return compose_cascade([boundaries(kit, domains),
-                            *greed_filters(kit, domains)])
+    """The marking transducer B of `boundaries` with its output restricted
+    to the greedy splits: range(B) minus every killer, each removed by one
+    `difference` with the killer's subset machine, then composed into B
+    once.  B maps only into range(B), so range(B) - K restricts it as
+    Sigma* - K does, and the reduced machine is that of B composed with
+    the complement of each killer in turn."""
+    marks = boundaries(kit, domains)
+    killers = greed_filters(kit, domains)
+    if not killers:
+        return marks
+    greedy = project(marks, "range")
+    for killer in killers:
+        greedy = difference(greedy, killer)
+    return reduce_pairs(compose(marks, greedy))
 
 
 def lm_concat(ts: list[Fst]) -> Fst:

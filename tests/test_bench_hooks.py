@@ -74,6 +74,20 @@ def test_tracer_records_a_top_level_fold(spans, tmp_path):
         assert metrics["replace.step.%d.arcs_composed" % k] > 0
 
 
+def test_tracer_records_an_lm_concat_compile(spans, tmp_path):
+    # the capture layer keeps the names the tracer times it by
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rc = main(["compile", "-r", str(ROOT / "bench" / "rules" / "lm3.fsr"),
+                   "-o", str(tmp_path / "lm3.fsm")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    names = {sp.name for sp in tracer.spans}
+    assert {"capture.lm_concat", "capture.boundaries", "capture.compose"} <= names
+
+
 def test_tracer_counts_every_kit(spans, tmp_path, monkeypatch):
     # counted under the tracer's own wrapper: cascade27 makes a kit per
     # replace rule, and calls no builtin, so the compiler makes none

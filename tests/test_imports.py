@@ -5,8 +5,9 @@ package.
 A name listed in the module's `__all__` counts as used (the package
 re-exports it), and so does an import whose line is marked
 `# noqa: F401`, but only when the benchmark's tracer (`bench/spans.py`)
-patches that name on that module (`cli.py` keeps `compose` and
-`reduce_pairs` for it), so a stale mark fails.  A private name (`_x`: a
+patches that name on that module, directly or through a name bound to the
+module (`cli.py` keeps `compose` and `reduce_pairs` for it, `capture.py`
+keeps `complement`), so a stale mark fails.  A private name (`_x`: a
 function, class or assignment at module level, or a method of a class)
 counts as used when something outside its own definition names it: as a
 plain name, as an attribute, or in a `from ... import`."""
@@ -57,15 +58,47 @@ def exempt_imports(source: str) -> list[str]:
                   for alias in node.names)
 
 
+def _aliases(tree) -> dict[str, str]:
+    """name -> the expression it is bound to, for each plain or tuple
+    assignment in the tracer's source (`cap = fsrw.capture`,
+    `dsl, rep = fsrw.dsl, replace_module`); an
+    `importlib.import_module("fsrw.x")` call stands for `fsrw.x`, and a
+    name bound earlier stands for what it is bound to (the walk meets
+    module-level assignments before those in function bodies)."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+            continue
+        target, value = node.targets[0], node.value
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+            pairs = zip(target.elts, value.elts)
+        else:
+            pairs = [(target, value)]
+        for name, bound in pairs:
+            if not isinstance(name, ast.Name):
+                continue
+            if (isinstance(bound, ast.Call)
+                    and ast.unparse(bound.func) == "importlib.import_module"
+                    and bound.args and isinstance(bound.args[0], ast.Constant)):
+                aliases[name.id] = bound.args[0].value
+            else:
+                text = ast.unparse(bound)
+                aliases[name.id] = aliases.get(text, text)
+    return aliases
+
+
 def patched_names(source: str) -> set[tuple[str, str]]:
-    """(module, name) for each `patch(fsrw.<module>, "name", ...)` call in
-    the tracer's source."""
+    """(module, name) for each `patch(<owner>, "name", ...)` call in the
+    tracer's source whose owner is `fsrw.<module>` or a name bound to it."""
+    tree = ast.parse(source)
+    aliases = _aliases(tree)
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "patch" and len(node.args) >= 2
                 and isinstance(node.args[1], ast.Constant)):
             owner = ast.unparse(node.args[0])
+            owner = aliases.get(owner, owner)
             if owner.startswith("fsrw."):
                 found.add((owner[len("fsrw."):], node.args[1].value))
     return found
@@ -112,6 +145,22 @@ def test_a_stale_noqa_import_is_reported():
     assert stale_exemptions(source, "cli", spans) == ["reduce_pairs", "union"]
     assert stale_exemptions(source, "cli", SPANS.read_text(encoding="utf-8")) == [
         "minimize", "union"]
+    # an owner bound to a module by assignment counts as that module, so a
+    # name patched through the alias keeps its mark and any other is stale
+    aliased = ("import importlib\n"
+               "import fsrw.capture\n"
+               "mod = importlib.import_module('fsrw.replace')\n"
+               "cap, rep = fsrw.capture, mod\n"
+               "tracer.patch(cap, 'compose', 'capture.compose')\n"
+               "tracer.patch(rep, 'reduce_pairs', 'replace.reduce_pairs')\n")
+    assert patched_names(aliased) == {("capture", "compose"),
+                                      ("replace", "reduce_pairs")}
+    assert stale_exemptions(source, "capture", aliased) == [
+        "minimize", "reduce_pairs", "union"]
+    assert stale_exemptions(source, "replace", aliased) == [
+        "compose", "minimize", "union"]
+    assert stale_exemptions("from .fsm import complement  # noqa: F401\n", "capture",
+                            SPANS.read_text(encoding="utf-8")) == []
 
 
 def _private_definitions(stmt) -> list[tuple[str, ast.AST]]:

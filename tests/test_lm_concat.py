@@ -5,11 +5,18 @@ The machine must commit to the same split the scanning procedure
 (oracle_lm_split) finds, or reject the input outright when no split
 exists."""
 
+import random
+from pathlib import Path
+
 import pytest
 
+import fsrw.capture
 from fsrw import (
     FsmError,
     SymbolTable,
+    complement,
+    compile_rules,
+    compose_cascade,
     concat,
     cross_product,
     empty_string,
@@ -19,13 +26,17 @@ from fsrw import (
     MarkerKit,
     oracle_lm_concat,
     option,
+    project,
+    sigma_star,
     star,
     transduce,
     union,
     word,
 )
 
-from gen import all_strings
+from gen import all_strings, build_regex, random_regex
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def out(m, s):
@@ -120,3 +131,72 @@ def test_mark_boundaries_places_one_marker_per_piece():
     m = mark_boundaries(kit, [literal(tb, "a"), literal(tb, "b")])
     res = transduce(m, ["a", "b"])
     assert set(res.strings()) == {"a0<11b0<11"}
+
+
+# mark_boundaries removes the killers from range(B) by difference and
+# composes B with the rest once; Kaplan & Kay compose B with the complement
+# of each killer in turn.  Both give the same pair language, so the same
+# reduced machine.
+
+
+def marked_by_complements(kit, domains):
+    """The marking of Kaplan & Kay: the boundary transducer composed with
+    the complement of each killer, reduced after every step."""
+    return compose_cascade([fsrw.capture.boundaries(kit, domains),
+                            *(complement(k)
+                              for k in fsrw.capture.greed_filters(kit, domains))])
+
+
+def assert_same_marking(domains):
+    kit = MarkerKit(domains[0].table)
+    new = fsrw.capture.mark_boundaries(kit, domains)
+    assert new.same_structure(marked_by_complements(kit, domains))
+
+
+def random_domain(rng, table):
+    """A random regex over the table's user glyphs; one in four also
+    accepts the empty string, one in five is SIGMA*."""
+    roll = rng.random()
+    if roll < 0.2:
+        return sigma_star(table, table.user_ids())
+    node = random_regex(rng, table.user_glyphs(), depth=2)
+    if roll < 0.45:
+        node = ("option", node)
+    return build_regex(node, table)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_marking_by_difference_matches_the_complement_filters(seed):
+    rng = random.Random(seed)
+    table = SymbolTable("abc"[:rng.randint(1, 3)])
+    assert_same_marking([random_domain(rng, table)
+                         for _ in range(rng.randint(1, 4))])
+
+
+def test_marking_by_difference_on_empty_string_and_sigma_star_pieces():
+    tb = SymbolTable("ab")
+    a, b = literal(tb, "a"), literal(tb, "b")
+    sig = sigma_star(tb, tb.user_ids())
+    for domains in ([empty_string(tb), a], [option(a), sig, star(b)],
+                    [sig, sig], [sig, empty_string(tb), sig, option(b)],
+                    [star(a), option(b), star(a), b]):
+        assert_same_marking(domains)
+
+
+@pytest.mark.parametrize("name", ["lm3", "lm5"])
+def test_marking_by_difference_on_the_bench_captures(name):
+    program = compile_rules((ROOT / "bench" / "rules" / (name + ".fsr")).read_text())
+    assert_same_marking([project(t, "domain") for t in program.pieces])
+
+
+def test_a_large_capture_is_the_same_machine_as_with_complements(monkeypatch):
+    # [{a,b}*, a, {a,b}^j], [{a,b}^j, b, {a,b}*], {a,b}*, for j = 3
+    tb = SymbolTable("ab")
+    ab = union(literal(tb, "a"), literal(tb, "b"))
+    ab_j = concat(*[ab] * 3)
+    pieces = [concat(star(ab), literal(tb, "a"), ab_j),
+              concat(ab_j, literal(tb, "b"), star(ab)),
+              star(ab)]
+    got = lm_concat(pieces)
+    monkeypatch.setattr(fsrw.capture, "mark_boundaries", marked_by_complements)
+    assert got.same_structure(lm_concat(pieces))
