@@ -173,8 +173,7 @@ def cmd_check(args) -> int:
         def expected(toks):
             return oracle.oracle_lm_concat(parts, toks)
     else:
-        print("error: check needs a replace or lm_concat rule", file=sys.stderr)
-        return 2
+        raise _UsageError("check needs a replace or lm_concat rule")
     inputs = _random_inputs(comp.table.user_glyphs(), args.samples, args.max_len, args.seed)
     checked = skipped = 0
     for toks in inputs:

@@ -13,25 +13,30 @@ the whole symbol table since they only carry emptiness.
 
 Every machine the kit makes depends only on the table's shape, its size
 and its user ids, and on the machines it is called with, so each is built
-once per alphabet shape per process and kept in one store, `_shape_cache`,
-through one entry point, `MarkerKit._keep`.  Its key is (shape, op, the
-parts (n, initial, finals, arcs, is_recognizer) of each machine argument);
-a constant has no argument, and the kit that asked for it keeps it too.
-Every kit over a table of that shape wraps the same arcs on its own table;
-a machine argument on another table is refused with FsmError.  Each
-operation is named once, by the method that defines it (`_op`), and what
-it builds is reduced before it is stored: a recognizer to its minimal
-machine, a transduction by `reduce_pairs`.  Unreduced, the closures the
-constants are built with (`star` of a `union`, say) copy arcs onto every
-final state and grow with the square of the alphabet, and every factor and
-composition of a compile would pay for it.  The filters (`non_markers_of`,
-`not_`, the `ign` family, `ignx_1`, the scans) each read only one of
-dom(T), Left or Right, so the rules that share a context or a domain over
-one alphabet shape share its filters.  The same store keeps seven of the
-nine replace factors (`fsrw.replace.replace_factors`), each keyed by its
-name, the flags it reads and the one machine it reads, and kept as built,
-not reduced, so that a rule that repeats an encoded domain, context or
-target over one shape, in one process, takes the factors built for it.
+once per alphabet shape per process and kept in one store, `_shape_cache`.
+There is one way in, the decorator `_op`, which names each entry by the
+function it decorates and its arguments that are no machines, and calls
+`MarkerKit._keep`.  The key is (shape, op, the parts (n, initial, finals,
+arcs, is_recognizer) of each machine argument); a constant has no
+argument, and the kit that asked for it keeps it too.  Every kit over a
+table of that shape wraps the same arcs on its own table; a machine
+argument on another table is refused with FsmError.  The store keeps what
+a construction returns, so the constructions that can come out unreduced
+reduce themselves: the constants, `contains`, `_cross`, the intro family,
+`_wedge` and the scans, a recognizer to its minimal machine and a
+transduction by `reduce_pairs`.  Unreduced, the closures they are built
+with (`star` of a `union`, say) copy arcs onto every final state and grow
+with the square of the alphabet, and every factor and composition of a
+compile would pay for it.  The rest come out minimal from `difference` or
+`project`, or, as `strip`, invert a reduced machine.  The filters
+(`non_markers_of`, `not_`, the `ign` family, `ignx_1`, the scans) each
+read only one of dom(T), Left or Right, so the rules that share a context
+or a domain over one alphabet shape share its filters.  Seven of the nine
+replace factors (`fsrw.replace.replace_factors`) are `_op`s too, each
+keyed by its name, the flags it reads and the one machine it reads, and
+kept as built, not reduced, so that a rule that repeats an encoded domain,
+context or target over one shape, in one process, takes the factors built
+for it.
 
 The store never holds more than SHAPE_CACHE_CAP arcs, counting each
 entry's machine and the machine arguments in its key; the factors, kept
@@ -117,20 +122,26 @@ def _stored(key, build, held: int) -> tuple:
 
 
 def _op(method):
-    """A kit operation, kept in the store under the method's own name
-    (`not_` is "not", `_wedge` "wedge") and the machines it is called
-    with, its result reduced."""
-    op = method.__name__.strip("_")
+    """An operation kept in the store: a kit method, or a replace factor
+    called with the kit first.  Its entry is named by the function's own
+    name (`not_` is "not", `_wedge` "wedge") and each argument that is no
+    machine, as "%d" (`longest_match(kit, phi, 0, 1)` is
+    "longest_match 0 1"), keyed on the machine arguments, and holds what
+    the function returns."""
+    name = method.__name__.strip("_")
 
     @functools.wraps(method)
-    def kept(self, *args):
-        return self._keep(op, lambda: _reduced(method(self, *args)), *args)
+    def kept(kit, *args):
+        op = " ".join([name] + ["%d" % a for a in args if not isinstance(a, Fst)])
+        return kit._keep(op, lambda: method(kit, *args),
+                         *[a for a in args if isinstance(a, Fst)])
     return kept
 
 
 def _constant(method):
-    """A kit operation with no argument, read as a property."""
-    return property(_op(method))
+    """A kit operation with no argument, read as a property.  The closures
+    a constant is built with come out unreduced, so it is reduced."""
+    return property(_op(functools.wraps(method)(lambda kit: _reduced(method(kit)))))
 
 
 class MarkerKit:
@@ -138,7 +149,7 @@ class MarkerKit:
     replace factors, `lm_concat` and the rule language's builtins call.
 
     Every machine it makes comes from the store the module docstring
-    describes, through `_keep`.  Each `replace`, `replace_factors` and
+    describes, through `_op`.  Each `replace`, `replace_factors` and
     `lm_concat` call makes its own kit, which finds the machines of every
     earlier table of its shape.  The table's user alphabet must be
     complete before the first machine is built, which freezes the table:
@@ -165,7 +176,8 @@ class MarkerKit:
         """The machine `build()` makes, the operation `op` on the machines
         `args`, taken from the store or built and stored as `build`
         returns it, then wrapped on this kit's table.  A constant (no
-        `args`) is kept by the kit as well, under its op."""
+        `args`) is kept by the kit as well, under its op.  `_op` is its
+        one caller."""
         got = self._cache.get(op)
         if got is None:
             t = self.table
@@ -247,7 +259,7 @@ class MarkerKit:
     @_op
     def contains(self, e: Fst) -> Fst:
         """Cell strings with a factor in L(e)."""
-        return concat(self.xsig_star, e, self.xsig_star)
+        return _reduced(concat(self.xsig_star, e, self.xsig_star))
 
     # encoding ----------------------------------------------------------
 
@@ -282,13 +294,13 @@ class MarkerKit:
 
     @_op
     def _cross(self, a: Fst, b: Fst) -> Fst:
-        return cross_product(a, b)
+        return _reduced(cross_product(a, b))
 
     @_op
     def intro(self, s: Fst) -> Fst:
         """Insert cells from `s` anywhere, pass other cells through."""
         keep = difference(self.xsig, s)
-        return star(union(keep, cross_product(empty_string(self.table), s)))
+        return _reduced(star(union(keep, cross_product(empty_string(self.table), s))))
 
     @_op
     def strip(self, s: Fst) -> Fst:
@@ -300,20 +312,20 @@ class MarkerKit:
     def xintro(self, s: Fst) -> Fst:
         """Like intro, but never inserting at the start."""
         keep = difference(self.xsig, s)
-        return union(empty_string(self.table), concat(keep, self.intro(s)))
+        return _reduced(union(empty_string(self.table), concat(keep, self.intro(s))))
 
     @_op
     def introx(self, s: Fst) -> Fst:
         """Like intro, but never inserting at the end."""
         keep = difference(self.xsig, s)
-        return union(empty_string(self.table), concat(self.intro(s), keep))
+        return _reduced(union(empty_string(self.table), concat(self.intro(s), keep)))
 
     @_op
     def xintrox(self, s: Fst) -> Fst:
         """Like intro, but inserting neither at the start nor at the end."""
         keep = difference(self.xsig, s)
-        return union(empty_string(self.table), keep,
-                     concat(keep, self.intro(s), keep))
+        return _reduced(union(empty_string(self.table), keep,
+                              concat(keep, self.intro(s), keep)))
 
     @_op
     def ign(self, e: Fst, s: Fst) -> Fst:
@@ -342,8 +354,8 @@ class MarkerKit:
     def _wedge(self, s: Fst) -> Fst:
         t = self.table
         anysym = any_of(t, t.all_ids())
-        return concat(plus(concat(star(anysym), cross_product(empty_string(t), s))),
-                      plus(anysym))
+        wedged = plus(concat(star(anysym), cross_product(empty_string(t), s)))
+        return _reduced(concat(wedged, plus(anysym)))
 
     # marker filters as one-direction scans --------------------------------
 
@@ -361,9 +373,8 @@ class MarkerKit:
         A scan state is a subset at a boundary, or, halfway through a
         cell, the subset and the symbols that may still complete the cell.
         A backward scan accepts the reversed tapes, so it is reversed back;
-        the operation that called it (`_op`) minimizes it, which gives
-        equal languages equal machines.  `pattern` and `cell` must be
-        recognizers."""
+        then it is minimized, once, which gives equal languages equal
+        machines.  `pattern` and `cell` must be recognizers."""
         _require_recognizer(pattern, "a scan")
         if cell is not None:
             _require_recognizer(cell, "a scan")
@@ -405,7 +416,7 @@ class MarkerKit:
                   if seconds is None
                   and allow(not pattern.finals.isdisjoint(subset), False)]
         scan = _finish(t, len(keys), 0, finals, arcs)
-        return reverse(scan) if backward else scan
+        return _reduced(reverse(scan) if backward else scan)
 
     @_constant
     def stacked_rb(self) -> Fst:

@@ -29,9 +29,10 @@ from .fsm import (
     star,
     union,
 )
-from .markers import MarkerKit
+from .markers import MarkerKit, _op
 
 
+@_op
 def r_right(kit: MarkerKit, right: Fst) -> Fst:
     """Insert an rb2 cell exactly before every position followed by a
     Right string; `right` is Right encoded into cells (`non_markers_of`).
@@ -47,6 +48,7 @@ def r_right(kit: MarkerKit, right: Fst) -> Fst:
     return compose(kit.intro(kit.rb2), kit.mark_iff(kit.rb2, pattern))
 
 
+@_op
 def f_phi(kit: MarkerKit, phi: Fst) -> Fst:
     """Insert an lb2 cell exactly before every occurrence of phi, dom(T)
     encoded into cells, that ends at an rb2.  Inside the occurrence both
@@ -70,6 +72,7 @@ def f_phi(kit: MarkerKit, phi: Fst) -> Fst:
     return compose(kit.intro(kit.lb2), kit.mark_iff(kit.lb2, pattern))
 
 
+@_op
 def left_to_right(kit: MarkerKit, phi: Fst) -> Fst:
     """Nondeterministically retype some lb2 ... rb2 candidate regions to
     lb1 ... rb1, deleting lb2 cells inside a chosen region (they have done
@@ -81,8 +84,9 @@ def left_to_right(kit: MarkerKit, phi: Fst) -> Fst:
     return concat(star(concat(kit.xsig_star, region)), kit.xsig_star)
 
 
-def longest_match(kit: MarkerKit, phi: Fst, optimized: bool = False,
-                  stack_safe: bool = True) -> Fst:
+@_op
+def longest_match(kit: MarkerKit, phi: Fst, optimized: bool,
+                  stack_safe: bool) -> Fst:
     """Reject any selection whose region could have extended further: an
     lb1 followed by an occurrence of phi (dom(T) encoded into cells) that
     runs past the region's rb1 (so the occurrence contains an rb1) and
@@ -109,6 +113,7 @@ def longest_match(kit: MarkerKit, phi: Fst, optimized: bool = False,
     return compose(kill, kit.strip(kit.rb2))
 
 
+@_op
 def aux_replace(kit: MarkerKit, t: Fst) -> Fst:
     """Apply T inside each selected region: strip the flags, transduce,
     re-flag, and drop the closing rb1.  Ordinary cells and leftover lb2
@@ -118,7 +123,8 @@ def aux_replace(kit: MarkerKit, t: Fst) -> Fst:
     return star(union(kit.sig, kit.lb2, region))
 
 
-def l1(kit: MarkerKit, left: Fst, stack_safe: bool = True) -> Fst:
+@_op
+def l1(kit: MarkerKit, left: Fst, stack_safe: bool) -> Fst:
     """Keep only strings where every lb1 is preceded by a Left string
     (leftover lb1 cells ignorable inside it, lb2 cells ignorable anywhere),
     then delete the lb1 cells.  `left` is Left encoded into cells.
@@ -133,7 +139,8 @@ def l1(kit: MarkerKit, left: Fst, stack_safe: bool = True) -> Fst:
     return compose(kit.ign(guard, kit.lb2), kit.strip(kit.lb1))
 
 
-def l2(kit: MarkerKit, left: Fst, stack_safe: bool = True) -> Fst:
+@_op
+def l2(kit: MarkerKit, left: Fst, stack_safe: bool) -> Fst:
     """Keep only strings where no leftover lb2 is preceded by a Left
     string: a candidate whose left context held must have been selected.
     Then delete the lb2 cells.  `left` is Left encoded into cells.
@@ -159,12 +166,13 @@ def replace_factors(t: Fst, left: Fst, right: Fst, optimized: bool = False,
     the empty string exactly when the plain one does.
 
     Factors 2 to 8 each read one machine: the encoded Right, phi (dom(T)
-    encoded), the encoded Left, or T.  The marker store (`fsrw.markers`)
-    keeps them as built, not reduced, so they are the machines a cold
-    build makes, keyed by the factor with the flags it reads and that
-    machine.  A rule takes them from the store when it repeats an
-    encoded domain, context or target of an earlier rule over a table of
-    the same shape in the same process.  Of the 240 rules in the verify
+    encoded), the encoded Left, or T.  Each is a store operation
+    (`fsrw.markers._op`), called here by its own name and keyed by that
+    name, the flags it reads and that machine; the store keeps it as
+    built, not reduced, so it is the machine a cold build makes.  A rule
+    takes them from the store when it repeats an encoded domain, context
+    or target of an earlier rule over a table of the same shape in the
+    same process.  Of the 240 rules in the verify
     benchmark's first five batches at seed 1, 72 % repeat a domain, 74 %
     a right context, 74 % a left one and 47 % a target; a compile
     benchmark pass after the first finds every factor; an apply pass
@@ -176,18 +184,10 @@ def replace_factors(t: Fst, left: Fst, right: Fst, optimized: bool = False,
     kit = MarkerKit(t.table)
     phi, left, right = (kit.non_markers_of(e)
                         for e in (project(t, "domain"), left, right))
-    return [
-        kit.non_markers,
-        kit._keep("r_right", lambda: r_right(kit, right), right),
-        kit._keep("f_phi", lambda: f_phi(kit, phi), phi),
-        kit._keep("left_to_right", lambda: left_to_right(kit, phi), phi),
-        kit._keep("longest_match %d %d" % (optimized, stack_safe),
-                  lambda: longest_match(kit, phi, optimized, stack_safe), phi),
-        kit._keep("aux_replace", lambda: aux_replace(kit, t), t),
-        kit._keep("l1 %d" % stack_safe, lambda: l1(kit, left, stack_safe), left),
-        kit._keep("l2 %d" % stack_safe, lambda: l2(kit, left, stack_safe), left),
-        invert(kit.non_markers),
-    ]
+    return [kit.non_markers, r_right(kit, right), f_phi(kit, phi),
+            left_to_right(kit, phi), longest_match(kit, phi, optimized, stack_safe),
+            aux_replace(kit, t), l1(kit, left, stack_safe), l2(kit, left, stack_safe),
+            invert(kit.non_markers)]
 
 
 def compose_cascade(machines: list[Fst]) -> Fst:

@@ -58,6 +58,25 @@ def test_tracer_records_a_cascade_compile(spans, tmp_path, monkeypatch):
         assert metrics["replace.factor.%s.arcs" % f] > 0
 
 
+def test_tracer_records_the_factors_a_warm_store_holds(spans, tmp_path, monkeypatch):
+    # each factor is called by its name on every use, so a factor taken
+    # from the store records its span and its size too
+    monkeypatch.setattr(fsrw.markers, "_shape_cache", {})
+    monkeypatch.setattr(fsrw.markers, "_shape_cache_arcs", 0)
+    rules, out = str(ROOT / "rules" / "abbrev.fsr"), str(tmp_path / "abbrev.fsm")
+    assert main(["compile", "-r", rules, "-o", out]) == 0
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rc = main(["compile", "-r", rules, "-o", out])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    metrics = spans.layer_metrics(tracer.spans, {})
+    for f in spans.FACTORS:
+        assert metrics["replace.factor.%s.arcs" % f] > 0, f
+
+
 def test_tracer_records_a_top_level_fold(spans, tmp_path):
     # a top-level replace rule folds through replace.replace, as a nested
     # one does, so each step of its cascade is counted

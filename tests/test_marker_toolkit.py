@@ -5,6 +5,7 @@ a marker.  Markerhood is carried by the flag, so a bracket glyph with flag
 "0" is ordinary text.  Expected values below are spelled as flat glyph
 sequences with the flags written out."""
 
+import importlib
 import inspect
 import itertools
 import random
@@ -724,3 +725,56 @@ def test_the_builtins_repeat_exactly_from_the_memo(shape_cache):
     m, n = machine("ab"), machine("xy")
     assert m.arcs is n.arcs  # taken from the memo, not rebuilt
     assert "t 0 1 x x\n" in dump_text(n) and "x" not in dump_text(m)
+
+
+FACTOR_NAMES = ("r_right", "f_phi", "left_to_right", "longest_match",
+                "aux_replace", "l1", "l2")
+
+
+def test_every_store_entry_is_what_its_construction_returns(shape_cache):
+    # the constructions that can come out unreduced reduce themselves, the
+    # store keeps what they return: every kit entry is a fixed point of the
+    # reduction, and every factor entry is the factor as built, unreduced
+    stored = markers._stored
+    seen, tables = {}, {}
+
+    def recording(key, build, held):
+        seen[key] = stored(key, build, held)
+        return seen[key]
+    shape_cache.setattr(markers, "_stored", recording)
+
+    def keep_table(table):
+        tables[MarkerKit(table)._shape_key()] = table
+
+    rules = BENCH_RULES.parent.parent / "rules"
+    for path in sorted(rules.glob("*.fsr")) + sorted(BENCH_RULES.glob("*.fsr")):
+        keep_table(compile_rules(path.read_text()).machine.table)
+    rng = random.Random(33)
+    for _ in range(40):
+        _, t, left, right = random_replace_rule(rng)
+        for stack_safe in (True, False):
+            replace(t, left, right, stack_safe=stack_safe)
+        keep_table(t.table)
+    for k in range(4):
+        table = SymbolTable("abc"[:k % 3 + 1])
+        build_or_error(lambda: lm_concat([random_target(rng, table)
+                                          for _ in range(k % 3 + 1)]))
+        keep_table(table)
+
+    # the package re-exports the function replace under the module's name
+    replace_module = importlib.import_module("fsrw.replace")
+    factors = kits = 0
+    for (shape, op, *args), parts in seen.items():
+        table = tables[shape]
+        m = Fst(table, *parts)
+        name, *flags = op.split()
+        if name in FACTOR_NAMES:
+            kit = MarkerKit(table)
+            machines = [Fst(table, *a) for a in args]
+            build = getattr(replace_module, name).__wrapped__
+            assert m.same_structure(build(kit, *machines, *map(int, flags))), op
+            factors += 1
+        else:
+            assert m.same_structure(markers._reduced(m)), op
+            kits += 1
+    assert factors > 100 and kits > 100
