@@ -35,7 +35,9 @@ section's user glyphs in id order.
 
 Both directions canonicalize: a machine is trimmed and renumbered before it
 is written and after it is read, so a loaded machine is in the form the
-machine algebra builds, and dumping it again gives the same bytes.
+machine algebra builds, and dumping it again gives the same bytes.  A
+machine already in that form, as every machine the algebra builds and
+every section `dump_text` writes is, passes `canonicalize` as it is.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from __future__ import annotations
 import re
 from typing import Union
 
-from .fsm import EPS, Fst, FsmError, SymbolTable, _finish, canonicalize
+from .fsm import (EPS, Fst, FsmError, SymbolTable, _finish, _is_recognizer,
+                  canonicalize)
 
 
 class DumpFormatError(FsmError):
@@ -221,8 +224,10 @@ def _parse_one(lines: list[list[str]], pos: int, table: SymbolTable = None):
     named = sorted({initial, *finals, *(q for s, _, _, d in real_arcs for q in (s, d))})
     dense = {q: k for k, q in enumerate(named)}
     # trimmed and canonically numbered, like every machine the program builds
-    return _finish(table, len(named), dense[initial], [dense[f] for f in finals],
-                   [(dense[s], i, o, dense[d]) for s, i, o, d in real_arcs]), pos
+    numbered = tuple([(dense[s], i, o, dense[d]) for s, i, o, d in real_arcs])
+    return canonicalize(Fst(table, len(named), dense[initial],
+                            frozenset([dense[f] for f in finals]), numbered,
+                            _is_recognizer(numbered))), pos
 
 
 def load_text(text: str):

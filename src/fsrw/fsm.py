@@ -544,8 +544,41 @@ def reduce_pairs(m: Fst) -> Fst:
     return reduced if reduced.n <= m.n else m
 
 
+def _is_canonical(m: Fst) -> bool:
+    """Whether `_finish` would return `m` as it is.
+
+    Arcs sorted strictly, with no epsilon pair, are `_finish`'s BFS reading
+    order when the initial state is 0, each arc's source is met before its
+    own arcs are read and each target is a state met already or the next
+    one, and every state is met.  Then one backward reach must find every
+    state co-reachable, and `is_recognizer` must be what the arcs say.  A
+    machine with no final state is canonical only as the empty language."""
+    if not m.finals:
+        return m.n == 1 and m.initial == 0 and not m.arcs and m.is_recognizer
+    if m.initial != 0:
+        return False
+    into: list[list[int]] = [[] for _ in range(m.n)]
+    met = 1
+    prev = (-1,)
+    for arc in m.arcs:
+        s, i, o, d = arc
+        if (arc <= prev or s >= met or d > met or d >= m.n
+                or (i == EPS and o == EPS)):
+            return False
+        if d == met:
+            met += 1
+        into[d].append(s)
+        prev = arc
+    return (met == m.n and len(_reach(m.finals, into)) == m.n
+            and m.is_recognizer == _is_recognizer(m.arcs))
+
+
 def canonicalize(m: Fst) -> Fst:
-    """Renumber states by breadth-first order with sorted arc exploration."""
+    """Renumber states by breadth-first order with sorted arc exploration.
+    A machine already in that form, as every machine the algebra builds
+    is, is returned as it is."""
+    if _is_canonical(m):
+        return m
     return _finish(m.table, m.n, m.initial, m.finals, m.arcs)
 
 

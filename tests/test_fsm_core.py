@@ -824,6 +824,42 @@ def test_canonical_numbering_is_stable(tb):
         assert c1.finals == c2.finals
 
 
+def test_canonicalize_returns_a_canonical_machine_as_it_is():
+    # a machine given by its arcs comes back as `_finish` makes it; one
+    # already in that form, as every machine the algebra returns is, comes
+    # back as the same object
+    rng = random.Random(2034)
+    tb = SymbolTable("abc")
+    kept = 0
+    for k in range(800):
+        if k % 2:
+            n, initial, finals, arcs = _random_raw(rng, tb)
+            m = Fst(tb, n, initial, frozenset(finals), tuple(arcs),
+                    fsm._is_recognizer(arcs))
+        else:
+            m = random_arc_machine(rng, tb, max_states=rng.randint(1, 5),
+                                   recognizer=rng.random() < 0.5)
+        if rng.random() < 0.2:  # the wrong kind, which `_finish` corrects
+            m = Fst(tb, m.n, m.initial, m.finals, m.arcs, not m.is_recognizer)
+        c = canonicalize(m)
+        want = fsm._finish(tb, m.n, m.initial, m.finals, m.arcs)
+        assert c.same_structure(want), (m.n, m.initial, m.finals, m.arcs)
+        assert c.is_recognizer == want.is_recognizer
+        kept += c is m
+        r = canonicalize(random_arc_machine(rng, tb, max_states=3,
+                                            recognizer=c.is_recognizer))
+        built = [c, union(c, r), concat(c, r), star(c), option(c), plus(c),
+                 compose(c, r), invert(c), reverse(c), project(c, "domain"),
+                 project(c, "range"), minimize(c, pair_atomic=True),
+                 determinize(c, pair_atomic=True), reduce_pairs(c)]
+        if c.is_recognizer:
+            built += [cross_product(c, r), intersection(c, r),
+                      difference(c, r), identity_lift(c)]
+        for x in built:
+            assert canonicalize(x) is x, (x, m.arcs)
+    assert 100 < kept < 700, kept
+
+
 def test_model_agreement():
     rng = random.Random(3)
     tb = SymbolTable("ab")

@@ -599,13 +599,17 @@ def test_an_oversize_result_is_returned_unstored(shape_cache):
 
 
 def test_a_cascade_builds_the_operations_on_a_shared_context_once(shape_cache):
-    # cascade27's first three rules share the left context [], its last
-    # has `vowel`: l1 and l2 are built for two contexts only.  The second
-    # and third rules find both factors stored and ask for no guard at
-    # all, so each guard_before is asked for once, when its factor is
+    # each of the first three rules mentions three of the 27 symbols, so
+    # each folds over a table of the same shape (its three symbols and one
+    # representative of the rest), and all three have the left context [];
+    # the last has `a`: l1 and l2 are built for two contexts only.  The
+    # second and third rules find both factors stored and ask for no guard
+    # at all, so each guard_before is asked for once, when its factor is
     # built: 2 contexts x 2 factors, and the `not` of l2 once per context
     lookups, builds = count_memo(shape_cache)
-    compile_rules((BENCH_RULES / "cascade27.fsr").read_text())
+    compile_rules("#alphabet a b c d e f g h i j k l m n o p q r s t u v w x y z '#'.\n"
+                  "replace(b:p, [], '#') o replace(d:t, [], '#')"
+                  " o replace(n:m, [], p) o replace(s:z, a, e).")
     assert set(builds.values()) == {1}
     for factor in ("l1 1", "l2 1"):
         built = sum(key[1] == factor for key in builds)
@@ -735,31 +739,34 @@ def test_every_store_entry_is_what_its_construction_returns(shape_cache):
     # the constructions that can come out unreduced reduce themselves, the
     # store keeps what they return: every kit entry is a fixed point of the
     # reduction, and every factor entry is the factor as built, unreduced
-    stored = markers._stored
+    # a table of each shape the store meets, learned from the kits that
+    # ask for it: `replace` folds most rules over a table of its own
+    stored, shape_key = markers._stored, MarkerKit._shape_key
     seen, tables = {}, {}
 
     def recording(key, build, held):
         seen[key] = stored(key, build, held)
         return seen[key]
-    shape_cache.setattr(markers, "_stored", recording)
 
-    def keep_table(table):
-        tables[MarkerKit(table)._shape_key()] = table
+    def learning(kit):
+        shape = shape_key(kit)
+        tables[shape] = kit.table
+        return shape
+    shape_cache.setattr(markers, "_stored", recording)
+    shape_cache.setattr(MarkerKit, "_shape_key", learning)
 
     rules = BENCH_RULES.parent.parent / "rules"
     for path in sorted(rules.glob("*.fsr")) + sorted(BENCH_RULES.glob("*.fsr")):
-        keep_table(compile_rules(path.read_text()).machine.table)
+        compile_rules(path.read_text()).machine
     rng = random.Random(33)
     for _ in range(40):
         _, t, left, right = random_replace_rule(rng)
         for stack_safe in (True, False):
             replace(t, left, right, stack_safe=stack_safe)
-        keep_table(t.table)
     for k in range(4):
         table = SymbolTable("abc"[:k % 3 + 1])
         build_or_error(lambda: lm_concat([random_target(rng, table)
                                           for _ in range(k % 3 + 1)]))
-        keep_table(table)
 
     # the package re-exports the function replace under the module's name
     replace_module = importlib.import_module("fsrw.replace")

@@ -5,8 +5,11 @@ oracle_replace) before being frozen here.  The rule applies its target
 leftmost-longest, reads the left context on the output written so far and
 the right context on the input still ahead."""
 
+import importlib
+import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,8 @@ from fsrw import (
     FsmError,
     Oracle,
     SymbolTable,
+    compile_rules,
+    compose_cascade,
     concat,
     cross_product,
     empty_string,
@@ -32,6 +37,11 @@ from fsrw import (
 )
 
 from gen import all_strings, random_replace_rule
+
+BENCH_RULES = Path(__file__).resolve().parent.parent / "bench" / "rules"
+
+# the package re-exports the function replace under the module's name
+replace_module = importlib.import_module("fsrw.replace")
 
 
 def tb():
@@ -255,3 +265,72 @@ def test_five_state_arc_target_compiles_in_seconds():
     for s in inputs:
         got = {"".join(o) for o in rel.get(tuple(s), set())}
         assert got == oracle.replace(list(s)), s
+
+
+def factor_tables(monkeypatch) -> list:
+    """The tables `replace` builds its factors over, call by call."""
+    tables = []
+
+    def recording(t, *args):
+        tables.append(t.table)
+        return replace_factors(t, *args)
+    monkeypatch.setattr(replace_module, "replace_factors", recording)
+    return tables
+
+
+def test_a_rule_folds_over_its_own_alphabet_as_over_its_table(monkeypatch):
+    # the user symbols no piece mentions (up to four are added to the
+    # table after the pieces are built) share one representative while the
+    # rule folds; the machine is the fold of the factors over the whole
+    # table, under every flag pair, and a fold that ends nondeterministic
+    # is folded again over the whole table
+    rng = random.Random(34)
+    tables = factor_tables(monkeypatch)
+    collapsed = refolded = 0
+    for _ in range(260):
+        table, t, left, right = random_replace_rule(rng)
+        for g in "defg"[:rng.randint(0, 4)]:
+            table.add_user(g)
+        for flags in itertools.product((False, True), (True, False)):
+            tables.clear()
+            m = replace(t, left, right, *flags)
+            want = compose_cascade(replace_factors(t, left, right, *flags))
+            assert m.table is table
+            assert m.same_structure(want), flags
+            assert m.is_recognizer == want.is_recognizer
+            refolded += tables[-1] is table and len(tables) == 2
+        collapsed += tables[0] is not table
+    assert collapsed >= 150 and refolded > 0, (collapsed, refolded)
+
+
+@pytest.mark.parametrize("extra", ["", "xyz"])
+def test_bad_pieces_fail_as_before_whether_or_not_the_rule_collapses(
+        monkeypatch, extra):
+    # the pieces are checked before any symbol is collapsed; over "ab" the
+    # pieces mention every user symbol, over "abxyz" x, y and z collapse
+    table, other = SymbolTable("ab" + extra), SymbolTable("ab" + extra)
+    t = cross_product(literal(table, "a"), literal(table, "b"))
+    eps, far = empty_string(table), empty_string(other)
+    far_t = cross_product(literal(other, "a"), literal(other, "b"))
+    tables_msg = "^machines built against different symbol tables$"
+    for pieces, msg in [((t, far, eps), tables_msg), ((t, eps, far), tables_msg),
+                        ((far_t, eps, eps), tables_msg),
+                        ((t, t, eps), "^left context must be a recognizer$"),
+                        ((t, eps, t), "^right context must be a recognizer$"),
+                        ((t, far_t, eps), "^left context must be a recognizer$")]:
+        with pytest.raises(FsmError, match=msg):
+            replace(*pieces)
+    tables = factor_tables(monkeypatch)
+    replace(t, eps, eps)
+    assert (tables[0] is not table) == bool(extra)
+
+
+@pytest.mark.parametrize("name, sizes", [("cascade27", [12, 5, 3, 8]),
+                                         ("devoice27", [12])])
+def test_the_corpus_rules_fold_over_their_own_alphabets(monkeypatch, name,
+                                                        sizes):
+    # over a-z and '#', each rule's factors are built over the symbols its
+    # pieces mention and one representative of all the others
+    tables = factor_tables(monkeypatch)
+    compile_rules((BENCH_RULES / (name + ".fsr")).read_text()).machine
+    assert [len(t.user_ids()) for t in tables] == sizes
