@@ -15,14 +15,23 @@ composes B with that once: restricting B's output to Sigma* - K is the
 same as restricting it to range(B) - K, and composing with an identity
 recognizer keeps B's alignment, so the pair language is the same, and no
 killer is complemented over the full table.
+
+Like `replace`, `lm_concat` folds over the symbol classes of its pieces
+(`fsrw.classes`): the user symbols every piece only copies, on the same
+arcs, share one representative while the boundaries, the killers and the
+final composition are built, so lm3's and lm5's pieces over a-z and '#'
+build their kit over three user symbols, consonants, vowels and '#'.  The
+pieces are checked first, on their own table.
 """
 
 from __future__ import annotations
 
+from .classes import fold_over_classes
 from .fsm import complement  # noqa: F401  patched by bench/spans.py
 from .fsm import (
     Fst,
     FsmError,
+    canonicalize,
     compose,
     concat,
     difference,
@@ -81,19 +90,25 @@ def mark_boundaries(kit: MarkerKit, domains: list[Fst]) -> Fst:
 
 def lm_concat(ts: list[Fst]) -> Fst:
     """Compile the piece transductions into one machine from plain strings
-    to plain strings, with a marker kit of its own, which draws the
-    constants from the cache of the table's shape."""
+    to plain strings, folded over the symbol classes of the pieces
+    (`fsrw.classes`), with a marker kit of its own, which draws the
+    constants from the cache of the table's shape.  It freezes the
+    pieces' table."""
     if not ts:
         raise FsmError("need at least one piece")
     table = ts[0].table
     for t in ts[1:]:
         if t.table is not table:
             raise FsmError("pieces built against different symbol tables")
-    kit = MarkerKit(table)
-    domains = [project(t, "domain") for t in ts]
-    for k, d in enumerate(domains):
-        if d.is_empty():
+    for k, t in enumerate(ts):
+        if canonicalize(t).is_empty():
             raise FsmError("piece %d has an empty domain" % (k + 1))
+    return fold_over_classes(ts, _split_and_rewrite)
+
+
+def _split_and_rewrite(*ts: Fst) -> Fst:
+    kit = MarkerKit(ts[0].table)
+    domains = [project(t, "domain") for t in ts]
     eat = kit.cross(kit.lb1, None)
     parts = []
     for t in ts:

@@ -12,31 +12,24 @@ is tested on the output tape, so a left context may match material produced
 by an earlier replacement in the same pass.
 
 Every arc that copies a symbol is repeated once per user symbol, so
-`replace` folds a rule over its own alphabet: when two or more user
-symbols lie on no arc of T, Left or Right (the six marker glyphs are never
-counted among them), one of them stands for all, on a smaller table, while
-the nine factors are built and composed, and each arc of the result that
-reads or writes it becomes one arc per symbol it stands for, on the rule's
-table.  The pieces never read or write those symbols, and every factor
-and every fold step treats all user symbols alike, so this is the fold
-over the rule's table.  A fold that ends in `reduce_pairs`' minimal
-deterministic machine is numbered by its language alone, so the machine
-is byte-identical to that fold; one that ends nondeterministic (the
-reduction kept its input) is folded again over the rule's table.
+`replace` folds a rule over the symbol classes of its pieces
+(`fsrw.classes`): the user symbols that T, Left and Right each only copy,
+on the same arcs, share one representative on a smaller table while the
+nine factors are built and composed, and each arc of the result that
+reads or writes a representative becomes one arc per member, on the
+rule's table.  The symbols no piece mentions are one class.  A fold that
+ends nondeterministic is folded again over the rule's table.
 `replace_factors` always builds the factors over the rule's table, the
 ones `fsrw compile --cascade` writes.
 """
 
 from __future__ import annotations
 
+from .classes import fold_over_classes
 from .fsm import (
-    EPS,
     Fst,
     FsmError,
-    SymbolTable,
     _check_tables,
-    _finish,
-    _is_own_subset_machine,
     compose,
     concat,
     difference,
@@ -192,14 +185,14 @@ def replace_factors(t: Fst, left: Fst, right: Fst, optimized: bool = False,
     built, not reduced, so it is the machine a cold build makes.  A rule
     takes them from the store when it repeats an encoded domain, context
     or target of an earlier rule over a table of the same shape in the
-    same process.  `replace` calls it over a rule's own alphabet (see the
-    module docstring), so two rules over one table whose pieces mention
-    equally many user symbols, and leave two or more unmentioned, share a
-    shape.  Of the 240 rules in the verify benchmark's first five batches
-    at seed 1, 72 % repeat a domain, 74 % a right context, 74 % a left one
-    and 47 % a target; a compile benchmark pass after the first finds
-    every factor; an apply pass builds no kit.  Factors 1 and 9, the
-    encoder and its inverse, are built from the kit's constants."""
+    same process.  `replace` calls it over the table of the rule's symbol
+    classes (see the module docstring), so two rules over one table whose
+    folds keep equally many symbols share a shape.  Of the 240 rules in
+    the verify benchmark's first five batches at seed 1, 72 % repeat a
+    domain, 74 % a right context, 74 % a left one and 47 % a target; a
+    compile benchmark pass after the first finds every factor; an apply
+    pass builds no kit.  Factors 1 and 9, the encoder and its inverse, are
+    built from the kit's constants."""
     _check_pieces(t, left, right)
     kit = MarkerKit(t.table)
     phi, left, right = (kit.non_markers_of(e)
@@ -227,45 +220,9 @@ def compose_cascade(machines: list[Fst]) -> Fst:
 
 def replace(t: Fst, left: Fst, right: Fst, optimized: bool = False,
             stack_safe: bool = True) -> Fst:
-    """Compile the rule into a single transducer, folded over the rule's
-    own alphabet when two or more user symbols lie on no arc of its pieces
-    (see the module docstring).  Reading the whole user alphabet freezes
-    the table, as a marker kit on it would."""
+    """Compile the rule into a single transducer, folded over the symbol
+    classes of its pieces (see the module docstring).  It freezes the
+    rule's table."""
     _check_pieces(t, left, right)
-    table = t.table
-    table.freeze()
-    mentioned = {x for m in (t, left, right) for _, i, o, _ in m.arcs
-                 for x in (i, o)}
-    idle = [c for c in table.user_ids()
-            if c >= len(SymbolTable.RESERVED) and c not in mentioned]
-    if len(idle) >= 2:
-        # the table without idle[1:], idle[0] standing for them all; ids
-        # keep their order, so the pieces' arcs stay sorted
-        dropped = set(idle[1:])
-        kept = [sid for sid in table.all_ids() if sid not in dropped]
-        small, users = SymbolTable(), set(table.user_ids())
-        for sid in kept:
-            (small.add_user if sid in users else small.intern)(table.glyph(sid))
-        ids = {sid: k for k, sid in enumerate(kept)}
-        ids[EPS] = EPS
-        m = compose_cascade(replace_factors(
-            *(Fst(small, p.n, p.initial, p.finals,
-                  tuple([(s, ids[i], ids[o], d) for s, i, o, d in p.arcs]),
-                  p.is_recognizer) for p in (t, left, right)),
-            optimized, stack_safe))
-        if _is_own_subset_machine(m):
-            rep = ids[idle[0]]
-            back = dict(enumerate(kept))
-            back[EPS] = EPS
-            arcs = []
-            for s, i, o, d in m.arcs:
-                if rep in (i, o):
-                    arcs.extend((s, c if i == rep else back[i],
-                                 c if o == rep else back[o], d) for c in idle)
-                else:
-                    arcs.append((s, back[i], back[o], d))
-            return _finish(table, m.n, m.initial, m.finals, arcs)
-        # reduce_pairs kept its nondeterministic input, which the language
-        # alone does not number: fold over the rule's table
-    return compose_cascade(replace_factors(t, left, right, optimized,
-                                           stack_safe))
+    return fold_over_classes((t, left, right), lambda *pieces: compose_cascade(
+        replace_factors(*pieces, optimized, stack_safe)))

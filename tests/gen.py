@@ -158,6 +158,52 @@ def random_replace_rule(rng: random.Random):
         random_context(rng, table)
 
 
+# Pieces that copy sets of symbols alike: `?`, `? - x` and `{c, d}` copy
+# several symbols on the same arcs, `e` and `f` are mentioned only through
+# `?`, and the pairs, insertions and cross products put a symbol on an arc
+# that is no copy.
+CLASS_ALPHABET = "#alphabet a b c d x e f."
+CLASS_SETS = ["?", "(? - x)", "{c, d}", "{a, b}", "a", "c", "x", "[]"]
+CLASS_PAIRS = ["a:b", "{a:b, b:a}", "[]:x", "c:[]", "({a, b}) x ({a, b})",
+               "(c) x ({c, d})", "(a*) x (c*)"]
+
+
+def random_class_language(rng: random.Random, depth: int = 2) -> str:
+    """A recognizer over CLASS_SETS: sequences, unions, stars and options."""
+    if depth <= 0 or rng.random() < 0.35:
+        return rng.choice(CLASS_SETS)
+    op = rng.choice(["seq", "seq", "union", "*", "^"])
+    if op in ("*", "^"):
+        return "(%s)%s" % (random_class_language(rng, depth - 1), op)
+    items = ", ".join(random_class_language(rng, depth - 1)
+                      for _ in range(rng.randint(2, 3)))
+    return ("[%s]" if op == "seq" else "{%s}") % items
+
+
+def random_class_transduction(rng: random.Random) -> str:
+    """A piece to rewrite with: a recognizer read as its identity, or one
+    followed or preceded by a pair, an insertion or a cross product."""
+    lang = random_class_language(rng)
+    roll = rng.random()
+    if roll < 0.4:
+        return lang
+    pair = rng.choice(CLASS_PAIRS)
+    return "[%s, %s]" % ((lang, pair) if roll < 0.7 else (pair, lang))
+
+
+def random_class_rule(rng: random.Random, kind: str) -> str:
+    """A replace rule (`kind` "replace") or a capture of one to three
+    pieces ("lm_concat") whose pieces copy symbol sets alike."""
+    if kind == "replace":
+        rule = "replace(%s, %s, %s)" % (
+            random_class_transduction(rng), random_class_language(rng, 1),
+            random_class_language(rng, 1))
+    else:
+        rule = "lm_concat([%s])" % ", ".join(
+            random_class_transduction(rng) for _ in range(rng.randint(1, 3)))
+    return "%s\n%s.\n" % (CLASS_ALPHABET, rule)
+
+
 # ---------------------------------------------------------------------------
 # random macro programs
 

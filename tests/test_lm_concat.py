@@ -124,6 +124,34 @@ def test_rejects_mixed_symbol_tables():
                    identity_lift(literal(t2, "a"))])
 
 
+@pytest.mark.parametrize("extra", ["", "xyz"])
+def test_bad_pieces_fail_as_before_whether_or_not_the_capture_collapses(
+        monkeypatch, extra):
+    # the pieces are checked, in this order, before any symbol is
+    # collapsed and before the table is frozen; over "ab" the pieces
+    # mention a and b on arcs that are no copy, over "abxyz" x, y and z
+    # collapse
+    from fsrw import empty_lang
+    table, other = SymbolTable("ab" + extra), SymbolTable("ab" + extra)
+    a_b = cross_product(literal(table, "a"), literal(table, "b"))
+    none = identity_lift(empty_lang(table))
+    far = literal(other, "a")
+    tables_msg = "^pieces built against different symbol tables$"
+    for pieces, msg in [([], "^need at least one piece$"),
+                        ([a_b, far], tables_msg), ([none, far], tables_msg),
+                        ([far, a_b, none], tables_msg),
+                        ([a_b, none], "^piece 2 has an empty domain$"),
+                        ([none, a_b, none], "^piece 1 has an empty domain$")]:
+        with pytest.raises(FsmError, match=msg):
+            lm_concat(pieces)
+    table.add_user("w")
+    tables = []
+    monkeypatch.setattr(fsrw.capture, "MarkerKit",
+                        lambda t: tables.append(t) or MarkerKit(t))
+    assert out(lm_concat([a_b, star(a_b)]), "aa") == {"bb"}
+    assert (tables[0] is not table) == bool(extra)
+
+
 def test_mark_boundaries_places_one_marker_per_piece():
     from fsrw.capture import mark_boundaries
     tb = SymbolTable("ab")
