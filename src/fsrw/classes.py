@@ -20,18 +20,19 @@ as one arc per member, is that machine over the whole table.  The
 construction's result is expanded that way and numbered canonically on
 the pieces' table.
 
-A result that ends in `reduce_pairs`' minimal deterministic machine is
-numbered by its pair language alone, so it is byte-identical to the
-construction over the whole table.  One that ends nondeterministic (the
-reduction kept its input) depends on the form of the pieces it was built
-from, and is built again from the original pieces over the whole table.
+The construction ends in `reduce_pairs`, whose minimal deterministic
+machine is numbered by its pair language alone, so the result is
+byte-identical to the construction over the whole table.  Past
+`REDUCE_STATE_CAP` the reduction returns its input, which is expanded
+all the same: it has the relation of the construction over the whole
+table, but its arcs depend on how it was built.
 
 Finding the classes must stay cheaper than the fold saves.  One pass over
 the pieces' arcs notes, for each user symbol, the states it is copied
 from; only when two symbols that some piece copies are copied from the
-same states are the pieces reduced (`reduce_pairs`, which keeps a piece
-that would grow) and the classes read off the arcs.  Otherwise the only
-class is that of the unmentioned symbols, and nothing is reduced.
+same states are the pieces reduced (`reduce_pairs`) and the classes read
+off the arcs.  Otherwise the only class is that of the unmentioned
+symbols, and nothing is reduced.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .fsm import (EPS, Fst, SymbolTable, _finish, _is_own_subset_machine,
-                  reduce_pairs)
+from .fsm import EPS, Fst, SymbolTable, _finish, reduce_pairs
 
 
 def _copy_groups(pieces: Sequence[Fst], candidates, key) -> dict[frozenset, list[int]]:
@@ -94,10 +94,6 @@ def fold_over_classes(pieces: Sequence[Fst], build: Callable[..., Fst]) -> Fst:
     m = build(*(Fst(small, p.n, p.initial, p.finals,
                     tuple(sorted({(s, down[i], down[o], d) for s, i, o, d in p.arcs})),
                     p.is_recognizer) for p in folded))
-    if not _is_own_subset_machine(m):
-        # reduce_pairs kept its nondeterministic input, which the pair
-        # language alone does not number: build over the whole table
-        return build(*pieces)
     up = {ids[sid]: [sid] for sid in kept}
     up.update((ids[g[0]], g) for g in classes)
     up[EPS] = [EPS]

@@ -15,6 +15,7 @@ on a rule that is neither a replace nor an lm_concat rule, `compile
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from typing import Optional, Sequence
@@ -213,7 +214,10 @@ _positive_int = _int_at_least(1, "positive")
 _non_negative_int = _int_at_least(0, "non-negative")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each `parse_args` call returns
+    a fresh namespace, so one call's flags never reach the next."""
     ap = argparse.ArgumentParser(prog="fsrw",
                                  description="finite-state rewriting toolkit")
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -532,16 +532,17 @@ REDUCE_STATE_CAP = 40000
 
 
 def reduce_pairs(m: Fst) -> Fst:
-    """Best-effort size reduction preserving the pair-sequence language
-    (hence the relation).  Falls back to the input if determinization
-    blows past REDUCE_STATE_CAP."""
+    """The minimal deterministic machine over atomic (in, out) labels of
+    `m`'s pair-sequence language (hence of its relation), numbered
+    canonically, so two machines of one pair language reduce to the same
+    machine; it may have more states than a nondeterministic `m`.  Past
+    REDUCE_STATE_CAP subset states `m` is returned as it is."""
     if m.is_empty():
         return empty_lang(m.table)
     built = _subset_construct(m, REDUCE_STATE_CAP)
     if built is None:
         return m
-    reduced = _moore_minimize_dfa(*built, m.table)
-    return reduced if reduced.n <= m.n else m
+    return _moore_minimize_dfa(*built, m.table)
 
 
 def _is_canonical(m: Fst) -> bool:

@@ -34,16 +34,18 @@ read only one of dom(T), Left or Right, so the rules that share a context
 or a domain over one alphabet shape share its filters.  Seven of the nine
 replace factors (`fsrw.replace.replace_factors`) are `_op`s too, each
 keyed by its name, the flags it reads and the one machine it reads, and
-kept as built, not reduced, so that a rule that repeats an encoded domain,
-context or target over one shape, in one process, takes the factors built
-for it.
+reducing itself as the constructions above do, so that a rule that
+repeats an encoded domain, context or target over one shape, in one
+process, takes the factors built for it.  So every entry is a fixed
+point of the reduction (`_reduced`) while it stays under
+`fsrw.fsm.REDUCE_STATE_CAP`.
 
 The store never holds more than SHAPE_CACHE_CAP arcs, counting each
-entry's machine and the machine arguments in its key; the factors, kept
-unreduced, are the largest entries.  An entry that would pass the cap
-starts the store afresh, and one that passes it on its own is returned
-unstored, so compiling against endless new alphabets or arguments runs in
-bounded memory.  Each shape in the keys is one tuple, `_shapes` holding
+entry's machine and the machine arguments in its key; the factors are
+the largest entries.  An entry that would pass the cap starts the store
+afresh, and one that passes it on its own is returned unstored, so
+compiling against endless new alphabets or arguments runs in bounded
+memory.  Each shape in the keys is one tuple, `_shapes` holding
 it, since a shape holds every user id of its table.
 
 The replace factors filter markings with `mark_iff`, `guard_before` and

@@ -17,10 +17,11 @@ Every arc that copies a symbol is repeated once per user symbol, so
 on the same arcs, share one representative on a smaller table while the
 nine factors are built and composed, and each arc of the result that
 reads or writes a representative becomes one arc per member, on the
-rule's table.  The symbols no piece mentions are one class.  A fold that
-ends nondeterministic is folded again over the rule's table.
+rule's table.  The symbols no piece mentions are one class.
 `replace_factors` always builds the factors over the rule's table, the
-ones `fsrw compile --cascade` writes.
+ones `fsrw compile --cascade` writes.  Each factor reduces what it builds,
+as the kit's own constructions do, so a rule's factors and its machine
+are each the reduced form of their pair language.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .fsm import (
     star,
     union,
 )
-from .markers import MarkerKit, _op
+from .markers import MarkerKit, _op, _reduced
 
 
 @_op
@@ -56,9 +57,9 @@ def r_right(kit: MarkerKit, right: Fst) -> Fst:
     nothing."""
     ins = kit.cross(None, kit.rb2)
     if right.accepts_epsilon():
-        return concat(star(concat(ins, kit.sig)), ins)
+        return _reduced(concat(star(concat(ins, kit.sig)), ins))
     pattern = kit.xign(right, kit.rb2)
-    return compose(kit.intro(kit.rb2), kit.mark_iff(kit.rb2, pattern))
+    return _reduced(compose(kit.intro(kit.rb2), kit.mark_iff(kit.rb2, pattern)))
 
 
 @_op
@@ -82,7 +83,7 @@ def f_phi(kit: MarkerKit, phi: Fst) -> Fst:
             concat(kit.xignx(nonempty, kit.b2), star(kit.lb2), kit.rb2))
     else:
         pattern = concat(kit.xignx(phi, kit.b2), option(kit.lb2), kit.rb2)
-    return compose(kit.intro(kit.lb2), kit.mark_iff(kit.lb2, pattern))
+    return _reduced(compose(kit.intro(kit.lb2), kit.mark_iff(kit.lb2, pattern)))
 
 
 @_op
@@ -94,7 +95,7 @@ def left_to_right(kit: MarkerKit, phi: Fst) -> Fst:
     content = compose(kit.ign(phi, kit.b2), kit.strip(kit.lb2))
     region = concat(kit.cross(kit.lb2, kit.lb1), content,
                     kit.cross(kit.rb2, kit.rb1))
-    return concat(star(concat(kit.xsig_star, region)), kit.xsig_star)
+    return _reduced(concat(star(concat(kit.xsig_star, region)), kit.xsig_star))
 
 
 @_op
@@ -123,7 +124,7 @@ def longest_match(kit: MarkerKit, phi: Fst, optimized: bool,
     overrun = intersection(kit.ignx(phi, kit.brack), inner)
     tail = kit.stacked_rb if stack_safe else kit.rb
     kill = kit.not_contains(concat(kit.lb1, overrun, tail))
-    return compose(kill, kit.strip(kit.rb2))
+    return _reduced(compose(kill, kit.strip(kit.rb2)))
 
 
 @_op
@@ -133,7 +134,7 @@ def aux_replace(kit: MarkerKit, t: Fst) -> Fst:
     cells outside regions pass through."""
     inner = compose(compose(kit.decoder, t), kit.non_markers)
     region = concat(kit.lb1, inner, kit.cross(kit.rb1, None))
-    return star(union(kit.sig, kit.lb2, region))
+    return _reduced(star(union(kit.sig, kit.lb2, region)))
 
 
 @_op
@@ -149,7 +150,7 @@ def l1(kit: MarkerKit, left: Fst, stack_safe: bool) -> Fst:
     wrongly rejects adjacent deletions."""
     ignore = kit.ign if stack_safe else kit.ignx
     guard = kit.guard_before(kit.lb1, ignore(concat(kit.xsig_star, left), kit.lb1))
-    return compose(kit.ign(guard, kit.lb2), kit.strip(kit.lb1))
+    return _reduced(compose(kit.ign(guard, kit.lb2), kit.strip(kit.lb1)))
 
 
 @_op
@@ -167,7 +168,7 @@ def l2(kit: MarkerKit, left: Fst, stack_safe: bool) -> Fst:
     ignore = kit.ign if stack_safe else kit.ignx
     guard = kit.guard_before(kit.lb2,
                              ignore(kit.not_(concat(kit.xsig_star, left)), kit.lb2))
-    return compose(guard, kit.strip(kit.lb2))
+    return _reduced(compose(guard, kit.strip(kit.lb2)))
 
 
 def replace_factors(t: Fst, left: Fst, right: Fst, optimized: bool = False,
@@ -181,13 +182,13 @@ def replace_factors(t: Fst, left: Fst, right: Fst, optimized: bool = False,
     Factors 2 to 8 each read one machine: the encoded Right, phi (dom(T)
     encoded), the encoded Left, or T.  Each is a store operation
     (`fsrw.markers._op`), called here by its own name and keyed by that
-    name, the flags it reads and that machine; the store keeps it as
-    built, not reduced, so it is the machine a cold build makes.  A rule
-    takes them from the store when it repeats an encoded domain, context
-    or target of an earlier rule over a table of the same shape in the
-    same process.  `replace` calls it over the table of the rule's symbol
-    classes (see the module docstring), so two rules over one table whose
-    folds keep equally many symbols share a shape.  Of the 240 rules in
+    name, the flags it reads and that machine; each reduces itself, so
+    the store holds its reduced form.  A rule takes them from the store
+    when it repeats an encoded domain, context or target of an earlier
+    rule over a table of the same shape in the same process.  `replace`
+    calls it over the table of the rule's symbol classes (see the module
+    docstring), so two rules over one table whose folds keep equally many
+    symbols share a shape.  Of the 240 rules in
     the verify benchmark's first five batches at seed 1, 72 % repeat a
     domain, 74 % a right context, 74 % a left one and 47 % a target; a
     compile benchmark pass after the first finds every factor; an apply

@@ -77,6 +77,22 @@ def test_apply_all_outputs_tab_joined(tmp_path, monkeypatch, capsys):
     assert out == "b\tc\n"
 
 
+def test_a_later_call_takes_no_flag_from_an_earlier_one(tmp_path, monkeypatch,
+                                                        capsys):
+    # the parser is built once per process; each call parses afresh
+    machine = compiled(tmp_path, "replace(a x {b, c}, [], []).")
+    rc, out, err = run(monkeypatch, capsys,
+                       ["apply", "-m", str(machine), "--all", "--limit", "1",
+                        "--on-empty", "<NONE>"], "a\n")
+    assert (rc, out) == (0, "b\tc\n")
+    rc, out, err = run(monkeypatch, capsys, ["apply", "-m", str(machine)], "a\n")
+    assert (rc, out) == (0, "b\n")
+    parser = fsrw.cli._build_parser()
+    assert parser is fsrw.cli._build_parser()
+    args = parser.parse_args(["apply", "-m", str(machine)])
+    assert (args.all, args.limit, args.on_empty) == (False, 64, "")
+
+
 @pytest.mark.parametrize("limit", ["0", "-1"])
 def test_apply_rejects_a_limit_below_one(tmp_path, monkeypatch, capsys, limit):
     # `a` has infinitely many outputs (b, bb, ...); a limit that keeps none

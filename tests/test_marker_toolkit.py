@@ -737,8 +737,10 @@ FACTOR_NAMES = ("r_right", "f_phi", "left_to_right", "longest_match",
 
 def test_every_store_entry_is_what_its_construction_returns(shape_cache):
     # the constructions that can come out unreduced reduce themselves, the
-    # store keeps what they return: every kit entry is a fixed point of the
-    # reduction, and every factor entry is the factor as built, unreduced
+    # store keeps what they return: every entry, kit operation or replace
+    # factor, is a fixed point of the reduction, and each factor entry is
+    # its build reduced, the same pair language as the build left
+    # unreduced
     # a table of each shape the store meets, learned from the kits that
     # ask for it: `replace` folds most rules over a table of its own
     stored, shape_key = markers._stored, MarkerKit._shape_key
@@ -770,18 +772,23 @@ def test_every_store_entry_is_what_its_construction_returns(shape_cache):
 
     # the package re-exports the function replace under the module's name
     replace_module = importlib.import_module("fsrw.replace")
-    factors = kits = 0
+    factors = kits = shrunk = 0
     for (shape, op, *args), parts in seen.items():
         table = tables[shape]
         m = Fst(table, *parts)
+        assert m.same_structure(markers._reduced(m)), op
         name, *flags = op.split()
         if name in FACTOR_NAMES:
             kit = MarkerKit(table)
             machines = [Fst(table, *a) for a in args]
-            build = getattr(replace_module, name).__wrapped__
-            assert m.same_structure(build(kit, *machines, *map(int, flags))), op
+            with shape_cache.context() as mp:
+                mp.setattr(replace_module, "_reduced", lambda f: f)
+                built = getattr(replace_module, name).__wrapped__(
+                    kit, *machines, *map(int, flags))
+            assert m.same_structure(markers._reduced(built)), op
+            assert equivalent(m, built), op
             factors += 1
+            shrunk += len(m.arcs) < len(built.arcs)
         else:
-            assert m.same_structure(markers._reduced(m)), op
             kits += 1
-    assert factors > 100 and kits > 100
+    assert factors > 100 and kits > 100 and shrunk > 100, (factors, kits, shrunk)
