@@ -38,6 +38,8 @@ class SymbolTable:
     machine has captured its whole alphabet (`complement`, `containment`
     and the first `MarkerKit` constant do): from then on a new glyph, or a
     new user glyph, raises FsmError, while known glyphs still intern.
+    `kit` is the table's `fsrw.markers.MarkerKit` once `MarkerKit.of` has
+    made it.
     """
 
     RESERVED = ("0", "1", "<1", "<2", "1>", "2>")
@@ -47,6 +49,7 @@ class SymbolTable:
         self._ids: dict[str, int] = {}
         self._user: set[int] = set()
         self._frozen = False
+        self.kit = None
         for g in self.RESERVED:
             self.intern(g)
         for g in user_alphabet:

@@ -36,17 +36,20 @@ replace factors (`fsrw.replace.replace_factors`) are `_op`s too, each
 keyed by its name, the flags it reads and the one machine it reads, and
 reducing itself as the constructions above do, so that a rule that
 repeats an encoded domain, context or target over one shape, in one
-process, takes the factors built for it.  So every entry is a fixed
-point of the reduction (`_reduced`) while it stays under
+process, takes the factors built for it.  `replace` folds the factors
+that read one piece in groups, each group an `_op` named "composed" and
+keyed by the factor machines it composes (`fsrw.replace._composed`), so
+a rule whose pieces repeat takes its groups composed.  So every entry is
+a fixed point of the reduction (`_reduced`) while it stays under
 `fsrw.fsm.REDUCE_STATE_CAP`.
 
 The store never holds more than SHAPE_CACHE_CAP arcs, counting each
-entry's machine and the machine arguments in its key; the factors are
-the largest entries.  An entry that would pass the cap starts the store
-afresh, and one that passes it on its own is returned unstored, so
-compiling against endless new alphabets or arguments runs in bounded
-memory.  Each shape in the keys is one tuple, `_shapes` holding
-it, since a shape holds every user id of its table.
+entry's machine and the machine arguments in its key; the factors and
+their groups are the largest entries.  An entry that would pass the cap
+starts the store afresh, and one that passes it on its own is returned
+unstored, so compiling against endless new alphabets or arguments runs
+in bounded memory.  Each shape in the keys is one tuple, `_shapes`
+holding it, since a shape holds every user id of its table.
 
 The replace factors filter markings with `mark_iff`, `guard_before` and
 `not_contains`.  Each is one scan over the cells, forwards or on the
@@ -125,11 +128,11 @@ def _stored(key, build, held: int) -> tuple:
 
 def _op(method):
     """An operation kept in the store: a kit method, or a replace factor
-    called with the kit first.  Its entry is named by the function's own
-    name (`not_` is "not", `_wedge` "wedge") and each argument that is no
-    machine, as "%d" (`longest_match(kit, phi, 0, 1)` is
-    "longest_match 0 1"), keyed on the machine arguments, and holds what
-    the function returns."""
+    or group of factors called with the kit first.  Its entry is named by
+    the function's own name (`not_` is "not", `_wedge` "wedge") and each
+    argument that is no machine, as "%d" (`longest_match(kit, phi, 0, 1)`
+    is "longest_match 0 1"), keyed on the machine arguments, and holds
+    what the function returns."""
     name = method.__name__.strip("_")
 
     @functools.wraps(method)
@@ -151,18 +154,27 @@ class MarkerKit:
     replace factors, `lm_concat` and the rule language's builtins call.
 
     Every machine it makes comes from the store the module docstring
-    describes, through `_op`.  Each `replace`, `replace_factors` and
-    `lm_concat` call makes its own kit, which finds the machines of every
-    earlier table of its shape.  The table's user alphabet must be
-    complete before the first machine is built, which freezes the table:
-    a glyph added later could not appear in the machines already built, so
-    interning one raises FsmError.
+    describes, through `_op`.  `replace` and `replace_factors` take the
+    kit kept on their table (`of`), each `lm_concat` call makes its own,
+    and every kit finds the machines of every earlier table of its shape.
+    The table's user alphabet must be complete before the first machine
+    is built, which freezes the table: a glyph added later could not
+    appear in the machines already built, so interning one raises
+    FsmError.
     """
 
     def __init__(self, table: SymbolTable):
         self.table = table
         self._cache: dict = {}
         self._shape = None
+
+    @classmethod
+    def of(cls, table: SymbolTable) -> "MarkerKit":
+        """The kit kept on `table`, made at the first call: a replace
+        rule's factors and the fold of them share it."""
+        if table.kit is None:
+            table.kit = cls(table)
+        return table.kit
 
     def _shape_key(self):
         """The table's shape, its size and user ids; the table is frozen

@@ -22,6 +22,7 @@ from fsrw import (
     accepts,
     any_of,
     compose,
+    compose_cascade,
     concat,
     compile_rules,
     cross_product,
@@ -737,10 +738,11 @@ FACTOR_NAMES = ("r_right", "f_phi", "left_to_right", "longest_match",
 
 def test_every_store_entry_is_what_its_construction_returns(shape_cache):
     # the constructions that can come out unreduced reduce themselves, the
-    # store keeps what they return: every entry, kit operation or replace
-    # factor, is a fixed point of the reduction, and each factor entry is
-    # its build reduced, the same pair language as the build left
-    # unreduced
+    # store keeps what they return: every entry, kit operation, replace
+    # factor or group of factors, is a fixed point of the reduction, each
+    # factor entry is its build reduced, the same pair language as the
+    # build left unreduced, and each group is the fold of the factors in
+    # its key
     # a table of each shape the store meets, learned from the kits that
     # ask for it: `replace` folds most rules over a table of its own
     stored, shape_key = markers._stored, MarkerKit._shape_key
@@ -772,13 +774,16 @@ def test_every_store_entry_is_what_its_construction_returns(shape_cache):
 
     # the package re-exports the function replace under the module's name
     replace_module = importlib.import_module("fsrw.replace")
-    factors = kits = shrunk = 0
+    factors = groups = kits = shrunk = 0
     for (shape, op, *args), parts in seen.items():
         table = tables[shape]
         m = Fst(table, *parts)
         assert m.same_structure(markers._reduced(m)), op
         name, *flags = op.split()
-        if name in FACTOR_NAMES:
+        if name == "composed":
+            assert m.same_structure(compose_cascade([Fst(table, *a) for a in args]))
+            groups += 1
+        elif name in FACTOR_NAMES:
             kit = MarkerKit(table)
             machines = [Fst(table, *a) for a in args]
             with shape_cache.context() as mp:
@@ -791,4 +796,5 @@ def test_every_store_entry_is_what_its_construction_returns(shape_cache):
             shrunk += len(m.arcs) < len(built.arcs)
         else:
             kits += 1
-    assert factors > 100 and kits > 100 and shrunk > 100, (factors, kits, shrunk)
+    assert factors > 100 and groups > 50 and kits > 100 and shrunk > 100, \
+        (factors, groups, kits, shrunk)

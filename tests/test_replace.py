@@ -5,6 +5,7 @@ oracle_replace) before being frozen here.  The rule applies its target
 leftmost-longest, reads the left context on the output written so far and
 the right context on the input still ahead."""
 
+import collections
 import importlib
 import itertools
 import random
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import fsrw.markers as markers
 from fsrw import (
     EPS,
     Fst,
@@ -20,6 +22,7 @@ from fsrw import (
     Oracle,
     SymbolTable,
     compile_rules,
+    compose,
     compose_cascade,
     concat,
     cross_product,
@@ -28,6 +31,7 @@ from fsrw import (
     equivalent,
     literal,
     oracle_replace,
+    project,
     replace,
     replace_factors,
     star,
@@ -35,8 +39,9 @@ from fsrw import (
     union,
     word,
 )
+from fsrw.fsm import _reach
 
-from gen import all_strings, random_replace_rule
+from gen import all_strings, count_memo, random_replace_rule
 
 BENCH_RULES = Path(__file__).resolve().parent.parent / "bench" / "rules"
 
@@ -334,3 +339,73 @@ def test_the_corpus_rules_fold_over_their_own_alphabets(monkeypatch, name,
     tables = factor_tables(monkeypatch)
     compile_rules((BENCH_RULES / (name + ".fsr")).read_text()).machine
     assert [len(t.user_ids()) for t in tables] == sizes
+
+
+def untrimmed(m: Fst) -> bool:
+    """Whether some state of `m` is unreachable or reaches no final."""
+    ahead, behind = [[] for _ in range(m.n)], [[] for _ in range(m.n)]
+    for s, _, _, d in m.arcs:
+        ahead[s].append(d)
+        behind[d].append(s)
+    return min(len(_reach([m.initial], ahead)), len(_reach(m.finals, behind))) < m.n
+
+
+def empty_store(monkeypatch):
+    monkeypatch.setattr(markers, "_shape_cache", {})
+    monkeypatch.setattr(markers, "_shape_cache_arcs", 0)
+
+
+def test_the_fold_by_piece_is_the_fold_of_the_nine_factors(monkeypatch):
+    # replace composes the encoder with r_right, f_phi with left_to_right,
+    # and l1 with l2 and the decoder, keeps each group in the store, and
+    # folds five machines: composition is associative and each reduction
+    # canonical, so the machine is the nine factors' fold, byte for byte,
+    # from an empty store (cold) and from one holding the groups of every
+    # flag pair (warm), under both filters, and with the verbatim filters
+    # on ε-free domains
+    rng = random.Random(37)
+    lookups, builds = count_memo(monkeypatch)
+    seen = collections.Counter()
+    for _ in range(120):
+        table, t, left, right = random_replace_rule(rng)
+        eps_free = not project(t, "domain").accepts_epsilon()
+        flag_pairs = list(itertools.product((False, True), (True, False)[:1 + eps_free]))
+        empty_store(monkeypatch)
+        wants = {}
+        for flags in flag_pairs:
+            got = replace(t, left, right, *flags)
+            wants[flags] = compose_cascade(replace_factors(t, left, right, *flags))
+            assert got.same_structure(wants[flags]), ("cold", flags)
+        groups = lookups["composed"], builds.total()
+        for flags in flag_pairs:
+            assert replace(t, left, right, *flags).same_structure(wants[flags]), \
+                ("warm", flags)
+        # the warm folds look their three groups up and build nothing
+        assert lookups["composed"] == groups[0] + 3 * len(flag_pairs)
+        assert builds.total() == groups[1]
+        seen["optimized"] += len(flag_pairs) // 2
+        seen["verbatim"] += eps_free
+        seen["untrimmed"] += untrimmed(t)
+        seen["eps_domain"] += not eps_free
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_warm_rule_composes_five_machines(monkeypatch):
+    # a rule whose groups are all stored composes four times, where the
+    # nine-factor fold composed eight times
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return compose(a, b)
+    for module in (replace_module, markers):
+        monkeypatch.setattr(module, "compose", counted)
+    empty_store(monkeypatch)
+    rng = random.Random(38)
+    for _ in range(10):
+        _, t, left, right = random_replace_rule(rng)
+        for flags in itertools.product((False, True), (True, False)):
+            replace(t, left, right, *flags)
+            calls.clear()
+            replace(t, left, right, *flags)
+            assert len(calls) == 4, flags
