@@ -169,10 +169,7 @@ def cmd_check(args) -> int:
     if comp.kind == "replace":
         expected = oracle.Oracle(*comp.pieces).replace
     elif comp.kind == "lm_concat":
-        parts = comp.pieces
-
-        def expected(toks):
-            return oracle.oracle_lm_concat(parts, toks)
+        expected = oracle.SplitOracle(comp.pieces).concat
     else:
         raise _UsageError("check needs a replace or lm_concat rule")
     inputs = _random_inputs(comp.table.user_glyphs(), args.samples, args.max_len, args.seed)

@@ -8,12 +8,16 @@ and a transduction's outputs come from this module's own path walk
 composition algebra nor `transduce` nor the marker code, so the referee
 never runs the code it judges.
 
-The replace oracle is an object, `Oracle`, built once per rule: its three
-walkers, over dom(T) and the two contexts, intern the subsets they meet and
-memoize the moves between them, and its scan results are kept across
-strings, keyed by the suffix still to read.
-`oracle_replace` answers through the `Oracle` of its previous call when it
-gets the same rule again.
+The two referees are objects built once per rule, and both keep their
+answers across strings, keyed by the suffix still to read (`_SuffixMemo`).
+`Oracle`, for replace, has three walkers, over dom(T) and the two
+contexts, which intern the subsets they meet and memoize the moves between
+them; it memoizes its scan results by suffix and T's outputs by span.
+`SplitOracle`, for the greedy split of lm_concat, has one walker per
+piece; it memoizes each piece's matches and the split by (piece, suffix),
+and each piece's outputs by span.  `oracle_replace`, `oracle_lm_split` and
+`oracle_lm_concat` answer through the object of their previous call when
+they get the same machines again.
 """
 
 from __future__ import annotations
@@ -167,7 +171,48 @@ class _Walker:
         return sorted({out for q, out in confs if q in self.m.finals})
 
 
-class Oracle:
+class _SuffixMemo:
+    """Answers kept across strings, keyed by the suffix still to read.
+
+    Suffixes are interned right to left: suffix 0 is the empty one, and
+    suffix k is the symbol head[k] followed by suffix tail[k], keyed by its
+    glyph and tail, so memory stays linear in the input read.  Past
+    ORACLE_MEMO_CAP entries, as `size` counts them, the memo starts afresh
+    after the current string, whether its answer was found or raised."""
+
+    def _reset(self):
+        self.suffix_ids: dict[tuple[str, int], int] = {}
+        self.head: list[int] = [EPS]
+        self.tail: list[int] = [0]
+
+    def _answer(self, s, answer):
+        """`answer(sid)` for the suffix sid that is all of `s`, a str (one
+        symbol per character) or a sequence of glyphs."""
+        try:
+            sid = 0
+            suffix_ids = self.suffix_ids
+            for g in reversed(s):
+                nxt = suffix_ids.get((g, sid))
+                if nxt is None:
+                    sym = self.table.id_of(g)
+                    nxt = suffix_ids[g, sid] = len(self.head)
+                    self.head.append(sym)
+                    self.tail.append(sid)
+                sid = nxt
+            return answer(sid)
+        finally:
+            if self.size() > ORACLE_MEMO_CAP:
+                self._reset()
+
+    def _symbols(self, sid: int):
+        """The symbols of suffix sid, in order."""
+        head, tail = self.head, self.tail
+        while sid:
+            yield head[sid]
+            sid = tail[sid]
+
+
+class Oracle(_SuffixMemo):
     """Reference semantics of obligatory leftmost-longest context rewriting
     `replace(t, left, right)`, built once and queried with `replace(s)`.
 
@@ -185,12 +230,10 @@ class Oracle:
     output lies in L(left).  What the scan does from position i depends only
     on the suffix still to read, that walker's subset and whether the last
     step replaced, so its results are memoized under that key for every
-    string the oracle is given.  Suffixes are interned right to left
-    (suffix 0 is the empty one, suffix k is the symbol head[k] followed by
-    suffix tail[k], keyed by its glyph and tail) and outputs the same way,
-    so memory stays linear in the input read.  Past ORACLE_MEMO_CAP entries
-    the memo starts afresh after the current string, whether its scan ended
-    or raised.
+    string the oracle is given.  Outputs are interned right to left like
+    suffixes, and the text of each output returned is kept with its id.
+    T's outputs are memoized by the span they are read from, so each
+    distinct span is walked once.
 
     T's outputs on a span are an exact set; an infinite one raises
     FsmError."""
@@ -204,19 +247,17 @@ class Oracle:
         self.dom = _Walker(t)
         self.right = _Walker(right)
         self.left = _Walker(left, anywhere=True)
-        self._eps_outputs: Optional[list[tuple[int, ...]]] = None
         self._reset()
 
     def _reset(self):
-        self.suffix_ids: dict[tuple[str, int], int] = {}
-        self.head: list[int] = [EPS]
-        self.tail: list[int] = [0]
+        super()._reset()
         self.right_ok: dict[int, bool] = {}
         self.matches: dict[int, tuple[int, int]] = {}
-        self.spans: dict[int, list[tuple[int, ...]]] = {}
+        self.spans: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         self.out_ids: dict[tuple[int, int], int] = {}
         self.out_head: list[int] = [EPS]
         self.out_tail: list[int] = [0]
+        self.texts: dict[int, str] = {0: ""}
         self.memo: dict[tuple[int, int, bool], tuple[int, ...]] = {}
 
     def size(self) -> int:
@@ -226,25 +267,10 @@ class Oracle:
     def replace(self, s) -> set[str]:
         """The outputs for input `s`, a str (one symbol per character) or a
         sequence of glyphs."""
-        try:
-            sid = 0
-            suffix_ids = self.suffix_ids
-            for g in reversed(s):
-                nxt = suffix_ids.get((g, sid))
-                if nxt is None:
-                    sym = self.table.id_of(g)
-                    nxt = suffix_ids[g, sid] = len(self.head)
-                    self.head.append(sym)
-                    self.tail.append(sid)
-                sid = nxt
-            top = (sid, 0, False)
-            outs = self.memo.get(top)
-            if outs is None:
-                outs = self._scan(top)
-            return {self._string(o) for o in outs}
-        finally:
-            if self.size() > ORACLE_MEMO_CAP:
-                self._reset()
+        return self._answer(s, self._replace)
+
+    def _replace(self, sid: int) -> set[str]:
+        return {self._text(o) for o in self._scan((sid, 0, False))}
 
     # -- the scan ---------------------------------------------------------
 
@@ -287,10 +313,10 @@ class Oracle:
                             for y in self._span(sid, length)]
             elif self._eps_may_fire(sid, lk, just_replaced):
                 return [(w, (self.tail[sid], self._write(lk, w), False))
-                        for w in (y + (sym,) for y in self._eps())]
+                        for w in (y + (sym,) for y in self._span(0, 0))]
             return [((sym,), (self.tail[sid], self.left.move(lk, sym), False))]
         if self._eps_may_fire(sid, lk, just_replaced):
-            return [(y, None) for y in self._eps()]
+            return [(y, None) for y in self._span(0, 0)]
         return [((), None)]
 
     def _write(self, lk: int, written) -> int:
@@ -304,13 +330,6 @@ class Oracle:
                 and self.left.final[lk])
 
     # -- per-suffix facts -------------------------------------------------
-
-    def _symbols(self, sid: int):
-        """The symbols of suffix sid, in order."""
-        head, tail = self.head, self.tail
-        while sid:
-            yield head[sid]
-            sid = tail[sid]
 
     def _right_ok(self, sid: int) -> bool:
         """Whether the right context accepts some prefix of suffix sid."""
@@ -340,17 +359,11 @@ class Oracle:
 
     def _span(self, sid: int, length: int) -> list[tuple[int, ...]]:
         """T's outputs on the first `length` symbols of suffix sid."""
-        got = self.spans.get(sid)
+        span = tuple(itertools.islice(self._symbols(sid), length))
+        got = self.spans.get(span)
         if got is None:
-            span = list(itertools.islice(self._symbols(sid), length))
-            got = self.spans[sid] = self.dom.outputs(span)
+            got = self.spans[span] = self.dom.outputs(span)
         return got
-
-    def _eps(self) -> list[tuple[int, ...]]:
-        """T's outputs on the empty string."""
-        if self._eps_outputs is None:
-            self._eps_outputs = self.dom.outputs(())
-        return self._eps_outputs
 
     # -- outputs ----------------------------------------------------------
 
@@ -363,16 +376,120 @@ class Oracle:
             self.out_tail.append(rest)
         return got
 
-    def _string(self, o: int) -> str:
-        glyph = self.table.glyph
-        parts = []
-        while o:
-            parts.append(glyph(self.out_head[o]))
-            o = self.out_tail[o]
-        return "".join(parts)
+    def _text(self, o: int) -> str:
+        """The glyphs of output o.  A new output's glyphs are joined only
+        up to the first output whose text is kept; keeping just the texts
+        returned keeps memory linear in a long line's outputs."""
+        texts = self.texts
+        got = texts.get(o)
+        if got is None:
+            glyph, parts, p = self.table.glyph, [], o
+            while p not in texts:
+                parts.append(glyph(self.out_head[p]))
+                p = self.out_tail[p]
+            got = texts[o] = "".join(parts) + texts[p]
+        return got
+
+
+class SplitOracle(_SuffixMemo):
+    """Reference semantics of the greedy split of `lm_concat(pieces)`,
+    built once and queried with `split(s)` and `concat(s)`.
+
+    The split cuts the input into len(pieces) spans, span k drawn from the
+    input language of pieces[k]; earlier pieces take the longest length
+    that still lets the rest parse.  Piece k's matches on a suffix, its
+    prefixes in that language, are memoized by (k, suffix), and so is the
+    greedy split of a suffix over pieces k, k+1, ..., for every string the
+    oracle is given: a new string costs only its new suffixes.  `concat`
+    runs each piece's transduction on its span, memoized by (k, span), and
+    concatenates all combinations; an infinite output set on a span raises
+    FsmError."""
+
+    def __init__(self, pieces: Sequence[Fst]):
+        pieces = tuple(pieces)
+        if not pieces:
+            raise FsmError("need at least one piece")
+        table = pieces[0].table
+        if any(p.table is not table for p in pieces):
+            raise FsmError("pieces built against different symbol tables")
+        self.pieces, self.table = pieces, table
+        self.walkers = [_Walker(p) for p in pieces]
+        self._reset()
+
+    def _reset(self):
+        super()._reset()
+        self.ends: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self.splits: dict[tuple[int, int], Optional[tuple[int, ...]]] = {}
+        self.outputs: dict[tuple[int, tuple[int, ...]], list[str]] = {}
+
+    def size(self) -> int:
+        """Entries held for the inputs read so far."""
+        return len(self.head) + len(self.ends) + len(self.splits) + len(self.outputs)
+
+    def split(self, s) -> Optional[list[int]]:
+        """The cut positions of the greedy split of `s` (one per piece, the
+        last equal to len(s)), or None when no split exists."""
+        return self._answer(s, self._cuts)
+
+    def concat(self, s) -> set[str]:
+        """The outputs for input `s`; none when no split exists."""
+        return self._answer(s, self._concat)
+
+    def _cuts(self, sid: int) -> Optional[list[int]]:
+        lengths = self._split(0, sid)
+        return None if lengths is None else list(itertools.accumulate(lengths))
+
+    def _concat(self, sid: int) -> set[str]:
+        cuts = self._cuts(sid)
+        if cuts is None:
+            return set()
+        ids = tuple(self._symbols(sid))
+        per_piece = [self._outputs(k, ids[a:b])
+                     for k, (a, b) in enumerate(zip([0] + cuts, cuts))]
+        return {"".join(combo) for combo in itertools.product(*per_piece)}
+
+    def _split(self, k: int, sid: int) -> Optional[tuple[int, ...]]:
+        """The lengths of the spans of pieces k, k+1, ... in the greedy
+        split of suffix sid, or None when it has none."""
+        if k == len(self.walkers):
+            return () if sid == 0 else None
+        key = (k, sid)
+        if key not in self.splits:
+            got = None
+            for length, after in reversed(self._ends(k, sid)):
+                rest = self._split(k + 1, after)
+                if rest is not None:
+                    got = (length,) + rest
+                    break
+            self.splits[key] = got
+        return self.splits[key]
+
+    def _ends(self, k: int, sid: int) -> list[tuple[int, int]]:
+        """(length, suffix after it) for each prefix of suffix sid in the
+        input language of piece k, shortest first."""
+        got = self.ends.get((k, sid))
+        if got is None:
+            walker, tail, after = self.walkers[k], self.tail, sid
+            got = []
+            for length, q in enumerate(walker.walk(self._symbols(sid))):
+                if walker.final[q]:
+                    got.append((length, after))
+                after = tail[after]
+            self.ends[k, sid] = got
+        return got
+
+    def _outputs(self, k: int, span: tuple[int, ...]) -> list[str]:
+        """Piece k's outputs on `span`, as strings."""
+        got = self.outputs.get((k, span))
+        if got is None:
+            glyph = self.table.glyph
+            got = self.outputs[k, span] = ["".join(map(glyph, o))
+                                           for o in self.walkers[k].outputs(span)]
+        return got
 
 
 _last_oracle: Optional[Oracle] = None
+_last_split: Optional[SplitOracle] = None
 
 
 def oracle_replace(t: Fst, left: Fst, right: Fst, s) -> set[str]:
@@ -385,6 +502,17 @@ def oracle_replace(t: Fst, left: Fst, right: Fst, s) -> set[str]:
     if o is None or o.t is not t or o.left_m is not left or o.right_m is not right:
         o = _last_oracle = Oracle(t, left, right)
     return o.replace(s)
+
+
+def _split_oracle(pieces: Sequence[Fst]) -> SplitOracle:
+    """The previous call's SplitOracle when it was built from the same
+    piece objects, else a new one."""
+    global _last_split
+    o = _last_split
+    if (o is None or len(o.pieces) != len(pieces)
+            or any(a is not b for a, b in zip(o.pieces, pieces))):
+        o = _last_split = SplitOracle(pieces)
+    return o
 
 
 def oracle_language(m: Fst, max_len: int) -> set[str]:
@@ -402,51 +530,18 @@ def oracle_language(m: Fst, max_len: int) -> set[str]:
 
 
 def oracle_lm_split(s, parts: Sequence[Fst]) -> Optional[list[int]]:
-    """Greedy split of `s` into len(parts) pieces, piece k drawn from the
-    input language of parts[k].  Earlier pieces take the longest length that
-    still lets the rest parse.  Returns the cut positions (one per piece,
-    the last equal to len(s)), or None when no split exists.
-    """
-    if not parts:
-        raise FsmError("need at least one piece")
-    table = parts[0].table
-    for p in parts[1:]:
-        if p.table is not table:
-            raise FsmError("pieces built against different symbol tables")
-    ids = _ids_of(table, s)
-    n = len(ids)
-    walkers = [_Walker(p) for p in parts]
-    ends = [[w.match_ends(ids, i) for i in range(n + 1)] for w in walkers]
-    dead: set[tuple[int, int]] = set()
-
-    def go(i: int, k: int) -> Optional[list[int]]:
-        if k == len(parts):
-            return [] if i == n else None
-        if (i, k) in dead:
-            return None
-        for q in reversed(ends[k][i]):
-            rest = go(q, k + 1)
-            if rest is not None:
-                return [q] + rest
-        dead.add((i, k))
-        return None
-
-    return go(0, 0)
+    """`SplitOracle(parts).split(s)`: the greedy split of `s` into
+    len(parts) pieces, piece k drawn from the input language of parts[k],
+    as cut positions (the last equal to len(s)), or None when no split
+    exists.  Reuses the previous call's SplitOracle, as oracle_replace
+    does."""
+    return _split_oracle(parts).split(s)
 
 
 def oracle_lm_concat(ts: Sequence[Fst], s) -> set[str]:
-    """Outputs of greedy multi-piece transduction: split `s` per
-    oracle_lm_split over the pieces' input languages, then run each piece's
-    transduction on its slice and concatenate all combinations.  An
-    infinite output set on a slice raises FsmError."""
-    cuts = oracle_lm_split(s, ts)
-    if cuts is None:
-        return set()
-    table = ts[0].table
-    ids = _ids_of(table, s)
-    glyph = table.glyph
-    per_piece = []
-    for t, a, b in zip(ts, [0] + cuts, cuts):
-        per_piece.append(["".join(glyph(c) for c in o)
-                          for o in _Walker(t).outputs(ids[a:b])])
-    return {"".join(combo) for combo in itertools.product(*per_piece)}
+    """`SplitOracle(ts).concat(s)`: split `s` per oracle_lm_split over the
+    pieces' input languages, then run each piece's transduction on its
+    span and concatenate all combinations.  An infinite output set on a
+    span raises FsmError.  Reuses the previous call's SplitOracle, as
+    oracle_replace does."""
+    return _split_oracle(ts).concat(s)

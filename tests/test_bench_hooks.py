@@ -77,9 +77,14 @@ def test_tracer_records_the_factors_a_warm_store_holds(spans, tmp_path, monkeypa
         assert metrics["replace.factor.%s.arcs" % f] > 0, f
 
 
-def test_tracer_records_a_top_level_fold(spans, tmp_path):
+def test_tracer_records_a_top_level_fold(spans, tmp_path, monkeypatch):
     # a top-level replace rule folds through replace.replace, as a nested
-    # one does, so each step of its cascade is counted
+    # one does, so each step of its cascade is counted; from an empty
+    # store, since a rule whose groups of factors are stored folds in
+    # fewer steps
+    monkeypatch.setattr(fsrw.markers, "_shape_cache", {})
+    monkeypatch.setattr(fsrw.markers, "_shapes", {})
+    monkeypatch.setattr(fsrw.markers, "_shape_cache_arcs", 0)
     tracer = spans.Tracer()
     tracer.install()
     try:

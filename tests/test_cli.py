@@ -319,6 +319,14 @@ def test_check_lm_concat_agrees(tmp_path, monkeypatch, capsys):
     assert "all agree" in out
 
 
+def test_check_lm_concat_agrees_on_a_five_piece_rule(monkeypatch, capsys):
+    rc, out, err = run(monkeypatch, capsys,
+                       ["check", "-r", str(BENCH_RULES_DIR / "lm5.fsr"),
+                        "--samples", "500", "--max-len", "12"])
+    assert rc == 0
+    assert out == "checked 449 inputs: all agree; skipped 0 with an infinite output set\n"
+
+
 def test_check_reports_skipped_infinite_output_sets(tmp_path, monkeypatch,
                                                    capsys):
     # every input with an `a` has infinitely many outputs (b, bb, ...);

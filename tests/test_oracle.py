@@ -8,6 +8,8 @@ empty-string match only where no nonempty one starts and the previous step
 was not itself a replacement."""
 
 import ast
+import collections
+import itertools
 import random
 import re
 import sys
@@ -24,6 +26,7 @@ from fsrw import (
     concat,
     cross_product,
     empty_string,
+    identity_lift,
     lang_enum,
     literal,
     oracle_language,
@@ -37,7 +40,7 @@ from fsrw import (
     word,
 )
 from fsrw.dsl import compile_rules
-from fsrw.oracle import ORACLE_MEMO_CAP, Oracle, _Walker
+from fsrw.oracle import ORACLE_MEMO_CAP, Oracle, SplitOracle, _Walker
 
 from gen import (
     all_strings,
@@ -46,6 +49,7 @@ from gen import (
     random_context,
     random_regex,
     random_replace_rule,
+    random_target,
 )
 
 RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
@@ -327,3 +331,177 @@ def test_unknown_symbol_leaves_the_oracle_usable(tb):
         with pytest.raises(FsmError):
             oracle.replace("za")
         assert oracle.replace("ca") == {"cb"}
+
+
+def test_each_span_is_walked_once(monkeypatch):
+    # T's outputs are kept by the span they are read from, so a span met
+    # in many strings and at many positions is walked once
+    tb = SymbolTable("abc")
+    a, b, c = (literal(tb, g) for g in "abc")
+    t = union(cross_product(concat(a, star(b)), union(c, word(tb, "cc"))),
+              cross_product(empty_string(tb), c))
+    walked = collections.Counter()
+    outputs = _Walker.outputs
+
+    def counted(self, ids):
+        walked[tuple(ids)] += 1
+        return outputs(self, ids)
+
+    monkeypatch.setattr(_Walker, "outputs", counted)
+    oracle = Oracle(t, empty_string(tb), union(c, empty_string(tb)))
+    for s in all_strings("abc", 6):
+        oracle.replace(s)
+    assert oracle.size() < ORACLE_MEMO_CAP  # nothing was started afresh
+    assert walked[()] == 1 and walked[tuple(map(tb.id_of, "abbbbb"))] == 1
+    assert set(walked.values()) == {1}, walked
+
+
+# ---------------------------------------------------------------------------
+# the split oracle against a split computed afresh for each string
+
+
+def _split_per_string(s, parts):
+    """The greedy split of one string on its own: a walker per piece built
+    for the call, the match ends from every start position, and the
+    (position, piece) pairs that lead to no split kept in a dead set."""
+    table = parts[0].table
+    ids = [table.id_of(g) for g in s]
+    n = len(ids)
+    walkers = [_Walker(p) for p in parts]
+    ends = [[w.match_ends(ids, i) for i in range(n + 1)] for w in walkers]
+    dead = set()
+
+    def go(i, k):
+        if k == len(parts):
+            return [] if i == n else None
+        if (i, k) in dead:
+            return None
+        for q in reversed(ends[k][i]):
+            rest = go(q, k + 1)
+            if rest is not None:
+                return [q] + rest
+        dead.add((i, k))
+        return None
+
+    return go(0, 0)
+
+
+def _concat_per_string(ts, s):
+    cuts = _split_per_string(s, ts)
+    if cuts is None:
+        return set()
+    table = ts[0].table
+    ids = [table.id_of(g) for g in s]
+    per_piece = [["".join(map(table.glyph, o)) for o in _Walker(t).outputs(ids[a:b])]
+                 for t, a, b in zip(ts, [0] + cuts, cuts)]
+    return {"".join(combo) for combo in itertools.product(*per_piece)}
+
+
+def _split_rules(seed, count):
+    """1-3 pieces over {a, b, #}, each a small regex copied with '#'
+    written after it, or a random target."""
+    rng = random.Random(seed)
+    tb = SymbolTable(["a", "b", "#"])
+    mark = cross_product(empty_string(tb), literal(tb, "#"))
+    rules = []
+    for _ in range(count):
+        pieces = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                dom = build_regex(random_regex(rng, "ab", 2), tb)
+                pieces.append(concat(identity_lift(dom), mark))
+            else:
+                pieces.append(random_target(rng, tb))
+        rules.append(pieces)
+    return rules
+
+
+def _topological_strings(seed, count):
+    """Strings of topological's table made of one word from each piece's
+    domain, some of them then damaged: a word swapped for another word or
+    a single letter, or one more put in."""
+    rng = random.Random(seed)
+    domains = [["to", "top"], ["o", "polo"], ["gical", "logical", "ological"]]
+    words = sum(domains, ["p", "l", "t", "#"])
+    got = {"", "polotopogical"}
+    while len(got) < count:
+        parts = [rng.choice(d) for d in domains]
+        for _ in range(rng.randint(0, 2)):
+            k = rng.randrange(len(parts) + 1)
+            if k < len(parts) and rng.random() < 0.6:
+                parts[k] = rng.choice(words)
+            else:
+                parts.insert(k, rng.choice(words))
+        got.add("".join(parts))
+    return [list(s) for s in sorted(got)]
+
+
+def _ab_strings(seed):
+    strings = [list(s) for s in all_strings("ab", 7)]
+    random.Random(seed).shuffle(strings)
+    return strings
+
+
+def _split_cases():
+    topo = compile_rules((RULES_DIR / "topological.fsr").read_text(encoding="utf-8"))
+    return ([(pieces, _ab_strings(k)) for k, pieces in enumerate(_split_rules(50, 40))]
+            + [(topo.pieces, _topological_strings(51, 400))])
+
+
+def _agrees(oracle, parts, s):
+    assert oracle.split(s) == _split_per_string(s, parts), s
+    assert _answer(oracle.concat, s) == _answer(lambda x: _concat_per_string(parts, x), s), s
+
+
+def test_split_oracle_answers_like_the_split_of_each_string():
+    splits = 0
+    for parts, strings in _split_cases():
+        oracle = SplitOracle(parts)
+        for s in strings:
+            _agrees(oracle, parts, s)
+            splits += oracle.split(s) is not None
+    assert splits > 500  # the rules do split strings
+
+
+def test_lm_oracles_never_reuse_another_rules_split():
+    rules = _split_rules(52, 20)
+    differed = 0
+    for first, second in zip(rules[::2], rules[1::2]):
+        for s in _ab_strings(53)[:128]:
+            for parts in (first, second):
+                assert oracle_lm_split(s, parts) == _split_per_string(s, parts), s
+                assert _answer(lambda x: oracle_lm_concat(parts, x), s) == \
+                    _answer(lambda x: _concat_per_string(parts, x), s), s
+            differed += oracle_lm_split(s, first) != oracle_lm_split(s, second)
+    assert differed  # the rules do tell strings apart
+
+
+def test_split_oracle_memo_stays_under_its_cap(monkeypatch):
+    monkeypatch.setattr(fsrw.oracle, "ORACLE_MEMO_CAP", 60)
+    renewed = 0
+    for parts, strings in _split_cases()[::8]:
+        oracle = SplitOracle(parts)
+        for s in strings:
+            before = oracle.size()
+            _agrees(oracle, parts, s)
+            assert oracle.size() <= 60
+            renewed += oracle.size() < before
+    assert renewed >= 1  # the cap was reached and the memo started afresh
+
+
+def test_each_piece_span_is_walked_once(monkeypatch):
+    walked = collections.Counter()
+    outputs = _Walker.outputs
+
+    def counted(self, ids):
+        walked[id(self), tuple(ids)] += 1
+        return outputs(self, ids)
+
+    monkeypatch.setattr(_Walker, "outputs", counted)
+    topo = compile_rules((RULES_DIR / "topological.fsr").read_text(encoding="utf-8"))
+    oracle = SplitOracle(topo.pieces)
+    strings = _topological_strings(54, 300)
+    for s in strings + strings[::-1]:
+        oracle.concat(s)
+    assert oracle.size() < ORACLE_MEMO_CAP
+    assert len(walked) >= 5 and set(walked.values()) == {1}, walked
