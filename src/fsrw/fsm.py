@@ -223,22 +223,22 @@ def _finish(table, n, initial, finals, arcs) -> Fst:
     """Normalize raw construction output: drop epsilon-pair arcs by
     closure, trim to useful states, renumber by BFS, sort arcs.
 
-    One pass splits the epsilon-pair arcs from the others into per-state
-    lists.  Only the states with an epsilon-pair arc are closed (a state
-    takes the arcs and the finality of every state in its closure); any
-    other state's closure is itself.  One backward reach over the raw arcs
-    finds the states that reach a final one: a raw path and a closed path
-    connect the same states.  The canonical BFS from the initial state then
-    keeps the forward-reachable ones, since a state on a path to a
-    co-reachable state is co-reachable itself.  It explores a state's arcs
-    without duplicates in (in, out, old dst) order, so ties on identical
-    labels break on the old dst id."""
+    One pass splits the epsilon-pair arcs from the others.  Only the
+    states with an epsilon-pair arc are closed (a state takes the arcs and
+    the finality of every state in its closure).  One backward reach over
+    the raw arcs finds the states that reach a final one: a raw path and a
+    closed path connect the same states.  The canonical BFS from the
+    initial state then keeps the forward-reachable ones, since a state on
+    a path to a co-reachable state is co-reachable itself.  It reads a
+    state's arcs without duplicates in (in, out, old dst) order, so ties on
+    identical labels break on the old dst id; with the epsilon pairs gone,
+    an arc is an identity pair exactly when its two labels are equal."""
     out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    eps: list[list[int]] = [[] for _ in range(n)]
     into: list[list[int]] = [[] for _ in range(n)]
+    eps: dict[int, list[int]] = {}
     for s, i, o, d in arcs:
         if i == EPS and o == EPS:
-            eps[s].append(d)
+            eps.setdefault(s, []).append(d)
         else:
             out[s].append((i, o, d))
         into[d].append(s)
@@ -247,26 +247,27 @@ def _finish(table, n, initial, finals, arcs) -> Fst:
     if initial not in live:
         return Fst(table, 1, 0, frozenset(), (), True)
 
-    # epsilon-pair closure: eps:eps arcs are construction glue only
-    closed = {}
-    for q in range(n):
-        if eps[q]:
-            cl = _reach([q], eps)
-            closed[q] = (not finals.isdisjoint(cl),
-                         [arc for c in cl for arc in out[c]])
-    for q, (final, arcs_q) in closed.items():
-        if final:
-            finals.add(q)
-        out[q] = arcs_q
-
-    def moves(q):
-        return sorted({arc for arc in out[q] if arc[2] in live})
-
-    keys, new_arcs = _explore(initial, moves)
+    if eps:  # eps:eps arcs are construction glue only
+        raw, succ = out[:], [eps.get(q, ()) for q in range(n)]
+        for q in eps:
+            cl = _reach([q], succ)
+            out[q] = [arc for c in cl for arc in raw[c]]
+            if not finals.isdisjoint(cl):  # as does any closure holding q
+                finals.add(q)
+    index, order = {initial: 0}, [initial]
+    new_arcs, recognizer = [], True
+    for src, q in enumerate(order):  # order grows while it is walked
+        for i, o, d in sorted(set(out[q])) if len(out[q]) > 1 else out[q]:
+            if d in live:
+                to = index.get(d)
+                if to is None:
+                    to = index[d] = len(order)
+                    order.append(d)
+                new_arcs.append((src, i, o, to))
+                recognizer = recognizer and i == o
     new_arcs.sort()
-    new_finals = frozenset(k for k, q in enumerate(keys) if q in finals)
-    return Fst(table, len(keys), 0, new_finals, tuple(new_arcs),
-               _is_recognizer(new_arcs))
+    new_finals = frozenset(k for k, q in enumerate(order) if q in finals)
+    return Fst(table, len(order), 0, new_finals, tuple(new_arcs), recognizer)
 
 
 def _check_tables(*ms: Fst):
@@ -476,7 +477,8 @@ def _moore_minimize_dfa(n, initial, finals, arcs, table) -> Fst:
     every label with -1 for a missing arc would, so the partition is the
     same, at a cost of O(n + arcs) per round rather than O(n * labels).
     Finality and the label set never change, so they form the first
-    partition, and each round only compares target classes.
+    partition, and each round only compares target classes, up to a
+    fixpoint or until every class is a single state.
 
     The quotient numbers itself: a BFS from the initial state's class
     reads each class's arcs off one member, in label order.  It is
@@ -488,17 +490,18 @@ def _moore_minimize_dfa(n, initial, finals, arcs, table) -> Fst:
     live = _reach(finals, into)
     if initial not in live:
         return empty_lang(table)
+    if len(live) < n:
+        arcs = [arc for arc in arcs if arc[3] in live]
     labs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     dsts: list[list[int]] = [[] for _ in range(n)]
     for s, i, o, d in arcs:
-        if d in live:
-            labs[s].append((i, o))
-            dsts[s].append(d)
+        labs[s].append((i, o))
+        dsts[s].append(d)
     first: dict[tuple, int] = {}
     cls = [first.setdefault((q in finals, tuple(labs[q])), len(first))
            for q in range(n)]
     k = len(first)
-    while True:
+    while k < n:
         sig_index: dict[tuple, int] = {}
         cls = [sig_index.setdefault((cls[q], tuple([cls[d] for d in dsts[q]])),
                                     len(sig_index))
@@ -507,18 +510,20 @@ def _moore_minimize_dfa(n, initial, finals, arcs, table) -> Fst:
         if len(sig_index) == k:
             break
         k = len(sig_index)
-    member = [0] * k
-    for q, c in enumerate(cls):
-        member[c] = q
-
-    def moves(c):
-        q = member[c]
-        return [(i, o, cls[d]) for (i, o), d in zip(labs[q], dsts[q])]
-
-    keys, new_arcs = _explore(cls[initial], moves)
-    new_finals = frozenset(k for k, c in enumerate(keys) if member[c] in finals)
-    return Fst(table, len(keys), 0, new_finals, tuple(new_arcs),
-               _is_recognizer(new_arcs))
+    number = [-1] * k  # a class's state in the quotient
+    number[cls[initial]] = 0
+    order = [initial]  # one member of each class met, in BFS order
+    new_arcs, recognizer = [], True
+    for src, q in enumerate(order):  # order grows while it is walked
+        for (i, o), d in zip(labs[q], dsts[q]):
+            to = number[cls[d]]
+            if to < 0:
+                to = number[cls[d]] = len(order)
+                order.append(d)
+            new_arcs.append((src, i, o, to))
+            recognizer = recognizer and i == o != EPS
+    new_finals = frozenset(k for k, q in enumerate(order) if q in finals)
+    return Fst(table, len(order), 0, new_finals, tuple(new_arcs), recognizer)
 
 
 def minimize(m: Fst, pair_atomic: bool = False) -> Fst:
@@ -697,21 +702,20 @@ def compose(a: Fst, b: Fst) -> Fst:
     pair of paths is duplicated."""
     _check_tables(a, b)
     adj_a = a.adjacency()
-    adj_b = b.adjacency()
+    by_mid: list[dict] = [{} for _ in range(b.n)]  # b's (out, dst) by state, input
+    for sb, j, o2, db in b.arcs:
+        by_mid[sb].setdefault(j, []).append((o2, db))
 
     def moves(key):
         pa, pb, flt = key
-        by_mid: dict[int, list[tuple[int, int]]] = {}
-        for j, o2, db in adj_b[pb]:
-            by_mid.setdefault(j, []).append((o2, db))
         for i, o1, da in adj_a[pa]:
             if o1 == EPS:
                 if flt != 2:  # a-alone moves precede b-alone moves
                     yield i, EPS, (da, pb, 1)
             else:
-                for o2, db in by_mid.get(o1, ()):
+                for o2, db in by_mid[pb].get(o1, ()):
                     yield i, o2, (da, db, 0)
-        for o2, db in by_mid.get(EPS, ()):
+        for o2, db in by_mid[pb].get(EPS, ()):
             yield EPS, o2, (pa, db, 2)
 
     keys, arcs = _explore((a.initial, b.initial, 0), moves)

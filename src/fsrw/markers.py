@@ -37,9 +37,10 @@ keyed by its name, the flags it reads and the one machine it reads, and
 reducing itself as the constructions above do, so that a rule that
 repeats an encoded domain, context or target over one shape, in one
 process, takes the factors built for it.  `replace` folds the factors
-that read one piece in groups, each group an `_op` named "composed" and
-keyed by the factor machines it composes (`fsrw.replace._composed`), so
-a rule whose pieces repeat takes its groups composed.  So every entry is
+that read one piece in groups, each group an `_op` named "composed",
+keyed by the factor machines it composes and reduced once, after the
+last composition (`fsrw.replace._composed`), so a rule whose pieces
+repeat takes its groups composed.  So every entry is
 a fixed point of the reduction (`_reduced`) while it stays under
 `fsrw.fsm.REDUCE_STATE_CAP`.
 

@@ -116,11 +116,6 @@ class _Walker:
         walk = list(self.walk(ids))
         return len(walk) > len(ids) and self.final[walk[-1]]
 
-    def match_ends(self, ids: Sequence[int], start: int) -> list[int]:
-        """All q >= start with ids[start:q] accepted."""
-        return [start + p for p, k in enumerate(self.walk(ids[start:]))
-                if self.final[k]]
-
     def outputs(self, ids: Sequence[int]) -> list[tuple[int, ...]]:
         """Every output of an accepting path that reads `ids` on the input
         side, as id tuples.  Raises FsmError when there are infinitely many.

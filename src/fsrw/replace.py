@@ -27,11 +27,11 @@ are each the reduced form of their pair language.
 (Mohri & Sproat, *An efficient compiler for weighted rewrite rules*, ACL
 1996): the encoder with r_right, f_phi with left_to_right, longest_match,
 aux_replace, and l1 with l2 and the decoder.  Each group of two or three
-is composed and reduced once and kept in the marker store, keyed by the
-factors it composes, so a rule whose pieces all repeat composes five
-machines, not nine.  longest_match stays apart: composed with the other
-two dom(T) factors it is larger than the three of them and costs more to
-build than the fold saves.
+is composed, then reduced once, and kept in the marker store, keyed by
+the factors it composes, so a rule whose pieces all repeat composes five
+machines, not nine, and reduces once.  longest_match stays apart:
+composed with the other two dom(T) factors it is larger than the three
+of them and costs more to build than the fold saves.
 """
 
 from __future__ import annotations
@@ -226,28 +226,28 @@ def _check_pieces(t: Fst, left: Fst, right: Fst):
 
 
 def compose_cascade(machines: list[Fst]) -> Fst:
-    """Fold a cascade into one transducer, reducing after each composition."""
+    """Fold a cascade into one transducer: compose in order, then reduce
+    once (`reduce_pairs`).  A composition's pair language depends only on
+    its operands', and the reduction is canonical, so under
+    `REDUCE_STATE_CAP` this is the machine that reducing after every
+    composition gives.  A lone machine comes back as it is."""
     m = machines[0]
     for f in machines[1:]:
-        m = reduce_pairs(compose(m, f))
-    return m
+        m = compose(m, f)
+    return m if len(machines) == 1 else reduce_pairs(m)
 
 
 @_op
 def _composed(kit: MarkerKit, *factors: Fst) -> Fst:
-    """The factors folded as `compose_cascade` folds them, kept in the
-    store by the factors it composes."""
-    m = factors[0]
-    for f in factors[1:]:
-        m = reduce_pairs(compose(m, f))
-    return m
+    """`compose_cascade` of the factors, stored by the factors it composes."""
+    return compose_cascade(list(factors))
 
 
 def _fold_by_piece(factors: list[Fst]) -> Fst:
     """`compose_cascade(factors)` over five machines, three of them
     stored groups (see the module docstring).  Composition is associative
-    and each step's reduction canonical, so under `REDUCE_STATE_CAP` the
-    result is the nine-factor fold's, byte for byte."""
+    and the reduction canonical, so under `REDUCE_STATE_CAP` the result is
+    the nine-factor fold's, byte for byte."""
     right, dom, lm, aux, left = (factors[:2], factors[2:4], factors[4],
                                  factors[5], factors[6:])
     kit = MarkerKit.of(lm.table)

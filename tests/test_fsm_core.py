@@ -1,6 +1,7 @@
 """Core machine algebra: constructors, rational and boolean operations,
 composition, projection, transduction, enumeration."""
 
+import collections
 import itertools
 import random
 import re
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import fsrw.classes as classes
+import fsrw.markers as markers
 from fsrw import fsm
 from fsrw import (
     EPS,
@@ -55,6 +58,7 @@ from fsrw.oracle import _Walker
 from gen import build_regex, model_lang, random_arc_machine, random_regex
 
 RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
+BENCH_RULES_DIR = RULES_DIR.parent / "bench" / "rules"
 
 AMBIGUOUS = """\
 #alphabet a e i o k t.
@@ -1034,6 +1038,179 @@ def test_moore_matches_the_reference_kernel():
         assert reduce_pairs(m).same_structure(want)
         dead += not m.same_structure(canonicalize(m))
     assert dead >= 200
+
+
+def _explored_finish(table, n, initial, finals, arcs):
+    """`fsm._finish` as it was when it built every epsilon list, deduped
+    and sorted every state's arcs, numbered its states through
+    `fsm._explore` and read `is_recognizer` off the arcs afterwards, kept
+    verbatim as the reference."""
+    out = [[] for _ in range(n)]
+    eps = [[] for _ in range(n)]
+    into = [[] for _ in range(n)]
+    for s, i, o, d in arcs:
+        if i == EPS and o == EPS:
+            eps[s].append(d)
+        else:
+            out[s].append((i, o, d))
+        into[d].append(s)
+    finals = set(finals)
+    live = fsm._reach(finals, into)
+    if initial not in live:
+        return Fst(table, 1, 0, frozenset(), (), True)
+
+    # epsilon-pair closure: eps:eps arcs are construction glue only
+    closed = {}
+    for q in range(n):
+        if eps[q]:
+            cl = fsm._reach([q], eps)
+            closed[q] = (not finals.isdisjoint(cl),
+                         [arc for c in cl for arc in out[c]])
+    for q, (final, arcs_q) in closed.items():
+        if final:
+            finals.add(q)
+        out[q] = arcs_q
+
+    def moves(q):
+        return sorted({arc for arc in out[q] if arc[2] in live})
+
+    keys, new_arcs = fsm._explore(initial, moves)
+    new_arcs.sort()
+    new_finals = frozenset(k for k, q in enumerate(keys) if q in finals)
+    return Fst(table, len(keys), 0, new_finals, tuple(new_arcs),
+               fsm._is_recognizer(new_arcs))
+
+
+def _explored_moore(n, initial, finals, arcs, table):
+    """`fsm._moore_minimize_dfa` as it was when it filtered every arc by
+    liveness, refined until the class count stood still and numbered its
+    quotient through `fsm._explore`, kept verbatim as the reference."""
+    into = [[] for _ in range(n)]
+    for s, _, _, d in arcs:
+        into[d].append(s)
+    live = fsm._reach(finals, into)
+    if initial not in live:
+        return empty_lang(table)
+    labs = [[] for _ in range(n)]
+    dsts = [[] for _ in range(n)]
+    for s, i, o, d in arcs:
+        if d in live:
+            labs[s].append((i, o))
+            dsts[s].append(d)
+    first = {}
+    cls = [first.setdefault((q in finals, tuple(labs[q])), len(first))
+           for q in range(n)]
+    k = len(first)
+    while True:
+        sig_index = {}
+        cls = [sig_index.setdefault((cls[q], tuple([cls[d] for d in dsts[q]])),
+                                    len(sig_index))
+               for q in range(n)]
+        # a round only splits classes, so an unchanged count is a fixpoint
+        if len(sig_index) == k:
+            break
+        k = len(sig_index)
+    member = [0] * k
+    for q, c in enumerate(cls):
+        member[c] = q
+
+    def moves(c):
+        q = member[c]
+        return [(i, o, cls[d]) for (i, o), d in zip(labs[q], dsts[q])]
+
+    keys, new_arcs = fsm._explore(cls[initial], moves)
+    new_finals = frozenset(k for k, c in enumerate(keys) if member[c] in finals)
+    return Fst(table, len(keys), 0, new_finals, tuple(new_arcs),
+               fsm._is_recognizer(new_arcs))
+
+
+def _same_machine(got, want):
+    return got.same_structure(want) and got.is_recognizer == want.is_recognizer
+
+
+def _with_epsilon_pairs(rng, m):
+    """The raw parts of arc machine `m` with a few epsilon-pair arcs among
+    its states and up to two states of their own, none of them trimmed."""
+    n = m.n + rng.randint(0, 2)
+    eps = [(rng.randrange(n), EPS, EPS, rng.randrange(n))
+           for _ in range(rng.randint(1, 3))]
+    arcs = list(m.arcs) + eps
+    rng.shuffle(arcs)
+    return n, rng.randrange(n), m.finals, arcs
+
+
+def test_the_kernels_match_the_explored_ones_on_arc_machines():
+    # `_finish` on untrimmed arc machines, with and without epsilon-pair
+    # arcs, and on raw construction output; Moore on the subset machines
+    # of nondeterministic ones, with and without epsilon-pair arcs
+    rng = random.Random(2040)
+    tb = SymbolTable("abc")
+    seen = dict.fromkeys(["eps", "untrimmed", "nondeterministic", "dead",
+                          "merged", "singletons"], 0)
+    for _ in range(1500):
+        m = random_arc_machine(rng, tb, max_states=rng.randint(1, 6),
+                               recognizer=rng.random() < 0.5)
+        labels = {(s, i, o) for s, i, o, _ in m.arcs}
+        seen["nondeterministic"] += len(labels) < len(m.arcs)
+        seen["untrimmed"] += not m.same_structure(canonicalize(m))
+        raws = [(m.n, m.initial, m.finals, m.arcs), _with_epsilon_pairs(rng, m),
+                _random_raw(rng, tb)]
+        for raw in raws:
+            seen["eps"] += any(i == o == EPS for _, i, o, _ in raw[3])
+            assert _same_machine(fsm._finish(tb, *raw), _explored_finish(tb, *raw)), raw
+        n, initial, finals, arcs = fsm._subset_construct(m)
+        got = fsm._moore_minimize_dfa(n, initial, finals, arcs, tb)
+        assert _same_machine(got, _explored_moore(n, initial, finals, arcs, tb)), m.arcs
+        # epsilon pairs read as atoms, as no machine the library builds has them
+        n2, initial2, finals2, arcs2 = raws[1]
+        built = fsm._subset_construct(Fst(tb, n2, initial2, frozenset(finals2),
+                                          tuple(sorted(arcs2)), False))
+        assert _same_machine(fsm._moore_minimize_dfa(*built, tb),
+                             _explored_moore(*built, tb)), arcs2
+        into = [[] for _ in range(n)]
+        for s, _, _, d in arcs:
+            into[d].append(s)
+        dead = n - len(fsm._reach(finals, into))
+        seen["dead"] += dead > 0
+        seen["merged"] += got.n < n - dead
+        seen["singletons"] += got.n == n  # every class a single state
+    assert min(seen.values()) >= 40, seen
+
+
+def test_the_kernels_match_the_explored_ones_on_a_compile(monkeypatch):
+    # every `_finish` and Moore call that compiling the rule files makes
+    # from an empty marker store, and every store entry it leaves
+    for name in ("_shape_cache", "_shapes"):
+        monkeypatch.setattr(markers, name, {})
+    monkeypatch.setattr(markers, "_shape_cache_arcs", 0)
+    calls = collections.Counter()
+
+    def checked(kernel, reference):
+        def check(*args):
+            calls[kernel.__name__] += 1
+            got = kernel(*args)
+            assert _same_machine(got, reference(*args)), args
+            return got
+        return check
+    finish = checked(fsm._finish, _explored_finish)
+    for module in (fsm, markers, classes):
+        monkeypatch.setattr(module, "_finish", finish)
+    monkeypatch.setattr(fsm, "_moore_minimize_dfa",
+                        checked(fsm._moore_minimize_dfa, _explored_moore))
+    for path in sorted(RULES_DIR.glob("*.fsr")) + sorted(BENCH_RULES_DIR.glob("*.fsr")):
+        compile_rules(path.read_text()).machine
+    entries = list(markers._shape_cache.values())
+    monkeypatch.undo()
+    assert calls["_finish"] >= 800 and calls["_moore_minimize_dfa"] >= 400, calls
+    assert len(entries) >= 300, len(entries)
+    for n, initial, finals, arcs, is_recognizer in entries:
+        # the kernels only carry the table along
+        assert _same_machine(fsm._finish(None, n, initial, finals, arcs),
+                             _explored_finish(None, n, initial, finals, arcs))
+        m = Fst(None, n, initial, finals, arcs, is_recognizer)
+        built = fsm._subset_construct(m)
+        assert _same_machine(fsm._moore_minimize_dfa(*built, None),
+                             _explored_moore(*built, None))
 
 
 def _reference_subset(m):

@@ -198,18 +198,6 @@ def test_walker_from_anywhere_is_final_after_a_suffix_in_the_language():
             assert walker.final[walk[-1]] == want, (m.arcs, w)
 
 
-def test_match_ends_on_an_empty_and_a_dead_prefix():
-    tb = SymbolTable("ab")
-    ab = [tb.id_of(g) for g in "ab"]
-    maybe = _Walker(option(word(tb, "ab")))
-    assert maybe.match_ends(ab, 0) == [0, 2]
-    assert maybe.match_ends(ab, 2) == [2]  # nothing left to read
-    assert maybe.match_ends(ab, 1) == [1]  # b reaches no state
-    once = _Walker(word(tb, "ab"))
-    assert once.match_ends(ab, 2) == []
-    assert once.match_ends(ab, 1) == []
-
-
 # ---------------------------------------------------------------------------
 # independence and reuse
 
@@ -360,6 +348,25 @@ def test_each_span_is_walked_once(monkeypatch):
 # the split oracle against a split computed afresh for each string
 
 
+def _match_ends(walker, ids, start):
+    """All q >= start with ids[start:q] accepted by the walker's machine,
+    read off `_Walker.walk` from `start`."""
+    return [start + p for p, k in enumerate(walker.walk(ids[start:]))
+            if walker.final[k]]
+
+
+def test_match_ends_on_an_empty_and_a_dead_prefix():
+    tb = SymbolTable("ab")
+    ab = [tb.id_of(g) for g in "ab"]
+    maybe = _Walker(option(word(tb, "ab")))
+    assert _match_ends(maybe, ab, 0) == [0, 2]
+    assert _match_ends(maybe, ab, 2) == [2]  # nothing left to read
+    assert _match_ends(maybe, ab, 1) == [1]  # b reaches no state
+    once = _Walker(word(tb, "ab"))
+    assert _match_ends(once, ab, 2) == []
+    assert _match_ends(once, ab, 1) == []
+
+
 def _split_per_string(s, parts):
     """The greedy split of one string on its own: a walker per piece built
     for the call, the match ends from every start position, and the
@@ -368,7 +375,7 @@ def _split_per_string(s, parts):
     ids = [table.id_of(g) for g in s]
     n = len(ids)
     walkers = [_Walker(p) for p in parts]
-    ends = [[w.match_ends(ids, i) for i in range(n + 1)] for w in walkers]
+    ends = [[_match_ends(w, ids, i) for i in range(n + 1)] for w in walkers]
     dead = set()
 
     def go(i, k):

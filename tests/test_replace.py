@@ -7,6 +7,7 @@ the right context on the input still ahead."""
 
 import collections
 import importlib
+import io
 import itertools
 import random
 import time
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import fsrw.cli
 import fsrw.markers as markers
 from fsrw import (
     EPS,
@@ -26,12 +28,15 @@ from fsrw import (
     compose_cascade,
     concat,
     cross_product,
+    dump_text,
     empty_string,
     enumerate_pairs,
     equivalent,
     literal,
+    load_text,
     oracle_replace,
     project,
+    reduce_pairs,
     replace,
     replace_factors,
     star,
@@ -39,11 +44,13 @@ from fsrw import (
     union,
     word,
 )
+from fsrw.cli import main
 from fsrw.fsm import _reach
 
 from gen import all_strings, count_memo, random_replace_rule
 
-BENCH_RULES = Path(__file__).resolve().parent.parent / "bench" / "rules"
+RULES = Path(__file__).resolve().parent.parent / "rules"
+BENCH_RULES = RULES.parent / "bench" / "rules"
 
 # the package re-exports the function replace under the module's name
 replace_module = importlib.import_module("fsrw.replace")
@@ -392,14 +399,21 @@ def test_the_fold_by_piece_is_the_fold_of_the_nine_factors(monkeypatch):
 
 def test_a_warm_rule_composes_five_machines(monkeypatch):
     # a rule whose groups are all stored composes four times, where the
-    # nine-factor fold composed eight times
+    # nine-factor fold composed eight times, and reduces once, at the end
+    # of the fold, where reducing after each composition did four times
     calls = []
+    reductions = []
 
     def counted(a, b):
         calls.append((a, b))
         return compose(a, b)
+
+    def counted_reduction(m):
+        reductions.append(m)
+        return reduce_pairs(m)
     for module in (replace_module, markers):
         monkeypatch.setattr(module, "compose", counted)
+    monkeypatch.setattr(replace_module, "reduce_pairs", counted_reduction)
     empty_store(monkeypatch)
     rng = random.Random(38)
     for _ in range(10):
@@ -407,5 +421,59 @@ def test_a_warm_rule_composes_five_machines(monkeypatch):
         for flags in itertools.product((False, True), (True, False)):
             replace(t, left, right, *flags)
             calls.clear()
+            reductions.clear()
             replace(t, left, right, *flags)
             assert len(calls) == 4, flags
+            assert len(reductions) == 1, flags
+
+
+def _fold_step_by_step(machines):
+    """`compose_cascade` as it was when it reduced after every
+    composition, kept here as the reference for the one-reduction fold."""
+    m = machines[0]
+    for f in machines[1:]:
+        m = reduce_pairs(compose(m, f))
+    return m
+
+
+def test_compose_cascade_is_the_step_by_step_fold(tmp_path):
+    # composition is associative and the reduction canonical, so one
+    # reduction at the end gives the machine that reducing after each
+    # composition gives: on the nine factors of random rules under every
+    # flag pair, and on the cascade file of each rule file compiled with
+    # --cascade
+    rng = random.Random(40)
+    for _ in range(40):
+        _, t, left, right = random_replace_rule(rng)
+        for flags in itertools.product((False, True), (True, False)):
+            factors = replace_factors(t, left, right, *flags)
+            want = _fold_step_by_step(factors)
+            assert compose_cascade(factors).same_structure(want), flags
+    cascades = []
+    for path in sorted(RULES.glob("*.fsr")) + sorted(BENCH_RULES.glob("*.fsr")):
+        if compile_rules(path.read_text()).kind != "replace":
+            continue  # --cascade splits only a replace rule
+        out_path = tmp_path / (path.stem + ".fsm")
+        assert main(["compile", "-r", str(path), "-o", str(out_path), "--cascade"]) == 0
+        factors = load_text(out_path.read_text())
+        want = _fold_step_by_step(factors)
+        assert compose_cascade(factors).same_structure(want), path
+        cascades.append(path.stem)
+    assert cascades == ["ab_star", "abbrev", "devoice_final", "ambiguous", "devoice27"]
+
+
+def test_a_one_machine_cascade_is_its_machine_unreduced(tmp_path, monkeypatch, capsys):
+    # a lone machine is returned as it is, not reduced, and a cascade file
+    # of one section applies that machine as written
+    table = SymbolTable("abc")
+    m = union(cross_product(word(table, "ab"), word(table, "c")),
+              cross_product(word(table, "ac"), word(table, "b")))
+    assert not m.same_structure(reduce_pairs(m))
+    assert compose_cascade([m]) is m
+    path = tmp_path / "one.fsm"
+    path.write_text(dump_text([m]))
+    assert path.read_text().startswith("cascade 1\n")
+    assert fsrw.cli._load_machine(str(path)).same_structure(m)
+    monkeypatch.setattr("sys.stdin", io.StringIO("ab\nac\n"))
+    assert main(["apply", "-m", str(path)]) == 0
+    assert capsys.readouterr().out == "c\nb\n"
