@@ -415,6 +415,19 @@ def _is_own_subset_machine(m: Fst) -> bool:
     return met == m.n
 
 
+def _subset_moves(adj):
+    """The `_explore` moves of the subset machine over the arc lists
+    adj[state] of (in, out, dst): one move per label, in label order."""
+    def moves(subset):
+        by_label: dict[tuple[int, int], set[int]] = {}
+        for q in subset:
+            for i, o, d in adj[q]:
+                by_label.setdefault((i, o), set()).add(d)
+        for i, o in sorted(by_label):
+            yield i, o, frozenset(by_label[i, o])
+    return moves
+
+
 def _subset_construct(m: Fst, state_cap: Optional[int] = None):
     """Subset construction over atomic labels (in, out).  For recognizers
     the atoms are identity pairs, so this is ordinary determinization.
@@ -432,17 +445,7 @@ def _subset_construct(m: Fst, state_cap: Optional[int] = None):
         if state_cap is not None and m.n > max(state_cap, 1):
             return None
         return m.n, 0, m.finals, m.arcs
-    adj = m.adjacency()
-
-    def moves(subset):
-        by_label: dict[tuple[int, int], set[int]] = {}
-        for q in subset:
-            for i, o, d in adj[q]:
-                by_label.setdefault((i, o), set()).add(d)
-        for i, o in sorted(by_label):
-            yield i, o, frozenset(by_label[i, o])
-
-    built = _explore(frozenset([m.initial]), moves, state_cap)
+    built = _explore(frozenset([m.initial]), _subset_moves(m.adjacency()), state_cap)
     if built is None:
         return None
     keys, arcs = built
@@ -757,6 +760,33 @@ def reverse(m: Fst) -> Fst:
     arcs = [(1 + d, i, o, 1 + s) for s, i, o, d in m.arcs]
     arcs.extend((0, EPS, EPS, 1 + f) for f in m.finals)
     return _finish(m.table, m.n + 1, 0, [1 + m.initial], arcs)
+
+
+def _determinize_reversal(table, n, initial, finals, arcs) -> Fst:
+    """`reduce_pairs(reverse(m))` for the machine `m` with these parts,
+    which must be deterministic over its (in, out) labels, with every
+    state reachable from `initial`, and have no epsilon-pair arc; it has
+    no state cap.
+
+    The subset construction of a reversed accessible deterministic
+    machine is its minimal machine (Brzozowski, *Canonical regular
+    expressions and minimal state graphs for definite events*, 1962): a
+    subset holds the states from which the string read so far, turned
+    back round, leads to a final state, and two distinct subsets differ
+    on some state, so the string that reaches it from `initial` tells
+    them apart.  No move goes to the empty subset, so it is trim too.
+    `_explore` numbers it as `_moore_minimize_dfa` numbers a quotient, so
+    the result is the canonical one, with no `_finish`, `reverse` or
+    Moore pass."""
+    if not finals:
+        return empty_lang(table)
+    back: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for s, i, o, d in arcs:
+        back[d].append((i, o, s))
+    keys, new_arcs = _explore(frozenset(finals), _subset_moves(back))
+    new_finals = frozenset(k for k, subset in enumerate(keys) if initial in subset)
+    return Fst(table, len(keys), 0, new_finals, tuple(new_arcs),
+               _is_recognizer(new_arcs))
 
 
 # -- queries ------------------------------------------------------------------

@@ -22,26 +22,26 @@ argument, and the kit that asked for it keeps it too.  Every kit over a
 table of that shape wraps the same arcs on its own table; a machine
 argument on another table is refused with FsmError.  The store keeps what
 a construction returns, so the constructions that can come out unreduced
-reduce themselves: the constants, `contains`, `_cross`, the intro family,
-`_wedge` and the scans, a recognizer to its minimal machine and a
-transduction by `reduce_pairs`.  Unreduced, the closures they are built
-with (`star` of a `union`, say) copy arcs onto every final state and grow
-with the square of the alphabet, and every factor and composition of a
-compile would pay for it.  The rest come out minimal from `difference` or
+reduce themselves: the constants, `contains`, `_cross`, the intro family
+and `_wedge`, a recognizer to its minimal machine and a transduction by
+`reduce_pairs`.  Unreduced, the closures they are built with (`star` of
+a `union`, say) copy arcs onto every final state and grow with the
+square of the alphabet, and every factor and composition of a compile
+would pay for it.  The rest come out minimal from `difference` or
 `project`, or, as `strip`, invert a reduced machine.  The filters
-(`non_markers_of`, `not_`, the `ign` family, `ignx_1`, the scans) each
-read only one of dom(T), Left or Right, so the rules that share a context
-or a domain over one alphabet shape share its filters.  Seven of the nine
-replace factors (`fsrw.replace.replace_factors`) are `_op`s too, each
-keyed by its name, the flags it reads and the one machine it reads, and
-reducing itself as the constructions above do, so that a rule that
-repeats an encoded domain, context or target over one shape, in one
-process, takes the factors built for it.  `replace` folds the factors
-that read one piece in groups, each group an `_op` named "composed",
-keyed by the factor machines it composes and reduced once, after the
-last composition (`fsrw.replace._composed`), so a rule whose pieces
-repeat takes its groups composed.  So every entry is
-a fixed point of the reduction (`_reduced`) while it stays under
+(`non_markers_of`, `not_`, the `ign` family, `ignx_1`) each read only one
+of dom(T), Left or Right, so the rules that share a context or a domain
+over one alphabet shape share its filters.  Seven of the nine replace
+factors (`fsrw.replace.replace_factors`) are `_op`s too, each keyed by
+its name, the flags it reads and the one machine it reads, and each
+built reduced, by a scan (below) or as the constructions above are, so
+that a rule that repeats an encoded domain, context or target over one
+shape, in one process, takes the factors built for it.  `replace` folds
+the factors that read one piece in groups, each group an `_op` named
+"composed", keyed by the factor machines it composes and reduced once,
+after the last composition (`fsrw.replace._composed`), so a rule whose
+pieces repeat takes its groups composed.  So every entry is a fixed
+point of the reduction (`_reduced`) while it stays under
 `fsrw.fsm.REDUCE_STATE_CAP`.
 
 The store never holds more than SHAPE_CACHE_CAP arcs, counting each
@@ -52,15 +52,21 @@ unstored, so compiling against endless new alphabets or arguments runs
 in bounded memory.  Each shape in the keys is one tuple, `_shapes`
 holding it, since a shape holds every user id of its table.
 
-The replace factors filter markings with `mark_iff`, `guard_before` and
-`not_contains`.  Each is one scan over the cells, forwards or on the
-reversed tape as Mohri & Sproat mark right contexts (*An efficient
-compiler for weighted rewrite rules*, ACL 1996), and builds the same
-minimal machine as the nested complements it stands for: the paper's
-`l_iff_r`, `if_s_then_p` and `not(contains(...))`.  Those formulas, with
-`if_p_then_s`, `p_iff_s`, `coerce_to_boolean` and `if`, are predefined
-macros of the rule language (`fsrw.dsl`), written over this kit's
-builtins.
+Five replace factors filter markings, and each is one scan over the
+cells that writes the markers it filters (`MarkerKit._scan`), as Mohri &
+Sproat's Marker pass over a deterministic automaton inserts or checks
+them (*An efficient compiler for weighted rewrite rules*, ACL 1996).
+`r_right` and `f_phi` insert theirs and `longest_match` deletes its rb2
+cells in a scan on the reversed tape, as the paper marks right contexts;
+`l1` and `l2` delete theirs in a forward scan.  Each builds the reduced
+form of the composition it stands for: the paper's `l_iff_r`,
+`not(contains(...))` or `if_s_then_p` composed with `intro` or `strip`.
+The scan is deterministic, so a forward one needs only Moore refinement,
+and a backward one determinizes its own reversal, which is minimal
+(Brzozowski, *Canonical regular expressions and minimal state graphs for
+definite events*, 1962).  The formulas, with `if_p_then_s`, `p_iff_s`,
+`coerce_to_boolean` and `if`, are predefined macros of the rule language
+(`fsrw.dsl`), written over this kit's builtins.
 """
 
 from __future__ import annotations
@@ -69,11 +75,13 @@ import functools
 from typing import Optional
 
 from .fsm import (
+    EPS,
     FsmError,
     Fst,
     SymbolTable,
+    _determinize_reversal,
     _explore,
-    _finish,
+    _moore_minimize_dfa,
     _require_recognizer,
     any_of,
     compose,
@@ -88,7 +96,6 @@ from .fsm import (
     plus,
     project,
     reduce_pairs,
-    reverse,
     sigma_star,
     star,
     symbol_pair,
@@ -374,112 +381,107 @@ class MarkerKit:
 
     # marker filters as one-direction scans --------------------------------
 
-    def _scan(self, pattern: Fst, cell: Optional[Fst], backward: bool,
-              allow) -> Fst:
-        """A machine of the cell strings that one scan accepts.
+    def _scan(self, pattern: Fst, cell: Fst, backward: bool, allow,
+              write: str, skip: Optional[Fst] = None) -> Fst:
+        """The reduced transduction that one scan over the cells writes.
 
-        The scan reads the tape cell by cell, forwards or (`backward`)
-        from its end, and runs the subset machine of `pattern` over the
-        symbols it reads.  At each cell boundary it asks `allow(final,
-        hit)` whether the next cell may come: `final` tells whether the
-        subset there holds a final state of `pattern`, and `hit` whether
-        the cell is in `cell`, a language of single cells (None: no cell
-        is).  The end of the tape counts as a cell that is not in `cell`.
+        The scan reads the marked tape cell by cell, forwards or
+        (`backward`) from its end.  The cells of `cell`, a language of
+        single cells, are written, never copied: `write` "insert" emits
+        each as (ε, glyph)(ε, flag), and "delete" reads each as
+        (glyph, ε)(flag, ε).  Every other cell is copied.  Over the
+        marked tape runs the subset machine of `pattern`: forwards it is
+        final where the prefix read is in `pattern`, backwards, where a
+        `pattern` string starts (it runs over rev(xsig)* rev(pattern)).
+        At each cell boundary the scan asks `allow(final, hit)` whether
+        the next cell may come: `final` tells whether the subset there is
+        final, and `hit` whether the cell is in `cell`.  The end of the
+        tape counts as a cell that is not in `cell`.  The cells of `skip`
+        are copied without a step of the subset or a question.
+
         A scan state is a subset at a boundary, or, halfway through a
-        cell, the subset and the symbols that may still complete the cell.
-        A backward scan accepts the reversed tapes, so it is reversed back;
-        then it is minimized, once, which gives equal languages equal
-        machines.  `pattern` and `cell` must be recognizers."""
-        _require_recognizer(pattern, "a scan")
-        if cell is not None:
-            _require_recognizer(cell, "a scan")
+        cell, the subset and the labels that may still complete the cell,
+        with the subset at the boundary as well when a `skip` cell may
+        complete it: a forward scan reads the glyph first, and "<2" may
+        begin a `skip` cell or an ordinary one.  The scan is deterministic
+        over its labels and reaches every state, so a forward scan goes
+        straight to Moore refinement, and a backward scan, which writes
+        the reversed pairs, determinizes its own reversal, which is
+        minimal (`fsrw.fsm._determinize_reversal`).  Either way it is the
+        reduced form of its pair language.  `pattern`, `cell` and `skip`
+        must be recognizers."""
+        for m in (pattern, cell, skip):
+            if m is not None:
+                _require_recognizer(m, "a scan")
         t = self.table
+        # the subset machine of `pattern`, or backwards of rev(xsig)*
+        # rev(pattern): the arcs reversed, and the finals, where a reversed
+        # `pattern` string starts, joining the subset at every boundary
         adj: list[dict[int, list[int]]] = [{} for _ in range(pattern.n)]
-        for s, i, _, d in pattern.arcs:
-            adj[s].setdefault(i, []).append(d)
-        marked = set()
-        if cell is not None:
-            cadj = cell.adjacency()
-            marked = {(g, f) for g, _, mid in cadj[cell.initial]
-                      for f, _, d in cadj[mid] if d in cell.finals}
-        # every cell, in the order the scan reads its two symbols
-        pairs = ([(g, 0) for g in t.encoded_ids()]
-                 + [(b, 1) for b in t.bracket_ids()])
-        halves: dict[int, list[tuple[int, bool]]] = {}
-        for g, f in pairs:
+        if backward:
+            start = again = pattern.finals
+            goal = frozenset([pattern.initial])
+            for s, i, _, d in pattern.arcs:
+                adj[d].setdefault(i, []).append(s)
+        else:
+            start, again, goal = frozenset([pattern.initial]), frozenset(), pattern.finals
+            for s, i, _, d in pattern.arcs:
+                adj[s].setdefault(i, []).append(d)
+
+        def cells(m):
+            if m is None:
+                return set()
+            cadj = m.adjacency()
+            return {(g, f) for g, _, mid in cadj[m.initial]
+                    for f, _, d in cadj[mid] if d in m.finals}
+        marked, skipped = cells(cell), cells(skip)
+        # every cell by its first label, in the order the scan reads them
+        halves: dict[tuple[int, int], list] = {}
+        for g, f in ([(g, 0) for g in t.encoded_ids()]
+                     + [(b, 1) for b in t.bracket_ids()]):
+            hit = (g, f) in marked
             x, y = (f, g) if backward else (g, f)
-            halves.setdefault(x, []).append((y, (g, f) in marked))
+            if not hit:
+                lx, ly = (x, x), (y, y)
+            elif write == "insert":
+                lx, ly = (EPS, x), (EPS, y)
+            else:
+                lx, ly = (x, EPS), (y, EPS)
+            halves.setdefault(lx, (x, []))[1].append((ly, y, hit, (g, f) in skipped))
+        for _, rest in halves.values():
+            rest.sort()
         firsts = sorted(halves.items())
 
         def step(subset, sym):
             return frozenset([d for q in subset for d in adj[q].get(sym, ())])
 
         def moves(key):
-            subset, seconds = key
+            subset, seconds, kept = key
             if seconds is not None:
-                for y in seconds:
-                    yield y, y, (step(subset, y), None)
+                for ly, y, skips in seconds:
+                    yield ly[0], ly[1], (kept if skips else step(subset, y) | again,
+                                         None, None)
                 return
-            final = not pattern.finals.isdisjoint(subset)
-            for x, rest in firsts:
-                ok = tuple([y for y, hit in rest if allow(final, hit)])
+            final = not goal.isdisjoint(subset)
+            for lx, (x, rest) in firsts:
+                ok = tuple([(ly, y, skips) for ly, y, hit, skips in rest
+                            if skips or allow(final, hit)])
                 if ok:
-                    yield x, x, (step(subset, x), ok)
+                    kept = subset if any(skips for _, _, skips in ok) else None
+                    yield lx[0], lx[1], (step(subset, x), ok, kept)
 
-        keys, arcs = _explore((frozenset([pattern.initial]), None), moves)
-        finals = [k for k, (subset, seconds) in enumerate(keys)
-                  if seconds is None
-                  and allow(not pattern.finals.isdisjoint(subset), False)]
-        scan = _finish(t, len(keys), 0, finals, arcs)
-        return _reduced(reverse(scan) if backward else scan)
+        keys, arcs = _explore((start, None, None), moves)
+        finals = {k for k, (subset, seconds, _) in enumerate(keys)
+                  if seconds is None and allow(not goal.isdisjoint(subset), False)}
+        if backward:
+            return _determinize_reversal(t, len(keys), 0, finals, arcs)
+        return _moore_minimize_dfa(len(keys), 0, finals, arcs, t)
 
     @_constant
     def stacked_rb(self) -> Fst:
         """Left brackets stacked at one position, then a right bracket:
         what follows the end of an occurrence at a marked position."""
         return concat(star(self.lb), self.rb)
-
-    @_constant
-    def _rev_xsig_star(self) -> Fst:
-        return star(reverse(self.xsig))
-
-    @_op
-    def mark_iff(self, cell: Fst, p: Fst) -> Fst:
-        """`l_iff_r(cell, p)`: the positions after a `cell` are exactly the
-        positions before a string of `p`.
-
-        The scan runs backwards, so that whether a `p` string starts at a
-        position is already known when the cell before it is read: the
-        subset machine of `rev(xsig)* rev(p)` is final exactly there.  The
-        next cell read must then be a `cell`, and only then; at the start
-        of the tape, where no cell comes before, it must not be final.
-        Read forwards, the same test would need a subset tracking every
-        open `p` match that some `cell` has promised."""
-        return self._scan(concat(self._rev_xsig_star, reverse(p)), cell, True,
-                          lambda final, hit: hit == final)
-
-    @_op
-    def guard_before(self, cell: Fst, a: Fst) -> Fst:
-        """`if_s_then_p(a, cell xsig*)`: every `cell` follows a prefix in
-        `a`.
-
-        The scan runs forwards, since the test is on prefixes: the subset
-        machine of `a` must be final wherever the next cell is a `cell`."""
-        return self._scan(a, cell, False, lambda final, hit: final or not hit)
-
-    @_op
-    def not_contains(self, k: Fst) -> Fst:
-        """`not_(contains(k))`: the cell strings with no factor in `k`.
-
-        The scan runs backwards over the subset machine of
-        `rev(xsig)* rev(k)` and drops every subset that holds a final
-        state, where a `k` string starts.  It runs backwards because that
-        subset machine can be far smaller than the forward one of
-        `xsig* k`, which tracks every `k` match still open: for the `k`
-        that `longest_match` builds on one 5-state T over three symbols,
-        the backward one has 655 subsets and the forward one over 200 000."""
-        return self._scan(concat(self._rev_xsig_star, reverse(k)), None, True,
-                          lambda final, hit: not final)
 
     # the whole symbol table ----------------------------------------------
 

@@ -19,9 +19,11 @@ nine factors are built and composed, and each arc of the result that
 reads or writes a representative becomes one arc per member, on the
 rule's table.  The symbols no piece mentions are one class.
 `replace_factors` always builds the factors over the rule's table, the
-ones `fsrw compile --cascade` writes.  Each factor reduces what it builds,
-as the kit's own constructions do, so a rule's factors and its machine
-are each the reduced form of their pair language.
+ones `fsrw compile --cascade` writes.  Each factor is built reduced,
+five of them as one scan that writes its markers (`_mark_iff`,
+`_not_contains`, `_guard_before`) and the others by reducing what they
+build, as the kit's own constructions do, so a rule's factors and its
+machine are each the reduced form of their pair language.
 
 `replace` folds the nine factors over five machines, one group per piece
 (Mohri & Sproat, *An efficient compiler for weighted rewrite rules*, ACL
@@ -35,6 +37,8 @@ of them and costs more to build than the fold saves.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from .classes import fold_over_classes
 from .fsm import (
@@ -62,14 +66,13 @@ def r_right(kit: MarkerKit, right: Fst) -> Fst:
     Right string; `right` is Right encoded into cells (`non_markers_of`).
     When the empty string is in Right every position qualifies, and each
     one is marked directly.  That branch is required: under the general
-    filter `mark_iff` the start of the tape is followed by a Right string
-    too, and as no rb2 cell can stand before it, the filter would accept
+    scan `_mark_iff` the start of the tape is followed by a Right string
+    too, and as no rb2 cell can stand before it, the scan would accept
     nothing."""
-    ins = kit.cross(None, kit.rb2)
     if right.accepts_epsilon():
+        ins = kit.cross(None, kit.rb2)
         return _reduced(concat(star(concat(ins, kit.sig)), ins))
-    pattern = kit.xign(right, kit.rb2)
-    return _reduced(compose(kit.intro(kit.rb2), kit.mark_iff(kit.rb2, pattern)))
+    return _mark_iff(kit, kit.rb2, kit.xign(right, kit.rb2))
 
 
 @_op
@@ -93,7 +96,7 @@ def f_phi(kit: MarkerKit, phi: Fst) -> Fst:
             concat(kit.xignx(nonempty, kit.b2), star(kit.lb2), kit.rb2))
     else:
         pattern = concat(kit.xignx(phi, kit.b2), option(kit.lb2), kit.rb2)
-    return _reduced(compose(kit.intro(kit.lb2), kit.mark_iff(kit.lb2, pattern)))
+    return _mark_iff(kit, kit.lb2, pattern)
 
 
 @_op
@@ -133,8 +136,7 @@ def longest_match(kit: MarkerKit, phi: Fst, optimized: bool,
         inner = kit.contains(kit.rb1)
     overrun = intersection(kit.ignx(phi, kit.brack), inner)
     tail = kit.stacked_rb if stack_safe else kit.rb
-    kill = kit.not_contains(concat(kit.lb1, overrun, tail))
-    return _reduced(compose(kill, kit.strip(kit.rb2)))
+    return _not_contains(kit, concat(kit.lb1, overrun, tail), kit.rb2)
 
 
 @_op
@@ -159,8 +161,8 @@ def l1(kit: MarkerKit, left: Fst, stack_safe: bool) -> Fst:
     as an inner one; stack_safe=False instead refuses such prefixes and
     wrongly rejects adjacent deletions."""
     ignore = kit.ign if stack_safe else kit.ignx
-    guard = kit.guard_before(kit.lb1, ignore(concat(kit.xsig_star, left), kit.lb1))
-    return _reduced(compose(kit.ign(guard, kit.lb2), kit.strip(kit.lb1)))
+    return _guard_before(kit, kit.lb1,
+                         ignore(concat(kit.xsig_star, left), kit.lb1), kit.lb2)
 
 
 @_op
@@ -176,9 +178,51 @@ def l2(kit: MarkerKit, left: Fst, stack_safe: bool) -> Fst:
     prefixes and is only correct when the domain cannot match the empty
     string."""
     ignore = kit.ign if stack_safe else kit.ignx
-    guard = kit.guard_before(kit.lb2,
-                             ignore(kit.not_(concat(kit.xsig_star, left)), kit.lb2))
-    return _reduced(compose(guard, kit.strip(kit.lb2)))
+    return _guard_before(kit, kit.lb2,
+                         ignore(kit.not_(concat(kit.xsig_star, left)), kit.lb2))
+
+
+# The marker filters, each one scan (`MarkerKit._scan`) that writes the
+# markers it filters: the paper's formulas composed with `intro` or
+# `strip`, built reduced.
+
+
+def _mark_iff(kit: MarkerKit, cell: Fst, p: Fst) -> Fst:
+    """Insert a `cell` exactly before every `p` string: `intro(cell)`
+    composed with `l_iff_r(cell, p)`.
+
+    The scan runs backwards, so that whether a `p` string starts at a
+    position is already known when the cell before it is written: the
+    next cell must then be a `cell`, and only then; at the start of the
+    tape, where no cell comes before, no `p` string may start.  Read
+    forwards, the same test would need a subset tracking every open `p`
+    match that some `cell` has promised."""
+    return kit._scan(p, cell, True, lambda final, hit: hit == final, "insert")
+
+
+def _not_contains(kit: MarkerKit, k: Fst, cell: Fst) -> Fst:
+    """Delete every `cell` from a tape with no factor in `k`:
+    `not(contains(k))` composed with `strip(cell)`.
+
+    The scan runs backwards and drops every subset where a `k` string
+    starts.  It runs backwards because that subset machine can be far
+    smaller than the forward one of `xsig* k`, which tracks every `k`
+    match still open: for the `k` that `longest_match` builds on one
+    5-state T over three symbols, the backward one has 655 subsets and
+    the forward one over 200 000."""
+    return kit._scan(k, cell, True, lambda final, hit: not final, "delete")
+
+
+def _guard_before(kit: MarkerKit, cell: Fst, a: Fst,
+                  skip: Optional[Fst] = None) -> Fst:
+    """Delete every `cell`, each of which must follow a prefix in `a`:
+    `if_s_then_p(a, [cell, xsig*])`, where the cells of `skip` are
+    ignored (`ign`), composed with `strip(cell)`.
+
+    The scan runs forwards, since the test is on prefixes: the subset
+    machine of `a` must be final wherever the next cell is a `cell`."""
+    return kit._scan(a, cell, False, lambda final, hit: final or not hit,
+                     "delete", skip)
 
 
 def replace_factors(t: Fst, left: Fst, right: Fst, optimized: bool = False,
@@ -192,7 +236,7 @@ def replace_factors(t: Fst, left: Fst, right: Fst, optimized: bool = False,
     Factors 2 to 8 each read one machine: the encoded Right, phi (dom(T)
     encoded), the encoded Left, or T.  Each is a store operation
     (`fsrw.markers._op`), called here by its own name and keyed by that
-    name, the flags it reads and that machine; each reduces itself, so
+    name, the flags it reads and that machine; each is built reduced, so
     the store holds its reduced form.  A rule takes them from the store
     when it repeats an encoded domain, context or target of an earlier
     rule over a table of the same shape in the same process.  `replace`

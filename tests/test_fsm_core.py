@@ -1193,10 +1193,11 @@ def test_the_kernels_match_the_explored_ones_on_a_compile(monkeypatch):
             return got
         return check
     finish = checked(fsm._finish, _explored_finish)
-    for module in (fsm, markers, classes):
+    for module in (fsm, classes):
         monkeypatch.setattr(module, "_finish", finish)
-    monkeypatch.setattr(fsm, "_moore_minimize_dfa",
-                        checked(fsm._moore_minimize_dfa, _explored_moore))
+    moore = checked(fsm._moore_minimize_dfa, _explored_moore)
+    for module in (fsm, markers):  # markers: the forward scans
+        monkeypatch.setattr(module, "_moore_minimize_dfa", moore)
     for path in sorted(RULES_DIR.glob("*.fsr")) + sorted(BENCH_RULES_DIR.glob("*.fsr")):
         compile_rules(path.read_text()).machine
     entries = list(markers._shape_cache.values())
@@ -1307,6 +1308,49 @@ def test_minimize_trims_dead_subset_states():
             tuple(sorted((s, i, i, d) for s, i, d in arcs)), True)
     assert minimize(m).n == 1
     assert equivalent(m, star(literal(tb, "b")))
+
+
+def _random_accessible_dfa(rng, tb, n, recognizer):
+    """A deterministic machine of `n` states, every one reachable from
+    state 0, in no canonical numbering, untrimmed, with any finals at all;
+    a transduction's labels are pairs, one side of which may be epsilon."""
+    syms = list(tb.user_ids())
+    if recognizer:
+        labels = [(i, i) for i in syms]
+    else:
+        labels = [(i, o) for i in syms + [EPS] for o in syms + [EPS]
+                  if (i, o) != (EPS, EPS)]
+    free = [list(labels) for _ in range(n)]  # labels with no arc yet, by state
+    arcs = []
+
+    def arc(s, d):
+        free[s].remove(label := rng.choice(free[s]))
+        arcs.append((s, *label, d))
+    for q in range(1, n):  # a spanning tree from state 0
+        arc(rng.choice([p for p in range(q) if free[p]]), q)
+    for _ in range(rng.randint(0, 2 * n)):
+        s = rng.randrange(n)
+        if free[s]:
+            arc(s, rng.randrange(n))
+    finals = frozenset(q for q in range(n) if rng.random() < 0.3)
+    return Fst(tb, n, 0, finals, tuple(sorted(arcs)), fsm._is_recognizer(arcs))
+
+
+def test_the_reversal_of_an_accessible_dfa_determinizes_to_its_minimal_machine():
+    rng = random.Random(2041)
+    tb = SymbolTable("abc")
+    seen = collections.Counter()
+    for k in range(600):
+        m = _random_accessible_dfa(rng, tb, rng.randint(1, 7), k % 2 == 0)
+        got = fsm._determinize_reversal(tb, m.n, m.initial, m.finals, m.arcs)
+        want = reduce_pairs(reverse(m))
+        assert got.same_structure(want), k
+        assert got.is_recognizer == want.is_recognizer, k
+        seen["transduction"] += not m.is_recognizer
+        seen["no final"] += not m.finals
+        seen["single state"] += m.n == 1
+        seen["merged"] += got.n < m.n
+    assert min(seen.values()) >= 30, seen
 
 
 def test_intersection_and_difference_are_set_operations():

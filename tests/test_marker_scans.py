@@ -1,15 +1,18 @@
-"""The marker filters built as one-direction scans against the formulas
+"""The marker factors built as one writing scan each, against the builds
 they replace.
 
-`mark_iff`, `guard_before` and `not_contains` must build the very machine
-that the paper's formulas `l_iff_r`, `if_s_then_p` and `not($$(...))`
-build, compiled from the rule language's predefined macros: both sides
-are canonical minimal machines, so equal languages give equal structure.
-The inputs are the ones the replace factors pass, recorded while compiling
-seeded random rules."""
+`r_right` and `f_phi` insert their markers in one backward scan,
+`longest_match` deletes the rb2 cells in one, and `l1` and `l2` delete
+their markers in one forward scan each (`MarkerKit._scan`).  Each must
+build the very machine of the composition it stands for: a filter
+composed with `intro` or `strip` and reduced, the filter compiled from
+the rule language's predefined macros, the paper's formulas `l_iff_r`,
+`if_s_then_p` and `not($$(...))`.  Both sides are reduced forms, so equal
+pair languages give equal structure."""
 
 import importlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,22 +20,32 @@ import fsrw.markers as markers
 from fsrw import (
     EPS,
     FsmError,
+    Fst,
     MarkerKit,
     SymbolTable,
-    accepts,
+    canonicalize,
+    compile_rules,
+    compose,
+    concat,
+    difference,
     empty_lang,
     empty_string,
+    intersection,
     literal,
-    minimize,
+    option,
     project,
     replace_factors,
     star,
+    transduce,
     union,
 )
+from fsrw.markers import _reduced
 
 from gen import formula, random_replace_rule
 
 replace_module = importlib.import_module("fsrw.replace")
+RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
+BENCH_RULES_DIR = RULES_DIR.parent / "bench" / "rules"
 
 
 def l_iff_r(cell, p):
@@ -40,8 +53,6 @@ def l_iff_r(cell, p):
 
 
 def if_s_then_p(a, cell):
-    """`if_s_then_p(a, [cell, xsig()*])`: the formula `guard_before` stands
-    for."""
     return formula(a.table, "if_s_then_p(A, [C, xsig()*])", A=a, C=cell)
 
 
@@ -49,58 +60,154 @@ def not_contains(k):
     return formula(k.table, "not($$(K))", K=k)
 
 
-class RecordingKit(MarkerKit):
-    """A kit that checks every scan it builds against its reference."""
+# The builds the scans replace, each filter given by its formula.
 
-    calls: list = []
-
-    def mark_iff(self, cell, p):
-        got = super().mark_iff(cell, p)
-        self.calls.append(("mark_iff", got, l_iff_r(cell, p), p))
-        return got
-
-    def guard_before(self, cell, a):
-        got = super().guard_before(cell, a)
-        self.calls.append(("guard_before", got, if_s_then_p(a, cell), a))
-        return got
-
-    def not_contains(self, k):
-        got = super().not_contains(k)
-        self.calls.append(("not_contains", got, not_contains(k), k))
-        return got
+def mark_iff(kit, cell, p):
+    return _reduced(compose(kit.intro(cell), l_iff_r(cell, p)))
 
 
-def test_scans_match_their_formulas_on_random_rules(monkeypatch):
-    monkeypatch.setattr(replace_module, "MarkerKit", RecordingKit)
+def strip_not_containing(kit, k, cell):
+    return _reduced(compose(not_contains(k), kit.strip(cell)))
+
+
+def guard_before(kit, cell, a, skip=None):
+    guard = if_s_then_p(a, cell)
+    if skip is not None:
+        guard = kit.ign(guard, skip)
+    return _reduced(compose(guard, kit.strip(cell)))
+
+
+def r_right(kit, right):
+    if right.accepts_epsilon():
+        ins = kit.cross(None, kit.rb2)
+        return _reduced(concat(star(concat(ins, kit.sig)), ins))
+    return mark_iff(kit, kit.rb2, kit.xign(right, kit.rb2))
+
+
+def f_phi(kit, phi):
+    if phi.accepts_epsilon():
+        nonempty = difference(phi, empty_string(kit.table))
+        pattern = union(
+            concat(option(kit.lb2), kit.rb2),
+            concat(kit.xignx(nonempty, kit.b2), star(kit.lb2), kit.rb2))
+    else:
+        pattern = concat(kit.xignx(phi, kit.b2), option(kit.lb2), kit.rb2)
+    return mark_iff(kit, kit.lb2, pattern)
+
+
+def longest_match(kit, phi, optimized, stack_safe):
+    if optimized:
+        inner = concat(kit.ign(phi, kit.brack), kit.rb1, kit.xsig_star)
+    else:
+        inner = kit.contains(kit.rb1)
+    overrun = intersection(kit.ignx(phi, kit.brack), inner)
+    tail = kit.stacked_rb if stack_safe else kit.rb
+    return strip_not_containing(kit, concat(kit.lb1, overrun, tail), kit.rb2)
+
+
+def l1(kit, left, stack_safe):
+    ignore = kit.ign if stack_safe else kit.ignx
+    return guard_before(kit, kit.lb1, ignore(concat(kit.xsig_star, left), kit.lb1),
+                        kit.lb2)
+
+
+def l2(kit, left, stack_safe):
+    ignore = kit.ign if stack_safe else kit.ignx
+    return guard_before(kit, kit.lb2,
+                        ignore(kit.not_(concat(kit.xsig_star, left)), kit.lb2))
+
+
+# each scan factor: its place in `replace_factors`, its reference, and
+# which of the flags (optimized, stack_safe) it reads
+SCANNED = {"r_right": (1, r_right, ()), "f_phi": (2, f_phi, ()),
+           "longest_match": (4, longest_match, (0, 1)),
+           "l1": (6, l1, (1,)), "l2": (7, l2, (1,))}
+
+
+@pytest.fixture
+def store(monkeypatch):
+    """An empty store, so that no stored factor skips a scan."""
+    monkeypatch.setattr(markers, "_shape_cache", {})
+    monkeypatch.setattr(markers, "_shape_cache_arcs", 0)
+    return monkeypatch
+
+
+def test_scans_match_their_formulas_on_random_rules(store):
+    # every scan factor of each rule under each flag pair it reads; an
+    # unsafe stack only where dom(T) cannot match the empty string
     rng = random.Random(20261018)
-    seen = {"phi_eps": 0, "input_eps": 0, "optimized": 0, "unsafe": 0,
-            "k_empty": 0}
-    checked = {"mark_iff": 0, "guard_before": 0, "not_contains": 0}
-    for k in range(320):
+    seen = {"phi_eps": 0, "input_eps": 0, "untrimmed": 0, "right_eps": 0,
+            "optimized": 0, "unsafe": 0}
+    checked = dict.fromkeys(SCANNED, 0)
+    for k in range(150):
         table, t, left, right = random_replace_rule(rng)
-        optimized = rng.random() < 0.5
-        stack_safe = rng.random() < 0.7
-        seen["phi_eps"] += project(t, "domain").accepts_epsilon()
+        phi_eps = project(t, "domain").accepts_epsilon()
+        seen["phi_eps"] += phi_eps
         seen["input_eps"] += any(i == EPS for _, i, _, _ in t.arcs)
-        seen["optimized"] += optimized
-        seen["unsafe"] += not stack_safe
-        RecordingKit.calls = []
-        # an empty store, so that no stored factor skips a scan
-        monkeypatch.setattr(markers, "_shape_cache", {})
-        monkeypatch.setattr(markers, "_shape_cache_arcs", 0)
-        replace_factors(t, left, right, optimized, stack_safe)
-        for name, got, want, arg in RecordingKit.calls:
-            assert got.same_structure(want), (k, name)
-            checked[name] += 1
-            if name == "not_contains":
-                seen["k_empty"] += arg.is_empty()
-    # every rule marks left brackets and guards both of them; right
-    # brackets are marked through mark_iff unless Right accepts []
-    assert checked["guard_before"] == 2 * 320
-    assert checked["not_contains"] == 320
-    assert checked["mark_iff"] > 320
+        seen["untrimmed"] += not canonicalize(t).same_structure(t)
+        seen["right_eps"] += right.accepts_epsilon()
+        markers._shape_cache.clear()
+        markers._shape_cache_arcs = 0
+        kit = MarkerKit.of(table)
+        phi, left_cells, right_cells = (kit.non_markers_of(e) for e in
+                                        (project(t, "domain"), left, right))
+        args = {"r_right": right_cells, "f_phi": phi, "longest_match": phi,
+                "l1": left_cells, "l2": left_cells}
+        done = set()
+        for optimized in (False, True):
+            for stack_safe in (True, False) if not phi_eps else (True,):
+                flags = (optimized, stack_safe)
+                factors = replace_factors(t, left, right, *flags)
+                for name, (place, build, read) in SCANNED.items():
+                    key = (name,) + tuple(flags[f] for f in read)
+                    if key in done:
+                        continue
+                    done.add(key)
+                    want = build(kit, args[name], *key[1:])
+                    assert factors[place].same_structure(want), (k, key)
+                    checked[name] += 1
+                seen["optimized"] += optimized
+                seen["unsafe"] += not stack_safe
+    assert checked["r_right"] == checked["f_phi"] == 150
+    assert checked["longest_match"] > 2 * 150 and checked["l1"] > 150
     for what, count in seen.items():
         assert count >= 10, (what, seen)
+
+
+def test_every_stored_factor_is_its_reference_build(store):
+    # every scan factor that compiling the rule files stores, as one
+    # machine and as a cascade, rebuilt from the machines and flags of its
+    # key on a table of the key's shape
+    stored, shape_key = markers._stored, MarkerKit._shape_key
+    seen, tables = {}, {}
+
+    def recording(key, build, held):
+        seen[key] = stored(key, build, held)
+        return seen[key]
+
+    def learning(kit):
+        shape = shape_key(kit)
+        tables[shape] = kit.table
+        return shape
+    store.setattr(markers, "_stored", recording)
+    store.setattr(MarkerKit, "_shape_key", learning)
+    for path in sorted(RULES_DIR.glob("*.fsr")) + sorted(BENCH_RULES_DIR.glob("*.fsr")):
+        compiled = compile_rules(path.read_text())
+        compiled.machine
+        if compiled.kind == "replace":
+            compiled.factors()
+    store.undo()
+    checked = dict.fromkeys(SCANNED, 0)
+    for (shape, op, *args), parts in seen.items():
+        name, *flags = op.split()
+        if name in SCANNED:
+            table = tables[shape]
+            kit = MarkerKit(table)
+            want = SCANNED[name][1](kit, *[Fst(table, *a) for a in args],
+                                    *map(int, flags))
+            assert Fst(table, *parts).same_structure(want), op
+            checked[name] += 1
+    assert min(checked.values()) >= 5, checked
 
 
 @pytest.fixture
@@ -110,12 +217,14 @@ def kit():
 
 def test_not_contains_edge_cases(kit):
     # an empty K excludes nothing, a K holding [] excludes everything
+    scan = replace_module._not_contains
     for k in (empty_lang(kit.table), empty_string(kit.table),
               star(kit.lb1), union(kit.rb2, empty_string(kit.table))):
-        assert kit.not_contains(k).same_structure(not_contains(k))
-    assert kit.not_contains(empty_lang(kit.table)).same_structure(
-        minimize(kit.xsig_star))
-    assert kit.not_contains(empty_string(kit.table)).is_empty()
+        for cell in (kit.rb2, kit.lb):
+            assert scan(kit, k, cell).same_structure(strip_not_containing(kit, k, cell))
+    assert scan(kit, empty_lang(kit.table), kit.rb2).same_structure(
+        _reduced(kit.strip(kit.rb2)))
+    assert scan(kit, empty_string(kit.table), kit.rb2).is_empty()
 
 
 def test_mark_iff_and_guard_before_edge_cases(kit):
@@ -123,30 +232,39 @@ def test_mark_iff_and_guard_before_edge_cases(kit):
     a = kit.non_markers_of(literal(t, "a"))
     for p in (empty_lang(t), empty_string(t), a, star(a), kit.xsig_star):
         for cell in (kit.lb2, kit.rb2, kit.lb):
-            assert kit.mark_iff(cell, p).same_structure(l_iff_r(cell, p))
-            assert kit.guard_before(cell, p).same_structure(if_s_then_p(p, cell))
+            assert replace_module._mark_iff(kit, cell, p).same_structure(
+                mark_iff(kit, cell, p))
+            for skip in (None, kit.lb2, kit.rb):
+                assert replace_module._guard_before(kit, cell, p, skip).same_structure(
+                    guard_before(kit, cell, p, skip))
 
 
 def test_mark_iff_reads_bracket_glyphs_as_text(kit):
     # "<2" with flag 0 is an ordinary cell, so it neither marks nor needs
-    # to be marked; only "<2" with flag 1 is the marker
+    # to be marked; only "<2" with flag 1 is the marker, which is written
+    # and never read
     a = kit.non_markers_of(literal(kit.table, "a"))
-    m = kit.mark_iff(kit.lb2, a)
-    assert accepts(m, ["<2", "1", "a", "0"])
-    assert accepts(m, ["<2", "0", "<2", "1", "a", "0"])
-    assert not accepts(m, ["<2", "0", "a", "0"])
-    assert not accepts(m, ["<2", "1", "b", "0"])
+    m = replace_module._mark_iff(kit, kit.lb2, a)
+
+    def outputs(*cells):
+        return transduce(m, list(cells)).outputs
+    assert outputs("a", "0") == [("<2", "1", "a", "0")]
+    assert outputs("<2", "0", "a", "0") == [("<2", "0", "<2", "1", "a", "0")]
+    assert outputs("<2", "0") == [("<2", "0")]
+    assert outputs("<2", "1", "a", "0") == []
 
 
 def test_the_scans_refuse_a_transduction(kit):
     # like `not_`, which is a difference: a scan reads a language of cell
     # strings, not the input side of a transduction
     t = kit.cross(kit.sig, kit.lb1)
-    for scan in (lambda: kit.guard_before(kit.lb1, t),
-                 lambda: kit.guard_before(t, kit.xsig_star),
-                 lambda: kit.mark_iff(kit.lb1, t),
-                 lambda: kit.mark_iff(t, kit.sig),
-                 lambda: kit.not_contains(t),
+    mark_iff, guard_before = replace_module._mark_iff, replace_module._guard_before
+    for scan in (lambda: guard_before(kit, kit.lb1, t),
+                 lambda: guard_before(kit, t, kit.xsig_star),
+                 lambda: guard_before(kit, kit.lb1, kit.xsig_star, t),
+                 lambda: mark_iff(kit, kit.lb1, t),
+                 lambda: mark_iff(kit, t, kit.sig),
+                 lambda: replace_module._not_contains(kit, t, kit.rb2),
                  lambda: kit.not_(t)):
         with pytest.raises(FsmError, match="of a transduction is undefined"):
             scan()

@@ -40,7 +40,6 @@ from fsrw import (
     reduce_pairs,
     replace,
     replace_factors,
-    reverse,
     RuleError,
     sigma_star,
     star,
@@ -272,7 +271,6 @@ BRACKET_SETS = ("lb1", "lb2", "rb1", "rb2", "lb", "rb", "b1", "b2", "brack")
 NAMED = {name: name for name in BRACKET_SETS + (
     "sig", "xsig", "xsig_star", "non_markers", "decoder", "stacked_rb",
     "true", "false")}
-NAMED["rev_xsig_star"] = "_rev_xsig_star"
 
 
 def parts_of(m):
@@ -319,7 +317,6 @@ def unreduced_formulas(table):
     f["sig"] = concat(any_of(t, t.encoded_ids()), literal(t, "0"))
     f["xsig"] = union(f["sig"], f["brack"])
     f["xsig_star"] = star(f["xsig"])
-    f["rev_xsig_star"] = star(reverse(f["xsig"]))
     f["stacked_rb"] = concat(star(f["lb"]), f["rb"])
     f["non_markers"] = star(union(*[
         concat(literal(t, g), symbol_pair(t, None, "0"))
@@ -374,7 +371,7 @@ def test_every_constant_is_built_reduced(shape_cache):
     # of the reduction, whether built (cold) or taken from the store (warm)
     table = SymbolTable("ab")
     calls = every_method_call(MarkerKit(table), random.Random(27), 3)
-    assert {name for name, _ in calls} >= {"cross", "intro", "ignx_1", "not_contains"}
+    assert {name for name, _ in calls} >= {"cross", "intro", "ignx_1", "contains"}
     shape_cache.setattr(markers, "_shape_cache", {})
     shape_cache.setattr(markers, "_shape_cache_arcs", 0)
     _, builds = count_memo(shape_cache)
@@ -604,9 +601,11 @@ def test_a_cascade_builds_the_operations_on_a_shared_context_once(shape_cache):
     # each folds over a table of the same shape (its three symbols and one
     # representative of the rest), and all three have the left context [];
     # the last has `a`: l1 and l2 are built for two contexts only.  The
-    # second and third rules find both factors stored and ask for no guard
-    # at all, so each guard_before is asked for once, when its factor is
-    # built: 2 contexts x 2 factors, and the `not` of l2 once per context
+    # second and third rules find both factors stored and ask for no
+    # prefix at all, so each prefix that l1 and l2 scan, an `ign` on one
+    # bracket cell (two arcs), is asked for once, when its factor is built:
+    # 2 contexts x 2 factors, and the `not` of l2 once per context.  The
+    # other `ign` lookups are left_to_right's, one per build
     lookups, builds = count_memo(shape_cache)
     compile_rules("#alphabet a b c d e f g h i j k l m n o p q r s t u v w x y z '#'.\n"
                   "replace(b:p, [], '#') o replace(d:t, [], '#')"
@@ -615,8 +614,9 @@ def test_a_cascade_builds_the_operations_on_a_shared_context_once(shape_cache):
     for factor in ("l1 1", "l2 1"):
         built = sum(key[1] == factor for key in builds)
         assert (lookups[factor], built) == (4, 2), factor
-    guards = [key for key in builds if key[1] == "guard_before"]
-    assert (lookups["guard_before"], len(guards)) == (4, 4)
+    prefixes = [key for key in builds if key[1] == "ign" and len(key[3][3]) == 2]
+    retypings = sum(key[1] == "left_to_right" for key in builds)
+    assert (lookups["ign"] - retypings, len(prefixes)) == (4, 4)
     assert (lookups["not"], sum(key[1] == "not" for key in builds)) == (2, 2)
 
 
@@ -742,7 +742,8 @@ def test_every_store_entry_is_what_its_construction_returns(shape_cache):
     # factor or group of factors, is a fixed point of the reduction, each
     # factor entry is its build reduced, the same pair language as the
     # build left unreduced, and each group is the fold of the factors in
-    # its key
+    # its key; the scans build their factors reduced, so only the builds
+    # that end in a reduction can shrink
     # a table of each shape the store meets, learned from the kits that
     # ask for it: `replace` folds most rules over a table of its own
     stored, shape_key = markers._stored, MarkerKit._shape_key
@@ -774,7 +775,7 @@ def test_every_store_entry_is_what_its_construction_returns(shape_cache):
 
     # the package re-exports the function replace under the module's name
     replace_module = importlib.import_module("fsrw.replace")
-    factors = groups = kits = shrunk = 0
+    factors = groups = kits = reducing = shrunk = 0
     for (shape, op, *args), parts in seen.items():
         table = tables[shape]
         m = Fst(table, *parts)
@@ -786,15 +787,21 @@ def test_every_store_entry_is_what_its_construction_returns(shape_cache):
         elif name in FACTOR_NAMES:
             kit = MarkerKit(table)
             machines = [Fst(table, *a) for a in args]
+            unreduced = []  # what a build that ends in a reduction reduces
             with shape_cache.context() as mp:
-                mp.setattr(replace_module, "_reduced", lambda f: f)
+                mp.setattr(replace_module, "_reduced",
+                           lambda f: unreduced.append(f) or f)
                 built = getattr(replace_module, name).__wrapped__(
                     kit, *machines, *map(int, flags))
+            if unreduced:
+                reducing += 1
+                shrunk += len(m.arcs) < len(built.arcs)
             assert m.same_structure(markers._reduced(built)), op
             assert equivalent(m, built), op
             factors += 1
-            shrunk += len(m.arcs) < len(built.arcs)
         else:
             kits += 1
-    assert factors > 100 and groups > 50 and kits > 100 and shrunk > 100, \
-        (factors, groups, kits, shrunk)
+    # every build that ends in a reduction shrinks by it
+    assert factors > 100 and groups > 50 and kits > 100 and reducing > 50, \
+        (factors, groups, kits, reducing)
+    assert shrunk == reducing
