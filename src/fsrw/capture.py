@@ -9,7 +9,14 @@ pieces are transduced while the markers are consumed.
 
 The killers that name the wrong splits are generated per n (one for each
 piece but the last), since no single calculus expression covers all
-lengths.  Where Kaplan & Kay compose the marking transducer B with the
+lengths.  They read the marked tape a whole cell at a time, like the
+replace factors: killer i's middle part is piece i's encoded domain
+with lb1 cells inserted at its cell boundaries (`overrun`), where
+Kaplan & Kay wedge the marker between raw symbols (the rule language's
+predefined macro `ignx_1`).  The two differ only on strings that split
+a cell, which no marking writes.
+
+Where Kaplan & Kay compose the marking transducer B with the
 complement of each killer K, this takes range(B) minus every K and
 composes B with that once: restricting B's output to Sigma* - K is the
 same as restricting it to range(B) - K, and composing with an identity
@@ -38,7 +45,7 @@ from .fsm import (
     project,
     reduce_pairs,
 )
-from .markers import MarkerKit
+from .markers import MarkerKit, _op
 
 
 def boundaries(kit: MarkerKit, domains: list[Fst]) -> Fst:
@@ -65,10 +72,19 @@ def greed_filters(kit: MarkerKit, domains: list[Fst]) -> list[Fst]:
     killers = []
     front: list[Fst] = []
     for i in range(len(domains) - 1):
-        killer = concat(*front, kit.ignx_1(images[i], kit.lb1), *ign_tail[i:])
-        killers.append(killer)
+        killers.append(concat(*front, overrun(kit, images[i]), *ign_tail[i:]))
         front.extend([images[i], kit.lb1])
     return killers
+
+
+@_op
+def overrun(kit: MarkerKit, image: Fst) -> Fst:
+    """The strings of `image`, an encoded domain, with at least one lb1
+    cell inserted and none at the end: a boundary that falls strictly
+    inside a longer instance.  `image` holds no lb1 cell, so these are
+    its `ignx` on lb1 minus `image` itself.  Kept in the store, keyed by
+    the image, so a warm filter is one lookup."""
+    return difference(kit.ignx(image, kit.lb1), image)
 
 
 def mark_boundaries(kit: MarkerKit, domains: list[Fst]) -> Fst:
@@ -91,9 +107,9 @@ def mark_boundaries(kit: MarkerKit, domains: list[Fst]) -> Fst:
 def lm_concat(ts: list[Fst]) -> Fst:
     """Compile the piece transductions into one machine from plain strings
     to plain strings, folded over the symbol classes of the pieces
-    (`fsrw.classes`), with a marker kit of its own, which draws the
-    constants from the cache of the table's shape.  It freezes the
-    pieces' table."""
+    (`fsrw.classes`), with the marker kit of the folded table
+    (`MarkerKit.of`), which draws the constants from the store of the
+    table's shape.  It freezes the pieces' table."""
     if not ts:
         raise FsmError("need at least one piece")
     table = ts[0].table
@@ -107,7 +123,7 @@ def lm_concat(ts: list[Fst]) -> Fst:
 
 
 def _split_and_rewrite(*ts: Fst) -> Fst:
-    kit = MarkerKit(ts[0].table)
+    kit = MarkerKit.of(ts[0].table)
     domains = [project(t, "domain") for t in ts]
     eat = kit.cross(kit.lb1, None)
     parts = []

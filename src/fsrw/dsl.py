@@ -544,11 +544,11 @@ def parse_expr(text: str):
 # macro expansion
 
 
-# The predefined macros: the paper's filters and its two operators on
-# relations, written in the calculus itself.  They are closed: a call in
-# one of their bodies names a builtin or another predefined macro, never a
-# macro of the program, so a program may redefine any name without
-# changing what they mean.
+# The predefined macros: the paper's filters, its two operators on
+# relations and Kaplan & Kay's `ignx_1`, written in the calculus itself.
+# They are closed: a call in one of their bodies names a builtin or
+# another predefined macro, never a macro of the program, so a program
+# may redefine any name without changing what they mean.
 _STDLIB_SRC = """
 macro(priority_union(Q,R), {Q, ~domain(Q) o R}).
 macro(lenient_composition(R,C), priority_union(R o C, R)).
@@ -562,6 +562,9 @@ macro(l_iff_r(L,R), p_iff_s([xsig()*, L], [R, xsig()*])).
 % true() when E denotes anything at all, else false()
 macro(coerce_to_boolean(E), range(E o (true() x true()))).
 macro(if(C,T,E), {coerce_to_boolean(C) o T, ~coerce_to_boolean(C) o E}).
+% E1 with at least one E2 string wedged in between raw symbols, none at
+% the end; E2 need not be whole cells
+macro(ignx_1(E1,E2), range(E1 o [[true(), [] x E2]+, true() - []])).
 """
 
 # Every builtin operator, keyed by (name, arity), with the MarkerKit
@@ -578,7 +581,7 @@ _BUILTINS = {
     ("xintro", 1): "xintro", ("introx", 1): "introx",
     ("xintrox", 1): "xintrox",
     ("ign", 2): "ign", ("xign", 2): "xign", ("ignx", 2): "ignx",
-    ("xignx", 2): "xignx", ("ignx_1", 2): "ignx_1",
+    ("xignx", 2): "xignx",
 }
 
 
@@ -764,12 +767,11 @@ REPEAT_STATES_CAP = 1 << 16
 class Compiler:
     """Builds each distinct node of the expanded DAG once, for the life of
     the compiler; every use of a shared node gets the same machine.  The
-    builtins' `MarkerKit` is made at the first builtin call, so a program
-    that calls none makes no kit."""
+    builtins call the table's `MarkerKit` (`MarkerKit.of`), made at the
+    first builtin call, so a program that calls none makes no kit."""
 
     def __init__(self, table: SymbolTable):
         self.table = table
-        self._kit = None
         self._built = {}  # id(node) -> (node, Fst); the node keeps its id
 
     def compile(self, node) -> Fst:
@@ -813,9 +815,7 @@ class Compiler:
         elif isinstance(node, LmConcat):
             fst = _lm_concat([self._c(x) for x in node.items])
         elif isinstance(node, Call):
-            if self._kit is None:
-                self._kit = MarkerKit(t)
-            fst = getattr(self._kit, _BUILTINS[node.name, len(node.args)])
+            fst = getattr(MarkerKit.of(t), _BUILTINS[node.name, len(node.args)])
             if node.args:
                 fst = fst(*[self._c(a) for a in node.args])
         else:

@@ -22,16 +22,20 @@ argument, and the kit that asked for it keeps it too.  Every kit over a
 table of that shape wraps the same arcs on its own table; a machine
 argument on another table is refused with FsmError.  The store keeps what
 a construction returns, so the constructions that can come out unreduced
-reduce themselves: the constants, `contains`, `_cross`, the intro family
-and `_wedge`, a recognizer to its minimal machine and a transduction by
-`reduce_pairs`.  Unreduced, the closures they are built with (`star` of
-a `union`, say) copy arcs onto every final state and grow with the
-square of the alphabet, and every factor and composition of a compile
-would pay for it.  The rest come out minimal from `difference` or
-`project`, or, as `strip`, invert a reduced machine.  The filters
-(`non_markers_of`, `not_`, the `ign` family, `ignx_1`) each read only one
-of dom(T), Left or Right, so the rules that share a context or a domain
-over one alphabet shape share its filters.  Seven of the nine replace
+reduce themselves, each by `fsrw.fsm.reduce_pairs`: the constants,
+`contains`, `_cross` and the intro family.  A recognizer's reduced form
+is its canonical minimal machine; past `fsrw.fsm.REDUCE_STATE_CAP` the
+reduction returns its input, so such an entry is stored as it was
+built, like every other entry.  Unreduced, the closures they are built
+with (`star` of a `union`, say) copy arcs onto every final state and
+grow with the square of the alphabet, and every factor and composition
+of a compile would pay for it.  The rest come out minimal from
+`difference` or `project`, or, as `strip`, invert a reduced machine.
+The filters (`non_markers_of`, `not_`, the `ign` family) each read only
+one of dom(T), Left or Right, so the rules that share a context or a
+domain over one alphabet shape share its filters; so do the captures
+that share a piece's domain, whose greed filters keep their overrun
+(`fsrw.capture`) in the store too.  Seven of the nine replace
 factors (`fsrw.replace.replace_factors`) are `_op`s too, each keyed by
 its name, the flags it reads and the one machine it reads, and each
 built reduced, by a scan (below) or as the constructions above are, so
@@ -41,8 +45,7 @@ the factors that read one piece in groups, each group an `_op` named
 "composed", keyed by the factor machines it composes and reduced once,
 after the last composition (`fsrw.replace._composed`), so a rule whose
 pieces repeat takes its groups composed.  So every entry is a fixed
-point of the reduction (`_reduced`) while it stays under
-`fsrw.fsm.REDUCE_STATE_CAP`.
+point of `reduce_pairs` while it stays under the cap.
 
 The store never holds more than SHAPE_CACHE_CAP arcs, counting each
 entry's machine and the machine arguments in its key; the factors and
@@ -66,7 +69,9 @@ and a backward one determinizes its own reversal, which is minimal
 (Brzozowski, *Canonical regular expressions and minimal state graphs for
 definite events*, 1962).  The formulas, with `if_p_then_s`, `p_iff_s`,
 `coerce_to_boolean` and `if`, are predefined macros of the rule language
-(`fsrw.dsl`), written over this kit's builtins.
+(`fsrw.dsl`), written over this kit's builtins, and so is `ignx_1`,
+which wedges strings between raw symbols, below the cells this kit
+reads, and has no store entry.
 """
 
 from __future__ import annotations
@@ -92,8 +97,6 @@ from .fsm import (
     empty_string,
     invert,
     literal,
-    minimize,
-    plus,
     project,
     reduce_pairs,
     sigma_star,
@@ -108,10 +111,6 @@ SHAPE_CACHE_CAP = 1 << 16
 _shape_cache: dict = {}
 _shape_cache_arcs = 0
 _shapes: dict = {}
-
-
-def _reduced(m: Fst) -> Fst:
-    return minimize(m) if m.is_recognizer else reduce_pairs(m)
 
 
 def _stored(key, build, held: int) -> tuple:
@@ -137,7 +136,7 @@ def _stored(key, build, held: int) -> tuple:
 def _op(method):
     """An operation kept in the store: a kit method, or a replace factor
     or group of factors called with the kit first.  Its entry is named by
-    the function's own name (`not_` is "not", `_wedge` "wedge") and each
+    the function's own name (`not_` is "not", `_cross` "cross") and each
     argument that is no machine, as "%d" (`longest_match(kit, phi, 0, 1)`
     is "longest_match 0 1"), keyed on the machine arguments, and holds
     what the function returns."""
@@ -154,7 +153,7 @@ def _op(method):
 def _constant(method):
     """A kit operation with no argument, read as a property.  The closures
     a constant is built with come out unreduced, so it is reduced."""
-    return property(_op(functools.wraps(method)(lambda kit: _reduced(method(kit)))))
+    return property(_op(functools.wraps(method)(lambda kit: reduce_pairs(method(kit)))))
 
 
 class MarkerKit:
@@ -162,9 +161,9 @@ class MarkerKit:
     replace factors, `lm_concat` and the rule language's builtins call.
 
     Every machine it makes comes from the store the module docstring
-    describes, through `_op`.  `replace` and `replace_factors` take the
-    kit kept on their table (`of`), each `lm_concat` call makes its own,
-    and every kit finds the machines of every earlier table of its shape.
+    describes, through `_op`.  Every caller takes the kit kept on its
+    table (`of`), so a table has one kit, and every kit finds the
+    machines of every earlier table of its shape.
     The table's user alphabet must be complete before the first machine
     is built, which freezes the table: a glyph added later could not
     appear in the machines already built, so interning one raises
@@ -179,7 +178,8 @@ class MarkerKit:
     @classmethod
     def of(cls, table: SymbolTable) -> "MarkerKit":
         """The kit kept on `table`, made at the first call: a replace
-        rule's factors and the fold of them share it."""
+        rule's factors and the fold of them share it, and so do a
+        program's builtins and a capture's filters on that table."""
         if table.kit is None:
             table.kit = cls(table)
         return table.kit
@@ -281,7 +281,7 @@ class MarkerKit:
     @_op
     def contains(self, e: Fst) -> Fst:
         """Cell strings with a factor in L(e)."""
-        return _reduced(concat(self.xsig_star, e, self.xsig_star))
+        return reduce_pairs(concat(self.xsig_star, e, self.xsig_star))
 
     # encoding ----------------------------------------------------------
 
@@ -316,13 +316,13 @@ class MarkerKit:
 
     @_op
     def _cross(self, a: Fst, b: Fst) -> Fst:
-        return _reduced(cross_product(a, b))
+        return reduce_pairs(cross_product(a, b))
 
     @_op
     def intro(self, s: Fst) -> Fst:
         """Insert cells from `s` anywhere, pass other cells through."""
         keep = difference(self.xsig, s)
-        return _reduced(star(union(keep, cross_product(empty_string(self.table), s))))
+        return reduce_pairs(star(union(keep, cross_product(empty_string(self.table), s))))
 
     @_op
     def strip(self, s: Fst) -> Fst:
@@ -334,19 +334,19 @@ class MarkerKit:
     def xintro(self, s: Fst) -> Fst:
         """Like intro, but never inserting at the start."""
         keep = difference(self.xsig, s)
-        return _reduced(union(empty_string(self.table), concat(keep, self.intro(s))))
+        return reduce_pairs(union(empty_string(self.table), concat(keep, self.intro(s))))
 
     @_op
     def introx(self, s: Fst) -> Fst:
         """Like intro, but never inserting at the end."""
         keep = difference(self.xsig, s)
-        return _reduced(union(empty_string(self.table), concat(self.intro(s), keep)))
+        return reduce_pairs(union(empty_string(self.table), concat(self.intro(s), keep)))
 
     @_op
     def xintrox(self, s: Fst) -> Fst:
         """Like intro, but inserting neither at the start nor at the end."""
         keep = difference(self.xsig, s)
-        return _reduced(union(empty_string(self.table), keep,
+        return reduce_pairs(union(empty_string(self.table), keep,
                               concat(keep, self.intro(s), keep)))
 
     @_op
@@ -364,20 +364,6 @@ class MarkerKit:
     @_op
     def xignx(self, e: Fst, s: Fst) -> Fst:
         return project(compose(e, self.xintrox(s)), "range")
-
-    @_op
-    def ignx_1(self, e1: Fst, e2: Fst) -> Fst:
-        """Strings of e1 with at least one e2 string wedged in, none of
-        them at the very end.  Unlike the intro family this works at the
-        raw symbol level, so e2 need not be whole cells."""
-        return project(compose(e1, self._wedge(e2)), "range")
-
-    @_op
-    def _wedge(self, s: Fst) -> Fst:
-        t = self.table
-        anysym = any_of(t, t.all_ids())
-        wedged = plus(concat(star(anysym), cross_product(empty_string(t), s)))
-        return _reduced(concat(wedged, plus(anysym)))
 
     # marker filters as one-direction scans --------------------------------
 

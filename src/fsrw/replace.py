@@ -57,7 +57,7 @@ from .fsm import (
     star,
     union,
 )
-from .markers import MarkerKit, _op, _reduced
+from .markers import MarkerKit, _op
 
 
 @_op
@@ -71,7 +71,7 @@ def r_right(kit: MarkerKit, right: Fst) -> Fst:
     nothing."""
     if right.accepts_epsilon():
         ins = kit.cross(None, kit.rb2)
-        return _reduced(concat(star(concat(ins, kit.sig)), ins))
+        return reduce_pairs(concat(star(concat(ins, kit.sig)), ins))
     return _mark_iff(kit, kit.rb2, kit.xign(right, kit.rb2))
 
 
@@ -108,7 +108,7 @@ def left_to_right(kit: MarkerKit, phi: Fst) -> Fst:
     content = compose(kit.ign(phi, kit.b2), kit.strip(kit.lb2))
     region = concat(kit.cross(kit.lb2, kit.lb1), content,
                     kit.cross(kit.rb2, kit.rb1))
-    return _reduced(concat(star(concat(kit.xsig_star, region)), kit.xsig_star))
+    return reduce_pairs(concat(star(concat(kit.xsig_star, region)), kit.xsig_star))
 
 
 @_op
@@ -146,7 +146,7 @@ def aux_replace(kit: MarkerKit, t: Fst) -> Fst:
     cells outside regions pass through."""
     inner = compose(compose(kit.decoder, t), kit.non_markers)
     region = concat(kit.lb1, inner, kit.cross(kit.rb1, None))
-    return _reduced(star(union(kit.sig, kit.lb2, region)))
+    return reduce_pairs(star(union(kit.sig, kit.lb2, region)))
 
 
 @_op

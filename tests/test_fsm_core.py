@@ -1178,8 +1178,9 @@ def test_the_kernels_match_the_explored_ones_on_arc_machines():
 
 
 def test_the_kernels_match_the_explored_ones_on_a_compile(monkeypatch):
-    # every `_finish` and Moore call that compiling the rule files makes
-    # from an empty marker store, and every store entry it leaves
+    # every `_finish` and Moore call that compiling the rule files, and
+    # the `--cascade` factors of each replace rule, makes from an empty
+    # marker store, and every store entry it leaves
     for name in ("_shape_cache", "_shapes"):
         monkeypatch.setattr(markers, name, {})
     monkeypatch.setattr(markers, "_shape_cache_arcs", 0)
@@ -1199,7 +1200,10 @@ def test_the_kernels_match_the_explored_ones_on_a_compile(monkeypatch):
     for module in (fsm, markers):  # markers: the forward scans
         monkeypatch.setattr(module, "_moore_minimize_dfa", moore)
     for path in sorted(RULES_DIR.glob("*.fsr")) + sorted(BENCH_RULES_DIR.glob("*.fsr")):
-        compile_rules(path.read_text()).machine
+        compiled = compile_rules(path.read_text())
+        compiled.machine
+        if compiled.kind == "replace":
+            compiled.factors()
     entries = list(markers._shape_cache.values())
     monkeypatch.undo()
     assert calls["_finish"] >= 800 and calls["_moore_minimize_dfa"] >= 400, calls

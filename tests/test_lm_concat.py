@@ -14,8 +14,10 @@ import fsrw.capture
 from fsrw import (
     FsmError,
     SymbolTable,
+    any_of,
     complement,
     compile_rules,
+    compose,
     compose_cascade,
     concat,
     cross_product,
@@ -26,6 +28,7 @@ from fsrw import (
     MarkerKit,
     oracle_lm_concat,
     option,
+    plus,
     project,
     sigma_star,
     star,
@@ -34,7 +37,9 @@ from fsrw import (
     word,
 )
 
-from gen import all_strings, build_regex, random_regex
+from fsrw.dump import dump_text
+from gen import (CLASS_ALPHABET, all_strings, build_regex, formula,
+                 random_class_language, random_regex, random_target)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -146,8 +151,9 @@ def test_bad_pieces_fail_as_before_whether_or_not_the_capture_collapses(
             lm_concat(pieces)
     table.add_user("w")
     tables = []
-    monkeypatch.setattr(fsrw.capture, "MarkerKit",
-                        lambda t: tables.append(t) or MarkerKit(t))
+    init = MarkerKit.__init__
+    monkeypatch.setattr(MarkerKit, "__init__",
+                        lambda kit, t: tables.append(t) or init(kit, t))
     assert out(lm_concat([a_b, star(a_b)]), "aa") == {"bb"}
     assert (tables[0] is not table) == bool(extra)
 
@@ -175,10 +181,50 @@ def marked_by_complements(kit, domains):
                               for k in fsrw.capture.greed_filters(kit, domains))])
 
 
+# Killer i's middle part is the image of piece i with lb1 cells inserted
+# between its cells (`capture.overrun`).  Kaplan & Kay wedge the marker
+# between raw symbols instead: `ignx_1(e1, e2)`, the range of e1 composed
+# with `wedge(e2)`, the killer `greed_filters` built before it read
+# whole cells.  The two differ only on strings that split a cell, and no
+# marking writes one, so both give the same marking.
+
+
+def wedge(kit, s):
+    """Insert at least one string of `s` between raw symbols, none at the
+    end: the formula of the marker kit's former `_wedge`."""
+    t = kit.table
+    anysym = any_of(t, t.all_ids())
+    return concat(plus(concat(star(anysym), cross_product(empty_string(t), s))),
+                  plus(anysym))
+
+
+def ignx_1(kit, e1, e2):
+    return project(compose(e1, wedge(kit, e2)), "range")
+
+
+def wedge_killers(kit, domains):
+    """`greed_filters` with each middle part wedged between raw symbols."""
+    images = [kit.non_markers_of(d) for d in domains]
+    killers, front = [], []
+    for i in range(len(domains) - 1):
+        killers.append(concat(*front, ignx_1(kit, images[i], kit.lb1),
+                              *[kit.ign(img, kit.lb1) for img in images[i + 1:]]))
+        front += [images[i], kit.lb1]
+    return killers
+
+
+def marked_by_wedge_killers(kit, domains):
+    """`mark_boundaries` with the raw-symbol killers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fsrw.capture, "greed_filters", wedge_killers)
+        return fsrw.capture.mark_boundaries(kit, domains)
+
+
 def assert_same_marking(domains):
     kit = MarkerKit(domains[0].table)
     new = fsrw.capture.mark_boundaries(kit, domains)
     assert new.same_structure(marked_by_complements(kit, domains))
+    assert new.same_structure(marked_by_wedge_killers(kit, domains))
 
 
 def random_domain(rng, table):
@@ -226,5 +272,50 @@ def test_a_large_capture_is_the_same_machine_as_with_complements(monkeypatch):
               concat(ab_j, literal(tb, "b"), star(ab)),
               star(ab)]
     got = lm_concat(pieces)
+    with monkeypatch.context() as mp:
+        mp.setattr(fsrw.capture, "greed_filters", wedge_killers)
+        assert got.same_structure(lm_concat(pieces))
     monkeypatch.setattr(fsrw.capture, "mark_boundaries", marked_by_complements)
     assert got.same_structure(lm_concat(pieces))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_marking_matches_the_raw_symbol_killers_on_random_pieces(seed):
+    # 60 captures a seed of one to four `random_target` pieces: untrimmed
+    # machines, empty and [] domains among them
+    rng = random.Random(seed)
+    sizes = set()
+    for _ in range(60):
+        table = SymbolTable("abc"[:rng.randint(1, 3)])
+        domains = [project(random_target(rng, table), "domain")
+                   for _ in range(rng.randint(1, 4))]
+        sizes.add(len(domains))
+        kit = MarkerKit(table)
+        assert fsrw.capture.mark_boundaries(kit, domains).same_structure(
+            marked_by_wedge_killers(kit, domains))
+    assert sizes == {1, 2, 3, 4}
+
+
+def random_ignx_1_argument(rng):
+    """A language over CLASS_ALPHABET read by raw symbol, or one read by
+    cell: an encoded one or a set of bracket cells."""
+    roll = rng.random()
+    if roll < 0.4:
+        return random_class_language(rng)
+    if roll < 0.7:
+        return "non_markers(%s)" % random_class_language(rng)
+    return rng.choice(["lb1()", "lb()", "brack()", "sig()", "{lb1(), sig()}",
+                       "[lb2(), rb2()]", "xsig()*"])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_ignx_1_macro_is_the_raw_symbol_operator(seed):
+    # 100 programs a seed: the predefined macro compiles to the bytes of
+    # the kit's former operator, the range of E1 composed with the wedge
+    rng = random.Random(seed)
+    for _ in range(100):
+        e1, e2 = random_ignx_1_argument(rng), random_ignx_1_argument(rng)
+        program = compile_rules("%s\nignx_1(%s, %s).\n" % (CLASS_ALPHABET, e1, e2))
+        table = program.machine.table
+        old = ignx_1(MarkerKit.of(table), formula(table, e1), formula(table, e2))
+        assert dump_text(program.machine) == dump_text(old), (e1, e2)

@@ -34,12 +34,12 @@ from fsrw import (
     literal,
     option,
     project,
+    reduce_pairs,
     replace_factors,
     star,
     transduce,
     union,
 )
-from fsrw.markers import _reduced
 
 from gen import formula, random_replace_rule
 
@@ -63,24 +63,24 @@ def not_contains(k):
 # The builds the scans replace, each filter given by its formula.
 
 def mark_iff(kit, cell, p):
-    return _reduced(compose(kit.intro(cell), l_iff_r(cell, p)))
+    return reduce_pairs(compose(kit.intro(cell), l_iff_r(cell, p)))
 
 
 def strip_not_containing(kit, k, cell):
-    return _reduced(compose(not_contains(k), kit.strip(cell)))
+    return reduce_pairs(compose(not_contains(k), kit.strip(cell)))
 
 
 def guard_before(kit, cell, a, skip=None):
     guard = if_s_then_p(a, cell)
     if skip is not None:
         guard = kit.ign(guard, skip)
-    return _reduced(compose(guard, kit.strip(cell)))
+    return reduce_pairs(compose(guard, kit.strip(cell)))
 
 
 def r_right(kit, right):
     if right.accepts_epsilon():
         ins = kit.cross(None, kit.rb2)
-        return _reduced(concat(star(concat(ins, kit.sig)), ins))
+        return reduce_pairs(concat(star(concat(ins, kit.sig)), ins))
     return mark_iff(kit, kit.rb2, kit.xign(right, kit.rb2))
 
 
@@ -223,7 +223,7 @@ def test_not_contains_edge_cases(kit):
         for cell in (kit.rb2, kit.lb):
             assert scan(kit, k, cell).same_structure(strip_not_containing(kit, k, cell))
     assert scan(kit, empty_lang(kit.table), kit.rb2).same_structure(
-        _reduced(kit.strip(kit.rb2)))
+        reduce_pairs(kit.strip(kit.rb2)))
     assert scan(kit, empty_string(kit.table), kit.rb2).is_empty()
 
 

@@ -35,7 +35,6 @@ from fsrw import (
     literal,
     lm_concat,
     minimize,
-    plus,
     project,
     reduce_pairs,
     replace,
@@ -47,6 +46,7 @@ from fsrw import (
     union,
     word,
 )
+from fsrw.capture import overrun
 from fsrw.dump import dump_text
 from gen import (build_regex, count_memo, random_context, random_regex,
                  random_replace_rule, random_target)
@@ -146,13 +146,15 @@ def test_ign_family_are_projections(kit):
     assert "a0b0<11" not in xignx
 
 
-def test_ignx_1_requires_an_insertion(kit):
-    base = kit.non_markers_of(word(kit.table, "ab"))
-    seen = lang_enum(kit.ignx_1(base, kit.lb1), 8)
+def test_ignx_1_requires_an_insertion():
+    # a predefined macro: wedged between raw symbols, an lb1 cell may
+    # also split a cell, and is never at the end
+    seen = lang_enum(rule("ignx_1(non_markers([a, b]), lb1())"), 8)
     assert "a0b0" not in seen
     assert "<11a0b0" in seen
     assert "a0<11b0" in seen
     assert "a0b0<11" not in seen
+    assert "a<110b0" in seen
 
 
 def test_not_and_contains_cover_cells_of_both_kinds(kit):
@@ -288,17 +290,11 @@ def store_key(kit, name):
 
 def build_every_constant(kit):
     """Every constant of the kit, keyed as `unreduced_formulas` keys it:
-    the named ones, and the intro family and the wedge of `ignx_1` on each
-    bracket set.  A wedge is read from the store, where `ignx_1` leaves it,
-    so the store must have room for the lot."""
+    the named ones, and the intro family on each bracket set."""
     got = {name: getattr(kit, attr) for name, attr in NAMED.items()}
-    nothing = empty_lang(kit.table)
     for name in BRACKET_SETS:
         for op in ("intro", "xintro", "introx", "xintrox"):
             got[op, name] = getattr(kit, op)(got[name])
-        kit.ignx_1(nothing, got[name])
-        got["wedge", name] = Fst(kit.table, *markers._shape_cache[
-            store_key(kit, ("wedge", name))])
     return got
 
 
@@ -324,7 +320,6 @@ def unreduced_formulas(table):
     f["decoder"] = invert(f["non_markers"])
     f["true"] = sigma_star(t, t.all_ids())
     f["false"] = empty_lang(t)
-    anysym = any_of(t, t.all_ids())
     for name in BRACKET_SETS:
         s = f[name]
         keep = difference(f["xsig"], s)
@@ -333,8 +328,6 @@ def unreduced_formulas(table):
         f["xintro", name] = union(eps, concat(keep, intro))
         f["introx", name] = union(eps, concat(intro, keep))
         f["xintrox", name] = union(eps, keep, concat(keep, intro, keep))
-        f["wedge", name] = concat(plus(concat(star(anysym), cross_product(eps, s))),
-                                  plus(anysym))
     return f
 
 
@@ -371,7 +364,7 @@ def test_every_constant_is_built_reduced(shape_cache):
     # of the reduction, whether built (cold) or taken from the store (warm)
     table = SymbolTable("ab")
     calls = every_method_call(MarkerKit(table), random.Random(27), 3)
-    assert {name for name, _ in calls} >= {"cross", "intro", "ignx_1", "contains"}
+    assert {name for name, _ in calls} >= {"cross", "intro", "ign", "contains"}
     shape_cache.setattr(markers, "_shape_cache", {})
     shape_cache.setattr(markers, "_shape_cache_arcs", 0)
     _, builds = count_memo(shape_cache)
@@ -392,14 +385,25 @@ def test_every_constant_keeps_its_formula(shape_cache):
     cache = build_every_constant(kit)
     formulas = unreduced_formulas(kit.table)
     assert set(cache) == set(formulas)
-    # the touch, on an empty store, stored those constants and the ignx_1
-    # images it asked for, nothing else
-    images = {(kit._shape_key(), "ignx_1", parts_of(empty_lang(kit.table)),
-               parts_of(cache[s])) for s in BRACKET_SETS}
+    # the touch, on an empty store, stored those constants, then the
+    # overruns of `lm_concat`'s greed filters on three images stored
+    # themselves and the `ignx` each is built from, nothing else
+    images = [empty_lang(kit.table)] + [
+        project(compose(word(kit.table, w), formulas["non_markers"]), "range")
+        for w in ("a", "ab")]
+    overruns = [overrun(kit, image) for image in images]
+    entries = {(kit._shape_key(), op, parts_of(image), *lb1)
+               for image in images
+               for op, lb1 in (("overrun", ()), ("ignx", (parts_of(cache["lb1"]),)))}
     assert set(markers._shape_cache) == {store_key(kit, name)
-                                         for name in cache} | images
+                                         for name in cache} | entries
     for name, m in cache.items():
         assert equivalent(m, formulas[name]), name
+    for image, m in zip(images, overruns):
+        ignx = project(compose(image, formulas["introx", "lb1"]), "range")
+        assert equivalent(m, difference(ignx, image))
+    assert lang_enum(overruns[2], 8) == {"<11a0b0", "a0<11b0", "<11<11a0b0",
+                                         "<11a0<11b0", "a0<11<11b0"}
 
 
 @pytest.mark.parametrize("builtin", ["$$", "intro", "xintro", "introx", "xintrox"])
@@ -643,16 +647,19 @@ def test_a_machine_on_another_table_is_refused_by_every_method(shape_cache):
             assert markers._shape_cache == held, (name, k)
 
 
-@pytest.mark.parametrize("op", ["ign", "xign", "ignx", "xignx", "ignx_1"])
+@pytest.mark.parametrize("op", ["ign", "xign", "ignx", "xignx", "overrun"])
 def test_a_stored_image_is_one_lookup(shape_cache, op):
-    # keyed by the set itself, not by the inserter built from it
+    # keyed by the set itself, not by the inserter built from it; the
+    # overrun of a greed filter, by the image alone
+    def image_op(kit, e, s):
+        return overrun(kit, e) if op == "overrun" else getattr(kit, op)(e, s)
     kit = MarkerKit(SymbolTable("ab"))
     e = kit.non_markers_of(word(kit.table, "ab"))
-    first = getattr(kit, op)(e, kit.lb1)
+    first = image_op(kit, e, kit.lb1)
     kit = MarkerKit(SymbolTable("xy"))
     e, s = kit.non_markers_of(word(kit.table, "xy")), kit.lb1
     lookups, builds = count_memo(shape_cache)
-    assert getattr(kit, op)(e, s).arcs is first.arcs
+    assert image_op(kit, e, s).arcs is first.arcs
     assert (dict(lookups), builds.total()) == ({op: 1}, 0)
 
 
@@ -779,7 +786,7 @@ def test_every_store_entry_is_what_its_construction_returns(shape_cache):
     for (shape, op, *args), parts in seen.items():
         table = tables[shape]
         m = Fst(table, *parts)
-        assert m.same_structure(markers._reduced(m)), op
+        assert m.same_structure(reduce_pairs(m)), op
         name, *flags = op.split()
         if name == "composed":
             assert m.same_structure(compose_cascade([Fst(table, *a) for a in args]))
@@ -789,14 +796,14 @@ def test_every_store_entry_is_what_its_construction_returns(shape_cache):
             machines = [Fst(table, *a) for a in args]
             unreduced = []  # what a build that ends in a reduction reduces
             with shape_cache.context() as mp:
-                mp.setattr(replace_module, "_reduced",
+                mp.setattr(replace_module, "reduce_pairs",
                            lambda f: unreduced.append(f) or f)
                 built = getattr(replace_module, name).__wrapped__(
                     kit, *machines, *map(int, flags))
             if unreduced:
                 reducing += 1
                 shrunk += len(m.arcs) < len(built.arcs)
-            assert m.same_structure(markers._reduced(built)), op
+            assert m.same_structure(reduce_pairs(built)), op
             assert equivalent(m, built), op
             factors += 1
         else:

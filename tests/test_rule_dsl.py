@@ -542,6 +542,19 @@ def test_every_builtin_is_a_kit_operator_of_its_arity():
     assert ("match_n", 2) not in set(_BUILTINS) | set(stdlib_macros())
 
 
+def test_every_kit_member_is_a_builtin_or_has_a_caller():
+    # a public MarkerKit member is the target of a builtin, or the package
+    # names it as an attribute outside markers.py, so a kit operator left
+    # with no caller fails here
+    package = Path(fsrw.dsl.__file__).parent
+    text = "\n".join(path.read_text() for path in sorted(package.glob("*.py"))
+                     if path.name != "markers.py")
+    targets = set(_BUILTINS.values())
+    for name in vars(MarkerKit):
+        if not name.startswith("_") and name not in targets:
+            assert re.search(r"\.%s\b" % name, text), name
+
+
 def test_lm_concat_program_end_to_end():
     cp = compile_rules("lm_concat([[identity(a*), []:'#'], identity(a)]).")
     assert cp.kind == "lm_concat"
