@@ -151,8 +151,9 @@ class Fst:
     def input_tables(self) -> "InputTables":
         """The machine's left and right input subset tables, filled as
         inputs are read and shared by every input until they hold more
-        than INPUT_TABLE_CAP entries."""
-        if self._tables is None:
+        than INPUT_TABLE_CAP entries; the next input then starts them
+        afresh (an input that is being read keeps its tables)."""
+        if self._tables is None or self._tables.full:
             self._tables = InputTables(self)
         return self._tables
 
@@ -792,8 +793,9 @@ def _determinize_reversal(table, n, initial, finals, arcs) -> Fst:
 # -- queries ------------------------------------------------------------------
 
 # Once a machine's input tables hold more than this many entries (subsets
-# on either side plus cached steps), the next input starts them afresh, so
-# applying one machine to endless input runs in bounded memory.
+# on either side, cached steps and kept outputs), the next input starts
+# them afresh, so applying one machine to endless input runs in bounded
+# memory.
 INPUT_TABLE_CAP = 1 << 13
 
 # enumerate_pairs gives up with FsmError after walking this many arcs, so a
@@ -811,11 +813,12 @@ def _to_ids(table, s) -> list[int]:
 
 class _SubsetTable:
     """Subsets of a machine's states met while reading inputs in one
-    direction, numbered in the order they are met, and the moves between
-    them.  `succ[q]` maps a symbol to the states one arc reading it leads
-    to from q, and `eps[q]` lists those one input-epsilon arc leads to;
-    every subset is closed under `eps`.  Subset 0 is the closure of
-    `seeds`; a move to the empty subset is numbered -1."""
+    direction, numbered in the order they are met.  `succ[q]` maps a
+    symbol to the states one arc reading it leads to from q, and `eps[q]`
+    lists those one input-epsilon arc leads to; every subset is closed
+    under `eps`.  Subset 0 is the closure of `seeds`.  `moves[k]` caches,
+    by symbol, what reading it from subset k leads to: a `_Transition` in
+    the left table, a subset number (-1 for none) in the right one."""
 
     __slots__ = ("succ", "eps", "sets", "ids", "moves")
 
@@ -824,7 +827,7 @@ class _SubsetTable:
         self.eps = eps
         self.sets: list[frozenset] = []
         self.ids: dict[frozenset, int] = {}
-        self.moves: list[dict[int, int]] = []
+        self.moves: list[dict] = []
         self._intern(seeds)
 
     def _intern(self, states) -> int:
@@ -836,32 +839,13 @@ class _SubsetTable:
             self.moves.append({})
         return k
 
-    def move(self, k: int, sym: int) -> int:
-        """The subset that reading `sym` leads to from subset k."""
-        to = self.moves[k].get(sym)
-        if to is None:
-            reached = set()
-            for q in self.sets[k]:
-                reached.update(self.succ[q].get(sym, ()))
-            to = self._intern(reached) if reached else -1
-            self.moves[k][sym] = to
-        return to
-
-    def walk(self, ids) -> Optional[list[int]]:
-        """Subset numbers after each prefix of `ids` (len(ids) + 1 of
-        them), or None once a prefix leads nowhere."""
-        moves = self.moves
-        k = 0
-        seen = [0]
-        for sym in ids:
-            to = moves[k].get(sym)
-            if to is None:
-                to = self.move(k, sym)
-            if to < 0:
-                return None
-            seen.append(to)
-            k = to
-        return seen
+    def after(self, k: int, sym: int) -> int:
+        """The subset that reading `sym` leads to from subset k, or -1
+        when it leads to no state."""
+        reached = set()
+        for q in self.sets[k]:
+            reached.update(self.succ[q].get(sym, ()))
+        return self._intern(reached) if reached else -1
 
 
 class _Step:
@@ -930,6 +914,21 @@ def _chain_output(k: int, arcs, glyph) -> Optional[tuple[str, ...]]:
     return tuple(out)
 
 
+class _Transition:
+    """A move of the left table: reading `sym` from left subset `src`
+    leads to subset `to` (-1 when it leads to no state).  `steps` caches
+    the step (`_Step`) of a position p that reads `sym` from L[p] = `src`,
+    keyed by the right subset R[p + 1]."""
+
+    __slots__ = ("src", "sym", "to", "steps")
+
+    def __init__(self, src: int, sym: int, to: int):
+        self.src = src
+        self.sym = sym
+        self.to = to
+        self.steps: dict[int, _Step] = {}
+
+
 class InputTables:
     """The two halves of a machine's bimachine (Schützenberger 1961; see
     Roche & Schabes, *Finite-State Language Processing*, 1997), over its
@@ -939,16 +938,18 @@ class InputTables:
     (subset 0: the initial state); the right table, over the reversed
     arcs, steps backwards the states from which the rest of the input can
     reach a final state (subset 0: the states that reach one over
-    input-epsilon arcs).  Both are closed under input-epsilon arcs.  On
-    top of them, `steps` caches the trimmed lattice of one position by
-    (L[p], symbol, R[p + 1]); the end of the input is the step
-    (L[n], EPS, -1), whose live final states have an arc to a single exit
-    state at position n + 1.  `segments` caches the outputs of a stretch
-    of steps between two cuts (see `segment`); `held` counts the outputs
-    it holds."""
+    input-epsilon arcs).  Both are closed under input-epsilon arcs.  Each
+    move of the left table is a `_Transition` that caches the trimmed
+    lattice of the positions it reads, by the right subset after them;
+    the end of the input is a step cached in `ends` by L[n] alone, whose
+    live final states have an arc to a single exit state at position
+    n + 1.  `stepped` counts the cached steps.  `segments` caches the
+    outputs of a stretch of steps between two cuts (see `segment`);
+    `held` counts the outputs it holds.  `full` is set once the tables
+    hold more than INPUT_TABLE_CAP entries, checked only when they grow."""
 
-    __slots__ = ("finals", "adj", "glyph", "left", "right", "steps",
-                 "segments", "held")
+    __slots__ = ("finals", "adj", "glyph", "left", "right", "ends", "stepped",
+                 "segments", "held", "full")
 
     def __init__(self, m: Fst):
         self.finals = m.finals
@@ -967,69 +968,107 @@ class InputTables:
                 bsucc[d].setdefault(i, []).append(s)
         self.left = _SubsetTable(fsucc, feps, [m.initial])
         self.right = _SubsetTable(bsucc, beps, m.finals)
-        self.steps: dict[tuple[int, int, int], _Step] = {}
+        self.ends: dict[int, _Step] = {}
+        self.stepped = 0
         self.segments: dict[tuple, _Segment] = {}
         self.held = 0
+        self.full = False
 
     def size(self) -> int:
-        return len(self.left.sets) + len(self.right.sets) + len(self.steps) + self.held
+        return len(self.left.sets) + len(self.right.sets) + self.stepped + self.held
 
-    def _step(self, lid: int, sym: int, rnext: int) -> _Step:
-        left, right = self.left, self.right
-        if sym == EPS:  # the end of the input
-            rid = 0
-            ahead: dict[int, int] = {}
-        else:
-            rid = right.move(rnext, sym)
-            reached = left.sets[left.moves[lid][sym]] & right.sets[rnext]
-            ahead = {q: k for k, q in enumerate(sorted(reached))}
-        live = sorted(left.sets[lid] & right.sets[rid]) if rid >= 0 else []
+    def _grew(self):
+        self.full = self.size() > INPUT_TABLE_CAP
+
+    def _transition(self, k: int, sym: int) -> _Transition:
+        t = self.left.moves[k][sym] = _Transition(k, sym, self.left.after(k, sym))
+        self._grew()
+        return t
+
+    def _step(self, t: _Transition, rnext: int) -> _Step:
+        right = self.right
+        moves = right.moves[rnext]
+        rid = moves.get(t.sym)
+        if rid is None:
+            rid = moves[t.sym] = right.after(rnext, t.sym)
+        ahead = sorted(self.left.sets[t.to] & right.sets[rnext])
+        st = t.steps[rnext] = self._new_step(t.src, t.sym, rid, ahead)
+        return st
+
+    def _end(self, lid: int) -> _Step:
+        st = self.ends[lid] = self._new_step(lid, EPS, 0, [])
+        return st
+
+    def _new_step(self, lid: int, sym: int, rid: int, ahead: list[int]) -> _Step:
+        """The step that reads `sym` (EPS: the end of the input) from L[p]
+        = `lid` into R[p] = `rid`, whose next position's live states are
+        `ahead`."""
+        live = sorted(self.left.sets[lid] & self.right.sets[rid]) if rid >= 0 else []
         here = {q: k for k, q in enumerate(live)}
+        there = {q: k for k, q in enumerate(ahead)}
         arcs = []
         for k, q in enumerate(live):
             for i, o, d in self.adj[q]:
                 if i == EPS:
                     if d in here:
                         arcs.append((k, o, here[d], True))
-                elif i == sym and d in ahead:
-                    arcs.append((k, o, ahead[d], False))
+                elif i == sym and d in there:
+                    arcs.append((k, o, there[d], False))
             if sym == EPS and q in self.finals:
                 arcs.append((k, EPS, 0, False))
-        st = _Step(rid, tuple(live), tuple(arcs),
-                   _chain_output(len(live), arcs, self.glyph))
-        self.steps[lid, sym, rnext] = st
-        return st
+        self.stepped += 1
+        self._grew()
+        return _Step(rid, tuple(live), tuple(arcs), _chain_output(len(live), arcs, self.glyph))
 
-    def trim(self, ids) -> Optional[list[_Step]]:
-        """The steps of the input's trimmed lattice, positions 0..n, or
-        None when no path accepts it: one walk forward through the left
-        table, then one backward through the steps, by index, filling a
-        trail made at its full length (the end step stands in until each
-        position is filled)."""
-        lids = self.left.walk(ids)
-        if lids is None:
+    def walk(self, ids) -> Optional[list[_Transition]]:
+        """The left table's transitions along `ids`, or None once a prefix
+        leads to no state."""
+        moves = self.left.moves
+        trans = []
+        k = 0
+        for sym in ids:
+            t = moves[k].get(sym) or self._transition(k, sym)
+            k = t.to
+            if k < 0:
+                return None
+            trans.append(t)
+        return trans
+
+    def read(self, ids):
+        """The steps of the input's trimmed lattice, positions 0..n, and
+        the join of their texts when every step is one path (else None);
+        None when no path accepts the input.  One walk forward over the
+        transitions, then one back that takes each position's step from
+        its transition by the right subset after it, collecting the steps
+        and their texts as it goes."""
+        trans = self.walk(ids)
+        if trans is None:
             return None
-        get = self.steps.get
-        n = len(ids)
-        st = get((lids[n], EPS, -1)) or self._step(lids[n], EPS, -1)
+        lid = trans[-1].to if trans else 0
+        st = self.ends.get(lid) or self._end(lid)
         if not st.live:  # then no position has a live state
             return None
-        trail = [st] * (n + 1)
+        trail = [st]
+        texts = [st.text]
         rid = st.rid
-        for p in range(n - 1, -1, -1):
-            key = (lids[p], ids[p], rid)
-            st = get(key) or self._step(*key)
-            trail[p] = st
+        for t in reversed(trans):
+            st = t.steps.get(rid) or self._step(t, rid)
+            trail.append(st)
+            texts.append(st.text)
             rid = st.rid
-        return trail
+        trail.reverse()
+        if None in texts:
+            return trail, None
+        texts.reverse()
+        return trail, "".join(texts)
 
     def segment(self, trail, lo: int, hi: int, entry: int) -> _Segment:
         """The outputs of steps lo..hi - 1 of `trail`, none of them
         endless, from live state `entry` of position lo to the exit of
         step hi - 1.  Cached by the entry and the steps (each step stands
-        for its key (L[p], symbol, R[p + 1])), unless the stretch reads
-        every symbol of the line (the last step, at the end of the input,
-        reads none): only the same line again would find it."""
+        for its transition and R[p + 1]), unless the stretch reads every
+        symbol of the line (the last step, at the end of the input, reads
+        none): only the same line again would find it."""
         key = (entry, *trail[lo:hi])
         seg = self.segments.get(key)
         if seg is None:
@@ -1037,24 +1076,19 @@ class InputTables:
             if lo > 0 or hi < len(trail) - 1:
                 self.segments[key] = seg
                 self.held += len(seg.tuples)
+                self._grew()
         return seg
-
-
-def _release_full_tables(m: Fst, tables: InputTables):
-    # the caller keeps its reference for the rest of its input
-    if tables.size() > INPUT_TABLE_CAP and m._tables is tables:
-        m._tables = None
 
 
 def accepts(m: Fst, s) -> bool:
     """Membership for recognizers.  `s` is a str (one symbol per character)
     or a sequence of glyphs."""
     _require_recognizer(m, "accepts")
-    ids = _to_ids(m.table, s)
     tables = m.input_tables()
-    lids = tables.left.walk(ids)
-    _release_full_tables(m, tables)
-    return lids is not None and not m.finals.isdisjoint(tables.left.sets[lids[-1]])
+    trans = tables.walk(_to_ids(m.table, s))
+    if trans is None:
+        return False
+    return not m.finals.isdisjoint(tables.left.sets[trans[-1].to if trans else 0])
 
 
 class _Segment:
@@ -1083,17 +1117,22 @@ class TransduceResult:
     kept.
     """
 
-    __slots__ = ("_strings", "_outputs", "truncated")
+    __slots__ = ("_strings", "_outputs", "_steps", "truncated")
 
-    def __init__(self, strings: list[str], truncated: bool, outputs):
-        # `outputs` is the list of glyph tuples or a function that makes it
+    def __init__(self, strings: list[str], truncated: bool, outputs, steps=None):
+        # `outputs` is the list of glyph tuples, a function that makes it,
+        # or None for the one output along the single-path `steps`
         self._strings = strings
         self._outputs = outputs
+        self._steps = steps
         self.truncated = truncated
 
     @property
     def outputs(self) -> list[tuple[str, ...]]:
-        if callable(self._outputs):
+        if self._outputs is None:
+            self._outputs = [_glyphs_of(self._steps)]
+            self._steps = None
+        elif callable(self._outputs):
             self._outputs = self._outputs()
         return self._outputs
 
@@ -1112,34 +1151,30 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
     machine can loop emitting symbols while consuming nothing) are cut off
     after `limit` outputs in shortest-first order.
 
-    The machine's input tables (`InputTables`) give the input's trimmed
-    lattice, position by position, from cached steps.  When each step is
-    one path, the output is one join of the steps' cached texts
-    (`_Step.text`), and its glyph tuple is built only if `outputs` is
-    read.  Otherwise the line is cut after each step whose arcs all enter
-    one state, which every accepting path crosses, and the output set is
-    one product of per-stretch output lists (`_segmented_outputs`): a run
-    of single-path stretches gives its text, and any other stretch a
-    `_Segment` cached on the tables, built once from its output DFA
-    (`_output_dfa`).  When some step is endless (`_Step.endless`), the
-    output set is infinite and the shortest are enumerated from the
-    output DFA of the whole line."""
+    The machine's input tables (`InputTables.read`) give the input's
+    trimmed lattice, position by position, from steps cached on the left
+    table's transitions.  When each step is one path, the output is one
+    join of the steps' cached texts (`_Step.text`), and its glyph tuple is
+    built only if `outputs` is read.  Otherwise the line is cut after each
+    step whose arcs all enter one state, which every accepting path
+    crosses, and the output set is one product of per-stretch output lists
+    (`_segmented_outputs`): a run of single-path stretches gives its text,
+    and any other stretch a `_Segment` cached on the tables, built once
+    from its output DFA (`_output_dfa`).  When some step is endless
+    (`_Step.endless`), the output set is infinite and the shortest are
+    enumerated from the output DFA of the whole line."""
     ids = _to_ids(m.table, s)
     tables = m.input_tables()
-    try:
-        trail = tables.trim(ids)
-        if trail is None:
-            return TransduceResult([], False, [])
-        texts = [st.text for st in trail]
-        if None not in texts:
-            return TransduceResult(["".join(texts)], False,
-                                   lambda: [_glyphs_of(trail)])
-        start = trail[0].live.index(m.initial)
-        if any(st.endless for st in trail):
-            return _shortest_outputs(trail, start, limit, m.table.glyph)
-        return _segmented_outputs(tables, trail, start, m.table)
-    finally:
-        _release_full_tables(m, tables)
+    read = tables.read(ids)
+    if read is None:
+        return TransduceResult([], False, [])
+    trail, text = read
+    if text is not None:
+        return TransduceResult([text], False, None, trail)
+    start = trail[0].live.index(m.initial)
+    if any(st.endless for st in trail):
+        return _shortest_outputs(trail, start, limit, m.table.glyph)
+    return _segmented_outputs(tables, trail, start, m.table)
 
 
 def _segmented_outputs(tables: InputTables, trail, start: int,
@@ -1261,7 +1296,15 @@ def _acyclic_outputs(dadj, dfinals, glyph) -> list[tuple[str, ...]]:
     deterministic, so the walk visits the trie of the outputs once, in
     order and without repeats.  The DFA is built from a trimmed lattice,
     so every state reaches a final one and each trie node is a prefix of
-    some output: the walk costs no more than the outputs' total length."""
+    some output.
+
+    A chain, the single arcs from a state up to the first state that is
+    final or has other than one arc, is copied onto the path in one
+    step: `chains[v]` is (glyphs, k, end) when the chain from v spells
+    glyphs[k:] and stops at `end`.  Each state's chain is followed once,
+    and a chain that runs into a known one copies that one's rest, so the
+    walk costs about the outputs' total length, copied at C speed."""
+    chains: dict[int, tuple[list[str], int, int]] = {}
     outputs = []
     path: list[str] = []
     todo = [(0, 0, None)]
@@ -1270,6 +1313,23 @@ def _acyclic_outputs(dadj, dfinals, glyph) -> list[tuple[str, ...]]:
         del path[depth:]
         if g is not None:
             path.append(g)
+        chain = chains.get(v)
+        if chain is None:
+            run, glyphs = [], []
+            u = v
+            while u not in chains and u not in dfinals and len(dadj[u]) == 1:
+                ((o, d),) = dadj[u]
+                run.append(u)
+                glyphs.append(glyph(o))
+                u = d
+            if u in chains:
+                rest, k, u = chains[u]
+                glyphs += rest[k:]
+            for k, w in enumerate(run):
+                chains[w] = (glyphs, k, u)
+            chain = chains[v] = (glyphs, 0, u)
+        glyphs, k, v = chain
+        path += glyphs[k:] if k else glyphs
         if v in dfinals:
             outputs.append(tuple(path))
         depth = len(path)

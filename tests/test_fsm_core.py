@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import fsrw.classes as classes
+import fsrw.cli as cli
 import fsrw.markers as markers
 from fsrw import fsm
 from fsrw import (
@@ -332,13 +333,17 @@ def test_transduce_rejects_unknown_symbol(tb):
                     ["<abbr>", "<abbr>", "non-deterministic", " ", "finite",
                      " ", "automaton", "</abbr>", "N"]]),
 ])
-def test_a_single_path_line_builds_its_glyph_tuple_once_on_demand(rule, lines):
+def test_a_single_path_line_builds_its_glyph_tuple_once_on_demand(rule, lines, monkeypatch):
     m = compile_rules((RULES_DIR / rule).read_text()).machine
+    built = []
+    glyphs_of = fsm._glyphs_of
+    monkeypatch.setattr(fsm, "_glyphs_of", lambda steps: built.append(1) or glyphs_of(steps))
     for line in lines:
         res = transduce(m, line)
-        assert callable(res._outputs)  # not built by transduce
+        assert not built  # not built by transduce
         outputs = res.outputs
-        assert outputs is res.outputs
+        assert outputs is res.outputs and len(built) == 1
+        built.clear()
         assert outputs == _walker_outputs(m, line) and len(outputs) == 1
         assert res.strings() == ["".join(outputs[0])]
 
@@ -476,6 +481,13 @@ def test_transduce_cycle_verdict_matches_the_oracle(tb):
     assert infinite >= 1000
 
 
+def _cached_steps(tables):
+    """Every step the tables hold: those on the left table's transitions
+    and the end steps."""
+    return [st for moves in tables.left.moves for t in moves.values()
+            for st in t.steps.values()] + list(tables.ends.values())
+
+
 def _walker_outputs(m, w):
     """The oracle's outputs of `m` on the glyphs `w`, as glyph tuples
     sorted by symbol id."""
@@ -593,7 +605,7 @@ def test_silent_cycle_beside_writing_arcs_is_finite():
         res = transduce(m, w, limit=1)
         assert not res.truncated and res.strings() == want
         assert res.outputs == _walker_outputs(m, w)
-    assert not any(st.endless for st in m.input_tables().steps.values())
+    assert not any(st.endless for st in _cached_steps(m.input_tables()))
 
 
 def test_writing_cycle_behind_a_silent_arc_is_endless():
@@ -607,8 +619,8 @@ def test_writing_cycle_behind_a_silent_arc_is_endless():
         res = transduce(m, "ab", limit=limit)
         assert res.truncated and len(res) == len(res.outputs) == limit
     assert transduce(m, "ab", limit=3).strings() == ["xb", "xzb", "yb"]
-    assert [st.endless for st in m.input_tables().trim([tb.id_of("a"), tb.id_of("b")])] \
-        == [False, True, False]
+    trail, text = m.input_tables().read([tb.id_of("a"), tb.id_of("b")])
+    assert [st.endless for st in trail] == [False, True, False] and text is None
 
 
 def test_endless_matches_a_brute_force_cycle_search(tb):
@@ -623,7 +635,7 @@ def test_endless_matches_a_brute_force_cycle_search(tb):
                                  rng.randint(0, 4))
         for w in inputs:
             transduce(m, w, limit=3)
-        for st in m.input_tables().steps.values():
+        for st in _cached_steps(m.input_tables()):
             reach = {(s, d) for s, _, d, same in st.arcs if same}
             while True:
                 more = reach | {(s, e) for s, d in reach for d2, e in reach if d == d2}
@@ -692,6 +704,67 @@ def test_segment_cache_counts_toward_the_cap():
     assert _tables_renewed(m, sorted(lines), want) >= 2
 
 
+def _reference_acyclic_outputs(dadj, dfinals, glyph):
+    """`fsm._acyclic_outputs` as it walked before chains were copied in one
+    step: one loop turn per node of the outputs' trie."""
+    outputs = []
+    path = []
+    todo = [(0, 0, None)]
+    while todo:
+        v, depth, g = todo.pop()
+        del path[depth:]
+        if g is not None:
+            path.append(g)
+        if v in dfinals:
+            outputs.append(tuple(path))
+        depth = len(path)
+        for o, d in reversed(dadj[v]):
+            todo.append((d, depth, glyph(o)))
+    return outputs
+
+
+def _random_output_dfa(rng, n):
+    """A random acyclic DFA on states 0..n-1 with arcs only to higher
+    states, in ascending label order; mostly single arcs, so it has long
+    chains, most of them to the next state.  A state with no arc is
+    final, so every state reaches one."""
+    dadj = []
+    for v in range(n):
+        k = 0 if v == n - 1 else rng.choice([1, 1, 1, 1, 2, 3])
+        labels = sorted(rng.sample(range(4), min(k, 4)))
+        dadj.append([(o, v + 1 if rng.random() < 0.6 else rng.randrange(v + 1, n))
+                     for o in labels])
+    dfinals = {v for v in range(n) if not dadj[v] or rng.random() < 0.15}
+    return dadj, dfinals
+
+
+def test_acyclic_outputs_match_the_trie_walk():
+    glyph = "wxyz".__getitem__
+    rng = random.Random(27)
+    chained = 0
+    for _ in range(2000):
+        dadj, dfinals = _random_output_dfa(rng, rng.randint(1, 14))
+        want = _reference_acyclic_outputs(dadj, dfinals, glyph)
+        assert fsm._acyclic_outputs(dadj, dfinals, glyph) == want, (dadj, dfinals)
+        chained += any(len(o) > 4 for o in want)
+    assert chained >= 500
+    # the output DFAs of whole lines, and of stretches cut by c, of the
+    # machines that write x in place of one symbol of each block
+    for separator in (None, "c"):
+        m = _x_in_each_block(SymbolTable("abcx"), separator)
+        tables = m.input_tables()
+        for _ in range(100):
+            blocks = ["".join(rng.choice("ab") for _ in range(rng.randint(1, 12)))
+                      for _ in range(rng.randint(1, 3))]
+            line = [m.table.id_of(g) for g in (separator or "").join(blocks)]
+            trail, _ = tables.read(line)
+            for lo, hi in ((0, len(trail)), (0, len(trail) - 1), (1, len(trail))):
+                entry = trail[lo].live.index(m.initial) if lo == 0 else 0
+                dadj, dfinals = fsm._output_dfa(trail, lo, hi, entry)
+                assert fsm._acyclic_outputs(dadj, dfinals, m.table.glyph) \
+                    == _reference_acyclic_outputs(dadj, dfinals, m.table.glyph)
+
+
 def _nth_from_last_is_a(tb, k):
     """Identity on the strings over {a, b} whose k-th symbol from the end
     is an a: a nondeterministic machine whose left subsets number 2^k."""
@@ -717,6 +790,58 @@ def test_input_tables_stay_under_their_cap(tb):
         renewed += m.input_tables() is not tables
         tables = m.input_tables()
     assert renewed >= 1  # the cap was reached and the tables started afresh
+
+
+# the four machines of the benchmark's apply workload, as `fsrw apply -m`
+# loads them: (name, rule file, compiled with --cascade)
+APPLY_MACHINES = [("devoice_final", RULES_DIR / "devoice_final.fsr", True),
+                  ("topological", RULES_DIR / "topological.fsr", False),
+                  ("cascade27", BENCH_RULES_DIR / "cascade27.fsr", False),
+                  ("ambiguous", BENCH_RULES_DIR / "ambiguous.fsr", False)]
+
+# topological's three pieces, so that half its lines are accepted
+TOPO_PIECES = (["to", "top"], ["o", "polo"], ["gical", "ological"])
+
+
+def _apply_machine(tmp_path, name, path, cascade):
+    out = tmp_path / (name + ".fst")
+    argv = ["compile", "-r", str(path), "-o", str(out)] + (["--cascade"] if cascade else [])
+    assert cli.main(argv) == 0
+    return cli._load_machine(str(out))
+
+
+def _short_lines(rng, name, glyphs, count):
+    lines = []
+    for _ in range(count):
+        if name == "topological" and rng.random() < 0.5:
+            lines.append(list("".join(rng.choice(p) for p in TOPO_PIECES)))
+        else:
+            lines.append([rng.choice(glyphs) for _ in range(rng.randint(0, 10))])
+    return lines
+
+
+@pytest.mark.parametrize("name, path, cascade", APPLY_MACHINES,
+                         ids=[name for name, _, _ in APPLY_MACHINES])
+def test_apply_machines_match_the_oracle(tmp_path, monkeypatch, name, path, cascade):
+    m = _apply_machine(tmp_path, name, path, cascade)
+    lines = _short_lines(random.Random(31), name, m.table.user_glyphs(), 300)
+    want = [_walker_outputs(m, line) for line in lines]
+    results = [transduce(m, line) for line in lines]
+    assert [res.outputs for res in results] == want
+    assert not any(res.truncated for res in results)
+    assert sum(map(bool, want)) >= 100
+    # a small cap renews the tables many times over the same lines, read
+    # twice so that later lines meet cached steps and segments
+    monkeypatch.setattr(fsm, "INPUT_TABLE_CAP", 10)
+    m = _apply_machine(tmp_path, name, path, cascade)
+    renewed = 0
+    tables = m.input_tables()
+    for line, outputs in zip(lines + lines, want + want):
+        res = transduce(m, line)
+        assert (res.outputs, res.truncated) == (outputs, False), line
+        renewed += m.input_tables() is not tables
+        tables = m.input_tables()
+    assert renewed >= 5
 
 
 def test_transduce_leaves_the_machine_unchanged(devoice):
