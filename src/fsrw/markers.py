@@ -31,9 +31,10 @@ with (`star` of a `union`, say) copy arcs onto every final state and
 grow with the square of the alphabet, and every factor and composition
 of a compile would pay for it.  The rest come out minimal from
 `difference` or `project`, or, as `strip`, invert a reduced machine.
-The filters (`non_markers_of`, `not_`, the `ign` family) each read only
-one of dom(T), Left or Right, so the rules that share a context or a
-domain over one alphabet shape share its filters; so do the captures
+The filters (`non_markers_of`, the `ign` family, and `not_` for the
+paper-verbatim `l2`) each read only one of dom(T), Left or Right, so the
+rules that share a context or a domain over one alphabet shape share its
+filters; so do the captures
 that share a piece's domain, whose greed filters keep their overrun
 (`fsrw.capture`) in the store too.  Seven of the nine replace
 factors (`fsrw.replace.replace_factors`) are `_op`s too, each keyed by
@@ -61,9 +62,13 @@ Sproat's Marker pass over a deterministic automaton inserts or checks
 them (*An efficient compiler for weighted rewrite rules*, ACL 1996).
 `r_right` and `f_phi` insert theirs and `longest_match` deletes its rb2
 cells in a scan on the reversed tape, as the paper marks right contexts;
-`l1` and `l2` delete theirs in a forward scan.  Each builds the reduced
-form of the composition it stands for: the paper's `l_iff_r`,
-`not(contains(...))` or `if_s_then_p` composed with `intro` or `strip`.
+`l1` and `l2` delete theirs in a forward scan over [xsig*, Left] as
+given, the scan ignoring their bracket cells: an ignored cell is asked
+about like any other but leaves the pattern's subset as it was, so no
+`ign` or `not` of the pattern is built.  Each builds the reduced form of
+the composition it stands for: the paper's `l_iff_r`,
+`not(contains(...))`, `if_s_then_p` or `not([ign(...), ...])` composed
+with `intro` or `strip`.
 The scan is deterministic, so a forward one needs only Moore refinement,
 and a backward one determinizes its own reversal, which is minimal
 (Brzozowski, *Canonical regular expressions and minimal state graphs for
@@ -368,7 +373,7 @@ class MarkerKit:
     # marker filters as one-direction scans --------------------------------
 
     def _scan(self, pattern: Fst, cell: Fst, backward: bool, allow,
-              write: str, skip: Optional[Fst] = None) -> Fst:
+              write: str, ignore: Optional[Fst] = None) -> Fst:
         """The reduced transduction that one scan over the cells writes.
 
         The scan reads the marked tape cell by cell, forwards or
@@ -382,21 +387,24 @@ class MarkerKit:
         At each cell boundary the scan asks `allow(final, hit)` whether
         the next cell may come: `final` tells whether the subset there is
         final, and `hit` whether the cell is in `cell`.  The end of the
-        tape counts as a cell that is not in `cell`.  The cells of `skip`
-        are copied without a step of the subset or a question.
+        tape counts as a cell that is not in `cell`.  A cell of `ignore`
+        is asked about like any other, but leaves the subset as it was,
+        so the subset machine runs over the tape with those cells erased:
+        `pattern` reads as `ign(pattern, ignore)`, whether or not the
+        cells of `ignore` are in `cell`.
 
         A scan state is a subset at a boundary, or, halfway through a
         cell, the subset and the labels that may still complete the cell,
-        with the subset at the boundary as well when a `skip` cell may
+        with the subset at the boundary as well when an ignored cell may
         complete it: a forward scan reads the glyph first, and "<2" may
-        begin a `skip` cell or an ordinary one.  The scan is deterministic
-        over its labels and reaches every state, so a forward scan goes
-        straight to Moore refinement, and a backward scan, which writes
-        the reversed pairs, determinizes its own reversal, which is
-        minimal (`fsrw.fsm._determinize_reversal`).  Either way it is the
-        reduced form of its pair language.  `pattern`, `cell` and `skip`
-        must be recognizers."""
-        for m in (pattern, cell, skip):
+        begin an ignored cell or an ordinary one.  The scan is
+        deterministic over its labels and reaches every state, so a
+        forward scan goes straight to Moore refinement, and a backward
+        scan, which writes the reversed pairs, determinizes its own
+        reversal, which is minimal (`fsrw.fsm._determinize_reversal`).
+        Either way it is the reduced form of its pair language.
+        `pattern`, `cell` and `ignore` must be recognizers."""
+        for m in (pattern, cell, ignore):
             if m is not None:
                 _require_recognizer(m, "a scan")
         t = self.table
@@ -420,7 +428,7 @@ class MarkerKit:
             cadj = m.adjacency()
             return {(g, f) for g, _, mid in cadj[m.initial]
                     for f, _, d in cadj[mid] if d in m.finals}
-        marked, skipped = cells(cell), cells(skip)
+        marked, ignored = cells(cell), cells(ignore)
         # every cell by its first label, in the order the scan reads them
         halves: dict[tuple[int, int], list] = {}
         for g, f in ([(g, 0) for g in t.encoded_ids()]
@@ -433,7 +441,7 @@ class MarkerKit:
                 lx, ly = (EPS, x), (EPS, y)
             else:
                 lx, ly = (x, EPS), (y, EPS)
-            halves.setdefault(lx, (x, []))[1].append((ly, y, hit, (g, f) in skipped))
+            halves.setdefault(lx, (x, []))[1].append((ly, y, hit, (g, f) in ignored))
         for _, rest in halves.values():
             rest.sort()
         firsts = sorted(halves.items())
@@ -444,16 +452,16 @@ class MarkerKit:
         def moves(key):
             subset, seconds, kept = key
             if seconds is not None:
-                for ly, y, skips in seconds:
-                    yield ly[0], ly[1], (kept if skips else step(subset, y) | again,
+                for ly, y, ignores in seconds:
+                    yield ly[0], ly[1], (kept if ignores else step(subset, y) | again,
                                          None, None)
                 return
             final = not goal.isdisjoint(subset)
             for lx, (x, rest) in firsts:
-                ok = tuple([(ly, y, skips) for ly, y, hit, skips in rest
-                            if skips or allow(final, hit)])
+                ok = tuple([(ly, y, ignores) for ly, y, hit, ignores in rest
+                            if allow(final, hit)])
                 if ok:
-                    kept = subset if any(skips for _, _, skips in ok) else None
+                    kept = subset if any(ignores for _, _, ignores in ok) else None
                     yield lx[0], lx[1], (step(subset, x), ok, kept)
 
         keys, arcs = _explore((start, None, None), moves)

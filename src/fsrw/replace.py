@@ -151,35 +151,40 @@ def aux_replace(kit: MarkerKit, t: Fst) -> Fst:
 
 @_op
 def l1(kit: MarkerKit, left: Fst, stack_safe: bool) -> Fst:
-    """Keep only strings where every lb1 is preceded by a Left string
-    (leftover lb1 cells ignorable inside it, lb2 cells ignorable anywhere),
-    then delete the lb1 cells.  `left` is Left encoded into cells.
+    """Keep only strings where every lb1 is preceded by a Left string,
+    lb1 and lb2 cells ignored, then delete the lb1 cells.  `left` is Left
+    encoded into cells.
 
     A match whose image is empty leaves nothing on the tape but its lb1,
     so the prefix before the next lb1 can end in an lb1 cell.  Markers
     carry no position of their own, so a trailing lb1 must be as ignorable
-    as an inner one; stack_safe=False instead refuses such prefixes and
-    wrongly rejects adjacent deletions."""
-    ignore = kit.ign if stack_safe else kit.ignx
-    return _guard_before(kit, kit.lb1,
-                         ignore(concat(kit.xsig_star, left), kit.lb1), kit.lb2)
+    as an inner one, and the scan reads [xsig*, Left] with every lb1 and
+    lb2 cell erased.  stack_safe=False keeps the paper's `ignx`, which
+    refuses such prefixes and wrongly rejects adjacent deletions."""
+    prefix = concat(kit.xsig_star, left)
+    if stack_safe:
+        return _guard_before(kit, kit.lb1, prefix, kit.lb)
+    return _guard_before(kit, kit.lb1, kit.ignx(prefix, kit.lb1), kit.lb2)
 
 
 @_op
 def l2(kit: MarkerKit, left: Fst, stack_safe: bool) -> Fst:
     """Keep only strings where no leftover lb2 is preceded by a Left
-    string: a candidate whose left context held must have been selected.
-    Then delete the lb2 cells.  `left` is Left encoded into cells.
+    string, lb2 cells ignored: a candidate whose left context held must
+    have been selected.  Then delete the lb2 cells.  `left` is Left
+    encoded into cells.
 
     The prefix before an lb2 may itself end in an lb2 cell, but only when
     two candidates stack at one position, which needs an empty-string
     match.  Markers carry no position of their own, so a trailing lb2 must
-    be as ignorable as an inner one; stack_safe=False instead refuses such
-    prefixes and is only correct when the domain cannot match the empty
-    string."""
-    ignore = kit.ign if stack_safe else kit.ignx
-    return _guard_before(kit, kit.lb2,
-                         ignore(kit.not_(concat(kit.xsig_star, left)), kit.lb2))
+    be as ignorable as an inner one, and the scan reads [xsig*, Left] with
+    every lb2 cell erased.  stack_safe=False keeps the paper's
+    `ignx(not(...))`, which refuses such prefixes and is only correct when
+    the domain cannot match the empty string."""
+    prefix = concat(kit.xsig_star, left)
+    if stack_safe:
+        return _guard_before(kit, kit.lb2, prefix, kit.lb2, rule="must not")
+    return _guard_before(kit, kit.lb2, kit.ignx(kit.not_(prefix), kit.lb2))
 
 
 # The marker filters, each one scan (`MarkerKit._scan`) that writes the
@@ -214,15 +219,18 @@ def _not_contains(kit: MarkerKit, k: Fst, cell: Fst) -> Fst:
 
 
 def _guard_before(kit: MarkerKit, cell: Fst, a: Fst,
-                  skip: Optional[Fst] = None) -> Fst:
-    """Delete every `cell`, each of which must follow a prefix in `a`:
-    `if_s_then_p(a, [cell, xsig*])`, where the cells of `skip` are
-    ignored (`ign`), composed with `strip(cell)`.
+                  ignore: Optional[Fst] = None, *, rule: str = "must") -> Fst:
+    """Delete every `cell`, each of which must follow a prefix in `a`
+    (`rule` "must") or must not ("must not"), the cells of `ignore` erased
+    from the prefix: `if_s_then_p(ign(a, ignore), [cell, xsig*])` or
+    `not([ign(a, ignore), cell, xsig*])`, composed with `strip(cell)`.
 
-    The scan runs forwards, since the test is on prefixes: the subset
-    machine of `a` must be final wherever the next cell is a `cell`."""
-    return kit._scan(a, cell, False, lambda final, hit: final or not hit,
-                     "delete", skip)
+    The scan runs forwards, since the test is on prefixes: wherever the
+    next cell is a `cell`, the subset machine of `a` must be final, or
+    must not be."""
+    must = {"must": True, "must not": False}[rule]
+    return kit._scan(a, cell, False, lambda final, hit: final == must or not hit,
+                     "delete", ignore)
 
 
 def replace_factors(t: Fst, left: Fst, right: Fst, optimized: bool = False,

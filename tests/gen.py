@@ -47,25 +47,19 @@ def random_regex(rng: random.Random, glyphs, depth: int = 3):
             random_regex(rng, glyphs, depth - 1))
 
 
-def build_regex(node, table) -> Fst:
+def build_regex(node, table, leaf=None) -> Fst:
+    """The machine of a regex tree; `leaf`, if given, maps each glyph of
+    the tree to its machine in place of the glyph's literal."""
     op = node[0]
     if op == "eps":
         return empty_string(table)
     if op == "none":
         return empty_lang(table)
     if op == "sym":
-        return literal(table, node[1])
-    if op == "union":
-        return union(build_regex(node[1], table), build_regex(node[2], table))
-    if op == "concat":
-        return concat(build_regex(node[1], table), build_regex(node[2], table))
-    if op == "star":
-        return star(build_regex(node[1], table))
-    if op == "option":
-        return option(build_regex(node[1], table))
-    if op == "plus":
-        return plus(build_regex(node[1], table))
-    raise ValueError(op)
+        return leaf(node[1]) if leaf else literal(table, node[1])
+    parts = [build_regex(n, table, leaf) for n in node[1:]]
+    return {"union": union, "concat": concat, "star": star, "option": option,
+            "plus": plus}[op](*parts)
 
 
 def model_lang(node, max_len: int) -> set:
@@ -149,6 +143,16 @@ def random_context(rng: random.Random, table) -> Fst:
     words = [word(table, random_word(rng, glyphs, 2))
              for _ in range(rng.randint(1, 2))]
     return union(*words)
+
+
+def random_cell_pattern(rng: random.Random, kit) -> Fst:
+    """A random regex over the cells of `kit`'s table: the ordinary cell
+    of each user symbol, the four bracket cells and any cell (`xsig`)."""
+    t = kit.table
+    cells = {g: kit.non_markers_of(literal(t, g)) for g in t.user_glyphs()}
+    for name in ("lb1", "lb2", "rb1", "rb2", "xsig"):
+        cells[name] = getattr(kit, name)
+    return build_regex(random_regex(rng, sorted(cells)), t, cells.get)
 
 
 def random_replace_rule(rng: random.Random):

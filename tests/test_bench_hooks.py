@@ -13,7 +13,6 @@ import pytest
 
 import fsrw.cli
 import fsrw.dsl
-import fsrw.markers
 from fsrw import MarkerKit
 from fsrw.cli import main
 
@@ -40,11 +39,9 @@ def test_tracer_installs_and_uninstalls(spans):
             fsrw.dsl._replace_factors, fsrw.dsl.Compiler.compile) == originals
 
 
-def test_tracer_records_a_cascade_compile(spans, tmp_path, monkeypatch):
+def test_tracer_records_a_cascade_compile(spans, tmp_path, store):
     # from an empty store: a factor stored by an earlier compile is not
     # built again, so it records no span
-    monkeypatch.setattr(fsrw.markers, "_shape_cache", {})
-    monkeypatch.setattr(fsrw.markers, "_shape_cache_arcs", 0)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -58,11 +55,9 @@ def test_tracer_records_a_cascade_compile(spans, tmp_path, monkeypatch):
         assert metrics["replace.factor.%s.arcs" % f] > 0
 
 
-def test_tracer_records_the_factors_a_warm_store_holds(spans, tmp_path, monkeypatch):
+def test_tracer_records_the_factors_a_warm_store_holds(spans, tmp_path, store):
     # each factor is called by its name on every use, so a factor taken
     # from the store records its span and its size too
-    monkeypatch.setattr(fsrw.markers, "_shape_cache", {})
-    monkeypatch.setattr(fsrw.markers, "_shape_cache_arcs", 0)
     rules, out = str(ROOT / "rules" / "abbrev.fsr"), str(tmp_path / "abbrev.fsm")
     assert main(["compile", "-r", rules, "-o", out]) == 0
     tracer = spans.Tracer()
@@ -77,14 +72,11 @@ def test_tracer_records_the_factors_a_warm_store_holds(spans, tmp_path, monkeypa
         assert metrics["replace.factor.%s.arcs" % f] > 0, f
 
 
-def test_tracer_records_a_top_level_fold(spans, tmp_path, monkeypatch):
+def test_tracer_records_a_top_level_fold(spans, tmp_path, store):
     # a top-level replace rule folds through replace.replace, as a nested
     # one does, so each step of its cascade is counted; from an empty
     # store, since a rule whose groups of factors are stored folds in
     # fewer steps
-    monkeypatch.setattr(fsrw.markers, "_shape_cache", {})
-    monkeypatch.setattr(fsrw.markers, "_shapes", {})
-    monkeypatch.setattr(fsrw.markers, "_shape_cache_arcs", 0)
     tracer = spans.Tracer()
     tracer.install()
     try:

@@ -14,7 +14,6 @@ import pytest
 import fsrw.capture
 import fsrw.classes
 import fsrw.fsm
-import fsrw.markers
 from fsrw import EPS, compile_rules, enumerate_pairs, lm_concat
 
 from gen import random_class_rule
@@ -94,16 +93,13 @@ def test_the_class_fold_is_the_build_over_the_whole_table(monkeypatch, folds):
     ("replace([{a, c:b}, a, {a, b:a}*], [], [b, b])", 16),
     ("replace(a x b, c, {a, d})", 4),
 ])
-def test_a_fold_past_the_reduction_cap_keeps_the_relation(monkeypatch, folds,
-                                                          rule, cap):
+def test_a_fold_past_the_reduction_cap_keeps_the_relation(monkeypatch, store,
+                                                          folds, rule, cap):
     # past the cap reduce_pairs returns its input, so the fold expands a
     # nondeterministic machine whose arcs depend on how it was built; its
     # relation is still the one the whole-table build gives.  The store
     # starts empty and is put back after, as machines built under the
     # small cap may be unreduced.
-    monkeypatch.setattr(fsrw.markers, "_shape_cache", {})
-    monkeypatch.setattr(fsrw.markers, "_shape_cache_arcs", 0)
-    monkeypatch.setattr(fsrw.markers, "_shapes", {})
     monkeypatch.setattr(fsrw.fsm, "REDUCE_STATE_CAP", cap)
     program = compile_rules("#alphabet a b c d x e f.\n%s.\n" % rule)
     m = program.machine

@@ -16,7 +16,6 @@ import pytest
 
 import fsrw.cli
 import fsrw.dsl
-import fsrw.markers
 from fsrw import SymbolTable
 from fsrw.cli import main
 from gen import count_memo
@@ -274,13 +273,11 @@ def test_cascade_writes_the_factors_without_folding(tmp_path, monkeypatch):
     assert folds == []
 
 
-def test_a_compile_builds_each_marker_constant_once(tmp_path, monkeypatch):
+def test_a_compile_builds_each_marker_constant_once(tmp_path, store):
     # cascade27 joins four replace rules with 'o', each with a kit of its
     # own; against an empty shape cache the first builds every constant
     # and the others find it there, as they find every other kit machine
-    monkeypatch.setattr(fsrw.markers, "_shape_cache", {})
-    monkeypatch.setattr(fsrw.markers, "_shape_cache_arcs", 0)
-    _, builds = count_memo(monkeypatch)
+    _, builds = count_memo(store)
     rc = main(["compile", "-r", str(BENCH_RULES_DIR / "cascade27.fsr"),
                "-o", str(tmp_path / "cascade27.fsm")])
     assert rc == 0

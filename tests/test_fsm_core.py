@@ -1302,13 +1302,10 @@ def test_the_kernels_match_the_explored_ones_on_arc_machines():
     assert min(seen.values()) >= 40, seen
 
 
-def test_the_kernels_match_the_explored_ones_on_a_compile(monkeypatch):
+def test_the_kernels_match_the_explored_ones_on_a_compile(monkeypatch, store):
     # every `_finish` and Moore call that compiling the rule files, and
     # the `--cascade` factors of each replace rule, makes from an empty
     # marker store, and every store entry it leaves
-    for name in ("_shape_cache", "_shapes"):
-        monkeypatch.setattr(markers, name, {})
-    monkeypatch.setattr(markers, "_shape_cache_arcs", 0)
     calls = collections.Counter()
 
     def checked(kernel, reference):

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import fsrw.markers as markers
 from fsrw.cli import main
 from fsrw.dump import dump_text, load_text
 from fsrw.replace import compose_cascade, replace
@@ -102,7 +101,7 @@ def test_cascade_file_folds_to_the_plain_machine(tmp_path, path):
     assert folded == _compile_bytes(tmp_path, path, False)
 
 
-def test_every_rule_file_dumps_the_same_bytes_cold_and_warm(tmp_path, monkeypatch):
+def test_every_rule_file_dumps_the_same_bytes_cold_and_warm(tmp_path, store):
     """The shape cache holds the marker constants and the memoized kit
     operations; a compile that finds them all (warm) writes the bytes of
     one that starts from an empty cache (cold)."""
@@ -111,8 +110,7 @@ def test_every_rule_file_dumps_the_same_bytes_cold_and_warm(tmp_path, monkeypatc
                for name, cascade in sorted(BENCH_GOLDEN)])
     cold = {}
     for folder, name, cascade in runs:
-        monkeypatch.setattr(markers, "_shape_cache", {})
-        monkeypatch.setattr(markers, "_shape_cache_arcs", 0)
+        store.empty()
         cold[folder, name, cascade] = _compile_bytes(
             tmp_path, folder / (name + ".fsr"), cascade)
     # one cache for the rest: each file after the others before it, then

@@ -11,6 +11,7 @@ the rule language's predefined macros, the paper's formulas `l_iff_r`,
 pair languages give equal structure."""
 
 import importlib
+import itertools
 import random
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from fsrw import (
     union,
 )
 
-from gen import formula, random_replace_rule
+from gen import formula, random_cell_pattern, random_replace_rule
 
 replace_module = importlib.import_module("fsrw.replace")
 RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
@@ -68,6 +69,18 @@ def mark_iff(kit, cell, p):
 
 def strip_not_containing(kit, k, cell):
     return reduce_pairs(compose(not_contains(k), kit.strip(cell)))
+
+
+# `_guard_before`'s two rules, each a filter over the pattern with the
+# ignored cells inserted anywhere
+RULES = {"must": "if_s_then_p(ign(A, I), [C, xsig()*])",
+         "must not": "not([ign(A, I), C, xsig()*])"}
+
+
+def guarded(kit, cell, a, ignore, rule):
+    ignore = empty_lang(kit.table) if ignore is None else ignore
+    guard = formula(kit.table, RULES[rule], A=a, C=cell, I=ignore)
+    return reduce_pairs(compose(guard, kit.strip(cell)))
 
 
 def guard_before(kit, cell, a, skip=None):
@@ -124,14 +137,6 @@ SCANNED = {"r_right": (1, r_right, ()), "f_phi": (2, f_phi, ()),
            "l1": (6, l1, (1,)), "l2": (7, l2, (1,))}
 
 
-@pytest.fixture
-def store(monkeypatch):
-    """An empty store, so that no stored factor skips a scan."""
-    monkeypatch.setattr(markers, "_shape_cache", {})
-    monkeypatch.setattr(markers, "_shape_cache_arcs", 0)
-    return monkeypatch
-
-
 def test_scans_match_their_formulas_on_random_rules(store):
     # every scan factor of each rule under each flag pair it reads; an
     # unsafe stack only where dom(T) cannot match the empty string
@@ -146,8 +151,7 @@ def test_scans_match_their_formulas_on_random_rules(store):
         seen["input_eps"] += any(i == EPS for _, i, _, _ in t.arcs)
         seen["untrimmed"] += not canonicalize(t).same_structure(t)
         seen["right_eps"] += right.accepts_epsilon()
-        markers._shape_cache.clear()
-        markers._shape_cache_arcs = 0
+        store.empty()
         kit = MarkerKit.of(table)
         phi, left_cells, right_cells = (kit.non_markers_of(e) for e in
                                         (project(t, "domain"), left, right))
@@ -234,9 +238,23 @@ def test_mark_iff_and_guard_before_edge_cases(kit):
         for cell in (kit.lb2, kit.rb2, kit.lb):
             assert replace_module._mark_iff(kit, cell, p).same_structure(
                 mark_iff(kit, cell, p))
-            for skip in (None, kit.lb2, kit.rb):
-                assert replace_module._guard_before(kit, cell, p, skip).same_structure(
-                    guard_before(kit, cell, p, skip))
+            for ignore, rule in itertools.product((None, kit.lb2, kit.rb), RULES):
+                assert replace_module._guard_before(
+                    kit, cell, p, ignore, rule=rule).same_structure(
+                        guarded(kit, cell, p, ignore, rule))
+
+
+def test_guard_before_matches_its_formula_on_random_patterns(kit):
+    # both rules, every C and I among five marker sets, over random cell
+    # patterns: where I holds C, a C cell is asked about and then erased
+    rng = random.Random(20261020)
+    sets = [getattr(kit, name) for name in ("lb1", "lb2", "lb", "rb2", "rb")]
+    for k in range(24):
+        p = random_cell_pattern(rng, kit)
+        for cell, ignore, rule in itertools.product(sets, sets, RULES):
+            assert replace_module._guard_before(
+                kit, cell, p, ignore, rule=rule).same_structure(
+                    guarded(kit, cell, p, ignore, rule)), (k, rule)
 
 
 def test_mark_iff_reads_bracket_glyphs_as_text(kit):

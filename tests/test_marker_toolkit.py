@@ -359,15 +359,14 @@ def every_method_call(kit, rng, rounds):
     return calls
 
 
-def test_every_constant_is_built_reduced(shape_cache):
+def test_every_constant_is_built_reduced(store):
     # the constants and every public method's results, each a fixed point
     # of the reduction, whether built (cold) or taken from the store (warm)
     table = SymbolTable("ab")
     calls = every_method_call(MarkerKit(table), random.Random(27), 3)
     assert {name for name, _ in calls} >= {"cross", "intro", "ign", "contains"}
-    shape_cache.setattr(markers, "_shape_cache", {})
-    shape_cache.setattr(markers, "_shape_cache_arcs", 0)
-    _, builds = count_memo(shape_cache)
+    store.empty()
+    _, builds = count_memo(store)
     built = []
     for warmth in ("cold", "warm"):
         kit = MarkerKit(table)
@@ -380,7 +379,7 @@ def test_every_constant_is_built_reduced(shape_cache):
     assert built[0] == built[1]  # the warm pass built nothing
 
 
-def test_every_constant_keeps_its_formula(shape_cache):
+def test_every_constant_keeps_its_formula(store):
     kit = MarkerKit(SymbolTable("ab"))
     cache = build_every_constant(kit)
     formulas = unreduced_formulas(kit.table)
@@ -407,7 +406,7 @@ def test_every_constant_keeps_its_formula(shape_cache):
 
 
 @pytest.mark.parametrize("builtin", ["$$", "intro", "xintro", "introx", "xintrox"])
-def test_a_builtin_on_a_set_of_its_own_is_built_reduced(shape_cache, builtin):
+def test_a_builtin_on_a_set_of_its_own_is_built_reduced(store, builtin):
     # on a set that is no bracket constant these were once built afresh
     # and left unreduced; the store reduces them as it reduces the rest
     m = compile_rules("#alphabet a b.\n%s(non_markers(a))." % builtin).machine
@@ -443,16 +442,6 @@ def test_constants_grow_linearly_with_the_alphabet():
 # constants shared by table shape
 
 
-@pytest.fixture
-def shape_cache(monkeypatch):
-    """An empty shape cache for the test; the process's own is put back
-    after it."""
-    monkeypatch.setattr(markers, "_shape_cache", {})
-    monkeypatch.setattr(markers, "_shape_cache_arcs", 0)
-    monkeypatch.setattr(markers, "_shapes", {})
-    return monkeypatch
-
-
 def random_marker_machine(rng):
     """A builder for a random replace rule or lm_concat instance over a
     one- to three-symbol table, as the randomized suites draw them."""
@@ -471,17 +460,17 @@ def build_or_error(build):
         return str(e)
 
 
-def test_a_warm_shape_cache_builds_the_same_machines(shape_cache):
-    lookups, builds = count_memo(shape_cache)
+def test_a_warm_shape_cache_builds_the_same_machines(store):
+    lookups, builds = count_memo(store)
     warm_cache, warm_hits = {}, 0
     rng = random.Random(22)
     for k in range(100):
         build = random_marker_machine(rng)
-        shape_cache.setattr(markers, "_shape_cache", warm_cache)
+        store.setattr(markers, "_shape_cache", warm_cache)
         before = lookups.total() - builds.total()
         warm = build_or_error(build)
         warm_hits += lookups.total() - builds.total() - before
-        shape_cache.setattr(markers, "_shape_cache", {})
+        store.empty()
         cold = build_or_error(build)
         if isinstance(cold, str):
             assert warm == cold, k
@@ -490,7 +479,7 @@ def test_a_warm_shape_cache_builds_the_same_machines(shape_cache):
     assert warm_hits > 0  # the warm machines took memoized operations
 
 
-def test_tables_of_one_shape_share_constants_under_their_own_glyphs(shape_cache):
+def test_tables_of_one_shape_share_constants_under_their_own_glyphs(store):
     abc, xyz = MarkerKit(SymbolTable("abc")), MarkerKit(SymbolTable("xyz"))
     for name in ("sig", "non_markers", "xsig_star", "true"):
         m, n = getattr(abc, name), getattr(xyz, name)
@@ -504,7 +493,7 @@ def test_tables_of_one_shape_share_constants_under_their_own_glyphs(shape_cache)
 
 
 @pytest.mark.parametrize("glyph", ["<1", "0"])
-def test_a_reserved_user_glyph_makes_another_shape(shape_cache, glyph):
+def test_a_reserved_user_glyph_makes_another_shape(store, glyph):
     plain, odd = SymbolTable("ab"), SymbolTable(["a", glyph])
     odd.intern("b")  # the same size, but b is no user glyph here
     assert len(plain) == len(odd)
@@ -521,8 +510,8 @@ def fresh_rule(rng, glyphs):
                    random_context(rng, table))
 
 
-def test_each_constant_is_built_once_per_shape(shape_cache):
-    _, builds = count_memo(shape_cache)
+def test_each_constant_is_built_once_per_shape(store):
+    _, builds = count_memo(store)
     rng = random.Random(5)
     for k in range(48):  # a fresh table each time, of three shapes
         fresh_rule(rng, rng.sample("defghij", 1 + k % 3))
@@ -542,11 +531,11 @@ FACTOR_OPS = ("r_right", "f_phi", "left_to_right", "longest_match 0 1",
               "aux_replace", "l1 1", "l2 1")
 
 
-def test_the_shape_cache_starts_afresh_past_its_cap(shape_cache):
+def test_the_shape_cache_starts_afresh_past_its_cap(store):
     # four rules compiled twice over: the factors they store help fill the
     # store, and past the cap it starts afresh and they are built again
-    shape_cache.setattr(markers, "SHAPE_CACHE_CAP", 800)
-    lookups, builds = count_memo(shape_cache)
+    store.setattr(markers, "SHAPE_CACHE_CAP", 800)
+    lookups, builds = count_memo(store)
     rng = random.Random(5)
     rules = []
     for _ in range(4):
@@ -571,7 +560,7 @@ def test_the_shape_cache_starts_afresh_past_its_cap(shape_cache):
         assert max(n for key, n in builds.items() if key[1] == op) > 1, op
 
 
-def test_fresh_tables_of_one_shape_key_the_cache_with_one_tuple(shape_cache):
+def test_fresh_tables_of_one_shape_key_the_cache_with_one_tuple(store):
     # a shape holds every user id, so one copy per entry would outweigh
     # the arcs the cache counts
     glyphs = ["x%d" % k for k in range(50)]
@@ -582,14 +571,14 @@ def test_fresh_tables_of_one_shape_key_the_cache_with_one_tuple(shape_cache):
     assert len({id(key[0]) for key in markers._shape_cache}) == 1
 
 
-def test_an_oversize_result_is_returned_unstored(shape_cache):
+def test_an_oversize_result_is_returned_unstored(store):
     kit = MarkerKit(SymbolTable("ab"))
     e = kit.non_markers_of(word(kit.table, "ab" * 20))
     intro = kit.intro(kit.lb1)
     held = dict(markers._shape_cache), markers._shape_cache_arcs
     # room for a small entry, not for this one
-    shape_cache.setattr(markers, "SHAPE_CACHE_CAP", held[1] + 50)
-    _, builds = count_memo(shape_cache)
+    store.setattr(markers, "SHAPE_CACHE_CAP", held[1] + 50)
+    _, builds = count_memo(store)
     for _ in range(2):
         got = kit.ign(e, kit.lb1)
         assert got.same_structure(project(compose(e, intro), "range"))
@@ -600,17 +589,16 @@ def test_an_oversize_result_is_returned_unstored(shape_cache):
     assert markers._shape_cache_arcs > held[1]  # a small one is stored
 
 
-def test_a_cascade_builds_the_operations_on_a_shared_context_once(shape_cache):
+def test_a_cascade_builds_the_operations_on_a_shared_context_once(store):
     # each of the first three rules mentions three of the 27 symbols, so
     # each folds over a table of the same shape (its three symbols and one
     # representative of the rest), and all three have the left context [];
     # the last has `a`: l1 and l2 are built for two contexts only.  The
-    # second and third rules find both factors stored and ask for no
-    # prefix at all, so each prefix that l1 and l2 scan, an `ign` on one
-    # bracket cell (two arcs), is asked for once, when its factor is built:
-    # 2 contexts x 2 factors, and the `not` of l2 once per context.  The
-    # other `ign` lookups are left_to_right's, one per build
-    lookups, builds = count_memo(shape_cache)
+    # second and third rules find both factors stored.  l1 and l2 scan
+    # [xsig*, Left] as given, its brackets erased by the scan, so they ask
+    # for no `ign` and no `not`: every `ign` lookup is left_to_right's,
+    # one per build
+    lookups, builds = count_memo(store)
     compile_rules("#alphabet a b c d e f g h i j k l m n o p q r s t u v w x y z '#'.\n"
                   "replace(b:p, [], '#') o replace(d:t, [], '#')"
                   " o replace(n:m, [], p) o replace(s:z, a, e).")
@@ -618,13 +606,11 @@ def test_a_cascade_builds_the_operations_on_a_shared_context_once(shape_cache):
     for factor in ("l1 1", "l2 1"):
         built = sum(key[1] == factor for key in builds)
         assert (lookups[factor], built) == (4, 2), factor
-    prefixes = [key for key in builds if key[1] == "ign" and len(key[3][3]) == 2]
     retypings = sum(key[1] == "left_to_right" for key in builds)
-    assert (lookups["ign"] - retypings, len(prefixes)) == (4, 4)
-    assert (lookups["not"], sum(key[1] == "not" for key in builds)) == (2, 2)
+    assert (lookups["ign"], lookups["not"]) == (retypings, 0)
 
 
-def test_a_context_on_another_table_is_refused_though_memoized(shape_cache):
+def test_a_context_on_another_table_is_refused_though_memoized(store):
     mine, other = SymbolTable("ab"), SymbolTable("ab")
     t = cross_product(literal(mine, "a"), literal(mine, "b"))
     replace(t, empty_string(mine), empty_string(mine))  # [] encoded, memoized
@@ -632,7 +618,7 @@ def test_a_context_on_another_table_is_refused_though_memoized(shape_cache):
         replace(t, empty_string(other), empty_string(mine))
 
 
-def test_a_machine_on_another_table_is_refused_by_every_method(shape_cache):
+def test_a_machine_on_another_table_is_refused_by_every_method(store):
     # each argument in turn from a table of the same shape: the store
     # refuses it before any lookup or build, so nothing is stored
     mine, other = MarkerKit(SymbolTable("ab")), MarkerKit(SymbolTable("ab"))
@@ -648,7 +634,7 @@ def test_a_machine_on_another_table_is_refused_by_every_method(shape_cache):
 
 
 @pytest.mark.parametrize("op", ["ign", "xign", "ignx", "xignx", "overrun"])
-def test_a_stored_image_is_one_lookup(shape_cache, op):
+def test_a_stored_image_is_one_lookup(store, op):
     # keyed by the set itself, not by the inserter built from it; the
     # overrun of a greed filter, by the image alone
     def image_op(kit, e, s):
@@ -658,7 +644,7 @@ def test_a_stored_image_is_one_lookup(shape_cache, op):
     first = image_op(kit, e, kit.lb1)
     kit = MarkerKit(SymbolTable("xy"))
     e, s = kit.non_markers_of(word(kit.table, "xy")), kit.lb1
-    lookups, builds = count_memo(shape_cache)
+    lookups, builds = count_memo(store)
     assert image_op(kit, e, s).arcs is first.arcs
     assert (dict(lookups), builds.total()) == ({op: 1}, 0)
 
@@ -666,7 +652,7 @@ def test_a_stored_image_is_one_lookup(shape_cache, op):
 FLAG_PAIRS = list(itertools.product((False, True), (True, False)))
 
 
-def test_a_warm_store_gives_each_flag_pair_its_own_factors(shape_cache):
+def test_a_warm_store_gives_each_flag_pair_its_own_factors(store):
     # each rule's factors under the four (optimized, stack_safe) pairs, all
     # stored in one store and then taken from it, are the factors a cold
     # build of the same pair makes, though the pairs build different ones
@@ -674,15 +660,13 @@ def test_a_warm_store_gives_each_flag_pair_its_own_factors(shape_cache):
     differ = set()
     for k in range(12):
         _, t, left, right = random_replace_rule(rng)
-        shape_cache.setattr(markers, "_shape_cache", {})
-        shape_cache.setattr(markers, "_shape_cache_arcs", 0)
+        store.empty()
         for flags in FLAG_PAIRS:
             replace_factors(t, left, right, *flags)
         warm = [replace_factors(t, left, right, *flags) for flags in FLAG_PAIRS]
         cold = []
         for flags in FLAG_PAIRS:
-            shape_cache.setattr(markers, "_shape_cache", {})
-            shape_cache.setattr(markers, "_shape_cache_arcs", 0)
+            store.empty()
             cold.append(replace_factors(t, left, right, *flags))
         for flags, ws, cs in zip(FLAG_PAIRS, warm, cold):
             for i, (w, c) in enumerate(zip(ws, cs)):
@@ -692,8 +676,8 @@ def test_a_warm_store_gives_each_flag_pair_its_own_factors(shape_cache):
     assert differ == {4, 6, 7}  # longest_match, l1 and l2 read the flags
 
 
-def test_rules_that_share_a_domain_or_a_target_build_its_factors_once(shape_cache):
-    lookups, builds = count_memo(shape_cache)
+def test_rules_that_share_a_domain_or_a_target_build_its_factors_once(store):
+    lookups, builds = count_memo(store)
 
     def built(op):
         return sorted(n for key, n in builds.items() if key[1] == op)
@@ -717,7 +701,7 @@ def test_rules_that_share_a_domain_or_a_target_build_its_factors_once(shape_cach
     assert (lookups["l1 1"], built("l1 1")) == (3, [1, 1, 1])
 
 
-def test_the_builtins_repeat_exactly_from_the_memo(shape_cache):
+def test_the_builtins_repeat_exactly_from_the_memo(store):
     program = ("#alphabet a b.\n"
                "{ign(non_markers([a, b*]), lb1), ign(non_markers([a, b*]), lb1)}"
                " & not(non_markers(b)) & not(non_markers(b)).")
@@ -725,7 +709,7 @@ def test_the_builtins_repeat_exactly_from_the_memo(shape_cache):
         unmemoized.setattr(MarkerKit, "_keep",
                            lambda self, op, build, *args: build())
         expected = dump_text(compile_rules(program).machine)
-    lookups, builds = count_memo(shape_cache)
+    lookups, builds = count_memo(store)
     cold = dump_text(compile_rules(program).machine)
     assert lookups.total() > builds.total()  # the second calls hit
     warm = dump_text(compile_rules(program).machine)
@@ -743,7 +727,7 @@ FACTOR_NAMES = ("r_right", "f_phi", "left_to_right", "longest_match",
                 "aux_replace", "l1", "l2")
 
 
-def test_every_store_entry_is_what_its_construction_returns(shape_cache):
+def test_every_store_entry_is_what_its_construction_returns(store):
     # the constructions that can come out unreduced reduce themselves, the
     # store keeps what they return: every entry, kit operation, replace
     # factor or group of factors, is a fixed point of the reduction, each
@@ -764,8 +748,8 @@ def test_every_store_entry_is_what_its_construction_returns(shape_cache):
         shape = shape_key(kit)
         tables[shape] = kit.table
         return shape
-    shape_cache.setattr(markers, "_stored", recording)
-    shape_cache.setattr(MarkerKit, "_shape_key", learning)
+    store.setattr(markers, "_stored", recording)
+    store.setattr(MarkerKit, "_shape_key", learning)
 
     rules = BENCH_RULES.parent.parent / "rules"
     for path in sorted(rules.glob("*.fsr")) + sorted(BENCH_RULES.glob("*.fsr")):
@@ -795,7 +779,7 @@ def test_every_store_entry_is_what_its_construction_returns(shape_cache):
             kit = MarkerKit(table)
             machines = [Fst(table, *a) for a in args]
             unreduced = []  # what a build that ends in a reduction reduces
-            with shape_cache.context() as mp:
+            with store.context() as mp:
                 mp.setattr(replace_module, "reduce_pairs",
                            lambda f: unreduced.append(f) or f)
                 built = getattr(replace_module, name).__wrapped__(

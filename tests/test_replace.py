@@ -357,12 +357,7 @@ def untrimmed(m: Fst) -> bool:
     return min(len(_reach([m.initial], ahead)), len(_reach(m.finals, behind))) < m.n
 
 
-def empty_store(monkeypatch):
-    monkeypatch.setattr(markers, "_shape_cache", {})
-    monkeypatch.setattr(markers, "_shape_cache_arcs", 0)
-
-
-def test_the_fold_by_piece_is_the_fold_of_the_nine_factors(monkeypatch):
+def test_the_fold_by_piece_is_the_fold_of_the_nine_factors(monkeypatch, store):
     # replace composes the encoder with r_right, f_phi with left_to_right,
     # and l1 with l2 and the decoder, keeps each group in the store, and
     # folds five machines: composition is associative and each reduction
@@ -377,7 +372,7 @@ def test_the_fold_by_piece_is_the_fold_of_the_nine_factors(monkeypatch):
         table, t, left, right = random_replace_rule(rng)
         eps_free = not project(t, "domain").accepts_epsilon()
         flag_pairs = list(itertools.product((False, True), (True, False)[:1 + eps_free]))
-        empty_store(monkeypatch)
+        store.empty()
         wants = {}
         for flags in flag_pairs:
             got = replace(t, left, right, *flags)
@@ -397,7 +392,7 @@ def test_the_fold_by_piece_is_the_fold_of_the_nine_factors(monkeypatch):
     assert min(seen.values()) >= 20, seen
 
 
-def test_a_warm_rule_composes_five_machines(monkeypatch):
+def test_a_warm_rule_composes_five_machines(monkeypatch, store):
     # a rule whose groups are all stored composes four times, where the
     # nine-factor fold composed eight times, and reduces once, at the end
     # of the fold, where reducing after each composition did four times
@@ -414,7 +409,6 @@ def test_a_warm_rule_composes_five_machines(monkeypatch):
     for module in (replace_module, markers):
         monkeypatch.setattr(module, "compose", counted)
     monkeypatch.setattr(replace_module, "reduce_pairs", counted_reduction)
-    empty_store(monkeypatch)
     rng = random.Random(38)
     for _ in range(10):
         _, t, left, right = random_replace_rule(rng)
