@@ -545,10 +545,10 @@ def parse_expr(text: str):
 
 
 # The predefined macros: the paper's filters, its two operators on
-# relations and Kaplan & Kay's `ignx_1`, written in the calculus itself.
-# They are closed: a call in one of their bodies names a builtin or
-# another predefined macro, never a macro of the program, so a program
-# may redefine any name without changing what they mean.
+# relations and Kaplan & Kay's `xign` and `ignx_1`, written in the
+# calculus itself.  They are closed: a call in one of their bodies names
+# a builtin or another predefined macro, never a macro of the program,
+# so a program may redefine any name without changing what they mean.
 _STDLIB_SRC = """
 macro(priority_union(Q,R), {Q, ~domain(Q) o R}).
 macro(lenient_composition(R,C), priority_union(R o C, R)).
@@ -562,6 +562,8 @@ macro(l_iff_r(L,R), p_iff_s([xsig()*, L], [R, xsig()*])).
 % true() when E denotes anything at all, else false()
 macro(coerce_to_boolean(E), range(E o (true() x true()))).
 macro(if(C,T,E), {coerce_to_boolean(C) o T, ~coerce_to_boolean(C) o E}).
+% E with S cells inserted anywhere after its first cell
+macro(xign(E,S), range(E o xintro(S))).
 % E1 with at least one E2 string wedged in between raw symbols, none at
 % the end; E2 need not be whole cells
 macro(ignx_1(E1,E2), range(E1 o [[true(), [] x E2]+, true() - []])).
@@ -580,8 +582,7 @@ _BUILTINS = {
     ("non_markers", 1): "non_markers_of", ("intro", 1): "intro",
     ("xintro", 1): "xintro", ("introx", 1): "introx",
     ("xintrox", 1): "xintrox",
-    ("ign", 2): "ign", ("xign", 2): "xign", ("ignx", 2): "ignx",
-    ("xignx", 2): "xignx",
+    ("ign", 2): "ign", ("ignx", 2): "ignx", ("xignx", 2): "xignx",
 }
 
 

@@ -31,12 +31,13 @@ with (`star` of a `union`, say) copy arcs onto every final state and
 grow with the square of the alphabet, and every factor and composition
 of a compile would pay for it.  The rest come out minimal from
 `difference` or `project`, or, as `strip`, invert a reduced machine.
-The filters (`non_markers_of`, the `ign` family, and `not_` for the
+The filters (`non_markers_of`, `ign`, and `not_` for the
 paper-verbatim `l2`) each read only one of dom(T), Left or Right, so the
 rules that share a context or a domain over one alphabet shape share its
-filters; so do the captures
-that share a piece's domain, whose greed filters keep their overrun
-(`fsrw.capture`) in the store too.  Seven of the nine replace
+filters; so do the captures that share a piece's domain, whose greed
+filters keep their overrun (`fsrw.capture`) in the store too.  `ignx`
+and `xignx` are asked for only inside stored builds, so they have no
+entry of their own.  Seven of the nine replace
 factors (`fsrw.replace.replace_factors`) are `_op`s too, each keyed by
 its name, the flags it reads and the one machine it reads, and each
 built reduced, by a scan (below) or as the constructions above are, so
@@ -62,11 +63,14 @@ Sproat's Marker pass over a deterministic automaton inserts or checks
 them (*An efficient compiler for weighted rewrite rules*, ACL 1996).
 `r_right` and `f_phi` insert theirs and `longest_match` deletes its rb2
 cells in a scan on the reversed tape, as the paper marks right contexts;
-`l1` and `l2` delete theirs in a forward scan over [xsig*, Left] as
-given, the scan ignoring their bracket cells: an ignored cell is asked
-about like any other but leaves the pattern's subset as it was, so no
-`ign` or `not` of the pattern is built.  Each builds the reduced form of
-the composition it stands for: the paper's `l_iff_r`,
+`l1` and `l2` delete theirs in a forward scan.  A scan may ignore some
+bracket cells, which are asked about like any other.  Forwards an
+ignored cell leaves the pattern's subset as it was, so `l1` and `l2`
+read [xsig*, Left] as given.  Backwards the pattern may read it or skip
+it, but no string starts with a skipped cell, so `r_right` reads Right
+and `f_phi` [dom(T), rb2] as given, for a domain without [].  No `ign`,
+`xign`, `xignx` or `not` of those patterns is built.  Each builds the
+reduced form of the composition it stands for: the paper's `l_iff_r`,
 `not(contains(...))`, `if_s_then_p` or `not([ign(...), ...])` composed
 with `intro` or `strip`.
 The scan is deterministic, so a forward one needs only Moore refinement,
@@ -74,9 +78,9 @@ and a backward one determinizes its own reversal, which is minimal
 (Brzozowski, *Canonical regular expressions and minimal state graphs for
 definite events*, 1962).  The formulas, with `if_p_then_s`, `p_iff_s`,
 `coerce_to_boolean` and `if`, are predefined macros of the rule language
-(`fsrw.dsl`), written over this kit's builtins, and so is `ignx_1`,
-which wedges strings between raw symbols, below the cells this kit
-reads, and has no store entry.
+(`fsrw.dsl`), written over this kit's builtins, and so are `xign` and
+`ignx_1`, which wedges strings between raw symbols, below the cells this
+kit reads; neither has a store entry.
 """
 
 from __future__ import annotations
@@ -92,6 +96,7 @@ from .fsm import (
     _determinize_reversal,
     _explore,
     _moore_minimize_dfa,
+    _check_tables,
     _require_recognizer,
     any_of,
     compose,
@@ -358,16 +363,15 @@ class MarkerKit:
     def ign(self, e: Fst, s: Fst) -> Fst:
         return project(compose(e, self.intro(s)), "range")
 
-    @_op
-    def xign(self, e: Fst, s: Fst) -> Fst:
-        return project(compose(e, self.xintro(s)), "range")
+    # asked for only inside stored builds, so kept out of the store; the
+    # tables are checked before `introx` or `xintrox` is stored
 
-    @_op
     def ignx(self, e: Fst, s: Fst) -> Fst:
+        _check_tables(e, s)
         return project(compose(e, self.introx(s)), "range")
 
-    @_op
     def xignx(self, e: Fst, s: Fst) -> Fst:
+        _check_tables(e, s)
         return project(compose(e, self.xintrox(s)), "range")
 
     # marker filters as one-direction scans --------------------------------
@@ -385,19 +389,30 @@ class MarkerKit:
         final where the prefix read is in `pattern`, backwards, where a
         `pattern` string starts (it runs over rev(xsig)* rev(pattern)).
         At each cell boundary the scan asks `allow(final, hit)` whether
-        the next cell may come: `final` tells whether the subset there is
-        final, and `hit` whether the cell is in `cell`.  The end of the
+        the next cell may come: `final` tells whether the pattern holds
+        there, and `hit` whether the cell is in `cell`.  The end of the
         tape counts as a cell that is not in `cell`.  A cell of `ignore`
-        is asked about like any other, but leaves the subset as it was,
-        so the subset machine runs over the tape with those cells erased:
-        `pattern` reads as `ign(pattern, ignore)`, whether or not the
-        cells of `ignore` are in `cell`.
+        is asked about like any other, whether or not it is in `cell`,
+        and the direction sets what the pattern makes of it:
+        - forwards it leaves the subset as it was, so the subset machine
+          runs over the tape with those cells erased: `pattern` reads as
+          `ign(pattern, ignore)`, and a prefix ending in ignored cells
+          ends where the last cell before them does;
+        - backwards the pattern may read it or skip it, but no `pattern`
+          string starts with a skipped cell: the boundary before it on
+          the tape, which the scan reaches after it, takes its finality
+          from the read branch alone, and `pattern` reads as
+          `range(pattern o {[], [xsig(), {xsig(), [] x ignore}*]})`, each
+          string with ignored cells inserted anywhere after its first
+          cell.  Under `ign` the cell a backward scan writes before a
+          string would start one more string, which needs one more cell.
 
-        A scan state is a subset at a boundary, or, halfway through a
-        cell, the subset and the labels that may still complete the cell,
-        with the subset at the boundary as well when an ignored cell may
-        complete it: a forward scan reads the glyph first, and "<2" may
-        begin an ignored cell or an ordinary one.  The scan is
+        A scan state is a subset at a boundary, with its finality, or,
+        halfway through a cell, the subset and the labels that may still
+        complete the cell, with the subset at the boundary as well when an
+        ignored cell may complete it: a forward scan reads the glyph
+        first, and "<2" may begin an ignored cell or an ordinary one.  The
+        scan is
         deterministic over its labels and reaches every state, so a
         forward scan goes straight to Moore refinement, and a backward
         scan, which writes the reversed pairs, determinizes its own
@@ -449,14 +464,21 @@ class MarkerKit:
         def step(subset, sym):
             return frozenset([d for q in subset for d in adj[q].get(sym, ())])
 
+        # a boundary is (subset, None, final), a half cell (subset,
+        # seconds, kept), kept the subset at the boundary before it or None
+        def boundary(subset, read):
+            return subset, None, not goal.isdisjoint(read)
+
         def moves(key):
-            subset, seconds, kept = key
-            if seconds is not None:
+            if key[1] is not None:
+                subset, seconds, kept = key
                 for ly, y, ignores in seconds:
-                    yield ly[0], ly[1], (kept if ignores else step(subset, y) | again,
-                                         None, None)
+                    # an ignored cell is skipped forwards, and read or
+                    # skipped backwards, the boundary final if it is read
+                    read = kept if ignores and not backward else step(subset, y) | again
+                    yield ly[0], ly[1], boundary(read | kept if ignores else read, read)
                 return
-            final = not goal.isdisjoint(subset)
+            subset, _, final = key
             for lx, (x, rest) in firsts:
                 ok = tuple([(ly, y, ignores) for ly, y, hit, ignores in rest
                             if allow(final, hit)])
@@ -464,9 +486,9 @@ class MarkerKit:
                     kept = subset if any(ignores for _, _, ignores in ok) else None
                     yield lx[0], lx[1], (step(subset, x), ok, kept)
 
-        keys, arcs = _explore((start, None, None), moves)
-        finals = {k for k, (subset, seconds, _) in enumerate(keys)
-                  if seconds is None and allow(not goal.isdisjoint(subset), False)}
+        keys, arcs = _explore(boundary(start, start), moves)
+        finals = {k for k, (_, seconds, final) in enumerate(keys)
+                  if seconds is None and allow(final, False)}
         if backward:
             return _determinize_reversal(t, len(keys), 0, finals, arcs)
         return _moore_minimize_dfa(len(keys), 0, finals, arcs, t)

@@ -64,6 +64,10 @@ from .markers import MarkerKit, _op
 def r_right(kit: MarkerKit, right: Fst) -> Fst:
     """Insert an rb2 cell exactly before every position followed by a
     Right string; `right` is Right encoded into cells (`non_markers_of`).
+    The scan reads Right as given, rb2 cells ignored after a string's
+    first cell, as in the paper's `xign(Right, rb2)`: the rb2 written
+    before a Right string does not start one itself.
+
     When the empty string is in Right every position qualifies, and each
     one is marked directly.  That branch is required: under the general
     scan `_mark_iff` the start of the tape is followed by a Right string
@@ -72,14 +76,16 @@ def r_right(kit: MarkerKit, right: Fst) -> Fst:
     if right.accepts_epsilon():
         ins = kit.cross(None, kit.rb2)
         return reduce_pairs(concat(star(concat(ins, kit.sig)), ins))
-    return _mark_iff(kit, kit.rb2, kit.xign(right, kit.rb2))
+    return _mark_iff(kit, kit.rb2, right, kit.rb2)
 
 
 @_op
 def f_phi(kit: MarkerKit, phi: Fst) -> Fst:
     """Insert an lb2 cell exactly before every occurrence of phi, dom(T)
     encoded into cells, that ends at an rb2.  Inside the occurrence both
-    marker kinds are ignored.
+    marker kinds are ignored: the scan reads [phi, rb2] as given, lb2 and
+    rb2 cells ignored after a string's first cell, where the paper builds
+    `[xignx(phi, b2), lb2^, rb2]`; under the iff the two mark alike.
 
     When phi matches the empty string, every marked position demands an
     opener of its own, and the iff settles on exactly two stacked lb2
@@ -89,13 +95,12 @@ def f_phi(kit: MarkerKit, phi: Fst) -> Fst:
     absorbs at most one lb2 so the stack cannot grow, while the nonempty
     one must absorb whole stacks sitting between its last cell and its
     closing rb2, or no occurrence could end at a stacked position."""
-    if phi.accepts_epsilon():
-        nonempty = difference(phi, empty_string(kit.table))
-        pattern = union(
-            concat(option(kit.lb2), kit.rb2),
-            concat(kit.xignx(nonempty, kit.b2), star(kit.lb2), kit.rb2))
-    else:
-        pattern = concat(kit.xignx(phi, kit.b2), option(kit.lb2), kit.rb2)
+    if not phi.accepts_epsilon():
+        return _mark_iff(kit, kit.lb2, concat(phi, kit.rb2), kit.b2)
+    nonempty = difference(phi, empty_string(kit.table))
+    pattern = union(
+        concat(option(kit.lb2), kit.rb2),
+        concat(kit.xignx(nonempty, kit.b2), star(kit.lb2), kit.rb2))
     return _mark_iff(kit, kit.lb2, pattern)
 
 
@@ -192,9 +197,11 @@ def l2(kit: MarkerKit, left: Fst, stack_safe: bool) -> Fst:
 # `strip`, built reduced.
 
 
-def _mark_iff(kit: MarkerKit, cell: Fst, p: Fst) -> Fst:
+def _mark_iff(kit: MarkerKit, cell: Fst, p: Fst, ignore: Optional[Fst] = None) -> Fst:
     """Insert a `cell` exactly before every `p` string: `intro(cell)`
-    composed with `l_iff_r(cell, p)`.
+    composed with `l_iff_r(cell, p)`, where `p` holds the cells of
+    `ignore` inserted anywhere after the first cell of each string
+    (`MarkerKit._scan`), so no `p` string starts with an ignored cell.
 
     The scan runs backwards, so that whether a `p` string starts at a
     position is already known when the cell before it is written: the
@@ -202,7 +209,7 @@ def _mark_iff(kit: MarkerKit, cell: Fst, p: Fst) -> Fst:
     tape, where no cell comes before, no `p` string may start.  Read
     forwards, the same test would need a subset tracking every open `p`
     match that some `cell` has promised."""
-    return kit._scan(p, cell, True, lambda final, hit: hit == final, "insert")
+    return kit._scan(p, cell, True, lambda final, hit: hit == final, "insert", ignore)
 
 
 def _not_contains(kit: MarkerKit, k: Fst, cell: Fst) -> Fst:

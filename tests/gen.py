@@ -1,12 +1,14 @@
 """Random machines, rules, and model languages shared by the randomized
 suites.  Everything takes an explicit random.Random so runs are repeatable.
-Also two helpers for the marker suites: rule text compiled over given
-machines, and a count of the marker machines a run looks up and builds."""
+Also three helpers for the marker suites: rule text compiled over given
+machines, a count of the marker machines a run looks up and builds, and a
+record of what the store gives out."""
 
 import collections
 import random
 
 import fsrw.markers as markers
+from fsrw.markers import MarkerKit
 from fsrw.dsl import (Compiler, Literal, _nodes, expand_macros, parse_expr,
                       stdlib_macros)
 from fsrw import (
@@ -340,3 +342,23 @@ def count_memo(monkeypatch) -> tuple[collections.Counter, collections.Counter]:
         return stored(key, counted, held)
     monkeypatch.setattr(markers, "_stored", counting)
     return lookups, builds
+
+
+def record_store(monkeypatch) -> tuple[dict, dict]:
+    """Record what the marker store gives out: the parts it returns by
+    key, and a table of each shape in the keys, learned from the kits that
+    ask for it, since `replace` folds most rules over a table of its own."""
+    seen, tables = {}, {}
+    stored, shape_key = markers._stored, MarkerKit._shape_key
+
+    def recording(key, build, held):
+        seen[key] = stored(key, build, held)
+        return seen[key]
+
+    def learning(kit):
+        shape = shape_key(kit)
+        tables[shape] = kit.table
+        return shape
+    monkeypatch.setattr(markers, "_stored", recording)
+    monkeypatch.setattr(MarkerKit, "_shape_key", learning)
+    return seen, tables

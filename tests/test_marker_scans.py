@@ -17,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-import fsrw.markers as markers
 from fsrw import (
     EPS,
     FsmError,
@@ -42,7 +41,7 @@ from fsrw import (
     union,
 )
 
-from gen import formula, random_cell_pattern, random_replace_rule
+from gen import formula, random_cell_pattern, random_replace_rule, record_store
 
 replace_module = importlib.import_module("fsrw.replace")
 RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
@@ -63,7 +62,14 @@ def not_contains(k):
 
 # The builds the scans replace, each filter given by its formula.
 
-def mark_iff(kit, cell, p):
+# `_mark_iff`'s pattern with the ignored cells I inserted anywhere after
+# its first cell: no P string starts with an ignored cell
+SPREAD = "range(P o {[], [xsig(), {xsig(), [] x I}*]})"
+
+
+def mark_iff(kit, cell, p, ignore=None):
+    if ignore is not None:
+        p = formula(kit.table, SPREAD, P=p, I=ignore)
     return reduce_pairs(compose(kit.intro(cell), l_iff_r(cell, p)))
 
 
@@ -94,7 +100,7 @@ def r_right(kit, right):
     if right.accepts_epsilon():
         ins = kit.cross(None, kit.rb2)
         return reduce_pairs(concat(star(concat(ins, kit.sig)), ins))
-    return mark_iff(kit, kit.rb2, kit.xign(right, kit.rb2))
+    return mark_iff(kit, kit.rb2, formula(kit.table, "xign(E, S)", E=right, S=kit.rb2))
 
 
 def f_phi(kit, phi):
@@ -182,19 +188,7 @@ def test_every_stored_factor_is_its_reference_build(store):
     # every scan factor that compiling the rule files stores, as one
     # machine and as a cascade, rebuilt from the machines and flags of its
     # key on a table of the key's shape
-    stored, shape_key = markers._stored, MarkerKit._shape_key
-    seen, tables = {}, {}
-
-    def recording(key, build, held):
-        seen[key] = stored(key, build, held)
-        return seen[key]
-
-    def learning(kit):
-        shape = shape_key(kit)
-        tables[shape] = kit.table
-        return shape
-    store.setattr(markers, "_stored", recording)
-    store.setattr(MarkerKit, "_shape_key", learning)
+    seen, tables = record_store(store)
     for path in sorted(RULES_DIR.glob("*.fsr")) + sorted(BENCH_RULES_DIR.glob("*.fsr")):
         compiled = compile_rules(path.read_text())
         compiled.machine
@@ -232,12 +226,16 @@ def test_not_contains_edge_cases(kit):
 
 
 def test_mark_iff_and_guard_before_edge_cases(kit):
+    # an empty P; a P that reads a cell it ignores, as `f_phi`'s rb2; a
+    # written cell that is ignored too, as `r_right`'s rb2
     t = kit.table
     a = kit.non_markers_of(literal(t, "a"))
-    for p in (empty_lang(t), empty_string(t), a, star(a), kit.xsig_star):
+    for p in (empty_lang(t), empty_string(t), a, star(a), kit.xsig_star,
+              concat(a, kit.rb2)):
         for cell in (kit.lb2, kit.rb2, kit.lb):
-            assert replace_module._mark_iff(kit, cell, p).same_structure(
-                mark_iff(kit, cell, p))
+            for ignore in (None, kit.b2, kit.rb2):
+                assert replace_module._mark_iff(kit, cell, p, ignore).same_structure(
+                    mark_iff(kit, cell, p, ignore)), ignore
             for ignore, rule in itertools.product((None, kit.lb2, kit.rb), RULES):
                 assert replace_module._guard_before(
                     kit, cell, p, ignore, rule=rule).same_structure(
@@ -255,6 +253,20 @@ def test_guard_before_matches_its_formula_on_random_patterns(kit):
             assert replace_module._guard_before(
                 kit, cell, p, ignore, rule=rule).same_structure(
                     guarded(kit, cell, p, ignore, rule)), (k, rule)
+
+
+def test_mark_iff_matches_its_formula_on_random_patterns(kit):
+    # every C among three cells and I among six marker sets, over random
+    # cell patterns: where I holds C, a written cell may be skipped too
+    rng = random.Random(20261021)
+    cells = [getattr(kit, name) for name in ("lb1", "lb2", "rb2")]
+    ignores = [getattr(kit, name)
+               for name in ("lb1", "lb2", "rb2", "b2", "brack", "lb")]
+    for k in range(150):
+        p = random_cell_pattern(rng, kit)
+        for cell, ignore in itertools.product(cells, ignores):
+            assert replace_module._mark_iff(kit, cell, p, ignore).same_structure(
+                mark_iff(kit, cell, p, ignore)), k
 
 
 def test_mark_iff_reads_bracket_glyphs_as_text(kit):

@@ -48,8 +48,8 @@ from fsrw import (
 )
 from fsrw.capture import overrun
 from fsrw.dump import dump_text
-from gen import (build_regex, count_memo, random_context, random_regex,
-                 random_replace_rule, random_target)
+from gen import (build_regex, count_memo, formula, random_context, random_regex,
+                 random_replace_rule, random_target, record_store)
 
 BENCH_RULES = Path(__file__).resolve().parent.parent / "bench" / "rules"
 
@@ -132,7 +132,7 @@ def test_ign_family_are_projections(kit):
     assert "a0<11b0" in seen
     assert "a0b0<11" in seen
 
-    xign = lang_enum(kit.xign(base, kit.lb1), 8)
+    xign = lang_enum(formula(kit.table, "xign(E, S)", E=base, S=kit.lb1), 8)
     assert "<11a0b0" not in xign
     assert "a0b0<11" in xign
 
@@ -386,14 +386,12 @@ def test_every_constant_keeps_its_formula(store):
     assert set(cache) == set(formulas)
     # the touch, on an empty store, stored those constants, then the
     # overruns of `lm_concat`'s greed filters on three images stored
-    # themselves and the `ignx` each is built from, nothing else
+    # themselves, nothing else: the `ignx` each is built from is unstored
     images = [empty_lang(kit.table)] + [
         project(compose(word(kit.table, w), formulas["non_markers"]), "range")
         for w in ("a", "ab")]
     overruns = [overrun(kit, image) for image in images]
-    entries = {(kit._shape_key(), op, parts_of(image), *lb1)
-               for image in images
-               for op, lb1 in (("overrun", ()), ("ignx", (parts_of(cache["lb1"]),)))}
+    entries = {(kit._shape_key(), "overrun", parts_of(image)) for image in images}
     assert set(markers._shape_cache) == {store_key(kit, name)
                                          for name in cache} | entries
     for name, m in cache.items():
@@ -633,7 +631,7 @@ def test_a_machine_on_another_table_is_refused_by_every_method(store):
             assert markers._shape_cache == held, (name, k)
 
 
-@pytest.mark.parametrize("op", ["ign", "xign", "ignx", "xignx", "overrun"])
+@pytest.mark.parametrize("op", ["ign", "overrun"])
 def test_a_stored_image_is_one_lookup(store, op):
     # keyed by the set itself, not by the inserter built from it; the
     # overrun of a greed filter, by the image alone
@@ -735,21 +733,7 @@ def test_every_store_entry_is_what_its_construction_returns(store):
     # build left unreduced, and each group is the fold of the factors in
     # its key; the scans build their factors reduced, so only the builds
     # that end in a reduction can shrink
-    # a table of each shape the store meets, learned from the kits that
-    # ask for it: `replace` folds most rules over a table of its own
-    stored, shape_key = markers._stored, MarkerKit._shape_key
-    seen, tables = {}, {}
-
-    def recording(key, build, held):
-        seen[key] = stored(key, build, held)
-        return seen[key]
-
-    def learning(kit):
-        shape = shape_key(kit)
-        tables[shape] = kit.table
-        return shape
-    store.setattr(markers, "_stored", recording)
-    store.setattr(MarkerKit, "_shape_key", learning)
+    seen, tables = record_store(store)
 
     rules = BENCH_RULES.parent.parent / "rules"
     for path in sorted(rules.glob("*.fsr")) + sorted(BENCH_RULES.glob("*.fsr")):
