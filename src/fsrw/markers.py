@@ -68,8 +68,10 @@ bracket cells, which are asked about like any other.  Forwards an
 ignored cell leaves the pattern's subset as it was, so `l1` and `l2`
 read [xsig*, Left] as given.  Backwards the pattern may read it or skip
 it, but no string starts with a skipped cell, so `r_right` reads Right
-and `f_phi` [dom(T), rb2] as given, for a domain without [].  No `ign`,
-`xign`, `xignx` or `not` of those patterns is built.  Each builds the
+and `f_phi` [dom(T), rb2] as given, for a domain without [], and
+`longest_match` reads its occurrence, dom(T) with rb1 cells inserted, as
+given, every other bracket cell ignored.  No `ign`, `xign`, `xignx`,
+`not` or `contains` of those patterns is built by default.  Each builds the
 reduced form of the composition it stands for: the paper's `l_iff_r`,
 `not(contains(...))`, `if_s_then_p` or `not([ign(...), ...])` composed
 with `intro` or `strip`.
@@ -492,12 +494,6 @@ class MarkerKit:
         if backward:
             return _determinize_reversal(t, len(keys), 0, finals, arcs)
         return _moore_minimize_dfa(len(keys), 0, finals, arcs, t)
-
-    @_constant
-    def stacked_rb(self) -> Fst:
-        """Left brackets stacked at one position, then a right bracket:
-        what follows the end of an occurrence at a marked position."""
-        return concat(star(self.lb), self.rb)
 
     # the whole symbol table ----------------------------------------------
 

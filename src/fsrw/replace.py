@@ -122,26 +122,33 @@ def longest_match(kit: MarkerKit, phi: Fst, optimized: bool,
     """Reject any selection whose region could have extended further: an
     lb1 followed by an occurrence of phi (dom(T) encoded into cells) that
     runs past the region's rb1 (so the occurrence contains an rb1) and
-    still ends at a marked position.  Then delete the rb2 cells, which are
-    no longer needed.
+    still ends at a marked position, where a right bracket comes next.
+    Then delete the rb2 cells, which are no longer needed.
 
-    The occurrence ends at a marked position when the next cell is a right
-    bracket, except that left brackets belonging to that position may stand
-    in between (stacked markers of an empty occurrence); stack_safe=False
-    drops that allowance and is kept only for the equivalence tests on
+    The overrun is phi with at least one rb1 cell inserted and none at
+    the end, and the scan reads [lb1, overrun, rb] with every bracket cell
+    ignored (`_not_contains`): the pattern reads the rb1 it holds and may
+    skip any other bracket after the lb1, so the left brackets stacked at
+    the occurrence's end (the markers of an empty occurrence) may stand
+    before the closing right bracket.  The scan asks only where a pattern
+    string starts, and every tape string it matches begins with a string
+    of the paper's pattern, lb1, `ignx(phi, brack)` holding an rb1, left
+    brackets, a right bracket: after the overrun, the first right bracket
+    has only left brackets before it.  stack_safe=False keeps that pattern
+    without the left brackets, and no ignoring, which could not forbid
+    them in the tail alone; it is kept only for the equivalence tests on
     rules whose domain cannot match the empty string.
 
-    With optimized=True the occurrence pattern anchors the inner rb1 to a
-    phi prefix instead of using plain containment, which can shrink the
-    filter.
+    With optimized=True the overrun also anchors the inner rb1 to a phi
+    prefix, which can shrink the filter.
     """
-    if optimized:
-        inner = concat(kit.ign(phi, kit.brack), kit.rb1, kit.xsig_star)
+    if stack_safe:
+        overrun, ignore = difference(kit.ignx(phi, kit.rb1), phi), kit.brack
     else:
-        inner = kit.contains(kit.rb1)
-    overrun = intersection(kit.ignx(phi, kit.brack), inner)
-    tail = kit.stacked_rb if stack_safe else kit.rb
-    return _not_contains(kit, concat(kit.lb1, overrun, tail), kit.rb2)
+        overrun, ignore = intersection(kit.ignx(phi, kit.brack), kit.contains(kit.rb1)), None
+    if optimized:
+        overrun = intersection(overrun, concat(kit.ign(phi, kit.brack), kit.rb1, kit.xsig_star))
+    return _not_contains(kit, concat(kit.lb1, overrun, kit.rb), kit.rb2, ignore)
 
 
 @_op
@@ -212,17 +219,19 @@ def _mark_iff(kit: MarkerKit, cell: Fst, p: Fst, ignore: Optional[Fst] = None) -
     return kit._scan(p, cell, True, lambda final, hit: hit == final, "insert", ignore)
 
 
-def _not_contains(kit: MarkerKit, k: Fst, cell: Fst) -> Fst:
+def _not_contains(kit: MarkerKit, k: Fst, cell: Fst, ignore: Optional[Fst] = None) -> Fst:
     """Delete every `cell` from a tape with no factor in `k`:
-    `not(contains(k))` composed with `strip(cell)`.
+    `not(contains(k))` composed with `strip(cell)`, where `k` holds the
+    cells of `ignore` inserted anywhere after the first cell of each
+    string (`MarkerKit._scan`), as `_mark_iff` reads its `p`.
 
     The scan runs backwards and drops every subset where a `k` string
     starts.  It runs backwards because that subset machine can be far
     smaller than the forward one of `xsig* k`, which tracks every `k`
-    match still open: for the `k` that `longest_match` builds on one
+    match still open: for the paper's `longest_match` pattern on one
     5-state T over three symbols, the backward one has 655 subsets and
     the forward one over 200 000."""
-    return kit._scan(k, cell, True, lambda final, hit: not final, "delete")
+    return kit._scan(k, cell, True, lambda final, hit: not final, "delete", ignore)
 
 
 def _guard_before(kit: MarkerKit, cell: Fst, a: Fst,

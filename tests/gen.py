@@ -2,10 +2,12 @@
 suites.  Everything takes an explicit random.Random so runs are repeatable.
 Also three helpers for the marker suites: rule text compiled over given
 machines, a count of the marker machines a run looks up and builds, and a
-record of what the store gives out."""
+record of what the store gives out.  Last, the repository's root and its
+rule corpus."""
 
 import collections
 import random
+from pathlib import Path
 
 import fsrw.markers as markers
 from fsrw.markers import MarkerKit
@@ -26,6 +28,12 @@ from fsrw import (
     union,
     word,
 )
+
+# the repository, and its rule corpus: `rules/*.fsr`, then
+# `bench/rules/*.fsr`, each sorted
+ROOT = Path(__file__).resolve().parent.parent
+RULE_FILES = (sorted((ROOT / "rules").glob("*.fsr"))
+              + sorted((ROOT / "bench" / "rules").glob("*.fsr")))
 
 
 # ---------------------------------------------------------------------------

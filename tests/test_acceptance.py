@@ -9,7 +9,6 @@ import random
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -46,6 +45,7 @@ from fsrw.dsl import compile_rules
 from fsrw.dump import dump_text, load_text
 
 from gen import (
+    ROOT,
     all_strings,
     build_regex,
     random_arc_machine,
@@ -53,8 +53,6 @@ from gen import (
     random_regex,
     random_replace_rule,
 )
-
-RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
 
 
 def _report(num, title, ok, detail=""):
@@ -78,7 +76,7 @@ def _relation(m, max_len):
 @pytest.fixture(scope="module")
 def topo_machine():
     t0 = time.monotonic()
-    cp = compile_rules((RULES_DIR / "topological.fsr").read_text())
+    cp = compile_rules((ROOT / "rules" / "topological.fsr").read_text())
     res = transduce(cp.machine, list("topological"))
     elapsed = time.monotonic() - t0
     return cp, set(res.strings()), elapsed
@@ -155,8 +153,8 @@ def test_criterion_4_marker_glyph_robustness():
 def test_criterion_5_match_n_equivalence(tmp_path):
     a = tmp_path / "a.fsm"
     b = tmp_path / "b.fsm"
-    rc1 = main(["compile", "-r", str(RULES_DIR / "triple_a.fsr"), "-o", str(a)])
-    rc2 = main(["compile", "-r", str(RULES_DIR / "triple_a_explicit.fsr"),
+    rc1 = main(["compile", "-r", str(ROOT / "rules" / "triple_a.fsr"), "-o", str(a)])
+    rc2 = main(["compile", "-r", str(ROOT / "rules" / "triple_a_explicit.fsr"),
                 "-o", str(b)])
     rc = main(["equiv", str(a), str(b)])
     ok = rc1 == 0 and rc2 == 0 and rc == 0
@@ -415,7 +413,7 @@ def test_criterion_7g_determinism_across_hash_seeds():
         "import sys; sys.stdout.write(dump_text(m))\n"
     )
     # the child does not see pytest's `pythonpath` setting
-    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    src_dir = str(ROOT / "src")
     path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     outs = []
     for seed in ("0", "31337"):

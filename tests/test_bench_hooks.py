@@ -7,7 +7,6 @@ that drops or renames one of those names would break
 `python3 bench/run.py --trace 1` without failing any other test."""
 
 import io
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +15,7 @@ import fsrw.dsl
 from fsrw import MarkerKit
 from fsrw.cli import main
 
-ROOT = Path(__file__).resolve().parent.parent
+from gen import ROOT
 
 
 @pytest.fixture

@@ -5,11 +5,10 @@ change to the library that would break a benchmark run shows up here."""
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from gen import ROOT
 
 
 @pytest.mark.parametrize("workload", ["compile", "apply", "verify"])

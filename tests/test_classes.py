@@ -7,7 +7,6 @@ import collections
 import importlib
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
@@ -16,9 +15,8 @@ import fsrw.classes
 import fsrw.fsm
 from fsrw import EPS, compile_rules, enumerate_pairs, lm_concat
 
-from gen import random_class_rule
+from gen import ROOT, random_class_rule
 
-ROOT = Path(__file__).resolve().parent.parent
 
 # the package re-exports the function replace under the module's name
 replace_module = importlib.import_module("fsrw.replace")

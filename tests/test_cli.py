@@ -10,7 +10,6 @@ import re
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -18,10 +17,7 @@ import fsrw.cli
 import fsrw.dsl
 from fsrw import SymbolTable
 from fsrw.cli import main
-from gen import count_memo
-
-RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
-BENCH_RULES_DIR = RULES_DIR.parent / "bench" / "rules"
+from gen import ROOT, count_memo
 
 
 TOPO = """\
@@ -114,7 +110,7 @@ def test_apply_rejects_a_limit_below_one(tmp_path, monkeypatch, capsys, limit):
 def test_apply_limit_leaves_a_finite_output_set_whole(tmp_path, monkeypatch,
                                                       capsys):
     # two vowel pairs: 4 * 4 outputs, all printed although --limit is 1
-    machine = compiled(tmp_path, (BENCH_RULES_DIR / "ambiguous.fsr").read_text())
+    machine = compiled(tmp_path, (ROOT / "bench" / "rules" / "ambiguous.fsr").read_text())
     rc, out, err = run(monkeypatch, capsys,
                        ["apply", "-m", str(machine), "--all", "--limit", "1"],
                        "kaetio\n")
@@ -254,7 +250,7 @@ def test_cascade_builds_the_factors_once(tmp_path, monkeypatch):
                          (replace_module, "replace_factors")):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
     out_path = tmp_path / "abbrev.fsm"
-    rc = main(["compile", "-r", str(RULES_DIR / "abbrev.fsr"),
+    rc = main(["compile", "-r", str(ROOT / "rules" / "abbrev.fsr"),
                "-o", str(out_path), "--cascade"])
     assert rc == 0
     assert out_path.read_text().startswith("cascade 9\n")
@@ -267,7 +263,7 @@ def test_cascade_writes_the_factors_without_folding(tmp_path, monkeypatch):
     for module in (fsrw.cli, replace_module):
         monkeypatch.setattr(module, "compose_cascade",
                             lambda ms: folds.append(ms))
-    rc = main(["compile", "-r", str(RULES_DIR / "abbrev.fsr"),
+    rc = main(["compile", "-r", str(ROOT / "rules" / "abbrev.fsr"),
                "-o", str(tmp_path / "abbrev.fsm"), "--cascade"])
     assert rc == 0
     assert folds == []
@@ -278,7 +274,7 @@ def test_a_compile_builds_each_marker_constant_once(tmp_path, store):
     # own; against an empty shape cache the first builds every constant
     # and the others find it there, as they find every other kit machine
     _, builds = count_memo(store)
-    rc = main(["compile", "-r", str(BENCH_RULES_DIR / "cascade27.fsr"),
+    rc = main(["compile", "-r", str(ROOT / "bench" / "rules" / "cascade27.fsr"),
                "-o", str(tmp_path / "cascade27.fsm")])
     assert rc == 0
     assert any(len(key) == 2 for key in builds)  # (shape, name): a constant
@@ -318,7 +314,7 @@ def test_check_lm_concat_agrees(tmp_path, monkeypatch, capsys):
 
 def test_check_lm_concat_agrees_on_a_five_piece_rule(monkeypatch, capsys):
     rc, out, err = run(monkeypatch, capsys,
-                       ["check", "-r", str(BENCH_RULES_DIR / "lm5.fsr"),
+                       ["check", "-r", str(ROOT / "bench" / "rules" / "lm5.fsr"),
                         "--samples", "500", "--max-len", "12"])
     assert rc == 0
     assert out == "checked 449 inputs: all agree; skipped 0 with an infinite output set\n"
@@ -352,7 +348,7 @@ def test_check_long_inputs_end_with_a_result(monkeypatch, capsys):
     # the oracle scans with an explicit stack, so inputs thousands of
     # symbols long need no deeper recursion
     rc, out, err = run(monkeypatch, capsys,
-                       ["check", "-r", str(RULES_DIR / "devoice_final.fsr"),
+                       ["check", "-r", str(ROOT / "rules" / "devoice_final.fsr"),
                         "--samples", "3", "--max-len", "3000", "--seed", "1"])
     assert rc == 0
     assert out == "checked 3 inputs: all agree; skipped 0 with an infinite output set\n"
@@ -365,7 +361,7 @@ def test_check_long_inputs_end_with_a_result(monkeypatch, capsys):
 def test_check_rejects_bad_counts(monkeypatch, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         run(monkeypatch, capsys,
-            ["check", "-r", str(RULES_DIR / "devoice_final.fsr"), flag, value])
+            ["check", "-r", str(ROOT / "rules" / "devoice_final.fsr"), flag, value])
     assert exc.value.code == 2
     got = capsys.readouterr()
     assert got.out == ""
@@ -377,7 +373,8 @@ def test_check_max_len_zero_checks_the_empty_input(tmp_path, monkeypatch, capsys
     # whatever --max-len says
     (tmp_path / "none.fsr").write_text("replace([]:[], [], []).")
     (tmp_path / "empty.fsr").write_text("replace({}, [], []).")
-    for argv in (["-r", str(RULES_DIR / "devoice_final.fsr"), "--samples", "5", "--max-len", "0"],
+    for argv in (["-r", str(ROOT / "rules" / "devoice_final.fsr"),
+                  "--samples", "5", "--max-len", "0"],
                  ["-r", str(tmp_path / "none.fsr")], ["-r", str(tmp_path / "empty.fsr")]):
         rc, out, err = run(monkeypatch, capsys, ["check", *argv])
         assert rc == 0
@@ -423,7 +420,7 @@ def test_deep_nesting_is_a_rule_error(tmp_path, text):
     rules = tmp_path / "deep.fsr"
     rules.write_text(text)
     # a fresh interpreter, so the stack is the command line's own
-    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    src_dir = str(ROOT / "src")
     path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fsrw.cli", "compile", "-r", str(rules),

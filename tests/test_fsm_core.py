@@ -7,7 +7,6 @@ import random
 import re
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -45,6 +44,7 @@ from fsrw import (
     plus,
     project,
     reduce_pairs,
+    replace_factors,
     reverse,
     sigma_star,
     star,
@@ -56,10 +56,9 @@ from fsrw import (
 from fsrw.dump import dump_text, load_text
 from fsrw.oracle import _Walker
 
-from gen import build_regex, model_lang, random_arc_machine, random_regex
+from gen import (ROOT, RULE_FILES, build_regex, model_lang, random_arc_machine,
+                 random_regex)
 
-RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
-BENCH_RULES_DIR = RULES_DIR.parent / "bench" / "rules"
 
 AMBIGUOUS = """\
 #alphabet a e i o k t.
@@ -334,7 +333,7 @@ def test_transduce_rejects_unknown_symbol(tb):
                      " ", "automaton", "</abbr>", "N"]]),
 ])
 def test_a_single_path_line_builds_its_glyph_tuple_once_on_demand(rule, lines, monkeypatch):
-    m = compile_rules((RULES_DIR / rule).read_text()).machine
+    m = compile_rules((ROOT / "rules" / rule).read_text()).machine
     built = []
     glyphs_of = fsm._glyphs_of
     monkeypatch.setattr(fsm, "_glyphs_of", lambda steps: built.append(1) or glyphs_of(steps))
@@ -350,7 +349,7 @@ def test_a_single_path_line_builds_its_glyph_tuple_once_on_demand(rule, lines, m
 
 @pytest.fixture(scope="module")
 def devoice():
-    return compile_rules((RULES_DIR / "devoice_final.fsr").read_text()).machine
+    return compile_rules((ROOT / "rules" / "devoice_final.fsr").read_text()).machine
 
 
 def _devoice_line(rng, n):
@@ -794,10 +793,10 @@ def test_input_tables_stay_under_their_cap(tb):
 
 # the four machines of the benchmark's apply workload, as `fsrw apply -m`
 # loads them: (name, rule file, compiled with --cascade)
-APPLY_MACHINES = [("devoice_final", RULES_DIR / "devoice_final.fsr", True),
-                  ("topological", RULES_DIR / "topological.fsr", False),
-                  ("cascade27", BENCH_RULES_DIR / "cascade27.fsr", False),
-                  ("ambiguous", BENCH_RULES_DIR / "ambiguous.fsr", False)]
+APPLY_MACHINES = [("devoice_final", ROOT / "rules" / "devoice_final.fsr", True),
+                  ("topological", ROOT / "rules" / "topological.fsr", False),
+                  ("cascade27", ROOT / "bench" / "rules" / "cascade27.fsr", False),
+                  ("ambiguous", ROOT / "bench" / "rules" / "ambiguous.fsr", False)]
 
 # topological's three pieces, so that half its lines are accepted
 TOPO_PIECES = (["to", "top"], ["o", "polo"], ["gical", "ological"])
@@ -1304,8 +1303,9 @@ def test_the_kernels_match_the_explored_ones_on_arc_machines():
 
 def test_the_kernels_match_the_explored_ones_on_a_compile(monkeypatch, store):
     # every `_finish` and Moore call that compiling the rule files, and
-    # the `--cascade` factors of each replace rule, makes from an empty
-    # marker store, and every store entry it leaves
+    # the factors of each replace rule under every flag pair (optimized,
+    # stack_safe), makes from an empty marker store, and every store entry
+    # it leaves
     calls = collections.Counter()
 
     def checked(kernel, reference):
@@ -1321,11 +1321,12 @@ def test_the_kernels_match_the_explored_ones_on_a_compile(monkeypatch, store):
     moore = checked(fsm._moore_minimize_dfa, _explored_moore)
     for module in (fsm, markers):  # markers: the forward scans
         monkeypatch.setattr(module, "_moore_minimize_dfa", moore)
-    for path in sorted(RULES_DIR.glob("*.fsr")) + sorted(BENCH_RULES_DIR.glob("*.fsr")):
+    for path in RULE_FILES:
         compiled = compile_rules(path.read_text())
         compiled.machine
         if compiled.kind == "replace":
-            compiled.factors()
+            for flags in itertools.product((False, True), (True, False)):
+                replace_factors(*compiled.pieces, *flags)
     entries = list(markers._shape_cache.values())
     monkeypatch.undo()
     assert calls["_finish"] >= 800 and calls["_moore_minimize_dfa"] >= 400, calls

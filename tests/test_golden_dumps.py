@@ -7,7 +7,6 @@ the same one) and needs an explanation, not a new digest."""
 
 import hashlib
 import random
-from pathlib import Path
 
 import pytest
 
@@ -15,11 +14,8 @@ from fsrw.cli import main
 from fsrw.dump import dump_text, load_text
 from fsrw.replace import compose_cascade, replace
 
-from gen import random_replace_rule
+from gen import ROOT, random_replace_rule
 
-ROOT = Path(__file__).resolve().parent.parent
-RULES_DIR = ROOT / "rules"
-BENCH_RULES_DIR = ROOT / "bench" / "rules"
 
 GOLDEN = {
     ("ab_star", False): "8a0b52fa497fcc5fdb637578287de27c1176ad48df2385bc62d38d26fa01b0a7",
@@ -65,7 +61,7 @@ def _compile_digest(tmp_path, path, cascade):
 
 
 def test_every_shipped_rule_file_is_pinned():
-    assert {p.stem for p in RULES_DIR.glob("*.fsr")} == {
+    assert {p.stem for p in (ROOT / "rules").glob("*.fsr")} == {
         name for name, _ in GOLDEN}
 
 
@@ -73,7 +69,7 @@ def test_every_shipped_rule_file_is_pinned():
                          ids=lambda v: v if isinstance(v, str) else
                          ("cascade" if v else "machine"))
 def test_compile_dump_is_byte_identical(tmp_path, name, cascade):
-    got = _compile_digest(tmp_path, RULES_DIR / (name + ".fsr"), cascade)
+    got = _compile_digest(tmp_path, ROOT / "rules" / (name + ".fsr"), cascade)
     assert got == GOLDEN[(name, cascade)]
 
 
@@ -81,13 +77,13 @@ def test_compile_dump_is_byte_identical(tmp_path, name, cascade):
                          ids=lambda v: v if isinstance(v, str) else
                          ("cascade" if v else "machine"))
 def test_bench_rule_dump_is_byte_identical(tmp_path, name, cascade):
-    got = _compile_digest(tmp_path, BENCH_RULES_DIR / (name + ".fsr"), cascade)
+    got = _compile_digest(tmp_path, ROOT / "bench" / "rules" / (name + ".fsr"), cascade)
     assert got == BENCH_GOLDEN[(name, cascade)]
 
 
 CASCADE_RULE_FILES = sorted(
-    [RULES_DIR / (name + ".fsr") for name, cascade in GOLDEN if cascade]
-    + [BENCH_RULES_DIR / (name + ".fsr") for name, cascade in BENCH_GOLDEN
+    [ROOT / "rules" / (name + ".fsr") for name, cascade in GOLDEN if cascade]
+    + [ROOT / "bench" / "rules" / (name + ".fsr") for name, cascade in BENCH_GOLDEN
        if cascade])
 
 
@@ -105,8 +101,8 @@ def test_every_rule_file_dumps_the_same_bytes_cold_and_warm(tmp_path, store):
     """The shape cache holds the marker constants and the memoized kit
     operations; a compile that finds them all (warm) writes the bytes of
     one that starts from an empty cache (cold)."""
-    runs = ([(RULES_DIR, name, cascade) for name, cascade in sorted(GOLDEN)]
-            + [(BENCH_RULES_DIR, name, cascade)
+    runs = ([(ROOT / "rules", name, cascade) for name, cascade in sorted(GOLDEN)]
+            + [(ROOT / "bench" / "rules", name, cascade)
                for name, cascade in sorted(BENCH_GOLDEN)])
     cold = {}
     for folder, name, cascade in runs:

@@ -6,7 +6,6 @@ The machine must commit to the same split the scanning procedure
 exists."""
 
 import random
-from pathlib import Path
 
 import pytest
 
@@ -38,10 +37,8 @@ from fsrw import (
 )
 
 from fsrw.dump import dump_text
-from gen import (CLASS_ALPHABET, all_strings, build_regex, formula,
+from gen import (CLASS_ALPHABET, ROOT, all_strings, build_regex, formula,
                  random_class_language, random_regex, random_target)
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def out(m, s):

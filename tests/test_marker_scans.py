@@ -13,7 +13,6 @@ pair languages give equal structure."""
 import importlib
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
@@ -39,13 +38,13 @@ from fsrw import (
     star,
     transduce,
     union,
+    word,
 )
 
-from gen import formula, random_cell_pattern, random_replace_rule, record_store
+from gen import (RULE_FILES, formula, random_cell_pattern, random_replace_rule,
+                 record_store)
 
 replace_module = importlib.import_module("fsrw.replace")
-RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
-BENCH_RULES_DIR = RULES_DIR.parent / "bench" / "rules"
 
 
 def l_iff_r(cell, p):
@@ -120,7 +119,7 @@ def longest_match(kit, phi, optimized, stack_safe):
     else:
         inner = kit.contains(kit.rb1)
     overrun = intersection(kit.ignx(phi, kit.brack), inner)
-    tail = kit.stacked_rb if stack_safe else kit.rb
+    tail = concat(star(kit.lb), kit.rb) if stack_safe else kit.rb
     return strip_not_containing(kit, concat(kit.lb1, overrun, tail), kit.rb2)
 
 
@@ -189,7 +188,7 @@ def test_every_stored_factor_is_its_reference_build(store):
     # machine and as a cascade, rebuilt from the machines and flags of its
     # key on a table of the key's shape
     seen, tables = record_store(store)
-    for path in sorted(RULES_DIR.glob("*.fsr")) + sorted(BENCH_RULES_DIR.glob("*.fsr")):
+    for path in RULE_FILES:
         compiled = compile_rules(path.read_text())
         compiled.machine
         if compiled.kind == "replace":
@@ -223,6 +222,21 @@ def test_not_contains_edge_cases(kit):
     assert scan(kit, empty_lang(kit.table), kit.rb2).same_structure(
         reduce_pairs(kit.strip(kit.rb2)))
     assert scan(kit, empty_string(kit.table), kit.rb2).is_empty()
+
+
+def test_longest_match_edge_domains(kit):
+    # an empty domain, one of [] alone, one that holds [], one whose
+    # strings are prefixes of each other, and one with a star before its
+    # last symbol, under each flag pair (optimized, stack_safe)
+    t = kit.table
+    a, b = literal(t, "a"), literal(t, "b")
+    domains = (empty_lang(t), empty_string(t), a, word(t, "ab"), star(a),
+               union(a, word(t, "ab")), concat(star(word(t, "ab")), b))
+    for domain, flags in itertools.product(domains, itertools.product((False, True),
+                                                                      (True, False))):
+        phi = kit.non_markers_of(domain)
+        got = replace_module.longest_match(kit, phi, *flags)
+        assert got.same_structure(longest_match(kit, phi, *flags)), flags
 
 
 def test_mark_iff_and_guard_before_edge_cases(kit):

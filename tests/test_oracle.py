@@ -43,6 +43,7 @@ from fsrw.dsl import compile_rules
 from fsrw.oracle import ORACLE_MEMO_CAP, Oracle, SplitOracle, _Walker
 
 from gen import (
+    ROOT,
     all_strings,
     build_regex,
     random_arc_machine,
@@ -51,8 +52,6 @@ from gen import (
     random_replace_rule,
     random_target,
 )
-
-RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
 
 
 @pytest.fixture
@@ -256,7 +255,7 @@ def test_oracle_replace_never_reuses_another_rules_oracle():
 
 
 def _devoice():
-    comp = compile_rules((RULES_DIR / "devoice_final.fsr").read_text(encoding="utf-8"))
+    comp = compile_rules((ROOT / "rules" / "devoice_final.fsr").read_text(encoding="utf-8"))
     return comp.pieces
 
 
@@ -450,7 +449,7 @@ def _ab_strings(seed):
 
 
 def _split_cases():
-    topo = compile_rules((RULES_DIR / "topological.fsr").read_text(encoding="utf-8"))
+    topo = compile_rules((ROOT / "rules" / "topological.fsr").read_text(encoding="utf-8"))
     return ([(pieces, _ab_strings(k)) for k, pieces in enumerate(_split_rules(50, 40))]
             + [(topo.pieces, _topological_strings(51, 400))])
 
@@ -505,7 +504,7 @@ def test_each_piece_span_is_walked_once(monkeypatch):
         return outputs(self, ids)
 
     monkeypatch.setattr(_Walker, "outputs", counted)
-    topo = compile_rules((RULES_DIR / "topological.fsr").read_text(encoding="utf-8"))
+    topo = compile_rules((ROOT / "rules" / "topological.fsr").read_text(encoding="utf-8"))
     oracle = SplitOracle(topo.pieces)
     strings = _topological_strings(54, 300)
     for s in strings + strings[::-1]:

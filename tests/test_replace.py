@@ -11,7 +11,6 @@ import io
 import itertools
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -47,10 +46,8 @@ from fsrw import (
 from fsrw.cli import main
 from fsrw.fsm import _reach
 
-from gen import all_strings, count_memo, random_replace_rule
+from gen import ROOT, RULE_FILES, all_strings, count_memo, random_replace_rule
 
-RULES = Path(__file__).resolve().parent.parent / "rules"
-BENCH_RULES = RULES.parent / "bench" / "rules"
 
 # the package re-exports the function replace under the module's name
 replace_module = importlib.import_module("fsrw.replace")
@@ -344,7 +341,7 @@ def test_the_corpus_rules_fold_over_their_own_alphabets(monkeypatch, name,
     # on other arcs stay apart, p and b (cascade27's second rule) and the
     # five vowels (its fourth) each share one, and so do all the others
     tables = factor_tables(monkeypatch)
-    compile_rules((BENCH_RULES / (name + ".fsr")).read_text()).machine
+    compile_rules((ROOT / "bench" / "rules" / (name + ".fsr")).read_text()).machine
     assert [len(t.user_ids()) for t in tables] == sizes
 
 
@@ -444,7 +441,7 @@ def test_compose_cascade_is_the_step_by_step_fold(tmp_path):
             want = _fold_step_by_step(factors)
             assert compose_cascade(factors).same_structure(want), flags
     cascades = []
-    for path in sorted(RULES.glob("*.fsr")) + sorted(BENCH_RULES.glob("*.fsr")):
+    for path in RULE_FILES:
         if compile_rules(path.read_text()).kind != "replace":
             continue  # --cascade splits only a replace rule
         out_path = tmp_path / (path.stem + ".fsm")

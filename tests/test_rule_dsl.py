@@ -75,7 +75,7 @@ from fsrw.dsl import (
 from fsrw.dump import dump_text
 from fsrw.fsm import _reach
 
-from gen import random_macro_program
+from gen import ROOT, random_macro_program
 
 
 def outputs(cp, syms):
@@ -278,7 +278,7 @@ def test_recursion_error_names_the_first_recursive_macro():
 
 def test_recursion_error_is_the_same_on_every_hash_seed():
     # string hashing orders sets differently per seed; the error must not
-    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    src_dir = str(ROOT / "src")
     path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     script = ("from fsrw.dsl import RuleError, compile_rules\n"
               "try:\n    compile_rules(%r)\n"
@@ -701,7 +701,7 @@ def test_a_callee_sees_only_its_own_parameters():
 
 
 def test_readme_names_every_operator():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     table = readme.split("Expression syntax")[1].split("\n\n")[1]
     # the operator texts used in the first column's code spans
     used = {tok.text for row in table.splitlines()[2:]
