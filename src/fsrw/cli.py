@@ -105,15 +105,9 @@ def cmd_apply(args) -> int:
         except FsmError as exc:
             out.write("*** %s\n" % exc)
             continue
-        outputs = transduce(m, toks, limit=args.limit).strings()
-        if len(outputs) > 1:
-            outputs.sort()
-        if not outputs:
-            out.write(args.on_empty + "\n")
-        elif args.all:
-            out.write("\t".join(outputs) + "\n")
-        else:
-            out.write(outputs[0] + "\n")
+        res = transduce(m, toks, limit=args.limit)
+        text = res.joined("\t") if args.all else res.least()
+        out.write((args.on_empty if text is None else text) + "\n")
     return 0
 
 

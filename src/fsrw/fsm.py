@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import chain, product
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 EPS = -1  # epsilon on one side of a label; never a symbol table id
@@ -1092,17 +1093,30 @@ def accepts(m: Fst, s) -> bool:
 
 
 class _Segment:
-    """The finite output set of a stretch of a line's lattice: glyph tuples
-    sorted by symbol id, their joins in the same order, and whether no
-    output is a proper prefix of another.  In sorted order a prefix sorts
-    right before the outputs it starts, so neighbours tell."""
+    """The finite output set of a stretch of a line's lattice.  A stretch
+    with several paths is built once, with everything below, and kept with
+    the tables for later lines that contain it (`InputTables.segment`); a
+    run of single-path steps makes a one-output segment on each line.
 
-    __slots__ = ("tuples", "strings", "prefix_free")
+    `tuples` holds the glyph tuples sorted by symbol id, `strings` their
+    joins in the same order, and `prefix_free` says that no output is a
+    proper prefix of another.  In id order a prefix sorts right before
+    the outputs it starts, so neighbours tell.  For printing, `ordered`
+    holds the strings in string order, and `apart` says that no string
+    equals another or is a prefix of another; again neighbours tell."""
+
+    __slots__ = ("tuples", "strings", "prefix_free", "ordered", "apart")
 
     def __init__(self, tuples: list[tuple[str, ...]]):
         self.tuples = tuples
-        self.strings = ["".join(t) for t in tuples]
-        self.prefix_free = all(b[:len(a)] != a for a, b in zip(tuples, tuples[1:]))
+        self.strings = strings = ["".join(t) for t in tuples]
+        if len(strings) == 1:  # a run of single-path steps, met on most lines
+            self.ordered = strings
+            self.prefix_free = self.apart = True
+        else:
+            self.prefix_free = all(b[:len(a)] != a for a, b in zip(tuples, tuples[1:]))
+            self.ordered = ordered = sorted(strings)
+            self.apart = not any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
 
 
 class TransduceResult:
@@ -1111,20 +1125,30 @@ class TransduceResult:
     `outputs` holds glyph tuples sorted lexicographically by symbol id; it
     is built on first access, once, and later accesses return the same
     list.  `strings()` gives their joins for display, in the same order,
-    as a new list on every call (the caller may sort it), and `len()`
-    counts them; neither builds the tuples.  `truncated` is set when the
-    output set is infinite and only the first `limit` (shortest first) are
-    kept.
+    as a new list on every call, so a caller that sorts or edits it leaves
+    the result as it was.  `truncated` is set when the output set is
+    infinite and only the first `limit` (shortest first) are kept.
+
+    A line with several paths may keep its outputs factored: `segs` lists
+    one `_Segment` per stretch of the line, and the outputs are their
+    product.  Then the joins are built on the first call to `strings()`
+    (or iteration) and the tuples on the first read of `outputs`; `len()`
+    is the product of the list sizes, one multiplication per list, and
+    builds neither.  `joined` and `least` give what `fsrw apply` prints;
+    for a product in string order they read the lists and build neither.
     """
 
-    __slots__ = ("_strings", "_outputs", "_steps", "truncated")
+    __slots__ = ("_strings", "_outputs", "_steps", "_segs", "truncated")
 
-    def __init__(self, strings: list[str], truncated: bool, outputs, steps=None):
+    def __init__(self, strings: Optional[list[str]], truncated: bool, outputs,
+                 steps=None, segs=None):
         # `outputs` is the list of glyph tuples, a function that makes it,
-        # or None for the one output along the single-path `steps`
+        # or None for the one output along the single-path `steps`;
+        # `strings` is None when `segs` gives them
         self._strings = strings
         self._outputs = outputs
         self._steps = steps
+        self._segs = segs
         self.truncated = truncated
 
     @property
@@ -1136,14 +1160,53 @@ class TransduceResult:
             self._outputs = self._outputs()
         return self._outputs
 
+    def _flat(self) -> list[str]:
+        if self._strings is None:
+            self._strings = list(map("".join, product(*[seg.strings for seg in self._segs])))
+        return self._strings
+
     def strings(self) -> list[str]:
-        return list(self._strings)
+        return list(self._flat())
 
     def __iter__(self):
-        return iter(self._strings)
+        return iter(self._flat())
 
     def __len__(self):
+        if self._strings is None:
+            return prod([len(seg.strings) for seg in self._segs])
         return len(self._strings)
+
+    def joined(self, sep: str) -> Optional[str]:
+        """The outputs' strings in string order, repeats kept, joined by
+        `sep`: `sep.join(sorted(self.strings()))`, or None when there is
+        no output.  A product whose lists but the last are all `apart` is
+        already in string order: two of its outputs first differ inside
+        one list's entries, which nothing after them can overturn.  It is
+        written straight from the lists (`_product_text`); any other
+        result is sorted."""
+        strings = self._strings
+        if strings is None:
+            segs = self._segs
+            if all(seg.apart for seg in segs[:-1]):
+                return _product_text([seg.ordered for seg in segs], sep)
+            strings = self._flat()
+        if len(strings) == 1:
+            return strings[0]
+        return sep.join(sorted(strings)) if strings else None
+
+    def least(self) -> Optional[str]:
+        """The least of the outputs' strings, or None when there is none:
+        for a product in string order (see `joined`), each list's first
+        string, concatenated."""
+        strings = self._strings
+        if strings is None:
+            segs = self._segs
+            if all(seg.apart for seg in segs[:-1]):
+                return "".join([seg.ordered[0] for seg in segs])
+            strings = self._flat()
+        if len(strings) == 1:
+            return strings[0]
+        return min(strings) if strings else None
 
 
 def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
@@ -1189,7 +1252,8 @@ def _segmented_outputs(tables: InputTables, trail, start: int,
     its cached `_Segment`.  A list whose one output is empty is left out.
     When every list but the last is prefix-free, two outputs first differ
     inside one list's entries, so the product is in symbol-id order
-    without repeats; otherwise it is deduplicated and sorted by ids."""
+    without repeats, and the result keeps the lists, building neither
+    strings nor tuples; otherwise it is deduplicated and sorted by ids."""
     segs = []
     lo, entry = 0, start
     last = len(trail) - 1
@@ -1210,11 +1274,24 @@ def _segmented_outputs(tables: InputTables, trail, start: int,
         return [tuple(chain.from_iterable(t)) for t in product(*[seg.tuples for seg in segs])]
 
     if all(seg.prefix_free for seg in segs[:-1]):
-        strings = map("".join, product(*[seg.strings for seg in segs]))
-        return TransduceResult(list(strings), False, glyph_tuples)
+        return TransduceResult(None, False, glyph_tuples, segs=segs)
     id_of = table.id_of
     outputs = sorted(set(glyph_tuples()), key=lambda o: [id_of(g) for g in o])
     return TransduceResult(["".join(o) for o in outputs], False, outputs)
+
+
+def _product_text(lists: list[list[str]], sep: str) -> str:
+    """`sep.join(map("".join, product(*lists)))` in O(sqrt(N)) Python steps
+    for N outputs.  The lists are split where the product of the first
+    ones first reaches sqrt(N); each half's strings are built once, and
+    each head writes its run of the line in one join over the tails."""
+    n = prod([len(strings) for strings in lists])
+    k, size = 0, 1
+    while size * size < n:
+        size *= len(lists[k])
+        k += 1
+    tails = list(map("".join, product(*lists[k:])))
+    return sep.join([h + (sep + h).join(tails) for h in map("".join, product(*lists[:k]))])
 
 
 def _glyphs_of(steps) -> tuple[str, ...]:

@@ -131,6 +131,27 @@ def random_arc_machine(rng: random.Random, table, max_states: int = 3,
     return Fst(table, n, 0, finals, tuple(sorted(arcs)), is_rec)
 
 
+def random_branching_machine(rng: random.Random, table, max_states: int = 3) -> Fst:
+    """A random machine that often writes several outputs for one input:
+    every state has one to three arcs on every symbol, each writing a
+    random symbol or nothing, so each input reaches some state and most
+    are accepted.  Input labels are never epsilon."""
+    n = rng.randint(1, max_states)
+    syms = list(table.user_ids())
+    arcs = {(src, inp, rng.choice(syms + [EPS]), rng.randrange(n))
+            for src in range(n) for inp in syms for _ in range(rng.randint(1, 3))}
+    finals = frozenset(q for q in range(n) if rng.random() < 0.6) or frozenset([n - 1])
+    return Fst(table, n, 0, finals, tuple(sorted(arcs)), False)
+
+
+def arc_machine(table, n: int, finals, arcs) -> Fst:
+    """A machine given by arcs (source, input, output, target) over glyphs,
+    None for epsilon, with initial state 0."""
+    sid = {None: EPS, **{g: table.id_of(g) for g in table.user_glyphs()}}
+    return Fst(table, n, 0, frozenset(finals),
+               tuple(sorted((s, sid[i], sid[o], d) for s, i, o, d in arcs)), False)
+
+
 def random_word(rng: random.Random, glyphs, max_len: int):
     return [rng.choice(glyphs) for _ in range(rng.randint(0, max_len))]
 

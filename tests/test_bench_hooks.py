@@ -142,3 +142,21 @@ def test_tracer_records_apply_outputs(spans, tmp_path, monkeypatch, capsys):
     applied = [sp for sp in tracer.spans if sp.name == "fsm.transduce"]
     assert [sp.extra for sp in applied] == [1, 1, 1]
     assert spans.layer_metrics(tracer.spans, {})["fsm.transduce.outputs"] == 3
+    # a five-pair ambiguous line under --all: the tracer counts its 4**5
+    # outputs with len(), which the factored result answers unbuilt
+    machine = tmp_path / "ambiguous.fsm"
+    assert main(["compile", "-r", str(ROOT / "bench" / "rules" / "ambiguous.fsr"),
+                 "-o", str(machine)]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO("aektaeiokoatie\n"))
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.item = "short:ambiguous:0"
+    try:
+        rc = main(["apply", "-m", str(machine), "--all"])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert capsys.readouterr().out.count("\t") == 1023
+    applied = [sp for sp in tracer.spans if sp.name == "fsm.transduce"]
+    assert [sp.extra for sp in applied] == [1024]
+    assert spans.layer_metrics(tracer.spans, {})["fsm.transduce.outputs"] == 1024

@@ -3,9 +3,11 @@
 stdin is monkeypatched per test; stdout and exit codes carry the
 contract."""
 
+import collections
 import importlib
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,9 +17,10 @@ import pytest
 
 import fsrw.cli
 import fsrw.dsl
-from fsrw import SymbolTable
+import fsrw.dump
+from fsrw import SymbolTable, transduce
 from fsrw.cli import main
-from gen import ROOT, count_memo
+from gen import ROOT, arc_machine, count_memo, random_branching_machine
 
 
 TOPO = """\
@@ -141,6 +144,115 @@ def test_apply_tokenizes_multi_char_glyphs_greedily(tmp_path, monkeypatch,
     assert rc == 0
     # greedy split: ab ab, so abab parses and maps to itself
     assert out == "abab\n"
+
+
+def _apply_prints_sorted(monkeypatch, capsys, machine, lines, limit=64):
+    """`fsrw apply` on the machine file `machine`, with and without --all
+    and with --on-empty, prints exactly the sorted strings of each line's
+    `transduce` result, tab-joined, or the least of them.  Returns the
+    results."""
+    m = fsrw.cli._load_machine(str(machine))
+    split = fsrw.cli._tokenizer(m.table)
+    results = [transduce(m, split(line), limit=limit) for line in lines]
+    stdin = "".join(line + "\n" for line in lines)
+    for extra in ([], ["--on-empty", "<NONE>"]):
+        for every in (True, False):
+            rc, out, err = run(monkeypatch, capsys,
+                               ["apply", "-m", str(machine), "--limit", str(limit), *extra,
+                                *(["--all"] if every else [])], stdin)
+            want = []
+            for res in results:
+                strings = sorted(res.strings())
+                if not strings:
+                    want.append(extra[1] if extra else "")
+                else:
+                    want.append("\t".join(strings) if every else strings[0])
+            assert rc == 0
+            assert out == "".join(w + "\n" for w in want), (extra, every)
+    return results
+
+
+def _machine_file(tmp_path, m, name="m.fsm"):
+    path = tmp_path / name
+    path.write_text(fsrw.dump.dump_text(m), encoding="utf-8")
+    return path
+
+
+# glyph sets whose strings run into one another: prefixes, a glyph that
+# prints like two others, and a tab inside a glyph
+APPLY_GLYPHS = [["a", "b", "ab", "ba", "c"], ["zz", "b", "ab", "a"],
+                ["x", "y", "xy", "yx", "x\ty", "\t"]]
+
+
+def test_apply_prints_the_sorted_outputs_of_random_machines(tmp_path, monkeypatch,
+                                                           capsys):
+    # apply writes a product in string order from its stretch lists, and
+    # sorts anything else; either way it prints what sorting would
+    rng = random.Random(47)
+    routes = collections.Counter()
+    for k in range(30):
+        tb = SymbolTable(APPLY_GLYPHS[k % len(APPLY_GLYPHS)])
+        m = random_branching_machine(rng, tb)
+        glyphs = tb.user_glyphs()
+        lines = ["".join(rng.choice(glyphs) for _ in range(rng.randint(0, 6)))
+                 for _ in range(40)]
+        machine = _machine_file(tmp_path, m)
+        for res in _apply_prints_sorted(monkeypatch, capsys, machine, lines):
+            if res._segs is not None and len(res) > 1:
+                routes[all(seg.apart for seg in res._segs[:-1])] += 1
+    assert routes[True] > 300 and routes[False] > 30
+
+
+def test_apply_prints_the_sorted_outputs_of_fixed_lines(tmp_path, monkeypatch, capsys):
+    def check(machine, lines, **kw):
+        return _apply_prints_sorted(monkeypatch, capsys, machine, lines, **kw)
+
+    # two outputs that print alike, the glyphs a b and the one glyph ab,
+    # and a line of two such stretches
+    machine = compiled(tmp_path, "[x,x] x {[a,b], ab}.")
+    rc, out, err = run(monkeypatch, capsys, ["apply", "-m", str(machine), "--all"], "xx\n")
+    assert out == "ab\tab\n"
+    check(machine, ["xx", "", "x", "xxx"])
+    machine = compiled(tmp_path, "replace({[x,x] x {[a,b], ab}, y x {a, c}}, [], []).",
+                       name="twice.fsr")
+    check(machine, ["xxy", "xxyxx", "yxxy", "xxxx"])
+    # ids zz < b < ab < a, the reverse of string order
+    tb = SymbolTable(["zz", "b", "ab", "a"])
+    m = arc_machine(tb, 4, [2], [(0, "b", "zz", 1), (0, "b", "b", 1), (1, "b", "ab", 2),
+                                 (1, "b", "a", 3), (3, None, "b", 2)])
+    check(_machine_file(tmp_path, m), ["bb", "b", "bbb"])
+    # `a` writes {x, xy} and `b` writes {y, z}, over the glyphs x and xy:
+    # the list {x, xy} is prefix-free as glyph tuples, so the id-ordered
+    # product xy xz xyy xyz is kept factored, but not as strings
+    tb = SymbolTable(["a", "b", "x", "y", "z", "xy"])
+    arcs = [(0, "a", "x", 1), (0, "a", "xy", 1), (1, "b", "y", 2), (1, "b", "z", 2),
+            (2, "a", "x", 1), (2, "a", "xy", 1)]
+    results = check(_machine_file(tmp_path, arc_machine(tb, 3, [2], arcs)),
+                    ["ab", "abab", "a", "aba"])
+    assert results[0].strings() == ["xy", "xz", "xyy", "xyz"]
+    assert results[0]._segs is not None
+    # the same over the glyphs x and y: not prefix-free as glyph tuples
+    tb = SymbolTable("abxyz")
+    arcs = [(0, "a", "x", 1), (0, "a", "x", 3), (3, None, "y", 1), (1, "b", "y", 2),
+            (1, "b", "z", 2), (2, "a", "x", 1), (2, "a", "x", 4), (4, None, "y", 1)]
+    check(_machine_file(tmp_path, arc_machine(tb, 5, [2], arcs)), ["ab", "abab", "a", "aba"])
+    # a quoted glyph that holds a tab, in an ordered product
+    machine = compiled(tmp_path, "replace(a x {'\t', 'c\td'}, [], []).", name="tab.fsr")
+    results = check(machine, ["aa", "aaa", ""])
+    assert len(results[0]) == 4 and results[0]._segs is not None
+    # five vowel pairs, 4**5 outputs
+    machine = compiled(tmp_path, (ROOT / "bench" / "rules" / "ambiguous.fsr").read_text(),
+                       name="ambiguous.fsr")
+    results = check(machine, ["aektaeiokoatie", "kaetio", "kt"])
+    assert len(results[0]) == 1024
+    # infinite output sets, cut to the shortest under --limit
+    machine = compiled(tmp_path, "replace(a x b*, [], []).", name="loop.fsr")
+    check(machine, ["a", "aa", ""], limit=3)
+    tb = SymbolTable("abxyz")
+    m = arc_machine(tb, 4, [3], [(0, "a", "x", 1), (0, "a", "y", 1), (1, None, "z", 1),
+                                 (1, "b", "b", 2), (2, "a", "x", 3), (2, "a", "y", 3)])
+    results = check(_machine_file(tmp_path, m), ["aba", "ab"], limit=5)
+    assert results[0].truncated
 
 
 def test_dump_normalizes(tmp_path, monkeypatch, capsys):

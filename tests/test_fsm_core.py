@@ -56,8 +56,8 @@ from fsrw import (
 from fsrw.dump import dump_text, load_text
 from fsrw.oracle import _Walker
 
-from gen import (ROOT, RULE_FILES, build_regex, model_lang, random_arc_machine,
-                 random_regex)
+from gen import (ROOT, RULE_FILES, arc_machine, build_regex, model_lang,
+                 random_arc_machine, random_regex)
 
 
 AMBIGUOUS = """\
@@ -288,7 +288,8 @@ def test_transduce_multiple_outputs(tb):
     res = transduce(star(t), "aa")
     assert sorted(res.strings()) == ["aa", "ab", "ba", "bb"]
     assert not res.truncated
-    # `fsrw apply` sorts what `strings()` returns in place
+    # a fresh list on every call: the result keeps its own, so a caller
+    # that sorts or edits the list it got leaves the result as it was
     res.strings().sort(reverse=True)
     assert res.strings() == list(res) == ["aa", "ab", "ba", "bb"]
     assert res.strings() is not res.strings()
@@ -408,6 +409,20 @@ def test_transduce_ambiguous_long_line():
     assert not res.truncated
 
 
+def test_transduce_counts_a_product_without_building_it():
+    # k vowel pairs, each a stretch of four outputs: len() multiplies the
+    # list sizes, and neither the strings nor the glyph tuples are built
+    m = compile_rules(AMBIGUOUS).machine
+    for k in range(1, 10):
+        res = transduce(m, "kt".join(["ae"] * k))
+        assert len(res) == 4 ** k
+        assert res._strings is None and callable(res._outputs), k
+    res = transduce(m, "ae" + "io" + "kt")
+    assert len(res) == 16 and res._strings is None
+    assert res.strings() == [x + y + "kt" for x in "aeio" for y in "aeio"]
+    assert len(res) == len(res.outputs) == 16
+
+
 def test_transduce_leaves_recursion_limit_alone(devoice, monkeypatch):
     def refuse(n):
         raise AssertionError("transduce changed the recursion limit")
@@ -495,19 +510,12 @@ def _walker_outputs(m, w):
             for o in sorted(_Walker(m).outputs([tb.id_of(g) for g in w]))]
 
 
-def _arc_machine(tb, n, finals, arcs):
-    """A machine given by arcs over glyphs (None for epsilon)."""
-    sid = {None: EPS, **{g: tb.id_of(g) for g in tb.user_glyphs()}}
-    return Fst(tb, n, 0, frozenset(finals),
-               tuple(sorted((s, sid[i], sid[o], d) for s, i, o, d in arcs)), False)
-
-
 def test_transduce_dedups_outputs_that_collide_across_a_cut():
     # `a` writes {x, xy} and `b` writes {y, nothing, x}; both stretches end
     # in one state, so the line is cut after each.  xy comes out twice, and
     # with y before x in id order, the order is not the strings' order
     tb = SymbolTable("abyx")
-    m = _arc_machine(tb, 4, [2], [(0, None, "x", 3), (3, "a", "y", 1), (0, "a", "x", 1),
+    m = arc_machine(tb, 4, [2], [(0, None, "x", 3), (3, "a", "y", 1), (0, "a", "x", 1),
                                   (1, "b", "y", 2), (1, "b", None, 2), (1, "b", "x", 2)])
     res = transduce(m, "ab")
     assert len(m.input_tables().segments) == 2
@@ -520,7 +528,7 @@ def test_transduce_dedups_outputs_that_collide_across_a_cut():
     # stretch that writes nothing is left out, so the product stays
     # ordered and builds no glyph tuple until asked
     tb = SymbolTable("abyxzc")
-    m = _arc_machine(tb, 4, [2], [(0, None, "x", 3), (3, "a", "y", 1), (0, "a", "x", 1),
+    m = arc_machine(tb, 4, [2], [(0, None, "x", 3), (3, "a", "y", 1), (0, "a", "x", 1),
                                   (1, "b", "z", 2), (1, "c", None, 2), (2, "c", None, 2)])
     for line, want, ordered in (("ab", ["xyz", "xz"], False), ("ac", ["x", "xy"], True),
                                 ("acc", ["x", "xy"], True)):
@@ -534,7 +542,7 @@ def test_transduce_orders_multi_character_glyphs_by_id():
     # ids zz < b < ab < a, the reverse of string order; ("ab",) and
     # ("a", "b") are two outputs that print alike
     tb = SymbolTable(["zz", "b", "ab", "a"])
-    m = _arc_machine(tb, 4, [2], [(0, "b", "zz", 1), (0, "b", "b", 1), (1, "b", "ab", 2),
+    m = arc_machine(tb, 4, [2], [(0, "b", "zz", 1), (0, "b", "b", 1), (1, "b", "ab", 2),
                                   (1, "b", "a", 3), (3, None, "b", 2)])
     res = transduce(m, ["b", "b"])
     want = [("zz", "ab"), ("zz", "a", "b"), ("b", "ab"), ("b", "a", "b")]
@@ -548,7 +556,7 @@ def test_transduce_cyclic_stretch_beside_finite_ones():
     # {x, y} z* b {x, y} on aba: the middle stretch loops on z, so the
     # line's outputs are the `limit` shortest, ties in id order
     tb = SymbolTable("abxyz")
-    m = _arc_machine(tb, 4, [3], [(0, "a", "x", 1), (0, "a", "y", 1), (1, None, "z", 1),
+    m = arc_machine(tb, 4, [3], [(0, "a", "x", 1), (0, "a", "y", 1), (1, None, "z", 1),
                                   (1, "b", "b", 2), (2, "a", "x", 3), (2, "a", "y", 3)])
     with pytest.raises(FsmError):
         _walker_outputs(m, "aba")
@@ -598,7 +606,7 @@ def test_silent_cycle_beside_writing_arcs_is_finite():
     # 1 and 2 loop on eps:eps, and 2 writes y leaving the loop: no cycle
     # writes, so every line has finitely many outputs
     tb = SymbolTable("abxy")
-    m = _arc_machine(tb, 4, [3], [(0, "a", "x", 1), (0, "a", "y", 1), (1, None, None, 2),
+    m = arc_machine(tb, 4, [3], [(0, "a", "x", 1), (0, "a", "y", 1), (1, None, None, 2),
                                   (2, None, None, 1), (2, None, "y", 3), (1, "b", "b", 3)])
     for w, want in (("a", ["xy", "yy"]), ("ab", ["xb", "yb"])):
         res = transduce(m, w, limit=1)
@@ -610,7 +618,7 @@ def test_silent_cycle_beside_writing_arcs_is_finite():
 def test_writing_cycle_behind_a_silent_arc_is_endless():
     # 2 and 4 loop writing z, entered from 1 by an eps:eps arc
     tb = SymbolTable("abxyz")
-    m = _arc_machine(tb, 5, [3], [(0, "a", "x", 1), (0, "a", "y", 1), (1, None, None, 2),
+    m = arc_machine(tb, 5, [3], [(0, "a", "x", 1), (0, "a", "y", 1), (1, None, None, 2),
                                   (2, None, "z", 4), (4, None, None, 2), (2, "b", "b", 3)])
     with pytest.raises(FsmError):
         _walker_outputs(m, "ab")
@@ -655,7 +663,7 @@ def _x_in_each_block(tb, separator):
         + [(1, s, s, 1) for s in "ab"]
     if separator:
         arcs.append((1, separator, separator, 0))
-    return _arc_machine(tb, 2, [1], arcs)
+    return arc_machine(tb, 2, [1], arcs)
 
 
 def _one_x_each(block):
