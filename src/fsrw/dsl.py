@@ -544,12 +544,15 @@ def parse_expr(text: str):
 # macro expansion
 
 
-# The predefined macros: the paper's filters, its two operators on
-# relations and Kaplan & Kay's `xign` and `ignx_1`, written in the
-# calculus itself.  They are closed: a call in one of their bodies names
-# a builtin or another predefined macro, never a macro of the program,
-# so a program may redefine any name without changing what they mean.
+# The predefined macros: the paper's `not`, its filters, its two
+# operators on relations and Kaplan & Kay's `ign`, `xign` and `ignx_1`,
+# written in the calculus itself.  They are closed: a call in one of
+# their bodies names a builtin or another predefined macro, never a macro
+# of the program, so a program may redefine any name without changing
+# what they mean.
 _STDLIB_SRC = """
+% the cell strings outside E
+macro(not(E), xsig()* - E).
 macro(priority_union(Q,R), {Q, ~domain(Q) o R}).
 macro(lenient_composition(R,C), priority_union(R o C, R)).
 % every prefix in L1 is followed by a suffix in L2
@@ -562,7 +565,8 @@ macro(l_iff_r(L,R), p_iff_s([xsig()*, L], [R, xsig()*])).
 % true() when E denotes anything at all, else false()
 macro(coerce_to_boolean(E), range(E o (true() x true()))).
 macro(if(C,T,E), {coerce_to_boolean(C) o T, ~coerce_to_boolean(C) o E}).
-% E with S cells inserted anywhere after its first cell
+% E with S cells inserted anywhere, or after its first cell
+macro(ign(E,S), range(E o intro(S))).
 macro(xign(E,S), range(E o xintro(S))).
 % E1 with at least one E2 string wedged in between raw symbols, none at
 % the end; E2 need not be whole cells
@@ -571,18 +575,23 @@ macro(ignx_1(E1,E2), range(E1 o [[true(), [] x E2]+, true() - []])).
 
 # Every builtin operator, keyed by (name, arity), with the MarkerKit
 # attribute that builds it; a zero-argument builtin is a kit property.
-# match_n/2 is no builtin: expand_macros turns it into RepeatN.
+# match_n/2 is no builtin: expand_macros turns it into RepeatN.  These
+# stay builtins: `$$` and the intro family reduce what they build, which
+# a macro could do only through `range`, and that would project a
+# transducer; `ignx` and `xignx` are one definition for the kit and the
+# language; and a zero-argument macro (`b1`, `true`, `false`) would
+# capture the bare symbols of its name.
 _BUILTINS = {
     ("sig", 0): "sig", ("xsig", 0): "xsig", ("lb1", 0): "lb1",
     ("lb2", 0): "lb2", ("rb1", 0): "rb1", ("rb2", 0): "rb2", ("lb", 0): "lb",
     ("rb", 0): "rb", ("b1", 0): "b1", ("b2", 0): "b2", ("brack", 0): "brack",
     ("non_markers", 0): "non_markers", ("true", 0): "true",
     ("false", 0): "false",
-    ("not", 1): "not_", ("$$", 1): "contains",
+    ("$$", 1): "contains",
     ("non_markers", 1): "non_markers_of", ("intro", 1): "intro",
     ("xintro", 1): "xintro", ("introx", 1): "introx",
     ("xintrox", 1): "xintrox",
-    ("ign", 2): "ign", ("ignx", 2): "ignx", ("xignx", 2): "xignx",
+    ("ignx", 2): "ignx", ("xignx", 2): "xignx",
 }
 
 

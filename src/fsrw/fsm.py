@@ -1098,23 +1098,22 @@ class _Segment:
     the tables for later lines that contain it (`InputTables.segment`); a
     run of single-path steps makes a one-output segment on each line.
 
-    `tuples` holds the glyph tuples sorted by symbol id, `strings` their
-    joins in the same order, and `prefix_free` says that no output is a
-    proper prefix of another.  In id order a prefix sorts right before
-    the outputs it starts, so neighbours tell.  For printing, `ordered`
-    holds the strings in string order, and `apart` says that no string
-    equals another or is a prefix of another; again neighbours tell."""
+    `tuples` holds the glyph tuples sorted by symbol id, and `strings`
+    their joins in the same order.  For printing, `ordered` holds the
+    strings in string order, and `apart` says that no string equals
+    another or is a prefix of another: in string order a prefix sorts
+    right before the strings it starts, so neighbours tell.  Then no
+    glyph tuple is a prefix of another either, since its join would be."""
 
-    __slots__ = ("tuples", "strings", "prefix_free", "ordered", "apart")
+    __slots__ = ("tuples", "strings", "ordered", "apart")
 
     def __init__(self, tuples: list[tuple[str, ...]]):
         self.tuples = tuples
         self.strings = strings = ["".join(t) for t in tuples]
         if len(strings) == 1:  # a run of single-path steps, met on most lines
             self.ordered = strings
-            self.prefix_free = self.apart = True
+            self.apart = True
         else:
-            self.prefix_free = all(b[:len(a)] != a for a, b in zip(tuples, tuples[1:]))
             self.ordered = ordered = sorted(strings)
             self.apart = not any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
 
@@ -1179,31 +1178,25 @@ class TransduceResult:
     def joined(self, sep: str) -> Optional[str]:
         """The outputs' strings in string order, repeats kept, joined by
         `sep`: `sep.join(sorted(self.strings()))`, or None when there is
-        no output.  A product whose lists but the last are all `apart` is
-        already in string order: two of its outputs first differ inside
-        one list's entries, which nothing after them can overturn.  It is
-        written straight from the lists (`_product_text`); any other
-        result is sorted."""
+        no output.  A factored product, whose lists but the last are all
+        `apart`, is already in string order: two of its outputs first
+        differ inside one list's entries, which nothing after them can
+        overturn.  It is written straight from the lists
+        (`_product_text`); any other result is sorted."""
         strings = self._strings
         if strings is None:
-            segs = self._segs
-            if all(seg.apart for seg in segs[:-1]):
-                return _product_text([seg.ordered for seg in segs], sep)
-            strings = self._flat()
+            return _product_text([seg.ordered for seg in self._segs], sep)
         if len(strings) == 1:
             return strings[0]
         return sep.join(sorted(strings)) if strings else None
 
     def least(self) -> Optional[str]:
         """The least of the outputs' strings, or None when there is none:
-        for a product in string order (see `joined`), each list's first
-        string, concatenated."""
+        for a factored product, in string order (see `joined`), each
+        list's first string, concatenated."""
         strings = self._strings
         if strings is None:
-            segs = self._segs
-            if all(seg.apart for seg in segs[:-1]):
-                return "".join([seg.ordered[0] for seg in segs])
-            strings = self._flat()
+            return "".join([seg.ordered[0] for seg in self._segs])
         if len(strings) == 1:
             return strings[0]
         return min(strings) if strings else None
@@ -1250,8 +1243,9 @@ def _segmented_outputs(tables: InputTables, trail, start: int,
     arc leaving it, so the line is cut after it).  A run of single-path
     stretches makes one list, its one output; any other stretch's list is
     its cached `_Segment`.  A list whose one output is empty is left out.
-    When every list but the last is prefix-free, two outputs first differ
-    inside one list's entries, so the product is in symbol-id order
+    When every list but the last is `apart`, so prefix-free as glyph
+    tuples too, two outputs first differ inside one list's entries, so
+    the product is in symbol-id order, and in string order by `ordered`,
     without repeats, and the result keeps the lists, building neither
     strings nor tuples; otherwise it is deduplicated and sorted by ids."""
     segs = []
@@ -1273,7 +1267,7 @@ def _segmented_outputs(tables: InputTables, trail, start: int,
     def glyph_tuples():
         return [tuple(chain.from_iterable(t)) for t in product(*[seg.tuples for seg in segs])]
 
-    if all(seg.prefix_free for seg in segs[:-1]):
+    if all(seg.apart for seg in segs[:-1]):
         return TransduceResult(None, False, glyph_tuples, segs=segs)
     id_of = table.id_of
     outputs = sorted(set(glyph_tuples()), key=lambda o: [id_of(g) for g in o])

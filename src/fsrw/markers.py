@@ -8,8 +8,8 @@ included) ordinary text.  Markerhood is positional, so user strings may
 contain the bracket glyphs, "0" and "1" as plain symbols.
 
 All operators here stay inside the encoded universe (sequences of cells);
-`not_` and `contains` are relative to it.  `true` and `false` work over
-the whole symbol table since they only carry emptiness.
+`contains` is relative to it.  `true` and `false` work over the whole
+symbol table since they only carry emptiness.
 
 Every machine the kit makes depends only on the table's shape, its size
 and its user ids, and on the machines it is called with, so each is built
@@ -29,15 +29,14 @@ reduction returns its input, so such an entry is stored as it was
 built, like every other entry.  Unreduced, the closures they are built
 with (`star` of a `union`, say) copy arcs onto every final state and
 grow with the square of the alphabet, and every factor and composition
-of a compile would pay for it.  The rest come out minimal from
-`difference` or `project`, or, as `strip`, invert a reduced machine.
-The filters (`non_markers_of`, `ign`, and `not_` for the
-paper-verbatim `l2`) each read only one of dom(T), Left or Right, so the
-rules that share a context or a domain over one alphabet shape share its
-filters; so do the captures that share a piece's domain, whose greed
-filters keep their overrun (`fsrw.capture`) in the store too.  `ignx`
-and `xignx` are asked for only inside stored builds, so they have no
-entry of their own.  Seven of the nine replace
+of a compile would pay for it.  The rest come out minimal from a scan
+(`ign`), `difference` or `project`.  The filters (`non_markers_of` and
+`ign`) each read only one of dom(T), Left or Right, so the rules that
+share a context or a domain over one alphabet shape share its filters;
+so do the captures that share a piece's domain, whose greed filters
+keep their overrun (`fsrw.capture`) in the store too.  `ignx` and
+`xignx` are asked for only inside stored builds, so they have no entry
+of their own.  Seven of the nine replace
 factors (`fsrw.replace.replace_factors`) are `_op`s too, each keyed by
 its name, the flags it reads and the one machine it reads, and each
 built reduced, by a scan (below) or as the constructions above are, so
@@ -63,26 +62,32 @@ Sproat's Marker pass over a deterministic automaton inserts or checks
 them (*An efficient compiler for weighted rewrite rules*, ACL 1996).
 `r_right` and `f_phi` insert theirs and `longest_match` deletes its rb2
 cells in a scan on the reversed tape, as the paper marks right contexts;
-`l1` and `l2` delete theirs in a forward scan.  A scan may ignore some
-bracket cells, which are asked about like any other.  Forwards an
-ignored cell leaves the pattern's subset as it was, so `l1` and `l2`
-read [xsig*, Left] as given.  Backwards the pattern may read it or skip
-it, but no string starts with a skipped cell, so `r_right` reads Right
-and `f_phi` [dom(T), rb2] as given, for a domain without [], and
-`longest_match` reads its occurrence, dom(T) with rb1 cells inserted, as
-given, every other bracket cell ignored.  No `ign`, `xign`, `xignx`,
-`not` or `contains` of those patterns is built by default.  Each builds the
-reduced form of the composition it stands for: the paper's `l_iff_r`,
-`not(contains(...))`, `if_s_then_p` or `not([ign(...), ...])` composed
-with `intro` or `strip`.
+`l1` and `l2` delete theirs in a forward scan, and `left_to_right`
+reads a region's content in one that deletes its lb2 cells.  A scan may
+ignore some bracket cells, which are asked about like any other.
+Forwards an ignored cell leaves the pattern's subset as it was, so `l1`
+and `l2` read [xsig*, Left] as given, and `left_to_right` dom(T).
+Backwards the pattern may read it or skip it, but no string starts with
+a skipped cell, so `r_right` reads Right and `f_phi` [dom(T), rb2] as
+given, for a domain without [], and `longest_match` reads its
+occurrence, dom(T) with rb1 cells inserted, as given, every other
+bracket cell ignored.  No `ign`, `xign`, `xignx`, `not`, `strip` or
+`contains` of those patterns is built by default.
+Each builds the reduced form of the composition it stands for: the
+paper's `l_iff_r`, `not(contains(...))`, `if_s_then_p`,
+`not([ign(...), ...])` or `ign(...)` composed with `intro` or `strip`.
+The end of the tape is asked about like a cell, so a scan may let every
+cell through and still ask for its pattern at the end: the kit's `ign`
+is that forward scan, writing nothing, the paper's `ign` for a pattern
+that holds none of the ignored cells.
 The scan is deterministic, so a forward one needs only Moore refinement,
 and a backward one determinizes its own reversal, which is minimal
 (Brzozowski, *Canonical regular expressions and minimal state graphs for
 definite events*, 1962).  The formulas, with `if_p_then_s`, `p_iff_s`,
 `coerce_to_boolean` and `if`, are predefined macros of the rule language
-(`fsrw.dsl`), written over this kit's builtins, and so are `xign` and
-`ignx_1`, which wedges strings between raw symbols, below the cells this
-kit reads; neither has a store entry.
+(`fsrw.dsl`), written over this kit's builtins, and so are `not`, the
+rule language's `ign`, `xign` and `ignx_1`, which wedges strings between
+raw symbols, below the cells this kit reads; none has a store entry.
 """
 
 from __future__ import annotations
@@ -148,7 +153,7 @@ def _stored(key, build, held: int) -> tuple:
 def _op(method):
     """An operation kept in the store: a kit method, or a replace factor
     or group of factors called with the kit first.  Its entry is named by
-    the function's own name (`not_` is "not", `_cross` "cross") and each
+    the function's own name (`_cross` is "cross") and each
     argument that is no machine, as "%d" (`longest_match(kit, phi, 0, 1)`
     is "longest_match 0 1"), keyed on the machine arguments, and holds
     what the function returns."""
@@ -160,6 +165,13 @@ def _op(method):
         return kit._keep(op, lambda: method(kit, *args),
                          *[a for a in args if isinstance(a, Fst)])
     return kept
+
+
+def _whole(final: bool, hit: Optional[bool]) -> bool:
+    """The `allow` of a scan that lets every cell through and asks for its
+    pattern at the end of the tape: the whole tape must read as a pattern
+    string."""
+    return hit is not None or final
 
 
 def _constant(method):
@@ -283,12 +295,7 @@ class MarkerKit:
     def xsig_star(self) -> Fst:
         return star(self.xsig)
 
-    # relative boolean pieces -------------------------------------------
-
-    @_op
-    def not_(self, e: Fst) -> Fst:
-        """Cell strings outside L(e)."""
-        return difference(self.xsig_star, e)
+    # containment -------------------------------------------------------
 
     @_op
     def contains(self, e: Fst) -> Fst:
@@ -337,12 +344,6 @@ class MarkerKit:
         return reduce_pairs(star(union(keep, cross_product(empty_string(self.table), s))))
 
     @_op
-    def strip(self, s: Fst) -> Fst:
-        """Delete cells from `s` anywhere, pass other cells through: intro
-        inverted."""
-        return invert(self.intro(s))
-
-    @_op
     def xintro(self, s: Fst) -> Fst:
         """Like intro, but never inserting at the start."""
         keep = difference(self.xsig, s)
@@ -363,7 +364,13 @@ class MarkerKit:
 
     @_op
     def ign(self, e: Fst, s: Fst) -> Fst:
-        return project(compose(e, self.intro(s)), "range")
+        """The cell strings that are strings of `e` once their cells of
+        `s`, a set of single cells, are erased: one forward scan over `e`
+        that ignores `s` and writes nothing (`_scan`).  That is the
+        paper's `ign(e, s)`, `range(e o intro(s))`, whenever no string of
+        `e` holds an `s` cell, as for an encoded image and a set of
+        bracket cells; the rule language's `ign` is that formula."""
+        return self._scan(e, None, False, _whole, "delete", s)
 
     # asked for only inside stored builds, so kept out of the store; the
     # tables are checked before `introx` or `xintrox` is stored
@@ -378,27 +385,30 @@ class MarkerKit:
 
     # marker filters as one-direction scans --------------------------------
 
-    def _scan(self, pattern: Fst, cell: Fst, backward: bool, allow,
+    def _scan(self, pattern: Fst, cell: Optional[Fst], backward: bool, allow,
               write: str, ignore: Optional[Fst] = None) -> Fst:
         """The reduced transduction that one scan over the cells writes.
 
         The scan reads the marked tape cell by cell, forwards or
         (`backward`) from its end.  The cells of `cell`, a language of
-        single cells, are written, never copied: `write` "insert" emits
-        each as (ε, glyph)(ε, flag), and "delete" reads each as
-        (glyph, ε)(flag, ε).  Every other cell is copied.  Over the
-        marked tape runs the subset machine of `pattern`: forwards it is
-        final where the prefix read is in `pattern`, backwards, where a
-        `pattern` string starts (it runs over rev(xsig)* rev(pattern)).
+        single cells or None for none, are written, never copied: `write`
+        "insert" emits each as (ε, glyph)(ε, flag), and "delete" reads
+        each as (glyph, ε)(flag, ε).  Every other cell is copied.  Over
+        the marked tape runs the subset machine of `pattern`: forwards it
+        is final where the prefix read is in `pattern`, backwards, where
+        a `pattern` string starts (it runs over rev(xsig)* rev(pattern)).
         At each cell boundary the scan asks `allow(final, hit)` whether
         the next cell may come: `final` tells whether the pattern holds
-        there, and `hit` whether the cell is in `cell`.  The end of the
-        tape counts as a cell that is not in `cell`.  A cell of `ignore`
-        is asked about like any other, whether or not it is in `cell`,
-        and the direction sets what the pattern makes of it:
+        there, and `hit` whether the cell is in `cell`.  At the end of the
+        tape it asks `allow(final, None)` whether the tape may end there,
+        so a scan can let every cell through and still ask for its
+        pattern at the end (`_whole`).  A cell of `ignore` is asked about
+        like any other, whether or not it is in `cell`, and the direction
+        sets what the pattern makes of it:
         - forwards it leaves the subset as it was, so the subset machine
           runs over the tape with those cells erased: `pattern` reads as
-          `ign(pattern, ignore)`, and a prefix ending in ignored cells
+          the paper's `ign(pattern, ignore)` when none of its strings
+          holds an ignored cell, and a prefix ending in ignored cells
           ends where the last cell before them does;
         - backwards the pattern may read it or skip it, but no `pattern`
           string starts with a skipped cell: the boundary before it on
@@ -490,7 +500,7 @@ class MarkerKit:
 
         keys, arcs = _explore(boundary(start, start), moves)
         finals = {k for k, (_, seconds, final) in enumerate(keys)
-                  if seconds is None and allow(final, False)}
+                  if seconds is None and allow(final, None)}
         if backward:
             return _determinize_reversal(t, len(keys), 0, finals, arcs)
         return _moore_minimize_dfa(len(keys), 0, finals, arcs, t)

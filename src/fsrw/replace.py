@@ -22,8 +22,9 @@ rule's table.  The symbols no piece mentions are one class.
 ones `fsrw compile --cascade` writes.  Each factor is built reduced,
 five of them as one scan that writes its markers (`_mark_iff`,
 `_not_contains`, `_guard_before`) and the others by reducing what they
-build, as the kit's own constructions do, so a rule's factors and its
-machine are each the reduced form of their pair language.
+build, `left_to_right` around a scan of its own, as the kit's own
+constructions do, so a rule's factors and its machine are each the
+reduced form of their pair language.
 
 `replace` folds the nine factors over five machines, one group per piece
 (Mohri & Sproat, *An efficient compiler for weighted rewrite rules*, ACL
@@ -57,7 +58,7 @@ from .fsm import (
     star,
     union,
 )
-from .markers import MarkerKit, _op
+from .markers import MarkerKit, _op, _whole
 
 
 @_op
@@ -109,8 +110,11 @@ def left_to_right(kit: MarkerKit, phi: Fst) -> Fst:
     """Nondeterministically retype some lb2 ... rb2 candidate regions to
     lb1 ... rb1, deleting lb2 cells inside a chosen region (they have done
     their job); everything between regions passes through unchanged.  A
-    region's content is phi, dom(T) encoded into cells."""
-    content = compose(kit.ign(phi, kit.b2), kit.strip(kit.lb2))
+    region's content is phi, dom(T) encoded into cells, with b2 cells
+    anywhere: one forward scan over phi that ignores the b2 cells, deletes
+    the lb2 ones and asks for phi at the end of the region (`_whole`),
+    the paper's `ign(phi, b2)` composed with `strip(lb2)`."""
+    content = kit._scan(phi, kit.lb2, False, _whole, "delete", kit.b2)
     region = concat(kit.cross(kit.lb2, kit.lb1), content,
                     kit.cross(kit.rb2, kit.rb1))
     return reduce_pairs(concat(star(concat(kit.xsig_star, region)), kit.xsig_star))
@@ -196,12 +200,14 @@ def l2(kit: MarkerKit, left: Fst, stack_safe: bool) -> Fst:
     prefix = concat(kit.xsig_star, left)
     if stack_safe:
         return _guard_before(kit, kit.lb2, prefix, kit.lb2, rule="must not")
-    return _guard_before(kit, kit.lb2, kit.ignx(kit.not_(prefix), kit.lb2))
+    return _guard_before(kit, kit.lb2, kit.ignx(difference(kit.xsig_star, prefix), kit.lb2))
 
 
 # The marker filters, each one scan (`MarkerKit._scan`) that writes the
 # markers it filters: the paper's formulas composed with `intro` or
-# `strip`, built reduced.
+# `strip`, built reduced.  `left_to_right` scans its region content with
+# the kit's `_whole`, which lets every cell through and asks for the
+# pattern at the end of the tape, as the kit's `ign` does.
 
 
 def _mark_iff(kit: MarkerKit, cell: Fst, p: Fst, ignore: Optional[Fst] = None) -> Fst:
@@ -216,7 +222,8 @@ def _mark_iff(kit: MarkerKit, cell: Fst, p: Fst, ignore: Optional[Fst] = None) -
     tape, where no cell comes before, no `p` string may start.  Read
     forwards, the same test would need a subset tracking every open `p`
     match that some `cell` has promised."""
-    return kit._scan(p, cell, True, lambda final, hit: hit == final, "insert", ignore)
+    return kit._scan(p, cell, True, lambda final, hit: bool(hit) == final, "insert",
+                     ignore)
 
 
 def _not_contains(kit: MarkerKit, k: Fst, cell: Fst, ignore: Optional[Fst] = None) -> Fst:

@@ -1,14 +1,18 @@
 """The marker factors built as one writing scan each, against the builds
-they replace.
+they replace (`reference`).
 
 `r_right` and `f_phi` insert their markers in one backward scan,
-`longest_match` deletes the rb2 cells in one, and `l1` and `l2` delete
-their markers in one forward scan each (`MarkerKit._scan`).  Each must
-build the very machine of the composition it stands for: a filter
-composed with `intro` or `strip` and reduced, the filter compiled from
-the rule language's predefined macros, the paper's formulas `l_iff_r`,
-`if_s_then_p` and `not($$(...))`.  Both sides are reduced forms, so equal
-pair languages give equal structure."""
+`longest_match` deletes the rb2 cells in one, `l1` and `l2` delete
+their markers in one forward scan each, and `left_to_right` reads a
+region's content in one forward scan that deletes its lb2 cells
+(`MarkerKit._scan`).  Each must build the very machine of the
+composition it stands for: a filter composed with `intro` or `strip` and
+reduced, the filter compiled from the rule language's predefined macros,
+the paper's formulas `l_iff_r`, `if_s_then_p` and `not($$(...))`, or
+`ign` composed with `strip`.  The kit's `ign`, a forward scan that
+writes nothing, must build the paper's `ign` wherever the pattern holds
+no ignored cell.  Both sides are reduced forms, so equal pair languages
+give equal structure."""
 
 import importlib
 import itertools
@@ -24,14 +28,11 @@ from fsrw import (
     SymbolTable,
     canonicalize,
     compile_rules,
-    compose,
     concat,
     difference,
     empty_lang,
     empty_string,
-    intersection,
     literal,
-    option,
     project,
     reduce_pairs,
     replace_factors,
@@ -41,105 +42,12 @@ from fsrw import (
     word,
 )
 
-from gen import (RULE_FILES, formula, random_cell_pattern, random_replace_rule,
-                 record_store)
+from gen import (RULE_FILES, build_regex, random_cell_pattern, random_regex,
+                 random_replace_rule, record_store)
+from reference import (RULES, SCANNED, guarded, ign, longest_match, mark_iff,
+                       not_, strip, strip_not_containing)
 
 replace_module = importlib.import_module("fsrw.replace")
-
-
-def l_iff_r(cell, p):
-    return formula(cell.table, "l_iff_r(C, P)", C=cell, P=p)
-
-
-def if_s_then_p(a, cell):
-    return formula(a.table, "if_s_then_p(A, [C, xsig()*])", A=a, C=cell)
-
-
-def not_contains(k):
-    return formula(k.table, "not($$(K))", K=k)
-
-
-# The builds the scans replace, each filter given by its formula.
-
-# `_mark_iff`'s pattern with the ignored cells I inserted anywhere after
-# its first cell: no P string starts with an ignored cell
-SPREAD = "range(P o {[], [xsig(), {xsig(), [] x I}*]})"
-
-
-def mark_iff(kit, cell, p, ignore=None):
-    if ignore is not None:
-        p = formula(kit.table, SPREAD, P=p, I=ignore)
-    return reduce_pairs(compose(kit.intro(cell), l_iff_r(cell, p)))
-
-
-def strip_not_containing(kit, k, cell):
-    return reduce_pairs(compose(not_contains(k), kit.strip(cell)))
-
-
-# `_guard_before`'s two rules, each a filter over the pattern with the
-# ignored cells inserted anywhere
-RULES = {"must": "if_s_then_p(ign(A, I), [C, xsig()*])",
-         "must not": "not([ign(A, I), C, xsig()*])"}
-
-
-def guarded(kit, cell, a, ignore, rule):
-    ignore = empty_lang(kit.table) if ignore is None else ignore
-    guard = formula(kit.table, RULES[rule], A=a, C=cell, I=ignore)
-    return reduce_pairs(compose(guard, kit.strip(cell)))
-
-
-def guard_before(kit, cell, a, skip=None):
-    guard = if_s_then_p(a, cell)
-    if skip is not None:
-        guard = kit.ign(guard, skip)
-    return reduce_pairs(compose(guard, kit.strip(cell)))
-
-
-def r_right(kit, right):
-    if right.accepts_epsilon():
-        ins = kit.cross(None, kit.rb2)
-        return reduce_pairs(concat(star(concat(ins, kit.sig)), ins))
-    return mark_iff(kit, kit.rb2, formula(kit.table, "xign(E, S)", E=right, S=kit.rb2))
-
-
-def f_phi(kit, phi):
-    if phi.accepts_epsilon():
-        nonempty = difference(phi, empty_string(kit.table))
-        pattern = union(
-            concat(option(kit.lb2), kit.rb2),
-            concat(kit.xignx(nonempty, kit.b2), star(kit.lb2), kit.rb2))
-    else:
-        pattern = concat(kit.xignx(phi, kit.b2), option(kit.lb2), kit.rb2)
-    return mark_iff(kit, kit.lb2, pattern)
-
-
-def longest_match(kit, phi, optimized, stack_safe):
-    if optimized:
-        inner = concat(kit.ign(phi, kit.brack), kit.rb1, kit.xsig_star)
-    else:
-        inner = kit.contains(kit.rb1)
-    overrun = intersection(kit.ignx(phi, kit.brack), inner)
-    tail = concat(star(kit.lb), kit.rb) if stack_safe else kit.rb
-    return strip_not_containing(kit, concat(kit.lb1, overrun, tail), kit.rb2)
-
-
-def l1(kit, left, stack_safe):
-    ignore = kit.ign if stack_safe else kit.ignx
-    return guard_before(kit, kit.lb1, ignore(concat(kit.xsig_star, left), kit.lb1),
-                        kit.lb2)
-
-
-def l2(kit, left, stack_safe):
-    ignore = kit.ign if stack_safe else kit.ignx
-    return guard_before(kit, kit.lb2,
-                        ignore(kit.not_(concat(kit.xsig_star, left)), kit.lb2))
-
-
-# each scan factor: its place in `replace_factors`, its reference, and
-# which of the flags (optimized, stack_safe) it reads
-SCANNED = {"r_right": (1, r_right, ()), "f_phi": (2, f_phi, ()),
-           "longest_match": (4, longest_match, (0, 1)),
-           "l1": (6, l1, (1,)), "l2": (7, l2, (1,))}
 
 
 def test_scans_match_their_formulas_on_random_rules(store):
@@ -160,8 +68,8 @@ def test_scans_match_their_formulas_on_random_rules(store):
         kit = MarkerKit.of(table)
         phi, left_cells, right_cells = (kit.non_markers_of(e) for e in
                                         (project(t, "domain"), left, right))
-        args = {"r_right": right_cells, "f_phi": phi, "longest_match": phi,
-                "l1": left_cells, "l2": left_cells}
+        args = {"r_right": right_cells, "f_phi": phi, "left_to_right": phi,
+                "longest_match": phi, "l1": left_cells, "l2": left_cells}
         done = set()
         for optimized in (False, True):
             for stack_safe in (True, False) if not phi_eps else (True,):
@@ -177,7 +85,7 @@ def test_scans_match_their_formulas_on_random_rules(store):
                     checked[name] += 1
                 seen["optimized"] += optimized
                 seen["unsafe"] += not stack_safe
-    assert checked["r_right"] == checked["f_phi"] == 150
+    assert checked["r_right"] == checked["f_phi"] == checked["left_to_right"] == 150
     assert checked["longest_match"] > 2 * 150 and checked["l1"] > 150
     for what, count in seen.items():
         assert count >= 10, (what, seen)
@@ -220,7 +128,7 @@ def test_not_contains_edge_cases(kit):
         for cell in (kit.rb2, kit.lb):
             assert scan(kit, k, cell).same_structure(strip_not_containing(kit, k, cell))
     assert scan(kit, empty_lang(kit.table), kit.rb2).same_structure(
-        reduce_pairs(kit.strip(kit.rb2)))
+        reduce_pairs(strip(kit, kit.rb2)))
     assert scan(kit, empty_string(kit.table), kit.rb2).is_empty()
 
 
@@ -283,6 +191,22 @@ def test_mark_iff_matches_its_formula_on_random_patterns(kit):
                 mark_iff(kit, cell, p, ignore)), k
 
 
+@pytest.mark.parametrize("glyphs", [("a", "b"), ("a", "<1"), ("<2", "2>", "0", "1")])
+def test_ign_is_its_composition_on_patterns_without_its_cells(store, glyphs):
+    # the kit's forward scan against the paper's `ign`, range(e o intro(s)),
+    # for s among lb1, b2 and brack: on random encoded images, over user
+    # glyphs that print as brackets too, and on random cell patterns with
+    # every s cell taken out
+    rng = random.Random(4800 + len(glyphs))
+    kit = MarkerKit(SymbolTable(list(glyphs)))
+    for k in range(40):
+        image = kit.non_markers_of(build_regex(random_regex(rng, glyphs), kit.table))
+        cells = random_cell_pattern(rng, kit)
+        for s in (kit.lb1, kit.b2, kit.brack):
+            for e in (image, difference(cells, kit.contains(s))):
+                assert kit.ign(e, s).same_structure(ign(kit, e, s)), k
+
+
 def test_mark_iff_reads_bracket_glyphs_as_text(kit):
     # "<2" with flag 0 is an ordinary cell, so it neither marks nor needs
     # to be marked; only "<2" with flag 1 is the marker, which is written
@@ -299,7 +223,7 @@ def test_mark_iff_reads_bracket_glyphs_as_text(kit):
 
 
 def test_the_scans_refuse_a_transduction(kit):
-    # like `not_`, which is a difference: a scan reads a language of cell
+    # like `not`, which is a difference: a scan reads a language of cell
     # strings, not the input side of a transduction
     t = kit.cross(kit.sig, kit.lb1)
     mark_iff, guard_before = replace_module._mark_iff, replace_module._guard_before
@@ -309,6 +233,8 @@ def test_the_scans_refuse_a_transduction(kit):
                  lambda: mark_iff(kit, kit.lb1, t),
                  lambda: mark_iff(kit, t, kit.sig),
                  lambda: replace_module._not_contains(kit, t, kit.rb2),
-                 lambda: kit.not_(t)):
+                 lambda: not_(kit, t),
+                 lambda: kit.ign(t, kit.lb1),
+                 lambda: kit.ign(kit.xsig_star, t)):
         with pytest.raises(FsmError, match="of a transduction is undefined"):
             scan()

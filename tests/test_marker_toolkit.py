@@ -47,6 +47,7 @@ from fsrw import (
 )
 from fsrw.capture import overrun
 from fsrw.dump import dump_text
+import reference
 from gen import (RULE_FILES, build_regex, count_memo, formula, random_context,
                  random_regex, random_replace_rule, random_target, record_store)
 
@@ -156,7 +157,7 @@ def test_ignx_1_requires_an_insertion():
 
 def test_not_and_contains_cover_cells_of_both_kinds(kit):
     a = kit.non_markers_of(literal(kit.table, "a"))
-    outside = kit.not_(a)
+    outside = reference.not_(kit, a)
     assert accepts(outside, [])
     assert accepts(outside, ["<2", "1"])
     assert accepts(outside, ["a", "0", "a", "0"])
@@ -574,7 +575,7 @@ def test_an_oversize_result_is_returned_unstored(store):
     _, builds = count_memo(store)
     for _ in range(2):
         got = kit.ign(e, kit.lb1)
-        assert got.same_structure(project(compose(e, intro), "range"))
+        assert got.same_structure(reference.ign(kit, e, kit.lb1))
         assert (markers._shape_cache, markers._shape_cache_arcs) == held
     assert len(got.arcs) + len(e.arcs) + len(intro.arcs) > markers.SHAPE_CACHE_CAP
     assert sum(builds.values()) == 2  # built each time, never stored
@@ -588,10 +589,11 @@ def test_a_cascade_builds_the_operations_on_a_shared_context_once(store):
     # representative of the rest), and all three have the left context [];
     # the last has `a`: l1 and l2 are built for two contexts only.  The
     # second and third rules find both factors stored.  l1 and l2 scan
-    # [xsig*, Left] as given, its brackets erased by the scan, so they ask
-    # for no `ign` and no `not`: every `ign` lookup is left_to_right's,
-    # one per build.  longest_match reads its occurrence with the brackets
-    # ignored, so it asks for no `contains` and no stacked tail
+    # [xsig*, Left] as given, its brackets erased by the scan, and
+    # left_to_right scans its region's content, so none asks for an
+    # `ign`, a `not` or a `strip`.  longest_match reads its occurrence with
+    # the brackets ignored, so it asks for no `contains` and no stacked
+    # tail
     lookups, builds = count_memo(store)
     compile_rules("#alphabet a b c d e f g h i j k l m n o p q r s t u v w x y z '#'.\n"
                   "replace(b:p, [], '#') o replace(d:t, [], '#')"
@@ -600,8 +602,7 @@ def test_a_cascade_builds_the_operations_on_a_shared_context_once(store):
     for factor in ("l1 1", "l2 1"):
         built = sum(key[1] == factor for key in builds)
         assert (lookups[factor], built) == (4, 2), factor
-    retypings = sum(key[1] == "left_to_right" for key in builds)
-    assert (lookups["ign"], lookups["not"]) == (retypings, 0)
+    assert (lookups["ign"], lookups["not"], lookups["strip"]) == (0, 0, 0)
     assert (lookups["contains"], lookups["stacked_rb"]) == (0, 0)
 
 
@@ -698,8 +699,9 @@ def test_rules_that_share_a_domain_or_a_target_build_its_factors_once(store):
 
 def test_the_builtins_repeat_exactly_from_the_memo(store):
     program = ("#alphabet a b.\n"
-               "{ign(non_markers([a, b*]), lb1), ign(non_markers([a, b*]), lb1)}"
-               " & not(non_markers(b)) & not(non_markers(b)).")
+               "{range(non_markers([a, b*]) o intro(lb1)),"
+               " range(non_markers([a, b*]) o intro(lb1))}"
+               " & $$(non_markers(b)) & $$(non_markers(b)).")
     with pytest.MonkeyPatch.context() as unmemoized:
         unmemoized.setattr(MarkerKit, "_keep",
                            lambda self, op, build, *args: build())
@@ -711,7 +713,7 @@ def test_the_builtins_repeat_exactly_from_the_memo(store):
     assert cold == warm == expected
 
     def machine(glyphs):
-        return compile_rules("#alphabet %s %s c.\n ign(non_markers([%s, %s]), lb1)."
+        return compile_rules("#alphabet %s %s c.\n non_markers([%s, %s])."
                              % (tuple(glyphs) * 2)).machine
     m, n = machine("ab"), machine("xy")
     assert m.arcs is n.arcs  # taken from the memo, not rebuilt

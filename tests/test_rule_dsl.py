@@ -75,6 +75,7 @@ from fsrw.dsl import (
 from fsrw.dump import dump_text
 from fsrw.fsm import _reach
 
+import reference
 from gen import ROOT, random_macro_program
 
 
@@ -553,6 +554,54 @@ def test_every_kit_member_is_a_builtin_or_has_a_caller():
     for name in vars(MarkerKit):
         if not name.startswith("_") and name not in targets:
             assert re.search(r"\.%s\b" % name, text), name
+
+
+# Operands for `ign` and `not`: symbols, two of them bracket glyphs as
+# text, cell languages, marker sets and transducers.
+_IGN_NOT_ATOMS = ["a", "b", "'<1'", "'2>'", "[]", "{}", "?", "non_markers(a)",
+                  "non_markers([a, '<1'])", "non_markers(?*)", "lb1()", "b2()",
+                  "brack()", "rb2()", "sig()", "xsig()", "xsig()*", "(a x b)",
+                  "intro(lb1())", "non_markers()"]
+
+
+def _ign_not_program(rng, depth=3):
+    """A program over a, b and the text glyphs <1 and 2> whose main
+    expression calls `ign` and `not`, nested and mixed with other
+    operators."""
+    def expr(depth):
+        roll = rng.random()
+        if depth <= 0 or roll < 0.2:
+            return rng.choice(_IGN_NOT_ATOMS)
+        if roll < 0.5:
+            return "ign(%s, %s)" % (expr(depth - 1), expr(depth - 1))
+        if roll < 0.7:
+            return "not(%s)" % expr(depth - 1)
+        form = rng.choice(["[%s, %s]", "{%s, %s}", "(%s) - (%s)", "(%s) o (%s)",
+                           "(%s)*%.0s", "$$(%s)%.0s"])
+        return form % (expr(depth - 1), expr(depth - 1))
+    return "#alphabet a b '<1' '2>'.\n%s.\n" % expr(depth)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ign_and_not_macros_compile_as_the_builtins_did(monkeypatch, seed):
+    # 1 000 programs a seed, compiled with the predefined macros and with
+    # `ign/2` and `not/1` as the kit builtins they were, the compositions
+    # of tests/reference.py: the same dump or the same error
+    rng = random.Random(4800 + seed)
+    programs = [_ign_not_program(rng) for _ in range(1000)]
+    new = [_outcome(text) for text in programs]
+    builtins = {**_BUILTINS, ("ign", 2): "old_ign", ("not", 1): "old_not"}
+    macros = stdlib_macros()
+    monkeypatch.setattr(MarkerKit, "old_ign", reference.ign, raising=False)
+    monkeypatch.setattr(MarkerKit, "old_not", reference.not_, raising=False)
+    monkeypatch.setattr(fsrw.dsl, "_BUILTINS", builtins)
+    monkeypatch.setattr(fsrw.dsl, "stdlib_macros", lambda: {
+        key: m for key, m in macros.items() if key not in builtins})
+    old = [_outcome(text) for text in programs]
+    assert sum(isinstance(o, str) for o in new) > 500
+    assert sum(not isinstance(o, str) for o in new) > 50
+    for text, got, want in zip(programs, new, old):
+        assert got == want, text
 
 
 def test_lm_concat_program_end_to_end():
