@@ -1063,16 +1063,19 @@ class InputTables:
         texts.reverse()
         return trail, "".join(texts)
 
-    def segment(self, trail, lo: int, hi: int, entry: int) -> _Segment:
-        """The outputs of steps lo..hi - 1 of `trail`, none of them
-        endless, from live state `entry` of position lo to the exit of
-        step hi - 1.  Cached by the entry and the steps (each step stands
-        for its transition and R[p + 1]), unless the stretch reads every
-        symbol of the line (the last step, at the end of the input, reads
-        none): only the same line again would find it."""
+    def segment(self, trail, lo: int, hi: int, entry: int) -> Optional[_Segment]:
+        """The outputs of steps lo..hi - 1 of `trail`, from live state
+        `entry` of position lo to the exit of step hi - 1, or None when one
+        of the steps is endless.  Cached by the entry and the steps (each
+        step stands for its transition and R[p + 1]), unless the stretch
+        reads every symbol of the line (the last step, at the end of the
+        input, reads none): only the same line again would find it.  So a
+        cached stretch is known to be finite."""
         key = (entry, *trail[lo:hi])
         seg = self.segments.get(key)
         if seg is None:
+            if any(st.endless for st in key[1:]):
+                return None
             seg = _Segment(_acyclic_outputs(*_output_dfa(trail, lo, hi, entry), self.glyph))
             if lo > 0 or hi < len(trail) - 1:
                 self.segments[key] = seg
@@ -1092,30 +1095,26 @@ def accepts(m: Fst, s) -> bool:
     return not m.finals.isdisjoint(tables.left.sets[trans[-1].to if trans else 0])
 
 
-class _Segment:
-    """The finite output set of a stretch of a line's lattice.  A stretch
-    with several paths is built once, with everything below, and kept with
-    the tables for later lines that contain it (`InputTables.segment`); a
-    run of single-path steps makes a one-output segment on each line.
+class _Segment(list):
+    """The finite output set of a stretch of a line's lattice with several
+    paths, built once with everything below and kept with the tables for
+    later lines that contain it (`InputTables.segment`).
 
-    `tuples` holds the glyph tuples sorted by symbol id, and `strings`
-    their joins in the same order.  For printing, `ordered` holds the
-    strings in string order, and `apart` says that no string equals
-    another or is a prefix of another: in string order a prefix sorts
-    right before the strings it starts, so neighbours tell.  Then no
-    glyph tuple is a prefix of another either, since its join would be."""
+    The list holds the outputs' strings in string order, as `fsrw apply`
+    prints them.  `tuples` holds the glyph tuples sorted by symbol id, and
+    `strings` their joins in the same order.  `apart` says that no string
+    equals another or is a prefix of another: in string order a prefix
+    sorts right before the strings it starts, so neighbours tell.  Then
+    no glyph tuple is a prefix of another either, since its join would
+    be."""
 
-    __slots__ = ("tuples", "strings", "ordered", "apart")
+    __slots__ = ("tuples", "strings", "apart")
 
     def __init__(self, tuples: list[tuple[str, ...]]):
         self.tuples = tuples
         self.strings = strings = ["".join(t) for t in tuples]
-        if len(strings) == 1:  # a run of single-path steps, met on most lines
-            self.ordered = strings
-            self.apart = True
-        else:
-            self.ordered = ordered = sorted(strings)
-            self.apart = not any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
+        super().__init__(sorted(strings))
+        self.apart = not any(b.startswith(a) for a, b in zip(self, self[1:]))
 
 
 class TransduceResult:
@@ -1128,22 +1127,23 @@ class TransduceResult:
     the result as it was.  `truncated` is set when the output set is
     infinite and only the first `limit` (shortest first) are kept.
 
-    A line with several paths may keep its outputs factored: `segs` lists
-    one `_Segment` per stretch of the line, and the outputs are their
+    A line with several paths may keep its outputs factored: `segs`
+    holds one list of strings in string order per stretch of the line,
+    either a run's text alone or a `_Segment`, and the outputs are their
     product.  Then the joins are built on the first call to `strings()`
-    (or iteration) and the tuples on the first read of `outputs`; `len()`
-    is the product of the list sizes, one multiplication per list, and
-    builds neither.  `joined` and `least` give what `fsrw apply` prints;
-    for a product in string order they read the lists and build neither.
+    (or iteration) and the glyph tuples on the first read of `outputs`,
+    each run's from its steps; `len()` is the product of the list sizes,
+    one multiplication per list, and builds neither.  `joined` and
+    `least` give what `fsrw apply` prints, read from the lists.
     """
 
     __slots__ = ("_strings", "_outputs", "_steps", "_segs", "truncated")
 
     def __init__(self, strings: Optional[list[str]], truncated: bool, outputs,
                  steps=None, segs=None):
-        # `outputs` is the list of glyph tuples, a function that makes it,
-        # or None for the one output along the single-path `steps`;
-        # `strings` is None when `segs` gives them
+        # `outputs` is the list of glyph tuples, or None to build it from
+        # `steps`: the steps of a single-path line, or the steps of each
+        # run in `segs`; `strings` is None when `segs` gives them
         self._strings = strings
         self._outputs = outputs
         self._steps = steps
@@ -1153,15 +1153,17 @@ class TransduceResult:
     @property
     def outputs(self) -> list[tuple[str, ...]]:
         if self._outputs is None:
-            self._outputs = [_glyphs_of(self._steps)]
+            if self._segs is None:
+                self._outputs = [_glyphs_of(self._steps)]
+            else:
+                self._outputs = _product_tuples(self._segs, self._steps)
             self._steps = None
-        elif callable(self._outputs):
-            self._outputs = self._outputs()
         return self._outputs
 
     def _flat(self) -> list[str]:
         if self._strings is None:
-            self._strings = list(map("".join, product(*[seg.strings for seg in self._segs])))
+            self._strings = list(map("".join, product(*[
+                seg if type(seg) is list else seg.strings for seg in self._segs])))
         return self._strings
 
     def strings(self) -> list[str]:
@@ -1172,7 +1174,7 @@ class TransduceResult:
 
     def __len__(self):
         if self._strings is None:
-            return prod([len(seg.strings) for seg in self._segs])
+            return prod(map(len, self._segs))
         return len(self._strings)
 
     def joined(self, sep: str) -> Optional[str]:
@@ -1185,7 +1187,7 @@ class TransduceResult:
         (`_product_text`); any other result is sorted."""
         strings = self._strings
         if strings is None:
-            return _product_text([seg.ordered for seg in self._segs], sep)
+            return _product_text(self._segs, sep)
         if len(strings) == 1:
             return strings[0]
         return sep.join(sorted(strings)) if strings else None
@@ -1196,7 +1198,7 @@ class TransduceResult:
         list's first string, concatenated."""
         strings = self._strings
         if strings is None:
-            return "".join([seg.ordered[0] for seg in self._segs])
+            return "".join([seg[0] for seg in self._segs])
         if len(strings) == 1:
             return strings[0]
         return min(strings) if strings else None
@@ -1214,11 +1216,12 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
     built only if `outputs` is read.  Otherwise the line is cut after each
     step whose arcs all enter one state, which every accepting path
     crosses, and the output set is one product of per-stretch output lists
-    (`_segmented_outputs`): a run of single-path stretches gives its text,
-    and any other stretch a `_Segment` cached on the tables, built once
-    from its output DFA (`_output_dfa`).  When some step is endless
-    (`_Step.endless`), the output set is infinite and the shortest are
-    enumerated from the output DFA of the whole line."""
+    (`_segmented_outputs`): a run of single-path steps gives its text, and
+    any other stretch a `_Segment` cached on the tables, built once from
+    its output DFA (`_output_dfa`).  When some step is endless
+    (`_Step.endless`), which no single-path step is, the output set is
+    infinite and the shortest are enumerated from the output DFA of the
+    whole line."""
     ids = _to_ids(m.table, s)
     tables = m.input_tables()
     read = tables.read(ids)
@@ -1228,61 +1231,100 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
     if text is not None:
         return TransduceResult([text], False, None, trail)
     start = trail[0].live.index(m.initial)
-    if any(st.endless for st in trail):
+    res = _segmented_outputs(tables, trail, start, m.table)
+    if res is None:  # some step is endless
         return _shortest_outputs(trail, start, limit, m.table.glyph)
-    return _segmented_outputs(tables, trail, start, m.table)
+    return res
 
 
 def _segmented_outputs(tables: InputTables, trail, start: int,
-                       table: SymbolTable) -> TransduceResult:
+                       table: SymbolTable) -> Optional[TransduceResult]:
     """The finitely many outputs of a line with several accepting paths,
     whose trimmed lattice is `trail` and starts in its live state `start`:
-    the product of one output list per stretch between cuts.
+    the product of one output list per stretch between cuts; None when
+    some step is endless, so the outputs are infinitely many.
 
-    A stretch is single-path when its first step is (that step has one
-    arc leaving it, so the line is cut after it).  A run of single-path
-    stretches makes one list, its one output; any other stretch's list is
-    its cached `_Segment`.  A list whose one output is empty is left out.
+    A single-path step that starts a stretch is a stretch of its own (its
+    one arc leaving means a cut after it), and a run of such steps makes
+    one list: the join of their texts, alone.  Its glyph tuple is built
+    from its steps only if `outputs` is read.  Any other stretch starts
+    with a step of several paths and ends at the next cut; its list is its
+    cached `_Segment`.  A list whose one output is empty is left out.
     When every list but the last is `apart`, so prefix-free as glyph
     tuples too, two outputs first differ inside one list's entries, so
-    the product is in symbol-id order, and in string order by `ordered`,
-    without repeats, and the result keeps the lists, building neither
-    strings nor tuples; otherwise it is deduplicated and sorted by ids."""
-    segs = []
+    the product is in symbol-id order, and in string order by the lists'
+    own order, without repeats, and the result keeps the lists, building
+    neither strings nor tuples; otherwise it is deduplicated and sorted by
+    ids."""
+    lists = []
+    runs = []  # the steps of each run in `lists`, in order
+    run = ""  # the text of the open run
+    # the open run or stretch starts at step lo, and `entry` is the live
+    # state that the open stretch, or the next one, enters at
     lo, entry = 0, start
-    last = len(trail) - 1
+    several = False  # the open stretch has several paths
+    knot = -1  # the first list that is not `apart`
     for p, st in enumerate(trail):
-        if st.exit < 0:  # no cut after this step
-            continue
-        if trail[lo].out is None:
+        if not several:
+            text = st.text
+            if text is not None:
+                run += text
+                entry = st.exit
+                continue
+            if run:
+                lists.append([run])
+                runs.append(trail[lo:p])
+                run = ""
+            lo, several = p, True
+        if st.exit >= 0:  # a cut after this step
             seg = tables.segment(trail, lo, p + 1, entry)
-        elif p < last and trail[p + 1].out is not None:
-            continue  # the next single-path step joins this run
-        else:
-            seg = _Segment([_glyphs_of(trail[lo:p + 1])])
-        if seg.tuples != [()]:
-            segs.append(seg)
-        lo, entry = p + 1, st.exit
-
-    def glyph_tuples():
-        return [tuple(chain.from_iterable(t)) for t in product(*[seg.tuples for seg in segs])]
-
-    if all(seg.apart for seg in segs[:-1]):
-        return TransduceResult(None, False, glyph_tuples, segs=segs)
+            if seg is None:
+                return None
+            if len(seg) > 1 or seg[0]:
+                if knot < 0 and not seg.apart:
+                    knot = len(lists)
+                lists.append(seg)
+            lo, entry, several = p + 1, st.exit, False
+    if run:
+        lists.append([run])
+        runs.append(trail[lo:])
+    if knot < 0 or knot == len(lists) - 1:
+        return TransduceResult(None, False, None, runs, lists)
     id_of = table.id_of
-    outputs = sorted(set(glyph_tuples()), key=lambda o: [id_of(g) for g in o])
+    outputs = sorted(set(_product_tuples(lists, runs)), key=lambda o: [id_of(g) for g in o])
     return TransduceResult(["".join(o) for o in outputs], False, outputs)
+
+
+def _product_tuples(lists, runs) -> list[tuple[str, ...]]:
+    """The glyph tuples of the product of `_segmented_outputs`' lists, in
+    the lists' symbol-id order: a `_Segment` gives its tuples, and each
+    run in turn the glyphs along its steps in `runs`."""
+    runs = iter(runs)
+    return [tuple(chain.from_iterable(t)) for t in product(*[
+        [_glyphs_of(next(runs))] if type(seg) is list else seg.tuples for seg in lists])]
+
+
+# What one head of `_product_text` costs, in tails.  A least-squares fit
+# of its time at every split of four list sets (ambiguous.fsr lines of
+# 256, 1 024 and 4 096 outputs, and eight lists of 2 and 3 strings) gave
+# 0.15 us a head and 0.08 us a tail, CPython 3.11 on a 2-vCPU Xeon.  Over
+# those sets and 30 random ones, 2, 3 and 4 picked splits of the same
+# total time, and 1 was 6 % slower.
+HEAD_COST = 2
 
 
 def _product_text(lists: list[list[str]], sep: str) -> str:
     """`sep.join(map("".join, product(*lists)))` in O(sqrt(N)) Python steps
-    for N outputs.  The lists are split where the product of the first
-    ones first reaches sqrt(N); each half's strings are built once, and
-    each head writes its run of the line in one join over the tails."""
-    n = prod([len(strings) for strings in lists])
-    k, size = 0, 1
-    while size * size < n:
-        size *= len(lists[k])
+    for N outputs.  The first lists give the heads, the rest the tails;
+    each part's strings are built once, and each head writes its run of
+    the line in one join over the tails.  H heads cost about
+    HEAD_COST * H + N / H tails, least at H = sqrt(N / HEAD_COST) and
+    convex in H, so a list joins the heads, making H' of them, while that
+    does not raise the cost: while HEAD_COST * H * H' <= N."""
+    n = prod(map(len, lists))
+    k, heads = 0, 1
+    while k < len(lists) and HEAD_COST * heads * heads * len(lists[k]) <= n:
+        heads *= len(lists[k])
         k += 1
     tails = list(map("".join, product(*lists[k:])))
     return sep.join([h + (sep + h).join(tails) for h in map("".join, product(*lists[:k]))])

@@ -6,6 +6,8 @@ contract."""
 import collections
 import importlib
 import io
+import itertools
+import math
 import os
 import random
 import re
@@ -18,6 +20,7 @@ import pytest
 import fsrw.cli
 import fsrw.dsl
 import fsrw.dump
+import fsrw.fsm
 from fsrw import SymbolTable, transduce
 from fsrw.cli import main
 from gen import ROOT, arc_machine, count_memo, random_branching_machine
@@ -184,6 +187,27 @@ APPLY_GLYPHS = [["a", "b", "ab", "ba", "c"], ["zz", "b", "ab", "a"],
                 ["x", "y", "xy", "yx", "x\ty", "\t"]]
 
 
+def test_product_text_writes_the_product_at_the_split_it_picks():
+    # apply --all writes a product in string order straight from its
+    # lists, cut into heads and tails where their costs balance; at any
+    # cut the text is the product's strings, joined
+    rng = random.Random(59)
+    sizes = [[1] * n for n in range(9)]  # N = 1, no list at all too
+    sizes += [[5], [1, 3, 1], [1, 1, 2, 1, 1, 1, 1]]  # N prime
+    sizes += [[4, 1, 4, 4, 1, 4, 4, 4], [2, 2, 4, 4, 4, 4, 4], [4] * 6]  # N = 4096
+    while len(sizes) < 300:
+        drawn = [rng.randint(1, 6) for _ in range(rng.randint(1, 8))]
+        if math.prod(drawn) <= 4096:
+            sizes.append(drawn)
+    for k, shape in enumerate(sizes):
+        glyphs = APPLY_GLYPHS[k % len(APPLY_GLYPHS)]
+        lists = [["".join(rng.choice(glyphs) for _ in range(rng.randint(0, 3)))
+                  for _ in range(size)] for size in shape]
+        for sep in ("\t", "ab"):
+            want = sep.join(map("".join, itertools.product(*lists)))
+            assert fsrw.fsm._product_text(lists, sep) == want, (lists, sep)
+
+
 def test_apply_prints_the_sorted_outputs_of_random_machines(tmp_path, monkeypatch,
                                                            capsys):
     # apply writes a product in string order from its stretch lists, and
@@ -247,6 +271,10 @@ def test_apply_prints_the_sorted_outputs_of_fixed_lines(tmp_path, monkeypatch, c
                        name="ambiguous.fsr")
     results = check(machine, ["aektaeiokoatie", "kaetio", "kt"])
     assert len(results[0]) == 1024
+    # 0 to 6 vowel pairs, 1 to 4**6 outputs
+    pairs = ["ae", "io", "oa", "ei", "aa", "oo"]
+    results = check(machine, ["t" + "kt".join(pairs[:k]) for k in range(7)])
+    assert [len(res) for res in results] == [4 ** k for k in range(7)]
     # infinite output sets, cut to the shortest under --limit
     machine = compiled(tmp_path, "replace(a x b*, [], []).", name="loop.fsr")
     check(machine, ["a", "aa", ""], limit=3)

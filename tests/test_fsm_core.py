@@ -348,6 +348,38 @@ def test_a_single_path_line_builds_its_glyph_tuple_once_on_demand(rule, lines, m
         assert res.strings() == ["".join(outputs[0])]
 
 
+@pytest.mark.parametrize("rule, lines", [
+    (AMBIGUOUS, ["aektaeiokoatie", "kaet", "aeae", "taeiotk", "kaetiok"]),
+    # `aby` is one run a b, whose text prints like the glyph ab
+    ("replace({[x,x] x {[a,b], ab}, y x {a, c}}, [], []).",
+     ["yxx", "ayxx", "xx", "byb", "aby", "cyaxx", "yyxx"]),
+])
+def test_a_multi_output_line_builds_its_glyph_tuples_once_on_demand(rule, lines,
+                                                                    monkeypatch):
+    # a factored line keeps each run of single-path steps as its text: what
+    # apply reads of it builds no glyph tuple, and `outputs` builds each
+    # run's once
+    m = compile_rules(rule).machine
+    built = []
+    glyphs_of = fsm._glyphs_of
+    monkeypatch.setattr(fsm, "_glyphs_of", lambda steps: built.append(1) or glyphs_of(steps))
+    runs_met = 0
+    for line in lines:
+        res = transduce(m, line)
+        n = len(res)
+        assert n > 1 and res._segs is not None, line
+        assert res.joined("\t") == "\t".join(sorted(res.strings())), line
+        assert res.least() == min(res.strings()), line
+        assert not built, line
+        runs = sum(type(seg) is list for seg in res._segs)
+        outputs = res.outputs
+        assert outputs is res.outputs and len(built) == runs, line
+        built.clear()
+        runs_met += runs
+        assert outputs == _walker_outputs(m, line) and len(outputs) == n, line
+    assert runs_met >= 5
+
+
 @pytest.fixture(scope="module")
 def devoice():
     return compile_rules((ROOT / "rules" / "devoice_final.fsr").read_text()).machine
@@ -416,7 +448,7 @@ def test_transduce_counts_a_product_without_building_it():
     for k in range(1, 10):
         res = transduce(m, "kt".join(["ae"] * k))
         assert len(res) == 4 ** k
-        assert res._strings is None and callable(res._outputs), k
+        assert res._strings is None and res._outputs is None and res._segs, k
     res = transduce(m, "ae" + "io" + "kt")
     assert len(res) == 16 and res._strings is None
     assert res.strings() == [x + y + "kt" for x in "aeio" for y in "aeio"]
@@ -533,7 +565,7 @@ def test_transduce_dedups_outputs_that_collide_across_a_cut():
     for line, want, ordered in (("ab", ["xyz", "xz"], False), ("ac", ["x", "xy"], True),
                                 ("acc", ["x", "xy"], True)):
         res = transduce(m, line)
-        assert callable(res._outputs) == ordered, line
+        assert (res._segs is not None) == ordered, line
         assert res.strings() == want, line
         assert res.outputs == _walker_outputs(m, line), line
 
