@@ -804,22 +804,15 @@ INPUT_TABLE_CAP = 1 << 13
 ENUMERATE_PATH_CAP = 2_000_000
 
 
-def _to_ids(table, s) -> list[int]:
-    # one dict lookup per glyph; the error is `SymbolTable.id_of`'s
-    try:
-        return list(map(table._ids.__getitem__, s))
-    except KeyError as exc:
-        raise FsmError("unknown symbol %r" % exc.args[0]) from None
-
-
 class _SubsetTable:
     """Subsets of a machine's states met while reading inputs in one
     direction, numbered in the order they are met.  `succ[q]` maps a
     symbol to the states one arc reading it leads to from q, and `eps[q]`
     lists those one input-epsilon arc leads to; every subset is closed
-    under `eps`.  Subset 0 is the closure of `seeds`.  `moves[k]` caches,
-    by symbol, what reading it from subset k leads to: a `_Transition` in
-    the left table, a subset number (-1 for none) in the right one."""
+    under `eps`.  Subset 0 is the closure of `seeds`.  `moves[k]` caches
+    what reading a symbol from subset k leads to: in the left table a
+    `_Transition`, keyed by the symbol's glyph, in the right one a subset
+    number (-1 for none), keyed by its id."""
 
     __slots__ = ("succ", "eps", "sets", "ids", "moves")
 
@@ -916,10 +909,11 @@ def _chain_output(k: int, arcs, glyph) -> Optional[tuple[str, ...]]:
 
 
 class _Transition:
-    """A move of the left table: reading `sym` from left subset `src`
-    leads to subset `to` (-1 when it leads to no state).  `steps` caches
-    the step (`_Step`) of a position p that reads `sym` from L[p] = `src`,
-    keyed by the right subset R[p + 1]."""
+    """A move of the left table, cached under the glyph it reads: reading
+    the symbol `sym` (its id) from left subset `src` leads to subset `to`
+    (-1 when it leads to no state).  `steps` caches the step (`_Step`) of
+    a position p that reads `sym` from L[p] = `src`, keyed by the right
+    subset R[p + 1]."""
 
     __slots__ = ("src", "sym", "to", "steps")
 
@@ -949,12 +943,13 @@ class InputTables:
     `held` counts the outputs it holds.  `full` is set once the tables
     hold more than INPUT_TABLE_CAP entries, checked only when they grow."""
 
-    __slots__ = ("finals", "adj", "glyph", "left", "right", "ends", "stepped",
+    __slots__ = ("finals", "adj", "id_of", "glyph", "left", "right", "ends", "stepped",
                  "segments", "held", "full")
 
     def __init__(self, m: Fst):
         self.finals = m.finals
         self.adj = m.adjacency()
+        self.id_of = m.table.id_of
         self.glyph = m.table.glyph
         fsucc = [{} for _ in range(m.n)]
         bsucc = [{} for _ in range(m.n)]
@@ -981,18 +976,20 @@ class InputTables:
     def _grew(self):
         self.full = self.size() > INPUT_TABLE_CAP
 
-    def _transition(self, k: int, sym: int) -> _Transition:
-        t = self.left.moves[k][sym] = _Transition(k, sym, self.left.after(k, sym))
+    def _transition(self, k: int, g) -> _Transition:
+        sym = self.id_of(g)
+        t = self.left.moves[k][g] = _Transition(k, sym, self.left.after(k, sym))
         self._grew()
         return t
 
-    def _step(self, t: _Transition, rnext: int) -> _Step:
+    def _step(self, t: _Transition, rnext: int, ahead) -> _Step:
+        """The step of `t` before R[p + 1] = `rnext`; `ahead` is the live
+        list of the step after it, L[p + 1] & R[p + 1] sorted."""
         right = self.right
         moves = right.moves[rnext]
         rid = moves.get(t.sym)
         if rid is None:
             rid = moves[t.sym] = right.after(rnext, t.sym)
-        ahead = sorted(self.left.sets[t.to] & right.sets[rnext])
         st = t.steps[rnext] = self._new_step(t.src, t.sym, rid, ahead)
         return st
 
@@ -1021,28 +1018,32 @@ class InputTables:
         self._grew()
         return _Step(rid, tuple(live), tuple(arcs), _chain_output(len(live), arcs, self.glyph))
 
-    def walk(self, ids) -> Optional[list[_Transition]]:
-        """The left table's transitions along `ids`, or None once a prefix
-        leads to no state."""
+    def walk(self, line) -> Optional[list[_Transition]]:
+        """The left table's transitions along `line`, a str (one symbol per
+        character) or a sequence of glyphs, or None once a prefix leads to
+        no state.  A glyph the table does not know raises FsmError, also
+        after such a prefix."""
         moves = self.left.moves
         trans = []
         k = 0
-        for sym in ids:
-            t = moves[k].get(sym) or self._transition(k, sym)
+        for g in line:
+            t = moves[k].get(g) or self._transition(k, g)
             k = t.to
             if k < 0:
+                for g in line[len(trans) + 1:]:
+                    self.id_of(g)  # raises on a glyph the table lacks
                 return None
             trans.append(t)
         return trans
 
-    def read(self, ids):
+    def read(self, line):
         """The steps of the input's trimmed lattice, positions 0..n, and
         the join of their texts when every step is one path (else None);
         None when no path accepts the input.  One walk forward over the
         transitions, then one back that takes each position's step from
         its transition by the right subset after it, collecting the steps
         and their texts as it goes."""
-        trans = self.walk(ids)
+        trans = self.walk(line)
         if trans is None:
             return None
         lid = trans[-1].to if trans else 0
@@ -1051,12 +1052,10 @@ class InputTables:
             return None
         trail = [st]
         texts = [st.text]
-        rid = st.rid
         for t in reversed(trans):
-            st = t.steps.get(rid) or self._step(t, rid)
+            st = t.steps.get(st.rid) or self._step(t, st.rid, st.live)
             trail.append(st)
             texts.append(st.text)
-            rid = st.rid
         trail.reverse()
         if None in texts:
             return trail, None
@@ -1089,7 +1088,7 @@ def accepts(m: Fst, s) -> bool:
     or a sequence of glyphs."""
     _require_recognizer(m, "accepts")
     tables = m.input_tables()
-    trans = tables.walk(_to_ids(m.table, s))
+    trans = tables.walk(s)
     if trans is None:
         return False
     return not m.finals.isdisjoint(tables.left.sets[trans[-1].to if trans else 0])
@@ -1222,9 +1221,8 @@ def transduce(m: Fst, s, limit: int = 64) -> TransduceResult:
     (`_Step.endless`), which no single-path step is, the output set is
     infinite and the shortest are enumerated from the output DFA of the
     whole line."""
-    ids = _to_ids(m.table, s)
     tables = m.input_tables()
-    read = tables.read(ids)
+    read = tables.read(s)
     if read is None:
         return TransduceResult([], False, [])
     trail, text = read

@@ -12,7 +12,8 @@ The two referees are objects built once per rule, and both keep their
 answers across strings, keyed by the suffix still to read (`_SuffixMemo`).
 `Oracle`, for replace, has three walkers, over dom(T) and the two
 contexts, which intern the subsets they meet and memoize the moves between
-them; it memoizes its scan results by suffix and T's outputs by span.
+them; it memoizes its scan results by suffix, its per-suffix facts by
+(walker subset, suffix) and T's outputs by span.
 `SplitOracle`, for the greedy split of lm_concat, has one walker per
 piece; it memoizes each piece's matches and the split by (piece, suffix),
 and each piece's outputs by span.  `oracle_replace`, `oracle_lm_split` and
@@ -246,8 +247,8 @@ class Oracle(_SuffixMemo):
 
     def _reset(self):
         super()._reset()
-        self.right_ok: dict[int, bool] = {}
-        self.matches: dict[int, tuple[int, int]] = {}
+        self.right_ok: dict[tuple[int, int], bool] = {}
+        self.longest: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
         self.spans: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         self.out_ids: dict[tuple[int, int], int] = {}
         self.out_head: list[int] = [EPS]
@@ -257,7 +258,8 @@ class Oracle(_SuffixMemo):
 
     def size(self) -> int:
         """Entries held for the inputs read so far."""
-        return len(self.head) + len(self.out_head) + len(self.memo)
+        return (len(self.head) + len(self.out_head) + len(self.memo)
+                + len(self.right_ok) + len(self.longest))
 
     def replace(self, s) -> set[str]:
         """The outputs for input `s`, a str (one symbol per character) or a
@@ -325,31 +327,68 @@ class Oracle(_SuffixMemo):
                 and self.left.final[lk])
 
     # -- per-suffix facts -------------------------------------------------
+    #
+    # Each fact is found from the same fact one symbol on, kept by (walker
+    # subset, suffix id), so a walk stops at the first pair it has met
+    # before and a line costs time linear in its length.
 
     def _right_ok(self, sid: int) -> bool:
         """Whether the right context accepts some prefix of suffix sid."""
-        got = self.right_ok.get(sid)
+        memo = self.right_ok
+        got = memo.get((0, sid))
         if got is None:
-            final = self.right.final
-            got = self.right_ok[sid] = any(
-                map(final.__getitem__, self.right.walk(self._symbols(sid))))
+            final, move, head, tail = self.right.final, self.right.move, self.head, self.tail
+            k = 0
+            path = []
+            while got is None:
+                path.append((k, sid))
+                if final[k]:
+                    got = True
+                elif not sid:
+                    got = False
+                else:
+                    k, sid = move(k, head[sid]), tail[sid]
+                    got = False if k < 0 else memo.get((k, sid))
+            for key in path:
+                memo[key] = got
         return got
 
     def _match(self, sid: int) -> tuple[int, int]:
         """(length, after) of the longest nonempty prefix of suffix sid in
         dom(t) with the right context holding on the suffix `after` that
         follows it; (0, 0) when there is none."""
-        got = self.matches.get(sid)
-        if got is None:
-            got = (0, 0)
-            final, tail, after = self.dom.final, self.tail, sid
-            walk = self.dom.walk(self._symbols(sid))
-            next(walk)  # the empty prefix
-            for length, k in enumerate(walk, 1):
-                after = tail[after]
-                if final[k] and self._right_ok(after):
-                    got = (length, after)
-            self.matches[sid] = got
+        k = self.dom.move(0, self.head[sid])
+        got = self._longest(k, self.tail[sid]) if k >= 0 else None
+        return (0, 0) if got is None else (got[0] + 1, got[1])
+
+    def _longest(self, k: int, sid: int) -> Optional[tuple[int, int]]:
+        """(length, after) of the longest prefix of suffix sid, maybe
+        empty, that leads dom(t)'s walker from subset k to a final one
+        with the right context holding on the suffix `after` that follows
+        it; None when there is none."""
+        memo = self.longest
+        if (k, sid) in memo:
+            return memo[k, sid]
+        move, head, tail = self.dom.move, self.head, self.tail
+        path = []
+        got = None  # the fact one symbol past the end of `path`
+        while True:
+            path.append((k, sid))
+            if not sid:
+                break
+            k, sid = move(k, head[sid]), tail[sid]
+            if k < 0:
+                break
+            if (k, sid) in memo:
+                got = memo[k, sid]
+                break
+        final = self.dom.final
+        for k, sid in reversed(path):
+            if got is not None:
+                got = (got[0] + 1, got[1])
+            elif final[k] and self._right_ok(sid):
+                got = (0, sid)
+            memo[k, sid] = got
         return got
 
     def _span(self, sid: int, length: int) -> list[tuple[int, ...]]:

@@ -7,17 +7,22 @@ stands for.  `strip`, `ign` and `not_` are the compositions the kit no
 longer builds: the kit's own `ign` is a scan that agrees with `ign` here
 only where the pattern holds no ignored cell, so a reference whose
 pattern may hold one (`[xsig*, Left]` ignoring lb1, say) takes `ign`
-from here.  The factor references take the factor's machine argument
-and the flags it reads, as the factors do, and `SCANNED` lists them."""
+from here.  Their inserter, `intro`, is built here from `fsrw.fsm`
+primitives, so no reference answer comes through the kit's store.  The
+factor references take the factor's machine argument and the flags it
+reads, as the factors do, and `SCANNED` lists them."""
 
 from fsrw import (
+    any_of,
     compose,
     concat,
+    cross_product,
     difference,
     empty_lang,
     empty_string,
     intersection,
     invert,
+    literal,
     option,
     project,
     reduce_pairs,
@@ -28,15 +33,25 @@ from fsrw import (
 from gen import formula
 
 
+def intro(s):
+    """Insert cells from `s`, a set of single cells, anywhere, and pass
+    every other cell through: [xsig - s | [] x s]*, where a cell is an
+    encodable glyph with flag "0" or a bracket glyph with flag "1"."""
+    t = s.table
+    cell = union(concat(any_of(t, t.encoded_ids()), literal(t, t.glyph(0))),
+                 concat(any_of(t, t.bracket_ids()), literal(t, t.glyph(1))))
+    return reduce_pairs(star(union(difference(cell, s), cross_product(empty_string(t), s))))
+
+
 def strip(kit, s):
     """Delete cells from `s` anywhere, pass other cells through: `intro`
     inverted."""
-    return invert(kit.intro(s))
+    return invert(intro(s))
 
 
 def ign(kit, e, s):
     """The paper's `ign(e, s)`: `e` with `s` strings inserted anywhere."""
-    return project(compose(e, kit.intro(s)), "range")
+    return project(compose(e, intro(s)), "range")
 
 
 def not_(kit, e):
@@ -66,7 +81,7 @@ SPREAD = "range(P o {[], [xsig(), {xsig(), [] x I}*]})"
 def mark_iff(kit, cell, p, ignore=None):
     if ignore is not None:
         p = formula(kit.table, SPREAD, P=p, I=ignore)
-    return reduce_pairs(compose(kit.intro(cell), l_iff_r(cell, p)))
+    return reduce_pairs(compose(intro(cell), l_iff_r(cell, p)))
 
 
 def strip_not_containing(kit, k, cell):

@@ -3,6 +3,7 @@ composition, projection, transduction, enumeration."""
 
 import collections
 import itertools
+import operator
 import random
 import re
 import sys
@@ -323,6 +324,90 @@ def test_transduce_rejects_unknown_symbol(tb):
             with pytest.raises(FsmError) as got:
                 query(m, line)
             assert str(got.value) == str(want.value)
+
+
+def _left_glyphs(tables):
+    """The glyphs of every move the left table holds."""
+    return {g for moves in tables.left.moves for g in moves}
+
+
+@pytest.mark.parametrize("line, first", [
+    ("qab", "q"), ("abqa", "q"), ("abq", "q"), ("aqbr", "q"),
+    # b then a leads to no state: the walk stops there, and the glyphs
+    # after it are still checked
+    ("bab", None), ("baq", "q"), ("babqar", "q"), (["b", "a", "zz", "q"], "zz"),
+])
+def test_an_unknown_glyph_anywhere_is_named_and_stores_no_move(line, first):
+    # a(b)* over {a, b, c}: its left table moves on the glyphs it reads,
+    # and a glyph the table lacks raises `SymbolTable.id_of`'s error
+    tb = SymbolTable("abc")
+    m = arc_machine(tb, 2, [1], [(0, "a", "a", 1), (1, "b", "b", 1)])
+    for query in (transduce, accepts):
+        m = Fst(tb, m.n, m.initial, m.finals, m.arcs, query is accepts)
+        tables = m.input_tables()
+        if first is None:
+            assert not query(m, line)
+        else:
+            with pytest.raises(FsmError) as want:
+                tb.id_of(first)
+            with pytest.raises(FsmError) as got:
+                query(m, line)
+            assert str(got.value) == str(want.value)
+        assert _left_glyphs(tables) <= set("abc")
+        # the tables still read a known line
+        assert query(m, "abb") and m.input_tables() is tables
+
+
+@pytest.mark.parametrize("rule, lines", [
+    ("devoice_final.fsr", ["", "#", "bad#", "ab#d", "dbd#bb#t", "bbbb", "ba#x"]),
+    ("abbrev.fsr", ["", " ", "   ", "finite", "<abbr> "]),
+])
+def test_a_str_line_reads_as_its_glyph_list(rule, lines):
+    # a str is read one glyph per character, like the list of its
+    # characters, through the same moves: the list adds none.  On abbrev,
+    # whose glyphs are words, a line of several characters names its first
+    # one that is no glyph of its own
+    m = compile_rules((ROOT / "rules" / rule).read_text()).machine
+    dom = project(m, "domain")
+    for line in lines:
+        got = []
+        for given in (line, list(line), tuple(line)):
+            try:
+                res = transduce(m, given)
+                got.append((res.strings(), res.outputs, accepts(dom, given)))
+            except FsmError as exc:
+                got.append(str(exc))
+            if given is line:
+                held = m.input_tables().size()
+        assert got[0] == got[1] == got[2], line
+        assert m.input_tables().size() == held, line
+
+
+def test_a_step_built_from_the_next_live_list_is_the_intersections():
+    # `read` builds each new step from the live list of the step after it,
+    # L[p + 1] & R[p + 1] sorted; building it from that intersection gives
+    # the same step
+    rng = random.Random(28)
+    tb = SymbolTable("ab")
+    machines = [_with_input_epsilons(rng, random_arc_machine(rng, tb), rng.randint(0, 3))
+                for _ in range(200)]
+    machines += [compile_rules(AMBIGUOUS).machine,
+                 compile_rules((ROOT / "rules" / "devoice_final.fsr").read_text()).machine]
+    fields = operator.attrgetter("rid", "live", "arcs", "out", "exit", "endless")
+    checked = 0
+    for m in machines:
+        glyphs = m.table.user_glyphs()
+        for _ in range(60):
+            transduce(m, [rng.choice(glyphs) for _ in range(rng.randint(0, 5))], limit=3)
+        tables = m.input_tables()
+        left, right = tables.left, tables.right
+        for moves in left.moves:
+            for t in moves.values():
+                for rnext, st in list(t.steps.items()):
+                    ahead = sorted(left.sets[t.to] & right.sets[rnext])
+                    assert fields(st) == fields(tables._new_step(t.src, t.sym, st.rid, ahead))
+                    checked += 1
+    assert checked >= 500
 
 
 @pytest.mark.parametrize("rule, lines", [
@@ -658,7 +743,7 @@ def test_writing_cycle_behind_a_silent_arc_is_endless():
         res = transduce(m, "ab", limit=limit)
         assert res.truncated and len(res) == len(res.outputs) == limit
     assert transduce(m, "ab", limit=3).strings() == ["xb", "xzb", "yb"]
-    trail, text = m.input_tables().read([tb.id_of("a"), tb.id_of("b")])
+    trail, text = m.input_tables().read(["a", "b"])
     assert [st.endless for st in trail] == [False, True, False] and text is None
 
 
@@ -795,7 +880,7 @@ def test_acyclic_outputs_match_the_trie_walk():
         for _ in range(100):
             blocks = ["".join(rng.choice("ab") for _ in range(rng.randint(1, 12)))
                       for _ in range(rng.randint(1, 3))]
-            line = [m.table.id_of(g) for g in (separator or "").join(blocks)]
+            line = (separator or "").join(blocks)
             trail, _ = tables.read(line)
             for lo, hi in ((0, len(trail)), (0, len(trail) - 1), (1, len(trail))):
                 entry = trail[lo].live.index(m.initial) if lo == 0 else 0

@@ -1,16 +1,21 @@
-"""Byte-exact `fsrw compile` output for the shipped rule files.
+"""Byte-exact `fsrw compile` and `fsrw apply` output for the shipped rule
+files.
 
 Dumps are canonical, so any change to the construction algorithms that
 keeps the machines the same keeps these SHA-256 digests the same.  A
 digest that moves means a different machine (or a different numbering of
-the same one) and needs an explanation, not a new digest."""
+the same one) and needs an explanation, not a new digest.  The apply
+digests pin what each machine prints for seeded lines, so a change to
+how lines are read must print the same bytes."""
 
 import hashlib
+import io
 import random
 
 import pytest
 
-from fsrw.cli import main
+from fsrw import EPS
+from fsrw.cli import _load_machine, main
 from fsrw.dump import dump_text, load_text
 from fsrw.replace import compose_cascade, replace
 
@@ -123,3 +128,77 @@ def test_random_replace_rule_dumps_are_byte_identical():
         _, t, left, right = random_replace_rule(rng)
         digest.update(dump_text(replace(t, left, right)).encode())
     assert digest.hexdigest() == GEN_RULES_GOLDEN
+
+
+# `fsrw apply` over APPLY_LINES seeded lines (`_apply_lines`) for the plain
+# compile of every rule file, printing the least output of each line and,
+# with --all, every output
+APPLY_LINES = 300
+APPLY_GOLDEN = {
+    ("ambiguous", False): "dd81824a720fb1a1905865e5af117db6bbc9d35682d0b617483adb50523ea8a0",
+    ("ambiguous", True): "63161db3ac7b9e0f78b5700f747845f23e7d662b0a7263ec3f31f0a10e454028",
+    ("cascade27", False): "8956c67fe14f9c58d1c9f49254baeef72fd158e81aae33116367ba79fef76d58",
+    ("cascade27", True): "8956c67fe14f9c58d1c9f49254baeef72fd158e81aae33116367ba79fef76d58",
+    ("devoice27", False): "1c9bb98f61341a0a7ec73a94262966a2cefd4f7a330a8281b852b5d0bc5319ce",
+    ("devoice27", True): "1c9bb98f61341a0a7ec73a94262966a2cefd4f7a330a8281b852b5d0bc5319ce",
+    ("lm3", False): "0946134d6a4da5339cb2a50cac49308f900ef913cc2130dafb766dea4827e838",
+    ("lm3", True): "0946134d6a4da5339cb2a50cac49308f900ef913cc2130dafb766dea4827e838",
+    ("lm5", False): "90a801d3766147534271922b1f4ef4754fbe7d0723d6bd8da1c60f6da942ab54",
+    ("lm5", True): "90a801d3766147534271922b1f4ef4754fbe7d0723d6bd8da1c60f6da942ab54",
+    ("ab_star", False): "78d7d150de782eba0cbd51ae252512309576fcb9febfb7025229a7ff2fed58c0",
+    ("ab_star", True): "78d7d150de782eba0cbd51ae252512309576fcb9febfb7025229a7ff2fed58c0",
+    ("abbrev", False): "119db88a61f7e9029d6c5174d06cb46f56d249f28f64b69937d033e7f006483b",
+    ("abbrev", True): "119db88a61f7e9029d6c5174d06cb46f56d249f28f64b69937d033e7f006483b",
+    ("devoice_final", False): "e8dd801f677769eb293bdc955abfa8f065e8dadb0cf5226c20f933d4a9208943",
+    ("devoice_final", True): "e8dd801f677769eb293bdc955abfa8f065e8dadb0cf5226c20f933d4a9208943",
+    ("topological", False): "c625a269d556cb2a0b567a664713275dc9c6bcfea0eb1c193bf7f14a37ab5c4d",
+    ("topological", True): "c625a269d556cb2a0b567a664713275dc9c6bcfea0eb1c193bf7f14a37ab5c4d",
+    ("triple_a", False): "72959c469234b47374049716bcf30b4f4b05e2bedaba4c79bc4d31ed0e31b7d5",
+    ("triple_a", True): "72959c469234b47374049716bcf30b4f4b05e2bedaba4c79bc4d31ed0e31b7d5",
+    ("triple_a_explicit", False): "e3de3f20845a200b2f2314fa219f58444d4711757ff115b61b69c331ac358501",
+    ("triple_a_explicit", True): "e3de3f20845a200b2f2314fa219f58444d4711757ff115b61b69c331ac358501",
+}
+
+APPLY_RULE_FILES = sorted([ROOT / "rules" / (name + ".fsr") for name, cascade in GOLDEN
+                           if not cascade]
+                          + [ROOT / "bench" / "rules" / (name + ".fsr")
+                             for name, cascade in BENCH_GOLDEN if not cascade])
+
+
+def _apply_lines(m, rng):
+    """Lines for `m`: a third random user glyphs, a third the inputs of
+    random walks along its arcs (mostly accepted), a third either of
+    those with a glyph no table knows put in, first, in the middle or
+    last; each line is its glyphs joined."""
+    glyphs = m.table.user_glyphs()
+    adj = m.adjacency()
+    lines = []
+    for k in range(APPLY_LINES):
+        if k % 3 == 1:
+            q, line = m.initial, []
+            while len(line) < 10 and adj[q] and not (q in m.finals and rng.random() < 0.2):
+                i, _, q = rng.choice(adj[q])
+                if i != EPS:
+                    line.append(m.table.glyph(i))
+        else:
+            line = [rng.choice(glyphs) for _ in range(rng.randint(0, 10))]
+        if k % 3 == 2:
+            line.insert(rng.choice([0, len(line) // 2, len(line)]), "~")
+        lines.append("".join(line) + "\n")
+    return "".join(lines)
+
+
+def _apply_digest(monkeypatch, capsys, machine, stdin, every):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(["apply", "-m", str(machine)] + (["--all"] if every else [])) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("path", APPLY_RULE_FILES, ids=lambda p: p.stem)
+def test_apply_output_is_byte_identical(tmp_path, monkeypatch, capsys, path):
+    machine = tmp_path / (path.stem + ".fsm")
+    assert main(["compile", "-r", str(path), "-o", str(machine)]) == 0
+    stdin = _apply_lines(_load_machine(str(machine)), random.Random(path.stem))
+    got = {every: _apply_digest(monkeypatch, capsys, machine, stdin, every)
+           for every in (False, True)}
+    assert got == {every: APPLY_GOLDEN[path.stem, every] for every in (False, True)}

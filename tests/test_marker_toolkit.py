@@ -569,7 +569,6 @@ def test_an_oversize_result_is_returned_unstored(store):
     kit = MarkerKit(SymbolTable("ab"))
     e = kit.non_markers_of(word(kit.table, "ab" * 20))
     lb1 = kit.lb1
-    kit.intro(lb1)  # the reference's inserter, stored before the store is read
     held = dict(markers._shape_cache), markers._shape_cache_arcs
     # room for a small entry, not for this one
     store.setattr(markers, "SHAPE_CACHE_CAP", held[1] + 50)

@@ -13,6 +13,7 @@ import itertools
 import random
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from fsrw import (
     option,
     sigma_star,
     star,
+    transduce,
     union,
     word,
 )
@@ -308,6 +310,18 @@ def test_oracle_scans_a_long_line_without_recursion():
     line = "".join(rng.choice("abdpt#") for _ in range(5000))
     assert oracle_replace(*_devoice(), line) == _devoice_ref(line)
     assert sys.getrecursionlimit() == limit
+
+
+def test_oracle_scans_a_long_line_in_linear_time():
+    # on a line of a's every position starts a dom(T) walk that stays
+    # alive to the end; the facts of a suffix come from its tail's, so the
+    # 20 000-symbol lines take one walk each, not one per position
+    comp = compile_rules("#alphabet a b.\nreplace([a+, b] x b, [], []).")
+    oracle = Oracle(*comp.pieces)
+    start = time.process_time()
+    for line in ("a" * 20_000, "a" * 12_000 + "b" + "a" * 8_000 + "bb"):
+        assert oracle.replace(line) == set(transduce(comp.machine, line).strings())
+    assert time.process_time() - start < 5
 
 
 def test_unknown_symbol_leaves_the_oracle_usable(tb):
